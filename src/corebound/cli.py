@@ -17,16 +17,14 @@ import json
 import sys
 
 from . import montecarlo, sweep as sweep_mod
-from .global_prob import at_least_one_bound, interleaving_bounds
-from .local_prob import connectivity_prob, covering_prob, gilbert_prob, interleaved_local_prob
-from .numerics import ProbValue, choose
+from .local_prob import gilbert_prob
+from .numerics import choose
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-LOCAL_METHODS = ("connectivity", "gilbert", "covering",
-                 "interleaved-lower", "interleaved-upper", "mc")
+LOCAL_METHODS = (*sweep_mod.FORMULA_METHODS, "gilbert", "mc")
 GLOBAL_METHODS = sweep_mod.SWEEP_METHODS
 
 
@@ -97,27 +95,19 @@ def cmd_local(args, parser) -> int:
     p = _resolve_p(parser, args.u, args.k, args.p, args.e_u)
     method = args.method
     if method == "mc":
-        predicate = "connectivity" if args.r == 1 else "min-degree"
-        est = montecarlo.mc_local(args.u, args.k, p, args.r, predicate,
-                                  args.trials, args.seed)
+        est = sweep_mod.mc_value("local", args.u, p, args.k, args.r, args.trials, args.seed)
         header = ["u", "p", "method", "value", "valid", "trials", "stderr"]
         row = [str(args.u), _fmt(p), method, _fmt(est.mean), "1",
                str(est.trials), _fmt(est.stderr)]
         obj = {"u": args.u, "p": p, "method": method, "value": est.mean,
                "valid": True, "trials": est.trials, "stderr": est.stderr}
         return _emit(args, header, [row], obj)
-    if method == "connectivity":
-        pv = connectivity_prob(args.u, args.k, p)
-    elif method == "gilbert":
+    if method == "gilbert":
         if args.k != 2:
             parser.error("--method gilbert requires --k 2")
         pv = gilbert_prob(args.u, p)
-    elif method == "covering":
-        pv = covering_prob(args.u, args.k, p, args.r)
-    elif method == "interleaved-lower":
-        pv = interleaved_local_prob(args.u, args.k, p / args.r, args.r)
     else:
-        pv = interleaved_local_prob(args.u, args.k, p, args.r)
+        pv = sweep_mod.formula_value(method, "local", args.u, p, args.k, args.r)
     header = ["u", "p", "method", "value", "valid"]
     row = [str(args.u), _fmt(p), method, _fmt(pv.value), _flag(pv.valid)]
     obj = {"u": args.u, "p": p, "method": method, "value": pv.value,
@@ -129,48 +119,22 @@ def cmd_local(args, parser) -> int:
 # global
 # ---------------------------------------------------------------------------
 
-def _global_point(methods, v, p, k, r, trials, seed):
-    values: dict[str, ProbValue] = {}
-    est = None
-    if "interleaved-lower" in methods and "interleaved-upper" in methods:
-        lower, upper = interleaving_bounds(v, p, k, r)
-        values["interleaved-lower"] = lower
-        values["interleaved-upper"] = upper
-    for m in methods:
-        if m == "mc" or m in values:
-            continue
-        if m in ("connectivity", "covering"):
-            values[m] = at_least_one_bound(v, p, k, r, method=m)
-        elif m == "interleaved-lower":
-            values[m] = interleaving_bounds(v, p, k, r)[0]
-        elif m == "interleaved-upper":
-            values[m] = interleaving_bounds(v, p, k, r)[1]
-    if "mc" in methods:
-        est = montecarlo.mc_global(v, k, p, r, trials, seed)
-    return values, est
-
-
 def cmd_global(args, parser) -> int:
     p = _resolve_p(parser, args.v, args.k, args.p, args.e_v)
     methods = tuple(dict.fromkeys(args.method)) if args.method else ("connectivity",)
-    for m in methods:
-        if m not in GLOBAL_METHODS:
-            parser.error(f"unknown method {m!r}; pick from {GLOBAL_METHODS}")
-    values, est = _global_point(methods, args.v, p, args.k, args.r,
-                                args.trials, args.seed)
+    values = {m: sweep_mod.formula_value(m, "global", args.v, p, args.k, args.r)
+              for m in methods if m != "mc"}
     header = ["v", "p"]
     row = [str(args.v), _fmt(p)]
     obj = {"v": args.v, "p": p, "k": args.k, "r": args.r}
-    for m in methods:
-        if m == "mc":
-            continue
-        pv = values[m]
+    for m, pv in values.items():
         col = _column_name(m)
         header += [col, f"{col}_valid"]
         row += [_fmt(pv.value), _flag(pv.valid)]
         obj[col] = pv.value
         obj[f"{col}_valid"] = pv.valid
-    if est is not None:
+    if "mc" in methods:
+        est = sweep_mod.mc_value("global", args.v, p, args.k, args.r, args.trials, args.seed)
         header += ["mc_mean", "mc_stderr"]
         row += [_fmt(est.mean), _fmt(est.stderr)]
         obj["mc_mean"] = est.mean
@@ -250,8 +214,6 @@ def cmd_sweep(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_breakdown(args, parser) -> int:
-    if args.method not in sweep_mod.FORMULA_METHODS:
-        parser.error(f"breakdown needs a formula method, not {args.method!r}")
     threshold = sweep_mod.find_breakdown(args.k, args.r, args.overhead,
                                          args.method, args.scope, args.cap)
     if threshold is None:

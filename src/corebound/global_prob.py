@@ -21,9 +21,10 @@ All arithmetic is carried out and reported verbatim; values that leave
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .local_prob import ConnectivityTable, covering_prob
+from .local_prob import ConnectivityTable, covering_prob, interleaved_local_prob
 from .numerics import PROB_TOL, ProbValue, choose, choose_float, stable_sum
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "GlobalComputation",
     "exactly_one_core",
     "at_least_one_bound",
+    "lower_bound",
     "interleaving_bounds",
 ]
 
@@ -72,8 +74,7 @@ class LocalProvider:
         if self.method == "connectivity":
             return self._table.prob(u)
         if self.method == "interleaved":
-            base = self._table.prob(u)
-            return ProbValue(base.value**self.r, base.valid, base.note)
+            return interleaved_local_prob(u, self.k, self.p, self.r, table=self._table)
         if self.method == "covering":
             return covering_prob(u, self.k, self.p, self.r)
         from .montecarlo import exact_local  # deferred: montecarlo pulls in kernels
@@ -106,6 +107,19 @@ def _pow_one_minus(x: float, exponent: float) -> float:
         return math.pow(1.0 - x, exponent)
     except (OverflowError, ValueError):
         return math.inf
+
+
+def _merged(value: float, parts: Iterable[ProbValue]) -> ProbValue:
+    """``value`` computed from ``parts``: invalid when it leaves [0, 1] or any
+    part is invalid, carrying the first note among the parts."""
+    # one plain loop: this runs O(v^2) times per composition, and separate
+    # all()/next() generator scans cost about 10% of a global evaluation
+    valid, note = True, None
+    for pv in parts:
+        valid = valid and pv.valid
+        note = note or pv.note
+    checked = ProbValue.checked(value, note)
+    return checked if valid else ProbValue(value, False, checked.note)
 
 
 def _lenient_sum(values) -> float:
@@ -152,11 +166,7 @@ class GlobalComputation:
         for u in range(n, self.k - 1, -1):  # descending: size u consumes all x > u
             lone = self.lone_core_prob(u, n, out)
             others = self.no_distinct_core_prob(u, n)
-            value = lone.value * others.value
-            valid = lone.valid and others.valid
-            note = lone.note or others.note
-            wrapped = ProbValue.checked(value, note)
-            out[u] = wrapped if valid and wrapped.valid else ProbValue(value, False, note or wrapped.note)
+            out[u] = _merged(lone.value * others.value, (lone, others))
         return out
 
     def lone_core_prob(self, u: int, n: int | None = None,
@@ -166,40 +176,22 @@ class GlobalComputation:
         n = self.v if n is None else n
         sizes = partial if partial is not None else self.sizes(n)
         local = self.provider.value(u)
+        above = [sizes[x] for x in range(u + 1, n + 1)]
         value = choose(n, u) * local.value
-        valid = local.valid
-        note = local.note
-        for x in range(u + 1, n + 1):
-            above = sizes[x]
-            value *= _pow_one_minus(above.value, choose_float(n - u, x - u))
-            valid = valid and above.valid
-            note = note or above.note
-        result = ProbValue.checked(value, note)
-        if not valid:
-            return ProbValue(value, False, note or result.note)
-        return result
+        for x, pv in enumerate(above, u + 1):
+            value *= _pow_one_minus(pv.value, choose_float(n - u, x - u))
+        return _merged(value, [local, *above])
 
     def no_distinct_core_prob(self, u: int, n: int | None = None) -> ProbValue:
         """P[no further core forms among the n-u vertices left over]."""
         n = self.v if n is None else n
         rest = n - u
         sub = self.sizes(rest)  # empty dict when rest < k
-        value = 1.0 - _lenient_sum(pv.value for pv in sub.values())
-        valid = all(pv.valid for pv in sub.values())
-        note = next((pv.note for pv in sub.values() if pv.note), None)
-        result = ProbValue.checked(value, note)
-        if not valid:
-            return ProbValue(value, False, note or result.note)
-        return result
+        return _merged(1.0 - _lenient_sum(pv.value for pv in sub.values()), sub.values())
 
     def result(self) -> GlobalResult:
         per_size = self.sizes(self.v)
-        total = _lenient_sum(pv.value for pv in per_size.values())
-        all_valid = all(pv.valid for pv in per_size.values())
-        note = next((pv.note for pv in per_size.values() if pv.note), None)
-        exactly = ProbValue.checked(total, note)
-        if not all_valid:
-            exactly = ProbValue(total, False, note or exactly.note)
+        exactly = _merged(_lenient_sum(pv.value for pv in per_size.values()), per_size.values())
         invalid_sizes = [u for u, pv in per_size.items() if not pv.valid]
         return GlobalResult(
             v=self.v, p=self.p, k=self.k, r=self.r, method=self.provider.method,
@@ -244,9 +236,17 @@ def at_least_one_bound(v: int, p: float, k: int, r: int,
     return exactly_one_core(v, p, k, r, method, provider).bound
 
 
+def lower_bound(bound: ProbValue) -> ProbValue:
+    """``bound`` read as a lower bound on a probability: above 1 it bounds
+    nothing, so it is flagged invalid (value kept verbatim)."""
+    if bound.valid and bound.value > 1.0 + PROB_TOL:
+        return ProbValue(bound.value, False, "lower bound above 1")
+    return bound
+
+
 def interleaving_bounds(v: int, p: float, k: int, r: int) -> tuple[ProbValue, ProbValue]:
     """(lower, upper) bracket of the r-core probability from the interleaved model:
     the geometric bound evaluated at edge probability p/r and at p."""
-    lower = at_least_one_bound(v, p / r, k, r, method="interleaved")
+    lower = lower_bound(at_least_one_bound(v, p / r, k, r, method="interleaved"))
     upper = at_least_one_bound(v, p, k, r, method="interleaved")
     return lower, upper

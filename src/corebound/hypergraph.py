@@ -26,6 +26,7 @@ __all__ = [
     "is_connected_on",
     "has_rcore_on",
     "enumerate_all",
+    "guarded_count",
 ]
 
 # Seeds are plain 64-bit unsigned ints throughout (wrapped mod 2^64).
@@ -33,6 +34,16 @@ Seed = int
 
 GENERATE_GUARD = 2**31  # max candidate edges for random generation
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
+
+
+def guarded_count(v: int, k: int, guard: int) -> int:
+    """C(v, k), the candidate edge count; ValueError when it exceeds ``guard``
+    (``GENERATE_GUARD`` or ``ENUMERATE_GUARD``)."""
+    m = choose(v, k)
+    if m > guard:
+        what = "generation" if guard == GENERATE_GUARD else "enumeration"
+        raise ValueError(f"C(v, k) = {m} exceeds the {what} guard {guard}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -142,9 +153,7 @@ def generate(params: HypergraphParams, seed: Seed) -> Hypergraph:
     Deterministic in (params, seed).  A Monte Carlo trial ``t`` with master
     seed ``s`` sees exactly ``generate(params, kernels.trial_seed(s, t))``.
     """
-    m = choose(params.v, params.k)
-    if m > GENERATE_GUARD:
-        raise ValueError(f"C(v, k) = {m} exceeds the generation guard {GENERATE_GUARD}")
+    m = guarded_count(params.v, params.k, GENERATE_GUARD)
     cand = candidate_edges(params.v, params.k)
     mask = kernels.sample_edge_mask(m, params.p, seed)
     edges = tuple(tuple(int(x) for x in row) for row in cand[mask])
@@ -158,10 +167,6 @@ def peel(h: Hypergraph, r: int) -> frozenset[int]:
     return frozenset(int(x) for x in np.flatnonzero(mask))
 
 
-def _induced_edges(h: Hypergraph, subset: frozenset[int]) -> list[tuple[int, ...]]:
-    return [e for e in h.edges if all(x in subset for x in e)]
-
-
 def _check_subset(h: Hypergraph, subset) -> frozenset[int]:
     sub = frozenset(int(x) for x in subset)
     if not sub:
@@ -171,33 +176,33 @@ def _check_subset(h: Hypergraph, subset) -> frozenset[int]:
     return sub
 
 
+def _induced_on(h: Hypergraph, subset) -> tuple[np.ndarray, int]:
+    """The edges lying entirely inside ``subset``, relabelled to 0..|subset|-1
+    in vertex order, as an (m, k) array; and |subset|."""
+    sub = _check_subset(h, subset)
+    relabel = {x: i for i, x in enumerate(sorted(sub))}
+    induced = [[relabel[x] for x in e] for e in h.edges if all(x in sub for x in e)]
+    arr = np.array(induced, dtype=np.int64) if induced else np.empty((0, h.k), dtype=np.int64)
+    return arr, len(sub)
+
+
 def is_connected_on(h: Hypergraph, subset) -> bool:
     """True iff the subgraph induced on ``subset`` connects all of it.
 
     Only edges lying entirely inside ``subset`` count; singletons are connected.
     """
-    sub = _check_subset(h, subset)
-    relabel = {x: i for i, x in enumerate(sorted(sub))}
-    induced = [[relabel[x] for x in e] for e in _induced_edges(h, sub)]
-    arr = np.array(induced, dtype=np.int64) if induced else np.empty((0, h.k), dtype=np.int64)
-    return kernels.connected_all(arr, len(sub))
+    return kernels.connected_all(*_induced_on(h, subset))
 
 
 def has_rcore_on(h: Hypergraph, subset, r: int) -> bool:
     """True iff in the subgraph induced on ``subset`` every vertex has degree >= r."""
-    sub = _check_subset(h, subset)
-    relabel = {x: i for i, x in enumerate(sorted(sub))}
-    induced = [[relabel[x] for x in e] for e in _induced_edges(h, sub)]
-    arr = np.array(induced, dtype=np.int64) if induced else np.empty((0, h.k), dtype=np.int64)
-    return kernels.min_degree_ok(arr, len(sub), r)
+    return kernels.min_degree_ok(*_induced_on(h, subset), r)
 
 
 def enumerate_all(v: int, k: int) -> Iterator[Hypergraph]:
     """Yield all 2^C(v,k) hypergraphs on v vertices, in bitmask order over the
     colexicographic candidate enumeration (bit j of the mask = candidate j)."""
-    m = choose(v, k)
-    if m > ENUMERATE_GUARD:
-        raise ValueError(f"C(v, k) = {m} exceeds the enumeration guard {ENUMERATE_GUARD}")
+    m = guarded_count(v, k, ENUMERATE_GUARD)
     cand = [tuple(int(x) for x in row) for row in candidate_edges(v, k)]
     for mask in range(1 << m):
         edges = tuple(cand[j] for j in range(m) if mask >> j & 1)

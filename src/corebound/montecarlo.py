@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .hypergraph import ENUMERATE_GUARD, HypergraphParams, candidate_edges
-from .numerics import choose
+from .hypergraph import (ENUMERATE_GUARD, GENERATE_GUARD, HypergraphParams,
+                         candidate_edges, guarded_count)
 
 __all__ = [
     "McEstimate",
@@ -69,8 +69,7 @@ def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
     if predicate not in kernels.PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     params = HypergraphParams(u, k, p, r)  # validates the domain
-    if choose(u, k) > 2**31:
-        raise ValueError("candidate edge count exceeds the generation guard")
+    guarded_count(u, k, GENERATE_GUARD)
     cand = candidate_edges(u, k)
     successes = kernels.mc_local_successes(cand, u, params.p, r, predicate,
                                            trials, seed, start)
@@ -82,25 +81,17 @@ def mc_global(v: int, k: int, p: float, r: int,
     """Estimate the probability that peeling leaves a nonempty r-core anywhere."""
     _check_trials(trials)
     params = HypergraphParams(v, k, p, r)
-    if choose(v, k) > 2**31:
-        raise ValueError("candidate edge count exceeds the generation guard")
+    guarded_count(v, k, GENERATE_GUARD)
     cand = candidate_edges(v, k)
     successes = kernels.mc_global_successes(cand, v, params.p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
-
-
-def _check_enumerable(v: int, k: int) -> int:
-    m = choose(v, k)
-    if m > ENUMERATE_GUARD:
-        raise ValueError(f"C(v, k) = {m} exceeds the enumeration guard {ENUMERATE_GUARD}")
-    return m
 
 
 def exact_global(v: int, k: int, p: float, r: int) -> float:
     """Exact probability of a nonempty r-core, by summing p^|E| (1-p)^(M-|E|)
     over every edge subset whose peel survives.  Guarded to C(v,k) <= 20."""
     HypergraphParams(v, k, p, r)
-    _check_enumerable(v, k)
+    guarded_count(v, k, ENUMERATE_GUARD)
     return kernels.exhaustive_global_prob(candidate_edges(v, k), v, r, p)
 
 
@@ -133,7 +124,7 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
     if semantics not in ("minimal", "maximal"):
         raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")
     HypergraphParams(v, k, p, r)
-    m = _check_enumerable(v, k)
+    m = guarded_count(v, k, ENUMERATE_GUARD)
     cand = [tuple(int(x) for x in row) for row in candidate_edges(v, k)]
 
     # candidate subsets (as vertex bitmasks) with their induced edge masks and
@@ -173,7 +164,7 @@ def exact_local(u: int, k: int, p: float, r: int) -> float:
     """Exact probability that an r-core spans all u vertices (induced minimum
     degree >= r on the whole subset), by enumeration.  Guarded to C(u,k) <= 20."""
     HypergraphParams(u, k, p, r)
-    m = _check_enumerable(u, k)
+    m = guarded_count(u, k, ENUMERATE_GUARD)
     cand = [tuple(int(x) for x in row) for row in candidate_edges(u, k)]
     inc = [0] * u
     for j, edge in enumerate(cand):

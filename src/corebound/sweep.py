@@ -25,14 +25,16 @@ import math
 from dataclasses import dataclass, field
 
 from . import montecarlo
-from .global_prob import at_least_one_bound, interleaving_bounds
+from .global_prob import LocalProvider, at_least_one_bound, lower_bound
 from .kernels import trial_seed
-from .local_prob import connectivity_prob, covering_prob, interleaved_local_prob
 from .numerics import ProbValue, choose
 
 __all__ = [
+    "METHOD_TABLE",
     "FORMULA_METHODS",
     "SWEEP_METHODS",
+    "formula_value",
+    "mc_value",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -41,7 +43,16 @@ __all__ = [
     "find_breakdown",
 ]
 
-FORMULA_METHODS = ("connectivity", "covering", "interleaved-lower", "interleaved-upper")
+# Formula method -> (LocalProvider source, evaluated at p / r).  The bracket
+# runs the interleaved source at p / r for its lower side and at p for its
+# upper side; every subcommand and scope evaluates methods through this table.
+METHOD_TABLE = {
+    "connectivity": ("connectivity", False),
+    "covering": ("covering", False),
+    "interleaved-lower": ("interleaved", True),
+    "interleaved-upper": ("interleaved", False),
+}
+FORMULA_METHODS = tuple(METHOD_TABLE)
 SWEEP_METHODS = FORMULA_METHODS + ("mc",)
 SCOPES = ("local", "global")
 
@@ -113,28 +124,29 @@ def point_geometry(k: int, overhead: float, e: int) -> tuple[int, float]:
     return v, p
 
 
-def _formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> ProbValue:
+def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> ProbValue:
+    """Value of a formula method at (v, p, k, r).
+
+    Local scope: the method's local source on all v vertices.  Global scope:
+    the geometric bound on at-least-one-core built from that source; a method
+    evaluated at p / r is the lower side of the bracket, so above 1 it is
+    flagged invalid.
+    """
+    if method not in METHOD_TABLE:
+        raise ValueError(f"unknown formula method {method!r}; pick from {FORMULA_METHODS}")
+    source, at_p_over_r = METHOD_TABLE[method]
+    q = p / r if at_p_over_r else p
     if scope == "local":
-        if method == "connectivity":
-            return connectivity_prob(v, k, p)
-        if method == "covering":
-            return covering_prob(v, k, p, r)
-        if method == "interleaved-lower":
-            return interleaved_local_prob(v, k, p / r, r)
-        if method == "interleaved-upper":
-            return interleaved_local_prob(v, k, p, r)
-    else:
-        if method in ("connectivity", "covering"):
-            return at_least_one_bound(v, p, k, r, method=method)
-        if method == "interleaved-lower":
-            return interleaving_bounds(v, p, k, r)[0]
-        if method == "interleaved-upper":
-            return interleaving_bounds(v, p, k, r)[1]
-    raise ValueError(f"unknown formula method {method!r}")
+        return LocalProvider(source, k, q, r).value(v)
+    bound = at_least_one_bound(v, q, k, r, method=source)
+    return lower_bound(bound) if at_p_over_r else bound
 
 
-def _mc_value(scope: str, v: int, p: float, k: int, r: int,
-              trials: int, seed: int) -> montecarlo.McEstimate:
+def mc_value(scope: str, v: int, p: float, k: int, r: int,
+             trials: int, seed: int) -> montecarlo.McEstimate:
+    """Monte Carlo estimate at (v, p, k, r).  Local scope tests a core spanning
+    all v vertices (connectivity when r = 1, minimum degree otherwise); global
+    scope peels for a nonempty r-core anywhere."""
     if scope == "local":
         predicate = "connectivity" if r == 1 else "min-degree"
         return montecarlo.mc_local(v, k, p, r, predicate, trials, seed)
@@ -177,19 +189,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for e in range(spec.e_min, spec.e_max + 1):
         v, p = point_geometry(spec.k, spec.overhead, e)
         row = SweepRow(e=e, v=v, p=p)
-        # interleaved-lower/upper share one pair of computations per point
-        if "interleaved-lower" in formula_methods and "interleaved-upper" in formula_methods \
-                and spec.scope == "global":
-            lower, upper = interleaving_bounds(v, p, spec.k, spec.r)
-            row.values["interleaved-lower"] = lower
-            row.values["interleaved-upper"] = upper
         for m in formula_methods:
-            if m not in row.values:
-                row.values[m] = _formula_value(m, spec.scope, v, p, spec.k, spec.r)
+            row.values[m] = formula_value(m, spec.scope, v, p, spec.k, spec.r)
         if "mc" in spec.methods:
             # stable per-point seed: rows keep their draws if the range changes
-            row.mc = _mc_value(spec.scope, v, p, spec.k, spec.r,
-                               spec.trials, trial_seed(spec.seed, e))
+            row.mc = mc_value(spec.scope, v, p, spec.k, spec.r,
+                              spec.trials, trial_seed(spec.seed, e))
         if v >= spec.k:  # points below the smallest possible core are structural zeros
             for m in formula_methods:
                 pv = row.values[m]
@@ -211,7 +216,7 @@ def find_breakdown(k: int, r: int, overhead: float, method: str,
         v, p = point_geometry(k, overhead, e)
         if v < k:  # no core can exist yet; not part of the curve
             continue
-        pv = _formula_value(method, scope, v, p, k, r)
+        pv = formula_value(method, scope, v, p, k, r)
         detector.push(e, pv.value, pv.valid)
         if detector.threshold is not None:
             return detector.threshold

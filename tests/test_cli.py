@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from corebound.cli import main
+from corebound.sweep import FORMULA_METHODS
 
 
 def run_cli(*argv):
@@ -170,6 +171,48 @@ class TestOracle:
     def test_guard_exit_2(self):
         code, _, _ = run_cli("oracle", "--v", "9", "--k", "3", "--p", "0.5")
         assert code == 2
+
+
+def csv_rows(capsys):
+    header, *rows = capsys.readouterr().out.splitlines()
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def method_args(methods):
+    return [a for m in methods for a in ("--method", m)]
+
+
+class TestOnePathPerMethod:
+    """Each formula method gives the same value and flag from every subcommand."""
+
+    @pytest.mark.parametrize("method", FORMULA_METHODS)
+    @pytest.mark.parametrize("overhead,e", [("1.6", "10"), ("1.2", "3")])
+    def test_global_alone_together_and_sweep(self, capsys, method, overhead, e):
+        assert main(["sweep", "--k", "3", "--r", "2", "--overhead", overhead,
+                     "--e-min", e, "--e-max", e, *method_args(FORMULA_METHODS)]) == 0
+        [swept] = csv_rows(capsys)
+        point = ["global", "--v", swept["v"], "--p", swept["p"], "--k", "3", "--r", "2"]
+        assert main([*point, *method_args(FORMULA_METHODS)]) == 0
+        [together] = csv_rows(capsys)
+        assert main([*point, "--method", method]) == 0
+        [alone] = csv_rows(capsys)
+        col = method.replace("-", "_")
+        for key in (col, f"{col}_valid"):
+            assert alone[key] == together[key] == swept[key]
+
+    @pytest.mark.parametrize("method", FORMULA_METHODS)
+    def test_local_matches_local_sweep(self, capsys, method):
+        assert main(["sweep", "--k", "3", "--r", "2", "--overhead", "1.0",
+                     "--e-min", "6", "--e-max", "12", "--scope", "local",
+                     "--method", method]) == 0
+        swept = {row["v"]: row for row in csv_rows(capsys)}
+        col = method.replace("-", "_")
+        for u in ("6", "9", "12"):
+            assert main(["local", "--u", u, "--k", "3", "--e-u", u, "--r", "2",
+                         "--method", method]) == 0
+            [local] = csv_rows(capsys)
+            assert (local["p"], local["value"], local["valid"]) == \
+                (swept[u]["p"], swept[u][col], swept[u][f"{col}_valid"])
 
 
 class TestUsageErrors:

@@ -147,6 +147,12 @@ class TestInterleavingBounds:
             assert lower.valid and upper.valid
             assert lower.value <= upper.value + 1e-12
 
+    def test_lower_bound_above_one_is_invalid(self):
+        # the e=3 point of the overhead-1.2 sweep: S/(1-S) at p/r is 1.97
+        lower, _ = interleaving_bounds(4, 0.75, 3, 2)
+        assert lower.value == pytest.approx(1.9744653165700103, rel=1e-12)
+        assert not lower.valid
+
     def test_bracket_holds_against_mc(self, warm_kernels):
         v, e = 8, 5
         p = e / math.comb(v, 3)

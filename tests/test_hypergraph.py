@@ -13,6 +13,7 @@ from corebound import (
     peel,
 )
 from corebound.hypergraph import GENERATE_GUARD
+from corebound.montecarlo import mc_global, mc_local
 
 
 def hg(v, k, *edges):
@@ -78,8 +79,12 @@ class TestGenerate:
         assert generate(params, seed=77).edges != generate(params, seed=78).edges
 
     def test_scale_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="generation guard"):
             generate(HypergraphParams(5000, 3, 1e-9, 1), seed=0)
+        with pytest.raises(ValueError, match="generation guard"):
+            mc_global(5000, 3, 1e-9, 2, trials=1, seed=0)
+        with pytest.raises(ValueError, match="generation guard"):
+            mc_local(5000, 3, 1e-9, 2, "min-degree", trials=1, seed=0)
         assert choose(5000, 3) > GENERATE_GUARD
 
 

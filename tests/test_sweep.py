@@ -94,6 +94,13 @@ class TestRunSweep:
                 checked += 1
         assert checked > 0
 
+    def test_global_lower_bound_above_one_breaks_down(self):
+        spec = SweepSpec(k=3, r=2, overhead=1.2, e_min=3, e_max=5,
+                         methods=("interleaved-lower",), scope="global")
+        res = run_sweep(spec)
+        assert res.rows[0].values["interleaved-lower"].value > 1.0
+        assert res.breakdown_at["interleaved-lower"] == 3
+
     def test_mc_rows_keep_per_point_seeds(self, warm_kernels):
         base = dict(k=3, r=1, overhead=1.0, methods=("mc",), trials=300, seed=9,
                     scope="local")
