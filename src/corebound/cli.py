@@ -41,9 +41,17 @@ def _column_name(method: str) -> str:
     return method.replace("-", "_")
 
 
+def core_order(text: str) -> int:
+    """argparse type of --r: an int >= 1."""
+    r = int(text)
+    if r < 1:
+        raise argparse.ArgumentTypeError(f"core order must be >= 1, got {r}")
+    return r
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, required=True, help="edge cardinality (>= 2)")
-    parser.add_argument("--r", type=int, default=1, help="core order (default 1)")
+    parser.add_argument("--r", type=core_order, default=1, help="core order (default 1)")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -1,4 +1,5 @@
-"""Hot Monte Carlo kernels with a numba backend and a pure numpy fallback.
+"""Hot Monte Carlo kernels with a numba backend and a pure numpy fallback,
+plus the bitmask layer of the exhaustive oracles (numpy on every backend).
 
 Backend selection: set ``COREBOUND_NUMBA=0`` in the environment to force the
 numpy fallback; unset (or any other value) uses numba when it imports.  The
@@ -30,6 +31,9 @@ __all__ = [
     "min_degree_ok",
     "mc_local_successes",
     "mc_global_successes",
+    "edge_incidence",
+    "degrees_at_least",
+    "subset_prob",
     "exhaustive_global_prob",
 ]
 
@@ -188,18 +192,70 @@ def _mc_global_np(cand: np.ndarray, v: int, p: float, r: int,
     return successes
 
 
-def _exhaustive_global_np(cand: np.ndarray, v: int, r: int, p: float) -> float:
-    m = len(cand)
-    log_p = math.log(p)
-    log_1m = math.log1p(-p)
-    total = []
-    for mask in range(1 << m):
-        picked = [j for j in range(m) if mask >> j & 1]
-        if not peel_survivor_mask(cand[picked], v, r).any():
-            continue
-        n_e = len(picked)
-        total.append(math.exp(n_e * log_p + (m - n_e) * log_1m))
-    return math.fsum(total)
+# ---------------------------------------------------------------------------
+# exhaustive oracles: every edge subset as a uint32 mask, in numpy blocks
+# (one path on every backend)
+# ---------------------------------------------------------------------------
+
+SUBSET_BLOCK = 1 << 16  # edge subsets per block; bounds the oracles' memory
+
+
+def edge_incidence(cand: np.ndarray, v: int) -> np.ndarray:
+    """Per vertex, the uint32 mask of the candidate edges (bit j = row j) containing it."""
+    cand = _as_candidates(cand)
+    if len(cand) > 32:
+        raise ValueError(f"{len(cand)} candidate edges do not fit a uint32 edge mask")
+    inc = np.zeros(v, dtype=np.uint32)
+    bits = np.left_shift(np.uint32(1), np.arange(len(cand), dtype=np.uint32))
+    np.bitwise_or.at(inc, cand, bits[:, None])
+    return inc
+
+
+def degrees_at_least(masks: np.ndarray, inc: np.ndarray, r: int) -> np.ndarray:
+    """Per edge mask: every vertex of ``inc`` lies in at least ``r`` of its edges."""
+    ok = np.ones(masks.shape, dtype=bool)
+    for vertex_edges in inc:
+        ok &= np.bitwise_count(masks & vertex_edges) >= r
+    return ok
+
+
+def _peel_survives(masks: np.ndarray, inc: np.ndarray, r: int) -> np.ndarray:
+    """Per edge mask: batch peeling (drop every edge at a vertex of degree < r,
+    until nothing changes) leaves an edge, i.e. the r-core is nonempty."""
+    alive = masks
+    while True:
+        dead = np.zeros_like(alive)
+        for vertex_edges in inc:
+            low = np.bitwise_count(alive & vertex_edges) < r
+            dead |= np.where(low, vertex_edges, np.uint32(0))
+        peeled = alive & ~dead
+        if np.array_equal(peeled, alive):
+            return alive != 0
+        alive = peeled
+
+
+def subset_prob(m: int, p: float, accept) -> float:
+    """Sum of p^|E| (1-p)^(m-|E|) over the edge subsets E that ``accept`` (a block
+    of uint32 masks -> bool array) accepts.
+
+    Accepted subsets are counted per size n.  Each count is split into powers
+    of two, so ``fsum`` adds exact multiples of the size's weight and returns
+    the same correctly rounded float as an ``fsum`` of one weight per subset.
+    The weight goes through log space so nothing underflows at m = 20.
+    """
+    if p == 0.0 or p == 1.0:  # the empty or the full edge set has all the mass
+        only = np.array([(1 << m) - 1 if p == 1.0 else 0], dtype=np.uint32)
+        return float(accept(only)[0])
+    counts = np.zeros(m + 1, dtype=np.int64)
+    for lo in range(0, 1 << m, SUBSET_BLOCK):
+        block = np.arange(lo, min(lo + SUBSET_BLOCK, 1 << m), dtype=np.uint32)
+        counts += np.bincount(np.bitwise_count(block[accept(block)]), minlength=m + 1)
+    log_p, log_1m = math.log(p), math.log1p(-p)
+    terms = []
+    for n, c in enumerate(counts.tolist()):
+        w = math.exp(n * log_p + (m - n) * log_1m)
+        terms += [math.ldexp(w, j) for j in range(c.bit_length()) if c >> j & 1]
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -333,32 +389,6 @@ if NUMBA_ENABLED:
                 successes += 1
         return successes
 
-    @njit(cache=True)
-    def _exhaustive_global_nb(cand, v, r, log_p, log_1m):
-        n_cand = cand.shape[0]
-        sel = np.empty(n_cand, np.int64)
-        deg = np.empty(v, np.int64)
-        alive_v = np.empty(v, np.bool_)
-        alive_e = np.empty(n_cand, np.bool_)
-        total = 0.0
-        comp = 0.0  # Neumaier compensation
-        for mask in range(1 << n_cand):
-            m = 0
-            for j in range(n_cand):
-                if mask >> j & 1:
-                    sel[m] = j
-                    m += 1
-            if _peel_survivors_nb(cand, sel, m, v, r, deg, alive_v, alive_e) == 0:
-                continue
-            w = np.exp(m * log_p + (n_cand - m) * log_1m)
-            s = total + w
-            if abs(total) >= abs(w):
-                comp += (total - s) + w
-            else:
-                comp += (w - s) + total
-            total = s
-        return total + comp
-
 
 # ---------------------------------------------------------------------------
 # public dispatching drivers
@@ -394,11 +424,5 @@ def mc_global_successes(cand: np.ndarray, v: int, p: float, r: int,
 
 def exhaustive_global_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
     """Sum of p^|E| (1-p)^(M-|E|) over all edge subsets that peel to a nonempty core."""
-    cand = _as_candidates(cand)
-    if p == 0.0 or p == 1.0:
-        # single hypergraph has all the mass
-        edges = cand if p == 1.0 else cand[:0]
-        return 1.0 if peel_survivor_mask(edges, v, r).any() else 0.0
-    if NUMBA_ENABLED:
-        return float(_exhaustive_global_nb(cand, v, r, math.log(p), math.log1p(-p)))
-    return _exhaustive_global_np(cand, v, r, p)
+    inc = edge_incidence(cand, v)
+    return subset_prob(len(cand), p, lambda masks: _peel_survives(masks, inc, r))

@@ -7,12 +7,17 @@ master seed (pass ``start=a`` for the second block).
 
 The oracles enumerate every hypergraph on the candidate edge set (guarded to
 at most 2^20 instances) and are the ground truth the formulas and estimators
-are validated against.
+are validated against.  They run on bitmask blocks: each edge subset is a
+uint32 mask, 2^16 of them per numpy block, so memory is bounded per block.
+Each oracle counts its accepted subsets by size and sums the weights exactly
+(:func:`kernels.subset_prob`), giving the same floats as a per-subset sum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import kernels
 from .hypergraph import (ENUMERATE_GUARD, GENERATE_GUARD, HypergraphParams,
@@ -95,24 +100,6 @@ def exact_global(v: int, k: int, p: float, r: int) -> float:
     return kernels.exhaustive_global_prob(candidate_edges(v, k), v, r, p)
 
 
-def _mask_weights(m: int, p: float):
-    """Edge-subset iteration order and the weight p^|E| (1-p)^(M-|E|) per mask.
-
-    Weights go through log space so that nothing underflows at M = 20 when p
-    is extreme; p in {0, 1} collapses to the single all-or-nothing mask.
-    """
-    if p == 0.0 or p == 1.0:
-        return [(1 << m) - 1 if p == 1.0 else 0], lambda mask: 1.0
-
-    log_p, log_1m = math.log(p), math.log1p(-p)
-
-    def weigh(mask: int) -> float:
-        n_e = mask.bit_count()
-        return math.exp(n_e * log_p + (m - n_e) * log_1m)
-
-    return range(1 << m), weigh
-
-
 def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minimal") -> float:
     """Exact probability that exactly one r-core vertex set exists.
 
@@ -120,44 +107,47 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
     minimum degree >= r.  Since such sets are partially ordered by inclusion,
     "exactly one" needs a convention: ``"minimal"`` counts inclusion-minimal
     core sets, ``"maximal"`` counts inclusion-maximal ones.
+
+    The union of two core sets is a core set, so there is at most one maximal
+    one, and ``"maximal"`` equals :func:`exact_global`.  It is still computed
+    here by enumerating vertex subsets, independently of peeling, so the tests
+    can hold the two methods against each other.
     """
     if semantics not in ("minimal", "maximal"):
         raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")
     HypergraphParams(v, k, p, r)
     m = guarded_count(v, k, ENUMERATE_GUARD)
-    cand = [tuple(int(x) for x in row) for row in candidate_edges(v, k)]
+    cand = candidate_edges(v, k)
+    inc = kernels.edge_incidence(cand, v)
+    edge_verts = [sum(1 << int(x) for x in row) for row in cand]
 
-    # candidate subsets (as vertex bitmasks) with their induced edge masks and
-    # per-vertex incidence masks
+    # vertex subsets S (bit x = vertex x) of size >= k, each with its members'
+    # incidence masks restricted to the edges induced on S
     subsets = []
-    for smask in range(1, 1 << v):
-        verts = [x for x in range(v) if smask >> x & 1]
-        if len(verts) < k:
-            continue
-        emask = 0
-        inc = {x: 0 for x in verts}
-        for j, edge in enumerate(cand):
-            if all(smask >> x & 1 for x in edge):
-                emask |= 1 << j
-                for x in edge:
-                    inc[x] |= 1 << j
-        subsets.append((smask, emask, inc))
+    for s in range(1 << v):
+        members = [x for x in range(v) if s >> x & 1]
+        if len(members) >= k:
+            induced = sum(1 << j for j, e in enumerate(edge_verts) if e & s == e)
+            subsets.append((s, inc[members] & np.uint32(induced)))
 
-    masks, weigh = _mask_weights(m, p)
-    total = []
-    for mask in masks:
-        cores = []
-        for smask, emask, inc in subsets:
-            present = mask & emask
-            if all((present & inc[x]).bit_count() >= r for x in inc):
-                cores.append(smask)
-        if semantics == "minimal":
-            chosen = [c for c in cores if not any(o != c and o & c == o for o in cores)]
-        else:
-            chosen = [c for c in cores if not any(o != c and o & c == c for o in cores)]
-        if len(chosen) == 1:
-            total.append(weigh(mask))
-    return math.fsum(total)
+    def exactly_one(masks):
+        core = np.zeros((1 << v, len(masks)), dtype=bool)  # row S: S is a core set
+        for s, inc_s in subsets:
+            core[s] = kernels.degrees_at_least(masks, inc_s, r)
+        if semantics == "maximal":
+            core = core[::-1]  # row S holds the complement of S: maximal becomes minimal
+        within = np.zeros_like(core)  # row S: some core set is a subset of S
+        minimal = np.zeros(len(masks), dtype=np.int64)
+        for s in range(1 << v):
+            below = np.zeros(len(masks), dtype=bool)
+            for x in range(v):
+                if s >> x & 1:
+                    below |= within[s ^ (1 << x)]
+            within[s] = core[s] | below
+            minimal += core[s] & ~below
+        return minimal == 1
+
+    return kernels.subset_prob(m, p, exactly_one)
 
 
 def exact_local(u: int, k: int, p: float, r: int) -> float:
@@ -165,14 +155,5 @@ def exact_local(u: int, k: int, p: float, r: int) -> float:
     degree >= r on the whole subset), by enumeration.  Guarded to C(u,k) <= 20."""
     HypergraphParams(u, k, p, r)
     m = guarded_count(u, k, ENUMERATE_GUARD)
-    cand = [tuple(int(x) for x in row) for row in candidate_edges(u, k)]
-    inc = [0] * u
-    for j, edge in enumerate(cand):
-        for x in edge:
-            inc[x] |= 1 << j
-    masks, weigh = _mask_weights(m, p)
-    total = []
-    for mask in masks:
-        if all((mask & inc[x]).bit_count() >= r for x in range(u)):
-            total.append(weigh(mask))
-    return math.fsum(total)
+    inc = kernels.edge_incidence(candidate_edges(u, k), u)
+    return kernels.subset_prob(m, p, lambda masks: kernels.degrees_at_least(masks, inc, r))

@@ -229,3 +229,17 @@ class TestUsageErrors:
     def test_missing_subcommand_exit_2(self):
         code, _, _ = run_cli()
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["local", "--u", "12", "--k", "3", "--p", "0.1", "--method", "interleaved-lower"],
+        ["global", "--v", "12", "--k", "3", "--p", "0.1", "--method", "interleaved-lower"],
+        ["sweep", "--k", "3", "--overhead", "1.2", "--e-min", "3", "--e-max", "3",
+         "--method", "connectivity"],
+        ["breakdown", "--k", "3", "--method", "connectivity"],
+        ["oracle", "--v", "4", "--k", "3", "--p", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_core_order_below_one_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--r", "0"])
+        assert exc.value.code == 2
+        assert "core order must be >= 1" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from corebound import (
 )
 from corebound.global_prob import _geometric_bound
 from corebound.numerics import ProbValue
+from corebound.sweep import point_geometry
 
 
 def connectivity_comp(v, p, k=3, r=1):
@@ -152,6 +153,27 @@ class TestInterleavingBounds:
         lower, _ = interleaving_bounds(4, 0.75, 3, 2)
         assert lower.value == pytest.approx(1.9744653165700103, rel=1e-12)
         assert not lower.valid
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="interleaving_bounds(6, 0.25, 3, 2) flags its lower bound 0.83103 "
+        "valid, above exact_global(6, 3, 0.25, 2) = 0.65328; at v=4 and 5 the "
+        "lower bounds (1.9745, 1.1785) are above 1 and flagged invalid",
+    )
+    def test_valid_lower_bound_not_above_exact(self):
+        # the overhead-1.2 sweep points with v = round(1.2 e) in {4, 5, 6}
+        checked, above = 0, []
+        for e in (3, 4, 5):
+            v, p = point_geometry(3, 1.2, e)
+            lower, _ = interleaving_bounds(v, p, 3, 2)
+            if lower.valid:
+                checked += 1
+                exact = exact_global(v, 3, p, 2)
+                if lower.value > exact + 1e-12:
+                    above.append((v, p, lower.value, exact))
+        if not checked:
+            pytest.fail("no valid-flagged lower bound at v in {4, 5, 6}: the check is vacuous")
+        assert not above, f"valid lower bounds above the exact value (v, p, lower, exact): {above}"
 
     def test_bracket_holds_against_mc(self, warm_kernels):
         v, e = 8, 5

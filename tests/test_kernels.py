@@ -5,8 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from corebound import kernels
+from corebound import exact_exactly_one, exact_global, exact_local, kernels, peel
 from corebound.hypergraph import candidate_edges
+from conftest import enumeration_prob
 
 needs_numba = pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend disabled")
 
@@ -82,11 +83,41 @@ class TestBackendEquivalence:
         np_ = kernels._mc_global_np(cand, 7, 0.1, 1, 500, 42, 1500)
         assert nb == np_
 
-    def test_exhaustive_matches(self):
-        cand = np.asarray(candidate_edges(5, 3))
-        nb = kernels.exhaustive_global_prob(cand, 5, 2, 0.37)
-        np_ = kernels._exhaustive_global_np(cand, 5, 2, 0.37)
-        assert nb == pytest.approx(np_, rel=1e-13)
+
+class TestExhaustiveOracles:
+    """The bitmask oracles, which run the same numpy path on every backend."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_global_matches_brute_force(self, k, r):
+        for v in range(k, 6):
+            cand = np.asarray(candidate_edges(v, k))
+            for p in (0.0, 0.37, 0.8, 1.0):
+                brute = enumeration_prob(v, k, p, lambda h: bool(peel(h, r)))
+                assert kernels.exhaustive_global_prob(cand, v, r, p) == \
+                    pytest.approx(brute, abs=1e-12)
+
+    def test_pinned_values(self):
+        # the per-mask loops' values at 2^20 edge subsets, bit for bit
+        assert exact_global(6, 3, 0.5, 2).hex() == "0x1.fdc4000000007p-1"
+        assert exact_local(6, 3, 0.5, 2).hex() == "0x1.e3bbe00000007p-1"
+        assert exact_exactly_one(6, 3, 0.5, 2, "minimal").hex() == "0x1.43be000000006p-5"
+
+    def test_incidence_masks(self):
+        inc = kernels.edge_incidence(np.asarray(candidate_edges(4, 3)), 4)
+        # colex rows: {0,1,2}, {0,1,3}, {0,2,3}, {1,2,3}
+        assert inc.dtype == np.uint32
+        assert inc.tolist() == [0b0111, 0b1011, 0b1101, 0b1110]
+        with pytest.raises(ValueError, match="uint32"):
+            kernels.edge_incidence(np.asarray(candidate_edges(7, 3)), 7)
+
+    def test_subset_prob_sums_exact_weights(self):
+        # every subset accepted: the weights of all 2^m subsets sum to 1
+        everything = lambda masks: np.ones(masks.shape, dtype=bool)
+        assert kernels.subset_prob(20, 0.37, everything) == pytest.approx(1.0, abs=1e-14)
+        assert kernels.subset_prob(3, 0.0, everything) == 1.0
+        nothing = lambda masks: np.zeros(masks.shape, dtype=bool)
+        assert kernels.subset_prob(3, 0.5, nothing) == 0.0
 
 
 class TestEnvFlag:

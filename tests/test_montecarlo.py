@@ -144,6 +144,16 @@ class TestExactExactlyOne:
         with pytest.raises(ValueError):
             exact_exactly_one(4, 3, 0.5, 1, "median")
 
+    @pytest.mark.parametrize("v,k", [(v, k) for k in range(2, 6) for v in range(k, 7)])
+    def test_maximal_equals_global(self, v, k):
+        # the union of two r-cores is an r-core, so there is one maximal core
+        # exactly when peeling leaves a nonempty one: vertex-subset enumeration
+        # and peeling must agree bit for bit
+        for r in (1, 2, 3):
+            for p in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
+                assert exact_exactly_one(v, k, p, r, "maximal").hex() == \
+                    exact_global(v, k, p, r).hex(), (v, k, r, p)
+
 
 class TestExactLocal:
     def test_single_edge(self):
