@@ -7,13 +7,18 @@ Subcommands:
   breakdown  scan for the first expected edge count where a formula fails
   oracle     exhaustive desk-scale exact values
 
-Exit status: 0 success, 2 invalid arguments, 3 output I/O failure.
+Exit status: 0 success, 2 invalid arguments, 3 output I/O failure.  An
+``--out`` file is written to a temp file and renamed onto its path, so a
+failed write leaves no partial file and an existing file unchanged.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import os
+import shutil
 import sys
 
 from . import montecarlo, sweep as sweep_mod
@@ -73,16 +78,41 @@ def _resolve_p(parser: argparse.ArgumentParser, n: int, k: int,
 
 
 def _emit(args, header: list[str], rows: list[list[str]], json_obj) -> int:
+    def write(fh) -> None:
+        _write_payload(fh, args.format, header, rows, json_obj)
+
     try:
         if args.out == "-":
-            _write_payload(sys.stdout, args.format, header, rows, json_obj)
+            write(sys.stdout)
         else:
-            with open(args.out, "w", newline="") as fh:
-                _write_payload(fh, args.format, header, rows, json_obj)
+            _write_atomically(args.out, write)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _write_atomically(path: str, write) -> None:
+    """Run ``write(fh)`` on a temp file beside ``path``, then rename it onto
+    ``path``: a failed write leaves no partial file, and an existing one keeps
+    its bytes.  A path that exists but is not a regular file (a pipe, or a
+    device such as /dev/stdout) is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", newline="") as fh:
+            write(fh)
+        return
+    target = os.path.realpath(path)  # through a symlink, replace the file it names
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "x", newline="") as fh:
+            write(fh)
+        if os.path.exists(target):
+            shutil.copymode(target, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def _write_payload(fh, fmt: str, header, rows, json_obj) -> None:

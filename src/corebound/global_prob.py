@@ -41,6 +41,15 @@ __all__ = [
 LOCAL_METHODS = ("connectivity", "covering", "interleaved", "exact-enum")
 
 
+def _check_kpr(k: int, p: float, r: int) -> None:
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+
+
 class LocalProvider:
     """Memoized source of the local subset probability feeding the recursion.
 
@@ -56,6 +65,7 @@ class LocalProvider:
     def __init__(self, method: str, k: int, p: float, r: int):
         if method not in LOCAL_METHODS:
             raise ValueError(f"unknown local method {method!r}; pick from {LOCAL_METHODS}")
+        _check_kpr(k, p, r)
         self.method = method
         self.k = k
         self.p = p
@@ -137,12 +147,7 @@ class GlobalComputation:
     def __init__(self, v: int, p: float, k: int, r: int, provider: LocalProvider):
         if v < 0:
             raise ValueError(f"v must be >= 0, got {v}")
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        if r < 1:
-            raise ValueError(f"r must be >= 1, got {r}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
+        _check_kpr(k, p, r)
         if provider.k != k or provider.p != p or provider.r != r:
             raise ValueError("provider was built for different (k, p, r)")
         self.v = v
@@ -247,6 +252,7 @@ def lower_bound(bound: ProbValue) -> ProbValue:
 def interleaving_bounds(v: int, p: float, k: int, r: int) -> tuple[ProbValue, ProbValue]:
     """(lower, upper) bracket of the r-core probability from the interleaved model:
     the geometric bound evaluated at edge probability p/r and at p."""
+    _check_kpr(k, p, r)
     lower = lower_bound(at_least_one_bound(v, p / r, k, r, method="interleaved"))
     upper = at_least_one_bound(v, p, k, r, method="interleaved")
     return lower, upper

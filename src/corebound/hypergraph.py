@@ -123,26 +123,35 @@ class Hypergraph:
         return cls.from_edges(v, k, edges)
 
 
-def _colex_combinations(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    # Colex recursion: order by largest member, then colex on the remainder.
-    if k == 0:
-        yield ()
-        return
+def _colex(n: int, k: int) -> np.ndarray:
+    """All C(n, k) k-subsets of range(n) in colex order, as (C(n, k), k) int64.
+
+    The rows whose largest member is ``last`` are colex(last, k-1) with
+    ``last`` appended, and colex(last, k-1) is the first C(last, k-1) rows of
+    colex(n-1, k-1); so each block is one slice copy.
+    """
+    out = np.empty((choose(n, k), k), dtype=np.int64)
+    if k == 0 or n < k:
+        return out
+    rest = _colex(n - 1, k - 1)
+    row = 0
     for last in range(k - 1, n):
-        for rest in _colex_combinations(last, k - 1):
-            yield rest + (last,)
+        count = choose(last, k - 1)
+        out[row:row + count, :-1] = rest[:count]
+        out[row:row + count, -1] = last
+        row += count
+    return out
 
 
-@lru_cache(maxsize=None)
+# Rebuilding is cheap (milliseconds at v=160, k=3), so only the latest few
+# arrays are kept: a sweep visits a new v at every point.
+@lru_cache(maxsize=4)
 def candidate_edges(v: int, k: int) -> np.ndarray:
     """All C(v, k) candidate edges in colexicographic order, as (M, k) int64.
 
     The returned array is cached and read-only; copy before mutating.
     """
-    m = choose(v, k)
-    arr = np.empty((m, k), dtype=np.int64)
-    for i, combo in enumerate(_colex_combinations(v, k)):
-        arr[i] = combo
+    arr = _colex(v, k)
     arr.flags.writeable = False
     return arr
 
@@ -156,7 +165,7 @@ def generate(params: HypergraphParams, seed: Seed) -> Hypergraph:
     m = guarded_count(params.v, params.k, GENERATE_GUARD)
     cand = candidate_edges(params.v, params.k)
     mask = kernels.sample_edge_mask(m, params.p, seed)
-    edges = tuple(tuple(int(x) for x in row) for row in cand[mask])
+    edges = tuple(tuple(int(x) for x in row) for row in cand[np.flatnonzero(mask)])
     return Hypergraph(params.v, params.k, edges)
 
 

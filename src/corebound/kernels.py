@@ -11,6 +11,14 @@ the graph seeded with ``s`` is included iff
 with master seed ``m`` uses graph seed ``mix64(m + (t+1)*GOLDEN)``.  Both
 backends therefore generate bit-identical hypergraphs, and partitioned runs
 merge exactly (trial indices are global).
+
+The numpy path evaluates the stream in blocks of ``BLOCK`` candidates, in
+place in two reused uint64 buffers of 512 KiB, so each pass over a block
+stays in cache and no temporary grows with C(v, k).  It keeps a candidate by
+an integer test that is exactly the float one: ``unit(x)`` is the integer
+``y = x >> 11 < 2^53`` times 2^-53, and both that product and ``p * 2^53``
+are exact (power-of-two scalings), so ``unit(x) < p`` iff ``y < p * 2^53``
+iff ``y < ceil(p * 2^53)``.
 """
 from __future__ import annotations
 
@@ -40,6 +48,11 @@ __all__ = [
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
+
+# Elements per numpy block, for the stream (candidate edges) and the oracles
+# (edge subsets): 512 KiB of uint64, so a block's passes stay in cache, and
+# memory is bounded per block.
+BLOCK = 1 << 16
 
 _PRED_CONNECTIVITY = 0
 _PRED_MIN_DEGREE = 1
@@ -89,19 +102,47 @@ def unit_double(bits: int) -> float:
     return (bits >> 11) * _INV_2_53
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64_vec(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """splitmix64 finalizer of a uint64 array, computed in place in ``z`` (and
+    returned); ``tmp`` is scratch space of the same shape."""
+    tmp = np.empty_like(z) if tmp is None else tmp
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= np.uint64(mult)
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
+
+
+# Stream offsets (j+1)*GOLDEN of the candidates in one block, mod 2^64.
+_BLOCK_STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
 
 
 def sample_edge_mask(n_candidates: int, p: float, graph_seed: int) -> np.ndarray:
-    """Boolean inclusion mask over the candidate edges of one graph."""
-    idx = np.arange(1, n_candidates + 1, dtype=np.uint64)
-    bits = _mix64_vec(np.uint64(graph_seed & _MASK64) + idx * np.uint64(GOLDEN))
-    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53 < p
+    """Boolean inclusion mask over the candidate edges of one graph.
+
+    Candidate j is kept iff ``unit_double(mix64(seed + (j+1)*GOLDEN)) < p``,
+    tested as the equivalent integer comparison ``bits >> 11 < ceil(p * 2^53)``
+    on blocks of ``BLOCK`` candidates.
+    """
+    if p >= 1.0:
+        limit = 1 << 53  # every 53-bit value is kept
+    elif p > 0.0:
+        limit = math.ceil(math.ldexp(p, 53))
+    else:
+        limit = 0  # p <= 0 (or nan) keeps nothing
+    keep = np.empty(n_candidates, dtype=bool)
+    z = np.empty(min(n_candidates, BLOCK), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    for lo in range(0, n_candidates, BLOCK):
+        n = min(BLOCK, n_candidates - lo)
+        zb, tb = z[:n], tmp[:n]
+        np.add(_BLOCK_STEPS[:n], np.uint64((graph_seed + lo * GOLDEN) & _MASK64), out=zb)
+        _mix64_vec(zb, tb)
+        zb >>= np.uint64(11)
+        np.less(zb, np.uint64(limit), out=keep[lo:lo + n])
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +213,7 @@ def _mc_local_np(cand: np.ndarray, v: int, p: float, r: int, pred: int,
     successes = 0
     for t in range(start, start + trials):
         mask = sample_edge_mask(m, p, trial_seed(master, t))
-        edges = cand[mask]
+        edges = cand[np.flatnonzero(mask)]
         if pred == _PRED_CONNECTIVITY:
             ok = connected_all(edges, v)
         else:
@@ -187,7 +228,7 @@ def _mc_global_np(cand: np.ndarray, v: int, p: float, r: int,
     successes = 0
     for t in range(start, start + trials):
         mask = sample_edge_mask(m, p, trial_seed(master, t))
-        if peel_survivor_mask(cand[mask], v, r).any():
+        if peel_survivor_mask(cand[np.flatnonzero(mask)], v, r).any():
             successes += 1
     return successes
 
@@ -196,9 +237,6 @@ def _mc_global_np(cand: np.ndarray, v: int, p: float, r: int,
 # exhaustive oracles: every edge subset as a uint32 mask, in numpy blocks
 # (one path on every backend)
 # ---------------------------------------------------------------------------
-
-SUBSET_BLOCK = 1 << 16  # edge subsets per block; bounds the oracles' memory
-
 
 def edge_incidence(cand: np.ndarray, v: int) -> np.ndarray:
     """Per vertex, the uint32 mask of the candidate edges (bit j = row j) containing it."""
@@ -247,8 +285,8 @@ def subset_prob(m: int, p: float, accept) -> float:
         only = np.array([(1 << m) - 1 if p == 1.0 else 0], dtype=np.uint32)
         return float(accept(only)[0])
     counts = np.zeros(m + 1, dtype=np.int64)
-    for lo in range(0, 1 << m, SUBSET_BLOCK):
-        block = np.arange(lo, min(lo + SUBSET_BLOCK, 1 << m), dtype=np.uint32)
+    for lo in range(0, 1 << m, BLOCK):
+        block = np.arange(lo, min(lo + BLOCK, 1 << m), dtype=np.uint32)
         counts += np.bincount(np.bitwise_count(block[accept(block)]), minlength=m + 1)
     log_p, log_1m = math.log(p), math.log1p(-p)
     terms = []

@@ -134,6 +134,8 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     """
     if method not in METHOD_TABLE:
         raise ValueError(f"unknown formula method {method!r}; pick from {FORMULA_METHODS}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
     source, at_p_over_r = METHOD_TABLE[method]
     q = p / r if at_p_over_r else p
     if scope == "local":

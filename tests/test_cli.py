@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from corebound import cli
 from corebound.cli import main
 from corebound.sweep import FORMULA_METHODS
 
@@ -143,6 +144,36 @@ class TestSweep:
                                "--out", "/nonexistent-dir/x.csv")
         assert code == 3
         assert "cannot write" in err
+
+
+class TestOutputFile:
+    ARGV = ["local", "--u", "3", "--k", "3", "--p", "0.5", "--method", "connectivity"]
+
+    def test_writes_and_replaces(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "3,0.5,connectivity,0.5,1"
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_failed_write_keeps_old_bytes(self, tmp_path, monkeypatch, capsys):
+        def partial(fh, *args):
+            fh.write("u,p,met")
+            fh.flush()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_payload", partial)
+        out = tmp_path / "x.csv"
+        out.write_text("old\n")
+        assert main([*self.ARGV, "--out", str(out)]) == 3
+        assert "cannot write" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
+        assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
+        fresh = tmp_path / "new.csv"
+        assert main([*self.ARGV, "--out", str(fresh)]) == 3
+        assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
 
 
 class TestBreakdown:

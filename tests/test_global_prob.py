@@ -188,6 +188,15 @@ class TestProviders:
         with pytest.raises(ValueError):
             LocalProvider("magic", 3, 0.5, 1)
 
+    @pytest.mark.parametrize("k, p, r", [(1, 0.5, 1), (3, -0.1, 1), (3, 1.5, 1), (3, 0.5, 0)])
+    def test_invalid_params(self, k, p, r):
+        with pytest.raises(ValueError):
+            LocalProvider("connectivity", k, p, r)
+
+    def test_interleaving_bounds_reject_r_below_one(self):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            interleaving_bounds(6, 0.25, 3, 0)
+
     def test_provider_param_mismatch(self):
         provider = LocalProvider("connectivity", 3, 0.5, 1)
         with pytest.raises(ValueError):

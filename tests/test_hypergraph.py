@@ -1,4 +1,7 @@
 
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from corebound import (
@@ -60,6 +63,23 @@ class TestCandidates:
 
     def test_count(self):
         assert len(candidate_edges(7, 4)) == choose(7, 4)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_colex_order_matches_sorted_combinations(self, k):
+        for v in range(25):  # v < k included: no rows
+            expected = sorted(combinations(range(v), k), key=lambda c: c[::-1])
+            cand = candidate_edges(v, k)
+            assert cand.shape == (len(expected), k) and cand.dtype == np.int64
+            assert [tuple(row) for row in cand.tolist()] == expected
+            assert not cand.flags.writeable
+
+    def test_cache_is_bounded(self):
+        maxsize = candidate_edges.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
+        for v in range(3, 40):
+            for k in (2, 3):
+                candidate_edges(v, k)
+                assert candidate_edges.cache_info().currsize <= maxsize
 
 
 class TestGenerate:

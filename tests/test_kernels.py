@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,25 @@ class TestStream:
     def test_sample_mask_extremes(self):
         assert not kernels.sample_edge_mask(100, 0.0, 7).any()
         assert kernels.sample_edge_mask(100, 1.0, 7).all()
+
+    def test_sample_mask_is_the_scalar_stream(self):
+        # the blocked integer test keeps exactly the candidates the scalar
+        # definition keeps, across block edges and at the threshold's extremes
+        seed = kernels.trial_seed(3, 5)
+        longest = 2**17 + 3
+        units = np.array([
+            kernels.unit_double(kernels.mix64(seed + (j + 1) * kernels.GOLDEN))
+            for j in range(longest)])
+        for n in (0, 1, 2**16 - 1, 2**16, 2**16 + 1, longest):
+            for p in (0.0, 2**-54, 2**-53, 0.3, 0.5, math.nextafter(1.0, 0.0), 1.0):
+                mask = kernels.sample_edge_mask(n, p, seed)
+                assert mask.dtype == bool and mask.shape == (n,)
+                assert np.array_equal(mask, units[:n] < p), (n, p)
+
+    def test_stream_fingerprint(self):
+        # the v1 stream's bits, recorded before the blocked evaluation
+        mask = kernels.sample_edge_mask(64, 0.5, kernels.trial_seed(1, 0))
+        assert np.packbits(mask).tobytes().hex() == "a9c934cd2f288afe"
 
 
 class TestSingleInstanceOps:

@@ -77,6 +77,19 @@ class TestMcLocal:
         assert abs(est.mean - oracle) <= 4 * se
 
 
+class TestPinnedCounts:
+    # success counts recorded before the blocked stream evaluation; any
+    # change to the stream, the candidate order or the predicates moves them
+    def test_mc_global_large_v(self, warm_kernels):
+        v = 130
+        est = mc_global(v, 3, (v / 1.222) / choose(v, 3), 2, trials=40, seed=7)
+        assert est.successes == 29
+
+    def test_mc_local_connectivity(self, warm_kernels):
+        est = mc_local(20, 3, 20 / choose(20, 3), 1, "connectivity", trials=200, seed=7)
+        assert est.successes == 85
+
+
 class TestMcGlobal:
     def test_below_edge_size(self, warm_kernels):
         est = mc_global(2, 3, 0.9, 1, trials=200, seed=0)

@@ -2,7 +2,7 @@
 import pytest
 
 from corebound import choose, find_breakdown, run_sweep
-from corebound.sweep import BreakdownDetector, SweepSpec, point_geometry
+from corebound.sweep import BreakdownDetector, SweepSpec, formula_value, point_geometry
 
 
 class TestSpec:
@@ -20,6 +20,12 @@ class TestSpec:
             SweepSpec(**{**good, "scope": "galactic"})
         with pytest.raises(ValueError):
             SweepSpec(**{**good, "methods": ()})
+
+    @pytest.mark.parametrize("method", ["connectivity", "interleaved-lower"])
+    @pytest.mark.parametrize("scope", ["local", "global"])
+    def test_formula_value_rejects_r_below_one(self, method, scope):
+        with pytest.raises(ValueError, match="r must be >= 1"):
+            formula_value(method, scope, 6, 0.25, 3, 0)
 
     def test_point_geometry(self):
         v, p = point_geometry(3, 1.2, 10)
