@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,7 @@ from corebound import (
 )
 from corebound.global_prob import _geometric_bound
 from corebound.numerics import ProbValue
-from corebound.sweep import point_geometry
+from corebound.sweep import METHOD_TABLE, point_geometry
 
 
 def connectivity_comp(v, p, k=3, r=1):
@@ -226,3 +228,70 @@ class TestProviders:
         pv = at_least_one_bound(6, 0.05, 3, 2, method="covering")
         assert pv.valid
         assert 0.0 <= pv.value
+
+
+# ---------------------------------------------------------------------------
+# Pinned composition values
+# ---------------------------------------------------------------------------
+
+PINNED_PATH = Path(__file__).parent / "data" / "composition_pinned.json"
+
+
+def pinned_points():
+    """(label, v, p, k, r, source): the global formula points of the benchmark
+    (v = 20, 50, 80 with 5v/8 expected edges, r = 2, every METHOD_TABLE
+    method) and one connectivity point far past the recursion's breakdown."""
+    points = []
+    for v in (20, 50, 80):
+        p = float(f"{v * 5 / 8:g}") / math.comb(v, 3)  # as `global --e-v` resolves it
+        for method, (source, at_p_over_r) in METHOD_TABLE.items():
+            points.append((f"v={v} {method}", v, p / 2 if at_p_over_r else p, 3, 2, source))
+    points.append(("v=90 connectivity r=1", 90, 90 / math.comb(90, 3), 3, 1, "connectivity"))
+    return points
+
+
+def _hex(pv):
+    return [pv.value.hex(), pv.valid, pv.note]
+
+
+def composition_snapshot(v, p, k, r, source):
+    """Every composed value of one point, floats as ``float.hex``."""
+    res = exactly_one_core(v, p, k, r, method=source)
+    return {
+        "p": p.hex(),
+        "per_size": {str(u): _hex(pv) for u, pv in res.per_size.items()},
+        "exactly_one": _hex(res.exactly_one),
+        "bound": _hex(res.bound),
+        "breakdown_at": res.breakdown_at,
+    }
+
+
+def record_pinned():
+    """Rewrite the pinned file from the current code.  Only for a change that
+    alters composed values on purpose:
+    ``PYTHONPATH=src python3 -c "import tests.test_global_prob as t; t.record_pinned()"``"""
+    doc = {label: composition_snapshot(*args) for label, *args in pinned_points()}
+    PINNED_PATH.parent.mkdir(exist_ok=True)
+    PINNED_PATH.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+class TestCompositionPinned:
+    """The composition's per-size values, exactly-one total, bound, flags,
+    notes and ``breakdown_at``, bit for bit as first recorded."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(PINNED_PATH.read_text())
+
+    @pytest.mark.parametrize("label, v, p, k, r, source", pinned_points(),
+                             ids=[pt[0] for pt in pinned_points()])
+    def test_point(self, pinned, label, v, p, k, r, source):
+        got = composition_snapshot(v, p, k, r, source)
+        assert got == pinned[label]
+        assert list(got["per_size"]) == list(pinned[label]["per_size"])  # descending u
+
+    def test_breakdown_point_has_non_finite_sizes(self, pinned):
+        got = pinned["v=90 connectivity r=1"]
+        values = [float.fromhex(h) for h, _, _ in got["per_size"].values()]
+        assert any(math.isnan(x) for x in values) and any(math.isinf(x) for x in values)
+        assert got["breakdown_at"] == 90
