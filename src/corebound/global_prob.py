@@ -1,14 +1,19 @@
 """Composition of local subset probabilities into whole-graph core probabilities.
 
 ``exactly_one_core`` estimates the probability that a single r-core, and no
-other, forms anywhere on v vertices.  Working down from size u = v, the
-per-size value is the product of
+other, forms anywhere on v vertices.  On an n-vertex instance the per-size
+value for size u is the product of
 
 * the probability some u-subset carries a core and is contained in no larger
-  one: ``C(v,u) * local(u) * prod_{x>u} (1 - C_x)^(C(v-u, x-u))``, and
-* the probability no distinct core forms among the other v-u vertices:
-  ``1 - sum_{x=k}^{v-u} C_x`` evaluated on the (v-u)-vertex subinstance
-  (computed recursively and memoized by vertex count).
+  one: ``C(n,u) * local(u) * prod_{x>u} (1 - C_x)^(C(n-u, x-u))``, where C_x
+  is the per-size value for size x on the same instance, and
+* the probability no distinct core forms among the other n-u vertices:
+  ``1 - sum_x C_x`` over the per-size values of the (n-u)-vertex instance.
+
+``GlobalComputation`` evaluates this in one bottom-up pass over the vertex
+count n = 0..v.  Level n works down from u = n, so every C_x with x > u is
+known when size u needs it; it keeps one "no distinct core" total, which is
+all that higher levels read of it.
 
 The geometric-series step then upper-bounds the probability of at least one
 core by ``S / (1 - S)`` where S is the exactly-one total, and
@@ -107,16 +112,10 @@ class GlobalResult:
     breakdown_at: int | None             # largest size whose value is invalid
 
 
-def _pow_one_minus(x: float, exponent: float) -> float:
-    """(1 - x)^exponent for integer exponents >= 0, overflow -> inf."""
-    if exponent == 0:
-        return 1.0
-    try:
-        if x <= 0.5:
-            return math.exp(exponent * math.log1p(-x))
-        return math.pow(1.0 - x, exponent)
-    except (OverflowError, ValueError):
-        return math.inf
+def _flagged(value: float, valid: bool, note: str | None) -> ProbValue:
+    """``value``, invalid when it leaves [0, 1] or ``valid`` is False."""
+    checked = ProbValue.checked(value, note)
+    return checked if valid else ProbValue(value, False, checked.note)
 
 
 def _merged(value: float, parts: Iterable[ProbValue]) -> ProbValue:
@@ -128,8 +127,7 @@ def _merged(value: float, parts: Iterable[ProbValue]) -> ProbValue:
     for pv in parts:
         valid = valid and pv.valid
         note = note or pv.note
-    checked = ProbValue.checked(value, note)
-    return checked if valid else ProbValue(value, False, checked.note)
+    return _flagged(value, valid, note)
 
 
 def _lenient_sum(values) -> float:
@@ -142,7 +140,19 @@ def _lenient_sum(values) -> float:
 
 
 class GlobalComputation:
-    """One full run of the size recursion, memoized over subinstance vertex counts."""
+    """The size composition on v vertices, as one bottom-up pass over the
+    vertex count n = 0..v.
+
+    Level n yields, for u = n down to k, the lone-core value of size u and
+    the per-size value it composes with the "no distinct core" total of
+    n - u vertices.  The level keeps, for the sizes x above u, the running
+    validity, the note of the smallest such x, and ``log1p(-C_x)`` (where
+    C_x <= 0.5; else ``1 - C_x`` for ``math.pow``); the exponents
+    C(n-u, x-u) come from float binomial rows built once per computation.
+    Of a finished level only its merged "no distinct core" total is kept.
+    The factors are still multiplied one at a time in ascending x, so every
+    value is the same float as term-by-term evaluation gives.
+    """
 
     def __init__(self, v: int, p: float, k: int, r: int, provider: LocalProvider):
         if v < 0:
@@ -155,47 +165,66 @@ class GlobalComputation:
         self.k = k
         self.r = r
         self.provider = provider
-        self._sizes: dict[int, dict[int, ProbValue]] = {}
+        self._rows: list[list[float]] = []  # _rows[m][j - 1] = C(m, j), j = 1..m
+        self._rest: list[ProbValue] = []    # _rest[m]: no distinct core on m vertices
+
+    def _row(self, m: int) -> list[float]:
+        while len(self._rows) <= m:
+            n = len(self._rows)
+            self._rows.append([choose_float(n, j) for j in range(1, n + 1)])
+        return self._rows[m]
+
+    def _level(self, n: int):
+        """Yield (u, lone, per-size value) for u = n down to k on an n-vertex
+        instance; lower levels are built first as needed."""
+        above_valid, above_note = True, None
+        factors: list[tuple[float | None, float]] = []  # per size above u, largest first
+        for u in range(n, self.k - 1, -1):
+            local = self.provider.value(u)
+            value = choose(n, u) * local.value
+            # (1 - C_x)^C(n-u, x-u) for x = u+1..n, overflow -> inf; the
+            # exponents are integers >= 1 (or inf), so pow raises nothing else
+            for e, (log1m, one_minus) in zip(self._row(n - u), reversed(factors)):
+                try:
+                    value *= math.exp(e * log1m) if log1m is not None else math.pow(one_minus, e)
+                except OverflowError:
+                    value *= math.inf
+            lone = _flagged(value, local.valid and above_valid, local.note or above_note)
+            rest = self.no_distinct_core_prob(u, n)
+            size = _merged(lone.value * rest.value, (lone, rest))
+            yield u, lone, size
+            x = size.value
+            factors.append((math.log1p(-x) if x <= 0.5 else None, 1.0 - x))
+            above_valid = above_valid and size.valid
+            above_note = size.note or above_note
+
+    def _check_size(self, u: int, n: int) -> None:
+        if not self.k <= u <= n:
+            raise ValueError(f"size u={u} outside [k, n] = [{self.k}, {n}]")
 
     def sizes(self, n: int | None = None) -> dict[int, ProbValue]:
-        """Per-size values {u: P[lone core of size u]} on an n-vertex instance."""
-        n = self.v if n is None else n
-        got = self._sizes.get(n)
-        if got is None:
-            got = self._compute_sizes(n)
-            self._sizes[n] = got
-        return got
+        """Per-size values {u: P[lone core of size u]} on an n-vertex instance,
+        in descending u."""
+        return {u: size for u, _, size in self._level(self.v if n is None else n)}
 
-    def _compute_sizes(self, n: int) -> dict[int, ProbValue]:
-        out: dict[int, ProbValue] = {}
-        for u in range(n, self.k - 1, -1):  # descending: size u consumes all x > u
-            lone = self.lone_core_prob(u, n, out)
-            others = self.no_distinct_core_prob(u, n)
-            out[u] = _merged(lone.value * others.value, (lone, others))
-        return out
-
-    def lone_core_prob(self, u: int, n: int | None = None,
-                       partial: dict[int, ProbValue] | None = None) -> ProbValue:
-        """P[some u-subset carries a core contained in no larger one], given
-        the already-computed values for sizes above u."""
+    def lone_core_prob(self, u: int, n: int | None = None) -> ProbValue:
+        """P[some u-subset carries a core contained in no larger one] on an
+        n-vertex instance."""
         n = self.v if n is None else n
-        sizes = partial if partial is not None else self.sizes(n)
-        local = self.provider.value(u)
-        above = [sizes[x] for x in range(u + 1, n + 1)]
-        value = choose(n, u) * local.value
-        for x, pv in enumerate(above, u + 1):
-            value *= _pow_one_minus(pv.value, choose_float(n - u, x - u))
-        return _merged(value, [local, *above])
+        self._check_size(u, n)
+        return next(lone for size_u, lone, _ in self._level(n) if size_u == u)
 
     def no_distinct_core_prob(self, u: int, n: int | None = None) -> ProbValue:
         """P[no further core forms among the n-u vertices left over]."""
         n = self.v if n is None else n
-        rest = n - u
-        sub = self.sizes(rest)  # empty dict when rest < k
-        return _merged(1.0 - _lenient_sum(pv.value for pv in sub.values()), sub.values())
+        self._check_size(u, n)
+        while len(self._rest) <= n - u:
+            sub = [size for _, _, size in self._level(len(self._rest))]  # empty below k
+            self._rest.append(_merged(1.0 - _lenient_sum(pv.value for pv in sub), sub))
+        return self._rest[n - u]
 
     def result(self) -> GlobalResult:
-        per_size = self.sizes(self.v)
+        per_size = self.sizes()
         exactly = _merged(_lenient_sum(pv.value for pv in per_size.values()), per_size.values())
         invalid_sizes = [u for u, pv in per_size.items() if not pv.valid]
         return GlobalResult(

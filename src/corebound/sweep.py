@@ -207,12 +207,16 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def find_breakdown(k: int, r: int, overhead: float, method: str,
                    scope: str = "local", cap: int = 500) -> int | None:
-    """Scan e upward until the method's value breaks down; None if no failure
-    at or below ``cap``.  Only formula methods can break down."""
+    """Scan e = 1..cap upward until the method's value breaks down; None if no
+    failure at or below ``cap``.  Only formula methods can break down."""
     if method not in FORMULA_METHODS:
         raise ValueError(f"breakdown scan needs a formula method, got {method!r}")
     if scope not in SCOPES:
         raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+    if overhead <= 0:
+        raise ValueError(f"overhead must be positive, got {overhead}")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     detector = BreakdownDetector()
     for e in range(1, cap + 1):
         v, p = point_geometry(k, overhead, e)

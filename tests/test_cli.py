@@ -177,10 +177,10 @@ class TestOutputFile:
 
 
 class TestBreakdown:
-    def test_cap_zero_reports_none(self, capsys):
+    def test_no_breakdown_below_cap(self, capsys):
         assert main(["breakdown", "--k", "3", "--r", "1", "--method",
-                     "connectivity", "--cap", "0"]) == 0
-        assert "no breakdown" in capsys.readouterr().out
+                     "covering", "--cap", "5"]) == 0
+        assert capsys.readouterr().out == "no breakdown found for covering at or below e=5\n"
 
     def test_mc_rejected(self):
         code, _, _ = run_cli("breakdown", "--k", "3", "--r", "1", "--method", "mc")
@@ -260,6 +260,15 @@ class TestUsageErrors:
     def test_missing_subcommand_exit_2(self):
         code, _, _ = run_cli()
         assert code == 2
+
+    @pytest.mark.parametrize("bad", [["--cap", "0"], ["--overhead", "0"], ["--overhead", "-1"]],
+                             ids=["cap-0", "overhead-0", "overhead-neg"])
+    def test_breakdown_bad_scan_range_exit_2(self, bad):
+        code, out, err = run_cli("breakdown", "--k", "3", "--method", "connectivity",
+                                 "--cap", "20", *bad)
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
 
     @pytest.mark.parametrize("argv", [
         ["local", "--u", "12", "--k", "3", "--p", "0.1", "--method", "interleaved-lower"],

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from corebound import (
     interleaving_bounds,
     mc_global,
 )
-from corebound.global_prob import _geometric_bound
+from corebound import numerics
+from corebound.global_prob import _geometric_bound, _merged
 from corebound.numerics import ProbValue
 from corebound.sweep import METHOD_TABLE, point_geometry
 
@@ -295,3 +297,50 @@ class TestCompositionPinned:
         values = [float.fromhex(h) for h, _, _ in got["per_size"].values()]
         assert any(math.isnan(x) for x in values) and any(math.isinf(x) for x in values)
         assert got["breakdown_at"] == 90
+
+
+class TestSinglePath:
+    """The public per-term methods read the same level computation that
+    ``sizes`` composes, and the exponents are converted once per computation."""
+
+    @pytest.mark.parametrize("v, p, r, source", [
+        (12, 0.05, 2, "covering"),
+        (30, 0.01, 2, "interleaved"),
+        (40, 40 / math.comb(40, 3), 1, "connectivity"),  # past the breakdown
+    ])
+    def test_terms_match_sizes(self, v, p, r, source):
+        comp = GlobalComputation(v, p, 3, r, LocalProvider(source, 3, p, r))
+        fresh = GlobalComputation(v, p, 3, r, LocalProvider(source, 3, p, r))
+        for n in (v, v - 4):
+            sizes = comp.sizes(n)
+            assert list(sizes) == list(range(n, 2, -1))
+            for u, size in sizes.items():
+                lone = fresh.lone_core_prob(u, n)
+                rest = fresh.no_distinct_core_prob(u, n)
+                again = _merged(lone.value * rest.value, (lone, rest))
+                assert _hex(again) == _hex(size), (n, u)
+
+    def test_sizes_outside_the_level_rejected(self):
+        comp = connectivity_comp(6, 0.3)
+        for u in (2, 7):
+            with pytest.raises(ValueError, match="outside"):
+                comp.lone_core_prob(u)
+            with pytest.raises(ValueError, match="outside"):
+                comp.no_distinct_core_prob(u)
+
+    def test_choose_float_calls_at_most_quadratic(self, monkeypatch):
+        calls = 0
+        original = numerics.choose_float
+
+        def counted(n, k):
+            nonlocal calls
+            calls += 1
+            return original(n, k)
+
+        # every corebound module that binds the name, as callers look it up there
+        for mod in [m for name, m in sys.modules.items() if name.startswith("corebound")]:
+            if vars(mod).get("choose_float") is original:
+                monkeypatch.setattr(mod, "choose_float", counted)
+        v = 60
+        exactly_one_core(v, 37.5 / math.comb(v, 3), 3, 2)
+        assert 0 < calls <= (v + 1) * (v + 2) // 2

@@ -161,8 +161,15 @@ class TestFindBreakdown:
     def test_covering_never_breaks(self):
         assert find_breakdown(3, 1, 1.0, "covering", scope="local", cap=120) is None
 
-    def test_cap_zero(self):
-        assert find_breakdown(3, 1, 1.0, "connectivity", scope="local", cap=0) is None
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_below_one_rejected(self, cap):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            find_breakdown(3, 1, 1.0, "connectivity", scope="local", cap=cap)
+
+    @pytest.mark.parametrize("overhead", [0.0, -1.0])
+    def test_overhead_not_positive_rejected(self, overhead):
+        with pytest.raises(ValueError, match="overhead must be positive"):
+            find_breakdown(3, 1, overhead, "connectivity", scope="local", cap=20)
 
     def test_mc_rejected(self):
         with pytest.raises(ValueError):
