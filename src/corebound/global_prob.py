@@ -148,7 +148,8 @@ class GlobalComputation:
     n - u vertices.  The level keeps, for the sizes x above u, the running
     validity, the note of the smallest such x, and ``log1p(-C_x)`` (where
     C_x <= 0.5; else ``1 - C_x`` for ``math.pow``); the exponents
-    C(n-u, x-u) come from float binomial rows built once per computation.
+    C(n-u, x-u) come from float binomial rows, and the local values from
+    one read of the provider per size, both built once per computation.
     Of a finished level only its merged "no distinct core" total is kept.
     The factors are still multiplied one at a time in ascending x, so every
     value is the same float as term-by-term evaluation gives.
@@ -166,6 +167,7 @@ class GlobalComputation:
         self.r = r
         self.provider = provider
         self._rows: list[list[float]] = []  # _rows[m][j - 1] = C(m, j), j = 1..m
+        self._local: list[ProbValue] = []   # _local[u - k] = provider.value(u)
         self._rest: list[ProbValue] = []    # _rest[m]: no distinct core on m vertices
 
     def _row(self, m: int) -> list[float]:
@@ -174,13 +176,19 @@ class GlobalComputation:
             self._rows.append([choose_float(n, j) for j in range(1, n + 1)])
         return self._rows[m]
 
+    def _locals(self, n: int) -> list[ProbValue]:
+        while len(self._local) <= n - self.k:
+            self._local.append(self.provider.value(self.k + len(self._local)))
+        return self._local
+
     def _level(self, n: int):
         """Yield (u, lone, per-size value) for u = n down to k on an n-vertex
         instance; lower levels are built first as needed."""
         above_valid, above_note = True, None
         factors: list[tuple[float | None, float]] = []  # per size above u, largest first
+        locals_ = self._locals(n)
         for u in range(n, self.k - 1, -1):
-            local = self.provider.value(u)
+            local = locals_[u - self.k]
             value = choose(n, u) * local.value
             # (1 - C_x)^C(n-u, x-u) for x = u+1..n, overflow -> inf; the
             # exponents are integers >= 1 (or inf), so pow raises nothing else

@@ -2,7 +2,7 @@
 
 Candidate edges are enumerated in colexicographic order (sorted by largest
 vertex, ties broken recursively), so a given seed reproduces the same graph
-bit-for-bit on every platform and backend.  Vertices are dense 0-based ints.
+bit-for-bit on every platform.  Vertices are dense 0-based ints.
 """
 from __future__ import annotations
 

@@ -1,34 +1,28 @@
-"""Hot Monte Carlo kernels with a numba backend and a pure numpy fallback,
-plus the bitmask layer of the exhaustive oracles (numpy on every backend).
-
-Backend selection: set ``COREBOUND_NUMBA=0`` in the environment to force the
-numpy fallback; unset (or any other value) uses numba when it imports.  The
-active backend is reported by :func:`backend`.
+"""Monte Carlo kernels and the bitmask layer of the exhaustive oracles, on
+one numpy path (:func:`backend` names it).
 
 All randomness is a counter-based splitmix64 stream: candidate edge ``j`` of
 the graph seeded with ``s`` is included iff
 ``unit(mix64(s + (j+1)*GOLDEN)) < p``, and trial ``t`` of a Monte Carlo run
-with master seed ``m`` uses graph seed ``mix64(m + (t+1)*GOLDEN)``.  Both
-backends therefore generate bit-identical hypergraphs, and partitioned runs
-merge exactly (trial indices are global).
+with master seed ``m`` uses graph seed ``mix64(m + (t+1)*GOLDEN)``.  So trial
+``t`` sees exactly ``hypergraph.generate(params, trial_seed(m, t))``, and
+partitioned runs merge exactly (trial indices are global).
 
-The numpy path evaluates the stream in blocks of ``BLOCK`` candidates, in
-place in two reused uint64 buffers of 512 KiB, so each pass over a block
-stays in cache and no temporary grows with C(v, k).  It keeps a candidate by
-an integer test that is exactly the float one: ``unit(x)`` is the integer
-``y = x >> 11 < 2^53`` times 2^-53, and both that product and ``p * 2^53``
-are exact (power-of-two scalings), so ``unit(x) < p`` iff ``y < p * 2^53``
-iff ``y < ceil(p * 2^53)``.
+The stream is evaluated in blocks of ``BLOCK`` draws, in place in two reused
+uint64 buffers of 512 KiB, so each pass over a block stays in cache and no
+temporary grows with C(v, k).  The Monte Carlo drivers run their trials in
+blocks: one :func:`sample_edge_mask` call draws the graphs of several trials
+(at most ``BLOCK`` draws), and the kept edges of a block of trials, with the
+vertex ids of trial ``t`` offset by ``t * v``, form one disjoint-union graph
+on which each predicate runs once for the whole block.
 """
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 __all__ = [
-    "NUMBA_ENABLED",
     "backend",
     "mix64",
     "trial_seed",
@@ -49,35 +43,18 @@ GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
 _MASK64 = (1 << 64) - 1
 _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 
-# Elements per numpy block, for the stream (candidate edges) and the oracles
-# (edge subsets): 512 KiB of uint64, so a block's passes stay in cache, and
+# Elements per numpy block: stream draws per pass and edge subsets per
+# oracle block.  512 KiB of uint64, so a block's passes stay in cache, and
 # memory is bounded per block.
 BLOCK = 1 << 16
 
-_PRED_CONNECTIVITY = 0
-_PRED_MIN_DEGREE = 1
-PREDICATES = {"connectivity": _PRED_CONNECTIVITY, "min-degree": _PRED_MIN_DEGREE}
-
-
-def _numba_wanted() -> bool:
-    flag = os.environ.get("COREBOUND_NUMBA", "").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-if _numba_wanted():
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised only without numba
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
+# Trial vertices, and kept edges, per Monte Carlo predicate block.
+TRIAL_BLOCK = 1 << 14
 
 
 def backend() -> str:
-    """Name of the active kernel backend: ``"numba"`` or ``"numpy"``."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend: always ``"numpy"``."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -102,29 +79,60 @@ def unit_double(bits: int) -> float:
     return (bits >> 11) * _INV_2_53
 
 
-def _mix64_vec(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
-    """splitmix64 finalizer of a uint64 array, computed in place in ``z`` (and
-    returned); ``tmp`` is scratch space of the same shape."""
-    tmp = np.empty_like(z) if tmp is None else tmp
+def _mix64_rounds(z: np.ndarray, tmp: np.ndarray) -> None:
+    """The two multiply rounds of splitmix64, in place in ``z``; ``tmp`` is
+    scratch space of the same shape.  The final ``z ^ (z >> 31)`` is left out."""
     for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
         z *= np.uint64(mult)
+
+
+def _mix64_vec(z: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer of a uint64 array, computed in place in ``z`` (and
+    returned)."""
+    tmp = np.empty_like(z)
+    _mix64_rounds(z, tmp)
     np.right_shift(z, 31, out=tmp)
     z ^= tmp
     return z
+
+
+def _trial_seeds(master: int, start: int, n: int) -> np.ndarray:
+    """``trial_seed(master, t)`` for t = start .. start + n - 1, as uint64."""
+    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    z *= np.uint64(GOLDEN)
+    z += np.uint64(master & _MASK64)
+    return _mix64_vec(z)
 
 
 # Stream offsets (j+1)*GOLDEN of the candidates in one block, mod 2^64.
 _BLOCK_STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
 
 
-def sample_edge_mask(n_candidates: int, p: float, graph_seed: int) -> np.ndarray:
-    """Boolean inclusion mask over the candidate edges of one graph.
+def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
+    """Boolean inclusion mask over the candidate edges of one graph, or of one
+    graph per seed.
 
-    Candidate j is kept iff ``unit_double(mix64(seed + (j+1)*GOLDEN)) < p``,
-    tested as the equivalent integer comparison ``bits >> 11 < ceil(p * 2^53)``
-    on blocks of ``BLOCK`` candidates.
+    ``graph_seed`` is an int, giving a mask of shape ``(n_candidates,)``, or a
+    1-D uint64 array of seeds, giving one row per seed.  Candidate j of the
+    graph seeded with s is kept iff
+    ``unit_double(mix64(s + (j+1)*GOLDEN)) < p``.
+
+    Integer test.  ``unit(x)`` is the integer ``y = x >> 11 < 2^53`` times
+    2^-53, and both that product and ``p * 2^53`` are exact (power-of-two
+    scalings), so ``unit(x) < p`` iff ``y < p * 2^53`` iff ``y < limit`` with
+    ``limit = ceil(p * 2^53)``.
+
+    Pre-test.  Let z be the value before the final step ``x = z ^ (z >> 31)``
+    and ``c = bitlen(limit - 1) + 11``, so that ``y < limit`` implies
+    ``x < 2^c``.  Bits 33..63 of x are those of z, and bit i <= 32 of x is
+    ``z_i ^ z_(i+31)``.  So if ``x < 2^c``, every bit of z from max(c, 33) up
+    is 0; then for c <= i <= 32 the bit ``z_(i+31)`` (at or above both 42 and
+    c + 31) is 0 too, so ``z_i = x_i = 0``.  Hence ``z < 2^c``, and only the z
+    passing that test (about a fraction p of them, for p >= 2^-42) go on to
+    the exact test.  When c = 64 (p > 1/2) every z passes and the exact test
+    runs on the whole block.
     """
     if p >= 1.0:
         limit = 1 << 53  # every 53-bit value is kept
@@ -132,40 +140,58 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed: int) -> np.ndarray
         limit = math.ceil(math.ldexp(p, 53))
     else:
         limit = 0  # p <= 0 (or nan) keeps nothing
-    keep = np.empty(n_candidates, dtype=bool)
-    z = np.empty(min(n_candidates, BLOCK), dtype=np.uint64)
+    bound_bits = (limit - 1).bit_length() + 11
+    pre = np.uint64(1 << bound_bits) if bound_bits < 64 else None
+    scalar = np.ndim(graph_seed) == 0
+    seeds = (np.array([int(graph_seed) & _MASK64], dtype=np.uint64) if scalar
+             else np.asarray(graph_seed, dtype=np.uint64))
+    keep = np.empty((len(seeds), n_candidates), dtype=bool)
+    flat = keep.reshape(-1)
+    rows = max(1, BLOCK // max(n_candidates, 1))  # seeds per block
+    z = np.empty(min(keep.size, BLOCK), dtype=np.uint64)
     tmp = np.empty_like(z)
-    for lo in range(0, n_candidates, BLOCK):
-        n = min(BLOCK, n_candidates - lo)
-        zb, tb = z[:n], tmp[:n]
-        np.add(_BLOCK_STEPS[:n], np.uint64((graph_seed + lo * GOLDEN) & _MASK64), out=zb)
-        _mix64_vec(zb, tb)
-        zb >>= np.uint64(11)
-        np.less(zb, np.uint64(limit), out=keep[lo:lo + n])
-    return keep
+    for r0 in range(0, len(seeds), rows):
+        block_seeds = seeds[r0:r0 + rows]
+        for lo in range(0, n_candidates, BLOCK):
+            width = min(BLOCK, n_candidates - lo)
+            size = len(block_seeds) * width
+            zb, tb = z[:size], tmp[:size]
+            offset = block_seeds + np.uint64(lo * GOLDEN & _MASK64)
+            np.add(_BLOCK_STEPS[:width], offset[:, None], out=zb.reshape(-1, width))
+            _mix64_rounds(zb, tb)
+            out = flat[r0 * n_candidates + lo:][:size]  # block rows are contiguous
+            if pre is None:
+                survivors = slice(None)
+            else:
+                np.less(zb, pre, out=out)
+                survivors = np.flatnonzero(out)
+                if not survivors.size:
+                    continue
+            x = zb[survivors]
+            x ^= x >> np.uint64(31)
+            x >>= np.uint64(11)
+            out[survivors] = x < np.uint64(limit)
+    return keep[0] if scalar else keep
 
 
 # ---------------------------------------------------------------------------
-# single-instance predicates (numpy/pure Python; used by the hypergraph API
-# and by the fallback Monte Carlo drivers)
+# single-instance predicates (the hypergraph API; the Monte Carlo drivers run
+# peel_survivor_mask on a whole block of trials)
 # ---------------------------------------------------------------------------
 
 def peel_survivor_mask(edges: np.ndarray, v: int, r: int) -> np.ndarray:
-    """Vertices surviving batch peeling rounds (remove all deg < r per round)."""
-    alive_v = np.ones(v, dtype=bool)
+    """Vertices surviving batch peeling rounds (remove all deg < r per round).
+
+    Each round keeps only the edges whose vertices all survive, so later
+    rounds work on the shrinking remainder."""
+    alive = np.ones(v, dtype=bool)
     edges = np.asarray(edges, dtype=np.int64)
-    alive_e = np.ones(len(edges), dtype=bool)
     while True:
-        if alive_e.any():
-            deg = np.bincount(edges[alive_e].ravel(), minlength=v)
-        else:
-            deg = np.zeros(v, dtype=np.int64)
-        remove = alive_v & (deg < r)
-        if not remove.any():
-            return alive_v
-        alive_v &= ~remove
-        if alive_e.any():
-            alive_e &= alive_v[edges].all(axis=1)
+        low = alive & (np.bincount(edges.ravel(), minlength=v) < r)
+        if not low.any():
+            return alive
+        alive &= ~low
+        edges = edges[alive[edges].all(axis=1)]
 
 
 def connected_all(edges: np.ndarray, v: int) -> bool:
@@ -204,38 +230,99 @@ def min_degree_ok(edges: np.ndarray, v: int, r: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# numpy fallback Monte Carlo drivers
+# trial-blocked Monte Carlo drivers
 # ---------------------------------------------------------------------------
 
-def _mc_local_np(cand: np.ndarray, v: int, p: float, r: int, pred: int,
-                 trials: int, master: int, start: int) -> int:
+def _as_candidates(cand: np.ndarray) -> np.ndarray:
+    cand = np.ascontiguousarray(cand, dtype=np.int64)
+    if cand.ndim != 2:
+        raise ValueError("candidate edge array must be 2-dimensional")
+    return cand
+
+
+# Per-block predicates: (edges, n, v, r) -> bool per trial, where ``edges``
+# are the kept edges of n trials with trial t's vertices at t*v .. t*v + v-1.
+
+def _core_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
+    """Per trial: peeling leaves a nonempty r-core."""
+    return peel_survivor_mask(edges, n * v, r).reshape(n, v).any(axis=1)
+
+
+def _min_degree_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
+    """Per trial: every vertex lies in at least r edges."""
+    return (np.bincount(edges.ravel(), minlength=n * v).reshape(n, v) >= r).all(axis=1)
+
+
+def _connected_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
+    """Per trial: the edges connect all v vertices (v == 1 is connected).
+
+    Min-label hooking with pointer jumping: ``parent[x] <= x`` always, and
+    after each jump every vertex points at its tree's root, the tree's
+    smallest vertex.  Each round hooks every root met by an edge to the
+    smallest root of that edge, until every edge lies inside one tree; then
+    the trees are the components, and trial t is connected iff all its
+    vertices point at t*v.
+    """
+    parent = np.arange(n * v)
+    while True:
+        roots = parent[edges]
+        low = roots.min(axis=1)
+        if (roots == low[:, None]).all():
+            return (parent.reshape(n, v) == np.arange(0, n * v, v)[:, None]).all(axis=1)
+        np.minimum.at(parent, roots, low[:, None])
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
+PREDICATES = {"connectivity": _connected_rows, "min-degree": _min_degree_rows}
+
+
+def _successes(test, cand: np.ndarray, v: int, p: float, r: int,
+               trials: int, master: int, start: int) -> int:
+    """Count the trials t in [start, start + trials) whose graph, drawn from
+    ``trial_seed(master, t)``, passes the per-block predicate ``test``.
+
+    A block holds at most ``TRIAL_BLOCK // v`` trials, and stops early once
+    its kept edges reach ``TRIAL_BLOCK``; each ``sample_edge_mask`` call draws
+    at most ``BLOCK`` candidates (or one trial's, when C(v, k) exceeds that).
+    """
+    cand = _as_candidates(cand)
     m = len(cand)
+    per_draw = max(1, BLOCK // max(m, 1))
+    per_block = max(1, TRIAL_BLOCK // v)
     successes = 0
-    for t in range(start, start + trials):
-        mask = sample_edge_mask(m, p, trial_seed(master, t))
-        edges = cand[np.flatnonzero(mask)]
-        if pred == _PRED_CONNECTIVITY:
-            ok = connected_all(edges, v)
-        else:
-            ok = min_degree_ok(edges, v, r)
-        successes += ok
+    t, stop = start, start + trials
+    while t < stop:
+        seeds = _trial_seeds(master, t, min(per_block, stop - t))
+        parts, kept, n = [], 0, 0
+        while n < len(seeds) and kept < TRIAL_BLOCK:
+            mask = sample_edge_mask(m, p, seeds[n:n + per_draw])
+            rows, cols = np.divmod(np.flatnonzero(mask), m)
+            parts.append(cand[cols] + ((rows + n) * v)[:, None])
+            kept += len(rows)
+            n += len(mask)
+        successes += int(np.count_nonzero(test(np.concatenate(parts), n, v, r)))
+        t += n
     return successes
 
 
-def _mc_global_np(cand: np.ndarray, v: int, p: float, r: int,
-                  trials: int, master: int, start: int) -> int:
-    m = len(cand)
-    successes = 0
-    for t in range(start, start + trials):
-        mask = sample_edge_mask(m, p, trial_seed(master, t))
-        if peel_survivor_mask(cand[np.flatnonzero(mask)], v, r).any():
-            successes += 1
-    return successes
+def mc_local_successes(cand: np.ndarray, v: int, p: float, r: int, predicate: str,
+                       trials: int, seed: int, start: int = 0) -> int:
+    """Count trials whose sampled hypergraph satisfies ``predicate`` on all vertices."""
+    return _successes(PREDICATES[predicate], cand, v, p, r, trials, seed, start)
+
+
+def mc_global_successes(cand: np.ndarray, v: int, p: float, r: int,
+                        trials: int, seed: int, start: int = 0) -> int:
+    """Count trials whose sampled hypergraph peels to a nonempty core."""
+    return _successes(_core_rows, cand, v, p, r, trials, seed, start)
 
 
 # ---------------------------------------------------------------------------
 # exhaustive oracles: every edge subset as a uint32 mask, in numpy blocks
-# (one path on every backend)
 # ---------------------------------------------------------------------------
 
 def edge_incidence(cand: np.ndarray, v: int) -> np.ndarray:
@@ -294,170 +381,6 @@ def subset_prob(m: int, p: float, accept) -> float:
         w = math.exp(n * log_p + (m - n) * log_1m)
         terms += [math.ldexp(w, j) for j in range(c.bit_length()) if c >> j & 1]
     return math.fsum(terms)
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    _U = np.uint64
-    _GOLD = np.uint64(GOLDEN)
-
-    @njit(cache=True)
-    def _mix64_nb(z):
-        z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-        return z ^ (z >> _U(31))
-
-    @njit(cache=True)
-    def _select_edges_nb(n_cand, p, gseed, sel):
-        m = 0
-        for j in range(n_cand):
-            bits = _mix64_nb(gseed + _U(j + 1) * _GOLD)
-            if np.float64(bits >> _U(11)) * _INV_2_53 < p:
-                sel[m] = j
-                m += 1
-        return m
-
-    @njit(cache=True)
-    def _peel_survivors_nb(cand, sel, m, v, r, deg, alive_v, alive_e):
-        k = cand.shape[1]
-        for x in range(v):
-            alive_v[x] = True
-        for t in range(m):
-            alive_e[t] = True
-        while True:
-            for x in range(v):
-                deg[x] = 0
-            for t in range(m):
-                if alive_e[t]:
-                    j = sel[t]
-                    for c in range(k):
-                        deg[cand[j, c]] += 1
-            removed = False
-            for x in range(v):
-                if alive_v[x] and deg[x] < r:
-                    alive_v[x] = False
-                    removed = True
-            if not removed:
-                break
-            for t in range(m):
-                if alive_e[t]:
-                    j = sel[t]
-                    for c in range(k):
-                        if not alive_v[cand[j, c]]:
-                            alive_e[t] = False
-                            break
-        count = 0
-        for x in range(v):
-            if alive_v[x]:
-                count += 1
-        return count
-
-    @njit(cache=True)
-    def _find_root_nb(parent, a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    @njit(cache=True)
-    def _connected_nb(cand, sel, m, v, parent):
-        if v == 1:
-            return True
-        for x in range(v):
-            parent[x] = x
-        components = v
-        k = cand.shape[1]
-        for t in range(m):
-            j = sel[t]
-            ra = _find_root_nb(parent, cand[j, 0])
-            for c in range(1, k):
-                rb = _find_root_nb(parent, cand[j, c])
-                if ra != rb:
-                    parent[rb] = ra
-                    components -= 1
-        return components == 1
-
-    @njit(cache=True)
-    def _min_degree_nb(cand, sel, m, v, r, deg):
-        for x in range(v):
-            deg[x] = 0
-        k = cand.shape[1]
-        for t in range(m):
-            j = sel[t]
-            for c in range(k):
-                deg[cand[j, c]] += 1
-        for x in range(v):
-            if deg[x] < r:
-                return False
-        return True
-
-    @njit(cache=True)
-    def _mc_local_nb(cand, v, p, r, pred, trials, master, start):
-        n_cand = cand.shape[0]
-        sel = np.empty(n_cand, np.int64)
-        deg = np.empty(v, np.int64)
-        parent = np.empty(v, np.int64)
-        successes = 0
-        for t in range(start, start + trials):
-            gseed = _mix64_nb(master + _U(t + 1) * _GOLD)
-            m = _select_edges_nb(n_cand, p, gseed, sel)
-            if pred == 0:
-                ok = _connected_nb(cand, sel, m, v, parent)
-            else:
-                ok = _min_degree_nb(cand, sel, m, v, r, deg)
-            if ok:
-                successes += 1
-        return successes
-
-    @njit(cache=True)
-    def _mc_global_nb(cand, v, p, r, trials, master, start):
-        n_cand = cand.shape[0]
-        sel = np.empty(n_cand, np.int64)
-        deg = np.empty(v, np.int64)
-        alive_v = np.empty(v, np.bool_)
-        alive_e = np.empty(n_cand, np.bool_)
-        successes = 0
-        for t in range(start, start + trials):
-            gseed = _mix64_nb(master + _U(t + 1) * _GOLD)
-            m = _select_edges_nb(n_cand, p, gseed, sel)
-            if _peel_survivors_nb(cand, sel, m, v, r, deg, alive_v, alive_e) > 0:
-                successes += 1
-        return successes
-
-
-# ---------------------------------------------------------------------------
-# public dispatching drivers
-# ---------------------------------------------------------------------------
-
-def _as_candidates(cand: np.ndarray) -> np.ndarray:
-    cand = np.ascontiguousarray(cand, dtype=np.int64)
-    if cand.ndim != 2:
-        raise ValueError("candidate edge array must be 2-dimensional")
-    return cand
-
-
-def mc_local_successes(cand: np.ndarray, v: int, p: float, r: int, predicate: str,
-                       trials: int, seed: int, start: int = 0) -> int:
-    """Count trials whose sampled hypergraph satisfies ``predicate`` on all vertices."""
-    pred = PREDICATES[predicate]
-    cand = _as_candidates(cand)
-    if NUMBA_ENABLED:
-        return int(_mc_local_nb(cand, v, p, r, pred, trials,
-                                np.uint64(seed & _MASK64), start))
-    return _mc_local_np(cand, v, p, r, pred, trials, seed, start)
-
-
-def mc_global_successes(cand: np.ndarray, v: int, p: float, r: int,
-                        trials: int, seed: int, start: int = 0) -> int:
-    """Count trials whose sampled hypergraph peels to a nonempty core."""
-    cand = _as_candidates(cand)
-    if NUMBA_ENABLED:
-        return int(_mc_global_nb(cand, v, p, r, trials,
-                                 np.uint64(seed & _MASK64), start))
-    return _mc_global_np(cand, v, p, r, trials, seed, start)
 
 
 def exhaustive_global_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:

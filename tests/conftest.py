@@ -32,7 +32,8 @@ def min_degree_prob_oracle(u, k, p, r):
 
 @pytest.fixture(scope="session")
 def warm_kernels():
-    """Trigger kernel JIT once so timed tests measure the computation."""
+    """Run each Monte Carlo driver once so timed tests measure the computation,
+    not first-call set-up."""
     from corebound import mc_global, mc_local
 
     mc_local(4, 3, 0.5, 1, "connectivity", trials=10, seed=0)

@@ -1,16 +1,13 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from corebound import exact_exactly_one, exact_global, exact_local, kernels, peel
+from corebound import (HypergraphParams, choose, exact_exactly_one, exact_global,
+                       exact_local, generate, has_rcore_on, is_connected_on, kernels,
+                       mc_global, mc_local, peel)
 from corebound.hypergraph import candidate_edges
 from conftest import enumeration_prob
-
-needs_numba = pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba backend disabled")
 
 
 class TestStream:
@@ -53,6 +50,43 @@ class TestStream:
                 assert mask.dtype == bool and mask.shape == (n,)
                 assert np.array_equal(mask, units[:n] < p), (n, p)
 
+    def test_threshold_draws_are_exact(self):
+        # seeds whose first draw lands right at the keep threshold, found by
+        # inverting splitmix64, for every branch of the pre-test
+        def unmix64(x):
+            for shift, mult in ((31, None), (27, 0x94D049BB133111EB), (30, 0xBF58476D1CE4E5B9)):
+                if mult:
+                    x = x * pow(mult, -1, 2**64) % 2**64
+                z = x
+                for _ in range(64 // shift + 1):
+                    z = x ^ (z >> shift)
+                x = z
+            return x
+
+        assert all(kernels.mix64(unmix64(x)) == x for x in (0, 1, 2**40 + 7, 2**64 - 1))
+        for p in (2**-53, 3 * 2**-53, 2**-42, 1e-9, 2**-31, 0.3, 0.5, 0.75):
+            limit = math.ceil(math.ldexp(p, 53))
+            for y in {y for y in (0, limit - 1, limit, 2 * limit - 1, 2 * limit) if y < 2**53}:
+                for low in (0, 2**11 - 1):
+                    seed = (unmix64(y << 11 | low) - kernels.GOLDEN) % 2**64
+                    assert kernels.sample_edge_mask(1, p, seed)[0] == (y < limit), (p, y, low)
+                    pair = np.array([seed, seed], dtype=np.uint64)
+                    assert kernels.sample_edge_mask(1, p, pair).tolist() == [[y < limit]] * 2
+
+    @pytest.mark.parametrize("n", [1, kernels.BLOCK - 1, kernels.BLOCK, kernels.BLOCK + 1])
+    def test_seed_array_rows_are_scalar_masks(self, n):
+        seeds = np.array([0, kernels.trial_seed(3, 5), 2**64 - 1], dtype=np.uint64)
+        for p in (0.0, 2**-53, 1e-4, 0.3, 0.5, 0.75, 1.0):
+            masks = kernels.sample_edge_mask(n, p, seeds)
+            assert masks.dtype == bool and masks.shape == (3, n)
+            for seed, row in zip(seeds, masks):
+                assert np.array_equal(row, kernels.sample_edge_mask(n, p, int(seed))), (n, p)
+        assert kernels.sample_edge_mask(n, 0.5, seeds[:0]).shape == (0, n)
+
+    def test_block_trial_seeds(self):
+        seeds = kernels._trial_seeds(2**64 - 3, 40, 7)
+        assert seeds.tolist() == [kernels.trial_seed(2**64 - 3, t) for t in range(40, 47)]
+
     def test_stream_fingerprint(self):
         # the v1 stream's bits, recorded before the blocked evaluation
         mask = kernels.sample_edge_mask(64, 0.5, kernels.trial_seed(1, 0))
@@ -81,31 +115,65 @@ class TestSingleInstanceOps:
         assert not kernels.min_degree_ok(edges, 4, 4)
 
 
-@needs_numba
-class TestBackendEquivalence:
-    @pytest.mark.parametrize("pred", ["connectivity", "min-degree"])
-    def test_mc_local_counts_match(self, pred):
-        cand = np.asarray(candidate_edges(8, 3))
-        args = (cand, 8, 0.12, 2)
-        nb = kernels.mc_local_successes(*args, pred, 4000, 31337)
-        np_ = kernels._mc_local_np(*args, kernels.PREDICATES[pred], 4000, 31337, 0)
-        assert nb == np_
+def _per_trial(v, p, r, predicate, trials, seed, start):
+    """Trials t in [start, start + trials) whose ``generate(params,
+    trial_seed(seed, t))`` passes the predicate, one graph at a time."""
+    params, full = HypergraphParams(v, 3, p, r), range(v)
+    test = {"global": lambda h: bool(peel(h, r)),
+            "connectivity": lambda h: is_connected_on(h, full),
+            "min-degree": lambda h: has_rcore_on(h, full, r)}[predicate]
+    return sum(test(generate(params, kernels.trial_seed(seed, t)))
+               for t in range(start, start + trials))
 
-    def test_mc_global_counts_match(self):
-        cand = np.asarray(candidate_edges(9, 3))
-        nb = kernels.mc_global_successes(cand, 9, 0.06, 2, 4000, 777)
-        np_ = kernels._mc_global_np(cand, 9, 0.06, 2, 4000, 777, 0)
-        assert nb == np_
 
-    def test_mc_start_offset_matches(self):
-        cand = np.asarray(candidate_edges(7, 3))
-        nb = kernels.mc_global_successes(cand, 7, 0.1, 1, 500, 42, start=1500)
-        np_ = kernels._mc_global_np(cand, 7, 0.1, 1, 500, 42, 1500)
-        assert nb == np_
+class TestBlockedTrials:
+    """The trial-blocked drivers count what ``generate`` draws trial by trial."""
+
+    @pytest.mark.parametrize("predicate,v,p,r,trials,start,blocks", [
+        # several draws per block, and more trials than a block's TRIAL_BLOCK // v
+        ("global", 40, 33 / choose(40, 3), 2, 900, 0, 2),
+        ("global", 40, 0.7 / choose(40, 3), 1, 900, 13, 2),
+        ("connectivity", 24, 24 / choose(24, 3), 1, 1500, 0, 2),
+        ("min-degree", 24, 48 / choose(24, 3), 1, 1500, 5, 2),
+        # dense: blocks end early on the kept-edge budget
+        ("global", 20, 0.5, 76, 300, 7, 2),
+        ("min-degree", 20, 0.5, 73, 300, 7, 2),
+        ("connectivity", 20, 0.01, 1, 300, 0, 1),
+        # C(v, 3) > BLOCK: one trial per draw
+        ("global", 75, 75 / 1.222 / choose(75, 3), 2, 4, 3, 1),
+        ("connectivity", 75, 0.0015, 1, 4, 3, 1),
+    ])
+    def test_counts_are_the_per_trial_sum(self, monkeypatch, predicate, v, p, r, trials,
+                                          start, blocks):
+        calls = {"sample_edge_mask": 0, "_trial_seeds": 0}  # draws; blocks
+        for name in calls:
+            def counted(*args, _fn=getattr(kernels, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        if predicate == "global":
+            got = mc_global(v, 3, p, r, trials=trials, seed=11, start=start).successes
+        else:
+            got = mc_local(v, 3, p, r, predicate, trials=trials, seed=11, start=start).successes
+        monkeypatch.undo()
+        assert got == _per_trial(v, p, r, predicate, trials, 11, start)
+        assert calls["sample_edge_mask"] > 1 and calls["_trial_seeds"] >= blocks, calls
+        if trials > 100:
+            assert 0 < got < trials
+
+    def test_block_predicates(self):
+        # three trials on v = 4 vertices: a connected pair of edges, no edge,
+        # and one edge that leaves vertex 3 (id 11) out
+        edges = np.array([[0, 1, 2], [1, 2, 3], [8, 9, 10]], dtype=np.int64)
+        assert kernels._connected_rows(edges, 3, 4, 1).tolist() == [True, False, False]
+        assert kernels._min_degree_rows(edges, 3, 4, 1).tolist() == [True, False, False]
+        assert kernels._core_rows(edges, 3, 4, 1).tolist() == [True, False, True]
+        assert kernels._core_rows(edges, 3, 4, 2).tolist() == [False, False, False]
+        assert kernels._connected_rows(edges[:0], 2, 1, 1).tolist() == [True, True]
 
 
 class TestExhaustiveOracles:
-    """The bitmask oracles, which run the same numpy path on every backend."""
+    """The bitmask oracles."""
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("r", [1, 2])
@@ -138,26 +206,3 @@ class TestExhaustiveOracles:
         assert kernels.subset_prob(3, 0.0, everything) == 1.0
         nothing = lambda masks: np.zeros(masks.shape, dtype=bool)
         assert kernels.subset_prob(3, 0.5, nothing) == 0.0
-
-
-class TestEnvFlag:
-    def test_disable_forces_numpy_backend(self):
-        env = dict(os.environ, COREBOUND_NUMBA="0")
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from corebound import kernels; print(kernels.backend())"],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_disabled_backend_gives_same_counts(self):
-        env = dict(os.environ, COREBOUND_NUMBA="0")
-        code = (
-            "from corebound import mc_global;"
-            "print(mc_global(6, 3, 0.2, 2, trials=1500, seed=5).successes)"
-        )
-        out = subprocess.run([sys.executable, "-c", code],
-                             env=env, capture_output=True, text=True, check=True)
-        from corebound import mc_global
-
-        assert int(out.stdout.strip()) == mc_global(6, 3, 0.2, 2, trials=1500, seed=5).successes
