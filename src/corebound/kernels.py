@@ -48,7 +48,9 @@ _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 # memory is bounded per block.
 BLOCK = 1 << 16
 
-# Trial vertices, and kept edges, per Monte Carlo predicate block.
+# Trial vertices, and kept edges, per Monte Carlo predicate block.  Sized by
+# peak RSS: blocks of 2^16 peaked about 2.5 MB above per-trial evaluation on
+# the small-v benchmark, blocks of 2^14 no higher, at the same speed.
 TRIAL_BLOCK = 1 << 14
 
 
