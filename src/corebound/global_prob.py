@@ -15,6 +15,14 @@ count n = 0..v.  Level n works down from u = n, so every C_x with x > u is
 known when size u needs it; it keeps one "no distinct core" total, which is
 all that higher levels read of it.
 
+Inside the pass every value (local, lone-core, per-size, "no distinct core")
+is a plain ``(value, valid, note)`` triple, the fields of a ``ProbValue``.
+A value is invalid when it leaves [0, 1] (the rule of
+``numerics.range_checked``, which ``ProbValue.checked`` applies too) or when
+anything it was computed from is invalid, and it carries the first note
+among its inputs.  ProbValues are built only where values leave the pass:
+``sizes``, ``lone_core_prob``, ``no_distinct_core_prob`` and ``result``.
+
 The geometric-series step then upper-bounds the probability of at least one
 core by ``S / (1 - S)`` where S is the exactly-one total, and
 ``interleaving_bounds`` evaluates that bound at edge probabilities p/r and p
@@ -30,7 +38,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .local_prob import ConnectivityTable, covering_prob, interleaved_local_prob
-from .numerics import PROB_TOL, ProbValue, choose, choose_float, stable_sum
+from .numerics import PROB_TOL, ProbValue, choose_float, range_checked, stable_sum
 
 __all__ = [
     "LOCAL_METHODS",
@@ -112,22 +120,23 @@ class GlobalResult:
     breakdown_at: int | None             # largest size whose value is invalid
 
 
-def _flagged(value: float, valid: bool, note: str | None) -> ProbValue:
-    """``value``, invalid when it leaves [0, 1] or ``valid`` is False."""
-    checked = ProbValue.checked(value, note)
-    return checked if valid else ProbValue(value, False, checked.note)
+# A value of the composition: (value, valid, note), as ProbValue holds it.
+Triple = tuple[float, bool, str | None]
 
 
-def _merged(value: float, parts: Iterable[ProbValue]) -> ProbValue:
+def _merge(value: float, parts: Iterable[Triple]) -> Triple:
     """``value`` computed from ``parts``: invalid when it leaves [0, 1] or any
     part is invalid, carrying the first note among the parts."""
-    # one plain loop: this runs O(v^2) times per composition, and separate
-    # all()/next() generator scans cost about 10% of a global evaluation
     valid, note = True, None
-    for pv in parts:
-        valid = valid and pv.valid
-        note = note or pv.note
-    return _flagged(value, valid, note)
+    for _, part_valid, part_note in parts:
+        valid = valid and part_valid
+        note = note or part_note
+    return range_checked(value, valid, note)
+
+
+def _merged(value: float, parts: Iterable[ProbValue | Triple]) -> ProbValue:
+    """:func:`_merge` as a ProbValue (a ProbValue part unpacks as its triple)."""
+    return ProbValue(*_merge(value, parts))
 
 
 def _lenient_sum(values) -> float:
@@ -141,18 +150,21 @@ def _lenient_sum(values) -> float:
 
 class GlobalComputation:
     """The size composition on v vertices, as one bottom-up pass over the
-    vertex count n = 0..v.
+    vertex count n = 0..v, on ``(value, valid, note)`` triples.
 
-    Level n yields, for u = n down to k, the lone-core value of size u and
-    the per-size value it composes with the "no distinct core" total of
-    n - u vertices.  The level keeps, for the sizes x above u, the running
-    validity, the note of the smallest such x, and ``log1p(-C_x)`` (where
-    C_x <= 0.5; else ``1 - C_x`` for ``math.pow``); the exponents
-    C(n-u, x-u) come from float binomial rows, and the local values from
-    one read of the provider per size, both built once per computation.
-    Of a finished level only its merged "no distinct core" total is kept.
-    The factors are still multiplied one at a time in ascending x, so every
-    value is the same float as term-by-term evaluation gives.
+    Each local value is read from the provider once and kept as a triple.
+    Level n yields, for u = n down to k, the lone-core triple of size u and
+    the per-size triple it composes with the "no distinct core" triple of
+    n - u vertices; before its first size it makes sure the lower levels'
+    totals and the float binomial rows it reads exist.  The level keeps, for
+    the sizes x above u, the running validity, the note of the smallest such
+    x, and ``log1p(-C_x)`` (where C_x <= 0.5; else ``1 - C_x`` for
+    ``math.pow``); the exponents C(n-u, x-u) come from the binomial rows,
+    built once per computation.  Of a finished level only its merged "no
+    distinct core" triple is kept.  The factors are multiplied one at a time
+    in ascending x, so every value is the same float as term-by-term
+    evaluation gives.  The public methods return ProbValues built from the
+    triples.
     """
 
     def __init__(self, v: int, p: float, k: int, r: int, provider: LocalProvider):
@@ -167,44 +179,58 @@ class GlobalComputation:
         self.r = r
         self.provider = provider
         self._rows: list[list[float]] = []  # _rows[m][j - 1] = C(m, j), j = 1..m
-        self._local: list[ProbValue] = []   # _local[u - k] = provider.value(u)
-        self._rest: list[ProbValue] = []    # _rest[m]: no distinct core on m vertices
+        self._local: list[Triple] = []      # _local[u - k]: provider.value(u)
+        self._rest: list[Triple] = []       # _rest[m]: no distinct core on m vertices
 
-    def _row(self, m: int) -> list[float]:
+    def _binomial_rows(self, m: int) -> list[list[float]]:
+        """Rows 0..m (at least) of the float binomials."""
         while len(self._rows) <= m:
             n = len(self._rows)
             self._rows.append([choose_float(n, j) for j in range(1, n + 1)])
-        return self._rows[m]
+        return self._rows
 
-    def _locals(self, n: int) -> list[ProbValue]:
+    def _locals(self, n: int) -> list[Triple]:
         while len(self._local) <= n - self.k:
-            self._local.append(self.provider.value(self.k + len(self._local)))
+            local = self.provider.value(self.k + len(self._local))
+            self._local.append((local.value, local.valid, local.note))
         return self._local
 
     def _level(self, n: int):
-        """Yield (u, lone, per-size value) for u = n down to k on an n-vertex
-        instance; lower levels are built first as needed."""
+        """Yield (u, lone, per-size) triples for u = n down to k on an
+        n-vertex instance; lower levels are built first as needed."""
+        exp, pow_, log1p, inf, comb = math.exp, math.pow, math.log1p, math.inf, math.comb
+        k = self.k
+        locals_, rows, rests = self._locals(n), self._binomial_rows(n - k), self._rests(n - k)
         above_valid, above_note = True, None
         factors: list[tuple[float | None, float]] = []  # per size above u, largest first
-        locals_ = self._locals(n)
-        for u in range(n, self.k - 1, -1):
-            local = locals_[u - self.k]
-            value = choose(n, u) * local.value
+        for u in range(n, k - 1, -1):
+            local, local_valid, local_note = locals_[u - k]
+            value = comb(n, u) * local
             # (1 - C_x)^C(n-u, x-u) for x = u+1..n, overflow -> inf; the
             # exponents are integers >= 1 (or inf), so pow raises nothing else
-            for e, (log1m, one_minus) in zip(self._row(n - u), reversed(factors)):
+            for e, (log1m, one_minus) in zip(rows[n - u], reversed(factors)):
                 try:
-                    value *= math.exp(e * log1m) if log1m is not None else math.pow(one_minus, e)
+                    value *= exp(e * log1m) if log1m is not None else pow_(one_minus, e)
                 except OverflowError:
-                    value *= math.inf
-            lone = _flagged(value, local.valid and above_valid, local.note or above_note)
-            rest = self.no_distinct_core_prob(u, n)
-            size = _merged(lone.value * rest.value, (lone, rest))
+                    value *= inf
+            lone = range_checked(value, local_valid and above_valid, local_note or above_note)
+            rest_value, rest_valid, rest_note = rests[n - u]
+            # _merge of (lone, rest), written out
+            size = range_checked(lone[0] * rest_value, lone[1] and rest_valid,
+                                 lone[2] or rest_note)
             yield u, lone, size
-            x = size.value
-            factors.append((math.log1p(-x) if x <= 0.5 else None, 1.0 - x))
-            above_valid = above_valid and size.valid
-            above_note = size.note or above_note
+            x, size_valid, size_note = size
+            factors.append((log1p(-x) if x <= 0.5 else None, 1.0 - x))
+            above_valid = above_valid and size_valid
+            above_note = size_note or above_note
+
+    def _rests(self, m: int) -> list[Triple]:
+        """The "no distinct core" triples of the instances on 0..m (at least)
+        vertices, each the merged complement of its level's per-size sum."""
+        while len(self._rest) <= m:
+            sub = [size for _, _, size in self._level(len(self._rest))]  # empty below k
+            self._rest.append(_merge(1.0 - _lenient_sum(value for value, _, _ in sub), sub))
+        return self._rest
 
     def _check_size(self, u: int, n: int) -> None:
         if not self.k <= u <= n:
@@ -213,27 +239,25 @@ class GlobalComputation:
     def sizes(self, n: int | None = None) -> dict[int, ProbValue]:
         """Per-size values {u: P[lone core of size u]} on an n-vertex instance,
         in descending u."""
-        return {u: size for u, _, size in self._level(self.v if n is None else n)}
+        return {u: ProbValue(*size) for u, _, size in self._level(self.v if n is None else n)}
 
     def lone_core_prob(self, u: int, n: int | None = None) -> ProbValue:
         """P[some u-subset carries a core contained in no larger one] on an
         n-vertex instance."""
         n = self.v if n is None else n
         self._check_size(u, n)
-        return next(lone for size_u, lone, _ in self._level(n) if size_u == u)
+        return ProbValue(*next(lone for size_u, lone, _ in self._level(n) if size_u == u))
 
     def no_distinct_core_prob(self, u: int, n: int | None = None) -> ProbValue:
         """P[no further core forms among the n-u vertices left over]."""
         n = self.v if n is None else n
         self._check_size(u, n)
-        while len(self._rest) <= n - u:
-            sub = [size for _, _, size in self._level(len(self._rest))]  # empty below k
-            self._rest.append(_merged(1.0 - _lenient_sum(pv.value for pv in sub), sub))
-        return self._rest[n - u]
+        return ProbValue(*self._rests(n - u)[n - u])
 
     def result(self) -> GlobalResult:
         per_size = self.sizes()
-        exactly = _merged(_lenient_sum(pv.value for pv in per_size.values()), per_size.values())
+        total = _lenient_sum(pv.value for pv in per_size.values())
+        exactly = _merged(total, per_size.values())
         invalid_sizes = [u for u, pv in per_size.items() if not pv.valid]
         return GlobalResult(
             v=self.v, p=self.p, k=self.k, r=self.r, method=self.provider.method,

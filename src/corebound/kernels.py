@@ -11,10 +11,11 @@ partitioned runs merge exactly (trial indices are global).
 The stream is evaluated in blocks of ``BLOCK`` draws, in place in two reused
 uint64 buffers of 512 KiB, so each pass over a block stays in cache and no
 temporary grows with C(v, k).  The Monte Carlo drivers run their trials in
-blocks: one :func:`sample_edge_mask` call draws the graphs of several trials
-(at most ``BLOCK`` draws), and the kept edges of a block of trials, with the
-vertex ids of trial ``t`` offset by ``t * v``, form one disjoint-union graph
-on which each predicate runs once for the whole block.
+blocks: one draw (the routine behind :func:`sample_edge_mask`) makes the
+graphs of several trials (at most ``BLOCK`` draws), all draws of a run share
+one pair of scratch buffers, and the kept edges of a block of trials, with
+the vertex ids of trial ``t`` offset by ``t * v``, form one disjoint-union
+graph on which each predicate runs once for the whole block.
 """
 from __future__ import annotations
 
@@ -136,6 +137,20 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
     the exact test.  When c = 64 (p > 1/2) every z passes and the exact test
     runs on the whole block.
     """
+    scalar = np.ndim(graph_seed) == 0
+    seeds = (np.array([int(graph_seed) & _MASK64], dtype=np.uint64) if scalar
+             else np.asarray(graph_seed, dtype=np.uint64))
+    z = np.empty(min(len(seeds) * n_candidates, BLOCK), dtype=np.uint64)
+    keep = _draw_edge_masks(n_candidates, p, seeds, z, np.empty_like(z))
+    return keep[0] if scalar else keep
+
+
+def _draw_edge_masks(n_candidates: int, p: float, seeds: np.ndarray,
+                     z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """:func:`sample_edge_mask` for a 1-D uint64 array of seeds, one mask row
+    per seed, evaluated in the uint64 scratch buffers ``z`` and ``tmp`` (each
+    at least ``min(len(seeds) * n_candidates, BLOCK)`` long), so a caller that
+    draws many times can allocate them once."""
     if p >= 1.0:
         limit = 1 << 53  # every 53-bit value is kept
     elif p > 0.0:
@@ -144,14 +159,9 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
         limit = 0  # p <= 0 (or nan) keeps nothing
     bound_bits = (limit - 1).bit_length() + 11
     pre = np.uint64(1 << bound_bits) if bound_bits < 64 else None
-    scalar = np.ndim(graph_seed) == 0
-    seeds = (np.array([int(graph_seed) & _MASK64], dtype=np.uint64) if scalar
-             else np.asarray(graph_seed, dtype=np.uint64))
     keep = np.empty((len(seeds), n_candidates), dtype=bool)
     flat = keep.reshape(-1)
     rows = max(1, BLOCK // max(n_candidates, 1))  # seeds per block
-    z = np.empty(min(keep.size, BLOCK), dtype=np.uint64)
-    tmp = np.empty_like(z)
     for r0 in range(0, len(seeds), rows):
         block_seeds = seeds[r0:r0 + rows]
         for lo in range(0, n_candidates, BLOCK):
@@ -173,7 +183,7 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
             x ^= x >> np.uint64(31)
             x >>= np.uint64(11)
             out[survivors] = x < np.uint64(limit)
-    return keep[0] if scalar else keep
+    return keep
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +298,23 @@ def _successes(test, cand: np.ndarray, v: int, p: float, r: int,
     ``trial_seed(master, t)``, passes the per-block predicate ``test``.
 
     A block holds at most ``TRIAL_BLOCK // v`` trials, and stops early once
-    its kept edges reach ``TRIAL_BLOCK``; each ``sample_edge_mask`` call draws
-    at most ``BLOCK`` candidates (or one trial's, when C(v, k) exceeds that).
+    its kept edges reach ``TRIAL_BLOCK``; each draw covers at most ``BLOCK``
+    candidates (or one trial's, when C(v, k) exceeds that), and every draw of
+    the run uses the same two scratch buffers.
     """
     cand = _as_candidates(cand)
     m = len(cand)
     per_draw = max(1, BLOCK // max(m, 1))
     per_block = max(1, TRIAL_BLOCK // v)
+    z = np.empty(BLOCK, dtype=np.uint64)
+    tmp = np.empty_like(z)
     successes = 0
     t, stop = start, start + trials
     while t < stop:
         seeds = _trial_seeds(master, t, min(per_block, stop - t))
         parts, kept, n = [], 0, 0
         while n < len(seeds) and kept < TRIAL_BLOCK:
-            mask = sample_edge_mask(m, p, seeds[n:n + per_draw])
+            mask = _draw_edge_masks(m, p, seeds[n:n + per_draw], z, tmp)
             rows, cols = np.divmod(np.flatnonzero(mask), m)
             parts.append(cand[cols] + ((rows + n) * v)[:, None])
             kept += len(rows)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 __all__ = [
     "PROB_TOL",
     "ProbValue",
+    "range_checked",
     "choose",
     "choose_float",
     "log_choose",
@@ -23,6 +24,17 @@ __all__ = [
 # Computed probabilities outside [-PROB_TOL, 1 + PROB_TOL] are treated as
 # numerical breakdown and flagged, never clamped or raised.
 PROB_TOL = 1e-9
+BREAKDOWN_NOTE = "value outside [0, 1]: numerical breakdown"
+
+
+def range_checked(value: float, valid: bool, note: str | None) -> tuple[float, bool, str | None]:
+    """The triple ``(value, valid, note)`` with the range rule applied: a value
+    that is not finite or lies outside ``[-PROB_TOL, 1 + PROB_TOL]`` is
+    invalid, noted as numerical breakdown unless ``note`` already says why."""
+    # both comparisons are False for nan, and one of them for +-inf
+    if -PROB_TOL <= value <= 1.0 + PROB_TOL:
+        return value, valid, note
+    return value, False, note or BREAKDOWN_NOTE
 
 
 @dataclass(frozen=True)
@@ -32,22 +44,20 @@ class ProbValue:
     ``value`` is reported verbatim even when broken; ``valid`` is False once
     the value (or anything it was computed from) left ``[-PROB_TOL, 1+PROB_TOL]``
     or stopped being finite.  ``note`` carries a short human-readable reason.
+    A ProbValue unpacks as its ``(value, valid, note)`` triple.
     """
 
     value: float
     valid: bool = True
     note: str | None = None
 
-    def in_range(self) -> bool:
-        return math.isfinite(self.value) and -PROB_TOL <= self.value <= 1.0 + PROB_TOL
+    def __iter__(self):
+        return iter((self.value, self.valid, self.note))
 
     @classmethod
     def checked(cls, value: float, note: str | None = None) -> "ProbValue":
         """Wrap ``value``, flagging it invalid if it is not a plausible probability."""
-        ok = math.isfinite(value) and -PROB_TOL <= value <= 1.0 + PROB_TOL
-        if ok:
-            return cls(value, True, note)
-        return cls(value, False, note or "value outside [0, 1]: numerical breakdown")
+        return cls(*range_checked(value, True, note))
 
 
 def choose(n: int, k: int) -> int:

@@ -249,7 +249,25 @@ def pinned_points():
         for method, (source, at_p_over_r) in METHOD_TABLE.items():
             points.append((f"v={v} {method}", v, p / 2 if at_p_over_r else p, 3, 2, source))
     points.append(("v=90 connectivity r=1", 90, 90 / math.comb(90, 3), 3, 1, "connectivity"))
+    # other k and r, each source, and an interleaved point whose per-size
+    # values leave [0, 1] on both sides while every local value is valid
+    for k, r, v, overhead, source, over_r in (
+        (2, 1, 30, 1.6, "connectivity", False),
+        (2, 3, 20, 0.625, "interleaved", False),
+        (4, 1, 24, 1.0, "covering", False),
+        (4, 3, 20, 0.625, "connectivity", False),
+        (4, 3, 30, 1.6, "interleaved", True),
+        (3, 2, 12, 0.625, "interleaved", False),
+    ):
+        p = v / overhead / math.comb(v, k) / (r if over_r else 1)
+        label = f"v={v} k={k} r={r} {source}{' at p/r' if over_r else ''} overhead {overhead:g}"
+        points.append((label, v, p, k, r, source))
     return points
+
+
+TERMS_LABEL = "v=90 connectivity r=1 terms"
+# (u, n) of the breakdown point whose lone and "no distinct core" terms are pinned
+TERMS_AT = ((90, 90), (89, 90), (60, 90), (30, 90), (3, 90), (40, 70), (8, 12))
 
 
 def _hex(pv):
@@ -268,11 +286,24 @@ def composition_snapshot(v, p, k, r, source):
     }
 
 
+def terms_snapshot():
+    """``lone_core_prob(u, n)`` and ``no_distinct_core_prob(u, n)`` of the
+    v=90 breakdown point at ``TERMS_AT``, floats as ``float.hex``."""
+    u0 = 90
+    comp = connectivity_comp(u0, u0 / math.comb(u0, 3))
+    doc = {}
+    for u, n in TERMS_AT:
+        doc[f"lone u={u} n={n}"] = _hex(comp.lone_core_prob(u, n))
+        doc[f"rest u={u} n={n}"] = _hex(comp.no_distinct_core_prob(u, n))
+    return doc
+
+
 def record_pinned():
     """Rewrite the pinned file from the current code.  Only for a change that
     alters composed values on purpose:
     ``PYTHONPATH=src python3 -c "import tests.test_global_prob as t; t.record_pinned()"``"""
     doc = {label: composition_snapshot(*args) for label, *args in pinned_points()}
+    doc[TERMS_LABEL] = terms_snapshot()
     PINNED_PATH.parent.mkdir(exist_ok=True)
     PINNED_PATH.write_text(json.dumps(doc, indent=1) + "\n")
 
@@ -291,6 +322,9 @@ class TestCompositionPinned:
         got = composition_snapshot(v, p, k, r, source)
         assert got == pinned[label]
         assert list(got["per_size"]) == list(pinned[label]["per_size"])  # descending u
+
+    def test_terms(self, pinned):
+        assert terms_snapshot() == pinned[TERMS_LABEL]
 
     def test_breakdown_point_has_non_finite_sizes(self, pinned):
         got = pinned["v=90 connectivity r=1"]
@@ -319,6 +353,12 @@ class TestSinglePath:
                 rest = fresh.no_distinct_core_prob(u, n)
                 again = _merged(lone.value * rest.value, (lone, rest))
                 assert _hex(again) == _hex(size), (n, u)
+
+    def test_merge_takes_the_first_note(self):
+        parts = [(0.1, True, None), ProbValue(0.2, False, "first"), (0.3, True, "second")]
+        assert _hex(_merged(0.6, parts)) == _hex(ProbValue(0.6, False, "first"))
+        assert _hex(_merged(1.5, [(0.5, True, None)])) == _hex(ProbValue.checked(1.5))
+        assert _hex(_merged(0.5, [])) == _hex(ProbValue(0.5))
 
     def test_sizes_outside_the_level_rejected(self):
         comp = connectivity_comp(6, 0.3)

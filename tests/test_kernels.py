@@ -145,7 +145,7 @@ class TestBlockedTrials:
     ])
     def test_counts_are_the_per_trial_sum(self, monkeypatch, predicate, v, p, r, trials,
                                           start, blocks):
-        calls = {"sample_edge_mask": 0, "_trial_seeds": 0}  # draws; blocks
+        calls = {"_draw_edge_masks": 0, "_trial_seeds": 0}  # draws; blocks
         for name in calls:
             def counted(*args, _fn=getattr(kernels, name), _name=name):
                 calls[_name] += 1
@@ -157,9 +157,32 @@ class TestBlockedTrials:
             got = mc_local(v, 3, p, r, predicate, trials=trials, seed=11, start=start).successes
         monkeypatch.undo()
         assert got == _per_trial(v, p, r, predicate, trials, 11, start)
-        assert calls["sample_edge_mask"] > 1 and calls["_trial_seeds"] >= blocks, calls
+        assert calls["_draw_edge_masks"] > 1 and calls["_trial_seeds"] >= blocks, calls
         if trials > 100:
             assert 0 < got < trials
+
+    @pytest.mark.parametrize("predicate, v, p", [
+        ("global", 40, 33 / choose(40, 3)),       # several draws per block, two blocks
+        ("connectivity", 24, 24 / choose(24, 3)),
+        ("global", 75, 0.0015),                   # C(v, 3) > BLOCK: one trial per draw
+    ])
+    def test_one_pair_of_scratch_buffers_per_run(self, monkeypatch, predicate, v, p):
+        buffers = []  # holding them keeps a buffer freed between draws from being reused
+        original = kernels._draw_edge_masks
+
+        def recorded(n, p, seeds, z, tmp):
+            buffers.append((z, tmp))
+            return original(n, p, seeds, z, tmp)
+
+        monkeypatch.setattr(kernels, "_draw_edge_masks", recorded)
+        if predicate == "global":
+            mc_global(v, 3, p, 2, trials=900 if v < 75 else 3, seed=4)
+        else:
+            mc_local(v, 3, p, 1, predicate, trials=1500, seed=4)
+        z, tmp = buffers[0]
+        assert len(buffers) > 1
+        assert all(zb is z and tb is tmp for zb, tb in buffers)
+        assert z is not tmp and z.size == tmp.size == kernels.BLOCK
 
     def test_block_predicates(self):
         # three trials on v = 4 vertices: a connected pair of edges, no edge,
