@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -283,3 +286,92 @@ class TestUsageErrors:
             main([*argv, "--r", "0"])
         assert exc.value.code == 2
         assert "core order must be >= 1" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# Pinned output bytes
+# ---------------------------------------------------------------------------
+
+PINNED_PATH = Path(__file__).parent / "data" / "cli_pinned.json"
+
+_FORMULA_ARGS = [a for m in FORMULA_METHODS for a in ("--method", m)]
+# label -> argv; every case but ``breakdown`` runs once per --format
+PINNED_CASES = {
+    "local connectivity": ["local", "--u", "4", "--k", "3", "--p", "0.5", "--r", "1",
+                           "--method", "connectivity"],
+    "local broken recursion": ["local", "--u", "120", "--k", "3", "--e-u", "120",
+                               "--method", "connectivity"],
+    "local interleaved-lower": ["local", "--u", "4", "--k", "3", "--p", "0.5", "--r", "2",
+                                "--method", "interleaved-lower"],
+    "local gilbert": ["local", "--u", "6", "--k", "2", "--p", "0.3", "--method", "gilbert"],
+    "local mc": ["local", "--u", "6", "--k", "3", "--e-u", "6", "--r", "2",
+                 "--method", "mc", "--trials", "200", "--seed", "5"],
+    "global every method": ["global", "--v", "24", "--k", "3", "--e-v", "12", "--r", "2",
+                            *_FORMULA_ARGS, "--method", "mc", "--trials", "200",
+                            "--seed", "7"],
+    "global vacuous upper bound": ["global", "--v", "4", "--k", "3", "--p", "1", "--r", "2",
+                                   "--method", "covering"],
+    "global invalid lower bound": ["global", "--v", "5", "--k", "3", "--p", "0.5",
+                                   "--r", "2", "--method", "interleaved-lower",
+                                   "--method", "interleaved-upper"],
+    "global nan": ["global", "--v", "11", "--k", "3", "--e-v", "11", "--r", "2",
+                   "--method", "connectivity"],
+    "sweep global": ["sweep", "--k", "3", "--r", "2", "--overhead", "1.2", "--e-min", "3",
+                     "--e-max", "8", *_FORMULA_ARGS, "--method", "mc", "--trials", "100",
+                     "--seed", "1234"],
+    "sweep local breakdown_at": ["sweep", "--k", "3", "--r", "1", "--overhead", "1.0",
+                                 "--e-min", "80", "--e-max", "86", "--scope", "local",
+                                 "--method", "connectivity", "--method", "covering"],
+    "oracle at-least-one": ["oracle", "--v", "5", "--k", "3", "--p", "0.5", "--r", "2"],
+    "oracle exactly-one": ["oracle", "--v", "4", "--k", "3", "--p", "0.5", "--r", "1",
+                           "--exactly-one", "minimal"],
+    "breakdown": ["breakdown", "--k", "3", "--r", "1", "--method", "connectivity",
+                  "--scope", "local"],
+    "breakdown none": ["breakdown", "--k", "3", "--r", "1", "--method", "covering",
+                       "--cap", "5"],
+}
+
+
+def pinned_runs():
+    """(label, argv) of every pinned run."""
+    runs = []
+    for label, argv in PINNED_CASES.items():
+        if argv[0] == "breakdown":
+            runs.append((label, argv))
+        else:
+            runs += [(f"{label} {fmt}", [*argv, "--format", fmt]) for fmt in ("csv", "json")]
+    return runs
+
+
+def run_in_process(argv):
+    """{"code", "stdout", "stderr"} of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def record_pinned():
+    """Rewrite the pinned file from the current code.  Only for a change that
+    alters CLI output on purpose:
+    ``PYTHONPATH=src python3 -c "import tests.test_cli as t; t.record_pinned()"``"""
+    doc = {label: {"argv": argv, **run_in_process(argv)} for label, argv in pinned_runs()}
+    PINNED_PATH.parent.mkdir(exist_ok=True)
+    PINNED_PATH.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+class TestCliPinned:
+    """stdout, stderr and exit code of each subcommand, in CSV and JSON, byte
+    for byte as first recorded."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(PINNED_PATH.read_text())
+
+    @pytest.mark.parametrize("label, argv", pinned_runs(), ids=[run[0] for run in pinned_runs()])
+    def test_run(self, pinned, label, argv):
+        assert pinned[label]["argv"] == argv
+        assert run_in_process(argv) == {k: pinned[label][k] for k in ("code", "stdout", "stderr")}
+
+    def test_every_run_pinned(self, pinned):
+        assert list(pinned) == [label for label, _ in pinned_runs()]
