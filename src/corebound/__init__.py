@@ -10,7 +10,6 @@ from .global_prob import (
     LocalProvider,
     at_least_one_bound,
     exactly_one_core,
-    interleaving_bounds,
 )
 from .hypergraph import (
     Hypergraph,
@@ -47,7 +46,7 @@ from .numerics import (
     choose_float,
     stable_sum,
 )
-from .sweep import BreakdownDetector, SweepSpec, find_breakdown, run_sweep
+from .sweep import BreakdownDetector, SweepSpec, find_breakdown, interleaving_bounds, run_sweep
 
 __version__ = "0.1.0"
 

@@ -23,7 +23,7 @@ import sys
 
 from . import montecarlo, sweep as sweep_mod
 from .local_prob import gilbert_prob
-from .numerics import choose
+from .numerics import ProbValue, choose
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -33,13 +33,14 @@ LOCAL_METHODS = (*sweep_mod.FORMULA_METHODS, "gilbert", "mc")
 GLOBAL_METHODS = sweep_mod.SWEEP_METHODS
 
 
-def _fmt(x: float) -> str:
-    # shortest round-trip repr keeps CSV output byte-stable across runs
-    return repr(float(x))
-
-
-def _flag(valid: bool) -> str:
-    return "1" if valid else "0"
+def _cell(x) -> str:
+    """CSV text of a row value: a flag as 1/0, a float as its shortest
+    round-trip repr (byte-stable across runs), anything else as str."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, float):
+        return repr(float(x))
+    return str(x)
 
 
 def _column_name(method: str) -> str:
@@ -54,11 +55,17 @@ def core_order(text: str) -> int:
     return r
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_model(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, required=True, help="edge cardinality (>= 2)")
     parser.add_argument("--r", type=core_order, default=1, help="core order (default 1)")
+
+
+def _add_mc(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--trials", type=int, default=10_000, help="Monte Carlo trials")
+
+
+def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
@@ -77,9 +84,11 @@ def _resolve_p(parser: argparse.ArgumentParser, n: int, k: int,
     return p
 
 
-def _emit(args, header: list[str], rows: list[list[str]], json_obj) -> int:
+def _emit(args, rows: list[dict], json_obj) -> int:
+    """Write ``rows`` as CSV (header from the first row's keys) or
+    ``json_obj`` as JSON, to stdout or atomically to ``--out``."""
     def write(fh) -> None:
-        _write_payload(fh, args.format, header, rows, json_obj)
+        _write_payload(fh, args.format, rows, json_obj)
 
     try:
         if args.out == "-":
@@ -115,11 +124,11 @@ def _write_atomically(path: str, write) -> None:
         raise
 
 
-def _write_payload(fh, fmt: str, header, rows, json_obj) -> None:
+def _write_payload(fh, fmt: str, rows: list[dict], json_obj) -> None:
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerow(rows[0])
+        writer.writerows([_cell(x) for x in row.values()] for row in rows)
     else:
         json.dump(json_obj, fh, indent=2)
         fh.write("\n")
@@ -134,50 +143,48 @@ def cmd_local(args, parser) -> int:
     method = args.method
     if method == "mc":
         est = sweep_mod.mc_value("local", args.u, p, args.k, args.r, args.trials, args.seed)
-        header = ["u", "p", "method", "value", "valid", "trials", "stderr"]
-        row = [str(args.u), _fmt(p), method, _fmt(est.mean), "1",
-               str(est.trials), _fmt(est.stderr)]
-        obj = {"u": args.u, "p": p, "method": method, "value": est.mean,
+        row = {"u": args.u, "p": p, "method": method, "value": est.mean,
                "valid": True, "trials": est.trials, "stderr": est.stderr}
-        return _emit(args, header, [row], obj)
+        return _emit(args, [row], row)
     if method == "gilbert":
         if args.k != 2:
             parser.error("--method gilbert requires --k 2")
         pv = gilbert_prob(args.u, p)
     else:
         pv = sweep_mod.formula_value(method, "local", args.u, p, args.k, args.r)
-    header = ["u", "p", "method", "value", "valid"]
-    row = [str(args.u), _fmt(p), method, _fmt(pv.value), _flag(pv.valid)]
-    obj = {"u": args.u, "p": p, "method": method, "value": pv.value,
-           "valid": pv.valid, "note": pv.note}
-    return _emit(args, header, [row], obj)
+    row = {"u": args.u, "p": p, "method": method, "value": pv.value, "valid": pv.valid}
+    return _emit(args, [row], {**row, "note": pv.note})
 
 
 # ---------------------------------------------------------------------------
 # global
 # ---------------------------------------------------------------------------
 
+def _method_cells(values: dict[str, ProbValue], mc=None, breaks=None) -> dict:
+    """Row cells of formula values (value and flag per method, plus a break
+    flag when ``breaks`` is given) and of a Monte Carlo estimate."""
+    cells = {}
+    for m, pv in values.items():
+        col = _column_name(m)
+        cells[col] = pv.value
+        cells[f"{col}_valid"] = pv.valid
+        if breaks is not None:
+            cells[f"{col}_break"] = breaks[m]
+    if mc is not None:
+        cells["mc_mean"] = mc.mean
+        cells["mc_stderr"] = mc.stderr
+    return cells
+
+
 def cmd_global(args, parser) -> int:
     p = _resolve_p(parser, args.v, args.k, args.p, args.e_v)
     methods = tuple(dict.fromkeys(args.method)) if args.method else ("connectivity",)
     values = {m: sweep_mod.formula_value(m, "global", args.v, p, args.k, args.r)
               for m in methods if m != "mc"}
-    header = ["v", "p"]
-    row = [str(args.v), _fmt(p)]
-    obj = {"v": args.v, "p": p, "k": args.k, "r": args.r}
-    for m, pv in values.items():
-        col = _column_name(m)
-        header += [col, f"{col}_valid"]
-        row += [_fmt(pv.value), _flag(pv.valid)]
-        obj[col] = pv.value
-        obj[f"{col}_valid"] = pv.valid
-    if "mc" in methods:
-        est = sweep_mod.mc_value("global", args.v, p, args.k, args.r, args.trials, args.seed)
-        header += ["mc_mean", "mc_stderr"]
-        row += [_fmt(est.mean), _fmt(est.stderr)]
-        obj["mc_mean"] = est.mean
-        obj["mc_stderr"] = est.stderr
-    return _emit(args, header, [row], obj)
+    est = (sweep_mod.mc_value("global", args.v, p, args.k, args.r, args.trials, args.seed)
+           if "mc" in methods else None)
+    point, cells = {"v": args.v, "p": p}, _method_cells(values, est)
+    return _emit(args, [{**point, **cells}], {**point, "k": args.k, "r": args.r, **cells})
 
 
 # ---------------------------------------------------------------------------
@@ -187,41 +194,21 @@ def cmd_global(args, parser) -> int:
 def _sweep_table(result: sweep_mod.SweepResult):
     spec = result.spec
     formula = [m for m in spec.methods if m != "mc"]
-    header = ["e_v", "v", "p"]
-    for m in formula:
-        col = _column_name(m)
-        header += [col, f"{col}_valid", f"{col}_break"]
-    if "mc" in spec.methods:
-        header += ["mc_mean", "mc_stderr"]
     rows = []
-    json_rows = []
     for row in result.rows:
-        cells = [str(row.e), str(row.v), _fmt(row.p)]
-        obj = {"e_v": row.e, "v": row.v, "p": row.p}
-        for m in formula:
-            pv = row.values[m]
-            threshold = result.breakdown_at[m]
-            broke = threshold is not None and row.e >= threshold
-            col = _column_name(m)
-            cells += [_fmt(pv.value), _flag(pv.valid), _flag(broke)]
-            obj[col] = pv.value
-            obj[f"{col}_valid"] = pv.valid
-            obj[f"{col}_break"] = broke
-        if row.mc is not None:
-            cells += [_fmt(row.mc.mean), _fmt(row.mc.stderr)]
-            obj["mc_mean"] = row.mc.mean
-            obj["mc_stderr"] = row.mc.stderr
-        rows.append(cells)
-        json_rows.append(obj)
+        breaks = {m: result.breakdown_at[m] is not None and row.e >= result.breakdown_at[m]
+                  for m in formula}
+        rows.append({"e_v": row.e, "v": row.v, "p": row.p,
+                     **_method_cells(row.values, row.mc, breaks)})
     json_obj = {
         "spec": {"k": spec.k, "r": spec.r, "overhead": spec.overhead,
                  "e_min": spec.e_min, "e_max": spec.e_max,
                  "methods": list(spec.methods), "trials": spec.trials,
                  "seed": spec.seed, "scope": spec.scope},
-        "rows": json_rows,
+        "rows": rows,
         "breakdown_at": {_column_name(m): result.breakdown_at[m] for m in formula},
     }
-    return header, rows, json_obj
+    return rows, json_obj
 
 
 def cmd_sweep(args, parser) -> int:
@@ -235,8 +222,8 @@ def cmd_sweep(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     result = sweep_mod.run_sweep(spec)
-    header, rows, json_obj = _sweep_table(result)
-    status = _emit(args, header, rows, json_obj)
+    rows, json_obj = _sweep_table(result)
+    status = _emit(args, rows, json_obj)
     if status == EXIT_OK:
         # summary goes to stderr when the table itself occupies stdout
         sink = sys.stderr if args.out == "-" else sys.stdout
@@ -277,11 +264,8 @@ def cmd_oracle(args, parser) -> int:
             kind = "at-least-one"
     except ValueError as exc:
         parser.error(str(exc))
-    header = ["v", "p", "kind", "value"]
-    row = [str(args.v), _fmt(p), kind, _fmt(value)]
-    obj = {"v": args.v, "p": p, "k": args.k, "r": args.r,
-           "kind": kind, "value": value}
-    return _emit(args, header, [row], obj)
+    point, cells = {"v": args.v, "p": p}, {"kind": kind, "value": value}
+    return _emit(args, [{**point, **cells}], {**point, "k": args.k, "r": args.r, **cells})
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_local.add_argument("--e-u", dest="e_u", type=float, default=None,
                          help="expected induced edge count (sets p = e_u / C(u,k))")
     p_local.add_argument("--method", choices=LOCAL_METHODS, default="connectivity")
-    _add_common(p_local)
+    _add_model(p_local)
+    _add_mc(p_local)
+    _add_output(p_local)
     p_local.set_defaults(func=cmd_local)
 
     p_global = sub.add_parser("global", help="whole-graph probability methods at one point")
@@ -309,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="expected edge count (sets p = e_v / C(v,k))")
     p_global.add_argument("--method", action="append", choices=GLOBAL_METHODS,
                           help="repeatable; default connectivity")
-    _add_common(p_global)
+    _add_model(p_global)
+    _add_mc(p_global)
+    _add_output(p_global)
     p_global.set_defaults(func=cmd_global)
 
     p_sweep = sub.add_parser("sweep", help="table over a range of expected edge counts")
@@ -320,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--method", action="append", choices=GLOBAL_METHODS,
                          help="repeatable; default connectivity + mc")
     p_sweep.add_argument("--scope", choices=sweep_mod.SCOPES, default="global")
-    _add_common(p_sweep)
+    _add_model(p_sweep)
+    _add_mc(p_sweep)
+    _add_output(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_break = sub.add_parser("breakdown", help="first expected edge count where a formula fails")
@@ -328,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_break.add_argument("--method", choices=sweep_mod.FORMULA_METHODS, required=True)
     p_break.add_argument("--scope", choices=sweep_mod.SCOPES, default="local")
     p_break.add_argument("--cap", type=int, default=500, help="scan limit (default 500)")
-    _add_common(p_break)
+    _add_model(p_break)
     p_break.set_defaults(func=cmd_breakdown)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive exact values (desk scale)")
@@ -339,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=("minimal", "maximal"), default=None,
                           help="count hypergraphs with exactly one core set "
                                "(default: at-least-one)")
-    _add_common(p_oracle)
+    _add_model(p_oracle)
+    _add_output(p_oracle)
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser

@@ -24,9 +24,10 @@ among its inputs.  ProbValues are built only where values leave the pass:
 ``sizes``, ``lone_core_prob``, ``no_distinct_core_prob`` and ``result``.
 
 The geometric-series step then upper-bounds the probability of at least one
-core by ``S / (1 - S)`` where S is the exactly-one total, and
-``interleaving_bounds`` evaluates that bound at edge probabilities p/r and p
-with the interleaved local model to bracket the true r-core probability.
+core by ``S / (1 - S)`` where S is the exactly-one total.  Which local
+source and edge probability each formula method feeds this module is set in
+one place, ``sweep.METHOD_TABLE``; the interleaving bracket (the bound with the
+interleaved source at p/r and at p) is ``sweep.interleaving_bounds``.
 
 All arithmetic is carried out and reported verbatim; values that leave
 [0, 1] (or inherit from ones that did) are flagged, not repaired.
@@ -38,7 +39,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .local_prob import ConnectivityTable, covering_prob, interleaved_local_prob
-from .numerics import PROB_TOL, ProbValue, choose_float, range_checked, stable_sum
+from .numerics import PROB_TOL, ProbValue, check_kpr, choose_float, range_checked, stable_sum
 
 __all__ = [
     "LOCAL_METHODS",
@@ -47,20 +48,9 @@ __all__ = [
     "GlobalComputation",
     "exactly_one_core",
     "at_least_one_bound",
-    "lower_bound",
-    "interleaving_bounds",
 ]
 
 LOCAL_METHODS = ("connectivity", "covering", "interleaved", "exact-enum")
-
-
-def _check_kpr(k: int, p: float, r: int) -> None:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
 
 
 class LocalProvider:
@@ -78,7 +68,7 @@ class LocalProvider:
     def __init__(self, method: str, k: int, p: float, r: int):
         if method not in LOCAL_METHODS:
             raise ValueError(f"unknown local method {method!r}; pick from {LOCAL_METHODS}")
-        _check_kpr(k, p, r)
+        check_kpr(k, p, r)
         self.method = method
         self.k = k
         self.p = p
@@ -170,7 +160,7 @@ class GlobalComputation:
     def __init__(self, v: int, p: float, k: int, r: int, provider: LocalProvider):
         if v < 0:
             raise ValueError(f"v must be >= 0, got {v}")
-        _check_kpr(k, p, r)
+        check_kpr(k, p, r)
         if provider.k != k or provider.p != p or provider.r != r:
             raise ValueError("provider was built for different (k, p, r)")
         self.v = v
@@ -287,33 +277,12 @@ def _geometric_bound(exactly_one: ProbValue) -> ProbValue:
 
 
 def exactly_one_core(v: int, p: float, k: int, r: int,
-                     method: str = "connectivity",
-                     provider: LocalProvider | None = None) -> GlobalResult:
+                     method: str = "connectivity") -> GlobalResult:
     """Run the size recursion on (v, p, k, r) and return the full result."""
-    if provider is None:
-        provider = LocalProvider(method, k, p, r)
-    return GlobalComputation(v, p, k, r, provider).result()
+    return GlobalComputation(v, p, k, r, LocalProvider(method, k, p, r)).result()
 
 
 def at_least_one_bound(v: int, p: float, k: int, r: int,
-                       method: str = "connectivity",
-                       provider: LocalProvider | None = None) -> ProbValue:
+                       method: str = "connectivity") -> ProbValue:
     """Geometric upper bound on the probability that at least one core forms."""
-    return exactly_one_core(v, p, k, r, method, provider).bound
-
-
-def lower_bound(bound: ProbValue) -> ProbValue:
-    """``bound`` read as a lower bound on a probability: above 1 it bounds
-    nothing, so it is flagged invalid (value kept verbatim)."""
-    if bound.valid and bound.value > 1.0 + PROB_TOL:
-        return ProbValue(bound.value, False, "lower bound above 1")
-    return bound
-
-
-def interleaving_bounds(v: int, p: float, k: int, r: int) -> tuple[ProbValue, ProbValue]:
-    """(lower, upper) bracket of the r-core probability from the interleaved model:
-    the geometric bound evaluated at edge probability p/r and at p."""
-    _check_kpr(k, p, r)
-    lower = lower_bound(at_least_one_bound(v, p / r, k, r, method="interleaved"))
-    upper = at_least_one_bound(v, p, k, r, method="interleaved")
-    return lower, upper
+    return exactly_one_core(v, p, k, r, method).bound

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import kernels
-from .numerics import choose
+from .numerics import check_kpr, choose
 
 __all__ = [
     "GENERATE_GUARD",
@@ -28,9 +28,6 @@ __all__ = [
     "enumerate_all",
     "guarded_count",
 ]
-
-# Seeds are plain 64-bit unsigned ints throughout (wrapped mod 2^64).
-Seed = int
 
 GENERATE_GUARD = 2**31  # max candidate edges for random generation
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
@@ -58,12 +55,7 @@ class HypergraphParams:
     def __post_init__(self) -> None:
         if self.v < 1:
             raise ValueError(f"v must be >= 1, got {self.v}")
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
+        check_kpr(self.k, self.p, self.r)
 
     @property
     def expected_edges(self) -> float:
@@ -102,12 +94,6 @@ class Hypergraph:
         if not self.edges:
             return np.empty((0, self.k), dtype=np.int64)
         return np.array(self.edges, dtype=np.int64)
-
-    def degrees(self) -> np.ndarray:
-        arr = self.edge_array()
-        if arr.size == 0:
-            return np.zeros(self.v, dtype=np.int64)
-        return np.bincount(arr.ravel(), minlength=self.v)
 
     def to_text(self) -> str:
         """Plain-text dump: first line "v k", then one sorted edge per line."""
@@ -156,7 +142,7 @@ def candidate_edges(v: int, k: int) -> np.ndarray:
     return arr
 
 
-def generate(params: HypergraphParams, seed: Seed) -> Hypergraph:
+def generate(params: HypergraphParams, seed: int) -> Hypergraph:
     """Sample one hypergraph: every candidate edge kept independently with probability p.
 
     Deterministic in (params, seed).  A Monte Carlo trial ``t`` with master

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .numerics import PROB_TOL, ProbValue, binom_pmf, choose, stable_sum
+from .numerics import ProbValue, binom_pmf, check_kpr, choose, range_checked, stable_sum
 
 __all__ = [
     "ConnectivityTable",
@@ -67,10 +67,11 @@ class ConnectivityTable:
         value(u) = 1 - sum_{i=1}^{u-1} value(i) * C(u-1, i-1) * (1-p)^eps(u, i)
 
     where eps(u, i) counts the possible edges crossing an (i, u-i) split.
-    Entries are flagged invalid from the first u whose value leaves
-    [-PROB_TOL, 1 + PROB_TOL]; later entries inherit the flag since they are
-    computed from the broken one.  A table must not be shared across threads
-    without external synchronization.
+    Entries are flagged invalid from the first u whose value fails
+    ``numerics.range_checked`` or whose binomial weights overflow a double;
+    later entries inherit the flag since they are computed from the broken
+    one.  A table must not be shared across threads without external
+    synchronization.
     """
 
     def __init__(self, k: int, p: float):
@@ -109,13 +110,11 @@ class ConnectivityTable:
                 binom = binom * (u - i) // i
             value = 1.0 - stable_sum(terms)
             self._values.append(value)
-            if self.first_invalid is None:
-                if overflow or not math.isfinite(value):
-                    self.first_invalid = u
-                    self._note = f"non-finite term in the recursion at u={u}"
-                elif not -PROB_TOL <= value <= 1.0 + PROB_TOL:
-                    self.first_invalid = u
-                    self._note = f"recursion left [0, 1] at u={u} (value {value!r})"
+            if self.first_invalid is None and not range_checked(value, not overflow, None)[1]:
+                self.first_invalid = u
+                self._note = (f"non-finite term in the recursion at u={u}"
+                              if overflow or not math.isfinite(value)
+                              else f"recursion left [0, 1] at u={u} (value {value!r})")
 
     def value(self, u: int) -> float:
         if u < 1:
@@ -193,12 +192,7 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     least r of the e edges across all u vertices.  Always lands in [0, 1];
     accuracy degrades when distinct cores could jointly cover the subset.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    check_kpr(k, p, r)
     if u < k:
         return ProbValue(0.0)  # no edge fits inside the subset
     m = choose(u, k)

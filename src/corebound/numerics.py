@@ -13,9 +13,9 @@ __all__ = [
     "PROB_TOL",
     "ProbValue",
     "range_checked",
+    "check_kpr",
     "choose",
     "choose_float",
-    "log_choose",
     "binom_pmf",
     "binom_cdf",
     "stable_sum",
@@ -35,6 +35,16 @@ def range_checked(value: float, valid: bool, note: str | None) -> tuple[float, b
     if -PROB_TOL <= value <= 1.0 + PROB_TOL:
         return value, valid, note
     return value, False, note or BREAKDOWN_NOTE
+
+
+def check_kpr(k: int, p: float, r: int) -> None:
+    """The model-domain check: ValueError unless k >= 2, r >= 1 and p lies in [0, 1]."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
 
 
 @dataclass(frozen=True)
@@ -76,13 +86,6 @@ def choose_float(n: int, k: int) -> float:
         return float(c)
     except OverflowError:
         return math.inf
-
-
-def log_choose(n: int, k: int) -> float:
-    """log C(n, k) via lgamma; -inf outside the support."""
-    if k < 0 or k > n:
-        return -math.inf
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 def _check_binom_args(n: int, p: float) -> None:

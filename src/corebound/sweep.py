@@ -1,4 +1,13 @@
-"""Parameter sweeps over expected edge count, and numerical-breakdown scans.
+"""The formula-method table, parameter sweeps over expected edge count, and
+numerical-breakdown scans.
+
+``METHOD_TABLE`` is the one place that maps a formula method to its
+computation: a local source, evaluated at p or at p / r.  ``formula_value``
+evaluates a method at one point for every subcommand and scope, and
+``interleaving_bounds`` is the paper's bracket read from the same table: the
+global bound with the interleaved source at p / r (lower side) and at p
+(upper side).  Read as a lower bound, a value above 1 bounds nothing, so it
+is flagged invalid and kept verbatim.
 
 A sweep fixes (k, r) and an *overhead* x (the vertex-to-edge ratio), then
 walks the expected edge count e over an integer range with v = round(x * e)
@@ -25,15 +34,16 @@ import math
 from dataclasses import dataclass, field
 
 from . import montecarlo
-from .global_prob import LocalProvider, at_least_one_bound, lower_bound
+from .global_prob import LocalProvider, at_least_one_bound
 from .kernels import trial_seed
-from .numerics import ProbValue, choose
+from .numerics import PROB_TOL, ProbValue, check_kpr, choose
 
 __all__ = [
     "METHOD_TABLE",
     "FORMULA_METHODS",
     "SWEEP_METHODS",
     "formula_value",
+    "interleaving_bounds",
     "mc_value",
     "SweepSpec",
     "SweepRow",
@@ -134,14 +144,22 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     """
     if method not in METHOD_TABLE:
         raise ValueError(f"unknown formula method {method!r}; pick from {FORMULA_METHODS}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    check_kpr(k, p, r)
     source, at_p_over_r = METHOD_TABLE[method]
     q = p / r if at_p_over_r else p
     if scope == "local":
         return LocalProvider(source, k, q, r).value(v)
     bound = at_least_one_bound(v, q, k, r, method=source)
-    return lower_bound(bound) if at_p_over_r else bound
+    if at_p_over_r and bound.valid and bound.value > 1.0 + PROB_TOL:
+        return ProbValue(bound.value, False, "lower bound above 1")
+    return bound
+
+
+def interleaving_bounds(v: int, p: float, k: int, r: int) -> tuple[ProbValue, ProbValue]:
+    """(lower, upper) bracket of the r-core probability on v vertices: the
+    global ``interleaved-lower`` and ``interleaved-upper`` methods."""
+    return (formula_value("interleaved-lower", "global", v, p, k, r),
+            formula_value("interleaved-upper", "global", v, p, k, r))
 
 
 def mc_value(scope: str, v: int, p: float, k: int, r: int,

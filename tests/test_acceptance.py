@@ -4,8 +4,10 @@ PASS/FAIL line with its measured runtime.
 Criterion 7's exactly-one validity clause is marked xfail: at the stated
 parameter point the size composition sums above 1 for every available local
 value source (including exact enumeration), so the [0, 1] requirement cannot
-hold; see the assertion message for the numbers.  Run with ``-rxX`` (or
-``-v``) to see it reported as an expected failure rather than silently green.
+hold; see the assertion message for the numbers.  Criterion 8's bracket
+against Monte Carlo is marked xfail too: no row of its sweep has both bounds
+valid, and a check on zero rows fails.  Run with ``-rxX`` (or ``-v``) to see
+them reported as expected failures rather than silently green.
 """
 import math
 import re
@@ -147,12 +149,42 @@ def test_criterion_7_exactly_one_vs_oracle():
     report(7, elapsed, 30.0, detail, ok=ok)
 
 
-def test_criterion_8_interleaving_sweep(warm_kernels):
+@pytest.fixture(scope="module")
+def criterion_8_sweep(warm_kernels):
+    """The overhead-1.2 interleaving sweep and the seconds it took."""
     start = time.perf_counter()
     spec = cb.SweepSpec(k=3, r=2, overhead=1.2, e_min=3, e_max=30,
                         methods=("interleaved-lower", "interleaved-upper", "mc"),
                         trials=10_000, seed=SEED, scope="global")
-    result = cb.run_sweep(spec)
+    return cb.run_sweep(spec), time.perf_counter() - start
+
+
+def test_criterion_8_interleaving_sweep(criterion_8_sweep):
+    # each side's flag means what its label says: a valid lower bound is not
+    # above 1, and every value flagged invalid says why
+    result, elapsed = criterion_8_sweep
+    sides = [row.values[m] for row in result.rows
+             for m in ("interleaved-lower", "interleaved-upper")]
+    valid_lower = [row.values["interleaved-lower"] for row in result.rows
+                   if row.values["interleaved-lower"].valid]
+    above_one = [pv.value for pv in valid_lower if pv.value > 1.0 + cb.PROB_TOL]
+    unexplained = [pv for pv in sides if not pv.valid and not pv.note]
+    detail = (f"{len(result.rows)} rows, {len(valid_lower)} valid lower bounds "
+              f"({len(above_one)} above 1), {len(unexplained)} invalid values without "
+              f"a note; breakdown_at = {result.breakdown_at}")
+    report(8, elapsed, 600.0, detail,
+           ok=bool(valid_lower) and not above_one and not unexplained)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="0 of the 28 rows of the overhead-1.2 sweep (k=3, r=2, e=3..30) have "
+    "both bounds valid: interleaved-upper is flagged invalid on all 28 (its "
+    "exactly-one total is >= 1, so the geometric series diverges) and "
+    "interleaved-lower on 2 (above 1), so no row can test the bracket against MC",
+)
+def test_criterion_8_bracket_holds_against_mc(criterion_8_sweep):
+    result, elapsed = criterion_8_sweep
     valid_rows = 0
     outside = 0
     ordering_ok = True
@@ -168,12 +200,12 @@ def test_criterion_8_interleaving_sweep(warm_kernels):
         band_hi = upper.value + 3 * row.mc.stderr
         if not band_lo <= row.mc.mean <= band_hi:
             outside += 1
-    elapsed = time.perf_counter() - start
     detail = (f"{len(result.rows)} rows, {valid_rows} with both bounds valid, "
               f"{outside} with the MC mean outside the widened bracket; "
               f"breakdown_at = {result.breakdown_at}")
+    # a bracket checked on no row tests nothing
     report(8, elapsed, 600.0, detail,
-           ok=ordering_ok and outside <= 0.10 * valid_rows)
+           ok=valid_rows > 0 and ordering_ok and outside <= 0.10 * valid_rows)
 
 
 def test_criterion_9_invariant_suites_spot_checks(tmp_path):

@@ -273,6 +273,23 @@ class TestUsageErrors:
         assert out == ""
         assert "must be" in err
 
+    BREAKDOWN = ["breakdown", "--k", "3", "--method", "covering", "--cap", "5"]
+    ORACLE = ["oracle", "--v", "4", "--k", "3", "--p", "0.5"]
+
+    @pytest.mark.parametrize("argv", [
+        [*BREAKDOWN, "--seed", "3"], [*BREAKDOWN, "--trials", "3"],
+        [*BREAKDOWN, "--format", "json"], [*BREAKDOWN, "--out", "b.txt"],
+        [*ORACLE, "--seed", "3"], [*ORACLE, "--trials", "3"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_flag_the_subcommand_does_not_read_exit_2(self, capsys, tmp_path, monkeypatch,
+                                                      argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["local", "--u", "12", "--k", "3", "--p", "0.1", "--method", "interleaved-lower"],
         ["global", "--v", "12", "--k", "3", "--p", "0.1", "--method", "interleaved-lower"],

@@ -40,6 +40,38 @@ class TestCrossEdgeCount:
                 assert cross_edge_count(u, i, 2) == i * (u - i)
 
 
+# u -> (first invalid u, the value there as repr) of ConnectivityTable(3, u / C(u, 3)):
+# u = 90..140 and the criterion-4 point u = 200
+SCAN_FIRST_INVALID = {
+    90: (33, "-2.503206530946045e-09"), 91: (34, "-1.1656424714345803e-09"),
+    92: (33, "-1.6829935223228176e-09"), 93: (34, "-2.3056752063155272e-09"),
+    94: (34, "-1.0161314012435696e-09"), 95: (34, "-1.3451042502055088e-09"),
+    96: (31, "-1.7836667698389874e-09"), 97: (32, "-2.797469811355313e-09"),
+    98: (32, "-2.0909185494133453e-09"), 99: (33, "-2.843961510734516e-09"),
+    100: (30, "-1.4304522011343579e-09"), 101: (34, "-1.0760643487373045e-09"),
+    102: (31, "-1.8366539400460624e-09"), 103: (35, "-5.617790455048066e-09"),
+    104: (32, "-3.0347759860660517e-09"), 105: (29, "-1.289883533317493e-09"),
+    106: (35, "-8.903032311380343e-09"), 107: (31, "-3.1503712971669984e-09"),
+    108: (29, "-1.896333090556368e-09"), 109: (31, "-1.3298997458832673e-09"),
+    110: (34, "-1.33865851736914e-09"), 111: (30, "-1.973334384786085e-09"),
+    112: (31, "-2.883263183761642e-09"), 113: (30, "-1.3368062212748555e-09"),
+    114: (32, "-3.342195853406338e-09"), 115: (29, "-1.909570057634369e-09"),
+    116: (31, "-1.9391628303111474e-09"), 117: (30, "-2.322572578705717e-09"),
+    118: (29, "-1.9837498310693036e-09"), 119: (32, "-1.1498959562317168e-09"),
+    120: (31, "-1.2082537192981135e-09"), 121: (31, "-3.4803759874080242e-09"),
+    122: (31, "-1.3688941091771767e-09"), 123: (29, "-1.0368310654484958e-09"),
+    124: (32, "-2.387072761678155e-09"), 125: (31, "-3.1365536834471186e-09"),
+    126: (31, "-4.514754570195123e-09"), 127: (28, "-1.3445757840457873e-09"),
+    128: (29, "-1.9722721233961238e-09"), 129: (29, "-1.6038963490672131e-09"),
+    130: (30, "-2.8172382204871838e-09"), 131: (32, "-3.7084628701222755e-09"),
+    132: (32, "-3.960527683588566e-09"), 133: (29, "-2.500890827761282e-09"),
+    134: (30, "-2.451682634685426e-09"), 135: (32, "-2.7088244980433274e-09"),
+    136: (31, "-1.0454810350779553e-09"), 137: (29, "-2.2449719860873074e-09"),
+    138: (31, "-5.185242679672797e-09"), 139: (33, "-2.4397543985088532e-09"),
+    140: (27, "-1.296571072728625e-09"), 200: (29, "-2.986407787730627e-09"),
+}
+
+
 class TestConnectivityProb:
     def test_base_cases(self):
         assert connectivity_prob(1, 3, 0.9).value == 1.0
@@ -92,6 +124,25 @@ class TestConnectivityProb:
         assert not table.prob(first).valid
         assert not table.prob(u).valid
         assert table.prob(first - 1).valid
+
+    def test_first_invalid_and_note_along_the_scan(self):
+        # the overhead-1.0 scan p = u / C(u, 3): for each u, the first size
+        # whose value left [0, 1], and that value as the note prints it
+        for u, (first, value) in SCAN_FIRST_INVALID.items():
+            table = ConnectivityTable(3, u / choose(u, 3))
+            pv = table.prob(u)
+            assert table.first_invalid == first, u
+            assert (pv.valid, pv.note) == (False, f"recursion left [0, 1] at u={first} (value {value})")
+
+    def test_non_finite_note_comes_first(self):
+        # at p = 1 every value is 1.0 until C(u-1, i-1) overflows a double at
+        # u = 1031; there the value is nan, which is also outside [0, 1]
+        table = ConnectivityTable(3, 1.0)
+        assert table.value(1030) == 1.0 and table.first_invalid is None
+        pv = table.prob(1031)
+        assert math.isnan(pv.value)
+        assert table.first_invalid == 1031
+        assert (pv.valid, pv.note) == (False, "non-finite term in the recursion at u=1031")
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from corebound import binom_cdf, binom_pmf, choose, choose_float, stable_sum
-from corebound.numerics import ProbValue, log_choose
+from corebound.numerics import ProbValue, check_kpr
 
 
 class TestChoose:
@@ -33,9 +33,18 @@ class TestChoose:
         assert choose_float(4, 2) == 6.0
         assert choose_float(3000, 1500) == math.inf
 
-    def test_log_choose(self):
-        assert log_choose(10, 3) == pytest.approx(math.log(120), rel=1e-14)
-        assert log_choose(5, 9) == -math.inf
+    @pytest.mark.parametrize("k, p, r, message", [
+        (1, 0.5, 1, "k must be >= 2, got 1"),
+        (1, 1.5, 0, "k must be >= 2, got 1"),  # k first, then r, then p
+        (3, 1.5, 0, "r must be >= 1, got 0"),
+        (3, -0.1, 1, r"p must lie in \[0, 1\], got -0.1"),
+        (3, 1.5, 2, r"p must lie in \[0, 1\], got 1.5"),
+    ])
+    def test_check_kpr(self, k, p, r, message):
+        check_kpr(3, 0.0, 1)
+        check_kpr(2, 1.0, 5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            check_kpr(k, p, r)
 
 
 class TestBinomPmf:

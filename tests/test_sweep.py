@@ -27,6 +27,13 @@ class TestSpec:
         with pytest.raises(ValueError, match="r must be >= 1"):
             formula_value(method, scope, 6, 0.25, 3, 0)
 
+    @pytest.mark.parametrize("p", [1.5, -0.5])
+    @pytest.mark.parametrize("scope", ["local", "global"])
+    def test_formula_value_checks_p_before_dividing(self, scope, p):
+        # p / r = 0.75 or -0.25: only p itself shows that the point is outside the model
+        with pytest.raises(ValueError, match=rf"p must lie in \[0, 1\], got {p}"):
+            formula_value("interleaved-lower", scope, 6, p, 3, 2)
+
     def test_point_geometry(self):
         v, p = point_geometry(3, 1.2, 10)
         assert v == 12
