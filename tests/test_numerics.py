@@ -33,14 +33,17 @@ class TestChoose:
         assert choose_float(4, 2) == 6.0
         assert choose_float(3000, 1500) == math.inf
 
+
+class TestCheckKpr:
+    # k is checked first, then r, then p
     @pytest.mark.parametrize("k, p, r, message", [
         (1, 0.5, 1, "k must be >= 2, got 1"),
-        (1, 1.5, 0, "k must be >= 2, got 1"),  # k first, then r, then p
+        (1, 1.5, 0, "k must be >= 2, got 1"),
         (3, 1.5, 0, "r must be >= 1, got 0"),
         (3, -0.1, 1, r"p must lie in \[0, 1\], got -0.1"),
         (3, 1.5, 2, r"p must lie in \[0, 1\], got 1.5"),
     ])
-    def test_check_kpr(self, k, p, r, message):
+    def test_message(self, k, p, r, message):
         check_kpr(3, 0.0, 1)
         check_kpr(2, 1.0, 5)
         with pytest.raises(ValueError, match=f"^{message}$"):
