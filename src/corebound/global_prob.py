@@ -11,9 +11,10 @@ value for size u is the product of
   ``1 - sum_x C_x`` over the per-size values of the (n-u)-vertex instance.
 
 ``GlobalComputation`` evaluates this in one bottom-up pass over the vertex
-count n = 0..v.  Level n works down from u = n, so every C_x with x > u is
-known when size u needs it; it keeps one "no distinct core" total, which is
-all that higher levels read of it.
+count n = 0..v, reading local(u) from the ``LocalProvider`` it builds for
+its local source at (k, p, r).  Level n works down from u = n, so every C_x
+with x > u is known when size u needs it; it keeps one "no distinct core"
+total, which is all that higher levels read of it.
 
 Inside the pass every value (local, lone-core, per-size, "no distinct core")
 is a plain ``(value, valid, note)`` triple, the fields of a ``ProbValue``.
@@ -142,7 +143,8 @@ class GlobalComputation:
     """The size composition on v vertices, as one bottom-up pass over the
     vertex count n = 0..v, on ``(value, valid, note)`` triples.
 
-    Each local value is read from the provider once and kept as a triple.
+    Each local value is read once from the computation's own
+    ``LocalProvider`` for ``method`` and kept as a triple.
     Level n yields, for u = n down to k, the lone-core triple of size u and
     the per-size triple it composes with the "no distinct core" triple of
     n - u vertices; before its first size it makes sure the lower levels'
@@ -157,17 +159,14 @@ class GlobalComputation:
     triples.
     """
 
-    def __init__(self, v: int, p: float, k: int, r: int, provider: LocalProvider):
+    def __init__(self, v: int, p: float, k: int, r: int, method: str):
+        self.provider = LocalProvider(method, k, p, r)
         if v < 0:
             raise ValueError(f"v must be >= 0, got {v}")
-        check_kpr(k, p, r)
-        if provider.k != k or provider.p != p or provider.r != r:
-            raise ValueError("provider was built for different (k, p, r)")
         self.v = v
         self.p = p
         self.k = k
         self.r = r
-        self.provider = provider
         self._rows: list[list[float]] = []  # _rows[m][j - 1] = C(m, j), j = 1..m
         self._local: list[Triple] = []      # _local[u - k]: provider.value(u)
         self._rest: list[Triple] = []       # _rest[m]: no distinct core on m vertices
@@ -279,7 +278,7 @@ def _geometric_bound(exactly_one: ProbValue) -> ProbValue:
 def exactly_one_core(v: int, p: float, k: int, r: int,
                      method: str = "connectivity") -> GlobalResult:
     """Run the size recursion on (v, p, k, r) and return the full result."""
-    return GlobalComputation(v, p, k, r, LocalProvider(method, k, p, r)).result()
+    return GlobalComputation(v, p, k, r, method).result()
 
 
 def at_least_one_bound(v: int, p: float, k: int, r: int,

@@ -10,10 +10,13 @@ model (by vertex anonymity only u matters):
   instead of being trusted blindly.
 * ``covering_prob`` -- a slot-occupancy approximation of the probability
   that every vertex is covered by at least r edges.  A finite sum of
-  products of probabilities, stable at any size, but only a heuristic.
+  products of probabilities, stable at any size, but only a heuristic.  It
+  sums over every edge count whose pmf is at least ``COVERING_PMF_CUTOFF``.
 * ``interleaved_local_prob`` -- connectivity_prob raised to the r-th power,
   modelling r successive rounds with freshly regenerated edges.  Evaluated
   at p and at p/r it brackets the true local r-core probability.
+
+Every route checks its parameters with ``numerics.check_kpr``.
 """
 from __future__ import annotations
 
@@ -33,9 +36,6 @@ __all__ = [
 # Outer-sum terms of the covering heuristic are dropped once the edge-count
 # pmf falls below this on either tail; total truncation error < C(u,k)*1e-18.
 COVERING_PMF_CUTOFF = 1e-18
-# Beyond this many candidate edges the outer sum is windowed to mean +- 12 sd.
-COVERING_EXACT_SUPPORT = 10**6
-COVERING_WINDOW_SD = 12.0
 
 
 def cross_edge_count(u: int, i: int, k: int) -> int:
@@ -75,10 +75,7 @@ class ConnectivityTable:
     """
 
     def __init__(self, k: int, p: float):
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {p}")
+        check_kpr(k, p, 1)
         self.k = k
         self.p = p
         self._log1m = math.log1p(-p) if p < 1.0 else -math.inf
@@ -153,8 +150,7 @@ def gilbert_prob(u: int, p: float) -> ProbValue:
     """
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    check_kpr(2, p, 1)
     g = [math.nan, 1.0]
     q = 1.0 - p
     for n in range(2, u + 1):
@@ -202,28 +198,22 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     if p == 1.0:
         return ProbValue(_coverage_factor(m, u, r, q))
 
-    mean = m * p
-    sd = math.sqrt(m * p * (1.0 - p))
-    lo, hi = 0, m
-    if m > COVERING_EXACT_SUPPORT:
-        lo = max(0, math.floor(mean - COVERING_WINDOW_SD * sd))
-        hi = min(m, math.ceil(mean + COVERING_WINDOW_SD * sd))
-    center = min(max(int(round(mean)), lo), hi)
+    center = int(round(m * p))
 
-    # pmf at the window center, then exact multiplicative steps outward
+    # pmf at the mean, then exact multiplicative steps outward
     pmf_center = binom_pmf(center, m, p)
     ratio = p / (1.0 - p)
 
     terms = []
     pmf = pmf_center
     e = center
-    while e <= hi and pmf >= COVERING_PMF_CUTOFF:
+    while e <= m and pmf >= COVERING_PMF_CUTOFF:
         terms.append(pmf * _coverage_factor(e, u, r, q))
         pmf *= (m - e) / (e + 1) * ratio
         e += 1
     pmf = pmf_center
     e = center
-    while e > lo:
+    while e > 0:
         pmf *= e / ((m - e + 1) * ratio)
         e -= 1
         if pmf < COVERING_PMF_CUTOFF:
@@ -237,7 +227,6 @@ def interleaved_local_prob(u: int, k: int, p: float, r: int,
     """Probability an r-core spans u vertices under interleaved regeneration:
     the subset must come out connected in each of r independent rounds, so
     this is ``connectivity_prob(u, k, p) ** r``.  Validity follows the base."""
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    check_kpr(k, p, r)
     base = connectivity_prob(u, k, p, table=table)
     return ProbValue(base.value**r, base.valid, base.note)

@@ -26,11 +26,14 @@ Breakdown detection per formula method follows two signals, whichever fires
 first along increasing e: the value's validity flag, or a monotonicity
 heuristic (the curves decrease once past their peak in the stable regime, so
 a strict increase after having descended from the running maximum marks
-numerical failure).
+numerical failure).  Points with v < k are structural zeros and feed no
+detector.  ``run_sweep`` collects every row of the one scan over e, and
+``find_breakdown`` is a sweep over e = 1..cap stopped at its first failure.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import montecarlo
@@ -71,6 +74,11 @@ SCOPES = ("local", "global")
 _INCREASE_RTOL = 1e-9
 
 
+def _check_scope(scope: str) -> None:
+    if scope not in SCOPES:
+        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: methods evaluated on a range of expected edge counts."""
@@ -86,10 +94,7 @@ class SweepSpec:
     scope: str = "global"
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.r < 1:
-            raise ValueError(f"r must be >= 1, got {self.r}")
+        check_kpr(self.k, 0.0, self.r)  # p = 0 lies in every model
         if self.overhead <= 0:
             raise ValueError(f"overhead must be positive, got {self.overhead}")
         if self.e_min > self.e_max or self.e_min < 1:
@@ -99,8 +104,7 @@ class SweepSpec:
         for m in self.methods:
             if m not in SWEEP_METHODS:
                 raise ValueError(f"unknown method {m!r}; pick from {SWEEP_METHODS}")
-        if self.scope not in SCOPES:
-            raise ValueError(f"scope must be one of {SCOPES}, got {self.scope!r}")
+        _check_scope(self.scope)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
@@ -144,6 +148,7 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     """
     if method not in METHOD_TABLE:
         raise ValueError(f"unknown formula method {method!r}; pick from {FORMULA_METHODS}")
+    _check_scope(scope)
     check_kpr(k, p, r)
     source, at_p_over_r = METHOD_TABLE[method]
     q = p / r if at_p_over_r else p
@@ -167,6 +172,7 @@ def mc_value(scope: str, v: int, p: float, k: int, r: int,
     """Monte Carlo estimate at (v, p, k, r).  Local scope tests a core spanning
     all v vertices (connectivity when r = 1, minimum degree otherwise); global
     scope peels for a nonempty r-core anywhere."""
+    _check_scope(scope)
     if scope == "local":
         predicate = "connectivity" if r == 1 else "min-degree"
         return montecarlo.mc_local(v, k, p, r, predicate, trials, seed)
@@ -201,11 +207,10 @@ class BreakdownDetector:
         self._prev = value
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every requested method at every point of the sweep."""
+def _scan(spec: SweepSpec, detectors: dict[str, BreakdownDetector]) -> Iterator[SweepRow]:
+    """The sweep's rows in increasing e, each formula value fed to its method's
+    detector in ``detectors`` before the row is yielded."""
     formula_methods = [m for m in spec.methods if m != "mc"]
-    detectors = {m: BreakdownDetector() for m in formula_methods}
-    rows: list[SweepRow] = []
     for e in range(spec.e_min, spec.e_max + 1):
         v, p = point_geometry(spec.k, spec.overhead, e)
         row = SweepRow(e=e, v=v, p=p)
@@ -219,29 +224,28 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             for m in formula_methods:
                 pv = row.values[m]
                 detectors[m].push(e, pv.value, pv.valid)
-        rows.append(row)
-    return SweepResult(spec, rows, {m: detectors[m].threshold for m in formula_methods})
+        yield row
+
+
+def run_sweep(spec: SweepSpec) -> SweepResult:
+    """Evaluate every requested method at every point of the sweep."""
+    detectors = {m: BreakdownDetector() for m in spec.methods if m != "mc"}
+    rows = list(_scan(spec, detectors))
+    return SweepResult(spec, rows, {m: d.threshold for m, d in detectors.items()})
 
 
 def find_breakdown(k: int, r: int, overhead: float, method: str,
                    scope: str = "local", cap: int = 500) -> int | None:
-    """Scan e = 1..cap upward until the method's value breaks down; None if no
-    failure at or below ``cap``.  Only formula methods can break down."""
+    """The breakdown threshold of the sweep over e = 1..cap, found by stopping
+    the sweep at its first failure; None if no failure at or below ``cap``.
+    Only formula methods can break down."""
     if method not in FORMULA_METHODS:
         raise ValueError(f"breakdown scan needs a formula method, got {method!r}")
-    if scope not in SCOPES:
-        raise ValueError(f"scope must be one of {SCOPES}, got {scope!r}")
-    if overhead <= 0:
-        raise ValueError(f"overhead must be positive, got {overhead}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
     detector = BreakdownDetector()
-    for e in range(1, cap + 1):
-        v, p = point_geometry(k, overhead, e)
-        if v < k:  # no core can exist yet; not part of the curve
-            continue
-        pv = formula_value(method, scope, v, p, k, r)
-        detector.push(e, pv.value, pv.valid)
+    spec = SweepSpec(k, r, overhead, 1, cap, (method,), scope=scope)
+    for _ in _scan(spec, {method: detector}):
         if detector.threshold is not None:
-            return detector.threshold
-    return None
+            break
+    return detector.threshold

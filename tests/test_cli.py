@@ -346,6 +346,11 @@ PINNED_CASES = {
                   "--scope", "local"],
     "breakdown none": ["breakdown", "--k", "3", "--r", "1", "--method", "covering",
                        "--cap", "5"],
+    **{f"breakdown {scope} {method} r={r}": ["breakdown", "--k", "3", "--r", str(r),
+                                             "--method", method, "--scope", scope,
+                                             "--cap", str(cap)]
+       for scope, cap in (("local", 120), ("global", 40))
+       for r in (1, 2) for method in FORMULA_METHODS},
 }
 
 

@@ -22,7 +22,7 @@ from corebound.sweep import METHOD_TABLE, point_geometry
 
 
 def connectivity_comp(v, p, k=3, r=1):
-    return GlobalComputation(v, p, k, r, LocalProvider("connectivity", k, p, r))
+    return GlobalComputation(v, p, k, r, "connectivity")
 
 
 class TestLoneCoreProb:
@@ -56,13 +56,13 @@ class TestNoDistinctCoreProb:
         # the recursive subinstance values are exact and the complement equals
         # 1 - P[any 2-core on 4 vertices].
         p = 0.5
-        comp = GlobalComputation(8, p, 3, 2, LocalProvider("exact-enum", 3, p, 2))
+        comp = GlobalComputation(8, p, 3, 2, "exact-enum")
         expected = 1.0 - exact_global(4, 3, p, 2)
         assert comp.no_distinct_core_prob(4).value == pytest.approx(expected, abs=1e-12)
 
     def test_definitional_identity(self):
         p = 0.2
-        comp = GlobalComputation(8, p, 3, 1, LocalProvider("exact-enum", 3, p, 1))
+        comp = GlobalComputation(8, p, 3, 1, "exact-enum")
         sizes = comp.sizes(4)
         expected = 1.0 - math.fsum(pv.value for pv in sizes.values())
         assert comp.no_distinct_core_prob(4).value == pytest.approx(expected, abs=1e-15)
@@ -201,11 +201,6 @@ class TestProviders:
         with pytest.raises(ValueError, match="r must be >= 1"):
             interleaving_bounds(6, 0.25, 3, 0)
 
-    def test_provider_param_mismatch(self):
-        provider = LocalProvider("connectivity", 3, 0.5, 1)
-        with pytest.raises(ValueError):
-            GlobalComputation(5, 0.4, 3, 1, provider)
-
     def test_interleaved_is_power_of_connectivity(self):
         conn = LocalProvider("connectivity", 3, 0.3, 2)
         inter = LocalProvider("interleaved", 3, 0.3, 2)
@@ -343,8 +338,8 @@ class TestSinglePath:
         (40, 40 / math.comb(40, 3), 1, "connectivity"),  # past the breakdown
     ])
     def test_terms_match_sizes(self, v, p, r, source):
-        comp = GlobalComputation(v, p, 3, r, LocalProvider(source, 3, p, r))
-        fresh = GlobalComputation(v, p, 3, r, LocalProvider(source, 3, p, r))
+        comp = GlobalComputation(v, p, 3, r, source)
+        fresh = GlobalComputation(v, p, 3, r, source)
         for n in (v, v - 4):
             sizes = comp.sizes(n)
             assert list(sizes) == list(range(n, 2, -1))

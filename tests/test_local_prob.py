@@ -215,18 +215,33 @@ class TestCovering:
                 assert _coverage_factor(e, u, r, q) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_windowed_sum_matches_direct(self):
-        # u=200 exceeds the exact-support limit; check the window against a
-        # straightforward full-support evaluation at lower precision demands
+        # the outer sum keeps every edge count whose pmf is at least
+        # COVERING_PMF_CUTOFF and nothing else.  At u=200, p = u / C(u, k) the
+        # terms cluster round the mean, so the sum matches the full support.
+        # At the sparse points the largest terms lie many sd above the mean
+        # edge count (0.01 or 1), where the coverage factor grows fastest.
+        from corebound.local_prob import COVERING_PMF_CUTOFF
         from corebound.numerics import binom_cdf, binom_pmf
+
+        def term(e, u, k, m, p, r):
+            return binom_pmf(e, m, p) * (1.0 - binom_cdf(r - 1, e, k / u)) ** u
 
         u, k, r = 200, 3, 1
         m = choose(u, k)
         p = u / m
         direct = math.fsum(
-            binom_pmf(e, m, p) * (1.0 - binom_cdf(r - 1, e, k / u)) ** u
+            term(e, u, k, m, p, r)
             for e in range(0, 600)  # pmf beyond 600 edges is < 1e-100 here
         )
         assert covering_prob(u, k, p, r).value == pytest.approx(direct, rel=1e-9)
+
+        u = 183
+        m = choose(u, k)
+        for e_u, r in [(0.01, 1), (1, 1), (1, 2)]:
+            p = e_u / m
+            direct = math.fsum(term(e, u, k, m, p, r) for e in range(0, 600)
+                               if binom_pmf(e, m, p) >= COVERING_PMF_CUTOFF)
+            assert covering_prob(u, k, p, r).value == pytest.approx(direct, rel=1e-9, abs=0.0)
 
 
 class TestInterleavedLocal:

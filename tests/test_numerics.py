@@ -3,7 +3,9 @@ import math
 import pytest
 
 from corebound import binom_cdf, binom_pmf, choose, choose_float, stable_sum
+from corebound.local_prob import ConnectivityTable, gilbert_prob
 from corebound.numerics import ProbValue, check_kpr
+from corebound.sweep import SweepSpec
 
 
 class TestChoose:
@@ -48,6 +50,21 @@ class TestCheckKpr:
         check_kpr(2, 1.0, 5)
         with pytest.raises(ValueError, match=f"^{message}$"):
             check_kpr(k, p, r)
+
+    # the sites that check part of (k, p, r) give the same messages, in the same order
+    @pytest.mark.parametrize("call, message", [
+        (lambda: ConnectivityTable(1, 0.5), "k must be >= 2, got 1"),
+        (lambda: ConnectivityTable(1, 1.5), "k must be >= 2, got 1"),
+        (lambda: ConnectivityTable(3, -0.1), r"p must lie in \[0, 1\], got -0.1"),
+        (lambda: gilbert_prob(4, 1.5), r"p must lie in \[0, 1\], got 1.5"),
+        (lambda: gilbert_prob(0, 1.5), "u must be >= 1, got 0"),
+        (lambda: SweepSpec(1, 0, 1.0, 1, 5, ("covering",)), "k must be >= 2, got 1"),
+        (lambda: SweepSpec(3, 0, 1.0, 1, 5, ("covering",)), "r must be >= 1, got 0"),
+    ], ids=["table k", "table k before p", "table p", "gilbert p", "gilbert u before p",
+            "spec k before r", "spec r"])
+    def test_message_at_each_site(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 class TestBinomPmf:

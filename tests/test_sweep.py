@@ -1,8 +1,17 @@
 
+import re
+
 import pytest
 
 from corebound import choose, find_breakdown, run_sweep
-from corebound.sweep import BreakdownDetector, SweepSpec, formula_value, point_geometry
+from corebound.sweep import (
+    FORMULA_METHODS,
+    BreakdownDetector,
+    SweepSpec,
+    formula_value,
+    mc_value,
+    point_geometry,
+)
 
 
 class TestSpec:
@@ -33,6 +42,15 @@ class TestSpec:
         # p / r = 0.75 or -0.25: only p itself shows that the point is outside the model
         with pytest.raises(ValueError, match=rf"p must lie in \[0, 1\], got {p}"):
             formula_value("interleaved-lower", scope, 6, p, 3, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: formula_value("connectivity", "galactic", 6, 0.3, 3, 2),
+        lambda: mc_value("galactic", 6, 0.3, 3, 2, trials=10, seed=0),
+    ], ids=["formula_value", "mc_value"])
+    def test_misspelt_scope_rejected(self, call):
+        with pytest.raises(ValueError, match=re.escape(
+                "scope must be one of ('local', 'global'), got 'galactic'")):
+            call()
 
     def test_point_geometry(self):
         v, p = point_geometry(3, 1.2, 10)
@@ -181,3 +199,18 @@ class TestFindBreakdown:
     def test_mc_rejected(self):
         with pytest.raises(ValueError):
             find_breakdown(3, 1, 1.0, "mc", scope="local")
+
+    # (k, r, overhead, scope, cap): with every formula method, 32 configurations
+    # spanning k = 2..4, r = 1..2, four overheads, thresholds early, late and
+    # none, and both scopes at the caps of the pinned CLI scans
+    @pytest.mark.parametrize("k, r, overhead, scope, cap", [
+        (2, 1, 1.0, "local", 120), (3, 2, 1.2, "local", 120),
+        (4, 2, 0.7, "local", 120), (3, 2, 1.6, "local", 120),
+        (2, 2, 1.0, "global", 60), (4, 2, 1.2, "global", 60),
+        (3, 1, 0.7, "global", 60), (3, 2, 1.6, "global", 60),
+    ])
+    def test_equals_sweep_breakdown_at(self, k, r, overhead, scope, cap):
+        spec = SweepSpec(k, r, overhead, 1, cap, FORMULA_METHODS, scope=scope)
+        expected = run_sweep(spec).breakdown_at
+        assert {m: find_breakdown(k, r, overhead, m, scope, cap)
+                for m in FORMULA_METHODS} == expected
