@@ -7,7 +7,6 @@ the formulas honest.
 from .global_prob import (
     GlobalComputation,
     GlobalResult,
-    LocalProvider,
     at_least_one_bound,
     exactly_one_core,
 )
@@ -23,6 +22,7 @@ from .hypergraph import (
 )
 from .local_prob import (
     ConnectivityTable,
+    LocalProvider,
     connectivity_prob,
     covering_prob,
     cross_edge_count,

@@ -193,11 +193,9 @@ def cmd_global(args, parser) -> int:
 
 def _sweep_table(result: sweep_mod.SweepResult):
     spec = result.spec
-    formula = [m for m in spec.methods if m != "mc"]
     rows = []
     for row in result.rows:
-        breaks = {m: result.breakdown_at[m] is not None and row.e >= result.breakdown_at[m]
-                  for m in formula}
+        breaks = {m: at is not None and row.e >= at for m, at in result.breakdown_at.items()}
         rows.append({"e_v": row.e, "v": row.v, "p": row.p,
                      **_method_cells(row.values, row.mc, breaks)})
     json_obj = {
@@ -206,7 +204,7 @@ def _sweep_table(result: sweep_mod.SweepResult):
                  "methods": list(spec.methods), "trials": spec.trials,
                  "seed": spec.seed, "scope": spec.scope},
         "rows": rows,
-        "breakdown_at": {_column_name(m): result.breakdown_at[m] for m in formula},
+        "breakdown_at": {_column_name(m): at for m, at in result.breakdown_at.items()},
     }
     return rows, json_obj
 
@@ -227,8 +225,7 @@ def cmd_sweep(args, parser) -> int:
     if status == EXIT_OK:
         # summary goes to stderr when the table itself occupies stdout
         sink = sys.stderr if args.out == "-" else sys.stdout
-        for m in (m for m in spec.methods if m != "mc"):
-            threshold = result.breakdown_at[m]
+        for m, threshold in result.breakdown_at.items():
             where = str(threshold) if threshold is not None else "none"
             print(f"breakdown_at {_column_name(m)}={where}", file=sink)
     return status

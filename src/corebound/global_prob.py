@@ -11,10 +11,10 @@ value for size u is the product of
   ``1 - sum_x C_x`` over the per-size values of the (n-u)-vertex instance.
 
 ``GlobalComputation`` evaluates this in one bottom-up pass over the vertex
-count n = 0..v, reading local(u) from the ``LocalProvider`` it builds for
-its local source at (k, p, r).  Level n works down from u = n, so every C_x
-with x > u is known when size u needs it; it keeps one "no distinct core"
-total, which is all that higher levels read of it.
+count n = 0..v, reading local(u) from the ``local_prob.LocalProvider`` it
+builds for its local source at (k, p, r).  Level n works down from u = n, so
+every C_x with x > u is known when size u needs it; it keeps one "no distinct
+core" total, which is all that higher levels read of it.
 
 Inside the pass every value (local, lone-core, per-size, "no distinct core")
 is a plain ``(value, valid, note)`` triple, the fields of a ``ProbValue``.
@@ -39,62 +39,15 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .local_prob import ConnectivityTable, covering_prob, interleaved_local_prob
-from .numerics import PROB_TOL, ProbValue, check_kpr, choose_float, range_checked, stable_sum
+from .local_prob import LocalProvider
+from .numerics import PROB_TOL, ProbValue, choose_float, range_checked, stable_sum
 
 __all__ = [
-    "LOCAL_METHODS",
-    "LocalProvider",
     "GlobalResult",
     "GlobalComputation",
     "exactly_one_core",
     "at_least_one_bound",
 ]
-
-LOCAL_METHODS = ("connectivity", "covering", "interleaved", "exact-enum")
-
-
-class LocalProvider:
-    """Memoized source of the local subset probability feeding the recursion.
-
-    * ``connectivity``  -- connected-component probability (the 1-core reading)
-    * ``covering``      -- the covering heuristic at the provider's r
-    * ``interleaved``   -- connectivity probability raised to the r-th power
-    * ``exact-enum``    -- exhaustive enumeration (desk scale only)
-
-    The method is fixed for the provider's lifetime; one provider serves one
-    (k, p, r) triple and must not be shared across threads unsynchronized.
-    """
-
-    def __init__(self, method: str, k: int, p: float, r: int):
-        if method not in LOCAL_METHODS:
-            raise ValueError(f"unknown local method {method!r}; pick from {LOCAL_METHODS}")
-        check_kpr(k, p, r)
-        self.method = method
-        self.k = k
-        self.p = p
-        self.r = r
-        self._table = ConnectivityTable(k, p) if method in ("connectivity", "interleaved") else None
-        self._memo: dict[int, ProbValue] = {}
-
-    def value(self, u: int) -> ProbValue:
-        got = self._memo.get(u)
-        if got is None:
-            got = self._compute(u)
-            self._memo[u] = got
-        return got
-
-    def _compute(self, u: int) -> ProbValue:
-        if self.method == "connectivity":
-            return self._table.prob(u)
-        if self.method == "interleaved":
-            return interleaved_local_prob(u, self.k, self.p, self.r, table=self._table)
-        if self.method == "covering":
-            return covering_prob(u, self.k, self.p, self.r)
-        from .montecarlo import exact_local  # deferred: montecarlo pulls in kernels
-
-        return ProbValue(exact_local(u, self.k, self.p, self.r))
-
 
 @dataclass(frozen=True)
 class GlobalResult:

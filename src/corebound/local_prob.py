@@ -16,15 +16,22 @@ model (by vertex anonymity only u matters):
   modelling r successive rounds with freshly regenerated edges.  Evaluated
   at p and at p/r it brackets the true local r-core probability.
 
+``LocalProvider`` is the one map from a source in ``LOCAL_METHODS`` (these
+routes and the ``exact-enum`` oracle) to its value; it owns the one
+``ConnectivityTable`` its connectivity and interleaved sources read.
+
 Every route checks its parameters with ``numerics.check_kpr``.
 """
 from __future__ import annotations
 
 import math
 
+from .montecarlo import exact_local
 from .numerics import ProbValue, binom_pmf, check_kpr, choose, range_checked, stable_sum
 
 __all__ = [
+    "LOCAL_METHODS",
+    "LocalProvider",
     "ConnectivityTable",
     "cross_edge_count",
     "connectivity_prob",
@@ -126,19 +133,10 @@ class ConnectivityTable:
         return ProbValue(value)
 
 
-def connectivity_prob(u: int, k: int, p: float, table: ConnectivityTable | None = None) -> ProbValue:
-    """Probability that u specific vertices are connected in the (p, k) model.
-
-    Pass a :class:`ConnectivityTable` to reuse the memoized recursion across
-    many sizes at fixed (k, p); it must match k and p exactly.
-    """
-    if u < 1:
-        raise ValueError(f"u must be >= 1, got {u}")
-    if table is None:
-        table = ConnectivityTable(k, p)
-    elif table.k != k or table.p != p:
-        raise ValueError(f"table is for (k={table.k}, p={table.p}), queried with (k={k}, p={p})")
-    return table.prob(u)
+def connectivity_prob(u: int, k: int, p: float) -> ProbValue:
+    """Probability that u specific vertices are connected in the (p, k) model;
+    a :class:`ConnectivityTable` reuses the recursion across sizes."""
+    return ConnectivityTable(k, p).prob(u)
 
 
 def gilbert_prob(u: int, p: float) -> ProbValue:
@@ -222,11 +220,56 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     return ProbValue.checked(stable_sum(terms))
 
 
-def interleaved_local_prob(u: int, k: int, p: float, r: int,
-                           table: ConnectivityTable | None = None) -> ProbValue:
+def interleaved_local_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     """Probability an r-core spans u vertices under interleaved regeneration:
     the subset must come out connected in each of r independent rounds, so
     this is ``connectivity_prob(u, k, p) ** r``.  Validity follows the base."""
-    check_kpr(k, p, r)
-    base = connectivity_prob(u, k, p, table=table)
-    return ProbValue(base.value**r, base.valid, base.note)
+    return LocalProvider("interleaved", k, p, r).value(u)
+
+
+LOCAL_METHODS = ("connectivity", "covering", "interleaved", "exact-enum")
+
+
+class LocalProvider:
+    """Memoized source of the local subset probability feeding the recursion.
+
+    * ``connectivity``  -- connected-component probability (the 1-core reading)
+    * ``covering``      -- the covering heuristic at the provider's r
+    * ``interleaved``   -- connectivity probability raised to the r-th power
+    * ``exact-enum``    -- exhaustive enumeration (desk scale only)
+
+    The method is fixed for the provider's lifetime; one provider serves one
+    (k, p, r) triple and must not be shared across threads unsynchronized.
+    """
+
+    def __init__(self, method: str, k: int, p: float, r: int):
+        if method not in LOCAL_METHODS:
+            raise ValueError(f"unknown local method {method!r}; pick from {LOCAL_METHODS}")
+        check_kpr(k, p, r)
+        self.method = method
+        self.k = k
+        self.p = p
+        self.r = r
+        self._table = ConnectivityTable(k, p) if method in ("connectivity", "interleaved") else None
+        self._memo: dict[int, ProbValue] = {}
+
+    def value(self, u: int) -> ProbValue:
+        got = self._memo.get(u)
+        if got is None:
+            got = self._compute(u)
+            self._memo[u] = got
+        return got
+
+    def _compute(self, u: int) -> ProbValue:
+        if self.method == "connectivity":
+            return self._table.prob(u)
+        if self.method == "interleaved":
+            base = self._table.prob(u)
+            try:
+                power = base.value**self.r
+            except OverflowError:  # |base| > 1: the recursion has broken down
+                power = math.copysign(math.inf, base.value) ** self.r
+            return ProbValue(power, base.valid, base.note)
+        if self.method == "covering":
+            return covering_prob(u, self.k, self.p, self.r)
+        return ProbValue(exact_local(u, self.k, self.p, self.r))

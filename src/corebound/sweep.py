@@ -2,11 +2,11 @@
 numerical-breakdown scans.
 
 ``METHOD_TABLE`` is the one place that maps a formula method to its
-computation: a local source, evaluated at p or at p / r.  ``formula_value``
-evaluates a method at one point for every subcommand and scope, and
-``interleaving_bounds`` is the paper's bracket read from the same table: the
-global bound with the interleaved source at p / r (lower side) and at p
-(upper side).  Read as a lower bound, a value above 1 bounds nothing, so it
+computation: a source of ``local_prob.LocalProvider``, evaluated at p or at
+p / r.  ``formula_value`` evaluates a method at one point for every
+subcommand and scope, and ``interleaving_bounds`` is the paper's bracket read
+from the same table: the global bound with the interleaved source at p / r
+(lower side) and at p (upper side).  Read as a lower bound, a value above 1 bounds nothing, so it
 is flagged invalid and kept verbatim.
 
 A sweep fixes (k, r) and an *overhead* x (the vertex-to-edge ratio), then
@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import montecarlo
-from .global_prob import LocalProvider, at_least_one_bound
+from .global_prob import at_least_one_bound
 from .kernels import trial_seed
+from .local_prob import LocalProvider
 from .numerics import PROB_TOL, ProbValue, check_kpr, choose
 
 __all__ = [
@@ -56,9 +57,9 @@ __all__ = [
     "find_breakdown",
 ]
 
-# Formula method -> (LocalProvider source, evaluated at p / r).  The bracket
-# runs the interleaved source at p / r for its lower side and at p for its
-# upper side; every subcommand and scope evaluates methods through this table.
+# Formula method -> (source in local_prob.LOCAL_METHODS, evaluated at p / r).
+# The bracket runs the interleaved source at p / r (lower side) and at p
+# (upper side); every subcommand and scope evaluates methods through it.
 METHOD_TABLE = {
     "connectivity": ("connectivity", False),
     "covering": ("covering", False),
@@ -95,8 +96,8 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         check_kpr(self.k, 0.0, self.r)  # p = 0 lies in every model
-        if self.overhead <= 0:
-            raise ValueError(f"overhead must be positive, got {self.overhead}")
+        if not 0 < self.overhead < math.inf:  # nan fails too
+            raise ValueError(f"overhead must be positive and finite, got {self.overhead}")
         if self.e_min > self.e_max or self.e_min < 1:
             raise ValueError(f"empty or invalid e range [{self.e_min}, {self.e_max}]")
         if not self.methods:
@@ -208,22 +209,21 @@ class BreakdownDetector:
 
 
 def _scan(spec: SweepSpec, detectors: dict[str, BreakdownDetector]) -> Iterator[SweepRow]:
-    """The sweep's rows in increasing e, each formula value fed to its method's
-    detector in ``detectors`` before the row is yielded."""
-    formula_methods = [m for m in spec.methods if m != "mc"]
+    """The sweep's rows in increasing e, with a value for each formula method
+    in ``detectors``, fed to that method's detector before the row is yielded."""
     for e in range(spec.e_min, spec.e_max + 1):
         v, p = point_geometry(spec.k, spec.overhead, e)
         row = SweepRow(e=e, v=v, p=p)
-        for m in formula_methods:
+        for m in detectors:
             row.values[m] = formula_value(m, spec.scope, v, p, spec.k, spec.r)
         if "mc" in spec.methods:
             # stable per-point seed: rows keep their draws if the range changes
             row.mc = mc_value(spec.scope, v, p, spec.k, spec.r,
                               spec.trials, trial_seed(spec.seed, e))
         if v >= spec.k:  # points below the smallest possible core are structural zeros
-            for m in formula_methods:
+            for m, detector in detectors.items():
                 pv = row.values[m]
-                detectors[m].push(e, pv.value, pv.valid)
+                detector.push(e, pv.value, pv.valid)
         yield row
 
 
@@ -238,14 +238,18 @@ def find_breakdown(k: int, r: int, overhead: float, method: str,
                    scope: str = "local", cap: int = 500) -> int | None:
     """The breakdown threshold of the sweep over e = 1..cap, found by stopping
     the sweep at its first failure; None if no failure at or below ``cap``.
-    Only formula methods can break down."""
+    Only formula methods can break down.  The scan starts at the first e with
+    v >= k, since the structural zeros before it feed no detector."""
     if method not in FORMULA_METHODS:
         raise ValueError(f"breakdown scan needs a formula method, got {method!r}")
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    detector = BreakdownDetector()
     spec = SweepSpec(k, r, overhead, 1, cap, (method,), scope=scope)
-    for _ in _scan(spec, {method: detector}):
+    start = next((e for e in range(1, cap + 1) if point_geometry(k, overhead, e)[0] >= k), None)
+    if start is None:
+        return None
+    detector = BreakdownDetector()
+    for _ in _scan(replace(spec, e_min=start), {method: detector}):
         if detector.threshold is not None:
             break
     return detector.threshold

@@ -264,8 +264,10 @@ class TestUsageErrors:
         code, _, _ = run_cli()
         assert code == 2
 
-    @pytest.mark.parametrize("bad", [["--cap", "0"], ["--overhead", "0"], ["--overhead", "-1"]],
-                             ids=["cap-0", "overhead-0", "overhead-neg"])
+    @pytest.mark.parametrize("bad", [["--cap", "0"], ["--overhead", "0"], ["--overhead", "-1"],
+                                     ["--overhead", "inf"], ["--overhead", "nan"]],
+                             ids=["cap-0", "overhead-0", "overhead-neg", "overhead-inf",
+                                  "overhead-nan"])
     def test_breakdown_bad_scan_range_exit_2(self, bad):
         code, out, err = run_cli("breakdown", "--k", "3", "--method", "connectivity",
                                  "--cap", "20", *bad)

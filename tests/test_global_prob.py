@@ -9,13 +9,15 @@ from corebound import (
     GlobalComputation,
     LocalProvider,
     at_least_one_bound,
+    connectivity_prob,
     exact_exactly_one,
     exact_global,
     exactly_one_core,
+    interleaved_local_prob,
     interleaving_bounds,
     mc_global,
 )
-from corebound import numerics
+from corebound import global_prob, local_prob, numerics
 from corebound.global_prob import _geometric_bound, _merged
 from corebound.numerics import ProbValue
 from corebound.sweep import METHOD_TABLE, point_geometry
@@ -201,11 +203,35 @@ class TestProviders:
         with pytest.raises(ValueError, match="r must be >= 1"):
             interleaving_bounds(6, 0.25, 3, 0)
 
+    # one route per local value: the public functions and the provider give
+    # the same float, flag and note, and interleaved is connectivity ** r
+    # exactly; u = 200 at p = 200 / C(200, 3) is in the invalid region
     def test_interleaved_is_power_of_connectivity(self):
-        conn = LocalProvider("connectivity", 3, 0.3, 2)
-        inter = LocalProvider("interleaved", 3, 0.3, 2)
-        for u in (3, 4, 5, 6):
-            assert inter.value(u).value == pytest.approx(conn.value(u).value ** 2, abs=1e-15)
+        def fields(pv):
+            return pv.value.hex(), pv.valid, pv.note
+
+        def power(x, r):  # beyond the float range: an infinity of the power's sign
+            try:
+                return x**r
+            except OverflowError:
+                return math.copysign(math.inf, x) ** r
+
+        for k in (2, 3, 4):
+            points = [(u, p) for u in (1, k, k + 2, 9) for p in (0.05, 0.3, 0.8)]
+            points.append((200, 200 / math.comb(200, 3)))
+            for r in (1, 2, 3):
+                for u, p in points:
+                    conn = connectivity_prob(u, k, p)
+                    inter = fields(interleaved_local_prob(u, k, p, r))
+                    assert fields(LocalProvider("connectivity", k, p, r).value(u)) == fields(conn)
+                    assert fields(LocalProvider("interleaved", k, p, r).value(u)) == inter
+                    assert inter == (power(conn.value, r).hex(), conn.valid, conn.note)
+            assert k != 3 or not conn.valid  # the last point is invalid at k = 3
+
+    def test_provider_is_defined_once(self):
+        # perfbench wraps the provider at its global_prob name
+        assert global_prob.LocalProvider is local_prob.LocalProvider
+        assert not hasattr(global_prob, "LOCAL_METHODS")
 
     def test_exact_enum_matches_connectivity_semantics_gap(self):
         # at u=4, k=3, r=1 min-degree coverage equals connectivity (no room

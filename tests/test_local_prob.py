@@ -99,13 +99,6 @@ class TestConnectivityProb:
             if u >= 3:
                 assert connectivity_prob(u, 3, 1.0).value == 1.0
 
-    def test_table_reuse_and_mismatch(self):
-        table = ConnectivityTable(3, 0.5)
-        assert connectivity_prob(4, 3, 0.5, table=table).value == pytest.approx(0.6875)
-        assert connectivity_prob(6, 3, 0.5, table=table).valid
-        with pytest.raises(ValueError):
-            connectivity_prob(4, 3, 0.4, table=table)
-
     def test_breakdown_flagged_at_scale(self):
         # sparse large instance: the alternating sum cancels catastrophically
         u = 200
@@ -259,3 +252,13 @@ class TestInterleavedLocal:
         u = 200
         p = u / choose(u, 3)
         assert not interleaved_local_prob(u, 3, p, 2).valid
+
+    def test_power_beyond_float_range_is_infinite(self):
+        # at k = 2 the broken recursion reaches -2.2e112 at u = 200, whose
+        # cube leaves the float range: the value is -inf, flagged like its base
+        p = 200 / choose(200, 3)
+        base = connectivity_prob(200, 2, p)
+        cube = interleaved_local_prob(200, 2, p, 3)
+        assert base.value < -1e100 and not base.valid
+        assert (cube.value, cube.valid, cube.note) == (-math.inf, False, base.note)
+        assert interleaved_local_prob(200, 2, p, 4).value == math.inf

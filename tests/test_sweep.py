@@ -1,9 +1,10 @@
 
+import math
 import re
 
 import pytest
 
-from corebound import choose, find_breakdown, run_sweep
+from corebound import choose, find_breakdown, run_sweep, sweep
 from corebound.sweep import (
     FORMULA_METHODS,
     BreakdownDetector,
@@ -191,7 +192,7 @@ class TestFindBreakdown:
         with pytest.raises(ValueError, match="cap must be >= 1"):
             find_breakdown(3, 1, 1.0, "connectivity", scope="local", cap=cap)
 
-    @pytest.mark.parametrize("overhead", [0.0, -1.0])
+    @pytest.mark.parametrize("overhead", [0.0, -1.0, math.inf, math.nan])
     def test_overhead_not_positive_rejected(self, overhead):
         with pytest.raises(ValueError, match="overhead must be positive"):
             find_breakdown(3, 1, overhead, "connectivity", scope="local", cap=20)
@@ -199,6 +200,25 @@ class TestFindBreakdown:
     def test_mc_rejected(self):
         with pytest.raises(ValueError):
             find_breakdown(3, 1, 1.0, "mc", scope="local")
+
+    @pytest.mark.parametrize("overhead", [1.0, 0.3])
+    @pytest.mark.parametrize("scope", ["local", "global"])
+    def test_evaluates_no_row_below_k(self, monkeypatch, overhead, scope):
+        # rows with v < k feed no detector, so the scan must not compute them
+        calls = []
+        original = sweep.formula_value
+
+        def recording(method, scope, v, p, k, r):
+            calls.append((v, k))
+            return original(method, scope, v, p, k, r)
+
+        monkeypatch.setattr(sweep, "formula_value", recording)
+        find_breakdown(3, 1, overhead, "covering", scope=scope, cap=30)
+        assert calls and all(v >= k for v, k in calls)
+
+    def test_no_row_reaches_k_below_cap(self):
+        # v = round(0.3 e) stays below k = 3 for e <= 8
+        assert find_breakdown(3, 1, 0.3, "connectivity", scope="local", cap=8) is None
 
     # (k, r, overhead, scope, cap): with every formula method, 32 configurations
     # spanning k = 2..4, r = 1..2, four overheads, thresholds early, late and
