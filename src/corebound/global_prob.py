@@ -10,19 +10,16 @@ value for size u is the product of
 * the probability no distinct core forms among the other n-u vertices:
   ``1 - sum_x C_x`` over the per-size values of the (n-u)-vertex instance.
 
-``GlobalComputation`` evaluates this in one bottom-up pass over the vertex
-count n = 0..v, reading local(u) from the ``local_prob.LocalProvider`` it
+``GlobalComputation`` builds the "no distinct core" values of the instances
+on 0..v-k vertices in one ascending pass, each from the per-size values of
+its own level, and reads local(u) from the ``local_prob.LocalProvider`` it
 builds for its local source at (k, p, r).  Level n works down from u = n, so
-every C_x with x > u is known when size u needs it; it keeps one "no distinct
-core" total, which is all that higher levels read of it.
+every C_x with x > u is known when size u needs it.
 
-Inside the pass every value (local, lone-core, per-size, "no distinct core")
-is a plain ``(value, valid, note)`` triple, the fields of a ``ProbValue``.
-A value is invalid when it leaves [0, 1] (the rule of
-``numerics.range_checked``, which ``ProbValue.checked`` applies too) or when
-anything it was computed from is invalid, and it carries the first note
-among its inputs.  ProbValues are built only where values leave the pass:
-``sizes``, ``lone_core_prob``, ``no_distinct_core_prob`` and ``result``.
+Every value (local, lone-core, per-size, "no distinct core") is a
+``(value, valid, note)`` triple.  It is invalid when it leaves [0, 1] (the
+rule of ``numerics.range_checked``) or when anything it was computed from is
+invalid, and it carries the first note among its inputs.
 
 The geometric-series step then upper-bounds the probability of at least one
 core by ``S / (1 - S)`` where S is the exactly-one total.  Which local
@@ -64,11 +61,7 @@ class GlobalResult:
     breakdown_at: int | None             # largest size whose value is invalid
 
 
-# A value of the composition: (value, valid, note), as ProbValue holds it.
-Triple = tuple[float, bool, str | None]
-
-
-def _merge(value: float, parts: Iterable[Triple]) -> Triple:
+def _merge(value: float, parts: Iterable[tuple]) -> tuple[float, bool, str | None]:
     """``value`` computed from ``parts``: invalid when it leaves [0, 1] or any
     part is invalid, carrying the first note among the parts."""
     valid, note = True, None
@@ -76,11 +69,6 @@ def _merge(value: float, parts: Iterable[Triple]) -> Triple:
         valid = valid and part_valid
         note = note or part_note
     return range_checked(value, valid, note)
-
-
-def _merged(value: float, parts: Iterable[ProbValue | Triple]) -> ProbValue:
-    """:func:`_merge` as a ProbValue (a ProbValue part unpacks as its triple)."""
-    return ProbValue(*_merge(value, parts))
 
 
 def _lenient_sum(values) -> float:
@@ -93,23 +81,25 @@ def _lenient_sum(values) -> float:
 
 
 class GlobalComputation:
-    """The size composition on v vertices, as one bottom-up pass over the
-    vertex count n = 0..v, on ``(value, valid, note)`` triples.
+    """The size composition on v vertices.
 
-    Each local value is read once from the computation's own
-    ``LocalProvider`` for ``method`` and kept as a triple.
+    The constructor makes one ascending pass over m = 0..v-k: step m appends
+    the float binomial row C(m, 1..m), then the "no distinct core" triple of
+    the m-vertex instance, the merged complement of level m's per-size sum.
+    Level m reads rows and triples of at most m - k vertices only, so each
+    exists before a level reads it.  Local values are read from the
+    computation's own ``LocalProvider`` for ``method`` on first use: the
+    pass reads sizes up to v - k, and a larger size is evaluated only when a
+    level that contains it is asked for.
+
     Level n yields, for u = n down to k, the lone-core triple of size u and
     the per-size triple it composes with the "no distinct core" triple of
-    n - u vertices; before its first size it makes sure the lower levels'
-    totals and the float binomial rows it reads exist.  The level keeps, for
-    the sizes x above u, the running validity, the note of the smallest such
-    x, and ``log1p(-C_x)`` (where C_x <= 0.5; else ``1 - C_x`` for
-    ``math.pow``); the exponents C(n-u, x-u) come from the binomial rows,
-    built once per computation.  Of a finished level only its merged "no
-    distinct core" triple is kept.  The factors are multiplied one at a time
-    in ascending x, so every value is the same float as term-by-term
-    evaluation gives.  The public methods return ProbValues built from the
-    triples.
+    n - u vertices.  It keeps, for the sizes x above u, the running validity,
+    the note of the smallest such x, and ``log1p(-C_x)`` (where C_x <= 0.5;
+    else ``1 - C_x`` for ``math.pow``); the exponents C(n-u, x-u) come from
+    the binomial rows.  The factors are multiplied one at a time in
+    ascending x, so every value is the same float as term-by-term evaluation
+    gives.
     """
 
     def __init__(self, v: int, p: float, k: int, r: int, method: str):
@@ -120,29 +110,25 @@ class GlobalComputation:
         self.p = p
         self.k = k
         self.r = r
+        self._local: list[ProbValue] = []  # _local[u - k]: provider.value(u), grown on use
         self._rows: list[list[float]] = []  # _rows[m][j - 1] = C(m, j), j = 1..m
-        self._local: list[Triple] = []      # _local[u - k]: provider.value(u)
-        self._rest: list[Triple] = []       # _rest[m]: no distinct core on m vertices
+        self._rest: list[tuple] = []        # _rest[m]: no distinct core on m vertices
+        for m in range(v - k + 1):
+            self._rows.append([choose_float(m, j) for j in range(1, m + 1)])
+            sizes = [size for _, _, size in self._level(m)]  # empty below k
+            self._rest.append(_merge(1.0 - _lenient_sum(value for value, _, _ in sizes), sizes))
 
-    def _binomial_rows(self, m: int) -> list[list[float]]:
-        """Rows 0..m (at least) of the float binomials."""
-        while len(self._rows) <= m:
-            n = len(self._rows)
-            self._rows.append([choose_float(n, j) for j in range(1, n + 1)])
-        return self._rows
-
-    def _locals(self, n: int) -> list[Triple]:
+    def _locals(self, n: int) -> list[ProbValue]:
         while len(self._local) <= n - self.k:
-            local = self.provider.value(self.k + len(self._local))
-            self._local.append((local.value, local.valid, local.note))
+            self._local.append(self.provider.value(self.k + len(self._local)))
         return self._local
 
     def _level(self, n: int):
         """Yield (u, lone, per-size) triples for u = n down to k on an
-        n-vertex instance; lower levels are built first as needed."""
+        n-vertex instance."""
         exp, pow_, log1p, inf, comb = math.exp, math.pow, math.log1p, math.inf, math.comb
-        k = self.k
-        locals_, rows, rests = self._locals(n), self._binomial_rows(n - k), self._rests(n - k)
+        k, rows, rests = self.k, self._rows, self._rest
+        locals_ = self._locals(n)
         above_valid, above_note = True, None
         factors: list[tuple[float | None, float]] = []  # per size above u, largest first
         for u in range(n, k - 1, -1):
@@ -166,13 +152,12 @@ class GlobalComputation:
             above_valid = above_valid and size_valid
             above_note = size_note or above_note
 
-    def _rests(self, m: int) -> list[Triple]:
-        """The "no distinct core" triples of the instances on 0..m (at least)
-        vertices, each the merged complement of its level's per-size sum."""
-        while len(self._rest) <= m:
-            sub = [size for _, _, size in self._level(len(self._rest))]  # empty below k
-            self._rest.append(_merge(1.0 - _lenient_sum(value for value, _, _ in sub), sub))
-        return self._rest
+    def _vertex_count(self, n: int | None) -> int:
+        """``n`` (v when None); ValueError outside [0, v], where the tables stop."""
+        n = self.v if n is None else n
+        if not 0 <= n <= self.v:
+            raise ValueError(f"vertex count n={n} outside [0, v] = [0, {self.v}]")
+        return n
 
     def _check_size(self, u: int, n: int) -> None:
         if not self.k <= u <= n:
@@ -181,25 +166,25 @@ class GlobalComputation:
     def sizes(self, n: int | None = None) -> dict[int, ProbValue]:
         """Per-size values {u: P[lone core of size u]} on an n-vertex instance,
         in descending u."""
-        return {u: ProbValue(*size) for u, _, size in self._level(self.v if n is None else n)}
+        return {u: ProbValue(*size) for u, _, size in self._level(self._vertex_count(n))}
 
     def lone_core_prob(self, u: int, n: int | None = None) -> ProbValue:
         """P[some u-subset carries a core contained in no larger one] on an
         n-vertex instance."""
-        n = self.v if n is None else n
+        n = self._vertex_count(n)
         self._check_size(u, n)
         return ProbValue(*next(lone for size_u, lone, _ in self._level(n) if size_u == u))
 
     def no_distinct_core_prob(self, u: int, n: int | None = None) -> ProbValue:
         """P[no further core forms among the n-u vertices left over]."""
-        n = self.v if n is None else n
+        n = self._vertex_count(n)
         self._check_size(u, n)
-        return ProbValue(*self._rests(n - u)[n - u])
+        return ProbValue(*self._rest[n - u])
 
     def result(self) -> GlobalResult:
         per_size = self.sizes()
         total = _lenient_sum(pv.value for pv in per_size.values())
-        exactly = _merged(total, per_size.values())
+        exactly = ProbValue(*_merge(total, per_size.values()))
         invalid_sizes = [u for u, pv in per_size.items() if not pv.valid]
         return GlobalResult(
             v=self.v, p=self.p, k=self.k, r=self.r, method=self.provider.method,

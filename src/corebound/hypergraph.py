@@ -57,11 +57,6 @@ class HypergraphParams:
             raise ValueError(f"v must be >= 1, got {self.v}")
         check_kpr(self.k, self.p, self.r)
 
-    @property
-    def expected_edges(self) -> float:
-        """p * C(v, k), the expected edge count of the model."""
-        return self.p * float(choose(self.v, self.k))
-
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -94,19 +89,6 @@ class Hypergraph:
         if not self.edges:
             return np.empty((0, self.k), dtype=np.int64)
         return np.array(self.edges, dtype=np.int64)
-
-    def to_text(self) -> str:
-        """Plain-text dump: first line "v k", then one sorted edge per line."""
-        lines = [f"{self.v} {self.k}"]
-        lines.extend(" ".join(str(x) for x in e) for e in self.edges)
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "Hypergraph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        v, k = (int(t) for t in lines[0].split())
-        edges = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
-        return cls.from_edges(v, k, edges)
 
 
 def _colex(n: int, k: int) -> np.ndarray:

@@ -187,6 +187,8 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     accuracy degrades when distinct cores could jointly cover the subset.
     """
     check_kpr(k, p, r)
+    if u < 1:
+        raise ValueError(f"u must be >= 1, got {u}")
     if u < k:
         return ProbValue(0.0)  # no edge fits inside the subset
     m = choose(u, k)

@@ -64,6 +64,14 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
+def _candidates(v: int, k: int, p: float, r: int, guard: int) -> np.ndarray:
+    """``candidate_edges(v, k)`` after the model-domain check and the
+    ``guard`` on the candidate count (``guarded_count``)."""
+    HypergraphParams(v, k, p, r)
+    guarded_count(v, k, guard)
+    return candidate_edges(v, k)
+
+
 def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
              trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
     """Estimate the probability that a core spans all u vertices.
@@ -76,11 +84,8 @@ def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
     _check_trials(trials)
     if predicate not in kernels.PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
-    params = HypergraphParams(u, k, p, r)  # validates the domain
-    guarded_count(u, k, GENERATE_GUARD)
-    cand = candidate_edges(u, k)
-    successes = kernels.mc_local_successes(cand, u, params.p, r, predicate,
-                                           trials, seed, start)
+    cand = _candidates(u, k, p, r, GENERATE_GUARD)
+    successes = kernels.mc_local_successes(cand, u, p, r, predicate, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 
 
@@ -88,19 +93,15 @@ def mc_global(v: int, k: int, p: float, r: int,
               trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
     """Estimate the probability that peeling leaves a nonempty r-core anywhere."""
     _check_trials(trials)
-    params = HypergraphParams(v, k, p, r)
-    guarded_count(v, k, GENERATE_GUARD)
-    cand = candidate_edges(v, k)
-    successes = kernels.mc_global_successes(cand, v, params.p, r, trials, seed, start)
+    cand = _candidates(v, k, p, r, GENERATE_GUARD)
+    successes = kernels.mc_global_successes(cand, v, p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 
 
 def exact_global(v: int, k: int, p: float, r: int) -> float:
     """Exact probability of a nonempty r-core, by summing p^|E| (1-p)^(M-|E|)
     over every edge subset whose peel survives.  Guarded to C(v,k) <= 20."""
-    HypergraphParams(v, k, p, r)
-    guarded_count(v, k, ENUMERATE_GUARD)
-    return kernels.exhaustive_global_prob(candidate_edges(v, k), v, r, p)
+    return kernels.exhaustive_global_prob(_candidates(v, k, p, r, ENUMERATE_GUARD), v, r, p)
 
 
 def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minimal") -> float:
@@ -118,9 +119,8 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
     """
     if semantics not in ("minimal", "maximal"):
         raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")
-    HypergraphParams(v, k, p, r)
-    m = guarded_count(v, k, ENUMERATE_GUARD)
-    cand = candidate_edges(v, k)
+    cand = _candidates(v, k, p, r, ENUMERATE_GUARD)
+    m = len(cand)
     inc = kernels.edge_incidence(cand, v)
     edge_verts = [sum(1 << int(x) for x in row) for row in cand]
 
@@ -156,7 +156,6 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
 def exact_local(u: int, k: int, p: float, r: int) -> float:
     """Exact probability that an r-core spans all u vertices (induced minimum
     degree >= r on the whole subset), by enumeration.  Guarded to C(u,k) <= 20."""
-    HypergraphParams(u, k, p, r)
-    m = guarded_count(u, k, ENUMERATE_GUARD)
-    inc = kernels.edge_incidence(candidate_edges(u, k), u)
-    return kernels.subset_prob(m, p, lambda masks: kernels.degrees_at_least(masks, inc, r))
+    cand = _candidates(u, k, p, r, ENUMERATE_GUARD)
+    inc = kernels.edge_incidence(cand, u)
+    return kernels.subset_prob(len(cand), p, lambda masks: kernels.degrees_at_least(masks, inc, r))

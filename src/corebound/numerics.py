@@ -7,7 +7,7 @@ log-space for large trial counts so that deep-tail values do not underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "PROB_TOL",
@@ -47,22 +47,18 @@ def check_kpr(k: int, p: float, r: int) -> None:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 
 
-@dataclass(frozen=True)
-class ProbValue:
-    """A probability result: raw value, validity flag, breakdown diagnostic.
+class ProbValue(NamedTuple):
+    """A probability result, the triple (value, valid, note): raw value,
+    validity flag, breakdown diagnostic.
 
     ``value`` is reported verbatim even when broken; ``valid`` is False once
     the value (or anything it was computed from) left ``[-PROB_TOL, 1+PROB_TOL]``
     or stopped being finite.  ``note`` carries a short human-readable reason.
-    A ProbValue unpacks as its ``(value, valid, note)`` triple.
     """
 
     value: float
     valid: bool = True
     note: str | None = None
-
-    def __iter__(self):
-        return iter((self.value, self.valid, self.note))
 
     @classmethod
     def checked(cls, value: float, note: str | None = None) -> "ProbValue":

@@ -260,6 +260,12 @@ class TestUsageErrors:
                              "--method", "connectivity")
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["connectivity", "covering", "interleaved-lower",
+                                        "interleaved-upper"])
+    def test_subset_size_below_one_exit_2(self, capsys, method):
+        assert main(["local", "--u", "-3", "--k", "3", "--p", "0.5", "--method", method]) == 2
+        assert capsys.readouterr() == ("", "error: u must be >= 1, got -3\n")
+
     def test_missing_subcommand_exit_2(self):
         code, _, _ = run_cli()
         assert code == 2

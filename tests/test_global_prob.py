@@ -18,7 +18,7 @@ from corebound import (
     mc_global,
 )
 from corebound import global_prob, local_prob, numerics
-from corebound.global_prob import _geometric_bound, _merged
+from corebound.global_prob import _geometric_bound, _merge
 from corebound.numerics import ProbValue
 from corebound.sweep import METHOD_TABLE, point_geometry
 
@@ -136,6 +136,54 @@ class TestGeometricBound:
         assert pv.note == "broken upstream"
 
 
+# The r = 2 audit grid of the bracket: sweeps (k, overhead, largest e).  Its
+# desk-scale rows have k <= v, p < 1 and C(v, k) <= 20, so exact_global
+# enumerates them.
+AUDIT_SWEEPS = ((3, 1.2, 30), (3, 1.6, 30), (3, 2.0, 30), (3, 0.8, 40), (4, 1.6, 30),
+                (2, 0.7, 40))
+# (k, overhead, e) -> (lower bound, exact value) of the rows whose
+# valid-flagged lower bound lies above the exact value (v = 6, 5, 4, 6)
+LOWER_ABOVE_EXACT = {
+    (3, 1.2, 5): (0.83103, 0.65328),
+    (3, 1.6, 3): (0.44153, 0.39486),
+    (3, 2.0, 2): (0.43138, 0.3125),
+    (4, 1.6, 4): (0.81206, 0.63168),
+}
+
+
+def desk_rows(side):
+    """((k, overhead, e), v) of each desk-scale audit row whose lower
+    (``side`` 0) or upper (1) bracket value is flagged valid."""
+    rows = []
+    for k, overhead, e_max in AUDIT_SWEEPS:
+        for e in range(1, e_max + 1):
+            v, p = point_geometry(k, overhead, e)
+            if k <= v and p < 1.0 and math.comb(v, k) <= 20:
+                if interleaving_bounds(v, p, k, 2)[side].valid:
+                    rows.append(((k, overhead, e), v))
+    return rows
+
+
+def _grid_params(side, known):
+    """One parameter per row of ``desk_rows(side)``; the rows in ``known``
+    are strict xfails carrying their numbers."""
+    params = []
+    for key, v in desk_rows(side):
+        marks = ()
+        if key in known:
+            bound, exact = known[key]
+            marks = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                f"valid-flagged {('lower', 'upper')[side]} bound {bound} at v={v} "
+                f"against exact_global {exact}"))
+        k, overhead, e = key
+        params.append(pytest.param(*key, marks=marks, id=f"k={k}-overhead={overhead:g}-v={v}"))
+    return params
+
+
+LOWER_ROWS = _grid_params(0, LOWER_ABOVE_EXACT)
+UPPER_ROWS = _grid_params(1, {})
+
+
 class TestInterleavingBounds:
     def test_r1_bounds_coincide(self):
         lower, upper = interleaving_bounds(6, 0.1, 3, 1)
@@ -160,26 +208,29 @@ class TestInterleavingBounds:
         assert lower.value == pytest.approx(1.9744653165700103, rel=1e-12)
         assert not lower.valid
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="interleaving_bounds(6, 0.25, 3, 2) flags its lower bound 0.83103 "
-        "valid, above exact_global(6, 3, 0.25, 2) = 0.65328; at v=4 and 5 the "
-        "lower bounds (1.9745, 1.1785) are above 1 and flagged invalid",
-    )
-    def test_valid_lower_bound_not_above_exact(self):
-        # the overhead-1.2 sweep points with v = round(1.2 e) in {4, 5, 6}
-        checked, above = 0, []
-        for e in (3, 4, 5):
-            v, p = point_geometry(3, 1.2, e)
-            lower, _ = interleaving_bounds(v, p, 3, 2)
-            if lower.valid:
-                checked += 1
-                exact = exact_global(v, 3, p, 2)
-                if lower.value > exact + 1e-12:
-                    above.append((v, p, lower.value, exact))
-        if not checked:
-            pytest.fail("no valid-flagged lower bound at v in {4, 5, 6}: the check is vacuous")
-        assert not above, f"valid lower bounds above the exact value (v, p, lower, exact): {above}"
+    # a check over zero rows tests nothing, and a recorded mislabel that
+    # leaves the selection or changes its numbers must be looked at
+    def test_desk_grid_checks_rows(self):
+        assert LOWER_ROWS and UPPER_ROWS
+        assert set(LOWER_ABOVE_EXACT) <= {key for key, _ in desk_rows(0)}
+        for (k, overhead, e), numbers in LOWER_ABOVE_EXACT.items():
+            v, p = point_geometry(k, overhead, e)
+            lower, _ = interleaving_bounds(v, p, k, 2)
+            assert numbers == pytest.approx((lower.value, exact_global(v, k, p, 2)), abs=5e-6)
+
+    @pytest.mark.parametrize("k, overhead, e", LOWER_ROWS)
+    def test_valid_lower_bound_not_above_exact(self, k, overhead, e):
+        v, p = point_geometry(k, overhead, e)
+        lower, _ = interleaving_bounds(v, p, k, 2)
+        exact = exact_global(v, k, p, 2)
+        assert lower.value <= exact + 1e-12, (v, p, lower.value, exact)
+
+    @pytest.mark.parametrize("k, overhead, e", UPPER_ROWS)
+    def test_valid_upper_bound_not_below_exact(self, k, overhead, e):
+        v, p = point_geometry(k, overhead, e)
+        _, upper = interleaving_bounds(v, p, k, 2)
+        exact = exact_global(v, k, p, 2)
+        assert upper.value >= exact - 1e-12, (v, p, upper.value, exact)
 
     def test_bracket_holds_against_mc(self, warm_kernels):
         v, e = 8, 5
@@ -372,14 +423,14 @@ class TestSinglePath:
             for u, size in sizes.items():
                 lone = fresh.lone_core_prob(u, n)
                 rest = fresh.no_distinct_core_prob(u, n)
-                again = _merged(lone.value * rest.value, (lone, rest))
+                again = ProbValue(*_merge(lone.value * rest.value, (lone, rest)))
                 assert _hex(again) == _hex(size), (n, u)
 
     def test_merge_takes_the_first_note(self):
         parts = [(0.1, True, None), ProbValue(0.2, False, "first"), (0.3, True, "second")]
-        assert _hex(_merged(0.6, parts)) == _hex(ProbValue(0.6, False, "first"))
-        assert _hex(_merged(1.5, [(0.5, True, None)])) == _hex(ProbValue.checked(1.5))
-        assert _hex(_merged(0.5, [])) == _hex(ProbValue(0.5))
+        assert _hex(ProbValue(*_merge(0.6, parts))) == _hex(ProbValue(0.6, False, "first"))
+        assert _hex(ProbValue(*_merge(1.5, [(0.5, True, None)]))) == _hex(ProbValue.checked(1.5))
+        assert _hex(ProbValue(*_merge(0.5, []))) == _hex(ProbValue(0.5))
 
     def test_sizes_outside_the_level_rejected(self):
         comp = connectivity_comp(6, 0.3)
@@ -388,6 +439,15 @@ class TestSinglePath:
                 comp.lone_core_prob(u)
             with pytest.raises(ValueError, match="outside"):
                 comp.no_distinct_core_prob(u)
+        # the tables stop at v: a vertex count outside [0, v] is rejected
+        for n in (-1, 7):
+            message = rf"^vertex count n={n} outside \[0, v\] = \[0, 6\]$"
+            with pytest.raises(ValueError, match=message):
+                comp.sizes(n)
+            with pytest.raises(ValueError, match="^vertex count"):
+                comp.lone_core_prob(3, n)
+            with pytest.raises(ValueError, match="^vertex count"):
+                comp.no_distinct_core_prob(3, n)
 
     def test_choose_float_calls_at_most_quadratic(self, monkeypatch):
         calls = 0

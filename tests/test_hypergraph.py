@@ -34,10 +34,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             HypergraphParams(5, 3, 0.5, 0)
 
-    def test_expected_edges(self):
-        params = HypergraphParams(5, 3, 0.5, 1)
-        assert params.expected_edges == 0.5 * choose(5, 3)
-
     def test_edge_validation(self):
         with pytest.raises(ValueError):
             Hypergraph(4, 3, ((0, 1, 1),))
@@ -45,11 +41,6 @@ class TestTypes:
             Hypergraph(4, 3, ((0, 1, 5),))
         with pytest.raises(ValueError):
             Hypergraph(4, 3, ((0, 1, 2), (0, 1, 2)))
-
-    def test_text_roundtrip(self):
-        h = hg(5, 3, (0, 1, 2), (2, 3, 4))
-        assert Hypergraph.from_text(h.to_text()) == h
-        assert h.to_text().splitlines()[0] == "5 3"
 
 
 class TestCandidates:

@@ -171,6 +171,14 @@ class TestCovering:
     def test_single_edge_needs_two(self):
         assert covering_prob(3, 3, 1.0, 2).value == 0.0
 
+    # the same message as connectivity_prob, after the (k, p, r) check
+    @pytest.mark.parametrize("u", [0, -3])
+    def test_subset_size_below_one_rejected(self, u):
+        with pytest.raises(ValueError, match=f"^u must be >= 1, got {u}$"):
+            covering_prob(u, 3, 0.5, 1)
+        with pytest.raises(ValueError, match="^p must lie"):
+            covering_prob(u, 3, 1.5, 1)
+
     def test_monotone_in_p(self):
         for (u, k, r) in [(6, 3, 1), (8, 3, 2), (6, 4, 2)]:
             vals = [covering_prob(u, k, p, r).value for p in (0.05, 0.1, 0.3, 0.6, 0.9)]
