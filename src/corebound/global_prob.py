@@ -104,8 +104,8 @@ class GlobalComputation:
 
     def __init__(self, v: int, p: float, k: int, r: int, method: str):
         self.provider = LocalProvider(method, k, p, r)
-        if v < 0:
-            raise ValueError(f"v must be >= 0, got {v}")
+        if v < 1:
+            raise ValueError(f"v must be >= 1, got {v}")
         self.v = v
         self.p = p
         self.k = k

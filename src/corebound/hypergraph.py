@@ -1,8 +1,9 @@
 """k-uniform hypergraphs: random generation, peeling, connectivity, enumeration.
 
-Candidate edges are enumerated in colexicographic order (sorted by largest
-vertex, ties broken recursively), so a given seed reproduces the same graph
-bit-for-bit on every platform.  Vertices are dense 0-based ints.
+Candidate edges are numbered in colexicographic order (sorted by largest
+vertex, ties broken recursively; ``kernels.colex_unrank`` maps a number to
+its edge), so a given seed reproduces the same graph bit-for-bit on every
+platform.  Vertices are dense 0-based ints.
 """
 from __future__ import annotations
 
@@ -29,7 +30,11 @@ __all__ = [
     "guarded_count",
 ]
 
-GENERATE_GUARD = 2**31  # max candidate edges for random generation
+# Max candidate edges for random generation.  Generation and Monte Carlo
+# hold O(BLOCK + kept edges + k*v) memory, not O(C(v, k) * k): they draw in
+# BLOCK-sized passes and unrank only the kept candidates; this guard bounds
+# the draws per graph.
+GENERATE_GUARD = 2**31
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
 
 
@@ -91,35 +96,18 @@ class Hypergraph:
         return np.array(self.edges, dtype=np.int64)
 
 
-def _colex(n: int, k: int) -> np.ndarray:
-    """All C(n, k) k-subsets of range(n) in colex order, as (C(n, k), k) int64.
-
-    The rows whose largest member is ``last`` are colex(last, k-1) with
-    ``last`` appended, and colex(last, k-1) is the first C(last, k-1) rows of
-    colex(n-1, k-1); so each block is one slice copy.
-    """
-    out = np.empty((choose(n, k), k), dtype=np.int64)
-    if k == 0 or n < k:
-        return out
-    rest = _colex(n - 1, k - 1)
-    row = 0
-    for last in range(k - 1, n):
-        count = choose(last, k - 1)
-        out[row:row + count, :-1] = rest[:count]
-        out[row:row + count, -1] = last
-        row += count
-    return out
-
-
-# Rebuilding is cheap (milliseconds at v=160, k=3), so only the latest few
-# arrays are kept: a sweep visits a new v at every point.
+# Only the exhaustive oracles and ``enumerate_all`` read the whole array;
+# Monte Carlo and ``generate`` unrank just the kept candidates.  Rebuilding
+# is cheap (milliseconds at v=160, k=3), so only the latest few arrays are
+# kept: a sweep visits a new v at every point.
 @lru_cache(maxsize=4)
 def candidate_edges(v: int, k: int) -> np.ndarray:
-    """All C(v, k) candidate edges in colexicographic order, as (M, k) int64.
+    """All C(v, k) candidate edges in colexicographic order, as (M, k) int64:
+    the unranking of every rank (``kernels.colex_unrank``).
 
     The returned array is cached and read-only; copy before mutating.
     """
-    arr = _colex(v, k)
+    arr = kernels.colex_unrank(np.arange(choose(v, k)), v, k)
     arr.flags.writeable = False
     return arr
 
@@ -130,11 +118,9 @@ def generate(params: HypergraphParams, seed: int) -> Hypergraph:
     Deterministic in (params, seed).  A Monte Carlo trial ``t`` with master
     seed ``s`` sees exactly ``generate(params, kernels.trial_seed(s, t))``.
     """
-    m = guarded_count(params.v, params.k, GENERATE_GUARD)
-    cand = candidate_edges(params.v, params.k)
-    mask = kernels.sample_edge_mask(m, params.p, seed)
-    edges = tuple(tuple(int(x) for x in row) for row in cand[np.flatnonzero(mask)])
-    return Hypergraph(params.v, params.k, edges)
+    guarded_count(params.v, params.k, GENERATE_GUARD)
+    edges = kernels.sample_edges(params.v, params.k, params.p, seed)
+    return Hypergraph(params.v, params.k, tuple(map(tuple, edges.tolist())))
 
 
 def peel(h: Hypergraph, r: int) -> frozenset[int]:

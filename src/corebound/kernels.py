@@ -1,21 +1,24 @@
 """Monte Carlo kernels and the bitmask layer of the exhaustive oracles, on
 one numpy path (:func:`backend` names it).
 
-All randomness is a counter-based splitmix64 stream: candidate edge ``j`` of
-the graph seeded with ``s`` is included iff
-``unit(mix64(s + (j+1)*GOLDEN)) < p``, and trial ``t`` of a Monte Carlo run
-with master seed ``m`` uses graph seed ``mix64(m + (t+1)*GOLDEN)``.  So trial
-``t`` sees exactly ``hypergraph.generate(params, trial_seed(m, t))``, and
-partitioned runs merge exactly (trial indices are global).
+All randomness is a counter-based splitmix64 stream: candidate edge ``j``
+(the k-subset of colex rank j, :func:`colex_unrank`) of the graph seeded
+with ``s`` is included iff ``unit(mix64(s + (j+1)*GOLDEN)) < p``, and trial
+``t`` of a Monte Carlo run with master seed ``m`` uses graph seed
+``mix64(m + (t+1)*GOLDEN)``.  So trial ``t`` sees exactly
+``hypergraph.generate(params, trial_seed(m, t))``, and partitioned runs merge
+exactly (trial indices are global).
 
 The stream is evaluated in blocks of ``BLOCK`` draws, in place in two reused
-uint64 buffers of 512 KiB, so each pass over a block stays in cache and no
-temporary grows with C(v, k).  The Monte Carlo drivers run their trials in
-blocks: one draw (the routine behind :func:`sample_edge_mask`) makes the
-graphs of several trials (at most ``BLOCK`` draws), all draws of a run share
-one pair of scratch buffers, and the kept edges of a block of trials, with
-the vertex ids of trial ``t`` offset by ``t * v``, form one disjoint-union
-graph on which each predicate runs once for the whole block.
+uint64 buffers of 512 KiB, so each pass over a block stays in cache.  A block
+yields only the (graph, rank) pairs of its kept candidates, and only those
+ranks are unranked into edges, so no array grows with C(v, k): there is no
+candidate array and no mask over the candidates.  The Monte Carlo drivers
+run their trials in blocks: one draw (:func:`_draw_kept`) makes the graphs
+of several trials (at most ``BLOCK`` draws), all draws of a run share one
+pair of scratch buffers, and the kept edges of a block of trials, with the
+vertex ids of trial ``t`` offset by ``t * v``, form one disjoint-union graph
+on which each predicate runs once for the whole block.
 """
 from __future__ import annotations
 
@@ -29,6 +32,8 @@ __all__ = [
     "trial_seed",
     "unit_double",
     "sample_edge_mask",
+    "sample_edges",
+    "colex_unrank",
     "peel_survivor_mask",
     "connected_all",
     "min_degree_ok",
@@ -120,7 +125,44 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
     ``graph_seed`` is an int, giving a mask of shape ``(n_candidates,)``, or a
     1-D uint64 array of seeds, giving one row per seed.  Candidate j of the
     graph seeded with s is kept iff
-    ``unit_double(mix64(s + (j+1)*GOLDEN)) < p``.
+    ``unit_double(mix64(s + (j+1)*GOLDEN)) < p``; :func:`_draw_kept` finds
+    them.
+    """
+    scalar = np.ndim(graph_seed) == 0
+    seeds = _seed_array(graph_seed) if scalar else np.asarray(graph_seed, dtype=np.uint64)
+    z = np.empty(min(len(seeds) * n_candidates, BLOCK), dtype=np.uint64)
+    keep = np.zeros((len(seeds), n_candidates), dtype=bool)
+    keep[_draw_kept(n_candidates, p, seeds, z, np.empty_like(z))] = True
+    return keep[0] if scalar else keep
+
+
+def sample_edges(v: int, k: int, p: float, graph_seed: int) -> np.ndarray:
+    """The kept edges of the graph on ``v`` vertices seeded with
+    ``graph_seed``, as (kept, k) int64 rows in colex order: the rows of
+    the candidates ``sample_edge_mask(C(v, k), p, graph_seed)`` keeps."""
+    m = math.comb(v, k)
+    z = np.empty(min(m, BLOCK), dtype=np.uint64)
+    _, ranks = _draw_kept(m, p, _seed_array(graph_seed), z, np.empty_like(z))
+    return colex_unrank(ranks, v, k)
+
+
+def _seed_array(graph_seed: int) -> np.ndarray:
+    return np.array([int(graph_seed) & _MASK64], dtype=np.uint64)
+
+
+def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
+               z: np.ndarray, tmp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kept candidates of one graph per seed in a 1-D uint64 array, as
+    int64 arrays (row, rank): row i of the seeds keeps candidate rank.  The
+    pairs come in row-major order.
+
+    The stream is evaluated in blocks of at most ``BLOCK`` draws in the
+    uint64 scratch buffers ``z`` and ``tmp`` (each at least
+    ``min(len(seeds) * n_candidates, BLOCK)`` long), so a caller that draws
+    many times can allocate them once; a block holds whole rows of
+    candidates, or one slice of one row when ``n_candidates > BLOCK``.
+    Nothing else the draw allocates grows with ``n_candidates``: a block
+    yields only the positions of its kept candidates.
 
     Integer test.  ``unit(x)`` is the integer ``y = x >> 11 < 2^53`` times
     2^-53, and both that product and ``p * 2^53`` are exact (power-of-two
@@ -137,20 +179,6 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
     the exact test.  When c = 64 (p > 1/2) every z passes and the exact test
     runs on the whole block.
     """
-    scalar = np.ndim(graph_seed) == 0
-    seeds = (np.array([int(graph_seed) & _MASK64], dtype=np.uint64) if scalar
-             else np.asarray(graph_seed, dtype=np.uint64))
-    z = np.empty(min(len(seeds) * n_candidates, BLOCK), dtype=np.uint64)
-    keep = _draw_edge_masks(n_candidates, p, seeds, z, np.empty_like(z))
-    return keep[0] if scalar else keep
-
-
-def _draw_edge_masks(n_candidates: int, p: float, seeds: np.ndarray,
-                     z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """:func:`sample_edge_mask` for a 1-D uint64 array of seeds, one mask row
-    per seed, evaluated in the uint64 scratch buffers ``z`` and ``tmp`` (each
-    at least ``min(len(seeds) * n_candidates, BLOCK)`` long), so a caller that
-    draws many times can allocate them once."""
     if p >= 1.0:
         limit = 1 << 53  # every 53-bit value is kept
     elif p > 0.0:
@@ -159,8 +187,8 @@ def _draw_edge_masks(n_candidates: int, p: float, seeds: np.ndarray,
         limit = 0  # p <= 0 (or nan) keeps nothing
     bound_bits = (limit - 1).bit_length() + 11
     pre = np.uint64(1 << bound_bits) if bound_bits < 64 else None
-    keep = np.empty((len(seeds), n_candidates), dtype=bool)
-    flat = keep.reshape(-1)
+    empty = np.empty(0, dtype=np.int64)
+    rows_out, ranks_out = [empty], [empty]
     rows = max(1, BLOCK // max(n_candidates, 1))  # seeds per block
     for r0 in range(0, len(seeds), rows):
         block_seeds = seeds[r0:r0 + rows]
@@ -171,19 +199,42 @@ def _draw_edge_masks(n_candidates: int, p: float, seeds: np.ndarray,
             offset = block_seeds + np.uint64(lo * GOLDEN & _MASK64)
             np.add(_BLOCK_STEPS[:width], offset[:, None], out=zb.reshape(-1, width))
             _mix64_rounds(zb, tb)
-            out = flat[r0 * n_candidates + lo:][:size]  # block rows are contiguous
             if pre is None:
-                survivors = slice(None)
+                survivors, x = None, zb
             else:
-                np.less(zb, pre, out=out)
-                survivors = np.flatnonzero(out)
-                if not survivors.size:
-                    continue
-            x = zb[survivors]
+                survivors = np.flatnonzero(zb < pre)
+                x = zb[survivors]
             x ^= x >> np.uint64(31)
             x >>= np.uint64(11)
-            out[survivors] = x < np.uint64(limit)
-    return keep
+            kept = np.flatnonzero(x < np.uint64(limit))
+            if survivors is not None:
+                kept = survivors[kept]
+            row, rank = np.divmod(kept, width)
+            rows_out.append(row + r0)
+            ranks_out.append(rank + lo)
+    return np.concatenate(rows_out), np.concatenate(ranks_out)
+
+
+def colex_unrank(ranks: np.ndarray, v: int, k: int) -> np.ndarray:
+    """The k-subsets of range(v) with the given colex ranks, as (len(ranks), k)
+    int64 rows of ascending vertices.
+
+    Colex order sorts subsets by their largest vertex, ties broken the same
+    way on the rest.  Rank j is the subset c_k > ... > c_1 with
+    ``j = sum_i C(c_i, i)`` (the combinatorial number system): from i = k
+    down, c_i is the largest c with ``C(c, i) <= j``, and j drops by
+    ``C(c_i, i)``.  Each step is one ``searchsorted`` over the table of
+    C(c, i), c < v, clipped at C(v, k), which no rank reaches.
+    """
+    m = math.comb(v, k)
+    j = np.array(ranks, dtype=np.int64)
+    out = np.empty((len(j), k), dtype=np.int64)
+    for i in range(k, 0, -1):
+        table = np.array([min(math.comb(c, i), m) for c in range(v)], dtype=np.int64)
+        c = np.searchsorted(table, j, side="right") - 1
+        out[:, i - 1] = c
+        j -= table[c]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +296,6 @@ def min_degree_ok(edges: np.ndarray, v: int, r: int) -> bool:
 # trial-blocked Monte Carlo drivers
 # ---------------------------------------------------------------------------
 
-def _as_candidates(cand: np.ndarray) -> np.ndarray:
-    cand = np.ascontiguousarray(cand, dtype=np.int64)
-    if cand.ndim != 2:
-        raise ValueError("candidate edge array must be 2-dimensional")
-    return cand
-
-
 # Per-block predicates: (edges, n, v, r) -> bool per trial, where ``edges``
 # are the kept edges of n trials with trial t's vertices at t*v .. t*v + v-1.
 
@@ -292,7 +336,7 @@ def _connected_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
 PREDICATES = {"connectivity": _connected_rows, "min-degree": _min_degree_rows}
 
 
-def _successes(test, cand: np.ndarray, v: int, p: float, r: int,
+def _successes(test, v: int, k: int, p: float, r: int,
                trials: int, master: int, start: int) -> int:
     """Count the trials t in [start, start + trials) whose graph, drawn from
     ``trial_seed(master, t)``, passes the per-block predicate ``test``.
@@ -300,10 +344,10 @@ def _successes(test, cand: np.ndarray, v: int, p: float, r: int,
     A block holds at most ``TRIAL_BLOCK // v`` trials, and stops early once
     its kept edges reach ``TRIAL_BLOCK``; each draw covers at most ``BLOCK``
     candidates (or one trial's, when C(v, k) exceeds that), and every draw of
-    the run uses the same two scratch buffers.
+    the run uses the same two scratch buffers.  Only the kept candidates are
+    unranked into edges, once per block.
     """
-    cand = _as_candidates(cand)
-    m = len(cand)
+    m = math.comb(v, k)
     per_draw = max(1, BLOCK // max(m, 1))
     per_block = max(1, TRIAL_BLOCK // v)
     z = np.empty(BLOCK, dtype=np.uint64)
@@ -312,28 +356,31 @@ def _successes(test, cand: np.ndarray, v: int, p: float, r: int,
     t, stop = start, start + trials
     while t < stop:
         seeds = _trial_seeds(master, t, min(per_block, stop - t))
-        parts, kept, n = [], 0, 0
+        rows, ranks, kept, n = [], [], 0, 0
         while n < len(seeds) and kept < TRIAL_BLOCK:
-            mask = _draw_edge_masks(m, p, seeds[n:n + per_draw], z, tmp)
-            rows, cols = np.divmod(np.flatnonzero(mask), m)
-            parts.append(cand[cols] + ((rows + n) * v)[:, None])
-            kept += len(rows)
-            n += len(mask)
-        successes += int(np.count_nonzero(test(np.concatenate(parts), n, v, r)))
+            draw = seeds[n:n + per_draw]
+            row, rank = _draw_kept(m, p, draw, z, tmp)
+            rows.append(row + n)
+            ranks.append(rank)
+            kept += len(row)
+            n += len(draw)
+        edges = colex_unrank(np.concatenate(ranks), v, k)
+        edges += (np.concatenate(rows) * v)[:, None]
+        successes += int(np.count_nonzero(test(edges, n, v, r)))
         t += n
     return successes
 
 
-def mc_local_successes(cand: np.ndarray, v: int, p: float, r: int, predicate: str,
+def mc_local_successes(v: int, k: int, p: float, r: int, predicate: str,
                        trials: int, seed: int, start: int = 0) -> int:
     """Count trials whose sampled hypergraph satisfies ``predicate`` on all vertices."""
-    return _successes(PREDICATES[predicate], cand, v, p, r, trials, seed, start)
+    return _successes(PREDICATES[predicate], v, k, p, r, trials, seed, start)
 
 
-def mc_global_successes(cand: np.ndarray, v: int, p: float, r: int,
+def mc_global_successes(v: int, k: int, p: float, r: int,
                         trials: int, seed: int, start: int = 0) -> int:
     """Count trials whose sampled hypergraph peels to a nonempty core."""
-    return _successes(_core_rows, cand, v, p, r, trials, seed, start)
+    return _successes(_core_rows, v, k, p, r, trials, seed, start)
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +389,9 @@ def mc_global_successes(cand: np.ndarray, v: int, p: float, r: int,
 
 def edge_incidence(cand: np.ndarray, v: int) -> np.ndarray:
     """Per vertex, the uint32 mask of the candidate edges (bit j = row j) containing it."""
-    cand = _as_candidates(cand)
+    cand = np.ascontiguousarray(cand, dtype=np.int64)
+    if cand.ndim != 2:
+        raise ValueError("candidate edge array must be 2-dimensional")
     if len(cand) > 32:
         raise ValueError(f"{len(cand)} candidate edges do not fit a uint32 edge mask")
     inc = np.zeros(v, dtype=np.uint32)

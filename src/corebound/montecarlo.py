@@ -64,11 +64,17 @@ def _check_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
-def _candidates(v: int, k: int, p: float, r: int, guard: int) -> np.ndarray:
-    """``candidate_edges(v, k)`` after the model-domain check and the
-    ``guard`` on the candidate count (``guarded_count``)."""
+def _check_model(v: int, k: int, p: float, r: int, guard: int) -> None:
+    """The model-domain check, then the ``guard`` on the candidate count
+    (``guarded_count``)."""
     HypergraphParams(v, k, p, r)
     guarded_count(v, k, guard)
+
+
+def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
+    """``candidate_edges(v, k)`` for an exhaustive oracle, after
+    :func:`_check_model` with ``ENUMERATE_GUARD``."""
+    _check_model(v, k, p, r, ENUMERATE_GUARD)
     return candidate_edges(v, k)
 
 
@@ -84,8 +90,8 @@ def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
     _check_trials(trials)
     if predicate not in kernels.PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
-    cand = _candidates(u, k, p, r, GENERATE_GUARD)
-    successes = kernels.mc_local_successes(cand, u, p, r, predicate, trials, seed, start)
+    _check_model(u, k, p, r, GENERATE_GUARD)
+    successes = kernels.mc_local_successes(u, k, p, r, predicate, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 
 
@@ -93,15 +99,15 @@ def mc_global(v: int, k: int, p: float, r: int,
               trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
     """Estimate the probability that peeling leaves a nonempty r-core anywhere."""
     _check_trials(trials)
-    cand = _candidates(v, k, p, r, GENERATE_GUARD)
-    successes = kernels.mc_global_successes(cand, v, p, r, trials, seed, start)
+    _check_model(v, k, p, r, GENERATE_GUARD)
+    successes = kernels.mc_global_successes(v, k, p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 
 
 def exact_global(v: int, k: int, p: float, r: int) -> float:
     """Exact probability of a nonempty r-core, by summing p^|E| (1-p)^(M-|E|)
     over every edge subset whose peel survives.  Guarded to C(v,k) <= 20."""
-    return kernels.exhaustive_global_prob(_candidates(v, k, p, r, ENUMERATE_GUARD), v, r, p)
+    return kernels.exhaustive_global_prob(_candidates(v, k, p, r), v, r, p)
 
 
 def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minimal") -> float:
@@ -119,7 +125,7 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
     """
     if semantics not in ("minimal", "maximal"):
         raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")
-    cand = _candidates(v, k, p, r, ENUMERATE_GUARD)
+    cand = _candidates(v, k, p, r)
     m = len(cand)
     inc = kernels.edge_incidence(cand, v)
     edge_verts = [sum(1 << int(x) for x in row) for row in cand]
@@ -156,6 +162,6 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
 def exact_local(u: int, k: int, p: float, r: int) -> float:
     """Exact probability that an r-core spans all u vertices (induced minimum
     degree >= r on the whole subset), by enumeration.  Guarded to C(u,k) <= 20."""
-    cand = _candidates(u, k, p, r, ENUMERATE_GUARD)
+    cand = _candidates(u, k, p, r)
     inc = kernels.edge_incidence(cand, u)
     return kernels.subset_prob(len(cand), p, lambda masks: kernels.degrees_at_least(masks, inc, r))

@@ -266,6 +266,12 @@ class TestUsageErrors:
         assert main(["local", "--u", "-3", "--k", "3", "--p", "0.5", "--method", method]) == 2
         assert capsys.readouterr() == ("", "error: u must be >= 1, got -3\n")
 
+    @pytest.mark.parametrize("v", ["0", "-2"])
+    @pytest.mark.parametrize("method", cli.GLOBAL_METHODS)
+    def test_vertex_count_below_one_exit_2(self, capsys, method, v):
+        assert main(["global", "--v", v, "--k", "3", "--p", "0.5", "--method", method]) == 2
+        assert capsys.readouterr() == ("", f"error: v must be >= 1, got {v}\n")
+
     def test_missing_subcommand_exit_2(self):
         code, _, _ = run_cli()
         assert code == 2
@@ -341,6 +347,8 @@ PINNED_CASES = {
                                    "--method", "interleaved-upper"],
     "global nan": ["global", "--v", "11", "--k", "3", "--e-v", "11", "--r", "2",
                    "--method", "connectivity"],
+    **{f"global v={v}": ["global", "--v", v, "--k", "3", "--p", "0.5", *_FORMULA_ARGS,
+                         "--method", "mc"] for v in ("0", "-2")},
     "sweep global": ["sweep", "--k", "3", "--r", "2", "--overhead", "1.2", "--e-min", "3",
                      "--e-max", "8", *_FORMULA_ARGS, "--method", "mc", "--trials", "100",
                      "--seed", "1234"],

@@ -449,6 +449,12 @@ class TestSinglePath:
             with pytest.raises(ValueError, match="^vertex count"):
                 comp.no_distinct_core_prob(3, n)
 
+    @pytest.mark.parametrize("v", [0, -2])
+    def test_vertex_count_below_one_rejected(self, v):
+        # the same domain as HypergraphParams, so formulas and Monte Carlo agree
+        with pytest.raises(ValueError, match=rf"^v must be >= 1, got {v}$"):
+            GlobalComputation(v, 0.5, 3, 2, "connectivity")
+
     def test_choose_float_calls_at_most_quadratic(self, monkeypatch):
         calls = 0
         original = numerics.choose_float

@@ -145,7 +145,7 @@ class TestBlockedTrials:
     ])
     def test_counts_are_the_per_trial_sum(self, monkeypatch, predicate, v, p, r, trials,
                                           start, blocks):
-        calls = {"_draw_edge_masks": 0, "_trial_seeds": 0}  # draws; blocks
+        calls = {"_draw_kept": 0, "_trial_seeds": 0}  # draws; blocks
         for name in calls:
             def counted(*args, _fn=getattr(kernels, name), _name=name):
                 calls[_name] += 1
@@ -157,7 +157,7 @@ class TestBlockedTrials:
             got = mc_local(v, 3, p, r, predicate, trials=trials, seed=11, start=start).successes
         monkeypatch.undo()
         assert got == _per_trial(v, p, r, predicate, trials, 11, start)
-        assert calls["_draw_edge_masks"] > 1 and calls["_trial_seeds"] >= blocks, calls
+        assert calls["_draw_kept"] > 1 and calls["_trial_seeds"] >= blocks, calls
         if trials > 100:
             assert 0 < got < trials
 
@@ -168,13 +168,13 @@ class TestBlockedTrials:
     ])
     def test_one_pair_of_scratch_buffers_per_run(self, monkeypatch, predicate, v, p):
         buffers = []  # holding them keeps a buffer freed between draws from being reused
-        original = kernels._draw_edge_masks
+        original = kernels._draw_kept
 
         def recorded(n, p, seeds, z, tmp):
             buffers.append((z, tmp))
             return original(n, p, seeds, z, tmp)
 
-        monkeypatch.setattr(kernels, "_draw_edge_masks", recorded)
+        monkeypatch.setattr(kernels, "_draw_kept", recorded)
         if predicate == "global":
             mc_global(v, 3, p, 2, trials=900 if v < 75 else 3, seed=4)
         else:
@@ -183,6 +183,17 @@ class TestBlockedTrials:
         assert len(buffers) > 1
         assert all(zb is z and tb is tmp for zb, tb in buffers)
         assert z is not tmp and z.size == tmp.size == kernels.BLOCK
+
+    @pytest.mark.parametrize("v", [12, 75])  # C(75, 3) > BLOCK
+    def test_generate_keeps_the_masked_candidates(self, v):
+        m = choose(v, 3)
+        assert (m > kernels.BLOCK) == (v == 75)
+        for p in (0.0, 0.3, 1.0):
+            for seed in (0, kernels.trial_seed(9, 2)):
+                mask = kernels.sample_edge_mask(m, p, seed)
+                expected = candidate_edges(v, 3)[np.flatnonzero(mask)]
+                got = generate(HypergraphParams(v, 3, p, 1), seed).edge_array()
+                assert np.array_equal(got, expected), (v, p, seed)
 
     def test_block_predicates(self):
         # three trials on v = 4 vertices: a connected pair of edges, no edge,

@@ -1,15 +1,21 @@
 import math
+import tracemalloc
 
 import pytest
 
 from corebound import (
+    HypergraphParams,
     choose,
     exact_exactly_one,
     exact_global,
     exact_local,
+    generate,
+    hypergraph,
     mc_global,
     mc_local,
+    montecarlo,
 )
+from corebound.hypergraph import candidate_edges
 from conftest import min_degree_prob_oracle
 
 
@@ -88,6 +94,36 @@ class TestPinnedCounts:
     def test_mc_local_connectivity(self, warm_kernels):
         est = mc_local(20, 3, 20 / choose(20, 3), 1, "connectivity", trials=200, seed=7)
         assert est.successes == 85
+
+
+class TestMemory:
+    # at v = 400 the C(v, 3) candidates alone take 254 MiB as an int64 array;
+    # a run that draws and unranks only the kept ones stays near 1 MiB
+    @pytest.mark.parametrize("run", [
+        lambda p: mc_global(400, 3, p, 2, trials=3),
+        lambda p: mc_local(400, 3, p, 1, "connectivity", trials=3),
+    ], ids=["mc_global", "mc_local"])
+    def test_peak_does_not_grow_with_candidates(self, warm_kernels, run):
+        p = 400 / 1.222 / choose(400, 3)
+        candidate_edges.cache_clear()
+        tracemalloc.start()
+        try:
+            run(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, peak
+
+    def test_no_candidate_array(self, monkeypatch):
+        # only the exhaustive oracles read candidate_edges
+        def forbidden(v, k):
+            raise AssertionError(f"candidate_edges({v}, {k}) called")
+
+        monkeypatch.setattr(hypergraph, "candidate_edges", forbidden)
+        monkeypatch.setattr(montecarlo, "candidate_edges", forbidden)
+        generate(HypergraphParams(20, 3, 0.05, 2), seed=1)
+        mc_global(20, 3, 0.05, 2, trials=50, seed=1)
+        mc_local(20, 3, 0.05, 1, "connectivity", trials=50, seed=1)
 
 
 class TestMcGlobal:
