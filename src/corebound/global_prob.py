@@ -71,15 +71,6 @@ def _merge(value: float, parts: Iterable[tuple]) -> tuple[float, bool, str | Non
     return range_checked(value, valid, note)
 
 
-def _lenient_sum(values) -> float:
-    """Compensated sum, except non-finite inputs degrade to IEEE semantics
-    (inf/nan) instead of raising; broken values stay visible downstream."""
-    vals = list(values)
-    if all(math.isfinite(v) for v in vals):
-        return stable_sum(vals)
-    return float(sum(vals))
-
-
 class GlobalComputation:
     """The size composition on v vertices.
 
@@ -116,7 +107,7 @@ class GlobalComputation:
         for m in range(v - k + 1):
             self._rows.append([choose_float(m, j) for j in range(1, m + 1)])
             sizes = [size for _, _, size in self._level(m)]  # empty below k
-            self._rest.append(_merge(1.0 - _lenient_sum(value for value, _, _ in sizes), sizes))
+            self._rest.append(_merge(1.0 - stable_sum(value for value, _, _ in sizes), sizes))
 
     def _locals(self, n: int) -> list[ProbValue]:
         while len(self._local) <= n - self.k:
@@ -183,7 +174,7 @@ class GlobalComputation:
 
     def result(self) -> GlobalResult:
         per_size = self.sizes()
-        total = _lenient_sum(pv.value for pv in per_size.values())
+        total = stable_sum(pv.value for pv in per_size.values())
         exactly = ProbValue(*_merge(total, per_size.values()))
         invalid_sizes = [u for u, pv in per_size.items() if not pv.valid]
         return GlobalResult(

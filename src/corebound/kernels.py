@@ -14,11 +14,12 @@ uint64 buffers of 512 KiB, so each pass over a block stays in cache.  A block
 yields only the (graph, rank) pairs of its kept candidates, and only those
 ranks are unranked into edges, so no array grows with C(v, k): there is no
 candidate array and no mask over the candidates.  The Monte Carlo drivers
-run their trials in blocks: one draw (:func:`_draw_kept`) makes the graphs
-of several trials (at most ``BLOCK`` draws), all draws of a run share one
-pair of scratch buffers, and the kept edges of a block of trials, with the
-vertex ids of trial ``t`` offset by ``t * v``, form one disjoint-union graph
-on which each predicate runs once for the whole block.
+run their trials in blocks, each drawn by one call of the step that
+:func:`sample_edges` also uses (:func:`_block_edges`): the stream passes of
+a block cover whole trials (or one slice of one trial), all passes of a run
+share one pair of scratch buffers, and the kept edges of the block, with
+the vertex ids of its i-th trial offset by ``i * v``, form one
+disjoint-union graph on which each predicate runs once for the whole block.
 """
 from __future__ import annotations
 
@@ -54,9 +55,10 @@ _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 # memory is bounded per block.
 BLOCK = 1 << 16
 
-# Trial vertices, and kept edges, per Monte Carlo predicate block.  Sized by
-# peak RSS: blocks of 2^16 peaked about 2.5 MB above per-trial evaluation on
-# the small-v benchmark, blocks of 2^14 no higher, at the same speed.
+# Trial vertices, and expected kept edges, per Monte Carlo predicate block.
+# Sized by peak RSS: blocks of 2^16 peaked about 2.5 MB above per-trial
+# evaluation on the small-v benchmark, blocks of 2^14 no higher, at the same
+# speed.
 TRIAL_BLOCK = 1 << 14
 
 
@@ -140,10 +142,20 @@ def sample_edges(v: int, k: int, p: float, graph_seed: int) -> np.ndarray:
     """The kept edges of the graph on ``v`` vertices seeded with
     ``graph_seed``, as (kept, k) int64 rows in colex order: the rows of
     the candidates ``sample_edge_mask(C(v, k), p, graph_seed)`` keeps."""
-    m = math.comb(v, k)
-    z = np.empty(min(m, BLOCK), dtype=np.uint64)
-    _, ranks = _draw_kept(m, p, _seed_array(graph_seed), z, np.empty_like(z))
-    return colex_unrank(ranks, v, k)
+    z = np.empty(min(math.comb(v, k), BLOCK), dtype=np.uint64)
+    return _block_edges(v, k, p, _seed_array(graph_seed), z, np.empty_like(z))
+
+
+def _block_edges(v: int, k: int, p: float, seeds: np.ndarray,
+                 z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The kept edges of one graph on ``v`` vertices per seed, as (kept, k)
+    int64 rows, with the vertices of seed i's graph offset by ``i * v``: one
+    disjoint-union graph, its rows grouped by seed and in colex order within
+    one.  ``z`` and ``tmp`` are :func:`_draw_kept`'s scratch buffers."""
+    row, rank = _draw_kept(math.comb(v, k), p, seeds, z, tmp)
+    edges = colex_unrank(rank, v, k)
+    edges += (row * v)[:, None]
+    return edges
 
 
 def _seed_array(graph_seed: int) -> np.ndarray:
@@ -162,7 +174,8 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
     many times can allocate them once; a block holds whole rows of
     candidates, or one slice of one row when ``n_candidates > BLOCK``.
     Nothing else the draw allocates grows with ``n_candidates``: a block
-    yields only the positions of its kept candidates.
+    yields only the flat positions ``row * n_candidates + rank`` of its kept
+    candidates, split into (row, rank) once at the end.
 
     Integer test.  ``unit(x)`` is the integer ``y = x >> 11 < 2^53`` times
     2^-53, and both that product and ``p * 2^53`` are exact (power-of-two
@@ -187,8 +200,7 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
         limit = 0  # p <= 0 (or nan) keeps nothing
     bound_bits = (limit - 1).bit_length() + 11
     pre = np.uint64(1 << bound_bits) if bound_bits < 64 else None
-    empty = np.empty(0, dtype=np.int64)
-    rows_out, ranks_out = [empty], [empty]
+    kept_out = [np.empty(0, dtype=np.int64)]
     rows = max(1, BLOCK // max(n_candidates, 1))  # seeds per block
     for r0 in range(0, len(seeds), rows):
         block_seeds = seeds[r0:r0 + rows]
@@ -209,10 +221,9 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
             kept = np.flatnonzero(x < np.uint64(limit))
             if survivors is not None:
                 kept = survivors[kept]
-            row, rank = np.divmod(kept, width)
-            rows_out.append(row + r0)
-            ranks_out.append(rank + lo)
-    return np.concatenate(rows_out), np.concatenate(ranks_out)
+            # whole rows (lo = 0, width = n_candidates) or a slice of one row
+            kept_out.append(kept + (r0 * n_candidates + lo))
+    return np.divmod(np.concatenate(kept_out), max(n_candidates, 1))
 
 
 def colex_unrank(ranks: np.ndarray, v: int, k: int) -> np.ndarray:
@@ -341,33 +352,19 @@ def _successes(test, v: int, k: int, p: float, r: int,
     """Count the trials t in [start, start + trials) whose graph, drawn from
     ``trial_seed(master, t)``, passes the per-block predicate ``test``.
 
-    A block holds at most ``TRIAL_BLOCK // v`` trials, and stops early once
-    its kept edges reach ``TRIAL_BLOCK``; each draw covers at most ``BLOCK``
-    candidates (or one trial's, when C(v, k) exceeds that), and every draw of
-    the run uses the same two scratch buffers.  Only the kept candidates are
-    unranked into edges, once per block.
+    A block holds as many trials as fit ``TRIAL_BLOCK`` both in vertices and
+    in expected kept edges (at least one), and is drawn by one
+    :func:`_block_edges` call; every block of the run uses the same two
+    scratch buffers.
     """
-    m = math.comb(v, k)
-    per_draw = max(1, BLOCK // max(m, 1))
-    per_block = max(1, TRIAL_BLOCK // v)
+    per_block = max(1, int(TRIAL_BLOCK // max(v, math.comb(v, k) * p)))
     z = np.empty(BLOCK, dtype=np.uint64)
     tmp = np.empty_like(z)
     successes = 0
-    t, stop = start, start + trials
-    while t < stop:
-        seeds = _trial_seeds(master, t, min(per_block, stop - t))
-        rows, ranks, kept, n = [], [], 0, 0
-        while n < len(seeds) and kept < TRIAL_BLOCK:
-            draw = seeds[n:n + per_draw]
-            row, rank = _draw_kept(m, p, draw, z, tmp)
-            rows.append(row + n)
-            ranks.append(rank)
-            kept += len(row)
-            n += len(draw)
-        edges = colex_unrank(np.concatenate(ranks), v, k)
-        edges += (np.concatenate(rows) * v)[:, None]
+    for t in range(start, start + trials, per_block):
+        n = min(per_block, start + trials - t)
+        edges = _block_edges(v, k, p, _trial_seeds(master, t, n), z, tmp)
         successes += int(np.count_nonzero(test(edges, n, v, r)))
-        t += n
     return successes
 
 

@@ -27,7 +27,8 @@ from __future__ import annotations
 import math
 
 from .montecarlo import exact_local
-from .numerics import ProbValue, binom_pmf, check_kpr, choose, range_checked, stable_sum
+from .numerics import (ProbValue, binom_pmf, check_kpr, choose, choose_float, range_checked,
+                       stable_sum)
 
 __all__ = [
     "LOCAL_METHODS",
@@ -154,7 +155,7 @@ def gilbert_prob(u: int, p: float) -> ProbValue:
     for n in range(2, u + 1):
         acc = []
         for i in range(1, n):
-            acc.append(g[i] * float(math.comb(n - 1, i - 1)) * q ** (i * (n - i)))
+            acc.append(g[i] * choose_float(n - 1, i - 1) * q ** (i * (n - i)))
         g.append(1.0 - stable_sum(acc))
     return ProbValue.checked(g[u])
 

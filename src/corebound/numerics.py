@@ -165,5 +165,12 @@ def binom_cdf(x: int, n: int, p: float) -> float:
 
 
 def stable_sum(terms) -> float:
-    """Compensated sum of floats (exactly rounded, well within 2 ulp)."""
-    return math.fsum(terms)
+    """Sum of floats: ``math.fsum`` (correctly rounded) when it succeeds, else
+    the plain IEEE sum.  ``fsum`` raises on an intermediate overflow and on
+    inf - inf; the plain sum gives inf or nan there, so a broken term stays
+    visible to the range check instead of raising."""
+    terms = list(terms)
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return sum(terms, 0.0)

@@ -334,6 +334,8 @@ PINNED_CASES = {
                                "--method", "connectivity"],
     "local interleaved-lower": ["local", "--u", "4", "--k", "3", "--p", "0.5", "--r", "2",
                                 "--method", "interleaved-lower"],
+    "local cancelling infinities": ["local", "--u", "460", "--k", "3", "--e-u", "460",
+                                    "--method", "connectivity"],
     "local gilbert": ["local", "--u", "6", "--k", "2", "--p", "0.3", "--method", "gilbert"],
     "local mc": ["local", "--u", "6", "--k", "3", "--e-u", "6", "--r", "2",
                  "--method", "mc", "--trials", "200", "--seed", "5"],
@@ -355,6 +357,11 @@ PINNED_CASES = {
     "sweep local breakdown_at": ["sweep", "--k", "3", "--r", "1", "--overhead", "1.0",
                                  "--e-min", "80", "--e-max", "86", "--scope", "local",
                                  "--method", "connectivity", "--method", "covering"],
+    "sweep local cancelling infinities": ["sweep", "--k", "3", "--r", "1", "--overhead", "1.0",
+                                          "--e-min", "458", "--e-max", "461", "--scope", "local",
+                                          "--method", "connectivity"],
+    "global cancelling infinities": ["global", "--v", "400", "--k", "3", "--e-v", "200",
+                                     "--r", "2", "--method", "interleaved-lower"],
     "oracle at-least-one": ["oracle", "--v", "5", "--k", "3", "--p", "0.5", "--r", "2"],
     "oracle exactly-one": ["oracle", "--v", "4", "--k", "3", "--p", "0.5", "--r", "1",
                            "--exactly-one", "minimal"],

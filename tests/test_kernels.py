@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,22 +131,23 @@ class TestBlockedTrials:
     """The trial-blocked drivers count what ``generate`` draws trial by trial."""
 
     @pytest.mark.parametrize("predicate,v,p,r,trials,start,blocks", [
-        # several draws per block, and more trials than a block's TRIAL_BLOCK // v
+        # several stream passes per block, and more trials than a block's TRIAL_BLOCK // v
         ("global", 40, 33 / choose(40, 3), 2, 900, 0, 2),
         ("global", 40, 0.7 / choose(40, 3), 1, 900, 13, 2),
         ("connectivity", 24, 24 / choose(24, 3), 1, 1500, 0, 2),
         ("min-degree", 24, 48 / choose(24, 3), 1, 1500, 5, 2),
-        # dense: blocks end early on the kept-edge budget
+        # dense: blocks sized by their expected kept edges, not by TRIAL_BLOCK // v
         ("global", 20, 0.5, 76, 300, 7, 2),
         ("min-degree", 20, 0.5, 73, 300, 7, 2),
         ("connectivity", 20, 0.01, 1, 300, 0, 1),
-        # C(v, 3) > BLOCK: one trial per draw
+        # C(v, 3) > BLOCK: one stream pass per slice of a trial
         ("global", 75, 75 / 1.222 / choose(75, 3), 2, 4, 3, 1),
         ("connectivity", 75, 0.0015, 1, 4, 3, 1),
     ])
     def test_counts_are_the_per_trial_sum(self, monkeypatch, predicate, v, p, r, trials,
                                           start, blocks):
-        calls = {"_draw_kept": 0, "_trial_seeds": 0}  # draws; blocks
+        # stream passes and seed derivations; draws; blocks
+        calls = {"_mix64_rounds": 0, "_draw_kept": 0, "_trial_seeds": 0}
         for name in calls:
             def counted(*args, _fn=getattr(kernels, name), _name=name):
                 calls[_name] += 1
@@ -157,32 +159,55 @@ class TestBlockedTrials:
             got = mc_local(v, 3, p, r, predicate, trials=trials, seed=11, start=start).successes
         monkeypatch.undo()
         assert got == _per_trial(v, p, r, predicate, trials, 11, start)
-        assert calls["_draw_kept"] > 1 and calls["_trial_seeds"] >= blocks, calls
+        passes = calls["_mix64_rounds"] - calls["_trial_seeds"]
+        assert passes > 1 and calls["_trial_seeds"] >= blocks, calls
+        assert calls["_draw_kept"] == calls["_trial_seeds"], calls  # one draw per block
         if trials > 100:
             assert 0 < got < trials
 
     @pytest.mark.parametrize("predicate, v, p", [
-        ("global", 40, 33 / choose(40, 3)),       # several draws per block, two blocks
+        ("global", 40, 33 / choose(40, 3)),       # several passes per block, three blocks
         ("connectivity", 24, 24 / choose(24, 3)),
-        ("global", 75, 0.0015),                   # C(v, 3) > BLOCK: one trial per draw
+        ("global", 75, 0.0015),                   # C(v, 3) > BLOCK: two passes per trial
     ])
     def test_one_pair_of_scratch_buffers_per_run(self, monkeypatch, predicate, v, p):
-        buffers = []  # holding them keeps a buffer freed between draws from being reused
-        original = kernels._draw_kept
+        # holding the arrays keeps a buffer freed between calls from being reused
+        draws, rounds = [], []
+        draw_kept, mix64_rounds = kernels._draw_kept, kernels._mix64_rounds
 
-        def recorded(n, p, seeds, z, tmp):
-            buffers.append((z, tmp))
-            return original(n, p, seeds, z, tmp)
+        def recorded_draw(n, p, seeds, z, tmp):
+            draws.append((z, tmp))
+            return draw_kept(n, p, seeds, z, tmp)
 
-        monkeypatch.setattr(kernels, "_draw_kept", recorded)
+        def recorded_rounds(z, tmp):
+            rounds.append((z, tmp))
+            return mix64_rounds(z, tmp)
+
+        monkeypatch.setattr(kernels, "_draw_kept", recorded_draw)
+        monkeypatch.setattr(kernels, "_mix64_rounds", recorded_rounds)
         if predicate == "global":
             mc_global(v, 3, p, 2, trials=900 if v < 75 else 3, seed=4)
         else:
             mc_local(v, 3, p, 1, predicate, trials=1500, seed=4)
-        z, tmp = buffers[0]
-        assert len(buffers) > 1
-        assert all(zb is z and tb is tmp for zb, tb in buffers)
+        z, tmp = draws[0]
+        assert all(zb is z and tb is tmp for zb, tb in draws)
         assert z is not tmp and z.size == tmp.size == kernels.BLOCK
+        # a stream pass runs in both buffers of the pair, a trial seed block in neither
+        passes = [np.shares_memory(zr, z) for zr, _ in rounds]
+        assert [np.shares_memory(tr, tmp) for _, tr in rounds] == passes
+        assert sum(passes) > 1 and sum(passes) >= len(draws)
+
+    def test_dense_run_memory_is_bounded(self):
+        # C(30, 3) * 0.5 = 2030 kept edges per trial: a block sized by
+        # vertices alone (546 trials) would hold all 200 trials' edges
+        mc_global(30, 3, 0.5, 2, trials=1)  # first-call set-up
+        tracemalloc.start()
+        try:
+            mc_global(30, 3, 0.5, 2, trials=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
 
     @pytest.mark.parametrize("v", [12, 75])  # C(75, 3) > BLOCK
     def test_generate_keeps_the_masked_candidates(self, v):

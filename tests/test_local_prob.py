@@ -137,6 +137,13 @@ class TestConnectivityProb:
         assert table.first_invalid == 1031
         assert (pv.valid, pv.note) == (False, "non-finite term in the recursion at u=1031")
 
+    @pytest.mark.parametrize("k, u", [(2, 485), (3, 460), (4, 441)])
+    def test_cancelling_infinite_terms_are_flagged(self, k, u):
+        # along the scan p = u / C(u, k) this u is the first whose terms hold
+        # both +inf and -inf: the sum is nan, flagged, and nothing raises
+        pv = ConnectivityTable(k, u / choose(u, k)).prob(u)
+        assert math.isnan(pv.value) and not pv.valid
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             connectivity_prob(0, 3, 0.5)
@@ -160,6 +167,11 @@ class TestGilbert:
             assert gilbert_prob(u, p).value == pytest.approx(
                 table.value(u), abs=1e-12
             )
+
+    def test_binomial_overflow_is_flagged(self):
+        # C(1030, 515) is the first binomial weight above the double range
+        pv = gilbert_prob(1031, 0.002)
+        assert math.isnan(pv.value) and not pv.valid
 
 
 class TestCovering:

@@ -128,6 +128,23 @@ class TestStableSum:
     def test_accumulation(self):
         assert abs(stable_sum([0.1] * 10) - 1.0) <= 1e-15
 
+    def test_fsum_bits_when_fsum_succeeds(self):
+        terms = [math.ldexp((-1) ** i * (i * 0.6180339887 % 1.0), i % 97 - 48)
+                 for i in range(500)]
+        assert stable_sum(iter(terms)).hex() == math.fsum(terms).hex()
+        assert stable_sum([math.inf, 1.0, -2.0]) == math.inf
+        assert math.isnan(stable_sum([math.nan, 1.0]))
+
+    def test_intermediate_overflow_is_infinite(self):
+        # fsum raises OverflowError on these all-finite terms
+        assert stable_sum([1e308, 1e308]) == math.inf
+        assert stable_sum([-1e308, -1e308, 1.0]) == -math.inf
+
+    def test_opposite_infinities_are_nan(self):
+        # fsum raises ValueError ("-inf + inf in fsum") on these
+        assert math.isnan(stable_sum([math.inf, -math.inf]))
+        assert math.isnan(stable_sum(x for x in (1.0, -math.inf, 2.0, math.inf)))
+
 
 class TestProbValue:
     def test_checked_flags_out_of_range(self):

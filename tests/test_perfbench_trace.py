@@ -1,0 +1,44 @@
+"""The benchmark under ``perfbench/`` can still trace this source.
+
+Its tracer patches corebound's functions by module attribute and reads their
+signatures, and its run stamp names the random stream by a fingerprint; a
+refactor under ``src/`` that renames or reshapes one of them breaks traced
+runs, and ``perfbench/``'s own tests lie outside the tier-1 suite.
+"""
+from pathlib import Path
+
+import pytest
+
+from corebound import mc_global
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+    import spans
+    return harness, spans
+
+
+def test_tracer_installs_and_restores(perfbench):
+    harness, spans = perfbench
+    targets = {**{label: (owner, attr) for label, (owner, attr, _) in spans._targets().items()},
+               **spans.COUNTED_ONLY}
+    before = {label: spans._holders(owner, attr, getattr(owner, attr))
+              for label, (owner, attr) in targets.items()}
+    originals = {label: getattr(owner, attr) for label, (owner, attr) in targets.items()}
+    assert all(before.values())  # every target is found where callers look it up
+
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert harness.stream_version() == "v1"
+        mc_global(8, 3, 0.1, 2, trials=5, seed=3)
+    metrics = tracer.layer_metrics()
+    assert metrics["kernels.sample_edge_mask.draws"] == (64, "count")
+    assert metrics["kernels.mc_global_successes.trials"] == (5, "count")
+
+    for label, (owner, attr) in targets.items():
+        for holder in before[label]:
+            assert getattr(holder, attr) is originals[label], label
