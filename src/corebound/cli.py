@@ -16,7 +16,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
+import math
 import os
 import shutil
 import sys
@@ -124,13 +126,24 @@ def _write_atomically(path: str, write) -> None:
         raise
 
 
+def _json_safe(obj):
+    """``obj`` with each nan or inf (not JSON; its validity flag is false) as None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: _json_safe(x) for key, x in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(x) for x in obj]
+    return obj
+
+
 def _write_payload(fh, fmt: str, rows: list[dict], json_obj) -> None:
     if fmt == "csv":
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(rows[0])
         writer.writerows([_cell(x) for x in row.values()] for row in rows)
     else:
-        json.dump(json_obj, fh, indent=2)
+        json.dump(_json_safe(json_obj), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -192,17 +205,13 @@ def cmd_global(args, parser) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_table(result: sweep_mod.SweepResult):
-    spec = result.spec
     rows = []
     for row in result.rows:
         breaks = {m: at is not None and row.e >= at for m, at in result.breakdown_at.items()}
         rows.append({"e_v": row.e, "v": row.v, "p": row.p,
                      **_method_cells(row.values, row.mc, breaks)})
     json_obj = {
-        "spec": {"k": spec.k, "r": spec.r, "overhead": spec.overhead,
-                 "e_min": spec.e_min, "e_max": spec.e_max,
-                 "methods": list(spec.methods), "trials": spec.trials,
-                 "seed": spec.seed, "scope": spec.scope},
+        "spec": dataclasses.asdict(result.spec),
         "rows": rows,
         "breakdown_at": {_column_name(m): at for m, at in result.breakdown_at.items()},
     }

@@ -37,7 +37,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .local_prob import LocalProvider
-from .numerics import PROB_TOL, ProbValue, choose_float, range_checked, stable_sum
+from .numerics import ProbValue, binomial_row, range_checked, stable_sum
 
 __all__ = [
     "GlobalResult",
@@ -74,14 +74,14 @@ def _merge(value: float, parts: Iterable[tuple]) -> tuple[float, bool, str | Non
 class GlobalComputation:
     """The size composition on v vertices.
 
-    The constructor makes one ascending pass over m = 0..v-k: step m appends
-    the float binomial row C(m, 1..m), then the "no distinct core" triple of
-    the m-vertex instance, the merged complement of level m's per-size sum.
-    Level m reads rows and triples of at most m - k vertices only, so each
-    exists before a level reads it.  Local values are read from the
-    computation's own ``LocalProvider`` for ``method`` on first use: the
-    pass reads sizes up to v - k, and a larger size is evaluated only when a
-    level that contains it is asked for.
+    The constructor builds the float binomial rows C(m, 1..m), m = 0..v, of
+    ``numerics.binomial_row`` (inf past the double range, so a value built on
+    one is flagged, never raised).  It then makes one ascending pass over
+    m = 0..v-k, appending the "no distinct core" triple of the m-vertex
+    instance; level m reads triples of at most m - k vertices only.  Local
+    values are read from the computation's own ``LocalProvider`` for
+    ``method``, whose memo is their one cache: each size is evaluated once,
+    when a level that contains it is first asked for.
 
     Level n yields, for u = n down to k, the lone-core triple of size u and
     the per-size triple it composes with the "no distinct core" triple of
@@ -97,34 +97,23 @@ class GlobalComputation:
         self.provider = LocalProvider(method, k, p, r)
         if v < 1:
             raise ValueError(f"v must be >= 1, got {v}")
-        self.v = v
-        self.p = p
-        self.k = k
-        self.r = r
-        self._local: list[ProbValue] = []  # _local[u - k]: provider.value(u), grown on use
-        self._rows: list[list[float]] = []  # _rows[m][j - 1] = C(m, j), j = 1..m
-        self._rest: list[tuple] = []        # _rest[m]: no distinct core on m vertices
+        self.v, self.p, self.k, self.r = v, p, k, r
+        self._rows = [binomial_row(m)[1:] for m in range(v + 1)]  # _rows[m][j - 1] = C(m, j)
+        self._rest: list[tuple] = []  # _rest[m]: no distinct core on m vertices
         for m in range(v - k + 1):
-            self._rows.append([choose_float(m, j) for j in range(1, m + 1)])
             sizes = [size for _, _, size in self._level(m)]  # empty below k
             self._rest.append(_merge(1.0 - stable_sum(value for value, _, _ in sizes), sizes))
-
-    def _locals(self, n: int) -> list[ProbValue]:
-        while len(self._local) <= n - self.k:
-            self._local.append(self.provider.value(self.k + len(self._local)))
-        return self._local
 
     def _level(self, n: int):
         """Yield (u, lone, per-size) triples for u = n down to k on an
         n-vertex instance."""
-        exp, pow_, log1p, inf, comb = math.exp, math.pow, math.log1p, math.inf, math.comb
-        k, rows, rests = self.k, self._rows, self._rest
-        locals_ = self._locals(n)
+        exp, pow_, log1p, inf = math.exp, math.pow, math.log1p, math.inf
+        k, rows, rests, local_value = self.k, self._rows, self._rest, self.provider.value
         above_valid, above_note = True, None
         factors: list[tuple[float | None, float]] = []  # per size above u, largest first
         for u in range(n, k - 1, -1):
-            local, local_valid, local_note = locals_[u - k]
-            value = comb(n, u) * local
+            local, local_valid, local_note = local_value(u)
+            value = rows[n][u - 1] * local
             # (1 - C_x)^C(n-u, x-u) for x = u+1..n, overflow -> inf; the
             # exponents are integers >= 1 (or inf), so pow raises nothing else
             for e, (log1m, one_minus) in zip(rows[n - u], reversed(factors)):
@@ -197,8 +186,6 @@ def _geometric_bound(exactly_one: ProbValue) -> ProbValue:
     value = s / (1.0 - s)
     if not exactly_one.valid:
         return ProbValue(value, False, exactly_one.note)
-    if s < -PROB_TOL:
-        return ProbValue(value, False, exactly_one.note or "negative exactly-one total")
     if value > 1.0:
         return ProbValue(value, True, "vacuous upper bound (> 1)")
     return ProbValue(value)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 
 from .montecarlo import exact_local
-from .numerics import (ProbValue, binom_pmf, check_kpr, choose, choose_float, range_checked,
+from .numerics import (ProbValue, binom_pmf, binomial_row, check_kpr, choose, range_checked,
                        stable_sum)
 
 __all__ = [
@@ -74,12 +74,12 @@ class ConnectivityTable:
 
         value(u) = 1 - sum_{i=1}^{u-1} value(i) * C(u-1, i-1) * (1-p)^eps(u, i)
 
-    where eps(u, i) counts the possible edges crossing an (i, u-i) split.
-    Entries are flagged invalid from the first u whose value fails
-    ``numerics.range_checked`` or whose binomial weights overflow a double;
-    later entries inherit the flag since they are computed from the broken
-    one.  A table must not be shared across threads without external
-    synchronization.
+    where eps(u, i) counts the possible edges crossing an (i, u-i) split and
+    the weights are ``numerics.binomial_row(u - 1)``.  Entries are flagged
+    invalid from the first u whose value fails ``numerics.range_checked`` (a
+    weight past the double range is inf and makes the value non-finite); later
+    entries inherit the flag since they are computed from the broken one.  A
+    table must not be shared across threads without external synchronization.
     """
 
     def __init__(self, k: int, p: float):
@@ -102,23 +102,15 @@ class ConnectivityTable:
                 continue
             crossing_base = ck[u]
             terms = []
-            binom = 1  # C(u-1, i-1), updated multiplicatively (exact)
-            overflow = False
-            for i in range(1, u):
+            for i, weight in zip(range(1, u), binomial_row(u - 1)):  # C(u-1, i-1)
                 eps = crossing_base - ck[i] - ck[u - i]
-                try:
-                    bf = float(binom)
-                except OverflowError:
-                    bf = math.inf
-                    overflow = True
-                terms.append(self._values[i] * bf * _one_minus_p_pow(self.p, eps, self._log1m))
-                binom = binom * (u - i) // i
+                terms.append(self._values[i] * weight * _one_minus_p_pow(self.p, eps, self._log1m))
             value = 1.0 - stable_sum(terms)
             self._values.append(value)
-            if self.first_invalid is None and not range_checked(value, not overflow, None)[1]:
+            if self.first_invalid is None and not range_checked(value, True, None)[1]:
                 self.first_invalid = u
                 self._note = (f"non-finite term in the recursion at u={u}"
-                              if overflow or not math.isfinite(value)
+                              if not math.isfinite(value)
                               else f"recursion left [0, 1] at u={u} (value {value!r})")
 
     def value(self, u: int) -> float:
@@ -145,7 +137,8 @@ def gilbert_prob(u: int, p: float) -> ProbValue:
 
     Classical two-uniform recursion with crossing-edge exponent i*(u-i);
     implemented independently of :func:`connectivity_prob` as a cross-check,
-    not as an alias of the k=2 case.
+    not as an alias of the k=2 case; the two share only ``numerics.binomial_row``.
+    A weight past the double range makes the value non-finite, flagged invalid.
     """
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
@@ -154,8 +147,8 @@ def gilbert_prob(u: int, p: float) -> ProbValue:
     q = 1.0 - p
     for n in range(2, u + 1):
         acc = []
-        for i in range(1, n):
-            acc.append(g[i] * choose_float(n - 1, i - 1) * q ** (i * (n - i)))
+        for i, weight in zip(range(1, n), binomial_row(n - 1)):  # C(n-1, i-1)
+            acc.append(g[i] * weight * q ** (i * (n - i)))
         g.append(1.0 - stable_sum(acc))
     return ProbValue.checked(g[u])
 

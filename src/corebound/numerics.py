@@ -16,6 +16,7 @@ __all__ = [
     "check_kpr",
     "choose",
     "choose_float",
+    "binomial_row",
     "binom_pmf",
     "binom_cdf",
     "stable_sum",
@@ -82,6 +83,22 @@ def choose_float(n: int, k: int) -> float:
         return float(c)
     except OverflowError:
         return math.inf
+
+
+def binomial_row(n: int) -> list[float]:
+    """C(n, 0..n) as floats, entry j equal to ``choose_float(n, j)`` (inf past
+    the double range): one exact multiplicative pass over the first half, not
+    ``math.comb`` calls, and the second half mirrors it."""
+    row = []
+    c = 1  # C(n, j), exact
+    for j in range(n // 2 + 1):
+        try:
+            row.append(float(c))
+        except OverflowError:
+            row.append(math.inf)
+        c = c * (n - j) // (j + 1)
+    row += reversed(row[:(n + 1) // 2])  # C(n, j) = C(n, n - j)
+    return row
 
 
 def _check_binom_args(n: int, p: float) -> None:

@@ -92,6 +92,12 @@ class TestGlobal:
         assert float(row[header.index("covering")]) == 0.0
         assert float(row[header.index("mc_mean")]) == 0.0
 
+    def test_binomial_past_double_range_is_flagged(self, capsys):
+        # C(1040, 515) is above the double range: 0 * inf is a flagged nan
+        assert main(["global", "--v", "1040", "--k", "515", "--p", "0", "--r", "1",
+                     "--method", "covering"]) == 0
+        assert capsys.readouterr().out == "v,p,covering,covering_valid\n1040,0.0,nan,0\n"
+
 
 class TestSweep:
     def test_csv_deterministic(self, tmp_path):
@@ -417,6 +423,17 @@ class TestCliPinned:
     def test_run(self, pinned, label, argv):
         assert pinned[label]["argv"] == argv
         assert run_in_process(argv) == {k: pinned[label][k] for k in ("code", "stdout", "stderr")}
+
+    def test_json_stdout_is_strict_json(self, pinned):
+        # RFC 8259 has no NaN or Infinity tokens: a broken value is written as null
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        runs = [run for label, run in pinned.items()
+                if label.endswith(" json") and run["code"] == 0]
+        assert runs
+        for run in runs:
+            json.loads(run["stdout"], parse_constant=reject)
 
     def test_every_run_pinned(self, pinned):
         assert list(pinned) == [label for label, _ in pinned_runs()]

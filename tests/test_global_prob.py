@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from corebound import (
     interleaving_bounds,
     mc_global,
 )
-from corebound import global_prob, local_prob, numerics
+from corebound import global_prob, local_prob
 from corebound.global_prob import _geometric_bound, _merge
 from corebound.numerics import ProbValue
 from corebound.sweep import METHOD_TABLE, point_geometry
@@ -455,19 +454,32 @@ class TestSinglePath:
         with pytest.raises(ValueError, match=rf"^v must be >= 1, got {v}$"):
             GlobalComputation(v, 0.5, 3, 2, "connectivity")
 
-    def test_choose_float_calls_at_most_quadratic(self, monkeypatch):
-        calls = 0
-        original = numerics.choose_float
+    def test_binomial_row_entries_at_most_quadratic(self, monkeypatch):
+        entries = 0
+        original = global_prob.binomial_row
 
-        def counted(n, k):
-            nonlocal calls
-            calls += 1
-            return original(n, k)
+        def counted(n):
+            nonlocal entries
+            row = original(n)
+            entries += len(row)
+            return row
 
-        # every corebound module that binds the name, as callers look it up there
-        for mod in [m for name, m in sys.modules.items() if name.startswith("corebound")]:
-            if vars(mod).get("choose_float") is original:
-                monkeypatch.setattr(mod, "choose_float", counted)
+        monkeypatch.setattr(global_prob, "binomial_row", counted)
         v = 60
         exactly_one_core(v, 37.5 / math.comb(v, 3), 3, 2)
-        assert 0 < calls <= (v + 1) * (v + 2) // 2
+        assert 0 < entries <= (v + 1) * (v + 2) // 2
+
+    @pytest.mark.parametrize("source", ["connectivity", "covering", "interleaved"])
+    def test_each_local_value_computed_once(self, monkeypatch, source):
+        # the provider's memo is the one cache of local values
+        sizes = []
+        original = LocalProvider._compute
+
+        def counted(provider, u):
+            sizes.append(u)
+            return original(provider, u)
+
+        monkeypatch.setattr(LocalProvider, "_compute", counted)
+        v, k = 30, 3
+        exactly_one_core(v, 20 / math.comb(v, k), k, 2, source)
+        assert sorted(sizes) == list(range(k, v + 1))

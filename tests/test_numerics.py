@@ -4,7 +4,7 @@ import pytest
 
 from corebound import binom_cdf, binom_pmf, choose, choose_float, stable_sum
 from corebound.local_prob import ConnectivityTable, gilbert_prob
-from corebound.numerics import ProbValue, check_kpr
+from corebound.numerics import ProbValue, binomial_row, check_kpr
 from corebound.sweep import SweepSpec
 
 
@@ -34,6 +34,13 @@ class TestChoose:
     def test_float_conversion_overflow(self):
         assert choose_float(4, 2) == 6.0
         assert choose_float(3000, 1500) == math.inf
+
+    @pytest.mark.parametrize("n", [*range(65), *range(1028, 1033)])
+    def test_binomial_row_is_choose_float(self, n):
+        # bit for bit; C(1030, 515) is the first entry above the double range
+        row = binomial_row(n)
+        assert [x.hex() for x in row] == [choose_float(n, j).hex() for j in range(n + 1)]
+        assert (math.inf in row) == (n >= 1030)
 
 
 class TestCheckKpr:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from corebound import mc_global
+from corebound import cli, mc_global
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -42,3 +42,19 @@ def test_tracer_installs_and_restores(perfbench):
     for label, (owner, attr) in targets.items():
         for holder in before[label]:
             assert getattr(holder, attr) is originals[label], label
+
+
+def test_tracer_counts_one_formula_point(perfbench, capsys):
+    # the provider's memo is the one cache of local values: one miss per size
+    # k..v, read through the "pre" hook that inspects LocalProvider._memo
+    _, spans = perfbench
+    tracer = spans.Tracer()
+    with tracer.installed():
+        assert cli.main(["global", "--v", "20", "--k", "3", "--e-v", "12.5", "--r", "2",
+                         "--method", "connectivity"]) == 0
+    capsys.readouterr()
+    metrics = tracer.layer_metrics()
+    misses, _ = metrics["global_prob.LocalProvider.value.misses"]
+    calls, _ = metrics["global_prob.LocalProvider.value.calls"]
+    assert misses == 20 - 3 + 1 and misses <= calls
+    assert metrics["global_prob.exactly_one_core.calls"] == (1, "count")
