@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -10,13 +11,14 @@ from corebound import (
     exact_global,
     exact_local,
     generate,
+    has_rcore_on,
     hypergraph,
     mc_global,
     mc_local,
     montecarlo,
 )
 from corebound.hypergraph import candidate_edges
-from conftest import min_degree_prob_oracle
+from conftest import enumeration_prob, min_degree_prob_oracle
 
 
 class TestEstimates:
@@ -192,6 +194,25 @@ class TestExactExactlyOne:
     def test_semantics_argument(self):
         with pytest.raises(ValueError):
             exact_exactly_one(4, 3, 0.5, 1, "median")
+
+    @pytest.mark.parametrize("semantics", ["minimal", "maximal"])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("v,k", [(4, 2), (5, 2), (4, 3), (5, 3)])
+    def test_matches_definition(self, v, k, r, semantics):
+        # list every graph's core sets (a set below k vertices holds no edge)
+        # and count the inclusion-minimal or -maximal ones directly
+        subsets = [frozenset(c) for n in range(k, v + 1)
+                   for c in itertools.combinations(range(v), n)]
+        beaten = (lambda c, d: d < c) if semantics == "minimal" else (lambda c, d: c < d)
+
+        def exactly_one(h):
+            cores = [s for s in subsets if has_rcore_on(h, s, r)]
+            return sum(not any(beaten(c, d) for d in cores) for c in cores) == 1
+
+        p = 0.37
+        assert exact_exactly_one(v, k, p, r, semantics) == pytest.approx(
+            enumeration_prob(v, k, p, exactly_one), abs=1e-12
+        )
 
     @pytest.mark.parametrize("v,k", [(v, k) for k in range(2, 6) for v in range(k, 7)])
     def test_maximal_equals_global(self, v, k):
