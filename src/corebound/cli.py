@@ -7,7 +7,8 @@ Subcommands:
   breakdown  scan for the first expected edge count where a formula fails
   oracle     exhaustive desk-scale exact values
 
-Exit status: 0 success, 2 invalid arguments, 3 output I/O failure.  An
+Exit status: 0 success, 2 invalid arguments, 3 output I/O failure.  A value
+that fails a check after parsing prints one ``error: ...`` line on stderr.  An
 ``--out`` file is written to a temp file and renamed onto its path, so a
 failed write leaves no partial file and an existing file unchanged.
 """
@@ -72,17 +73,16 @@ def _add_output(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="-", help="output path ('-' = stdout)")
 
 
-def _resolve_p(parser: argparse.ArgumentParser, n: int, k: int,
-               p: float | None, e: float | None) -> float:
+def _resolve_p(n: int, k: int, p: float | None, e: float | None) -> float:
     if (p is None) == (e is None):
-        parser.error("give exactly one of --p or --e-u/--e-v")
+        raise ValueError("give exactly one of --p or --e-u/--e-v")
     if p is None:
         m = choose(n, k)
         if m == 0:
             return 0.0
         p = e / m
     if not 0.0 <= p <= 1.0:
-        parser.error(f"edge probability {p} outside [0, 1]")
+        raise ValueError(f"edge probability {p} outside [0, 1]")
     return p
 
 
@@ -151,8 +151,8 @@ def _write_payload(fh, fmt: str, rows: list[dict], json_obj) -> None:
 # local
 # ---------------------------------------------------------------------------
 
-def cmd_local(args, parser) -> int:
-    p = _resolve_p(parser, args.u, args.k, args.p, args.e_u)
+def cmd_local(args) -> int:
+    p = _resolve_p(args.u, args.k, args.p, args.e_u)
     method = args.method
     if method == "mc":
         est = sweep_mod.mc_value("local", args.u, p, args.k, args.r, args.trials, args.seed)
@@ -161,7 +161,7 @@ def cmd_local(args, parser) -> int:
         return _emit(args, [row], row)
     if method == "gilbert":
         if args.k != 2:
-            parser.error("--method gilbert requires --k 2")
+            raise ValueError("--method gilbert requires --k 2")
         pv = gilbert_prob(args.u, p)
     else:
         pv = sweep_mod.formula_value(method, "local", args.u, p, args.k, args.r)
@@ -189,8 +189,8 @@ def _method_cells(values: dict[str, ProbValue], mc=None, breaks=None) -> dict:
     return cells
 
 
-def cmd_global(args, parser) -> int:
-    p = _resolve_p(parser, args.v, args.k, args.p, args.e_v)
+def cmd_global(args) -> int:
+    p = _resolve_p(args.v, args.k, args.p, args.e_v)
     methods = tuple(dict.fromkeys(args.method)) if args.method else ("connectivity",)
     values = {m: sweep_mod.formula_value(m, "global", args.v, p, args.k, args.r)
               for m in methods if m != "mc"}
@@ -218,16 +218,11 @@ def _sweep_table(result: sweep_mod.SweepResult):
     return rows, json_obj
 
 
-def cmd_sweep(args, parser) -> int:
+def cmd_sweep(args) -> int:
     methods = tuple(dict.fromkeys(args.method)) if args.method else ("connectivity", "mc")
-    try:
-        spec = sweep_mod.SweepSpec(
-            k=args.k, r=args.r, overhead=args.overhead,
-            e_min=args.e_min, e_max=args.e_max, methods=methods,
-            trials=args.trials, seed=args.seed, scope=args.scope,
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    spec = sweep_mod.SweepSpec(k=args.k, r=args.r, overhead=args.overhead,
+                               e_min=args.e_min, e_max=args.e_max, methods=methods,
+                               trials=args.trials, seed=args.seed, scope=args.scope)
     result = sweep_mod.run_sweep(spec)
     rows, json_obj = _sweep_table(result)
     status = _emit(args, rows, json_obj)
@@ -244,7 +239,7 @@ def cmd_sweep(args, parser) -> int:
 # breakdown
 # ---------------------------------------------------------------------------
 
-def cmd_breakdown(args, parser) -> int:
+def cmd_breakdown(args) -> int:
     threshold = sweep_mod.find_breakdown(args.k, args.r, args.overhead,
                                          args.method, args.scope, args.cap)
     if threshold is None:
@@ -258,18 +253,14 @@ def cmd_breakdown(args, parser) -> int:
 # oracle
 # ---------------------------------------------------------------------------
 
-def cmd_oracle(args, parser) -> int:
-    p = _resolve_p(parser, args.v, args.k, args.p, args.e_v)
-    try:
-        if args.exactly_one is not None:
-            value = montecarlo.exact_exactly_one(args.v, args.k, p, args.r,
-                                                 args.exactly_one)
-            kind = f"exactly-one ({args.exactly_one})"
-        else:
-            value = montecarlo.exact_global(args.v, args.k, p, args.r)
-            kind = "at-least-one"
-    except ValueError as exc:
-        parser.error(str(exc))
+def cmd_oracle(args) -> int:
+    p = _resolve_p(args.v, args.k, args.p, args.e_v)
+    if args.exactly_one is not None:
+        value = montecarlo.exact_exactly_one(args.v, args.k, p, args.r, args.exactly_one)
+        kind = f"exactly-one ({args.exactly_one})"
+    else:
+        value = montecarlo.exact_global(args.v, args.k, p, args.r)
+        kind = "at-least-one"
     point, cells = {"v": args.v, "p": p}, {"kind": kind, "value": value}
     return _emit(args, [{**point, **cells}], {**point, "k": args.k, "r": args.r, **cells})
 
@@ -343,10 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

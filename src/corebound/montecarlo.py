@@ -118,45 +118,46 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
     "exactly one" needs a convention: ``"minimal"`` counts inclusion-minimal
     core sets, ``"maximal"`` counts inclusion-maximal ones.
 
-    The union of two core sets is a core set, so there is at most one maximal
-    one, and ``"maximal"`` equals :func:`exact_global`.  It is still computed
-    here by enumerating vertex subsets, independently of peeling, so the tests
-    can hold the two methods against each other.
+    One rule decides both: there is exactly one minimal (maximal) core set iff
+    the intersection (union) of all core sets is itself a core set.
+
+    - Minimal.  If C is the only minimal core set, every core set contains a
+      minimal one, so it contains C, and the intersection is C.  Conversely,
+      an intersection that is a core set lies inside every core set, so it is
+      the only minimal one.
+    - Maximal.  A union of core sets is a core set, so "maximal" reduces to
+      "some core set exists" and equals :func:`exact_global`.  Reading the
+      union's row keeps this side an enumeration that does not use peeling,
+      so the tests can hold the two methods against each other.
+
+    With no core set the fold stays at all v vertices (at none), no core set
+    either, so the rule needs no separate "some core set exists" test.
     """
     if semantics not in ("minimal", "maximal"):
         raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")
     cand = _candidates(v, k, p, r)
-    m = len(cand)
     inc = kernels.edge_incidence(cand, v)
-    edge_verts = [sum(1 << int(x) for x in row) for row in cand]
+    fold, start = ((np.bitwise_and, (1 << v) - 1) if semantics == "minimal"
+                   else (np.bitwise_or, 0))
 
-    # vertex subsets S (bit x = vertex x) of size >= k, each with its members'
-    # incidence masks restricted to the edges induced on S
+    # vertex subsets S (bit x = vertex x) of size >= k, with their members' incidence
+    # masks restricted to the edges induced on S: those touching no vertex outside S
     subsets = []
     for s in range(1 << v):
-        members = [x for x in range(v) if s >> x & 1]
-        if len(members) >= k:
-            induced = sum(1 << j for j, e in enumerate(edge_verts) if e & s == e)
-            subsets.append((s, inc[members] & np.uint32(induced)))
+        inside = np.array([s >> x & 1 for x in range(v)], dtype=bool)
+        if inside.sum() >= k:
+            outside = np.bitwise_or.reduce(inc[~inside], initial=0)
+            subsets.append((s, inc[inside] & ~outside))
 
     def exactly_one(masks):
         core = np.zeros((1 << v, len(masks)), dtype=bool)  # row S: S is a core set
+        meet = np.full(len(masks), start, dtype=np.intp)  # per mask: fold of its core sets
         for s, inc_s in subsets:
             core[s] = kernels.degrees_at_least(masks, inc_s, r)
-        if semantics == "maximal":
-            core = core[::-1]  # row S holds the complement of S: maximal becomes minimal
-        within = np.zeros_like(core)  # row S: some core set is a subset of S
-        minimal = np.zeros(len(masks), dtype=np.int64)
-        for s in range(1 << v):
-            below = np.zeros(len(masks), dtype=bool)
-            for x in range(v):
-                if s >> x & 1:
-                    below |= within[s ^ (1 << x)]
-            within[s] = core[s] | below
-            minimal += core[s] & ~below
-        return minimal == 1
+            fold(meet, np.where(core[s], s, start), out=meet)
+        return core[meet, np.arange(len(masks))]
 
-    return kernels.subset_prob(m, p, exactly_one)
+    return kernels.subset_prob(len(cand), p, exactly_one)
 
 
 def exact_local(u: int, k: int, p: float, r: int) -> float:

@@ -31,6 +31,11 @@ class TestLocal:
                      "--r", "1", "--method", "connectivity"]) == 0
         assert ",1.0,1" in capsys.readouterr().out
 
+    def test_expected_edges_without_candidates_give_p_zero(self, capsys):
+        # C(2, 3) = 0: no edge can exist, so --e-u sets p = 0
+        assert main(["local", "--u", "2", "--k", "3", "--e-u", "1"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "2,0.0,connectivity,0.0,1"
+
     def test_covering_via_expected_edges(self, capsys):
         assert main(["local", "--u", "200", "--k", "3", "--e-u", "200",
                      "--r", "1", "--method", "covering"]) == 0
@@ -277,6 +282,25 @@ class TestUsageErrors:
     def test_vertex_count_below_one_exit_2(self, capsys, method, v):
         assert main(["global", "--v", v, "--k", "3", "--p", "0.5", "--method", method]) == 2
         assert capsys.readouterr() == ("", f"error: v must be >= 1, got {v}\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["local", "--u", "4", "--k", "3", "--p", "0.5", "--e-u", "1"],
+         "give exactly one of --p or --e-u/--e-v"),
+        (["local", "--u", "4", "--k", "3", "--p", "1.5"], "edge probability 1.5 outside [0, 1]"),
+        (["local", "--u", "4", "--k", "3", "--p", "0.5", "--method", "gilbert"],
+         "--method gilbert requires --k 2"),
+        (["global", "--v", "5", "--k", "3", "--p", "0.5", "--method", "mc", "--trials", "0"],
+         "trials must be >= 1, got 0"),
+        (["sweep", "--k", "3", "--overhead", "1.0", "--e-min", "3", "--e-max", "3",
+          "--trials", "0"], "trials must be >= 1, got 0"),
+        (["oracle", "--v", "7", "--k", "3", "--p", "0.5"],
+         "C(v, k) = 35 exceeds the enumeration guard 20"),
+    ], ids=["p-and-e", "p-range", "gilbert-k", "global-trials", "sweep-trials", "oracle-guard"])
+    def test_bad_value_prints_one_error_line(self, capsys, argv, message):
+        # argparse reports its own parse errors; every value check after it
+        # prints the same single line and exits 2
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_missing_subcommand_exit_2(self):
         code, _, _ = run_cli()

@@ -41,6 +41,8 @@ class TestTypes:
             Hypergraph(4, 3, ((0, 1, 5),))
         with pytest.raises(ValueError):
             Hypergraph(4, 3, ((0, 1, 2), (0, 1, 2)))
+        with pytest.raises(ValueError, match="not sorted"):
+            Hypergraph(4, 3, ((0, 2, 1),))
 
 
 class TestCandidates:
@@ -153,6 +155,8 @@ class TestPredicates:
             is_connected_on(h, set())
         with pytest.raises(ValueError):
             has_rcore_on(h, set(), 1)
+        with pytest.raises(ValueError, match=r"not contained in \[0, 3\)"):
+            is_connected_on(h, {0, 3})
 
     def test_induced_edges_only(self):
         # edge (2,3,4) leaves the subset, so 2 has induced degree 0

@@ -257,6 +257,8 @@ class TestExhaustiveOracles:
         assert inc.tolist() == [0b0111, 0b1011, 0b1101, 0b1110]
         with pytest.raises(ValueError, match="uint32"):
             kernels.edge_incidence(np.asarray(candidate_edges(7, 3)), 7)
+        with pytest.raises(ValueError, match="2-dimensional"):
+            kernels.edge_incidence(np.arange(3), 4)
 
     def test_subset_prob_sums_exact_weights(self):
         # every subset accepted: the weights of all 2^m subsets sum to 1

@@ -58,3 +58,19 @@ def test_tracer_counts_one_formula_point(perfbench, capsys):
     calls, _ = metrics["global_prob.LocalProvider.value.calls"]
     assert misses == 20 - 3 + 1 and misses <= calls
     assert metrics["global_prob.exactly_one_core.calls"] == (1, "count")
+
+
+def test_tracer_counts_the_oracles(perfbench, capsys):
+    # the "masks" counters read the oracles' argument names v and k: C(4, 3) = 4
+    # candidate edges give 2^4 edge subsets per oracle
+    _, spans = perfbench
+    tracer = spans.Tracer()
+    oracle = ["oracle", "--v", "4", "--k", "3", "--p", "0.5", "--r", "1"]
+    with tracer.installed():
+        assert cli.main([*oracle, "--exactly-one", "minimal"]) == 0
+        assert cli.main(oracle) == 0
+    capsys.readouterr()
+    metrics = tracer.layer_metrics()
+    assert metrics["montecarlo.exact_exactly_one.masks"] == (16, "count")
+    assert metrics["montecarlo.exact_global.masks"] == (16, "count")
+    assert metrics["kernels.exhaustive_global_prob.calls"] == (1, "count")

@@ -30,6 +30,10 @@ class TestSpec:
             SweepSpec(**{**good, "scope": "galactic"})
         with pytest.raises(ValueError):
             SweepSpec(**{**good, "methods": ()})
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            SweepSpec(**{**good, "trials": 0})
+        with pytest.raises(ValueError, match="unknown formula method 'sorcery'"):
+            formula_value("sorcery", "local", 6, 0.3, 3, 1)
 
     @pytest.mark.parametrize("method", ["connectivity", "interleaved-lower"])
     @pytest.mark.parametrize("scope", ["local", "global"])
