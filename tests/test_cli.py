@@ -1,8 +1,11 @@
 import contextlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -188,6 +191,22 @@ class TestOutputFile:
         fresh = tmp_path / "new.csv"
         assert main([*self.ARGV, "--out", str(fresh)]) == 3
         assert [f.name for f in tmp_path.iterdir()] == ["x.csv"]
+
+    def test_pipe_is_written_in_place(self, tmp_path, capsys):
+        # a path that is not a regular file is opened and written, not
+        # replaced by a renamed temp file
+        assert main(self.ARGV) == 0
+        expected = capsys.readouterr().out.encode()
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        assert main([*self.ARGV, "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert got == [expected]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.glob("*.tmp")) == []
 
 
 class TestBreakdown:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -223,6 +224,15 @@ class TestExactExactlyOne:
             for p in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
                 assert exact_exactly_one(v, k, p, r, "maximal").hex() == \
                     exact_global(v, k, p, r).hex(), (v, k, r, p)
+
+    def test_grid_bits_pinned(self):
+        # every bit of a 540-value grid, recorded before the oracle enumerated
+        # only the vertex sets of at least k vertices
+        grid = [(v, k, r, p, s, exact_exactly_one(v, k, p, r, s).hex())
+                for v in range(1, 7) for k in range(2, 5) for r in range(1, 4)
+                for p in (0.0, 0.13, 0.5, 0.77, 1.0) for s in ("minimal", "maximal")]
+        digest = hashlib.sha256(repr(grid).encode()).hexdigest()
+        assert digest.startswith("d9d9acc894da3f0d"), digest
 
 
 class TestExactLocal:
