@@ -17,6 +17,7 @@ Each oracle counts its accepted subsets by size and sums the weights exactly
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -59,9 +60,11 @@ class McEstimate:
                                       self.trials + other.trials, self.seed)
 
 
-def _check_trials(trials: int) -> None:
+def _check_trials(trials: int, start: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if start < 0:
+        raise ValueError(f"start must be >= 0, got {start}")
 
 
 def _check_model(v: int, k: int, p: float, r: int, guard: int) -> None:
@@ -87,7 +90,7 @@ def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
     ``"connectivity"`` (the 1-core reading) or ``"min-degree"`` (every vertex
     in at least r induced edges).
     """
-    _check_trials(trials)
+    _check_trials(trials, start)
     if predicate not in kernels.PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     _check_model(u, k, p, r, GENERATE_GUARD)
@@ -98,7 +101,7 @@ def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
 def mc_global(v: int, k: int, p: float, r: int,
               trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
     """Estimate the probability that peeling leaves a nonempty r-core anywhere."""
-    _check_trials(trials)
+    _check_trials(trials, start)
     _check_model(v, k, p, r, GENERATE_GUARD)
     successes = kernels.mc_global_successes(v, k, p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
@@ -119,43 +122,50 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
     core sets, ``"maximal"`` counts inclusion-maximal ones.
 
     One rule decides both: there is exactly one minimal (maximal) core set iff
-    the intersection (union) of all core sets is itself a core set.
+    the intersection (union) of all core sets is itself a core set.  A lone
+    minimal core set lies in every core set, so it is the intersection, and
+    an intersection that is a core set is the only minimal one.  A union of
+    core sets is a core set, so "maximal" means "some core set exists" and
+    equals :func:`exact_global`, here by enumeration rather than peeling.
 
-    - Minimal.  If C is the only minimal core set, every core set contains a
-      minimal one, so it contains C, and the intersection is C.  Conversely,
-      an intersection that is a core set lies inside every core set, so it is
-      the only minimal one.
-    - Maximal.  A union of core sets is a core set, so "maximal" reduces to
-      "some core set exists" and equals :func:`exact_global`.  Reading the
-      union's row keeps this side an enumeration that does not use peeling,
-      so the tests can hold the two methods against each other.
+    A core set holds an edge, so only the vertex sets S of at least k vertices
+    are read: at most 57 under the C(v,k) <= 20 guard, which forces v <= 6
+    unless k >= v-1.  The core sets' masks of the candidate edges inside S
+    are folded (AND for minimal, OR for maximal), and a graph is accepted iff
+    its edges in the fold, F, are nonempty and touch each vertex of their
+    vertex set X at least r times, i.e. X is a core set:
 
-    With no core set the fold stays at all v vertices (at none), no core set
-    either, so the rule needs no separate "some core set exists" test.
+    - Minimal.  The AND is the edge set inside the intersection, so X lies in
+      every core set and, if a core set, is the only minimal one.  If C is the
+      only one, F holds the graph's edges inside C, and X = C passes.
+    - Maximal.  Each vertex of X is in some core set S, so in r of S's edges,
+      all of them in F: the test passes iff some core set exists.
+
+    With no core set a passing X would be one, so nothing is accepted.
     """
     if semantics not in ("minimal", "maximal"):
         raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")
     cand = _candidates(v, k, p, r)
     inc = kernels.edge_incidence(cand, v)
-    fold, start = ((np.bitwise_and, (1 << v) - 1) if semantics == "minimal"
-                   else (np.bitwise_or, 0))
+    fold, start = ((np.bitwise_and, ~np.uint32(0)) if semantics == "minimal"
+                   else (np.bitwise_or, np.uint32(0)))
 
-    # vertex subsets S (bit x = vertex x) of size >= k, with their members' incidence
-    # masks restricted to the edges induced on S: those touching no vertex outside S
+    # vertex sets S of >= k vertices: the mask of the edges inside S (those touching
+    # no vertex outside it) and its members' incidence masks restricted to them
     subsets = []
-    for s in range(1 << v):
-        inside = np.array([s >> x & 1 for x in range(v)], dtype=bool)
-        if inside.sum() >= k:
-            outside = np.bitwise_or.reduce(inc[~inside], initial=0)
-            subsets.append((s, inc[inside] & ~outside))
+    for n in range(k, v + 1):
+        for s in itertools.combinations(range(v), n):
+            within = ~np.bitwise_or.reduce(np.delete(inc, s), initial=0)
+            subsets.append((within, inc[list(s)] & within))
 
     def exactly_one(masks):
-        core = np.zeros((1 << v, len(masks)), dtype=bool)  # row S: S is a core set
-        meet = np.full(len(masks), start, dtype=np.intp)  # per mask: fold of its core sets
-        for s, inc_s in subsets:
-            core[s] = kernels.degrees_at_least(masks, inc_s, r)
-            fold(meet, np.where(core[s], s, start), out=meet)
-        return core[meet, np.arange(len(masks))]
+        meet = np.full(len(masks), start)  # per mask: fold of its core sets' edge masks
+        for within, inc_s in subsets:
+            core = kernels.degrees_at_least(masks, inc_s, r)
+            fold(meet, np.where(core, within, start), out=meet)
+        present = masks & meet  # F: the graph's edges in the fold
+        degrees = [np.bitwise_count(present & vertex_edges) for vertex_edges in inc]
+        return (present != 0) & np.logical_and.reduce([(d == 0) | (d >= r) for d in degrees])
 
     return kernels.subset_prob(len(cand), p, exactly_one)
 

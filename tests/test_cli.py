@@ -236,6 +236,12 @@ class TestOracle:
         code, _, _ = run_cli("oracle", "--v", "9", "--k", "3", "--p", "0.5")
         assert code == 2
 
+    def test_exactly_one_with_k_one_below_v(self, capsys):
+        # one edge among the C(20, 19) = 20 candidates: 20 / 2^20
+        assert main(["oracle", "--v", "20", "--k", "19", "--p", "0.5", "--r", "1",
+                     "--exactly-one", "minimal"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[3] == "1.9073486328125e-05"
+
 
 def csv_rows(capsys):
     header, *rows = capsys.readouterr().out.splitlines()

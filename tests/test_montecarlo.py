@@ -58,6 +58,13 @@ class TestEstimates:
         with pytest.raises(ValueError):
             mc_global(4, 3, 1.5, 1)
 
+    @pytest.mark.parametrize("run", [mc_local, mc_global], ids=lambda f: f.__name__)
+    def test_negative_start(self, run):
+        # trial indices start at 0; a negative start once surfaced as numpy's
+        # OverflowError from the uint64 trial-seed array
+        with pytest.raises(ValueError, match="start"):
+            run(4, 3, 0.5, 1, trials=10, start=-1)
+
 
 class TestMcLocal:
     def test_certain_edge(self, warm_kernels):
@@ -233,6 +240,23 @@ class TestExactExactlyOne:
                 for p in (0.0, 0.13, 0.5, 0.77, 1.0) for s in ("minimal", "maximal")]
         digest = hashlib.sha256(repr(grid).encode()).hexdigest()
         assert digest.startswith("d9d9acc894da3f0d"), digest
+
+    @pytest.mark.parametrize("v", [17, 20])
+    def test_k_one_below_v(self, v):
+        # C(v, v-1) = v passes the guard while 2^v does not bound memory: an
+        # enumeration of all 2^v vertex subsets once needed 8 GiB at v = 17 and
+        # 64 GiB at v = 20.  With r = 1 the edges are the minimal core sets, so
+        # exactly one minimal core set means exactly one edge.
+        p = 0.37
+        assert exact_exactly_one(v, v - 1, p, 1, "minimal") == pytest.approx(
+            v * p * (1 - p) ** (v - 1), rel=1e-12)
+        assert exact_exactly_one(v, v - 1, p, 1, "maximal").hex() == \
+            exact_global(v, v - 1, p, 1).hex()
+
+    @pytest.mark.parametrize("semantics", ["minimal", "maximal"])
+    def test_single_candidate_at_large_v(self, semantics):
+        # C(100, 100) = 1: one vertex set to read, not 2^100
+        assert exact_exactly_one(100, 100, 0.37, 1, semantics) == pytest.approx(0.37, rel=1e-12)
 
 
 class TestExactLocal:
