@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-import numpy as np
-
 from . import kernels
+from .kernels import np
 from .numerics import check_kpr, choose
 
 __all__ = [

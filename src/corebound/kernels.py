@@ -20,12 +20,19 @@ a block cover whole trials (or one slice of one trial), all passes of a run
 share one pair of scratch buffers, and the kept edges of the block, with
 the vertex ids of its i-th trial offset by ``i * v``, form one
 disjoint-union graph on which each predicate runs once for the whole block.
+
+numpy is bound lazily (:func:`_lazy_numpy`): it is imported at the first
+attribute read of ``np``, i.e. at the first Monte Carlo draw, oracle block or
+hypergraph array.  The formula layers never touch it, so a formula command
+starts without paying for numpy's import.  ``hypergraph`` and
+``montecarlo`` take ``np`` from here.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
-
-import numpy as np
+import sys
 
 __all__ = [
     "backend",
@@ -60,6 +67,22 @@ BLOCK = 1 << 16
 # evaluation on the small-v benchmark, blocks of 2^14 no higher, at the same
 # speed.
 TRIAL_BLOCK = 1 << 14
+
+
+def _lazy_numpy():
+    """numpy, imported on first attribute access (the ``importlib.util.LazyLoader``
+    recipe), or the module itself when it is already imported."""
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()
 
 
 def backend() -> str:
@@ -109,15 +132,18 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
 
 
 def _trial_seeds(master: int, start: int, n: int) -> np.ndarray:
-    """``trial_seed(master, t)`` for t = start .. start + n - 1, as uint64."""
-    z = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    """``trial_seed(master, t)`` for t = start .. start + n - 1, as uint64.
+    The indices t + 1 wrap mod 2^64, as in :func:`trial_seed`."""
+    z = np.arange(n, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
     z *= np.uint64(GOLDEN)
     z += np.uint64(master & _MASK64)
     return _mix64_vec(z)
 
 
-# Stream offsets (j+1)*GOLDEN of the candidates in one block, mod 2^64.
-_BLOCK_STEPS = np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
+@functools.cache
+def _block_steps() -> np.ndarray:
+    """Stream offsets (j+1)*GOLDEN of the candidates in one block, mod 2^64."""
+    return np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
 
 
 def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
@@ -200,6 +226,7 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
         limit = 0  # p <= 0 (or nan) keeps nothing
     bound_bits = (limit - 1).bit_length() + 11
     pre = np.uint64(1 << bound_bits) if bound_bits < 64 else None
+    steps = _block_steps()
     kept_out = [np.empty(0, dtype=np.int64)]
     rows = max(1, BLOCK // max(n_candidates, 1))  # seeds per block
     for r0 in range(0, len(seeds), rows):
@@ -209,7 +236,7 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
             size = len(block_seeds) * width
             zb, tb = z[:size], tmp[:size]
             offset = block_seeds + np.uint64(lo * GOLDEN & _MASK64)
-            np.add(_BLOCK_STEPS[:width], offset[:, None], out=zb.reshape(-1, width))
+            np.add(steps[:width], offset[:, None], out=zb.reshape(-1, width))
             _mix64_rounds(zb, tb)
             if pre is None:
                 survivors, x = None, zb

@@ -21,9 +21,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
+from .kernels import np
 from .hypergraph import (ENUMERATE_GUARD, GENERATE_GUARD, HypergraphParams,
                          candidate_edges, guarded_count)
 

@@ -100,6 +100,8 @@ class SweepSpec:
             raise ValueError(f"overhead must be positive and finite, got {self.overhead}")
         if self.e_min > self.e_max or self.e_min < 1:
             raise ValueError(f"empty or invalid e range [{self.e_min}, {self.e_max}]")
+        if not math.isfinite(self.overhead * self.e_max):  # v = round(overhead * e)
+            raise ValueError(f"overhead * e_max = {self.overhead} * {self.e_max} is not finite")
         if not self.methods:
             raise ValueError("at least one method is required")
         for m in self.methods:

@@ -320,7 +320,12 @@ class TestUsageErrors:
           "--trials", "0"], "trials must be >= 1, got 0"),
         (["oracle", "--v", "7", "--k", "3", "--p", "0.5"],
          "C(v, k) = 35 exceeds the enumeration guard 20"),
-    ], ids=["p-and-e", "p-range", "gilbert-k", "global-trials", "sweep-trials", "oracle-guard"])
+        (["sweep", "--k", "3", "--r", "2", "--overhead", "1e308", "--e-min", "2", "--e-max", "2",
+          "--method", "covering"], "overhead * e_max = 1e+308 * 2 is not finite"),
+        (["breakdown", "--k", "3", "--r", "2", "--overhead", "1e308", "--cap", "3",
+          "--method", "covering"], "overhead * e_max = 1e+308 * 3 is not finite"),
+    ], ids=["p-and-e", "p-range", "gilbert-k", "global-trials", "sweep-trials", "oracle-guard",
+            "sweep-overhead-overflow", "breakdown-overhead-overflow"])
     def test_bad_value_prints_one_error_line(self, capsys, argv, message):
         # argparse reports its own parse errors; every value check after it
         # prints the same single line and exits 2
@@ -486,3 +491,40 @@ class TestCliPinned:
 
     def test_every_run_pinned(self, pinned):
         assert list(pinned) == [label for label, _ in pinned_runs()]
+
+
+# A fresh interpreter runs main(argv), then prints whether numpy was imported.
+# It asks for numpy._core, not numpy: kernels puts its lazy module in
+# sys.modules["numpy"] before numpy's first use.
+FRESH_CHILD = """\
+import sys
+from corebound.cli import main
+code = main(sys.argv[1:])
+print("numpy._core" in sys.modules)
+sys.exit(code)
+"""
+
+
+class TestFreshInterpreter:
+    """Formula commands run without importing numpy; Monte Carlo and the
+    oracles import it on first use and print what they print in-process.
+    (The other tests never take this path: their modules import numpy first.)"""
+
+    @pytest.mark.parametrize("argv, numpy_imported", [
+        (PINNED_CASES["local connectivity"], False),
+        (["global", "--v", "20", "--k", "3", "--e-v", "12.5", "--r", "2", *_FORMULA_ARGS], False),
+        (PINNED_CASES["sweep local breakdown_at"], False),
+        (PINNED_CASES["breakdown none"], False),
+        (PINNED_CASES["breakdown global covering r=2"], False),
+        (PINNED_CASES["global every method"], True),
+        (PINNED_CASES["oracle at-least-one"], True),
+        (PINNED_CASES["oracle exactly-one"], True),
+    ], ids=["local", "global-formula", "sweep-local", "breakdown-local", "breakdown-global",
+            "global-mc", "oracle", "oracle-exactly-one"])
+    def test_numpy_imported_on_first_use(self, argv, numpy_imported):
+        proc = subprocess.run([sys.executable, "-c", FRESH_CHILD, *argv],
+                              capture_output=True, text=True)
+        expected = run_in_process(argv)
+        assert expected["code"] == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, expected["stdout"] + f"{numpy_imported}\n", expected["stderr"])

@@ -87,6 +87,9 @@ class TestStream:
     def test_block_trial_seeds(self):
         seeds = kernels._trial_seeds(2**64 - 3, 40, 7)
         assert seeds.tolist() == [kernels.trial_seed(2**64 - 3, t) for t in range(40, 47)]
+        # the indices t + 1 pass 2^64 and wrap, as in the scalar trial_seed
+        seeds = kernels._trial_seeds(12, 2**64 - 2, 4)
+        assert seeds.tolist() == [kernels.trial_seed(12, t) for t in range(2**64 - 2, 2**64 + 2)]
 
     def test_stream_fingerprint(self):
         # the v1 stream's bits, recorded before the blocked evaluation
@@ -164,6 +167,11 @@ class TestBlockedTrials:
         assert calls["_draw_kept"] == calls["_trial_seeds"], calls  # one draw per block
         if trials > 100:
             assert 0 < got < trials
+
+    @pytest.mark.parametrize("start, trials", [(2**64 - 1, 3), (2**64 - 20, 40)])
+    def test_trial_indices_wrap_at_2_64(self, start, trials):
+        got = mc_global(6, 3, 0.3, 2, trials=trials, seed=4, start=start).successes
+        assert got == _per_trial(6, 0.3, 2, "global", trials, 4, start)
 
     @pytest.mark.parametrize("predicate, v, p", [
         ("global", 40, 33 / choose(40, 3)),       # several passes per block, three blocks

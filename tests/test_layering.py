@@ -4,6 +4,11 @@ Each module may import only modules below it in ``LAYERS``, and only at
 module level: an import inside a function would hide a dependency from
 this check and from a reader of the module's header.  ``__init__`` gathers
 the public names and is exempt.
+
+numpy is bound by ``kernels`` alone, lazily, so that the formula layers
+start without its import: no module has an ``import numpy`` statement,
+``hypergraph`` and ``montecarlo`` take ``np`` from ``kernels``, and the
+formula layers never name it.
 """
 import ast
 from pathlib import Path
@@ -50,3 +55,25 @@ def test_imports_only_lower_layers_at_module_level(path):
         assert id(node) in top_level, f"{where} inside a function or block"
         assert RANK.get(target, len(LAYERS)) < RANK[path.stem], f"{where}, not a lower layer"
     assert path.stem in ("numerics", "kernels") or found  # the walk sees the imports
+
+
+TAKE_NP_FROM_KERNELS = ("hypergraph", "montecarlo")  # the other modules never name numpy
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_numpy_only_through_kernels(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = [(node, alias) for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    for node, alias in imported:
+        module = alias.name if isinstance(node, ast.Import) else node.module
+        if isinstance(node, ast.Import) or node.level == 0:
+            assert module.split(".")[0] != "numpy", f"{path.name}:{node.lineno} imports numpy"
+    takes_np = any(isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "kernels")
+                   and alias.name == "np" for node, alias in imported)
+    assert takes_np == (path.stem in TAKE_NP_FROM_KERNELS), f"{path.name}: from .kernels import np"
+    if path.stem not in ("kernels", *TAKE_NP_FROM_KERNELS):
+        named = ({alias.asname or alias.name for _, alias in imported}
+                 | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                 | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+        assert not named & {"numpy", "np"}, f"{path.name} names numpy"

@@ -32,6 +32,8 @@ class TestSpec:
             SweepSpec(**{**good, "methods": ()})
         with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
             SweepSpec(**{**good, "trials": 0})
+        with pytest.raises(ValueError, match=r"overhead \* e_max = 1e\+308 \* 5 is not finite"):
+            SweepSpec(**{**good, "overhead": 1e308})
         with pytest.raises(ValueError, match="unknown formula method 'sorcery'"):
             formula_value("sorcery", "local", 6, 0.3, 3, 1)
 
