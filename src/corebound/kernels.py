@@ -21,6 +21,16 @@ share one pair of scratch buffers, and the kept edges of the block, with
 the vertex ids of its i-th trial offset by ``i * v``, form one
 disjoint-union graph on which each predicate runs once for the whole block.
 
+Edges are (m, k) arrays, but the unranking fills them slot-major: a
+C-contiguous (k, m) array whose row i holds every edge's i-th vertex, handed
+out as its transpose.  The predicates read those k rows (:func:`_slots`, no
+copy for such a view) and work slot by slot: an edge survives a peel round
+iff ``alive[s0] & alive[s1] & ...``, and the survivors are compacted with one
+``np.compress`` along the rows.  On a contiguous row both are a few times
+faster than the row-major ``alive[edges].all(axis=1)`` and ``edges[mask]``,
+which stride over k-element rows.  A row-major array gives the same answers
+and is copied once on entry.
+
 numpy is bound lazily (:func:`_lazy_numpy`): it is imported at the first
 attribute read of ``np``, i.e. at the first Monte Carlo draw, oracle block or
 hypergraph array.  The formula layers never touch it, so a formula command
@@ -63,9 +73,11 @@ _INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 BLOCK = 1 << 16
 
 # Trial vertices, and expected kept edges, per Monte Carlo predicate block.
-# Sized by peak RSS: blocks of 2^16 peaked about 2.5 MB above per-trial
-# evaluation on the small-v benchmark, blocks of 2^14 no higher, at the same
-# speed.
+# Measured with the slot-major predicates on the mc-small-v benchmark (10
+# alternating pairs of 20 s runs, numpy 2.4, 2-vCPU host), medians: blocks of
+# 2^14 ran 48.0k trials/s at 39.5 MB peak RSS, blocks of 2^16 45.0k trials/s
+# at 42.2 MB, slower in 9 of 10 pairs.  On mc-large-v (6 pairs) the two
+# were level: 796 and 790 trials/s.
 TRIAL_BLOCK = 1 << 14
 
 
@@ -177,11 +189,13 @@ def _block_edges(v: int, k: int, p: float, seeds: np.ndarray,
     """The kept edges of one graph on ``v`` vertices per seed, as (kept, k)
     int64 rows, with the vertices of seed i's graph offset by ``i * v``: one
     disjoint-union graph, its rows grouped by seed and in colex order within
-    one.  ``z`` and ``tmp`` are :func:`_draw_kept`'s scratch buffers."""
+    one.  Like :func:`colex_unrank`'s, the array is the transpose of k
+    contiguous slot rows, and the offsets are added along them.  ``z`` and
+    ``tmp`` are :func:`_draw_kept`'s scratch buffers."""
     row, rank = _draw_kept(math.comb(v, k), p, seeds, z, tmp)
-    edges = colex_unrank(rank, v, k)
-    edges += (row * v)[:, None]
-    return edges
+    slots = colex_unrank(rank, v, k).T
+    slots += row * v
+    return slots.T
 
 
 def _seed_array(graph_seed: int) -> np.ndarray:
@@ -255,30 +269,39 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
 
 def colex_unrank(ranks: np.ndarray, v: int, k: int) -> np.ndarray:
     """The k-subsets of range(v) with the given colex ranks, as (len(ranks), k)
-    int64 rows of ascending vertices.
+    int64 rows of ascending vertices: the transpose of a C-contiguous (k,
+    len(ranks)) array, so each slot's vertices are one contiguous row.
 
     Colex order sorts subsets by their largest vertex, ties broken the same
     way on the rest.  Rank j is the subset c_k > ... > c_1 with
     ``j = sum_i C(c_i, i)`` (the combinatorial number system): from i = k
     down, c_i is the largest c with ``C(c, i) <= j``, and j drops by
     ``C(c_i, i)``.  Each step is one ``searchsorted`` over the table of
-    C(c, i), c < v, clipped at C(v, k), which no rank reaches.
+    C(c, i), c < v, clipped at C(v, k), which no rank reaches; c_1 is the
+    rank that is left, since C(c, 1) = c.
     """
     m = math.comb(v, k)
     j = np.array(ranks, dtype=np.int64)
-    out = np.empty((len(j), k), dtype=np.int64)
-    for i in range(k, 0, -1):
+    slots = np.empty((k, len(j)), dtype=np.int64)
+    for i in range(k, 1, -1):
         table = np.array([min(math.comb(c, i), m) for c in range(v)], dtype=np.int64)
         c = np.searchsorted(table, j, side="right") - 1
-        out[:, i - 1] = c
+        slots[i - 1] = c
         j -= table[c]
-    return out
+    slots[0] = j
+    return slots.T
 
 
 # ---------------------------------------------------------------------------
-# single-instance predicates (the hypergraph API; the Monte Carlo drivers run
-# peel_survivor_mask on a whole block of trials)
+# predicates, on the slot-major rows of an (m, k) edge array
 # ---------------------------------------------------------------------------
+
+def _slots(edges: np.ndarray) -> np.ndarray:
+    """The (k, m) slot-major rows of an (m, k) edge array: row i holds every
+    edge's i-th vertex.  No copy for the transposed views :func:`colex_unrank`
+    and :func:`_block_edges` return."""
+    return np.ascontiguousarray(np.asarray(edges, dtype=np.int64).T)
+
 
 def peel_survivor_mask(edges: np.ndarray, v: int, r: int) -> np.ndarray:
     """Vertices surviving batch peeling rounds (remove all deg < r per round).
@@ -286,53 +309,29 @@ def peel_survivor_mask(edges: np.ndarray, v: int, r: int) -> np.ndarray:
     Each round keeps only the edges whose vertices all survive, so later
     rounds work on the shrinking remainder."""
     alive = np.ones(v, dtype=bool)
-    edges = np.asarray(edges, dtype=np.int64)
+    slots = _slots(edges)
     while True:
-        low = alive & (np.bincount(edges.ravel(), minlength=v) < r)
+        low = alive & (np.bincount(slots.ravel(), minlength=v) < r)
         if not low.any():
             return alive
         alive &= ~low
-        edges = edges[alive[edges].all(axis=1)]
+        keep = alive[slots[0]]
+        for slot in slots[1:]:
+            keep &= alive[slot]
+        slots = np.compress(keep, slots, axis=1)
 
 
 def connected_all(edges: np.ndarray, v: int) -> bool:
-    """True iff the given edges connect all ``v`` vertices (v == 1 is connected)."""
-    if v == 1:
-        return True
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size == 0:
-        return False
-    parent = list(range(v))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]  # path halving
-            a = parent[a]
-        return a
-
-    components = v
-    for edge in edges:
-        ra = find(int(edge[0]))
-        for b in edge[1:]:
-            rb = find(int(b))
-            if ra != rb:
-                parent[rb] = ra
-                components -= 1
-    return components == 1
+    """True iff the given edges connect all ``v`` vertices (v == 1 is connected):
+    :func:`_connected_rows` on one trial."""
+    return bool(_connected_rows(edges, 1, v, 0)[0])
 
 
 def min_degree_ok(edges: np.ndarray, v: int, r: int) -> bool:
-    """True iff every one of the ``v`` vertices lies in at least ``r`` edges."""
-    edges = np.asarray(edges, dtype=np.int64)
-    if edges.size == 0:
-        return r <= 0
-    deg = np.bincount(edges.ravel(), minlength=v)
-    return bool((deg >= r).all())
+    """True iff every one of the ``v`` vertices lies in at least ``r`` edges:
+    :func:`_min_degree_rows` on one trial."""
+    return bool(_min_degree_rows(edges, 1, v, r)[0])
 
-
-# ---------------------------------------------------------------------------
-# trial-blocked Monte Carlo drivers
-# ---------------------------------------------------------------------------
 
 # Per-block predicates: (edges, n, v, r) -> bool per trial, where ``edges``
 # are the kept edges of n trials with trial t's vertices at t*v .. t*v + v-1.
@@ -344,7 +343,8 @@ def _core_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
 
 def _min_degree_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
     """Per trial: every vertex lies in at least r edges."""
-    return (np.bincount(edges.ravel(), minlength=n * v).reshape(n, v) >= r).all(axis=1)
+    degree = np.bincount(_slots(edges).ravel(), minlength=n * v)
+    return (degree.reshape(n, v) >= r).all(axis=1)
 
 
 def _connected_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
@@ -357,19 +357,25 @@ def _connected_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
     the trees are the components, and trial t is connected iff all its
     vertices point at t*v.
     """
+    slots = _slots(edges)
     parent = np.arange(n * v)
     while True:
-        roots = parent[edges]
-        low = roots.min(axis=1)
-        if (roots == low[:, None]).all():
+        roots = parent[slots]
+        low = np.minimum.reduce(roots)
+        if (roots == low).all():
             return (parent.reshape(n, v) == np.arange(0, n * v, v)[:, None]).all(axis=1)
-        np.minimum.at(parent, roots, low[:, None])
+        for slot_roots in roots:
+            np.minimum.at(parent, slot_roots, low)
         while True:
             jumped = parent[parent]
             if np.array_equal(jumped, parent):
                 break
             parent = jumped
 
+
+# ---------------------------------------------------------------------------
+# trial-blocked Monte Carlo drivers
+# ---------------------------------------------------------------------------
 
 PREDICATES = {"connectivity": _connected_rows, "min-degree": _min_degree_rows}
 

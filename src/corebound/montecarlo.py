@@ -120,34 +120,31 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
     "exactly one" needs a convention: ``"minimal"`` counts inclusion-minimal
     core sets, ``"maximal"`` counts inclusion-maximal ones.
 
-    One rule decides both: there is exactly one minimal (maximal) core set iff
-    the intersection (union) of all core sets is itself a core set.  A lone
-    minimal core set lies in every core set, so it is the intersection, and
-    an intersection that is a core set is the only minimal one.  A union of
-    core sets is a core set, so "maximal" means "some core set exists" and
-    equals :func:`exact_global`, here by enumeration rather than peeling.
+    A union of core sets is a core set, so there is exactly one maximal core
+    set iff some core set exists, iff peeling leaves a nonempty core:
+    ``"maximal"`` is :func:`exact_global`.
 
-    A core set holds an edge, so only the vertex sets S of at least k vertices
-    are read: at most 57 under the C(v,k) <= 20 guard, which forces v <= 6
-    unless k >= v-1.  The core sets' masks of the candidate edges inside S
-    are folded (AND for minimal, OR for maximal), and a graph is accepted iff
-    its edges in the fold, F, are nonempty and touch each vertex of their
-    vertex set X at least r times, i.e. X is a core set:
-
-    - Minimal.  The AND is the edge set inside the intersection, so X lies in
-      every core set and, if a core set, is the only minimal one.  If C is the
-      only one, F holds the graph's edges inside C, and X = C passes.
-    - Maximal.  Each vertex of X is in some core set S, so in r of S's edges,
-      all of them in F: the test passes iff some core set exists.
-
-    With no core set a passing X would be one, so nothing is accepted.
+    There is exactly one minimal core set iff the intersection of all core
+    sets is itself a core set.  A lone minimal core set lies in every core
+    set, so it is the intersection, and an intersection that is a core set is
+    the only minimal one.  A core set holds an edge, so only the vertex sets
+    S of at least k vertices are read: at most 57 under the C(v,k) <= 20
+    guard, which forces v <= 6 unless k >= v-1.  The core sets' masks of the
+    candidate edges inside S are ANDed, giving the edge set inside the
+    intersection, and a graph is accepted iff its edges in that AND, F, are
+    nonempty and touch each vertex of their vertex set X at least r times,
+    i.e. X is a core set.  X lies in every core set, so a core set X is the
+    only minimal one; if C is the only one, F holds the graph's edges inside
+    C, and X = C passes.  With no core set a passing X would be one, so
+    nothing is accepted.
     """
     if semantics not in ("minimal", "maximal"):
         raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")
+    if semantics == "maximal":
+        return exact_global(v, k, p, r)
     cand = _candidates(v, k, p, r)
     inc = kernels.edge_incidence(cand, v)
-    fold, start = ((np.bitwise_and, ~np.uint32(0)) if semantics == "minimal"
-                   else (np.bitwise_or, np.uint32(0)))
+    everything = ~np.uint32(0)
 
     # vertex sets S of >= k vertices: the mask of the edges inside S (those touching
     # no vertex outside it) and its members' incidence masks restricted to them
@@ -158,11 +155,11 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
             subsets.append((within, inc[list(s)] & within))
 
     def exactly_one(masks):
-        meet = np.full(len(masks), start)  # per mask: fold of its core sets' edge masks
+        meet = np.full(len(masks), everything)  # per mask: AND of its core sets' edge masks
         for within, inc_s in subsets:
             core = kernels.degrees_at_least(masks, inc_s, r)
-            fold(meet, np.where(core, within, start), out=meet)
-        present = masks & meet  # F: the graph's edges in the fold
+            meet &= np.where(core, within, everything)
+        present = masks & meet  # F: the graph's edges in the AND
         degrees = [np.bitwise_count(present & vertex_edges) for vertex_edges in inc]
         return (present != 0) & np.logical_and.reduce([(d == 0) | (d >= r) for d in degrees])
 

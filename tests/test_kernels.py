@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from corebound import (HypergraphParams, choose, exact_exactly_one, exact_global,
-                       exact_local, generate, has_rcore_on, is_connected_on, kernels,
-                       mc_global, mc_local, peel)
+                       exact_local, generate, kernels, mc_global, mc_local, peel)
 from corebound.hypergraph import candidate_edges
 from conftest import enumeration_prob
 
@@ -119,35 +118,89 @@ class TestSingleInstanceOps:
         assert not kernels.min_degree_ok(edges, 4, 4)
 
 
-def _per_trial(v, p, r, predicate, trials, seed, start):
+def _components(edges, v):
+    """Number of connected components of the graph on range(v), by union-find:
+    a reference independent of the kernels' min-label hooking."""
+    parent = list(range(v))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]  # path halving
+            a = parent[a]
+        return a
+
+    for edge in edges:
+        for b in edge[1:]:
+            parent[find(b)] = find(edge[0])
+    return len({find(x) for x in range(v)})
+
+
+def _degrees(edges, v):
+    degree = [0] * v
+    for edge in edges:
+        for x in edge:
+            degree[x] += 1
+    return degree
+
+
+def _peel(edges, v, r):
+    """The surviving vertices of batch peeling, one Python set at a time."""
+    alive, edges = set(range(v)), [tuple(e) for e in edges]
+    while True:
+        degree = _degrees(edges, v)
+        low = {x for x in alive if degree[x] < r}
+        if not low:
+            return alive
+        alive -= low
+        edges = [e for e in edges if not low.intersection(e)]
+
+
+# each predicate on one trial's edges over range(v), computed in pure Python
+REFERENCE = {
+    "global": lambda edges, v, r: bool(_peel(edges, v, r)),
+    "connectivity": lambda edges, v, r: _components(edges, v) == 1,
+    "min-degree": lambda edges, v, r: min(_degrees(edges, v)) >= r,
+}
+
+
+def _per_trial(v, k, p, r, predicate, trials, seed, start):
     """Trials t in [start, start + trials) whose ``generate(params,
     trial_seed(seed, t))`` passes the predicate, one graph at a time."""
-    params, full = HypergraphParams(v, 3, p, r), range(v)
-    test = {"global": lambda h: bool(peel(h, r)),
-            "connectivity": lambda h: is_connected_on(h, full),
-            "min-degree": lambda h: has_rcore_on(h, full, r)}[predicate]
-    return sum(test(generate(params, kernels.trial_seed(seed, t)))
+    params, test = HypergraphParams(v, k, p, r), REFERENCE[predicate]
+    return sum(test(generate(params, kernels.trial_seed(seed, t)).edges, v, r)
                for t in range(start, start + trials))
 
 
 class TestBlockedTrials:
     """The trial-blocked drivers count what ``generate`` draws trial by trial."""
 
-    @pytest.mark.parametrize("predicate,v,p,r,trials,start,blocks", [
+    COUNT_CASES = [  # predicate, v, k, p, r, trials, start, blocks
         # several stream passes per block, and more trials than a block's TRIAL_BLOCK // v
-        ("global", 40, 33 / choose(40, 3), 2, 900, 0, 2),
-        ("global", 40, 0.7 / choose(40, 3), 1, 900, 13, 2),
-        ("connectivity", 24, 24 / choose(24, 3), 1, 1500, 0, 2),
-        ("min-degree", 24, 48 / choose(24, 3), 1, 1500, 5, 2),
+        ("global", 40, 3, 33 / choose(40, 3), 2, 900, 0, 2),
+        ("global", 40, 3, 0.7 / choose(40, 3), 1, 900, 13, 2),
+        ("connectivity", 24, 3, 24 / choose(24, 3), 1, 1500, 0, 2),
+        ("min-degree", 24, 3, 48 / choose(24, 3), 1, 1500, 5, 2),
         # dense: blocks sized by their expected kept edges, not by TRIAL_BLOCK // v
-        ("global", 20, 0.5, 76, 300, 7, 2),
-        ("min-degree", 20, 0.5, 73, 300, 7, 2),
-        ("connectivity", 20, 0.01, 1, 300, 0, 1),
+        ("global", 20, 3, 0.5, 76, 300, 7, 2),
+        ("min-degree", 20, 3, 0.5, 73, 300, 7, 2),
+        ("connectivity", 20, 3, 0.01, 1, 300, 0, 1),
         # C(v, 3) > BLOCK: one stream pass per slice of a trial
-        ("global", 75, 75 / 1.222 / choose(75, 3), 2, 4, 3, 1),
-        ("connectivity", 75, 0.0015, 1, 4, 3, 1),
-    ])
-    def test_counts_are_the_per_trial_sum(self, monkeypatch, predicate, v, p, r, trials,
+        ("global", 75, 3, 75 / 1.222 / choose(75, 3), 2, 4, 3, 1),
+        ("connectivity", 75, 3, 0.0015, 1, 4, 3, 1),
+        # graphs (k = 2) and 4-uniform hypergraphs
+        ("global", 60, 2, 1 / 60, 2, 600, 0, 2),
+        ("connectivity", 24, 2, 0.15, 1, 900, 5, 2),
+        ("min-degree", 24, 2, 0.15, 1, 900, 0, 2),
+        ("global", 30, 4, 23 / choose(30, 4), 2, 600, 3, 2),
+        ("connectivity", 16, 4, 12 / choose(16, 4), 1, 1500, 0, 2),
+        ("min-degree", 16, 4, 24 / choose(16, 4), 2, 1500, 7, 2),
+    ]
+
+    # the k = 3 cases keep the ids they had before k was a parameter
+    @pytest.mark.parametrize("predicate,v,k,p,r,trials,start,blocks", COUNT_CASES, ids=[
+        "-".join(map(str, (c[0], c[1], *c[3:]))) + ("" if c[2] == 3 else f"-k{c[2]}")
+        for c in COUNT_CASES])
+    def test_counts_are_the_per_trial_sum(self, monkeypatch, predicate, v, k, p, r, trials,
                                           start, blocks):
         # stream passes and seed derivations; draws; blocks
         calls = {"_mix64_rounds": 0, "_draw_kept": 0, "_trial_seeds": 0}
@@ -157,11 +210,11 @@ class TestBlockedTrials:
                 return _fn(*args)
             monkeypatch.setattr(kernels, name, counted)
         if predicate == "global":
-            got = mc_global(v, 3, p, r, trials=trials, seed=11, start=start).successes
+            got = mc_global(v, k, p, r, trials=trials, seed=11, start=start).successes
         else:
-            got = mc_local(v, 3, p, r, predicate, trials=trials, seed=11, start=start).successes
+            got = mc_local(v, k, p, r, predicate, trials=trials, seed=11, start=start).successes
         monkeypatch.undo()
-        assert got == _per_trial(v, p, r, predicate, trials, 11, start)
+        assert got == _per_trial(v, k, p, r, predicate, trials, 11, start)
         passes = calls["_mix64_rounds"] - calls["_trial_seeds"]
         assert passes > 1 and calls["_trial_seeds"] >= blocks, calls
         assert calls["_draw_kept"] == calls["_trial_seeds"], calls  # one draw per block
@@ -171,7 +224,7 @@ class TestBlockedTrials:
     @pytest.mark.parametrize("start, trials", [(2**64 - 1, 3), (2**64 - 20, 40)])
     def test_trial_indices_wrap_at_2_64(self, start, trials):
         got = mc_global(6, 3, 0.3, 2, trials=trials, seed=4, start=start).successes
-        assert got == _per_trial(6, 0.3, 2, "global", trials, 4, start)
+        assert got == _per_trial(6, 3, 0.3, 2, "global", trials, 4, start)
 
     @pytest.mark.parametrize("predicate, v, p", [
         ("global", 40, 33 / choose(40, 3)),       # several passes per block, three blocks
@@ -237,6 +290,67 @@ class TestBlockedTrials:
         assert kernels._core_rows(edges, 3, 4, 1).tolist() == [True, False, True]
         assert kernels._core_rows(edges, 3, 4, 2).tolist() == [False, False, False]
         assert kernels._connected_rows(edges[:0], 2, 1, 1).tolist() == [True, True]
+
+
+class TestSlotMajorLayout:
+    """The predicates read an (m, k) edge array by its k slot rows: the
+    answer must not depend on the array's memory layout."""
+
+    BLOCK_PREDICATES = {"global": kernels._core_rows, **kernels.PREDICATES}
+
+    @staticmethod
+    def _block(v, k, p, n):
+        z = np.empty(kernels.BLOCK, dtype=np.uint64)
+        return kernels._block_edges(v, k, p, kernels._trial_seeds(5, 0, n), z, np.empty_like(z))
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_block_edges_rows_are_contiguous(self, k):
+        edges = self._block(8, k, 0.3, 20)
+        assert edges.shape[1] == k and len(edges) > 1
+        assert edges.T.flags.c_contiguous and not edges.flags.c_contiguous
+        assert np.shares_memory(kernels._slots(edges), edges)  # read without a copy
+        assert kernels.colex_unrank(np.arange(choose(8, k)), 8, k).T.flags.c_contiguous
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_layouts_agree(self, k):
+        v, n = 7, 60
+        answers = set()
+        for p in (0.1, 0.25, 0.5):
+            block = self._block(v, k, p, n)
+            layouts = (block, np.ascontiguousarray(block))
+            trial = block[:, 0] // v  # the trial of each edge
+            per_trial = [block[trial == t] - t * v for t in range(n)]
+            for r in (1, 2):
+                for name, test in self.BLOCK_PREDICATES.items():
+                    want = [REFERENCE[name](e.tolist(), v, r) for e in per_trial]
+                    for edges in layouts:
+                        assert test(edges, n, v, r).tolist() == want, (name, p, r)
+                    answers.update(want)
+                alive = [x in _peel(e.tolist(), v, r) for e in per_trial for x in range(v)]
+                for edges in layouts:
+                    assert kernels.peel_survivor_mask(edges, n * v, r).tolist() == alive
+                for e in per_trial[:10]:
+                    connected = REFERENCE["connectivity"](e.tolist(), v, r)
+                    min_degree = REFERENCE["min-degree"](e.tolist(), v, r)
+                    for edges in (e, np.asfortranarray(e)):  # row-major, slot-major
+                        assert kernels.connected_all(edges, v) == connected
+                        assert kernels.min_degree_ok(edges, v, r) == min_degree
+        assert answers == {True, False}
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_no_edges(self, k):
+        v, n = 5, 3
+        for edges in (np.empty((0, k), dtype=np.int64), self._block(v, k, 0.0, n)):
+            assert edges.shape == (0, k)
+            for r in (0, 1):
+                assert kernels._core_rows(edges, n, v, r).tolist() == [r == 0] * n
+                assert kernels._min_degree_rows(edges, n, v, r).tolist() == [r == 0] * n
+                assert kernels.peel_survivor_mask(edges, v, r).tolist() == [r == 0] * v
+                assert kernels.min_degree_ok(edges, v, r) == (r == 0)
+            assert kernels._connected_rows(edges, n, v, 1).tolist() == [False] * n
+            assert kernels._connected_rows(edges, n, 1, 1).tolist() == [True] * n
+            assert not kernels.connected_all(edges, v)
+            assert kernels.connected_all(edges, 1)
 
 
 class TestExhaustiveOracles:
