@@ -31,6 +31,17 @@ faster than the row-major ``alive[edges].all(axis=1)`` and ``edges[mask]``,
 which stride over k-element rows.  A row-major array gives the same answers
 and is copied once on entry.
 
+The exhaustive oracles enumerate all 2^m subsets of m <= 32 candidate edges
+as uint32 masks (bit j: edge j), in 2-D outer-OR blocks of at most ``BLOCK``
+masks (:func:`subset_prob`): a row is a pattern of the high bits, a column
+one of the 2^(m//2) low-bit patterns, and entry [i, j] their OR.  A
+vertex's degree in a mask is its degree in the row part plus its degree in
+the column part, so :func:`degrees_at_least` takes one popcount per row and
+one per column and sums them by broadcasting (the meet-in-the-middle split
+of Horowitz and Sahni, 1974), instead of one popcount per mask; the peel
+(:func:`_peel_survives`) runs elementwise on the block.  Accepted subsets
+are counted per size from the rows' and the column groups' popcounts.
+
 numpy is bound lazily (:func:`_lazy_numpy`): it is imported at the first
 attribute read of ``np``, i.e. at the first Monte Carlo draw, oracle block or
 hypergraph array.  The formula layers never touch it, so a formula command
@@ -414,7 +425,7 @@ def mc_global_successes(v: int, k: int, p: float, r: int,
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracles: every edge subset as a uint32 mask, in numpy blocks
+# exhaustive oracles: every edge subset as a uint32 mask, in outer-OR blocks
 # ---------------------------------------------------------------------------
 
 def edge_incidence(cand: np.ndarray, v: int) -> np.ndarray:
@@ -431,10 +442,21 @@ def edge_incidence(cand: np.ndarray, v: int) -> np.ndarray:
 
 
 def degrees_at_least(masks: np.ndarray, inc: np.ndarray, r: int) -> np.ndarray:
-    """Per edge mask: every vertex of ``inc`` lies in at least ``r`` of its edges."""
+    """Per edge mask of an outer-OR block (:func:`subset_prob`): every vertex
+    of ``inc`` lies in at least ``r`` of its edges.
+
+    The block's entry [i, j] is ``[i, 0] | [0, j]``, and its column part
+    ``[0, j] ^ [0, 0]`` shares no bit with any row ``[i, 0]``.  So a vertex's
+    degree in [i, j] is its degree in row i plus its degree in column part j:
+    one popcount per row and one per column, summed by broadcasting, instead
+    of one per mask.  The counts are compared as int8, with ``r`` clipped to
+    0 .. 33: a uint32 mask holds at most 32 edges, so no answer changes."""
+    r = min(max(r, 0), 33)
+    rows, cols = masks[:, :1], masks[:1] ^ masks[:1, :1]
     ok = np.ones(masks.shape, dtype=bool)
     for vertex_edges in inc:
-        ok &= np.bitwise_count(masks & vertex_edges) >= r
+        need = r - np.bitwise_count(rows & vertex_edges).astype(np.int8)
+        ok &= np.bitwise_count(cols & vertex_edges).astype(np.int8) >= need
     return ok
 
 
@@ -453,25 +475,57 @@ def _peel_survives(masks: np.ndarray, inc: np.ndarray, r: int) -> np.ndarray:
         alive = peeled
 
 
-def subset_prob(m: int, p: float, accept) -> float:
-    """Sum of p^|E| (1-p)^(m-|E|) over the edge subsets E that ``accept`` (a block
-    of uint32 masks -> bool array) accepts.
+@functools.cache
+def _mask_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The outer-OR layout of the 2^m edge masks: the row parts (the high
+    m - m//2 bits, in increasing order) with their popcounts, the column
+    parts (the 2^(m//2) low-bit patterns, ordered by popcount, 0 first) and
+    the first column of each column popcount 0 .. m//2."""
+    low = m // 2
+    cols = sorted(range(1 << low), key=int.bit_count)
+    sizes = [c.bit_count() for c in cols]
+    rows = np.arange(1 << (m - low), dtype=np.uint32) << np.uint32(low)
+    return (rows, np.bitwise_count(rows).astype(np.intp), np.array(cols, dtype=np.uint32),
+            [sizes.index(n) for n in range(low + 1)])
 
-    Accepted subsets are counted per size n.  Each count is split into powers
-    of two, so ``fsum`` adds exact multiples of the size's weight and returns
-    the same correctly rounded float as an ``fsum`` of one weight per subset.
-    The weight goes through log space so nothing underflows at m = 20.
+
+def subset_prob(m: int, p: float, accept) -> float:
+    """Sum of p^|E| (1-p)^(m-|E|) over the edge subsets E that ``accept`` (a
+    block of uint32 masks -> bool array of its shape) accepts.
+
+    The 2^m masks come in 2-D outer-OR blocks of at most ``BLOCK`` masks.
+    Row i is a pattern of the high m - m//2 bits, column j one of the
+    2^(m//2) low-bit patterns, ordered by popcount with 0 first, and entry
+    [i, j] is ``block[i, 0] | block[0, j]``; the column part
+    ``block[0, j] ^ block[0, 0]`` shares no bit with any row.  A block holds
+    a power-of-two run of rows starting at a multiple of its length, so
+    ``block[0, 0]`` lies inside every row.  Callers may rely on this layout
+    (:func:`degrees_at_least` does); the p = 0 and p = 1 cases pass the one
+    mask that has all the mass, as a 1 x 1 block.
+
+    Accepted subsets are counted per size n: per block, ``np.add.reduceat``
+    over the column groups of equal popcount, then a ``bincount`` of those
+    counts at the row popcount plus the group's.  Each count is split into
+    powers of two, so ``fsum`` adds exact multiples of the size's weight and
+    returns the same correctly rounded float as an ``fsum`` of one weight per
+    subset.  The weight goes through log space so nothing underflows at
+    m = 20.
     """
     if p == 0.0 or p == 1.0:  # the empty or the full edge set has all the mass
-        only = np.array([(1 << m) - 1 if p == 1.0 else 0], dtype=np.uint32)
-        return float(accept(only)[0])
-    counts = np.zeros(m + 1, dtype=np.int64)
-    for lo in range(0, 1 << m, BLOCK):
-        block = np.arange(lo, min(lo + BLOCK, 1 << m), dtype=np.uint32)
-        counts += np.bincount(np.bitwise_count(block[accept(block)]), minlength=m + 1)
+        only = np.array([[(1 << m) - 1 if p == 1.0 else 0]], dtype=np.uint32)
+        return float(accept(only)[0, 0])
+    rows, row_sizes, cols, starts = _mask_layout(m)
+    per_block = BLOCK // len(cols)
+    col_sizes = np.arange(len(starts))
+    counts = np.zeros(m + 1)  # exact integers: at most 2^m < 2^53
+    for lo in range(0, len(rows), per_block):
+        block = rows[lo:lo + per_block, None] | cols
+        by_size = np.add.reduceat(accept(block), starts, axis=1, dtype=np.intp)
+        sizes = row_sizes[lo:lo + per_block, None] + col_sizes
+        counts += np.bincount(sizes.ravel(), weights=by_size.ravel(), minlength=m + 1)
     log_p, log_1m = math.log(p), math.log1p(-p)
     terms = []
-    for n, c in enumerate(counts.tolist()):
+    for n, c in enumerate(counts.astype(np.int64).tolist()):
         w = math.exp(n * log_p + (m - n) * log_1m)
         terms += [math.ldexp(w, j) for j in range(c.bit_length()) if c >> j & 1]
     return math.fsum(terms)

@@ -389,3 +389,80 @@ class TestExhaustiveOracles:
         assert kernels.subset_prob(3, 0.0, everything) == 1.0
         nothing = lambda masks: np.zeros(masks.shape, dtype=bool)
         assert kernels.subset_prob(3, 0.5, nothing) == 0.0
+
+    @staticmethod
+    def _check_outer_or(block):
+        # the layout subset_prob promises its callers
+        assert block.dtype == np.uint32 and block.ndim == 2
+        assert block.size <= kernels.BLOCK
+        assert np.array_equal(block, block[:, :1] | block[:1, :])
+        assert not (block[:, :1] & (block[:1, :] ^ block[:1, :1])).any()
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 7, 15, 16, 17, 20])
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    def test_blocks_match_a_flat_reference(self, m, p):
+        # degrees_at_least and subset_prob on the outer-OR blocks against one
+        # bitwise_count per mask over arange(2^m), the weights summed one per
+        # accepted subset
+        rng = np.random.default_rng(1000 * m + int(100 * p))
+        every = np.arange(1 << m, dtype=np.uint32)
+        sizes = np.bitwise_count(every)
+        if 0.0 < p < 1.0:
+            weight = np.array([math.exp(n * math.log(p) + (m - n) * math.log1p(-p))
+                               for n in range(m + 1)])
+        for r in range(4):
+            inc = rng.integers(0, 1 << m, size=5, dtype=np.uint32)
+            flat = np.logical_and.reduce([np.bitwise_count(every & e) >= r for e in inc])
+            seen = []
+
+            def accept(block):
+                self._check_outer_or(block)
+                ok = kernels.degrees_at_least(block, inc, r)
+                assert ok.shape == block.shape
+                assert np.array_equal(ok, flat[block])
+                seen.append(block.ravel())
+                return ok
+
+            got = kernels.subset_prob(m, p, accept)
+            masks = np.sort(np.concatenate(seen))
+            if p == 0.0 or p == 1.0:
+                assert masks.tolist() == [(1 << m) - 1 if p == 1.0 else 0]
+                assert got == float(flat[masks[0]])
+            else:
+                assert np.array_equal(masks, every)  # each mask once
+                assert got == math.fsum(weight[sizes[flat]].tolist())
+
+    def test_no_candidate_edges(self):
+        # v < k: m = 0, and the one graph is the empty one
+        for p in (0.0, 0.37, 1.0):
+            assert exact_local(2, 3, p, 1) == exact_global(2, 3, p, 1) == 0.0
+            assert exact_exactly_one(2, 3, p, 1, "minimal") == 0.0
+
+    def test_r_beyond_any_degree(self):
+        # degrees are at most 32 in a uint32 mask; r is compared exactly at any size
+        block = np.array([[0, 1], [6, 7]], dtype=np.uint32)
+        inc = np.array([3, 7], dtype=np.uint32)
+        assert kernels.degrees_at_least(block, inc, -2**70).all()
+        assert kernels.degrees_at_least(block, inc, 0).all()
+        assert kernels.degrees_at_least(block, inc, 2).tolist() == [[False, False], [False, True]]
+        for r in (33, 40_000, 2**70):
+            assert not kernels.degrees_at_least(block, inc, r).any()
+            assert exact_local(4, 3, 0.5, r) == exact_global(4, 3, 0.5, r) == 0.0
+            assert exact_exactly_one(4, 3, 0.5, r, "minimal") == 0.0
+
+    @pytest.mark.parametrize("oracle, blocks", [
+        (lambda: exact_local(6, 3, 0.5, 2), 6),
+        (lambda: exact_global(6, 3, 0.5, 2), 6),
+        (lambda: exact_exactly_one(6, 3, 0.5, 2, "minimal"), 10),
+    ], ids=["local", "global", "exactly-one"])
+    def test_memory_is_bounded_per_block(self, oracle, blocks):
+        # 2^20 edge subsets; one block of uint32 masks is 256 KiB and all 2^20
+        # masks would be 4 MiB: the peak stays a few blocks' size
+        oracle()  # first-call set-up: candidate edges, mask layout
+        tracemalloc.start()
+        try:
+            oracle()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < blocks * 4 * kernels.BLOCK, peak
