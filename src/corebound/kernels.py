@@ -1,4 +1,4 @@
-"""Monte Carlo kernels and the bitmask layer of the exhaustive oracles, on
+"""Monte Carlo kernels and the bit-plane layer of the exhaustive oracles, on
 one numpy path (:func:`backend` names it).
 
 All randomness is a counter-based splitmix64 stream: candidate edge ``j``
@@ -32,15 +32,11 @@ which stride over k-element rows.  A row-major array gives the same answers
 and is copied once on entry.
 
 The exhaustive oracles enumerate all 2^m subsets of m <= 32 candidate edges
-as uint32 masks (bit j: edge j), in 2-D outer-OR blocks of at most ``BLOCK``
-masks (:func:`subset_prob`): a row is a pattern of the high bits, a column
-one of the 2^(m//2) low-bit patterns, and entry [i, j] their OR.  A
-vertex's degree in a mask is its degree in the row part plus its degree in
-the column part, so :func:`degrees_at_least` takes one popcount per row and
-one per column and sums them by broadcasting (the meet-in-the-middle split
-of Horowitz and Sahni, 1974), instead of one popcount per mask; the peel
-(:func:`_peel_survives`) runs elementwise on the block.  Accepted subsets
-are counted per size from the rows' and the column groups' popcounts.
+bit-sliced (as in Biham's bitslice DES, 1997): bit b of a uint64 word is
+one subset, so one word operation decides 64 of them, in blocks of at most
+``BLOCK`` subsets (:func:`_accepted_by_size` gives the layout).  Degrees on
+a graph's own edges take split-half counts (:func:`_degree_planes`); the
+peel and the exactly-one check count alive edge planes (:func:`_levels`).
 
 numpy is bound lazily (:func:`_lazy_numpy`): it is imported at the first
 attribute read of ``np``, i.e. at the first Monte Carlo draw, oracle block or
@@ -52,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import itertools
 import math
 import sys
 
@@ -69,9 +66,10 @@ __all__ = [
     "mc_local_successes",
     "mc_global_successes",
     "edge_incidence",
-    "degrees_at_least",
     "subset_prob",
     "exhaustive_global_prob",
+    "exhaustive_local_prob",
+    "exhaustive_exactly_one_prob",
 ]
 
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
@@ -425,8 +423,16 @@ def mc_global_successes(v: int, k: int, p: float, r: int,
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracles: every edge subset as a uint32 mask, in outer-OR blocks
+# exhaustive oracles: 64 edge subsets per uint64 word, in bit-plane blocks
 # ---------------------------------------------------------------------------
+
+# Edges held inside one bit-plane row: 6 pick the bit of a word, the other
+# LOW_BITS - 6 the word, so a row is 2^(LOW_BITS - 6) words.  On the oracle
+# benchmark's calls (numpy 2.4, 2-vCPU host, 40 calls each) 10 and 12 ran
+# level; 14 and 16 made the exactly-one oracle at v=6, k=2 about twice as
+# slow, since its per-vertex-set degree levels grow with the row.
+LOW_BITS = 12
+
 
 def edge_incidence(cand: np.ndarray, v: int) -> np.ndarray:
     """Per vertex, the uint32 mask of the candidate edges (bit j = row j) containing it."""
@@ -441,97 +447,237 @@ def edge_incidence(cand: np.ndarray, v: int) -> np.ndarray:
     return inc
 
 
-def degrees_at_least(masks: np.ndarray, inc: np.ndarray, r: int) -> np.ndarray:
-    """Per edge mask of an outer-OR block (:func:`subset_prob`): every vertex
-    of ``inc`` lies in at least ``r`` of its edges.
-
-    The block's entry [i, j] is ``[i, 0] | [0, j]``, and its column part
-    ``[0, j] ^ [0, 0]`` shares no bit with any row ``[i, 0]``.  So a vertex's
-    degree in [i, j] is its degree in row i plus its degree in column part j:
-    one popcount per row and one per column, summed by broadcasting, instead
-    of one per mask.  The counts are compared as int8, with ``r`` clipped to
-    0 .. 33: a uint32 mask holds at most 32 edges, so no answer changes."""
-    r = min(max(r, 0), 33)
-    rows, cols = masks[:, :1], masks[:1] ^ masks[:1, :1]
-    ok = np.ones(masks.shape, dtype=bool)
-    for vertex_edges in inc:
-        need = r - np.bitwise_count(rows & vertex_edges).astype(np.int8)
-        ok &= np.bitwise_count(cols & vertex_edges).astype(np.int8) >= need
-    return ok
-
-
-def _peel_survives(masks: np.ndarray, inc: np.ndarray, r: int) -> np.ndarray:
-    """Per edge mask: batch peeling (drop every edge at a vertex of degree < r,
-    until nothing changes) leaves an edge, i.e. the r-core is nonempty."""
-    alive = masks
-    while True:
-        dead = np.zeros_like(alive)
-        for vertex_edges in inc:
-            low = np.bitwise_count(alive & vertex_edges) < r
-            dead |= np.where(low, vertex_edges, np.uint32(0))
-        peeled = alive & ~dead
-        if np.array_equal(peeled, alive):
-            return alive != 0
-        alive = peeled
-
-
 @functools.cache
-def _mask_layout(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """The outer-OR layout of the 2^m edge masks: the row parts (the high
-    m - m//2 bits, in increasing order) with their popcounts, the column
-    parts (the 2^(m//2) low-bit patterns, ordered by popcount, 0 first) and
-    the first column of each column popcount 0 .. m//2."""
-    low = m // 2
-    cols = sorted(range(1 << low), key=int.bit_count)
-    sizes = [c.bit_count() for c in cols]
-    rows = np.arange(1 << (m - low), dtype=np.uint32) << np.uint32(low)
-    return (rows, np.bitwise_count(rows).astype(np.intp), np.array(cols, dtype=np.uint32),
-            [sizes.index(n) for n in range(low + 1)])
+def _row_layout(low: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One bit-plane row of ``low`` edges (:func:`_accepted_by_size`): the
+    (low + 1, W) presence planes of edges 0..low-1 and a zero plane (edge
+    j < 6 is a fixed in-word pattern, edge j >= 6 all-ones or all-zeros per
+    word, by bit j - 6 of the word index); per in-word popcount c, the mask
+    of the bits b < 2^min(low, 6) with popcount c (higher bits hold no
+    subset); and the popcount of each word index."""
+    span, words = 1 << min(low, 6), np.arange(1 << max(low - 6, 0), dtype=np.uint64)
+    planes = np.zeros((low + 1, len(words)), dtype=np.uint64)
+    for j in range(low):
+        planes[j] = (sum(1 << b for b in range(64) if b >> j & 1) if j < 6
+                     else np.uint64(0) - (words >> np.uint64(j - 6) & np.uint64(1)))
+    classes = [sum(1 << b for b in range(span) if b.bit_count() == c)
+               for c in range(min(low, 6) + 1)]
+    return planes, np.array(classes, dtype=np.uint64), np.bitwise_count(words).astype(np.intp)
 
 
-def subset_prob(m: int, p: float, accept) -> float:
-    """Sum of p^|E| (1-p)^(m-|E|) over the edge subsets E that ``accept`` (a
-    block of uint32 masks -> bool array of its shape) accepts.
+def subset_prob(m: int, p: float, test) -> float:
+    """Sum of p^|E| (1-p)^(m-|E|) over the edge subsets E that ``test``
+    accepts (:func:`_accepted_by_size`).
 
-    The 2^m masks come in 2-D outer-OR blocks of at most ``BLOCK`` masks.
-    Row i is a pattern of the high m - m//2 bits, column j one of the
-    2^(m//2) low-bit patterns, ordered by popcount with 0 first, and entry
-    [i, j] is ``block[i, 0] | block[0, j]``; the column part
-    ``block[0, j] ^ block[0, 0]`` shares no bit with any row.  A block holds
-    a power-of-two run of rows starting at a multiple of its length, so
-    ``block[0, 0]`` lies inside every row.  Callers may rely on this layout
-    (:func:`degrees_at_least` does); the p = 0 and p = 1 cases pass the one
-    mask that has all the mass, as a 1 x 1 block.
-
-    Accepted subsets are counted per size n: per block, ``np.add.reduceat``
-    over the column groups of equal popcount, then a ``bincount`` of those
-    counts at the row popcount plus the group's.  Each count is split into
-    powers of two, so ``fsum`` adds exact multiples of the size's weight and
-    returns the same correctly rounded float as an ``fsum`` of one weight per
-    subset.  The weight goes through log space so nothing underflows at
-    m = 20.
+    Each size's count is split into powers of two, so ``fsum`` adds exact
+    multiples of the size's weight and returns the same correctly rounded
+    float as an ``fsum`` of one weight per subset.  The weight goes through
+    log space so nothing underflows at m = 20.  At p = 0 and p = 1 only the
+    empty or the full edge set has mass, and only that one is evaluated.
     """
-    if p == 0.0 or p == 1.0:  # the empty or the full edge set has all the mass
-        only = np.array([[(1 << m) - 1 if p == 1.0 else 0]], dtype=np.uint32)
-        return float(accept(only)[0, 0])
-    rows, row_sizes, cols, starts = _mask_layout(m)
-    per_block = BLOCK // len(cols)
-    col_sizes = np.arange(len(starts))
-    counts = np.zeros(m + 1)  # exact integers: at most 2^m < 2^53
-    for lo in range(0, len(rows), per_block):
-        block = rows[lo:lo + per_block, None] | cols
-        by_size = np.add.reduceat(accept(block), starts, axis=1, dtype=np.intp)
-        sizes = row_sizes[lo:lo + per_block, None] + col_sizes
-        counts += np.bincount(sizes.ravel(), weights=by_size.ravel(), minlength=m + 1)
+    if p == 0.0 or p == 1.0:
+        return float(sum(_accepted_by_size(m, test, (1 << m) - 1 if p == 1.0 else 0)))
     log_p, log_1m = math.log(p), math.log1p(-p)
     terms = []
-    for n, c in enumerate(counts.astype(np.int64).tolist()):
+    for n, c in enumerate(_accepted_by_size(m, test)):
         w = math.exp(n * log_p + (m - n) * log_1m)
         terms += [math.ldexp(w, j) for j in range(c.bit_length()) if c >> j & 1]
     return math.fsum(terms)
 
 
+def _accepted_by_size(m: int, test, only: int | None = None) -> list[int]:
+    """Per size n = 0..m, how many of the 2^m edge subsets (bit j of a
+    subset's index: edge j) ``test`` accepts; with ``only``, that one
+    subset alone.
+
+    The subsets come in blocks of at most ``BLOCK``.  The low ``L = min(m,
+    LOW_BITS)`` edges lie inside a row of W = 2^max(L - 6, 0) uint64 words:
+    bits 0..5 of a subset's index are the bit in a word, bits 6..L-1 the
+    word.  A block is a run of rows, each given by its subset bits of the
+    edges L..m-1 (``rows``, uint64), so edge j < L has the same plane in
+    every row and edge j >= L is all-ones or all-zeros along a row.  For
+    m < 6 the row is one partial word.  ``only`` is one row with L = 0,
+    held at bit 0 of its word.
+
+    ``test(low)`` gets the (L + 1, W) low planes of :func:`_row_layout`
+    once and returns the block test ``accept(rows)``: (R, W) uint64 words
+    whose set bits are the accepted subsets (bits that hold no subset are
+    ignored).  The accepted bits of in-word popcount c are counted with
+    ``bitwise_count(word & class_c)`` and binned at c plus the popcounts of
+    the word and row indices.
+    """
+    if only is None:
+        low = min(m, LOW_BITS)
+        rows = np.arange(1 << (m - low), dtype=np.uint64) << np.uint64(low)
+        step = max(1, BLOCK >> low)
+        blocks = [rows[i:i + step] for i in range(0, len(rows), step)]
+    else:
+        low, blocks = 0, [np.array([only], dtype=np.uint64)]
+    planes, classes, word_sizes = _row_layout(low)
+    accept = test(planes)
+    class_sizes = np.arange(len(classes))[:, None, None]
+    counts = np.zeros(m + 1)  # exact integers: at most 2^m < 2^53
+    for rows in blocks:
+        hits = np.bitwise_count(accept(rows) & classes[:, None, None])
+        sizes = class_sizes + np.bitwise_count(rows).astype(np.intp)[:, None] + word_sizes
+        counts += np.bincount(sizes.ravel(), weights=hits.ravel(), minlength=m + 1)
+    return counts.astype(np.int64).tolist()
+
+
+def _members(masks, width: int) -> np.ndarray:
+    """Per mask, the positions of its set bits below ``width`` in increasing
+    order, padded with ``width`` to a common length: an (n, d) intp array."""
+    masks = np.asarray(masks, dtype=np.uint64)
+    positions = np.arange(width)
+    bits = masks[:, None] >> positions.astype(np.uint64) & np.uint64(1)
+    d = int(bits.sum(axis=1).max(initial=0))
+    return np.sort(np.where(bits == 1, positions, width), axis=1)[:, :d]
+
+
+def _levels(planes: np.ndarray, members: np.ndarray, top: int) -> np.ndarray:
+    """Bit-sliced counting: ``levels[t, i]`` has a bit set iff at least t of
+    the planes that row i of ``members`` indexes have it, for t = 0..top.
+    ``members`` pads with the index of a zero plane.  One pass over the
+    members: ``ge_t |= ge_(t-1) & plane``, t from the top down."""
+    levels = np.zeros((top + 1, len(members)) + planes.shape[1:], dtype=np.uint64)
+    levels[0] = ~np.uint64(0)
+    for s, column in enumerate(members.T):
+        plane = planes[column]
+        for t in range(min(top, s + 1), 0, -1):
+            levels[t] |= levels[t - 1] & plane
+    return levels
+
+
+def _degree_planes(low: np.ndarray, inc, r: int):
+    """The block test of "at least ``r`` present edges in each mask of
+    ``inc``", per mask, on :func:`_accepted_by_size`'s layout: returns
+    ``accept(rows) -> (len(inc), R, W)`` uint64 words.
+
+    Split-half counts: a subset's degree is its low-edge degree plus its
+    high-edge degree, and the high one is constant along a row.  So the
+    planes "low-edge degree >= t" are built once, for t = 0..r
+    (:func:`_levels` on the ``low`` planes), and each row takes the plane
+    r - (its high degree, one popcount).  ``r`` is clipped to 0 .. (the
+    largest mask's popcount + 1), which changes no answer."""
+    inc = np.asarray(inc, dtype=np.uint64)
+    r = min(max(r, 0), int(np.bitwise_count(inc).max(initial=0)) + 1)
+    width = len(low) - 1
+    levels = _levels(low, _members(inc, width), r)
+    high = (inc >> np.uint64(width) << np.uint64(width))[:, None]
+    which = np.arange(len(inc))[:, None]
+
+    def accept(rows):
+        need = r - np.bitwise_count(rows & high).astype(np.intp)
+        return levels[np.maximum(need, 0), which]
+
+    return accept
+
+
+def _present(low: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """The (m + 1, R, W) presence planes of the m edges in a block, the
+    last one zero."""
+    width = len(low) - 1
+    planes = np.zeros((m + 1, len(rows), low.shape[1]), dtype=np.uint64)
+    planes[:width] = low[:width, None]
+    high = rows >> np.arange(width, m, dtype=np.uint64)[:, None] & np.uint64(1)
+    planes[width:m] = (np.uint64(0) - high)[:, :, None]
+    return planes
+
+
+def _on_every_slot(ok: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Per edge (column of the (k, m) ``slots``), the AND of its vertices'
+    planes in ``ok``."""
+    out = ok[slots[0]]
+    for slot in slots[1:]:
+        out &= ok[slot]
+    return out
+
+
 def exhaustive_global_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
-    """Sum of p^|E| (1-p)^(M-|E|) over all edge subsets that peel to a nonempty core."""
+    """Sum of p^|E| (1-p)^(M-|E|) over all edge subsets that peel to a nonempty core.
+
+    Batch peeling on per-edge alive planes: a round keeps the edges whose
+    vertices all have at least r alive edges, until a round keeps them all.
+    The first round reads only the subset's own edges, so it takes the
+    split-half counts of :func:`_degree_planes`; later rounds count the
+    alive planes (:func:`_levels`)."""
     inc = edge_incidence(cand, v)
-    return subset_prob(len(cand), p, lambda masks: _peel_survives(masks, inc, r))
+    m, slots = len(cand), np.asarray(cand, dtype=np.intp).T
+    edges_at = _members(inc, m)
+    r = min(max(r, 0), edges_at.shape[1] + 1)
+
+    def test(low):
+        own_degree = _degree_planes(low, inc, r)
+
+        def accept(rows):
+            alive = _present(low, rows, m)
+            edges, ok = alive[:m], own_degree(rows)
+            while True:
+                kept = _on_every_slot(ok, slots) & edges
+                if np.array_equal(kept, edges):
+                    return np.bitwise_or.reduce(edges, axis=0)
+                edges[...] = kept
+                ok = _levels(alive, edges_at, r)[r]
+
+        return accept
+
+    return subset_prob(m, p, test)
+
+
+def exhaustive_local_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
+    """Sum of p^|E| (1-p)^(M-|E|) over all edge subsets in which every vertex
+    lies in at least r edges."""
+    inc = edge_incidence(cand, v)
+
+    def test(low):
+        own_degree = _degree_planes(low, inc, r)
+        return lambda rows: np.bitwise_and.reduce(own_degree(rows), axis=0, initial=~np.uint64(0))
+
+    return subset_prob(len(cand), p, test)
+
+
+def exhaustive_exactly_one_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
+    """Sum of p^|E| (1-p)^(M-|E|) over all edge subsets with exactly one
+    inclusion-minimal r-core vertex set (see
+    ``montecarlo.exact_exactly_one`` for the rule).
+
+    Only the vertex sets S with C(|S|-1, k-1) >= r can be core sets.  Per
+    block, each one's core test is :func:`_degree_planes` on the edges
+    inside S, ANDed over its vertices; a vertex lies in the intersection X
+    of the core sets iff no core set misses it; F is the present edges
+    inside X, and a subset is accepted iff F is nonempty and touches each
+    vertex 0 or at least r times (:func:`_levels` on F's planes)."""
+    inc = edge_incidence(cand, v).astype(np.uint64)
+    m, k = np.shape(cand)
+    slots = np.asarray(cand, dtype=np.intp).T
+    sets = [s for n in range(k, v + 1) if math.comb(n - 1, k - 1) >= r
+            for s in itertools.combinations(range(v), n)]
+    if not sets:  # no graph has a core set
+        return 0.0
+    in_set = np.zeros((len(sets), v), dtype=bool)
+    for i, s in enumerate(sets):
+        in_set[i, s] = True
+    # per set, the edges inside it: those touching no vertex outside it
+    inside = ~np.bitwise_or.reduce(np.where(in_set, np.uint64(0), inc), axis=1)
+    pair_inc = (inc & inside[:, None])[in_set]  # set by set, as its vertices
+    sizes = in_set.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    missed_by = [np.flatnonzero(~column) for column in in_set.T]
+    edges_at = _members(inc, m)
+    r = min(max(r, 0), edges_at.shape[1] + 1)
+
+    def test(low):
+        core_degree = _degree_planes(low, pair_inc, r)
+
+        def accept(rows):
+            cores = np.bitwise_and.reduceat(core_degree(rows), starts, axis=0)
+            outside = np.array([np.bitwise_or.reduce(cores[i], axis=0) for i in missed_by])
+            found = _present(low, rows, m)
+            found[:m] &= _on_every_slot(~outside, slots)
+            levels = _levels(found, edges_at, max(r, 1))
+            ok = np.bitwise_and.reduce(~levels[1] | levels[r], axis=0)
+            return np.bitwise_or.reduce(found[:m], axis=0) & ok
+
+        return accept
+
+    return subset_prob(m, p, test)

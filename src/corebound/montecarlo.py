@@ -10,17 +10,15 @@ that changes no count, and trial t still sees exactly
 
 The oracles enumerate every hypergraph on the candidate edge set (guarded to
 at most 2^20 instances) and are the ground truth the formulas and estimators
-are validated against.  They run on bitmask blocks: each edge subset is a
-uint32 mask, at most ``kernels.BLOCK`` (2^16) of them per 2-D outer-OR
-block, whose entry [i, j] is the OR of a high-bit row part and a low-bit
-column part, so memory is bounded per block and degrees are popcounts of
-the two parts (:func:`kernels.degrees_at_least`).  Each oracle counts its
-accepted subsets by size and sums the weights exactly
-(:func:`kernels.subset_prob`), giving the same floats as a per-subset sum.
+are validated against.  They run bit-sliced: bit b of a uint64 word is one
+edge subset, at most ``kernels.BLOCK`` (2^16) subsets per block, so memory
+is bounded per block and one word operation decides 64 subsets (see
+:mod:`kernels`).  Each oracle counts its accepted subsets by size and sums
+the weights exactly (:func:`kernels.subset_prob`), giving the same floats as
+a per-subset sum.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -134,49 +132,22 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
     the C(|S|-1, k-1) edges inside S that can hold it, so only the vertex
     sets with C(|S|-1, k-1) >= r (hence |S| >= k) are read.  The C(v,k) <= 20
     guard forces v <= 6 unless k >= v-1, and leaves at most 57 such sets at
-    r = 1, 42 at r = 2 and 22 at r = 3 (all at v = 6).  The core sets'
-    masks of the candidate edges inside S are ANDed, giving the edge set
-    inside the intersection, and a graph is accepted iff its edges in that
-    AND, F, are nonempty and touch each vertex of their vertex set X at least
-    r times, i.e. X is a core set.  X lies in every core set, so a core set X
-    is the only minimal one; if C is the only one, F holds the graph's edges
-    inside C, and X = C passes.  With no core set a passing X would be one,
-    so nothing is accepted.
+    r = 1, 42 at r = 2 and 22 at r = 3 (all at v = 6).  A vertex lies in the
+    intersection iff no core set misses it, and a graph is accepted iff its
+    edges inside the intersection, F, are nonempty and touch each vertex of
+    their vertex set X at least r times, i.e. X is a core set.  X lies in
+    every core set, so a core set X is the only minimal one; if C is the
+    only one, F holds the graph's edges inside C, and X = C passes.  With no
+    core set a passing X would be one, so nothing is accepted.
     """
     if semantics not in ("minimal", "maximal"):
         raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")
     if semantics == "maximal":
         return exact_global(v, k, p, r)
-    cand = _candidates(v, k, p, r)
-    inc = kernels.edge_incidence(cand, v)
-    everything = ~np.uint32(0)
-
-    # vertex sets S whose vertices can reach degree r, C(|S|-1, k-1) >= r: the mask
-    # of the edges inside S (those touching no vertex outside it) and its members'
-    # incidence masks restricted to them
-    subsets = []
-    for n in range(k, v + 1):
-        if math.comb(n - 1, k - 1) < r:
-            continue
-        for s in itertools.combinations(range(v), n):
-            within = ~np.bitwise_or.reduce(np.delete(inc, s), initial=0)
-            subsets.append((within, inc[list(s)] & within))
-
-    def exactly_one(masks):
-        meet = np.full(masks.shape, everything)  # per mask: AND of its core sets' edge masks
-        for within, inc_s in subsets:
-            core = kernels.degrees_at_least(masks, inc_s, r)
-            np.bitwise_and(meet, within, out=meet, where=core)
-        present = masks & meet  # F: the graph's edges in the AND
-        degrees = [np.bitwise_count(present & vertex_edges) for vertex_edges in inc]
-        return (present != 0) & np.logical_and.reduce([(d == 0) | (d >= r) for d in degrees])
-
-    return kernels.subset_prob(len(cand), p, exactly_one)
+    return kernels.exhaustive_exactly_one_prob(_candidates(v, k, p, r), v, r, p)
 
 
 def exact_local(u: int, k: int, p: float, r: int) -> float:
     """Exact probability that an r-core spans all u vertices (induced minimum
     degree >= r on the whole subset), by enumeration.  Guarded to C(u,k) <= 20."""
-    cand = _candidates(u, k, p, r)
-    inc = kernels.edge_incidence(cand, u)
-    return kernels.subset_prob(len(cand), p, lambda masks: kernels.degrees_at_least(masks, inc, r))
+    return kernels.exhaustive_local_prob(_candidates(u, k, p, r), u, r, p)

@@ -1,11 +1,13 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from corebound import (HypergraphParams, choose, exact_exactly_one, exact_global,
-                       exact_local, generate, kernels, mc_global, mc_local, peel)
+from corebound import (HypergraphParams, choose, enumerate_all, exact_exactly_one,
+                       exact_global, exact_local, generate, kernels, mc_global, mc_local,
+                       peel)
 from corebound.hypergraph import candidate_edges
 from conftest import enumeration_prob
 
@@ -354,10 +356,10 @@ class TestSlotMajorLayout:
 
 
 class TestExhaustiveOracles:
-    """The bitmask oracles."""
+    """The bit-plane oracles."""
 
-    @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2, 3])
     def test_global_matches_brute_force(self, k, r):
         for v in range(k, 6):
             cand = np.asarray(candidate_edges(v, k))
@@ -365,6 +367,32 @@ class TestExhaustiveOracles:
                 brute = enumeration_prob(v, k, p, lambda h: bool(peel(h, r)))
                 assert kernels.exhaustive_global_prob(cand, v, r, p) == \
                     pytest.approx(brute, abs=1e-12)
+
+    @pytest.mark.parametrize("v,k", [(v, k) for k in range(2, 6) for v in range(1, 6)])
+    def test_local_and_exactly_one_match_their_definitions(self, v, k):
+        # in pure Python: a core set is a vertex set in which every vertex lies
+        # in at least r of the edges inside it; list every graph's core sets
+        m = choose(v, k)
+        vertex_sets = [frozenset(c) for n in range(1, v + 1)
+                       for c in itertools.combinations(range(v), n)]
+        graphs = []
+        for h in enumerate_all(v, k):
+            edges = [frozenset(e) for e in h.edges]
+            min_degree = {s: min(sum(x in e for e in edges if e <= s) for x in s)
+                          for s in vertex_sets}
+            graphs.append((len(edges), min_degree))
+        for r in (1, 2, 3):
+            spans_all, one_minimal = [], []
+            for _, min_degree in graphs:
+                cores = [s for s in vertex_sets if min_degree[s] >= r]
+                spans_all.append(min_degree[frozenset(range(v))] >= r)
+                one_minimal.append(sum(not any(d < c for d in cores) for c in cores) == 1)
+            for p in (0.0, 0.37, 1.0):
+                weights = [p**n * (1.0 - p) ** (m - n) for n, _ in graphs]
+                assert exact_local(v, k, p, r) == pytest.approx(
+                    math.fsum(w for w, ok in zip(weights, spans_all) if ok), abs=1e-12)
+                assert exact_exactly_one(v, k, p, r, "minimal") == pytest.approx(
+                    math.fsum(w for w, ok in zip(weights, one_minimal) if ok), abs=1e-12)
 
     def test_pinned_values(self):
         # the per-mask loops' values at 2^20 edge subsets, bit for bit
@@ -384,53 +412,79 @@ class TestExhaustiveOracles:
 
     def test_subset_prob_sums_exact_weights(self):
         # every subset accepted: the weights of all 2^m subsets sum to 1
-        everything = lambda masks: np.ones(masks.shape, dtype=bool)
+        def constant(word):
+            return lambda low: lambda rows: np.full((len(rows), low.shape[1]), word, dtype=np.uint64)
+
+        everything, nothing = constant(~np.uint64(0)), constant(0)
         assert kernels.subset_prob(20, 0.37, everything) == pytest.approx(1.0, abs=1e-14)
         assert kernels.subset_prob(3, 0.0, everything) == 1.0
-        nothing = lambda masks: np.zeros(masks.shape, dtype=bool)
         assert kernels.subset_prob(3, 0.5, nothing) == 0.0
 
     @staticmethod
-    def _check_outer_or(block):
-        # the layout subset_prob promises its callers
-        assert block.dtype == np.uint32 and block.ndim == 2
-        assert block.size <= kernels.BLOCK
-        assert np.array_equal(block, block[:, :1] | block[:1, :])
-        assert not (block[:, :1] & (block[:1, :] ^ block[:1, :1])).any()
+    def _subsets(low, rows):
+        """The subset index each bit of a block's words holds, as (R, W, 64),
+        and the bit positions that hold one, as a (64,) bool mask."""
+        width = len(low) - 1
+        bits = np.arange(64, dtype=np.uint64)
+        words = np.arange(low.shape[1], dtype=np.uint64)[:, None] << np.uint64(6)
+        return rows[:, None, None] | words | bits, bits < (1 << min(width, 6))
 
-    @pytest.mark.parametrize("m", [0, 1, 2, 7, 15, 16, 17, 20])
+    def _check_layout(self, low, rows):
+        # the layout _accepted_by_size promises its tests
+        width = len(low) - 1
+        index, held = self._subsets(low, rows)
+        assert low.dtype == rows.dtype == np.uint64
+        assert index[..., held].size <= kernels.BLOCK
+        assert not low[width].any() and not (rows & np.uint64((1 << width) - 1)).any()
+        bits = np.arange(64, dtype=np.uint64)
+        for j in range(width):
+            plane = np.broadcast_to(low[j][:, None] >> bits & np.uint64(1), index.shape)
+            assert np.array_equal(plane[..., held], (index >> np.uint64(j) & np.uint64(1))[..., held])
+        return index[..., held], held
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 6, 7, 15, 16, 17, 20])
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_blocks_match_a_flat_reference(self, m, p):
-        # degrees_at_least and subset_prob on the outer-OR blocks against one
-        # bitwise_count per mask over arange(2^m), the weights summed one per
-        # accepted subset
+        # the degree planes and the per-size counts on the bit-plane blocks
+        # against one bitwise_count per mask over arange(2^m), the weights
+        # summed one per accepted subset
         rng = np.random.default_rng(1000 * m + int(100 * p))
-        every = np.arange(1 << m, dtype=np.uint32)
+        every = np.arange(1 << m, dtype=np.uint64)
         sizes = np.bitwise_count(every)
-        if 0.0 < p < 1.0:
-            weight = np.array([math.exp(n * math.log(p) + (m - n) * math.log1p(-p))
-                               for n in range(m + 1)])
+        bits = np.arange(64, dtype=np.uint64)
         for r in range(4):
             inc = rng.integers(0, 1 << m, size=5, dtype=np.uint32)
-            flat = np.logical_and.reduce([np.bitwise_count(every & e) >= r for e in inc])
+            per_mask = np.bitwise_count(every & inc[:, None].astype(np.uint64)) >= r
+            flat = per_mask.all(axis=0)
             seen = []
 
-            def accept(block):
-                self._check_outer_or(block)
-                ok = kernels.degrees_at_least(block, inc, r)
-                assert ok.shape == block.shape
-                assert np.array_equal(ok, flat[block])
-                seen.append(block.ravel())
-                return ok
+            def test(low):
+                degree = kernels._degree_planes(low, inc, r)
 
-            got = kernels.subset_prob(m, p, accept)
-            masks = np.sort(np.concatenate(seen))
+                def accept(rows):
+                    index, held = self._check_layout(low, rows)
+                    ok = degree(rows)
+                    assert ok.shape == (len(inc), len(rows), low.shape[1])
+                    got = (ok[..., None] >> bits & np.uint64(1)).astype(bool)[..., held]
+                    assert np.array_equal(got, per_mask[:, index])
+                    seen.append(index.ravel())
+                    return np.bitwise_and.reduce(ok, axis=0)
+
+                return accept
+
+            counts = kernels._accepted_by_size(m, test)
+            assert np.array_equal(np.sort(np.concatenate(seen)), every)  # each subset once
+            assert counts == np.bincount(sizes[flat], minlength=m + 1).tolist()
+            seen.clear()
+            got = kernels.subset_prob(m, p, test)
             if p == 0.0 or p == 1.0:
-                assert masks.tolist() == [(1 << m) - 1 if p == 1.0 else 0]
-                assert got == float(flat[masks[0]])
+                only = (1 << m) - 1 if p == 1.0 else 0
+                assert np.concatenate(seen).tolist() == [only]  # one subset evaluated
+                assert got == float(flat[only])
             else:
-                assert np.array_equal(masks, every)  # each mask once
-                assert got == math.fsum(weight[sizes[flat]].tolist())
+                weight = [math.exp(n * math.log(p) + (m - n) * math.log1p(-p))
+                          for n in range(m + 1)]
+                assert got == math.fsum(weight[n] for n in sizes[flat].tolist())
 
     def test_no_candidate_edges(self):
         # v < k: m = 0, and the one graph is the empty one
@@ -439,16 +493,23 @@ class TestExhaustiveOracles:
             assert exact_exactly_one(2, 3, p, 1, "minimal") == 0.0
 
     def test_r_beyond_any_degree(self):
-        # degrees are at most 32 in a uint32 mask; r is compared exactly at any size
-        block = np.array([[0, 1], [6, 7]], dtype=np.uint32)
-        inc = np.array([3, 7], dtype=np.uint32)
-        assert kernels.degrees_at_least(block, inc, -2**70).all()
-        assert kernels.degrees_at_least(block, inc, 0).all()
-        assert kernels.degrees_at_least(block, inc, 2).tolist() == [[False, False], [False, True]]
+        # edges 0 and 1 inside the word, edge 2 in the row; masks {0, 2} and
+        # {0, 1, 2}.  r is compared exactly at any size
+        low, rows = kernels._row_layout(2)[0], np.array([0, 4], dtype=np.uint64)
+        inc = np.array([5, 7], dtype=np.uint32)
+        held = 0b1111  # the four subsets of edges 0 and 1
+
+        def accepted(r):
+            ok = kernels._degree_planes(low, inc, r)(rows)
+            return (np.bitwise_and.reduce(ok, axis=0)[:, 0] & np.uint64(held)).tolist()
+
+        assert accepted(-2**70) == accepted(0) == [held, held]
+        assert accepted(2) == [0, 0b1010]
         for r in (33, 40_000, 2**70):
-            assert not kernels.degrees_at_least(block, inc, r).any()
-            assert exact_local(4, 3, 0.5, r) == exact_global(4, 3, 0.5, r) == 0.0
-            assert exact_exactly_one(4, 3, 0.5, r, "minimal") == 0.0
+            assert accepted(r) == [0, 0]
+            for p in (0.0, 0.5, 1.0):
+                assert exact_local(4, 3, p, r) == exact_global(4, 3, p, r) == 0.0
+                assert exact_exactly_one(4, 3, p, r, "minimal") == 0.0
 
     @pytest.mark.parametrize("oracle, blocks", [
         (lambda: exact_local(6, 3, 0.5, 2), 6),
