@@ -17,6 +17,7 @@ from .numerics import check_kpr, choose
 
 __all__ = [
     "GENERATE_GUARD",
+    "KEPT_GUARD",
     "ENUMERATE_GUARD",
     "HypergraphParams",
     "Hypergraph",
@@ -27,6 +28,7 @@ __all__ = [
     "has_rcore_on",
     "enumerate_all",
     "guarded_count",
+    "guarded_draws",
 ]
 
 # Max candidate edges for random generation.  Generation and Monte Carlo
@@ -34,6 +36,12 @@ __all__ = [
 # BLOCK-sized passes and unrank only the kept candidates; this guard bounds
 # the draws per graph.
 GENERATE_GUARD = 2**31
+# Max expected kept edges per graph, C(v, k) * p, which the draw guard does
+# not bound.  Traced peaks (tracemalloc, k=3, one graph, numpy 2.4): a Monte
+# Carlo trial holds about 65 bytes per kept edge (21 MiB at 3.3e5 edges, 137
+# MiB at 2.2e6), so about 1.1 GB at this bound; ``generate`` holds about 190
+# (58 and 423 MiB), its edges being Python tuples.
+KEPT_GUARD = 2**24
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
 
 
@@ -44,6 +52,17 @@ def guarded_count(v: int, k: int, guard: int) -> int:
     if m > guard:
         what = "generation" if guard == GENERATE_GUARD else "enumeration"
         raise ValueError(f"C(v, k) = {m} exceeds the {what} guard {guard}")
+    return m
+
+
+def guarded_draws(v: int, k: int, p: float) -> int:
+    """C(v, k) for one random graph: ValueError when it exceeds
+    ``GENERATE_GUARD`` or its expected kept edges C(v, k) * p exceed
+    ``KEPT_GUARD``."""
+    m = guarded_count(v, k, GENERATE_GUARD)
+    if m * p > KEPT_GUARD:
+        raise ValueError(f"C(v, k) * p = {m * p:.6g} expected edges per graph "
+                         f"exceed the kept-edge guard {KEPT_GUARD}")
     return m
 
 
@@ -117,7 +136,7 @@ def generate(params: HypergraphParams, seed: int) -> Hypergraph:
     Deterministic in (params, seed).  A Monte Carlo trial ``t`` with master
     seed ``s`` sees exactly ``generate(params, kernels.trial_seed(s, t))``.
     """
-    guarded_count(params.v, params.k, GENERATE_GUARD)
+    guarded_draws(params.v, params.k, params.p)
     edges = kernels.sample_edges(params.v, params.k, params.p, seed)
     return Hypergraph(params.v, params.k, tuple(map(tuple, edges.tolist())))
 

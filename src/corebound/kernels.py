@@ -31,12 +31,13 @@ faster than the row-major ``alive[edges].all(axis=1)`` and ``edges[mask]``,
 which stride over k-element rows.  A row-major array gives the same answers
 and is copied once on entry.
 
-The exhaustive oracles enumerate all 2^m subsets of m <= 32 candidate edges
+The exhaustive oracles enumerate all 2^m subsets of m <= 64 candidate edges
 bit-sliced (as in Biham's bitslice DES, 1997): bit b of a uint64 word is
 one subset, so one word operation decides 64 of them, in blocks of at most
-``BLOCK`` subsets (:func:`_accepted_by_size` gives the layout).  Degrees on
-a graph's own edges take split-half counts (:func:`_degree_planes`); the
-peel and the exactly-one check count alive edge planes (:func:`_levels`).
+``BLOCK`` subsets (:func:`_accepted_by_size` gives the layout).  They test
+the core-set definition on split-half degree counts (:func:`_core_sets`,
+:func:`_degree_planes`), so they share no algorithm with the Monte Carlo
+peel they validate.
 
 numpy is bound lazily (:func:`_lazy_numpy`): it is imported at the first
 attribute read of ``np``, i.e. at the first Monte Carlo draw, oracle block or
@@ -435,14 +436,14 @@ LOW_BITS = 12
 
 
 def edge_incidence(cand: np.ndarray, v: int) -> np.ndarray:
-    """Per vertex, the uint32 mask of the candidate edges (bit j = row j) containing it."""
+    """Per vertex, the uint64 mask of the candidate edges (bit j = row j) containing it."""
     cand = np.ascontiguousarray(cand, dtype=np.int64)
     if cand.ndim != 2:
         raise ValueError("candidate edge array must be 2-dimensional")
-    if len(cand) > 32:
-        raise ValueError(f"{len(cand)} candidate edges do not fit a uint32 edge mask")
-    inc = np.zeros(v, dtype=np.uint32)
-    bits = np.left_shift(np.uint32(1), np.arange(len(cand), dtype=np.uint32))
+    if len(cand) > 64:
+        raise ValueError(f"{len(cand)} candidate edges do not fit a uint64 edge mask")
+    inc = np.zeros(v, dtype=np.uint64)
+    bits = np.left_shift(np.uint64(1), np.arange(len(cand), dtype=np.uint64))
     np.bitwise_or.at(inc, cand, bits[:, None])
     return inc
 
@@ -559,7 +560,6 @@ def _degree_planes(low: np.ndarray, inc, r: int):
     (:func:`_levels` on the ``low`` planes), and each row takes the plane
     r - (its high degree, one popcount).  ``r`` is clipped to 0 .. (the
     largest mask's popcount + 1), which changes no answer."""
-    inc = np.asarray(inc, dtype=np.uint64)
     r = min(max(r, 0), int(np.bitwise_count(inc).max(initial=0)) + 1)
     width = len(low) - 1
     levels = _levels(low, _members(inc, width), r)
@@ -573,55 +573,67 @@ def _degree_planes(low: np.ndarray, inc, r: int):
     return accept
 
 
-def _present(low: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """The (m + 1, R, W) presence planes of the m edges in a block, the
-    last one zero."""
-    width = len(low) - 1
-    planes = np.zeros((m + 1, len(rows), low.shape[1]), dtype=np.uint64)
-    planes[:width] = low[:width, None]
-    high = rows >> np.arange(width, m, dtype=np.uint64)[:, None] & np.uint64(1)
-    planes[width:m] = (np.uint64(0) - high)[:, :, None]
-    return planes
-
-
-def _on_every_slot(ok: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Per edge (column of the (k, m) ``slots``), the AND of its vertices'
-    planes in ``ok``."""
-    out = ok[slots[0]]
+def _on_every_slot(planes: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Per column of the (d, n) index rows ``slots``, the AND of the planes
+    it indexes: an (n, ...) array.  AND is idempotent, so a column shorter
+    than d may repeat one of its indices as padding."""
+    out = planes[slots[0]]
     for slot in slots[1:]:
-        out &= ok[slot]
+        out &= planes[slot]
     return out
 
 
-def exhaustive_global_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
-    """Sum of p^|E| (1-p)^(M-|E|) over all edge subsets that peel to a nonempty core.
+def _core_sets(cand: np.ndarray, v: int, r: int):
+    """The vertex sets of ``v`` vertices that can be r-core sets on the
+    candidate edges ``cand``, and their block test; None when there is none.
 
-    Batch peeling on per-edge alive planes: a round keeps the edges whose
-    vertices all have at least r alive edges, until a round keeps them all.
-    The first round reads only the subset's own edges, so it takes the
-    split-half counts of :func:`_degree_planes`; later rounds count the
-    alive planes (:func:`_levels`)."""
-    inc = edge_incidence(cand, v)
-    m, slots = len(cand), np.asarray(cand, dtype=np.intp).T
-    edges_at = _members(inc, m)
-    r = min(max(r, 0), edges_at.shape[1] + 1)
+    S is an r-core set iff each of its vertices lies in at least r of the
+    edges inside S (those with no vertex outside S).  A vertex of S lies in
+    at most C(|S|-1, k-1) of them, so only the sets with C(|S|-1, k-1) >= r
+    (hence |S| >= k) are candidates.  Returns ``(members, test)``: the (d, n)
+    vertex rows of the n candidate sets, one column per set padded by
+    repeating its first vertex, and ``test(low) -> cores(rows)``, whose
+    (n, R, W) words have a bit set iff that subset makes the set a core set:
+    :func:`_degree_planes` on one mask per (set, vertex) pair, the vertex's
+    edges inside the set, ANDed over the set's vertices."""
+    inc, k = edge_incidence(cand, v), np.shape(cand)[1]
+    sets = [s for n in range(k, v + 1) if math.comb(n - 1, k - 1) >= r
+            for s in itertools.combinations(range(v), n)]
+    if not sets:
+        return None
+    d, n = len(sets[-1]), len(sets)
+    members = np.array([s + s[:1] * (d - len(s)) for s in sets]).T
+    in_set = np.zeros((n, v), dtype=bool)
+    in_set[np.arange(n), members] = True
+    inside = ~np.bitwise_or.reduce(np.where(in_set, np.uint64(0), inc), axis=1)
+    # one mask per distinct (set, vertex) pair, keyed vertex * n + set: a
+    # padding slot indexes its set's first pair
+    pairs, slots = np.unique(members * n + np.arange(n), return_inverse=True)
+    pair_inc, slots = inc[pairs // n] & inside[pairs % n], slots.reshape(d, n)
 
     def test(low):
-        own_degree = _degree_planes(low, inc, r)
+        degree = _degree_planes(low, pair_inc, r)
+        return lambda rows: _on_every_slot(degree(rows), slots)
 
-        def accept(rows):
-            alive = _present(low, rows, m)
-            edges, ok = alive[:m], own_degree(rows)
-            while True:
-                kept = _on_every_slot(ok, slots) & edges
-                if np.array_equal(kept, edges):
-                    return np.bitwise_or.reduce(edges, axis=0)
-                edges[...] = kept
-                ok = _levels(alive, edges_at, r)[r]
+    return members, test
 
-        return accept
 
-    return subset_prob(m, p, test)
+def exhaustive_global_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
+    """Sum of p^|E| (1-p)^(M-|E|) over the edge subsets E with an r-core set
+    (:func:`_core_sets`).  Peeling leaves the union of the core sets, so
+    these are the subsets that peel to a nonempty core.  Callers pass r >= 1
+    (``numerics.check_kpr``); at r <= 0 every set of at least k vertices is
+    a core set, so the value is 1 when v >= k."""
+    core_sets = _core_sets(cand, v, r)
+    if core_sets is None:  # no graph has a core set
+        return 0.0
+    _, core_test = core_sets
+
+    def test(low):
+        cores = core_test(low)
+        return lambda rows: np.bitwise_or.reduce(cores(rows), axis=0)
+
+    return subset_prob(len(cand), p, test)
 
 
 def exhaustive_local_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
@@ -637,47 +649,26 @@ def exhaustive_local_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
 
 
 def exhaustive_exactly_one_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
-    """Sum of p^|E| (1-p)^(M-|E|) over all edge subsets with exactly one
-    inclusion-minimal r-core vertex set (see
-    ``montecarlo.exact_exactly_one`` for the rule).
-
-    Only the vertex sets S with C(|S|-1, k-1) >= r can be core sets.  Per
-    block, each one's core test is :func:`_degree_planes` on the edges
-    inside S, ANDed over its vertices; a vertex lies in the intersection X
-    of the core sets iff no core set misses it; F is the present edges
-    inside X, and a subset is accepted iff F is nonempty and touches each
-    vertex 0 or at least r times (:func:`_levels` on F's planes)."""
-    inc = edge_incidence(cand, v).astype(np.uint64)
-    m, k = np.shape(cand)
-    slots = np.asarray(cand, dtype=np.intp).T
-    sets = [s for n in range(k, v + 1) if math.comb(n - 1, k - 1) >= r
-            for s in itertools.combinations(range(v), n)]
-    if not sets:  # no graph has a core set
+    """Sum of p^|E| (1-p)^(M-|E|) over the edge subsets E with exactly one
+    inclusion-minimal r-core set (:func:`_core_sets`;
+    ``montecarlo.exact_exactly_one`` gives the rule): a vertex lies in X,
+    the intersection of the core sets, iff no core set misses it, and E is
+    accepted iff some core set lies inside X, which makes it X.  The r
+    contract is :func:`exhaustive_global_prob`'s."""
+    core_sets = _core_sets(cand, v, r)
+    if core_sets is None:  # no graph has a core set
         return 0.0
-    in_set = np.zeros((len(sets), v), dtype=bool)
-    for i, s in enumerate(sets):
-        in_set[i, s] = True
-    # per set, the edges inside it: those touching no vertex outside it
-    inside = ~np.bitwise_or.reduce(np.where(in_set, np.uint64(0), inc), axis=1)
-    pair_inc = (inc & inside[:, None])[in_set]  # set by set, as its vertices
-    sizes = in_set.sum(axis=1)
-    starts = np.cumsum(sizes) - sizes
-    missed_by = [np.flatnonzero(~column) for column in in_set.T]
-    edges_at = _members(inc, m)
-    r = min(max(r, 0), edges_at.shape[1] + 1)
+    members, core_test = core_sets
+    missed_by = [np.flatnonzero((members != x).all(axis=0)) for x in range(v)]
 
     def test(low):
-        core_degree = _degree_planes(low, pair_inc, r)
+        cores = core_test(low)
 
         def accept(rows):
-            cores = np.bitwise_and.reduceat(core_degree(rows), starts, axis=0)
-            outside = np.array([np.bitwise_or.reduce(cores[i], axis=0) for i in missed_by])
-            found = _present(low, rows, m)
-            found[:m] &= _on_every_slot(~outside, slots)
-            levels = _levels(found, edges_at, max(r, 1))
-            ok = np.bitwise_and.reduce(~levels[1] | levels[r], axis=0)
-            return np.bitwise_or.reduce(found[:m], axis=0) & ok
+            core = cores(rows)
+            in_x = ~np.array([np.bitwise_or.reduce(core[i], axis=0) for i in missed_by])
+            return np.bitwise_or.reduce(core & _on_every_slot(in_x, members), axis=0)
 
         return accept
 
-    return subset_prob(m, p, test)
+    return subset_prob(len(cand), p, test)

@@ -10,9 +10,12 @@ that changes no count, and trial t still sees exactly
 
 The oracles enumerate every hypergraph on the candidate edge set (guarded to
 at most 2^20 instances) and are the ground truth the formulas and estimators
-are validated against.  They run bit-sliced: bit b of a uint64 word is one
-edge subset, at most ``kernels.BLOCK`` (2^16) subsets per block, so memory
-is bounded per block and one word operation decides 64 subsets (see
+are validated against.  They test the definition of an r-core set (a vertex
+set in which every vertex lies in at least r of the edges inside it) on
+every vertex set that can be one, so they share no algorithm with the
+peel of :func:`mc_global`.  They run bit-sliced: bit b of a uint64 word is
+one edge subset, at most ``kernels.BLOCK`` (2^16) subsets per block, so
+memory is bounded per block and one word operation decides 64 subsets (see
 :mod:`kernels`).  Each oracle counts its accepted subsets by size and sums
 the weights exactly (:func:`kernels.subset_prob`), giving the same floats as
 a per-subset sum.
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 
 from . import kernels
 from .kernels import np
-from .hypergraph import (ENUMERATE_GUARD, GENERATE_GUARD, HypergraphParams,
-                         candidate_edges, guarded_count)
+from .hypergraph import (ENUMERATE_GUARD, HypergraphParams, candidate_edges,
+                         guarded_count, guarded_draws)
 
 __all__ = [
     "McEstimate",
@@ -67,17 +70,18 @@ def _check_trials(trials: int, start: int) -> None:
         raise ValueError(f"start must be >= 0, got {start}")
 
 
-def _check_model(v: int, k: int, p: float, r: int, guard: int) -> None:
-    """The model-domain check, then the ``guard`` on the candidate count
-    (``guarded_count``)."""
+def _check_draws(v: int, k: int, p: float, r: int) -> None:
+    """The model-domain check, then the random-graph guards
+    (``guarded_draws``)."""
     HypergraphParams(v, k, p, r)
-    guarded_count(v, k, guard)
+    guarded_draws(v, k, p)
 
 
 def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
-    """``candidate_edges(v, k)`` for an exhaustive oracle, after
-    :func:`_check_model` with ``ENUMERATE_GUARD``."""
-    _check_model(v, k, p, r, ENUMERATE_GUARD)
+    """``candidate_edges(v, k)`` for an exhaustive oracle, after the
+    model-domain check and ``ENUMERATE_GUARD``."""
+    HypergraphParams(v, k, p, r)
+    guarded_count(v, k, ENUMERATE_GUARD)
     return candidate_edges(v, k)
 
 
@@ -93,7 +97,7 @@ def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
     _check_trials(trials, start)
     if predicate not in kernels.PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
-    _check_model(u, k, p, r, GENERATE_GUARD)
+    _check_draws(u, k, p, r)
     successes = kernels.mc_local_successes(u, k, p, r, predicate, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 
@@ -102,14 +106,17 @@ def mc_global(v: int, k: int, p: float, r: int,
               trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
     """Estimate the probability that peeling leaves a nonempty r-core anywhere."""
     _check_trials(trials, start)
-    _check_model(v, k, p, r, GENERATE_GUARD)
+    _check_draws(v, k, p, r)
     successes = kernels.mc_global_successes(v, k, p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 
 
 def exact_global(v: int, k: int, p: float, r: int) -> float:
     """Exact probability of a nonempty r-core, by summing p^|E| (1-p)^(M-|E|)
-    over every edge subset whose peel survives.  Guarded to C(v,k) <= 20."""
+    over every edge subset E with an r-core set: a vertex set S on which the
+    edges of E inside S give every vertex of S degree >= r.  Peeling leaves
+    the union of the core sets, so this is the chance that peeling leaves a
+    nonempty core.  Guarded to C(v,k) <= 20."""
     return kernels.exhaustive_global_prob(_candidates(v, k, p, r), v, r, p)
 
 
@@ -133,12 +140,10 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
     sets with C(|S|-1, k-1) >= r (hence |S| >= k) are read.  The C(v,k) <= 20
     guard forces v <= 6 unless k >= v-1, and leaves at most 57 such sets at
     r = 1, 42 at r = 2 and 22 at r = 3 (all at v = 6).  A vertex lies in the
-    intersection iff no core set misses it, and a graph is accepted iff its
-    edges inside the intersection, F, are nonempty and touch each vertex of
-    their vertex set X at least r times, i.e. X is a core set.  X lies in
-    every core set, so a core set X is the only minimal one; if C is the
-    only one, F holds the graph's edges inside C, and X = C passes.  With no
-    core set a passing X would be one, so nothing is accepted.
+    intersection X iff no core set misses it, and a graph is accepted iff
+    some core set lies in X.  X lies in every core set, so such a core set
+    is X, and it is the only minimal one; if C is the only minimal one, C is
+    the intersection and lies in X.  With no core set nothing is accepted.
     """
     if semantics not in ("minimal", "maximal"):
         raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")

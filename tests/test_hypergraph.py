@@ -15,7 +15,9 @@ from corebound import (
     is_connected_on,
     peel,
 )
-from corebound.hypergraph import GENERATE_GUARD
+from corebound import kernels
+from corebound.cli import main
+from corebound.hypergraph import GENERATE_GUARD, KEPT_GUARD
 from corebound.montecarlo import mc_global, mc_local
 
 
@@ -99,6 +101,27 @@ class TestGenerate:
         with pytest.raises(ValueError, match="generation guard"):
             mc_local(5000, 3, 1e-9, 2, "min-degree", trials=1, seed=0)
         assert choose(5000, 3) > GENERATE_GUARD
+
+    def test_kept_edge_guard(self, monkeypatch, capsys):
+        # C(2300, 3) = 2.03e9 draws pass GENERATE_GUARD, but at p = 1 one
+        # graph would keep them all (about 130 GB): rejected before any draw
+        def forbidden(*args):
+            raise AssertionError("kernels._draw_kept called")
+
+        monkeypatch.setattr(kernels, "_draw_kept", forbidden)
+        assert choose(2300, 3) <= GENERATE_GUARD and choose(2300, 3) * 1.0 > KEPT_GUARD
+        with pytest.raises(ValueError, match="kept-edge guard"):
+            mc_global(2300, 3, 1.0, 2, trials=1)
+        with pytest.raises(ValueError, match="kept-edge guard"):
+            mc_local(2300, 3, 1.0, 2, "min-degree", trials=1)
+        with pytest.raises(ValueError, match="kept-edge guard"):
+            generate(HypergraphParams(2300, 3, 1.0, 1), 0)
+        argv = ["global", "--v", "2300", "--k", "3", "--p", "1", "--method", "mc", "--trials", "1"]
+        assert main(argv) == 2
+        assert "kept-edge guard" in capsys.readouterr().err
+        # the bound itself is accepted: C(2300, 3) * p = 2^24 draws nothing here
+        with pytest.raises(AssertionError, match="_draw_kept"):
+            mc_global(2300, 3, KEPT_GUARD / choose(2300, 3), 2, trials=1)
 
 
 class TestPeel:

@@ -361,6 +361,7 @@ class TestExhaustiveOracles:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_global_matches_brute_force(self, k, r):
+        # peeling (hypergraph.peel) against the oracle's core-set definition
         for v in range(k, 6):
             cand = np.asarray(candidate_edges(v, k))
             for p in (0.0, 0.37, 0.8, 1.0):
@@ -403,10 +404,10 @@ class TestExhaustiveOracles:
     def test_incidence_masks(self):
         inc = kernels.edge_incidence(np.asarray(candidate_edges(4, 3)), 4)
         # colex rows: {0,1,2}, {0,1,3}, {0,2,3}, {1,2,3}
-        assert inc.dtype == np.uint32
+        assert inc.dtype == np.uint64
         assert inc.tolist() == [0b0111, 0b1011, 0b1101, 0b1110]
-        with pytest.raises(ValueError, match="uint32"):
-            kernels.edge_incidence(np.asarray(candidate_edges(7, 3)), 7)
+        with pytest.raises(ValueError, match="uint64"):
+            kernels.edge_incidence(np.asarray(candidate_edges(9, 3)), 9)  # 84 edges
         with pytest.raises(ValueError, match="2-dimensional"):
             kernels.edge_incidence(np.arange(3), 4)
 
@@ -510,6 +511,16 @@ class TestExhaustiveOracles:
             for p in (0.0, 0.5, 1.0):
                 assert exact_local(4, 3, p, r) == exact_global(4, 3, p, r) == 0.0
                 assert exact_exactly_one(4, 3, p, r, "minimal") == 0.0
+
+    def test_r_below_one(self):
+        # callers pass r >= 1; below it every set of at least k vertices is
+        # a core set, and at v = 4, k = 3 those sets meet in no vertex
+        cand = np.asarray(candidate_edges(4, 3))
+        for r in (0, -2**70):
+            for p in (0.0, 0.37, 1.0):
+                assert kernels.exhaustive_global_prob(cand, 4, r, p) == 1.0
+                assert kernels.exhaustive_local_prob(cand, 4, r, p) == 1.0
+                assert kernels.exhaustive_exactly_one_prob(cand, 4, r, p) == 0.0
 
     @pytest.mark.parametrize("oracle, blocks", [
         (lambda: exact_local(6, 3, 0.5, 2), 6),

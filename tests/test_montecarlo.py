@@ -251,6 +251,27 @@ class TestExactExactlyOne:
         assert exact_exactly_one(v, v - 1, p, 1, "maximal").hex() == \
             exact_global(v, v - 1, p, 1).hex()
 
+    @pytest.mark.parametrize("v,k", [(v, k) for k in range(2, 9) for v in range(1, 8)
+                                     if choose(v, k) <= 20] + [(20, 19)])
+    def test_closed_forms_at_r_1(self, v, k):
+        # a 1-core set holds an edge, and the minimal 1-core sets are the
+        # single edges: some core set iff some edge, one minimal iff one edge
+        m = choose(v, k)
+        for p in (0.0, 0.25, 0.5, 0.8, 1.0):
+            one_edge = m * p * (1 - p) ** (m - 1) if m else 0.0
+            assert abs(exact_global(v, k, p, 1) - (1 - (1 - p) ** m)) <= 1e-15, p
+            assert abs(exact_exactly_one(v, k, p, 1, "minimal") - one_edge) <= 1e-15, p
+
+    @pytest.mark.parametrize("r", [2, 3, 19, 20])
+    def test_three_oracles_agree_at_k_one_below_v(self, r):
+        # at (20, 19) a vertex set S holds C(|S|-1, 18) >= 2 edges at each of
+        # its vertices only when S = V: the one candidate set is V, so the
+        # core set exists, is unique and spans V together
+        value = exact_local(20, 19, 0.5, r)
+        assert exact_global(20, 19, 0.5, r).hex() == value.hex()
+        assert exact_exactly_one(20, 19, 0.5, r, "minimal").hex() == value.hex()
+        assert (value > 0) == (r <= 19)
+
     @pytest.mark.parametrize("semantics", ["minimal", "maximal"])
     def test_single_candidate_at_large_v(self, semantics):
         # C(100, 100) = 1: one vertex set to read, not 2^100
