@@ -40,11 +40,19 @@ from .local_prob import LocalProvider
 from .numerics import ProbValue, binomial_row, range_checked, stable_sum
 
 __all__ = [
+    "COMPOSITION_GUARD",
     "GlobalResult",
     "GlobalComputation",
     "exactly_one_core",
     "at_least_one_bound",
 ]
+
+# Max vertex count of a size composition.  Its binomial rows hold about v^2/2
+# floats (tracemalloc: 10.1, 28.9 and 86.1 MiB at v = 1024, 2048 and 4096)
+# and its loop takes O(v^3) steps (about 2 minutes at v = 2000), so larger v
+# is refused before any row is built.
+COMPOSITION_GUARD = 2**11
+
 
 @dataclass(frozen=True)
 class GlobalResult:
@@ -97,6 +105,8 @@ class GlobalComputation:
         self.provider = LocalProvider(method, k, p, r)
         if v < 1:
             raise ValueError(f"v must be >= 1, got {v}")
+        if v > COMPOSITION_GUARD:
+            raise ValueError(f"v = {v} exceeds the size-composition guard {COMPOSITION_GUARD}")
         self.v, self.p, self.k, self.r = v, p, k, r
         self._rows = [binomial_row(m)[1:] for m in range(v + 1)]  # _rows[m][j - 1] = C(m, j)
         self._rest: list[tuple] = []  # _rest[m]: no distinct core on m vertices

@@ -39,9 +39,9 @@ GENERATE_GUARD = 2**31
 # Max expected kept edges per graph, C(v, k) * p, which the draw guard does
 # not bound.  Traced peaks (tracemalloc, k=3, one graph, numpy 2.4): a Monte
 # Carlo trial holds about 65 bytes per kept edge (21 MiB at 3.3e5 edges, 137
-# MiB at 2.2e6), so about 1.1 GB at this bound; ``generate`` holds about 190
-# (58 and 423 MiB), its edges being Python tuples.
-KEPT_GUARD = 2**24
+# MiB at 2.2e6), so about 0.27 GB at this bound; ``generate`` holds about
+# 190 (58 and 423 MiB), its edges being Python tuples, so about 0.8 GB.
+KEPT_GUARD = 2**22
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
 
 

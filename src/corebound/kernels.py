@@ -34,10 +34,12 @@ and is copied once on entry.
 The exhaustive oracles enumerate all 2^m subsets of m <= 64 candidate edges
 bit-sliced (as in Biham's bitslice DES, 1997): bit b of a uint64 word is
 one subset, so one word operation decides 64 of them, in blocks of at most
-``BLOCK`` subsets (:func:`_accepted_by_size` gives the layout).  They test
-the core-set definition on split-half degree counts (:func:`_core_sets`,
-:func:`_degree_planes`), so they share no algorithm with the Monte Carlo
-peel they validate.
+``BLOCK`` subsets (:func:`_accepted_by_size` gives the layout).  All three
+test the core-set definition in one pass (:func:`_core_set_prob`): one
+split-half degree count (:func:`_degree_planes`) per (vertex set, vertex)
+pair, the pairs grouped by set size and ANDed per set, and a rule per
+oracle on the resulting "S is a core set" planes.  So they share no
+algorithm with the Monte Carlo peel they validate.
 
 numpy is bound lazily (:func:`_lazy_numpy`): it is imported at the first
 attribute read of ``np``, i.e. at the first Monte Carlo draw, oracle block or
@@ -573,102 +575,101 @@ def _degree_planes(low: np.ndarray, inc, r: int):
     return accept
 
 
-def _on_every_slot(planes: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Per column of the (d, n) index rows ``slots``, the AND of the planes
-    it indexes: an (n, ...) array.  AND is idempotent, so a column shorter
-    than d may repeat one of its indices as padding."""
-    out = planes[slots[0]]
-    for slot in slots[1:]:
-        out &= planes[slot]
-    return out
+def _size_groups(sets) -> list[tuple[int, np.ndarray]]:
+    """The groups of consecutive equal-size vertex sets in ``sets``, as (the
+    index of the group's first set, its (n_s, s) member rows)."""
+    groups = [np.array(list(g), dtype=np.intp) for _, g in itertools.groupby(sets, len)]
+    return list(zip(itertools.accumulate(map(len, groups), initial=0), groups))
 
 
-def _core_sets(cand: np.ndarray, v: int, r: int):
-    """The vertex sets of ``v`` vertices that can be r-core sets on the
-    candidate edges ``cand``, and their block test; None when there is none.
+def _core_set_prob(cand: np.ndarray, v: int, r: int, p: float, sets, accept) -> float:
+    """Sum of p^|E| (1-p)^(M-|E|) over the edge subsets E that ``accept``
+    takes, given which of the vertex ``sets`` are r-core sets under E: sets
+    whose every vertex lies in at least r of the edges inside the set.
+    ``accept(cores)`` gets a block's (len(sets), R, W) words, row i set where
+    ``sets[i]`` is a core set, and returns the accepted (R, W) words
+    (:func:`_accepted_by_size`); it may overwrite ``cores``.  No set gives 0.0.
 
-    S is an r-core set iff each of its vertices lies in at least r of the
-    edges inside S (those with no vertex outside S).  A vertex of S lies in
-    at most C(|S|-1, k-1) of them, so only the sets with C(|S|-1, k-1) >= r
-    (hence |S| >= k) are candidates.  Returns ``(members, test)``: the (d, n)
-    vertex rows of the n candidate sets, one column per set padded by
-    repeating its first vertex, and ``test(low) -> cores(rows)``, whose
-    (n, R, W) words have a bit set iff that subset makes the set a core set:
-    :func:`_degree_planes` on one mask per (set, vertex) pair, the vertex's
-    edges inside the set, ANDed over the set's vertices."""
-    inc, k = edge_incidence(cand, v), np.shape(cand)[1]
-    sets = [s for n in range(k, v + 1) if math.comb(n - 1, k - 1) >= r
-            for s in itertools.combinations(range(v), n)]
+    One :func:`_degree_planes` call covers every (set, vertex) pair, masked
+    to the edges inside the set.  The pairs run group by group of equal-size
+    sets (:func:`_size_groups`) and, in a group of n_s sets of s vertices,
+    vertex-row by vertex-row (pair j * n_s + i is the j-th vertex of set i),
+    so a group's planes reshape to (s, n_s, R, W) and AND over axis 0.  The
+    ANDs fill one array, returned before ``accept`` runs so that the degree
+    planes are freed first."""
     if not sets:
-        return None
-    d, n = len(sets[-1]), len(sets)
-    members = np.array([s + s[:1] * (d - len(s)) for s in sets]).T
-    in_set = np.zeros((n, v), dtype=bool)
-    in_set[np.arange(n), members] = True
-    inside = ~np.bitwise_or.reduce(np.where(in_set, np.uint64(0), inc), axis=1)
-    # one mask per distinct (set, vertex) pair, keyed vertex * n + set: a
-    # padding slot indexes its set's first pair
-    pairs, slots = np.unique(members * n + np.arange(n), return_inverse=True)
-    pair_inc, slots = inc[pairs // n] & inside[pairs % n], slots.reshape(d, n)
+        return 0.0
+    inc, groups = edge_incidence(cand, v), _size_groups(sets)
+    pair_inc = []
+    for _, members in groups:
+        outside = (members[:, :, None] != np.arange(v)).all(axis=1)
+        inside = ~np.bitwise_or.reduce(np.where(outside, inc, np.uint64(0)), axis=1)
+        pair_inc.append((inc[members] & inside[:, None]).T.ravel())
+    pair_inc = np.concatenate(pair_inc)
 
     def test(low):
         degree = _degree_planes(low, pair_inc, r)
-        return lambda rows: _on_every_slot(degree(rows), slots)
 
-    return members, test
+        def cores(rows):
+            planes = degree(rows)
+            out = np.empty((len(sets),) + planes.shape[1:], dtype=np.uint64)
+            pair = 0
+            for start, members in groups:
+                n, s = members.shape
+                group = planes[pair:pair + n * s].reshape((s, n) + planes.shape[1:])
+                np.bitwise_and.reduce(group, axis=0, out=out[start:start + n])
+                pair += n * s
+            return out
+
+        return lambda rows: accept(cores(rows))
+
+    return subset_prob(len(cand), p, test)
+
+
+def _candidate_sets(v: int, k: int, r: int) -> list[tuple[int, ...]]:
+    """The vertex sets that can be r-core sets on k-uniform edges over
+    ``v`` vertices, by increasing size: a vertex of S lies in at most
+    C(|S|-1, k-1) edges inside S, so only the sets with C(|S|-1, k-1) >= r
+    (hence |S| >= k) are candidates."""
+    return [s for n in range(k, v + 1) if math.comb(n - 1, k - 1) >= r
+            for s in itertools.combinations(range(v), n)]
 
 
 def exhaustive_global_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
     """Sum of p^|E| (1-p)^(M-|E|) over the edge subsets E with an r-core set
-    (:func:`_core_sets`).  Peeling leaves the union of the core sets, so
-    these are the subsets that peel to a nonempty core.  Callers pass r >= 1
-    (``numerics.check_kpr``); at r <= 0 every set of at least k vertices is
-    a core set, so the value is 1 when v >= k."""
-    core_sets = _core_sets(cand, v, r)
-    if core_sets is None:  # no graph has a core set
-        return 0.0
-    _, core_test = core_sets
-
-    def test(low):
-        cores = core_test(low)
-        return lambda rows: np.bitwise_or.reduce(cores(rows), axis=0)
-
-    return subset_prob(len(cand), p, test)
+    (:func:`_core_set_prob` on :func:`_candidate_sets`).  Peeling leaves the
+    union of the core sets, so these are the subsets that peel to a nonempty
+    core.  Callers pass r >= 1 (``numerics.check_kpr``); at r <= 0 every set
+    of at least k vertices is a core set, so the value is 1 when v >= k."""
+    sets = _candidate_sets(v, np.shape(cand)[1], r)
+    return _core_set_prob(cand, v, r, p, sets, lambda cores: np.bitwise_or.reduce(cores, axis=0))
 
 
 def exhaustive_local_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
     """Sum of p^|E| (1-p)^(M-|E|) over all edge subsets in which every vertex
-    lies in at least r edges."""
-    inc = edge_incidence(cand, v)
-
-    def test(low):
-        own_degree = _degree_planes(low, inc, r)
-        return lambda rows: np.bitwise_and.reduce(own_degree(rows), axis=0, initial=~np.uint64(0))
-
-    return subset_prob(len(cand), p, test)
+    lies in at least r edges: :func:`_core_set_prob` on the one set of all
+    ``v`` vertices."""
+    return _core_set_prob(cand, v, r, p, [tuple(range(v))], lambda cores: cores[0])
 
 
 def exhaustive_exactly_one_prob(cand: np.ndarray, v: int, r: int, p: float) -> float:
     """Sum of p^|E| (1-p)^(M-|E|) over the edge subsets E with exactly one
-    inclusion-minimal r-core set (:func:`_core_sets`;
-    ``montecarlo.exact_exactly_one`` gives the rule): a vertex lies in X,
-    the intersection of the core sets, iff no core set misses it, and E is
-    accepted iff some core set lies inside X, which makes it X.  The r
-    contract is :func:`exhaustive_global_prob`'s."""
-    core_sets = _core_sets(cand, v, r)
-    if core_sets is None:  # no graph has a core set
-        return 0.0
-    members, core_test = core_sets
-    missed_by = [np.flatnonzero((members != x).all(axis=0)) for x in range(v)]
+    inclusion-minimal r-core set (:func:`_core_set_prob` on
+    :func:`_candidate_sets`; ``montecarlo.exact_exactly_one`` gives the
+    rule): a vertex lies in X, the intersection of the core sets, iff no
+    core set misses it, and E is accepted iff some core set lies inside X,
+    which makes it X.  The r contract is :func:`exhaustive_global_prob`'s."""
+    sets = _candidate_sets(v, np.shape(cand)[1], r)
+    missed_by = [np.array([i for i, s in enumerate(sets) if x not in s], dtype=np.intp)
+                 for x in range(v)]
+    groups = _size_groups(sets)
 
-    def test(low):
-        cores = core_test(low)
+    def accept(cores):
+        in_x = ~np.array([np.bitwise_or.reduce(cores[i], axis=0) for i in missed_by])
+        for start, members in groups:  # keep the core sets inside X
+            group = cores[start:start + len(members)]
+            for column in members.T:
+                group &= in_x[column]
+        return np.bitwise_or.reduce(cores, axis=0)
 
-        def accept(rows):
-            core = cores(rows)
-            in_x = ~np.array([np.bitwise_or.reduce(core[i], axis=0) for i in missed_by])
-            return np.bitwise_or.reduce(core & _on_every_slot(in_x, members), axis=0)
-
-        return accept
-
-    return subset_prob(len(cand), p, test)
+    return _core_set_prob(cand, v, r, p, sets, accept)

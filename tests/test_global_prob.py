@@ -17,6 +17,7 @@ from corebound import (
     mc_global,
 )
 from corebound import global_prob, local_prob
+from corebound.cli import main
 from corebound.global_prob import _geometric_bound, _merge
 from corebound.numerics import ProbValue
 from corebound.sweep import METHOD_TABLE, point_geometry
@@ -453,6 +454,29 @@ class TestSinglePath:
         # the same domain as HypergraphParams, so formulas and Monte Carlo agree
         with pytest.raises(ValueError, match=rf"^v must be >= 1, got {v}$"):
             GlobalComputation(v, 0.5, 3, 2, "connectivity")
+
+    def test_composition_guard(self, monkeypatch, capsys):
+        # v above the guard is refused before any binomial row is built
+        def forbidden(n):
+            raise AssertionError("global_prob.binomial_row called")
+
+        monkeypatch.setattr(global_prob, "binomial_row", forbidden)
+        v = global_prob.COMPOSITION_GUARD + 1
+        assert v == 2049
+        with pytest.raises(ValueError, match="size-composition guard"):
+            GlobalComputation(v, 0.5, 3, 2, "covering")
+        with pytest.raises(ValueError, match="size-composition guard"):
+            at_least_one_bound(v, 0.5, 3, 2, method="covering")
+        for argv in (["global", "--v", "2049", "--k", "3", "--e-v", "10", "--r", "2",
+                      "--method", "covering"],
+                     ["sweep", "--k", "3", "--r", "2", "--overhead", "5000", "--e-min", "1",
+                      "--e-max", "1", "--method", "covering"]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "size-composition guard" in captured.err and captured.out == ""
+        # the bound itself is accepted: it reaches the (forbidden) rows
+        with pytest.raises(AssertionError, match="binomial_row"):
+            GlobalComputation(v - 1, 0.5, 3, 2, "covering")
 
     def test_binomial_row_entries_at_most_quadratic(self, monkeypatch):
         entries = 0

@@ -119,9 +119,12 @@ class TestGenerate:
         argv = ["global", "--v", "2300", "--k", "3", "--p", "1", "--method", "mc", "--trials", "1"]
         assert main(argv) == 2
         assert "kept-edge guard" in capsys.readouterr().err
-        # the bound itself is accepted: C(2300, 3) * p = 2^24 draws nothing here
+        # the bound itself is accepted: C(2300, 3) * p = 2^22 draws nothing here
         with pytest.raises(AssertionError, match="_draw_kept"):
             mc_global(2300, 3, KEPT_GUARD / choose(2300, 3), 2, trials=1)
+        # twice the bound is refused (generate would hold about 1.6 GB)
+        with pytest.raises(ValueError, match="kept-edge guard"):
+            mc_global(2300, 3, 2**23 / choose(2300, 3), 2, trials=1)
 
 
 class TestPeel:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -383,13 +384,16 @@ class TestExhaustiveOracles:
                           for s in vertex_sets}
             graphs.append((len(edges), min_degree))
         for r in (1, 2, 3):
-            spans_all, one_minimal = [], []
+            any_core, spans_all, one_minimal = [], [], []
             for _, min_degree in graphs:
                 cores = [s for s in vertex_sets if min_degree[s] >= r]
+                any_core.append(bool(cores))
                 spans_all.append(min_degree[frozenset(range(v))] >= r)
                 one_minimal.append(sum(not any(d < c for d in cores) for c in cores) == 1)
             for p in (0.0, 0.37, 1.0):
                 weights = [p**n * (1.0 - p) ** (m - n) for n, _ in graphs]
+                assert exact_global(v, k, p, r) == pytest.approx(
+                    math.fsum(w for w, ok in zip(weights, any_core) if ok), abs=1e-12)
                 assert exact_local(v, k, p, r) == pytest.approx(
                     math.fsum(w for w, ok in zip(weights, spans_all) if ok), abs=1e-12)
                 assert exact_exactly_one(v, k, p, r, "minimal") == pytest.approx(
@@ -400,6 +404,19 @@ class TestExhaustiveOracles:
         assert exact_global(6, 3, 0.5, 2).hex() == "0x1.fdc4000000007p-1"
         assert exact_local(6, 3, 0.5, 2).hex() == "0x1.e3bbe00000007p-1"
         assert exact_exactly_one(6, 3, 0.5, 2, "minimal").hex() == "0x1.43be000000006p-5"
+
+    def test_every_guarded_value_pinned(self):
+        # every (v, k) the enumeration guard admits up to v = 7, plus the two
+        # v = 20 ones, at r = 1..4 and six p: 3384 floats, bit for bit
+        points = [(v, k) for v in range(1, 8) for k in range(2, 9) if choose(v, k) <= 20]
+        digest = hashlib.sha256()
+        for v, k in points + [(20, 19), (20, 20)]:
+            for r in range(1, 5):
+                for p in (0.0, 0.25, 0.37, 0.5, 0.8, 1.0):
+                    for value in (exact_global(v, k, p, r), exact_local(v, k, p, r),
+                                  exact_exactly_one(v, k, p, r, "minimal")):
+                        digest.update(value.hex().encode())
+        assert digest.hexdigest().startswith("35be3b1babdf988a"), digest.hexdigest()
 
     def test_incidence_masks(self):
         inc = kernels.edge_incidence(np.asarray(candidate_edges(4, 3)), 4)
@@ -526,7 +543,10 @@ class TestExhaustiveOracles:
         (lambda: exact_local(6, 3, 0.5, 2), 6),
         (lambda: exact_global(6, 3, 0.5, 2), 6),
         (lambda: exact_exactly_one(6, 3, 0.5, 2, "minimal"), 10),
-    ], ids=["local", "global", "exactly-one"])
+        # r = 1: 42 candidate vertex sets, the most at this size
+        (lambda: exact_global(6, 3, 0.5, 1), 8),
+        (lambda: exact_exactly_one(6, 3, 0.5, 1, "minimal"), 8),
+    ], ids=["local", "global", "exactly-one", "global-r1", "exactly-one-r1"])
     def test_memory_is_bounded_per_block(self, oracle, blocks):
         # 2^20 edge subsets; one block of uint32 masks is 256 KiB and all 2^20
         # masks would be 4 MiB: the peak stays a few blocks' size
