@@ -11,6 +11,10 @@ Exit status: 0 success, 2 invalid arguments, 3 output I/O failure.  A value
 that fails a check after parsing prints one ``error: ...`` line on stderr.  An
 ``--out`` file is written to a temp file and renamed onto its path, so a
 failed write leaves no partial file and an existing file unchanged.
+
+The argument parser is built once per process (:func:`build_parser`) and
+reused, so :func:`main` is safe and cheap to call repeatedly in one process:
+each call parses into a fresh namespace.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -83,7 +88,7 @@ def _resolve_p(n: int, k: int, p: float | None, e: float | None) -> float:
         p = e / m
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
-    return p
+    return p + 0.0  # -0.0 prints as 0.0
 
 
 def _emit(args, rows: list[dict], json_obj) -> int:
@@ -267,7 +272,11 @@ def cmd_oracle(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one shared parser, built on the first call.  Callers
+    must not mutate it (add arguments, change defaults): every later
+    :func:`main` call in the process parses with it."""
     parser = argparse.ArgumentParser(
         prog="corebound",
         description="Core-formation probabilities in k-uniform random hypergraphs",
@@ -334,6 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and return its exit status.  Safe to call
+    repeatedly in one process: the shared parser holds no state between
+    calls, and each call parses ``argv`` into a fresh namespace."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -63,9 +63,15 @@ class McEstimate:
                                       self.trials + other.trials, self.seed)
 
 
-def _check_trials(trials: int, start: int) -> None:
+def _check_trials(trials: int, seed: int, start: int) -> None:
+    """Trial count, master seed and first trial index of a Monte Carlo run.
+    The seed must lie in [0, 2^64): the stream reads it mod 2^64, so a seed
+    outside would run the graphs of another seed under its own number.
+    Trial indices past 2^64 wrap (see :func:`kernels.trial_seed`)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
 
@@ -94,7 +100,7 @@ def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
     ``"connectivity"`` (the 1-core reading) or ``"min-degree"`` (every vertex
     in at least r induced edges).
     """
-    _check_trials(trials, start)
+    _check_trials(trials, seed, start)
     if predicate not in kernels.PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
     _check_draws(u, k, p, r)
@@ -105,7 +111,7 @@ def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
 def mc_global(v: int, k: int, p: float, r: int,
               trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
     """Estimate the probability that peeling leaves a nonempty r-core anywhere."""
-    _check_trials(trials, start)
+    _check_trials(trials, seed, start)
     _check_draws(v, k, p, r)
     successes = kernels.mc_global_successes(v, k, p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)

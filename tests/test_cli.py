@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -19,6 +20,12 @@ def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "corebound.cli", *argv],
                           capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_fresh(argv):
+    """{"code", "stdout", "stderr"} of ``corebound argv`` in a fresh process."""
+    code, out, err = run_cli(*argv)
+    return {"code": code, "stdout": out, "stderr": err}
 
 
 class TestLocal:
@@ -324,8 +331,13 @@ class TestUsageErrors:
           "--method", "covering"], "overhead * e_max = 1e+308 * 2 is not finite"),
         (["breakdown", "--k", "3", "--r", "2", "--overhead", "1e308", "--cap", "3",
           "--method", "covering"], "overhead * e_max = 1e+308 * 3 is not finite"),
+        (["global", "--v", "5", "--k", "3", "--p", "0.5", "--method", "mc", "--seed", "-1"],
+         "seed must be in [0, 2^64), got -1"),
+        (["local", "--u", "4", "--k", "3", "--p", "0.5", "--method", "mc",
+          "--seed", str(2**64)], f"seed must be in [0, 2^64), got {2**64}"),
     ], ids=["p-and-e", "p-range", "gilbert-k", "global-trials", "sweep-trials", "oracle-guard",
-            "sweep-overhead-overflow", "breakdown-overhead-overflow"])
+            "sweep-overhead-overflow", "breakdown-overhead-overflow", "global-seed-negative",
+            "local-seed-2^64"])
     def test_bad_value_prints_one_error_line(self, capsys, argv, message):
         # argparse reports its own parse errors; every value check after it
         # prints the same single line and exits 2
@@ -377,6 +389,19 @@ class TestUsageErrors:
             main([*argv, "--r", "0"])
         assert exc.value.code == 2
         assert "core order must be >= 1" in capsys.readouterr().err
+
+
+class TestNegativeZeroProbability:
+    @pytest.mark.parametrize("argv", [
+        ["local", "--u", "5", "--k", "3", "--e-u", "-0.0"],
+        ["global", "--v", "6", "--k", "3", "--p", "-0.0"],
+        ["oracle", "--v", "5", "--k", "3", "--p", "-0.0"],
+    ], ids=lambda argv: argv[0])
+    def test_prints_as_zero(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "0.0"
+        assert main([*argv, "--format", "json"]) == 0
+        assert '\n  "p": 0.0,\n' in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +474,14 @@ def pinned_runs():
 
 
 def run_in_process(argv):
-    """{"code", "stdout", "stderr"} of ``main(argv)``."""
+    """{"code", "stdout", "stderr"} of ``main(argv)``, or of the exit that
+    argparse raises for ``--help`` or a rejected argument."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -528,3 +557,43 @@ class TestFreshInterpreter:
         assert expected["code"] == 0
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, expected["stdout"] + f"{numpy_imported}\n", expected["stderr"])
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process, and calls in one process
+    print what fresh processes print."""
+
+    ORACLE = ["oracle", "--v", "6", "--k", "2", "--p", "0.5", "--r", "2"]
+    GLOBAL = ["global", "--v", "12", "--k", "3", "--p", "0.1"]
+
+    def test_second_call_adds_no_argument(self, capsys, monkeypatch):
+        assert main(self.ORACLE) == 0
+        calls = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(parser, *args, **kwargs):
+            calls.append(args)
+            return add_argument(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        assert main(self.ORACLE) == 0
+        assert calls == []
+
+    def test_appended_methods_do_not_leak(self):
+        runs = [[*self.GLOBAL, "--method", "covering"], self.GLOBAL]
+        in_process = [run_in_process(argv) for argv in runs]
+        assert in_process == [run_fresh(argv) for argv in runs]
+        assert in_process[1]["stdout"].splitlines()[0] == "v,p,connectivity,connectivity_valid"
+
+    def test_valid_call_after_a_rejection(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        runs = [[*self.GLOBAL, "--r", "0"], self.GLOBAL]
+        in_process = [run_in_process(argv) for argv in runs]
+        assert [run["code"] for run in in_process] == [2, 0]
+        assert in_process == [run_fresh(argv) for argv in runs]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["global", "--help"]], ids=["top", "global"])
+    def test_help_after_a_run(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run_in_process(self.ORACLE)["code"] == 0
+        assert run_in_process(argv) == run_fresh(argv)

@@ -63,6 +63,17 @@ class TestEstimates:
         with pytest.raises(ValueError, match="start"):
             mc_global(4, 3, 0.5, 1, trials=10, start=-1)
 
+    def test_master_seed_domain(self):
+        # the stream reads the seed mod 2^64: 2^64 would rerun seed 0's graphs
+        # and -1 those of 2^64 - 1, under numbers that merge refuses to join
+        for seed in (2**64, -1):
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+                mc_local(4, 3, 0.5, 1, trials=10, seed=seed)
+            with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
+                mc_global(4, 3, 0.5, 1, trials=10, seed=seed)
+        est = mc_global(10, 3, 0.05, 2, trials=2000, seed=2**64 - 1)
+        assert (est.successes, est.seed) == (643, 2**64 - 1)
+
 
 class TestMcLocal:
     def test_certain_edge(self, warm_kernels):
