@@ -9,17 +9,27 @@ with ``s`` is included iff ``unit(mix64(s + (j+1)*GOLDEN)) < p``, and trial
 ``hypergraph.generate(params, trial_seed(m, t))``, and partitioned runs merge
 exactly (trial indices are global).
 
-The stream is evaluated in blocks of ``BLOCK`` draws, in place in two reused
-uint64 buffers of 512 KiB, so each pass over a block stays in cache.  A block
-yields only the (graph, rank) pairs of its kept candidates, and only those
-ranks are unranked into edges, so no array grows with C(v, k): there is no
-candidate array and no mask over the candidates.  The Monte Carlo drivers
-run their trials in blocks, each drawn by one call of the step that
-:func:`sample_edges` also uses (:func:`_block_edges`): the stream passes of
-a block cover whole trials (or one slice of one trial), all passes of a run
-share one pair of scratch buffers, and the kept edges of the block, with
+The stream is evaluated in blocks of ``BLOCK`` draws, in place in a reused
+pair of uint64 buffers of 512 KiB each, so each pass over a block stays in
+cache.  A block yields only the (graph, rank) pairs of its kept candidates,
+and only those ranks are unranked into edges, so no array grows with C(v,
+k): there is no candidate array and no mask over the candidates.  The Monte
+Carlo drivers run their trials in blocks, each drawn by one call of the step
+that :func:`sample_edges` also uses (:func:`_block_edges`): the stream
+passes of a block cover whole trials (or one slice of one trial), all passes
+of a run share the same scratch pairs, and the kept edges of the block, with
 the vertex ids of its i-th trial offset by ``i * v``, form one
 disjoint-union graph on which each predicate runs once for the whole block.
+
+A draw of several blocks runs on threads (:func:`_draw_kept`): its blocks
+are cut into contiguous runs, one per worker, each worker hashes its run in
+its own scratch pair (1 MiB; allocated once per Monte Carlo run), and numpy
+releases the GIL inside the hashing loops.  The workers' kept positions are
+joined in block order, and each draw is a pure function of (seed, rank), so
+the output is bit-identical for any worker count.  A draw of b blocks uses
+min(``WORKERS``, b) workers, where ``WORKERS`` is the number of CPUs the
+process may run on (its affinity set, read at import); a one-block draw runs
+inline and starts no thread.
 
 Edges are (m, k) arrays, but the unranking fills them slot-major: a
 C-contiguous (k, m) array whose row i holds every edge's i-th vertex, handed
@@ -53,7 +63,9 @@ import functools
 import importlib.util
 import itertools
 import math
+import os
 import sys
+import threading
 
 __all__ = [
     "backend",
@@ -91,6 +103,19 @@ BLOCK = 1 << 16
 # at 42.2 MB, slower in 9 of 10 pairs.  On mc-large-v (6 pairs) the two
 # were level: 796 and 790 trials/s.
 TRIAL_BLOCK = 1 << 14
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has
+    one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Most threads one stream draw runs on (:func:`_draw_kept`): a draw of b
+# blocks uses min(WORKERS, b) of them, the calling thread included.
+WORKERS = _usable_cpus()
 
 
 def _lazy_numpy():
@@ -182,9 +207,8 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
     """
     scalar = np.ndim(graph_seed) == 0
     seeds = _seed_array(graph_seed) if scalar else np.asarray(graph_seed, dtype=np.uint64)
-    z = np.empty(min(len(seeds) * n_candidates, BLOCK), dtype=np.uint64)
     keep = np.zeros((len(seeds), n_candidates), dtype=bool)
-    keep[_draw_kept(n_candidates, p, seeds, z, np.empty_like(z))] = True
+    keep[_draw_kept(n_candidates, p, seeds, _scratch(len(seeds) * n_candidates))] = True
     return keep[0] if scalar else keep
 
 
@@ -192,19 +216,17 @@ def sample_edges(v: int, k: int, p: float, graph_seed: int) -> np.ndarray:
     """The kept edges of the graph on ``v`` vertices seeded with
     ``graph_seed``, as (kept, k) int64 rows in colex order: the rows of
     the candidates ``sample_edge_mask(C(v, k), p, graph_seed)`` keeps."""
-    z = np.empty(min(math.comb(v, k), BLOCK), dtype=np.uint64)
-    return _block_edges(v, k, p, _seed_array(graph_seed), z, np.empty_like(z))
+    return _block_edges(v, k, p, _seed_array(graph_seed), _scratch(math.comb(v, k)))
 
 
-def _block_edges(v: int, k: int, p: float, seeds: np.ndarray,
-                 z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+def _block_edges(v: int, k: int, p: float, seeds: np.ndarray, scratch: list) -> np.ndarray:
     """The kept edges of one graph on ``v`` vertices per seed, as (kept, k)
     int64 rows, with the vertices of seed i's graph offset by ``i * v``: one
     disjoint-union graph, its rows grouped by seed and in colex order within
     one.  Like :func:`colex_unrank`'s, the array is the transpose of k
-    contiguous slot rows, and the offsets are added along them.  ``z`` and
-    ``tmp`` are :func:`_draw_kept`'s scratch buffers."""
-    row, rank = _draw_kept(math.comb(v, k), p, seeds, z, tmp)
+    contiguous slot rows, and the offsets are added along them.
+    ``scratch`` holds :func:`_draw_kept`'s buffer pairs."""
+    row, rank = _draw_kept(math.comb(v, k), p, seeds, scratch)
     slots = colex_unrank(rank, v, k).T
     slots += row * v
     return slots.T
@@ -214,20 +236,38 @@ def _seed_array(graph_seed: int) -> np.ndarray:
     return np.array([int(graph_seed) & _MASK64], dtype=np.uint64)
 
 
+def _scratch(draws: int) -> list:
+    """One pair of uint64 scratch buffers for :func:`_draw_kept`, as a
+    one-pair list, long enough for blocks of ``draws`` stream draws (at
+    most ``BLOCK``); the draw adds a pair per extra worker."""
+    z = np.empty(min(draws, BLOCK), dtype=np.uint64)
+    return [(z, np.empty_like(z))]
+
+
 def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
-               z: np.ndarray, tmp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               scratch: list) -> tuple[np.ndarray, np.ndarray]:
     """The kept candidates of one graph per seed in a 1-D uint64 array, as
     int64 arrays (row, rank): row i of the seeds keeps candidate rank.  The
     pairs come in row-major order.
 
-    The stream is evaluated in blocks of at most ``BLOCK`` draws in the
-    uint64 scratch buffers ``z`` and ``tmp`` (each at least
-    ``min(len(seeds) * n_candidates, BLOCK)`` long), so a caller that draws
-    many times can allocate them once; a block holds whole rows of
-    candidates, or one slice of one row when ``n_candidates > BLOCK``.
-    Nothing else the draw allocates grows with ``n_candidates``: a block
-    yields only the flat positions ``row * n_candidates + rank`` of its kept
-    candidates, split into (row, rank) once at the end.
+    The stream is evaluated in blocks of at most ``BLOCK`` draws; a block
+    holds whole rows of candidates, or one slice of one row when
+    ``n_candidates > BLOCK``.  Nothing the draw allocates grows with
+    ``n_candidates``: a block yields only the flat positions
+    ``row * n_candidates + rank`` of its kept candidates, split into (row,
+    rank) once at the end.
+
+    Threads.  The blocks, in the order (row block, slice), are cut into
+    ``min(WORKERS, blocks)`` contiguous runs of near-equal length, and each
+    run is drawn by one worker (:func:`_in_threads`; the calling thread
+    draws the first).  Each draw is a pure function of (seed, rank), and
+    the runs' flat positions are concatenated in block order, so the output
+    is the same arrays for any worker count.  ``scratch`` is a list of
+    uint64 buffer pairs (z, tmp), each at least ``min(len(seeds) *
+    n_candidates, BLOCK)`` long: worker i draws in pair i, and the call
+    appends pairs shaped like the first until every worker has one.  So a
+    caller that draws many times allocates the pairs once.  A worker calls
+    only numpy and :func:`_mix64_rounds`, whose ufunc loops release the GIL.
 
     Integer test.  ``unit(x)`` is the integer ``y = x >> 11 < 2^53`` times
     2^-53, and both that product and ``p * 2^53`` are exact (power-of-two
@@ -253,11 +293,14 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
     bound_bits = (limit - 1).bit_length() + 11
     pre = np.uint64(1 << bound_bits) if bound_bits < 64 else None
     steps = _block_steps()
-    kept_out = [np.empty(0, dtype=np.int64)]
     rows = max(1, BLOCK // max(n_candidates, 1))  # seeds per block
-    for r0 in range(0, len(seeds), rows):
-        block_seeds = seeds[r0:r0 + rows]
-        for lo in range(0, n_candidates, BLOCK):
+    blocks = [(r0, lo) for r0 in range(0, len(seeds), rows)
+              for lo in range(0, n_candidates, BLOCK)]
+
+    def draw(run, z, tmp):
+        kept_out = []
+        for r0, lo in run:
+            block_seeds = seeds[r0:r0 + rows]
             width = min(BLOCK, n_candidates - lo)
             size = len(block_seeds) * width
             zb, tb = z[:size], tmp[:size]
@@ -276,7 +319,43 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
                 kept = survivors[kept]
             # whole rows (lo = 0, width = n_candidates) or a slice of one row
             kept_out.append(kept + (r0 * n_candidates + lo))
+        return kept_out
+
+    workers = min(WORKERS, len(blocks))
+    z = scratch[0][0]
+    scratch += [(np.empty_like(z), np.empty_like(z)) for _ in range(workers - len(scratch))]
+    runs = [(blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers], *scratch[i])
+            for i in range(workers)]
+    kept_out = [np.empty(0, dtype=np.int64)]
+    for run_kept in _in_threads(draw, runs):
+        kept_out += run_kept
     return np.divmod(np.concatenate(kept_out), max(n_candidates, 1))
+
+
+def _in_threads(fn, calls: list) -> list:
+    """``[fn(*args) for args in calls]``, with the first call run in the
+    calling thread and each other call in a thread of its own, started
+    before the first and joined after it.  The first exception raised in a
+    call is re-raised once every thread has ended.  At most one call
+    starts no thread."""
+    results, errors = [None] * len(calls), []
+
+    def work(i):
+        try:
+            results[i] = fn(*calls[i])
+        except BaseException as error:  # re-raised in the calling thread
+            errors.append(error)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(calls))]
+    for thread in threads:
+        thread.start()
+    if calls:
+        work(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def colex_unrank(ranks: np.ndarray, v: int, k: int) -> np.ndarray:
@@ -399,16 +478,15 @@ def _successes(test, v: int, k: int, p: float, r: int,
 
     A block holds as many trials as fit ``TRIAL_BLOCK`` both in vertices and
     in expected kept edges (at least one), and is drawn by one
-    :func:`_block_edges` call; every block of the run uses the same two
-    scratch buffers.
+    :func:`_block_edges` call; every block of the run uses the same scratch
+    pairs, one per draw worker.
     """
     per_block = max(1, int(TRIAL_BLOCK // max(v, math.comb(v, k) * p)))
-    z = np.empty(BLOCK, dtype=np.uint64)
-    tmp = np.empty_like(z)
+    scratch = _scratch(BLOCK)
     successes = 0
     for t in range(start, start + trials, per_block):
         n = min(per_block, start + trials - t)
-        edges = _block_edges(v, k, p, _trial_seeds(master, t, n), z, tmp)
+        edges = _block_edges(v, k, p, _trial_seeds(master, t, n), scratch)
         successes += int(np.count_nonzero(test(edges, n, v, r)))
     return successes
 

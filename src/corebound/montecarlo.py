@@ -76,6 +76,13 @@ def _check_trials(trials: int, seed: int, start: int) -> None:
         raise ValueError(f"start must be >= 0, got {start}")
 
 
+def _check_u(u: int) -> None:
+    """The vertex count of a local run, under its own name: the model check
+    that follows would report it as ``v``."""
+    if u < 1:
+        raise ValueError(f"u must be >= 1, got {u}")
+
+
 def _check_draws(v: int, k: int, p: float, r: int) -> None:
     """The model-domain check, then the random-graph guards
     (``guarded_draws``)."""
@@ -103,6 +110,7 @@ def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
     _check_trials(trials, seed, start)
     if predicate not in kernels.PREDICATES:
         raise ValueError(f"unknown predicate {predicate!r}")
+    _check_u(u)
     _check_draws(u, k, p, r)
     successes = kernels.mc_local_successes(u, k, p, r, predicate, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
@@ -161,4 +169,5 @@ def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minima
 def exact_local(u: int, k: int, p: float, r: int) -> float:
     """Exact probability that an r-core spans all u vertices (induced minimum
     degree >= r on the whole subset), by enumeration.  Guarded to C(u,k) <= 20."""
+    _check_u(u)
     return kernels.exhaustive_local_prob(_candidates(u, k, p, r), u, r, p)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from corebound import cli
+from corebound import cli, kernels
 from corebound.cli import main
 from corebound.sweep import FORMULA_METHODS
 
@@ -335,9 +335,11 @@ class TestUsageErrors:
          "seed must be in [0, 2^64), got -1"),
         (["local", "--u", "4", "--k", "3", "--p", "0.5", "--method", "mc",
           "--seed", str(2**64)], f"seed must be in [0, 2^64), got {2**64}"),
+        (["local", "--u", "-3", "--k", "3", "--p", "0.1", "--method", "mc"],
+         "u must be >= 1, got -3"),
     ], ids=["p-and-e", "p-range", "gilbert-k", "global-trials", "sweep-trials", "oracle-guard",
             "sweep-overhead-overflow", "breakdown-overhead-overflow", "global-seed-negative",
-            "local-seed-2^64"])
+            "local-seed-2^64", "local-mc-u-negative"])
     def test_bad_value_prints_one_error_line(self, capsys, argv, message):
         # argparse reports its own parse errors; every value check after it
         # prints the same single line and exits 2
@@ -534,6 +536,31 @@ sys.exit(code)
 """
 
 
+THREAD_CHILD = """\
+import sys
+import threading
+started = []
+start = threading.Thread.start
+threading.Thread.start = lambda self: (started.append(self), start(self))[1]
+from corebound.cli import main
+code = main(sys.argv[1:])
+pool = any(name in sys.modules for name in ("concurrent.futures", "multiprocessing"))
+print(len(started), threading.active_count(), pool)
+sys.exit(code)
+"""
+
+ONE_CPU_CHILD = """\
+import os
+import sys
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from corebound import kernels
+from corebound.cli import main
+code = main(sys.argv[1:])
+print(kernels.WORKERS)
+sys.exit(code)
+"""
+
+
 class TestFreshInterpreter:
     """Formula commands run without importing numpy; Monte Carlo and the
     oracles import it on first use and print what they print in-process.
@@ -557,6 +584,38 @@ class TestFreshInterpreter:
         assert expected["code"] == 0
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, expected["stdout"] + f"{numpy_imported}\n", expected["stderr"])
+
+    @pytest.mark.parametrize("argv, starts_threads", [
+        (PINNED_CASES["local connectivity"], False),
+        (["global", "--v", "20", "--k", "3", "--e-v", "12.5", "--r", "2", *_FORMULA_ARGS], False),
+        (PINNED_CASES["sweep local breakdown_at"], False),
+        (PINNED_CASES["breakdown none"], False),
+        (PINNED_CASES["breakdown global covering r=2"], False),
+        (PINNED_CASES["global every method"], True),
+    ], ids=["local", "global-formula", "sweep-local", "breakdown-local", "breakdown-global",
+            "global-mc"])
+    def test_formula_commands_start_no_thread(self, argv, starts_threads):
+        # a Monte Carlo draw may run on threads, but joins them before it
+        # returns, and no command imports a pool module
+        proc = subprocess.run([sys.executable, "-c", THREAD_CHILD, *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        started, active, pool = proc.stdout.splitlines()[-1].split()
+        assert (active, pool) == ("1", "False")
+        assert started == "0" or starts_threads
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
+    def test_one_cpu_prints_the_same_bytes(self, monkeypatch):
+        # the child pins itself to one CPU before the import, so it draws on
+        # one thread; the run here draws the same command's blocks on three
+        argv = PINNED_CASES["global every method"]
+        proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, *argv],
+                              capture_output=True, text=True)
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        expected = run_in_process(argv)
+        assert expected["code"] == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, expected["stdout"] + "1\n", expected["stderr"])
 
 
 class TestParserReuse:

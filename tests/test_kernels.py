@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -205,11 +207,14 @@ class TestBlockedTrials:
         for c in COUNT_CASES])
     def test_counts_are_the_per_trial_sum(self, monkeypatch, predicate, v, k, p, r, trials,
                                           start, blocks):
-        # stream passes and seed derivations; draws; blocks
+        # stream passes and seed derivations; draws; blocks.  Stream passes
+        # run on the draw's worker threads, so the count takes a lock.
         calls = {"_mix64_rounds": 0, "_draw_kept": 0, "_trial_seeds": 0}
+        lock = threading.Lock()
         for name in calls:
             def counted(*args, _fn=getattr(kernels, name), _name=name):
-                calls[_name] += 1
+                with lock:
+                    calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(kernels, name, counted)
         if predicate == "global":
@@ -235,31 +240,48 @@ class TestBlockedTrials:
         ("global", 75, 0.0015),                   # C(v, 3) > BLOCK: two passes per trial
     ])
     def test_one_pair_of_scratch_buffers_per_run(self, monkeypatch, predicate, v, p):
-        # holding the arrays keeps a buffer freed between calls from being reused
-        draws, rounds = [], []
-        draw_kept, mix64_rounds = kernels._draw_kept, kernels._mix64_rounds
+        # one pair per draw worker, allocated once per run: every draw of the
+        # run gets the same pairs, and the first is the one the run made.
+        # Holding the arrays keeps a buffer freed between calls from being reused.
+        for workers in (1, 2, 3):
+            draws, rounds = [], []
+            draw_kept, mix64_rounds = kernels._draw_kept, kernels._mix64_rounds
 
-        def recorded_draw(n, p, seeds, z, tmp):
-            draws.append((z, tmp))
-            return draw_kept(n, p, seeds, z, tmp)
+            def recorded_draw(n, p, seeds, scratch):
+                first = scratch[0]
+                out = draw_kept(n, p, seeds, scratch)
+                draws.append((first, scratch, list(scratch)))
+                return out
 
-        def recorded_rounds(z, tmp):
-            rounds.append((z, tmp))
-            return mix64_rounds(z, tmp)
+            def recorded_rounds(z, tmp):
+                rounds.append((z, tmp))  # list.append is atomic: safe on worker threads
+                return mix64_rounds(z, tmp)
 
-        monkeypatch.setattr(kernels, "_draw_kept", recorded_draw)
-        monkeypatch.setattr(kernels, "_mix64_rounds", recorded_rounds)
-        if predicate == "global":
-            mc_global(v, 3, p, 2, trials=900 if v < 75 else 3, seed=4)
-        else:
-            mc_local(v, 3, p, 1, predicate, trials=1500, seed=4)
-        z, tmp = draws[0]
-        assert all(zb is z and tb is tmp for zb, tb in draws)
-        assert z is not tmp and z.size == tmp.size == kernels.BLOCK
-        # a stream pass runs in both buffers of the pair, a trial seed block in neither
-        passes = [np.shares_memory(zr, z) for zr, _ in rounds]
-        assert [np.shares_memory(tr, tmp) for _, tr in rounds] == passes
-        assert sum(passes) > 1 and sum(passes) >= len(draws)
+            monkeypatch.setattr(kernels, "WORKERS", workers)
+            monkeypatch.setattr(kernels, "_draw_kept", recorded_draw)
+            monkeypatch.setattr(kernels, "_mix64_rounds", recorded_rounds)
+            if predicate == "global":
+                mc_global(v, 3, p, 2, trials=900 if v < 75 else 3, seed=4)
+            else:
+                mc_local(v, 3, p, 1, predicate, trials=1500, seed=4)
+            monkeypatch.undo()
+            first, scratch, pairs = draws[0]
+            assert scratch[0] is first and len(pairs) == workers
+            for _, held, got in draws:
+                assert held is scratch and len(got) == workers
+                assert all(x is y for a, b in zip(got, pairs) for x, y in zip(a, b))
+            buffers = [buffer for pair in pairs for buffer in pair]
+            assert len({id(buffer) for buffer in buffers}) == 2 * workers
+            assert all(buffer.size == kernels.BLOCK for buffer in buffers)
+            # a stream pass runs in both buffers of one pair, a trial seed block in none
+            used = []
+            for zr, tr in rounds:
+                owner = [i for i, (z, tmp) in enumerate(pairs) if np.shares_memory(zr, z)]
+                assert owner == [i for i, (z, tmp) in enumerate(pairs)
+                                 if np.shares_memory(tr, tmp)]
+                used += owner
+            assert set(used) == set(range(workers)), workers
+            assert len(used) > 1 and len(used) >= len(draws)
 
     def test_dense_run_memory_is_bounded(self):
         # C(30, 3) * 0.5 = 2030 kept edges per trial: a block sized by
@@ -295,6 +317,106 @@ class TestBlockedTrials:
         assert kernels._connected_rows(edges[:0], 2, 1, 1).tolist() == [True, True]
 
 
+class TestThreadedDraw:
+    """A draw split across worker threads returns the one-thread draw's arrays."""
+
+    P_GRID = (0.0, 2**-54, 2**-53, 0.3, 0.5, math.nextafter(1.0, 0.0), 1.0)
+
+    @staticmethod
+    def _draws(monkeypatch, n, p, seeds):
+        """``_draw_kept``'s (row, rank) arrays at 1, 2 and 3 workers."""
+        out = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(kernels, "WORKERS", workers)
+            out.append(kernels._draw_kept(n, p, seeds, kernels._scratch(len(seeds) * n)))
+        return out
+
+    def _assert_equal_draws(self, monkeypatch, n, p, seeds):
+        (row, rank), *others = self._draws(monkeypatch, n, p, seeds)
+        assert row.dtype == rank.dtype == np.int64
+        for other_row, other_rank in others:
+            assert np.array_equal(other_row, row) and np.array_equal(other_rank, rank), (n, p)
+
+    @pytest.mark.parametrize("n", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3])
+    def test_one_seed(self, monkeypatch, n):
+        # 2**17 + 3 candidates are three slices: two workers split them 1 + 2
+        seeds = kernels._seed_array(kernels.trial_seed(3, 5))
+        for p in self.P_GRID:
+            self._assert_equal_draws(monkeypatch, n, p, seeds)
+
+    @pytest.mark.parametrize("rows", [1, 3, 100])
+    @pytest.mark.parametrize("n", [1, 700, 2**16 - 1, 2**16 + 1])
+    def test_seed_arrays(self, monkeypatch, rows, n):
+        # 100 rows of 700 candidates are 93 rows per block, so two blocks;
+        # 3 rows of 2**16 + 1 are six slices; 100 of them, 200
+        seeds = kernels._trial_seeds(2**64 - 2, 7, rows)
+        for p in (0.0, 1e-4, 0.3, 0.5, 1.0):
+            self._assert_equal_draws(monkeypatch, n, p, seeds)
+
+    @pytest.mark.parametrize("predicate,v,k,p,r,trials,start,blocks", [
+        TestBlockedTrials.COUNT_CASES[i] for i in (0, 3, 6, 7, 8, 9, 12)])
+    def test_counts_at_one_and_three_workers(self, monkeypatch, predicate, v, k, p, r, trials,
+                                             start, blocks):
+        threads, mix64_rounds = set(), kernels._mix64_rounds
+
+        def recorded_rounds(z, tmp):
+            threads.add(threading.get_ident())
+            return mix64_rounds(z, tmp)
+
+        monkeypatch.setattr(kernels, "_mix64_rounds", recorded_rounds)
+        counts = []
+        for workers in (1, 3):
+            monkeypatch.setattr(kernels, "WORKERS", workers)
+            if predicate == "global":
+                got = mc_global(v, k, p, r, trials=trials, seed=11, start=start)
+            else:
+                got = mc_local(v, k, p, r, predicate, trials=trials, seed=11, start=start)
+            counts.append(got.successes)
+        assert counts[0] == counts[1]
+        assert len(threads) == 3  # the calling thread and two workers drew
+
+    def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
+        # 8 workers on 80 slices, the interpreter switching threads every
+        # microsecond: the runs still come back in block order
+        seeds, n = kernels._trial_seeds(8, 0, 40), 2**16 + 1
+        expected = self._draws(monkeypatch, n, 0.01, seeds)[0]
+        monkeypatch.setattr(kernels, "WORKERS", 8)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            row, rank = kernels._draw_kept(n, 0.01, seeds, kernels._scratch(kernels.BLOCK))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(row, expected[0]) and np.array_equal(rank, expected[1])
+        assert threading.active_count() == threads  # every worker was joined
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a thread was made")
+
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        monkeypatch.setattr(threading, "Thread", forbidden)
+        assert len(kernels.sample_edges(12, 3, 0.3, 5)) > 0  # C(12, 3) = 220 draws
+        assert kernels.sample_edge_mask(kernels.BLOCK, 0.5, 5).any()
+        assert kernels.sample_edge_mask(0, 0.5, 5).shape == (0,)
+
+    def test_worker_errors_reach_the_caller(self):
+        ran = []
+
+        def fn(i):
+            ran.append(i)
+            if i == 2:
+                raise MemoryError(i)
+            return i * i
+
+        assert kernels._in_threads(fn, [(0,), (1,), (3,)]) == [0, 1, 9]
+        assert kernels._in_threads(fn, []) == []
+        ran.clear()
+        with pytest.raises(MemoryError):
+            kernels._in_threads(fn, [(0,), (1,), (2,), (3,)])
+        assert sorted(ran) == [0, 1, 2, 3]  # every call ran before the raise
+
+
 class TestSlotMajorLayout:
     """The predicates read an (m, k) edge array by its k slot rows: the
     answer must not depend on the array's memory layout."""
@@ -303,8 +425,8 @@ class TestSlotMajorLayout:
 
     @staticmethod
     def _block(v, k, p, n):
-        z = np.empty(kernels.BLOCK, dtype=np.uint64)
-        return kernels._block_edges(v, k, p, kernels._trial_seeds(5, 0, n), z, np.empty_like(z))
+        seeds = kernels._trial_seeds(5, 0, n)
+        return kernels._block_edges(v, k, p, seeds, kernels._scratch(kernels.BLOCK))
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_block_edges_rows_are_contiguous(self, k):

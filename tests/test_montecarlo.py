@@ -63,6 +63,13 @@ class TestEstimates:
         with pytest.raises(ValueError, match="start"):
             mc_global(4, 3, 0.5, 1, trials=10, start=-1)
 
+    def test_local_vertex_count_is_named_u(self):
+        for u in (0, -3):
+            with pytest.raises(ValueError, match=rf"^u must be >= 1, got {u}$"):
+                mc_local(u, 3, 0.1, 1, trials=10)
+            with pytest.raises(ValueError, match=rf"^u must be >= 1, got {u}$"):
+                exact_local(u, 3, 0.1, 1)
+
     def test_master_seed_domain(self):
         # the stream reads the seed mod 2^64: 2^64 would rerun seed 0's graphs
         # and -1 those of 2^64 - 1, under numbers that merge refuses to join
