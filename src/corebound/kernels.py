@@ -9,22 +9,22 @@ with ``s`` is included iff ``unit(mix64(s + (j+1)*GOLDEN)) < p``, and trial
 ``hypergraph.generate(params, trial_seed(m, t))``, and partitioned runs merge
 exactly (trial indices are global).
 
-The stream is evaluated in blocks of ``BLOCK`` draws, in place in a reused
-pair of uint64 buffers of 512 KiB each, so each pass over a block stays in
-cache.  A block yields only the (graph, rank) pairs of its kept candidates,
-and only those ranks are unranked into edges, so no array grows with C(v,
-k): there is no candidate array and no mask over the candidates.  The Monte
-Carlo drivers run their trials in blocks, each drawn by one call of the step
-that :func:`sample_edges` also uses (:func:`_block_edges`): the stream
-passes of a block cover whole trials (or one slice of one trial), all passes
-of a run share the same scratch pairs, and the kept edges of the block, with
+The stream is evaluated in blocks of ``BLOCK`` draws, in place in a pair
+of uint64 buffers of 512 KiB each that a draw allocates once and reuses for
+all its blocks, so each pass over a block stays in cache.  A block yields only the (graph,
+rank) pairs of its kept candidates, and only those ranks are unranked into
+edges, so no array grows with C(v, k): there is no candidate array and no
+mask over the candidates.  The Monte Carlo drivers run their trials in
+blocks, each drawn by one call of the step that :func:`sample_edges` also
+uses (:func:`_block_edges`): the stream passes of a block cover whole
+trials (or one slice of one trial), and the kept edges of the block, with
 the vertex ids of its i-th trial offset by ``i * v``, form one
 disjoint-union graph on which each predicate runs once for the whole block.
 
 A draw of several blocks runs on threads (:func:`_draw_kept`): its blocks
-are cut into contiguous runs, one per worker, each worker hashes its run in
-its own scratch pair (1 MiB; allocated once per Monte Carlo run), and numpy
-releases the GIL inside the hashing loops.  The workers' kept positions are
+are cut into contiguous runs, one per worker, each worker allocates its own
+buffer pair (1 MiB) once and hashes its whole run in it, and numpy releases
+the GIL inside the hashing loops.  The workers' kept positions are
 joined in block order, and each draw is a pure function of (seed, rank), so
 the output is bit-identical for any worker count.  A draw of b blocks uses
 min(``WORKERS``, b) workers, where ``WORKERS`` is the number of CPUs the
@@ -208,7 +208,7 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
     scalar = np.ndim(graph_seed) == 0
     seeds = _seed_array(graph_seed) if scalar else np.asarray(graph_seed, dtype=np.uint64)
     keep = np.zeros((len(seeds), n_candidates), dtype=bool)
-    keep[_draw_kept(n_candidates, p, seeds, _scratch(len(seeds) * n_candidates))] = True
+    keep[_draw_kept(n_candidates, p, seeds)] = True
     return keep[0] if scalar else keep
 
 
@@ -216,17 +216,16 @@ def sample_edges(v: int, k: int, p: float, graph_seed: int) -> np.ndarray:
     """The kept edges of the graph on ``v`` vertices seeded with
     ``graph_seed``, as (kept, k) int64 rows in colex order: the rows of
     the candidates ``sample_edge_mask(C(v, k), p, graph_seed)`` keeps."""
-    return _block_edges(v, k, p, _seed_array(graph_seed), _scratch(math.comb(v, k)))
+    return _block_edges(v, k, p, _seed_array(graph_seed))
 
 
-def _block_edges(v: int, k: int, p: float, seeds: np.ndarray, scratch: list) -> np.ndarray:
+def _block_edges(v: int, k: int, p: float, seeds: np.ndarray) -> np.ndarray:
     """The kept edges of one graph on ``v`` vertices per seed, as (kept, k)
     int64 rows, with the vertices of seed i's graph offset by ``i * v``: one
     disjoint-union graph, its rows grouped by seed and in colex order within
     one.  Like :func:`colex_unrank`'s, the array is the transpose of k
-    contiguous slot rows, and the offsets are added along them.
-    ``scratch`` holds :func:`_draw_kept`'s buffer pairs."""
-    row, rank = _draw_kept(math.comb(v, k), p, seeds, scratch)
+    contiguous slot rows, and the offsets are added along them."""
+    row, rank = _draw_kept(math.comb(v, k), p, seeds)
     slots = colex_unrank(rank, v, k).T
     slots += row * v
     return slots.T
@@ -236,16 +235,7 @@ def _seed_array(graph_seed: int) -> np.ndarray:
     return np.array([int(graph_seed) & _MASK64], dtype=np.uint64)
 
 
-def _scratch(draws: int) -> list:
-    """One pair of uint64 scratch buffers for :func:`_draw_kept`, as a
-    one-pair list, long enough for blocks of ``draws`` stream draws (at
-    most ``BLOCK``); the draw adds a pair per extra worker."""
-    z = np.empty(min(draws, BLOCK), dtype=np.uint64)
-    return [(z, np.empty_like(z))]
-
-
-def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
-               scratch: list) -> tuple[np.ndarray, np.ndarray]:
+def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The kept candidates of one graph per seed in a 1-D uint64 array, as
     int64 arrays (row, rank): row i of the seeds keeps candidate rank.  The
     pairs come in row-major order.
@@ -262,12 +252,11 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
     run is drawn by one worker (:func:`_in_threads`; the calling thread
     draws the first).  Each draw is a pure function of (seed, rank), and
     the runs' flat positions are concatenated in block order, so the output
-    is the same arrays for any worker count.  ``scratch`` is a list of
-    uint64 buffer pairs (z, tmp), each at least ``min(len(seeds) *
-    n_candidates, BLOCK)`` long: worker i draws in pair i, and the call
-    appends pairs shaped like the first until every worker has one.  So a
-    caller that draws many times allocates the pairs once.  A worker calls
-    only numpy and :func:`_mix64_rounds`, whose ufunc loops release the GIL.
+    is the same arrays for any worker count.  Each worker allocates one
+    uint64 buffer pair (z, tmp) as long as the largest block,
+    ``min(len(seeds) * n_candidates, BLOCK)``, and draws every block of its
+    run in it.  A worker calls only numpy and :func:`_mix64_rounds`, whose
+    ufunc loops release the GIL.
 
     Integer test.  ``unit(x)`` is the integer ``y = x >> 11 < 2^53`` times
     2^-53, and both that product and ``p * 2^53`` are exact (power-of-two
@@ -297,7 +286,8 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
     blocks = [(r0, lo) for r0 in range(0, len(seeds), rows)
               for lo in range(0, n_candidates, BLOCK)]
 
-    def draw(run, z, tmp):
+    def draw(run):
+        z, tmp = np.empty((2, min(len(seeds) * n_candidates, BLOCK)), dtype=np.uint64)
         kept_out = []
         for r0, lo in run:
             block_seeds = seeds[r0:r0 + rows]
@@ -322,9 +312,7 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray,
         return kept_out
 
     workers = min(WORKERS, len(blocks))
-    z = scratch[0][0]
-    scratch += [(np.empty_like(z), np.empty_like(z)) for _ in range(workers - len(scratch))]
-    runs = [(blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers], *scratch[i])
+    runs = [(blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers],)
             for i in range(workers)]
     kept_out = [np.empty(0, dtype=np.int64)]
     for run_kept in _in_threads(draw, runs):
@@ -478,15 +466,13 @@ def _successes(test, v: int, k: int, p: float, r: int,
 
     A block holds as many trials as fit ``TRIAL_BLOCK`` both in vertices and
     in expected kept edges (at least one), and is drawn by one
-    :func:`_block_edges` call; every block of the run uses the same scratch
-    pairs, one per draw worker.
+    :func:`_block_edges` call.
     """
     per_block = max(1, int(TRIAL_BLOCK // max(v, math.comb(v, k) * p)))
-    scratch = _scratch(BLOCK)
     successes = 0
     for t in range(start, start + trials, per_block):
         n = min(per_block, start + trials - t)
-        edges = _block_edges(v, k, p, _trial_seeds(master, t, n), scratch)
+        edges = _block_edges(v, k, p, _trial_seeds(master, t, n))
         successes += int(np.count_nonzero(test(edges, n, v, r)))
     return successes
 

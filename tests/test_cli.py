@@ -306,14 +306,16 @@ class TestUsageErrors:
     @pytest.mark.parametrize("method", ["connectivity", "covering", "interleaved-lower",
                                         "interleaved-upper"])
     def test_subset_size_below_one_exit_2(self, capsys, method):
-        assert main(["local", "--u", "-3", "--k", "3", "--p", "0.5", "--method", method]) == 2
-        assert capsys.readouterr() == ("", "error: u must be >= 1, got -3\n")
+        for rate in (["--p", "0.5"], ["--e-u", "2"]):
+            assert main(["local", "--u", "-3", "--k", "3", *rate, "--method", method]) == 2
+            assert capsys.readouterr() == ("", "error: u must be >= 1, got -3\n")
 
     @pytest.mark.parametrize("v", ["0", "-2"])
     @pytest.mark.parametrize("method", cli.GLOBAL_METHODS)
     def test_vertex_count_below_one_exit_2(self, capsys, method, v):
-        assert main(["global", "--v", v, "--k", "3", "--p", "0.5", "--method", method]) == 2
-        assert capsys.readouterr() == ("", f"error: v must be >= 1, got {v}\n")
+        for rate in (["--p", "0.5"], ["--e-v", "2"]):
+            assert main(["global", "--v", v, "--k", "3", *rate, "--method", method]) == 2
+            assert capsys.readouterr() == ("", f"error: v must be >= 1, got {v}\n")
 
     @pytest.mark.parametrize("argv,message", [
         (["local", "--u", "4", "--k", "3", "--p", "0.5", "--e-u", "1"],
@@ -337,9 +339,10 @@ class TestUsageErrors:
           "--seed", str(2**64)], f"seed must be in [0, 2^64), got {2**64}"),
         (["local", "--u", "-3", "--k", "3", "--p", "0.1", "--method", "mc"],
          "u must be >= 1, got -3"),
+        (["oracle", "--v", "-1", "--k", "3", "--e-v", "1"], "v must be >= 1, got -1"),
     ], ids=["p-and-e", "p-range", "gilbert-k", "global-trials", "sweep-trials", "oracle-guard",
             "sweep-overhead-overflow", "breakdown-overhead-overflow", "global-seed-negative",
-            "local-seed-2^64", "local-mc-u-negative"])
+            "local-seed-2^64", "local-mc-u-negative", "oracle-e-v-negative"])
     def test_bad_value_prints_one_error_line(self, capsys, argv, message):
         # argparse reports its own parse errors; every value check after it
         # prints the same single line and exits 2

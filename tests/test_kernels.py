@@ -176,6 +176,34 @@ def _per_trial(v, k, p, r, predicate, trials, seed, start):
                for t in range(start, start + trials))
 
 
+def _address(array):
+    return array.__array_interface__["data"][0]
+
+
+def _record_draws(monkeypatch):
+    """The stream passes of each ``_draw_kept`` call from here on, one list
+    of (thread, z, tmp) per draw.  Threads are told apart only within one
+    draw, since every draw starts new workers; the held arrays keep a buffer
+    freed mid-draw from coming back at the same address."""
+    draws, draw_kept, mix64_rounds = [], kernels._draw_kept, kernels._mix64_rounds
+    passes = []  # the passes since the last draw began; list.append is thread-safe
+
+    def recorded_draw(*args):
+        passes.clear()
+        try:
+            return draw_kept(*args)
+        finally:
+            draws.append(list(passes))
+
+    def recorded_rounds(z, tmp):
+        passes.append((threading.current_thread(), z, tmp))
+        return mix64_rounds(z, tmp)
+
+    monkeypatch.setattr(kernels, "_draw_kept", recorded_draw)
+    monkeypatch.setattr(kernels, "_mix64_rounds", recorded_rounds)
+    return draws
+
+
 class TestBlockedTrials:
     """The trial-blocked drivers count what ``generate`` draws trial by trial."""
 
@@ -239,49 +267,28 @@ class TestBlockedTrials:
         ("connectivity", 24, 24 / choose(24, 3)),
         ("global", 75, 0.0015),                   # C(v, 3) > BLOCK: two passes per trial
     ])
-    def test_one_pair_of_scratch_buffers_per_run(self, monkeypatch, predicate, v, p):
-        # one pair per draw worker, allocated once per run: every draw of the
-        # run gets the same pairs, and the first is the one the run made.
-        # Holding the arrays keeps a buffer freed between calls from being reused.
+    def test_one_pair_of_scratch_buffers_per_worker(self, monkeypatch, predicate, v, p):
+        # within one draw, each worker runs all its stream passes in one
+        # buffer pair of its own: no block allocates
         for workers in (1, 2, 3):
-            draws, rounds = [], []
-            draw_kept, mix64_rounds = kernels._draw_kept, kernels._mix64_rounds
-
-            def recorded_draw(n, p, seeds, scratch):
-                first = scratch[0]
-                out = draw_kept(n, p, seeds, scratch)
-                draws.append((first, scratch, list(scratch)))
-                return out
-
-            def recorded_rounds(z, tmp):
-                rounds.append((z, tmp))  # list.append is atomic: safe on worker threads
-                return mix64_rounds(z, tmp)
-
+            draws = _record_draws(monkeypatch)
             monkeypatch.setattr(kernels, "WORKERS", workers)
-            monkeypatch.setattr(kernels, "_draw_kept", recorded_draw)
-            monkeypatch.setattr(kernels, "_mix64_rounds", recorded_rounds)
             if predicate == "global":
                 mc_global(v, 3, p, 2, trials=900 if v < 75 else 3, seed=4)
             else:
                 mc_local(v, 3, p, 1, predicate, trials=1500, seed=4)
             monkeypatch.undo()
-            first, scratch, pairs = draws[0]
-            assert scratch[0] is first and len(pairs) == workers
-            for _, held, got in draws:
-                assert held is scratch and len(got) == workers
-                assert all(x is y for a, b in zip(got, pairs) for x, y in zip(a, b))
-            buffers = [buffer for pair in pairs for buffer in pair]
-            assert len({id(buffer) for buffer in buffers}) == 2 * workers
-            assert all(buffer.size == kernels.BLOCK for buffer in buffers)
-            # a stream pass runs in both buffers of one pair, a trial seed block in none
-            used = []
-            for zr, tr in rounds:
-                owner = [i for i, (z, tmp) in enumerate(pairs) if np.shares_memory(zr, z)]
-                assert owner == [i for i, (z, tmp) in enumerate(pairs)
-                                 if np.shares_memory(tr, tmp)]
-                used += owner
-            assert set(used) == set(range(workers)), workers
-            assert len(used) > 1 and len(used) >= len(draws)
+            assert any(len(passes) > 1 for passes in draws)
+            for passes in draws:
+                pairs = {}
+                for thread, z, tmp in passes:
+                    assert z.size == tmp.size <= kernels.BLOCK
+                    assert not np.shares_memory(z, tmp)
+                    pairs.setdefault(thread, set()).add((_address(z), _address(tmp)))
+                assert all(len(pair) == 1 for pair in pairs.values()), workers
+                buffers = [a for pair in pairs.values() for a in next(iter(pair))]
+                assert len(set(buffers)) == len(buffers)  # the workers' pairs are distinct
+                assert len(pairs) <= workers
 
     def test_dense_run_memory_is_bounded(self):
         # C(30, 3) * 0.5 = 2030 kept edges per trial: a block sized by
@@ -328,7 +335,7 @@ class TestThreadedDraw:
         out = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(kernels, "WORKERS", workers)
-            out.append(kernels._draw_kept(n, p, seeds, kernels._scratch(len(seeds) * n)))
+            out.append(kernels._draw_kept(n, p, seeds))
         return out
 
     def _assert_equal_draws(self, monkeypatch, n, p, seeds):
@@ -357,23 +364,23 @@ class TestThreadedDraw:
         TestBlockedTrials.COUNT_CASES[i] for i in (0, 3, 6, 7, 8, 9, 12)])
     def test_counts_at_one_and_three_workers(self, monkeypatch, predicate, v, k, p, r, trials,
                                              start, blocks):
-        threads, mix64_rounds = set(), kernels._mix64_rounds
-
-        def recorded_rounds(z, tmp):
-            threads.add(threading.get_ident())
-            return mix64_rounds(z, tmp)
-
-        monkeypatch.setattr(kernels, "_mix64_rounds", recorded_rounds)
+        # threads are counted per draw: every draw starts new workers, and
+        # an ended thread's ident can pass to a new one
         counts = []
         for workers in (1, 3):
+            draws = _record_draws(monkeypatch)
             monkeypatch.setattr(kernels, "WORKERS", workers)
             if predicate == "global":
                 got = mc_global(v, k, p, r, trials=trials, seed=11, start=start)
             else:
                 got = mc_local(v, k, p, r, predicate, trials=trials, seed=11, start=start)
+            monkeypatch.undo()
             counts.append(got.successes)
+            # one stream pass per block
+            used = [len({thread for thread, _, _ in passes}) for passes in draws]
+            assert used == [min(workers, len(passes)) for passes in draws], workers
         assert counts[0] == counts[1]
-        assert len(threads) == 3  # the calling thread and two workers drew
+        assert max(used) == 3  # some draw ran on the calling thread and two workers
 
     def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
         # 8 workers on 80 slices, the interpreter switching threads every
@@ -384,7 +391,7 @@ class TestThreadedDraw:
         threads, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            row, rank = kernels._draw_kept(n, 0.01, seeds, kernels._scratch(kernels.BLOCK))
+            row, rank = kernels._draw_kept(n, 0.01, seeds)
         finally:
             sys.setswitchinterval(interval)
         assert np.array_equal(row, expected[0]) and np.array_equal(rank, expected[1])
@@ -399,6 +406,27 @@ class TestThreadedDraw:
         assert len(kernels.sample_edges(12, 3, 0.3, 5)) > 0  # C(12, 3) = 220 draws
         assert kernels.sample_edge_mask(kernels.BLOCK, 0.5, 5).any()
         assert kernels.sample_edge_mask(0, 0.5, 5).shape == (0,)
+
+    def test_draw_errors_reach_the_caller(self, monkeypatch):
+        # a worker's MemoryError leaves the draw after every thread has ended,
+        # and leaves nothing behind that the next draw sees
+        seeds, n = kernels._trial_seeds(8, 0, 3), 2**16 + 1  # six slices
+        expected = self._draws(monkeypatch, n, 0.01, seeds)[0]
+        mix64_rounds, threads = kernels._mix64_rounds, threading.active_count()
+
+        def failing_rounds(z, tmp):
+            if threading.current_thread() is not threading.main_thread():
+                raise MemoryError("worker")
+            return mix64_rounds(z, tmp)
+
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        monkeypatch.setattr(kernels, "_mix64_rounds", failing_rounds)
+        with pytest.raises(MemoryError, match="worker"):
+            kernels._draw_kept(n, 0.01, seeds)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(kernels, "_mix64_rounds", mix64_rounds)
+        row, rank = kernels._draw_kept(n, 0.01, seeds)
+        assert np.array_equal(row, expected[0]) and np.array_equal(rank, expected[1])
 
     def test_worker_errors_reach_the_caller(self):
         ran = []
@@ -426,7 +454,7 @@ class TestSlotMajorLayout:
     @staticmethod
     def _block(v, k, p, n):
         seeds = kernels._trial_seeds(5, 0, n)
-        return kernels._block_edges(v, k, p, seeds, kernels._scratch(kernels.BLOCK))
+        return kernels._block_edges(v, k, p, seeds)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_block_edges_rows_are_contiguous(self, k):
