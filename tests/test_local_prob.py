@@ -11,6 +11,7 @@ from corebound import (
     gilbert_prob,
     interleaved_local_prob,
 )
+from corebound.numerics import range_checked, stable_sum
 from conftest import connected_prob_oracle
 
 
@@ -149,6 +150,78 @@ class TestConnectivityProb:
             connectivity_prob(0, 3, 0.5)
         with pytest.raises(ValueError):
             connectivity_prob(4, 3, -0.1)
+
+
+def _float_or_inf(n: int) -> float:
+    try:
+        return float(n)
+    except OverflowError:
+        return math.inf
+
+
+def _reference_probs(k: int, p: float, u_max: int) -> list[tuple]:
+    """(hex value, valid, note, first invalid u) for u = 1..u_max, term by
+    term from the definition: value(u) = 1 - sum_i value(i) * C(u-1, i-1) *
+    (1-p)^eps(u, i), each term (value * weight) * factor, where the factor is
+    0.0 at p = 1, else 1 - p at eps = 1, else exp(eps * log1p(-p)) below
+    p = 0.5, else pow(1 - p, eps)."""
+    values = [math.nan, 1.0]
+    first_invalid = note = None
+    out = [(float.hex(1.0), True, None, None)]
+    for u in range(2, u_max + 1):
+        if u < k:
+            value = 0.0
+        else:
+            terms = []
+            for i in range(1, u):
+                eps = cross_edge_count(u, i, k)
+                if p == 1.0:
+                    factor = 0.0
+                elif eps == 1:
+                    factor = 1.0 - p
+                elif p < 0.5:
+                    factor = math.exp(eps * math.log1p(-p))
+                else:
+                    factor = math.pow(1.0 - p, eps)
+                terms.append(values[i] * _float_or_inf(math.comb(u - 1, i - 1)) * factor)
+            value = 1.0 - stable_sum(terms)
+            if first_invalid is None and not range_checked(value, True, None)[1]:
+                first_invalid = u
+                note = (f"non-finite term in the recursion at u={u}" if not math.isfinite(value)
+                        else f"recursion left [0, 1] at u={u} (value {value!r})")
+        values.append(value)
+        broken = first_invalid is not None
+        out.append((float.hex(value), not broken, note if broken else None, first_invalid))
+    return out
+
+
+def _table_probs(table: ConnectivityTable, u_max: int) -> list[tuple]:
+    # extended one size at a time, so first_invalid is read as of that size
+    out = []
+    for u in range(1, u_max + 1):
+        pv = table.prob(u)
+        out.append((float.hex(pv.value), pv.valid, pv.note, table.first_invalid))
+    return out
+
+
+class TestRecursionBits:
+    """The table's floats, flags and notes, bit for bit, against the
+    definition evaluated term by term."""
+
+    @pytest.mark.parametrize("p", [0.001, 0.3, 0.5, 0.7, 1.0])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_matches_the_definition(self, k, p):
+        assert _table_probs(ConnectivityTable(k, p), 40) == _reference_probs(k, p, 40)
+
+    def test_overhead_one_scan_past_its_breakdown(self):
+        # p = u / C(u, 3) from u = 4 (p = 1); the first point flagged invalid is u = 83
+        broken = []
+        for u in range(4, 91):
+            p = u / choose(u, 3)
+            assert _table_probs(ConnectivityTable(3, p), u)[-1] == _reference_probs(3, p, u)[-1], u
+            if not ConnectivityTable(3, p).prob(u).valid:
+                broken.append(u)
+        assert broken[0] == 83
 
 
 class TestGilbert:
