@@ -82,6 +82,8 @@ def _resolve_p(n: int, k: int, p: float | None, e: float | None) -> float:
     if (p is None) == (e is None):
         raise ValueError("give exactly one of --p or --e-u/--e-v")
     if p is None:
+        if not 0.0 <= e < math.inf:
+            raise ValueError(f"expected edge count {e} must be finite and >= 0")
         m = choose(max(n, 0), k)  # a count below 1 is refused by the model's check
         if m == 0:
             return 0.0

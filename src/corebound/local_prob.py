@@ -16,6 +16,13 @@ model (by vertex anonymity only u matters):
   modelling r successive rounds with freshly regenerated edges.  Evaluated
   at p and at p/r it brackets the true local r-core probability.
 
+The connectivity recursion's binomial weights and crossing-edge exponents
+do not depend on p.  Each (k, u) row of them is built once, as tuples, and
+read by every ``ConnectivityTable``, so a breakdown scan that builds a new
+table at each expected edge count rebuilds none of them.  A row holds the
+exponents of one half of the splits, since eps(u, i) = eps(u, u - i).  The
+store keeps rows up to u = 256, about 1.3 MiB per k (tracemalloc).
+
 ``LocalProvider`` is the one map from a source in ``LOCAL_METHODS`` (these
 routes and the ``exact-enum`` oracle) to its value; it owns the one
 ``ConnectivityTable`` its connectivity and interleaved sources read.
@@ -54,15 +61,28 @@ def cross_edge_count(u: int, i: int, k: int) -> int:
     return sum(choose(i, j) * choose(u - i, k - j) for j in range(1, min(i, k - 1) + 1))
 
 
-def _one_minus_p_pow(p: float, exponent: float, log1m: float) -> float:
-    # (1-p)^exponent; log1p route preserves precision for small p and huge exponents
-    if p == 1.0:
-        return 0.0
-    if exponent == 1:
-        return 1.0 - p
-    if p < 0.5:
-        return math.exp(exponent * log1m)
-    return math.pow(1.0 - p, exponent)
+# Largest size u whose p-free row is kept in ``_ROWS``; a larger row is built
+# for the table that needs it and dropped with it.  This covers the sizes a
+# breakdown scan reaches (u = 83 where the overhead-1 scan fails).
+_ROW_STORE_MAX = 256
+# (k, u) -> the p-free row of size u, see _recursion_row.  Rows are tuples,
+# so no reader can change another table's row, and threads that race on a
+# missing row each build the same one.
+_ROWS: dict[tuple[int, int], tuple[tuple[float, ...], tuple[int, ...]]] = {}
+
+
+def _recursion_row(k: int, u: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
+    """The (weights, exponents) of size u >= k in the connectivity recursion:
+    weights[i - 1] = C(u-1, i-1) for i = 1..u-1, and exponents[i - 1] =
+    eps(u, i) for i = 1..u // 2 only, since eps(u, i) = eps(u, u - i)."""
+    row = _ROWS.get((k, u))
+    if row is None:
+        c_u = math.comb(u, k)
+        row = (tuple(binomial_row(u - 1)[:-1]),
+               tuple(c_u - math.comb(i, k) - math.comb(u - i, k) for i in range(1, u // 2 + 1)))
+        if u <= _ROW_STORE_MAX:
+            _ROWS[k, u] = row
+    return row
 
 
 class ConnectivityTable:
@@ -75,38 +95,54 @@ class ConnectivityTable:
         value(u) = 1 - sum_{i=1}^{u-1} value(i) * C(u-1, i-1) * (1-p)^eps(u, i)
 
     where eps(u, i) counts the possible edges crossing an (i, u-i) split and
-    the weights are ``numerics.binomial_row(u - 1)``.  Entries are flagged
-    invalid from the first u whose value fails ``numerics.range_checked`` (a
-    weight past the double range is inf and makes the value non-finite); later
-    entries inherit the flag since they are computed from the broken one.  A
-    table must not be shared across threads without external synchronization.
+    the weights are ``numerics.binomial_row(u - 1)``.  Each term is
+    (value(i) * weight) * factor, summed in i order by ``stable_sum``.  The
+    factor (1-p)^eps is 0.0 at p = 1, else 1 - p at eps = 1, else
+    exp(eps * log1p(-p)) below p = 0.5 (precise for small p and huge eps),
+    else pow(1 - p, eps).
+
+    The weights and exponents do not depend on p: each (k, u) row is built
+    once and read by every table at that k, whatever its p, from one
+    module-level store of tuples (``_ROWS``).  Since eps(u, i) = eps(u, u - i),
+    a row holds the exponents of i <= u // 2 only, and a table evaluates each
+    distinct factor once and mirrors it.  The store keeps the rows of u <=
+    ``_ROW_STORE_MAX`` = 256: after one k = 3 table to u = 300, 1024 or 2048
+    it retains 1.28 MiB (tracemalloc), and each further k about 1.3 MiB.
+
+    Entries are flagged invalid from the first u whose value fails
+    ``numerics.range_checked`` (a weight past the double range is inf and
+    makes the value non-finite); later entries inherit the flag since they
+    are computed from the broken one.  A table must not be shared across
+    threads without external synchronization.
     """
 
     def __init__(self, k: int, p: float):
         check_kpr(k, p, 1)
         self.k = k
         self.p = p
-        self._log1m = math.log1p(-p) if p < 1.0 else -math.inf
         self._values: list[float] = [math.nan, 1.0]  # index by u; u=0 unused
-        self._choose_k: list[int] = [0, 0]  # C(j, k) for j = 0, 1
         self.first_invalid: int | None = None
         self._note: str | None = None
 
     def _extend(self, u_max: int) -> None:
-        for j in range(len(self._choose_k), u_max + 1):
-            self._choose_k.append(choose(j, self.k))
-        ck = self._choose_k
-        for u in range(len(self._values), u_max + 1):
-            if u < self.k:
-                self._values.append(0.0)
+        values, k, p = self._values, self.k, self.p
+        exp, pow_ = math.exp, math.pow
+        one_minus = 1.0 - p
+        log1m = math.log1p(-p) if p < 0.5 else None
+        for u in range(len(values), u_max + 1):
+            if u < k:
+                values.append(0.0)
                 continue
-            crossing_base = ck[u]
-            terms = []
-            for i, weight in zip(range(1, u), binomial_row(u - 1)):  # C(u-1, i-1)
-                eps = crossing_base - ck[i] - ck[u - i]
-                terms.append(self._values[i] * weight * _one_minus_p_pow(self.p, eps, self._log1m))
-            value = 1.0 - stable_sum(terms)
-            self._values.append(value)
+            weights, exponents = _recursion_row(k, u)
+            if p == 1.0:
+                half = [0.0] * len(exponents)
+            elif p < 0.5:
+                half = [one_minus if e == 1 else exp(e * log1m) for e in exponents]
+            else:
+                half = [one_minus if e == 1 else pow_(one_minus, e) for e in exponents]
+            factors = half + half[:(u - 1) // 2][::-1]  # factor of i = u//2+1..u-1 mirrors u-i
+            value = 1.0 - stable_sum([v * w * f for v, w, f in zip(values[1:u], weights, factors)])
+            values.append(value)
             if self.first_invalid is None and not range_checked(value, True, None)[1]:
                 self.first_invalid = u
                 self._note = (f"non-finite term in the recursion at u={u}"

@@ -340,9 +340,17 @@ class TestUsageErrors:
         (["local", "--u", "-3", "--k", "3", "--p", "0.1", "--method", "mc"],
          "u must be >= 1, got -3"),
         (["oracle", "--v", "-1", "--k", "3", "--e-v", "1"], "v must be >= 1, got -1"),
+        # C(2, 3) = 0 edges fit, yet the expected count is still checked
+        (["global", "--v", "2", "--k", "3", "--e-v", "-5"],
+         "expected edge count -5.0 must be finite and >= 0"),
+        (["global", "--v", "2", "--k", "3", "--e-v", "nan"],
+         "expected edge count nan must be finite and >= 0"),
+        (["local", "--u", "2", "--k", "3", "--e-u", "inf"],
+         "expected edge count inf must be finite and >= 0"),
     ], ids=["p-and-e", "p-range", "gilbert-k", "global-trials", "sweep-trials", "oracle-guard",
             "sweep-overhead-overflow", "breakdown-overhead-overflow", "global-seed-negative",
-            "local-seed-2^64", "local-mc-u-negative", "oracle-e-v-negative"])
+            "local-seed-2^64", "local-mc-u-negative", "oracle-e-v-negative",
+            "global-e-v-negative-no-edges", "global-e-v-nan-no-edges", "local-e-u-inf-no-edges"])
     def test_bad_value_prints_one_error_line(self, capsys, argv, message):
         # argparse reports its own parse errors; every value check after it
         # prints the same single line and exits 2

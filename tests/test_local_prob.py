@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from corebound import local_prob
 from corebound import (
     ConnectivityTable,
     choose,
@@ -196,12 +197,8 @@ def _reference_probs(k: int, p: float, u_max: int) -> list[tuple]:
 
 
 def _table_probs(table: ConnectivityTable, u_max: int) -> list[tuple]:
-    # extended one size at a time, so first_invalid is read as of that size
-    out = []
-    for u in range(1, u_max + 1):
-        pv = table.prob(u)
-        out.append((float.hex(pv.value), pv.valid, pv.note, table.first_invalid))
-    return out
+    return [(float.hex(pv.value), pv.valid, pv.note, None if pv.valid else table.first_invalid)
+            for pv in map(table.prob, range(1, u_max + 1))]
 
 
 class TestRecursionBits:
@@ -222,6 +219,37 @@ class TestRecursionBits:
             if not ConnectivityTable(3, p).prob(u).valid:
                 broken.append(u)
         assert broken[0] == 83
+
+
+class TestRowStore:
+    """The p-free rows that every ConnectivityTable reads from one store."""
+
+    def test_interleaved_tables_match_the_definition(self):
+        local_prob._ROWS.clear()
+        a, b, c = ConnectivityTable(3, 0.3), ConnectivityTable(3, 0.7), ConnectivityTable(2, 0.01)
+        a.value(30)
+        c.value(45)
+        b.value(50)
+        a.value(60)
+        for table, u_max in ((a, 60), (b, 50), (c, 45)):
+            fresh = ConnectivityTable(table.k, table.p)
+            assert _table_probs(table, u_max) == _table_probs(fresh, u_max)
+            assert _table_probs(table, u_max) == _reference_probs(table.k, table.p, u_max)
+
+    def test_rows_are_tuples(self):
+        ConnectivityTable(3, 0.2).value(20)
+        for k, u in [(3, 3), (3, 4), (3, 20)]:
+            weights, exponents = local_prob._ROWS[k, u]
+            assert type(weights) is tuple and type(exponents) is tuple
+            assert len(weights) == u - 1 and len(exponents) == u // 2
+
+    def test_store_keeps_nothing_above_its_bound(self):
+        # the non-finite case builds rows to u = 1031, past the bound
+        local_prob._ROWS.clear()
+        ConnectivityTable(3, 1.0).value(1031)
+        bound = local_prob._ROW_STORE_MAX
+        assert max(u for _, u in local_prob._ROWS) == bound
+        assert sorted(local_prob._ROWS) == [(3, u) for u in range(3, bound + 1)]
 
 
 class TestGilbert:
