@@ -215,8 +215,9 @@ class TestRecursionBits:
         broken = []
         for u in range(4, 91):
             p = u / choose(u, 3)
-            assert _table_probs(ConnectivityTable(3, p), u)[-1] == _reference_probs(3, p, u)[-1], u
-            if not ConnectivityTable(3, p).prob(u).valid:
+            got = _table_probs(ConnectivityTable(3, p), u)[-1]
+            assert got == _reference_probs(3, p, u)[-1], u
+            if not got[1]:
                 broken.append(u)
         assert broken[0] == 83
 
@@ -248,7 +249,6 @@ class TestRowStore:
         local_prob._ROWS.clear()
         ConnectivityTable(3, 1.0).value(1031)
         bound = local_prob._ROW_STORE_MAX
-        assert max(u for _, u in local_prob._ROWS) == bound
         assert sorted(local_prob._ROWS) == [(3, u) for u in range(3, bound + 1)]
 
 
