@@ -20,16 +20,7 @@ uses (:func:`_block_edges`): the stream passes of a block cover whole
 trials (or one slice of one trial), and the kept edges of the block, with
 the vertex ids of its i-th trial offset by ``i * v``, form one
 disjoint-union graph on which each predicate runs once for the whole block.
-
-A draw of several blocks runs on threads (:func:`_draw_kept`): its blocks
-are cut into contiguous runs, one per worker, each worker allocates its own
-buffer pair (1 MiB) once and hashes its whole run in it, and numpy releases
-the GIL inside the hashing loops.  The workers' kept positions are
-joined in block order, and each draw is a pure function of (seed, rank), so
-the output is bit-identical for any worker count.  A draw of b blocks uses
-min(``WORKERS``, b) workers, where ``WORKERS`` is the number of CPUs the
-process may run on (its affinity set, read at import); a one-block draw runs
-inline and starts no thread.
+:func:`_successes` counts contiguous trial ranges on worker threads.
 
 Edges are (m, k) arrays, but the unranking fills them slot-major: a
 C-contiguous (k, m) array whose row i holds every edge's i-th vertex, handed
@@ -113,8 +104,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# Most threads one stream draw runs on (:func:`_draw_kept`): a draw of b
-# blocks uses min(WORKERS, b) of them, the calling thread included.
+# Most threads one Monte Carlo run counts its trials on (:func:`_successes`),
+# the calling thread included.
 WORKERS = _usable_cpus()
 
 
@@ -242,21 +233,12 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray) -> tuple[np.ndarr
 
     The stream is evaluated in blocks of at most ``BLOCK`` draws; a block
     holds whole rows of candidates, or one slice of one row when
-    ``n_candidates > BLOCK``.  Nothing the draw allocates grows with
+    ``n_candidates > BLOCK``.  Every block is evaluated in one uint64
+    buffer pair (z, tmp) as long as the largest block, ``min(len(seeds) *
+    n_candidates, BLOCK)``.  Nothing the draw allocates grows with
     ``n_candidates``: a block yields only the flat positions
     ``row * n_candidates + rank`` of its kept candidates, split into (row,
     rank) once at the end.
-
-    Threads.  The blocks, in the order (row block, slice), are cut into
-    ``min(WORKERS, blocks)`` contiguous runs of near-equal length, and each
-    run is drawn by one worker (:func:`_in_threads`; the calling thread
-    draws the first).  Each draw is a pure function of (seed, rank), and
-    the runs' flat positions are concatenated in block order, so the output
-    is the same arrays for any worker count.  Each worker allocates one
-    uint64 buffer pair (z, tmp) as long as the largest block,
-    ``min(len(seeds) * n_candidates, BLOCK)``, and draws every block of its
-    run in it.  A worker calls only numpy and :func:`_mix64_rounds`, whose
-    ufunc loops release the GIL.
 
     Integer test.  ``unit(x)`` is the integer ``y = x >> 11 < 2^53`` times
     2^-53, and both that product and ``p * 2^53`` are exact (power-of-two
@@ -283,14 +265,11 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray) -> tuple[np.ndarr
     pre = np.uint64(1 << bound_bits) if bound_bits < 64 else None
     steps = _block_steps()
     rows = max(1, BLOCK // max(n_candidates, 1))  # seeds per block
-    blocks = [(r0, lo) for r0 in range(0, len(seeds), rows)
-              for lo in range(0, n_candidates, BLOCK)]
-
-    def draw(run):
-        z, tmp = np.empty((2, min(len(seeds) * n_candidates, BLOCK)), dtype=np.uint64)
-        kept_out = []
-        for r0, lo in run:
-            block_seeds = seeds[r0:r0 + rows]
+    z, tmp = np.empty((2, min(len(seeds) * n_candidates, BLOCK)), dtype=np.uint64)
+    kept_out = [np.empty(0, dtype=np.int64)]
+    for r0 in range(0, len(seeds), rows):
+        block_seeds = seeds[r0:r0 + rows]
+        for lo in range(0, n_candidates, BLOCK):
             width = min(BLOCK, n_candidates - lo)
             size = len(block_seeds) * width
             zb, tb = z[:size], tmp[:size]
@@ -309,14 +288,6 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray) -> tuple[np.ndarr
                 kept = survivors[kept]
             # whole rows (lo = 0, width = n_candidates) or a slice of one row
             kept_out.append(kept + (r0 * n_candidates + lo))
-        return kept_out
-
-    workers = min(WORKERS, len(blocks))
-    runs = [(blocks[len(blocks) * i // workers:len(blocks) * (i + 1) // workers],)
-            for i in range(workers)]
-    kept_out = [np.empty(0, dtype=np.int64)]
-    for run_kept in _in_threads(draw, runs):
-        kept_out += run_kept
     return np.divmod(np.concatenate(kept_out), max(n_candidates, 1))
 
 
@@ -383,10 +354,14 @@ def _slots(edges: np.ndarray) -> np.ndarray:
 
 
 def peel_survivor_mask(edges: np.ndarray, v: int, r: int) -> np.ndarray:
-    """Vertices surviving batch peeling rounds (remove all deg < r per round).
+    """Vertices surviving batch peeling rounds (remove all deg < r per round)."""
+    return _survivors(edges, v, r)
 
-    Each round keeps only the edges whose vertices all survive, so later
-    rounds work on the shrinking remainder."""
+
+def _survivors(edges: np.ndarray, v: int, r: int) -> np.ndarray:
+    """:func:`peel_survivor_mask`, called directly by the Monte Carlo workers:
+    the benchmark's tracer wraps the public name with a one-thread span
+    stack.  Each round keeps only the edges whose vertices all survive."""
     alive = np.ones(v, dtype=bool)
     slots = _slots(edges)
     while True:
@@ -417,7 +392,7 @@ def min_degree_ok(edges: np.ndarray, v: int, r: int) -> bool:
 
 def _core_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
     """Per trial: peeling leaves a nonempty r-core."""
-    return peel_survivor_mask(edges, n * v, r).reshape(n, v).any(axis=1)
+    return _survivors(edges, n * v, r).reshape(n, v).any(axis=1)
 
 
 def _min_degree_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
@@ -467,14 +442,36 @@ def _successes(test, v: int, k: int, p: float, r: int,
     A block holds as many trials as fit ``TRIAL_BLOCK`` both in vertices and
     in expected kept edges (at least one), and is drawn by one
     :func:`_block_edges` call.
+
+    Workers.  The trial range is cut into min(``WORKERS``, trials)
+    contiguous runs of near-equal length, each counted block by block on a
+    thread of its own (:func:`_in_threads`; the calling thread counts the
+    first), and the counts are summed.  Trial t depends only on
+    ``trial_seed(master, t)``, so the sum is the same for any worker count.
+    numpy's ufunc loops release the GIL, so the runs overlap.  When one
+    trial's expected kept edges exceed ``TRIAL_BLOCK`` (a block of one
+    trial), the run stays on one worker, so at most max(one trial,
+    ``WORKERS * TRIAL_BLOCK`` expected kept edges) are in flight.
     """
-    per_block = max(1, int(TRIAL_BLOCK // max(v, math.comb(v, k) * p)))
-    successes = 0
-    for t in range(start, start + trials, per_block):
-        n = min(per_block, start + trials - t)
-        edges = _block_edges(v, k, p, _trial_seeds(master, t, n))
-        successes += int(np.count_nonzero(test(edges, n, v, r)))
-    return successes
+    expected = math.comb(v, k) * p
+    per_block = max(1, int(TRIAL_BLOCK // max(v, expected)))
+    workers = 1 if expected > TRIAL_BLOCK else min(WORKERS, trials)
+
+    def count(first: int, stop: int) -> int:
+        successes = 0
+        for t in range(first, stop, per_block):
+            n = min(per_block, stop - t)
+            edges = _block_edges(v, k, p, _trial_seeds(master, t, n))
+            successes += int(np.count_nonzero(test(edges, n, v, r)))
+        return successes
+
+    # Finish numpy's lazy import (:func:`_lazy_numpy`) on this thread before
+    # any worker reads ``np``: ``importlib.util.LazyLoader`` is not
+    # thread-safe on Python 3.11, and two workers' first reads can see a
+    # half-loaded module.
+    np.ndarray
+    cuts = [start + trials * i // workers for i in range(workers + 1)]
+    return sum(_in_threads(count, list(zip(cuts, cuts[1:]))))
 
 
 def mc_local_successes(v: int, k: int, p: float, r: int, predicate: str,

@@ -108,8 +108,7 @@ class SweepSpec:
             if m not in SWEEP_METHODS:
                 raise ValueError(f"unknown method {m!r}; pick from {SWEEP_METHODS}")
         _check_scope(self.scope)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        montecarlo._check_trials(self.trials, self.seed, 0)  # the estimators' checks
 
 
 @dataclass

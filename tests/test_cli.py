@@ -337,6 +337,11 @@ class TestUsageErrors:
          "seed must be in [0, 2^64), got -1"),
         (["local", "--u", "4", "--k", "3", "--p", "0.5", "--method", "mc",
           "--seed", str(2**64)], f"seed must be in [0, 2^64), got {2**64}"),
+        (["sweep", "--overhead", "1.2", "--e-min", "3", "--e-max", "6", "--k", "3", "--r", "2",
+          "--method", "mc", "--trials", "50", f"--seed={2**64}"],
+         f"seed must be in [0, 2^64), got {2**64}"),
+        (["sweep", "--overhead", "1.2", "--e-min", "3", "--e-max", "6", "--k", "3", "--r", "2",
+          "--method", "mc", "--trials", "50", "--seed=-1"], "seed must be in [0, 2^64), got -1"),
         (["local", "--u", "-3", "--k", "3", "--p", "0.1", "--method", "mc"],
          "u must be >= 1, got -3"),
         (["oracle", "--v", "-1", "--k", "3", "--e-v", "1"], "v must be >= 1, got -1"),
@@ -349,8 +354,9 @@ class TestUsageErrors:
          "expected edge count inf must be finite and >= 0"),
     ], ids=["p-and-e", "p-range", "gilbert-k", "global-trials", "sweep-trials", "oracle-guard",
             "sweep-overhead-overflow", "breakdown-overhead-overflow", "global-seed-negative",
-            "local-seed-2^64", "local-mc-u-negative", "oracle-e-v-negative",
-            "global-e-v-negative-no-edges", "global-e-v-nan-no-edges", "local-e-u-inf-no-edges"])
+            "local-seed-2^64", "sweep-seed-2^64", "sweep-seed-negative", "local-mc-u-negative",
+            "oracle-e-v-negative", "global-e-v-negative-no-edges", "global-e-v-nan-no-edges",
+            "local-e-u-inf-no-edges"])
     def test_bad_value_prints_one_error_line(self, capsys, argv, message):
         # argparse reports its own parse errors; every value check after it
         # prints the same single line and exits 2
@@ -560,6 +566,16 @@ print(len(started), threading.active_count(), pool)
 sys.exit(code)
 """
 
+# Sets WORKERS before its first Monte Carlo command, so worker threads start
+# before any thread has read numpy's lazy module.
+WORKERS_CHILD = """\
+import sys
+from corebound import kernels
+from corebound.cli import main
+kernels.WORKERS = 3
+sys.exit(main(sys.argv[1:]))
+"""
+
 ONE_CPU_CHILD = """\
 import os
 import sys
@@ -606,7 +622,7 @@ class TestFreshInterpreter:
     ], ids=["local", "global-formula", "sweep-local", "breakdown-local", "breakdown-global",
             "global-mc"])
     def test_formula_commands_start_no_thread(self, argv, starts_threads):
-        # a Monte Carlo draw may run on threads, but joins them before it
+        # a Monte Carlo run may count on threads, but joins them before it
         # returns, and no command imports a pool module
         proc = subprocess.run([sys.executable, "-c", THREAD_CHILD, *argv],
                               capture_output=True, text=True)
@@ -617,8 +633,8 @@ class TestFreshInterpreter:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API")
     def test_one_cpu_prints_the_same_bytes(self, monkeypatch):
-        # the child pins itself to one CPU before the import, so it draws on
-        # one thread; the run here draws the same command's blocks on three
+        # the child pins itself to one CPU before the import, so it counts on
+        # one thread; the run here counts the same command's trials on three
         argv = PINNED_CASES["global every method"]
         proc = subprocess.run([sys.executable, "-c", ONE_CPU_CHILD, *argv],
                               capture_output=True, text=True)
@@ -627,6 +643,17 @@ class TestFreshInterpreter:
         assert expected["code"] == 0
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, expected["stdout"] + "1\n", expected["stderr"])
+
+    def test_workers_start_before_numpy_is_imported(self, monkeypatch):
+        argv = ["global", "--v", "12", "--k", "3", "--p", "0.1", "--method", "mc",
+                "--trials", "200"]
+        proc = subprocess.run([sys.executable, "-c", WORKERS_CHILD, *argv],
+                              capture_output=True, text=True)
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        expected = run_in_process(argv)
+        assert expected["code"] == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, expected["stdout"], expected["stderr"])
 
 
 class TestParserReuse:

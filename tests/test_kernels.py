@@ -180,28 +180,14 @@ def _address(array):
     return array.__array_interface__["data"][0]
 
 
-def _record_draws(monkeypatch):
-    """The stream passes of each ``_draw_kept`` call from here on, one list
-    of (thread, z, tmp) per draw.  Threads are told apart only within one
-    draw, since every draw starts new workers; the held arrays keep a buffer
-    freed mid-draw from coming back at the same address."""
-    draws, draw_kept, mix64_rounds = [], kernels._draw_kept, kernels._mix64_rounds
-    passes = []  # the passes since the last draw began; list.append is thread-safe
+def _mc_count(predicate, v, k, p, r, trials, seed, start=0):
+    if predicate == "global":
+        return mc_global(v, k, p, r, trials=trials, seed=seed, start=start).successes
+    return mc_local(v, k, p, r, predicate, trials=trials, seed=seed, start=start).successes
 
-    def recorded_draw(*args):
-        passes.clear()
-        try:
-            return draw_kept(*args)
-        finally:
-            draws.append(list(passes))
 
-    def recorded_rounds(z, tmp):
-        passes.append((threading.current_thread(), z, tmp))
-        return mix64_rounds(z, tmp)
-
-    monkeypatch.setattr(kernels, "_draw_kept", recorded_draw)
-    monkeypatch.setattr(kernels, "_mix64_rounds", recorded_rounds)
-    return draws
+def _no_thread(*args, **kwargs):
+    raise AssertionError("a thread was made")
 
 
 class TestBlockedTrials:
@@ -235,64 +221,41 @@ class TestBlockedTrials:
         for c in COUNT_CASES])
     def test_counts_are_the_per_trial_sum(self, monkeypatch, predicate, v, k, p, r, trials,
                                           start, blocks):
-        # stream passes and seed derivations; draws; blocks.  Stream passes
-        # run on the draw's worker threads, so the count takes a lock.
-        calls = {"_mix64_rounds": 0, "_draw_kept": 0, "_trial_seeds": 0}
-        lock = threading.Lock()
-        for name in calls:
-            def counted(*args, _fn=getattr(kernels, name), _name=name):
-                with lock:
-                    calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(kernels, name, counted)
-        if predicate == "global":
-            got = mc_global(v, k, p, r, trials=trials, seed=11, start=start).successes
-        else:
-            got = mc_local(v, k, p, r, predicate, trials=trials, seed=11, start=start).successes
-        monkeypatch.undo()
-        assert got == _per_trial(v, k, p, r, predicate, trials, 11, start)
-        passes = calls["_mix64_rounds"] - calls["_trial_seeds"]
-        assert passes > 1 and calls["_trial_seeds"] >= blocks, calls
-        assert calls["_draw_kept"] == calls["_trial_seeds"], calls  # one draw per block
+        # at 1, 2, 3 and 8 workers: stream passes and seed derivations;
+        # draws; blocks.  Workers draw at once, so the count takes a lock.
+        expected = _per_trial(v, k, p, r, predicate, trials, 11, start)
+        for workers in (1, 2, 3, 8):
+            calls = {"_mix64_rounds": 0, "_draw_kept": 0, "_trial_seeds": 0}
+            lock = threading.Lock()
+            for name in calls:
+                def counted(*args, _fn=getattr(kernels, name), _name=name):
+                    with lock:
+                        calls[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(kernels, name, counted)
+            monkeypatch.setattr(kernels, "WORKERS", workers)
+            got = _mc_count(predicate, v, k, p, r, trials, 11, start)
+            monkeypatch.undo()
+            assert got == expected, workers
+            passes = calls["_mix64_rounds"] - calls["_trial_seeds"]
+            assert passes > 1 and calls["_trial_seeds"] >= blocks, calls
+            assert calls["_draw_kept"] == calls["_trial_seeds"], calls  # one draw per block
         if trials > 100:
-            assert 0 < got < trials
+            assert 0 < expected < trials
 
     @pytest.mark.parametrize("start, trials", [(2**64 - 1, 3), (2**64 - 20, 40)])
-    def test_trial_indices_wrap_at_2_64(self, start, trials):
-        got = mc_global(6, 3, 0.3, 2, trials=trials, seed=4, start=start).successes
-        assert got == _per_trial(6, 3, 0.3, 2, "global", trials, 4, start)
-
-    @pytest.mark.parametrize("predicate, v, p", [
-        ("global", 40, 33 / choose(40, 3)),       # several passes per block, three blocks
-        ("connectivity", 24, 24 / choose(24, 3)),
-        ("global", 75, 0.0015),                   # C(v, 3) > BLOCK: two passes per trial
-    ])
-    def test_one_pair_of_scratch_buffers_per_worker(self, monkeypatch, predicate, v, p):
-        # within one draw, each worker runs all its stream passes in one
-        # buffer pair of its own: no block allocates
-        for workers in (1, 2, 3):
-            draws = _record_draws(monkeypatch)
+    def test_trial_indices_wrap_at_2_64(self, monkeypatch, start, trials):
+        expected = _per_trial(6, 3, 0.3, 2, "global", trials, 4, start)
+        for workers in (1, 2, 3, 8):  # 3 trials on 8 workers: one trial each
             monkeypatch.setattr(kernels, "WORKERS", workers)
-            if predicate == "global":
-                mc_global(v, 3, p, 2, trials=900 if v < 75 else 3, seed=4)
-            else:
-                mc_local(v, 3, p, 1, predicate, trials=1500, seed=4)
-            monkeypatch.undo()
-            assert any(len(passes) > 1 for passes in draws)
-            for passes in draws:
-                pairs = {}
-                for thread, z, tmp in passes:
-                    assert z.size == tmp.size <= kernels.BLOCK
-                    assert not np.shares_memory(z, tmp)
-                    pairs.setdefault(thread, set()).add((_address(z), _address(tmp)))
-                assert all(len(pair) == 1 for pair in pairs.values()), workers
-                buffers = [a for pair in pairs.values() for a in next(iter(pair))]
-                assert len(set(buffers)) == len(buffers)  # the workers' pairs are distinct
-                assert len(pairs) <= workers
+            got = mc_global(6, 3, 0.3, 2, trials=trials, seed=4, start=start).successes
+            assert got == expected, workers
 
-    def test_dense_run_memory_is_bounded(self):
+    def test_dense_run_memory_is_bounded(self, monkeypatch):
         # C(30, 3) * 0.5 = 2030 kept edges per trial: a block sized by
-        # vertices alone (546 trials) would hold all 200 trials' edges
+        # vertices alone (546 trials) would hold all 200 trials' edges.  One
+        # worker, since each worker holds a block of its own
+        monkeypatch.setattr(kernels, "WORKERS", 1)
         mc_global(30, 3, 0.5, 2, trials=1)  # first-call set-up
         tracemalloc.start()
         try:
@@ -301,6 +264,23 @@ class TestBlockedTrials:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, peak
+
+    def test_dense_trials_stay_on_one_worker(self, monkeypatch):
+        # C(60, 3) * 0.5 = 17110 expected kept edges per trial, more than
+        # TRIAL_BLOCK: eight workers would hold eight such trials at once
+        assert choose(60, 3) * 0.5 > kernels.TRIAL_BLOCK
+        mc_global(60, 3, 0.5, 2, trials=1)  # first-call set-up
+        counts, peaks = [], []
+        for workers in (1, 8):
+            monkeypatch.setattr(kernels, "WORKERS", workers)
+            tracemalloc.start()
+            try:
+                counts.append(mc_global(60, 3, 0.5, 2, trials=8, seed=3).successes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert counts[0] == counts[1]
+        assert peaks[1] < 1.25 * peaks[0], peaks
 
     @pytest.mark.parametrize("v", [12, 75])  # C(75, 3) > BLOCK
     def test_generate_keeps_the_masked_candidates(self, v):
@@ -325,31 +305,36 @@ class TestBlockedTrials:
 
 
 class TestThreadedDraw:
-    """A draw split across worker threads returns the one-thread draw's arrays."""
+    """Monte Carlo trials drawn on worker threads: a run cuts its trial range
+    into one contiguous run per worker, and each stream draw stays on the
+    thread that asks for it."""
 
     P_GRID = (0.0, 2**-54, 2**-53, 0.3, 0.5, math.nextafter(1.0, 0.0), 1.0)
 
     @staticmethod
-    def _draws(monkeypatch, n, p, seeds):
-        """``_draw_kept``'s (row, rank) arrays at 1, 2 and 3 workers."""
-        out = []
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(kernels, "WORKERS", workers)
-            out.append(kernels._draw_kept(n, p, seeds))
-        return out
-
-    def _assert_equal_draws(self, monkeypatch, n, p, seeds):
-        (row, rank), *others = self._draws(monkeypatch, n, p, seeds)
+    def _assert_one_pair(monkeypatch, n, p, seeds, blocks):
+        # at WORKERS = 3 the draw starts no thread and runs its stream pass
+        # of every block in one (z, tmp) pair
+        passes, mix64_rounds = [], kernels._mix64_rounds
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        monkeypatch.setattr(threading, "Thread", _no_thread)
+        monkeypatch.setattr(kernels, "_mix64_rounds",
+                            lambda z, tmp: (passes.append((z, tmp)), mix64_rounds(z, tmp))[1])
+        row, rank = kernels._draw_kept(n, p, seeds)
+        monkeypatch.undo()
         assert row.dtype == rank.dtype == np.int64
-        for other_row, other_rank in others:
-            assert np.array_equal(other_row, row) and np.array_equal(other_rank, rank), (n, p)
+        assert len(passes) == blocks, (n, p)
+        assert len({(_address(z), _address(tmp)) for z, tmp in passes}) <= 1, (n, p)
+        for z, tmp in passes:
+            assert z.size == tmp.size <= kernels.BLOCK
+            assert not np.shares_memory(z, tmp)
 
     @pytest.mark.parametrize("n", [0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3])
     def test_one_seed(self, monkeypatch, n):
-        # 2**17 + 3 candidates are three slices: two workers split them 1 + 2
+        # 2**17 + 3 candidates are three slices
         seeds = kernels._seed_array(kernels.trial_seed(3, 5))
         for p in self.P_GRID:
-            self._assert_equal_draws(monkeypatch, n, p, seeds)
+            self._assert_one_pair(monkeypatch, n, p, seeds, -(-n // kernels.BLOCK))
 
     @pytest.mark.parametrize("rows", [1, 3, 100])
     @pytest.mark.parametrize("n", [1, 700, 2**16 - 1, 2**16 + 1])
@@ -357,76 +342,91 @@ class TestThreadedDraw:
         # 100 rows of 700 candidates are 93 rows per block, so two blocks;
         # 3 rows of 2**16 + 1 are six slices; 100 of them, 200
         seeds = kernels._trial_seeds(2**64 - 2, 7, rows)
+        per_block = max(1, kernels.BLOCK // n)
+        blocks = -(-rows // per_block) * -(-n // kernels.BLOCK)
         for p in (0.0, 1e-4, 0.3, 0.5, 1.0):
-            self._assert_equal_draws(monkeypatch, n, p, seeds)
+            self._assert_one_pair(monkeypatch, n, p, seeds, blocks)
 
     @pytest.mark.parametrize("predicate,v,k,p,r,trials,start,blocks", [
         TestBlockedTrials.COUNT_CASES[i] for i in (0, 3, 6, 7, 8, 9, 12)])
     def test_counts_at_one_and_three_workers(self, monkeypatch, predicate, v, k, p, r, trials,
                                              start, blocks):
-        # threads are counted per draw: every draw starts new workers, and
-        # an ended thread's ident can pass to a new one
+        # three workers count each trial once, each a contiguous run of
+        # near-equal length on a thread of its own, and count what one does
         counts = []
         for workers in (1, 3):
-            draws = _record_draws(monkeypatch)
+            ranges, trial_seeds = [], kernels._trial_seeds  # list.append is thread-safe
+
+            def recorded(master, first, n):
+                ranges.append((threading.current_thread(), first, first + n))
+                return trial_seeds(master, first, n)
+
+            monkeypatch.setattr(kernels, "_trial_seeds", recorded)
             monkeypatch.setattr(kernels, "WORKERS", workers)
-            if predicate == "global":
-                got = mc_global(v, k, p, r, trials=trials, seed=11, start=start)
-            else:
-                got = mc_local(v, k, p, r, predicate, trials=trials, seed=11, start=start)
+            counts.append(_mc_count(predicate, v, k, p, r, trials, 11, start))
             monkeypatch.undo()
-            counts.append(got.successes)
-            # one stream pass per block
-            used = [len({thread for thread, _, _ in passes}) for passes in draws]
-            assert used == [min(workers, len(passes)) for passes in draws], workers
+            runs = {}
+            for thread, first, stop in sorted(ranges, key=lambda blk: blk[1]):
+                lo, hi = runs.get(thread, (first, first))
+                assert hi == first  # a thread's blocks are one contiguous run
+                runs[thread] = (lo, stop)
+            bounds = sorted(runs.values())
+            assert len(bounds) == min(workers, trials)
+            assert [lo for lo, _ in bounds] == [start] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == start + trials
+            lengths = [hi - lo for lo, hi in bounds]
+            assert max(lengths) - min(lengths) <= 1
         assert counts[0] == counts[1]
-        assert max(used) == 3  # some draw ran on the calling thread and two workers
 
     def test_more_workers_than_cpus_under_fast_switching(self, monkeypatch):
-        # 8 workers on 80 slices, the interpreter switching threads every
-        # microsecond: the runs still come back in block order
-        seeds, n = kernels._trial_seeds(8, 0, 40), 2**16 + 1
-        expected = self._draws(monkeypatch, n, 0.01, seeds)[0]
+        # 8 workers, the interpreter switching threads every microsecond:
+        # the runs' counts still add up to the one-worker count
+        args = ("connectivity", 24, 3, 24 / choose(24, 3), 1, 1500, 4)
+        monkeypatch.setattr(kernels, "WORKERS", 1)
+        expected = _mc_count(*args)
         monkeypatch.setattr(kernels, "WORKERS", 8)
         threads, interval = threading.active_count(), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            row, rank = kernels._draw_kept(n, 0.01, seeds)
+            got = _mc_count(*args)
         finally:
             sys.setswitchinterval(interval)
-        assert np.array_equal(row, expected[0]) and np.array_equal(rank, expected[1])
+        assert got == expected
         assert threading.active_count() == threads  # every worker was joined
 
-    def test_one_block_starts_no_thread(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a thread was made")
-
+    def test_draws_start_no_thread(self, monkeypatch):
+        # draws of one block and of several (C(75, 3) > BLOCK: two slices)
         monkeypatch.setattr(kernels, "WORKERS", 3)
-        monkeypatch.setattr(threading, "Thread", forbidden)
+        monkeypatch.setattr(threading, "Thread", _no_thread)
         assert len(kernels.sample_edges(12, 3, 0.3, 5)) > 0  # C(12, 3) = 220 draws
+        assert len(kernels.sample_edges(75, 3, 0.01, 5)) > 0
+        assert generate(HypergraphParams(75, 3, 0.01, 1), 5).edges
         assert kernels.sample_edge_mask(kernels.BLOCK, 0.5, 5).any()
+        assert kernels.sample_edge_mask(2**17 + 3, 0.5, 5).any()
         assert kernels.sample_edge_mask(0, 0.5, 5).shape == (0,)
 
     def test_draw_errors_reach_the_caller(self, monkeypatch):
-        # a worker's MemoryError leaves the draw after every thread has ended,
-        # and leaves nothing behind that the next draw sees
-        seeds, n = kernels._trial_seeds(8, 0, 3), 2**16 + 1  # six slices
-        expected = self._draws(monkeypatch, n, 0.01, seeds)[0]
-        mix64_rounds, threads = kernels._mix64_rounds, threading.active_count()
+        # a worker's MemoryError in its draw leaves the run after every
+        # thread has ended, and leaves nothing behind that the next run sees
+        args = ("global", 40, 3, 33 / choose(40, 3), 2, 900, 4)
+        monkeypatch.setattr(kernels, "WORKERS", 3)
+        expected = _mc_count(*args)
+        draw_kept, threads = kernels._draw_kept, threading.active_count()
+        ran = []  # list.append is thread-safe
 
-        def failing_rounds(z, tmp):
+        def failing_draw(*draw_args):
+            ran.append(threading.current_thread())
             if threading.current_thread() is not threading.main_thread():
                 raise MemoryError("worker")
-            return mix64_rounds(z, tmp)
+            return draw_kept(*draw_args)
 
-        monkeypatch.setattr(kernels, "WORKERS", 3)
-        monkeypatch.setattr(kernels, "_mix64_rounds", failing_rounds)
+        monkeypatch.setattr(kernels, "_draw_kept", failing_draw)
         with pytest.raises(MemoryError, match="worker"):
-            kernels._draw_kept(n, 0.01, seeds)
+            _mc_count(*args)
         assert threading.active_count() == threads
-        monkeypatch.setattr(kernels, "_mix64_rounds", mix64_rounds)
-        row, rank = kernels._draw_kept(n, 0.01, seeds)
-        assert np.array_equal(row, expected[0]) and np.array_equal(rank, expected[1])
+        assert len(set(ran)) == 3  # every worker drew before the raise
+        monkeypatch.setattr(kernels, "_draw_kept", draw_kept)
+        assert _mc_count(*args) == expected
 
     def test_worker_errors_reach_the_caller(self):
         ran = []

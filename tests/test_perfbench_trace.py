@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from corebound import cli, mc_global
+from corebound import choose, cli, kernels, mc_global, mc_local
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,3 +74,19 @@ def test_tracer_counts_the_oracles(perfbench, capsys):
     assert metrics["montecarlo.exact_exactly_one.masks"] == (16, "count")
     assert metrics["montecarlo.exact_global.masks"] == (16, "count")
     assert metrics["kernels.exhaustive_global_prob.calls"] == (1, "count")
+
+
+def test_worker_threads_call_no_traced_function(perfbench, monkeypatch):
+    # the tracer keeps one span stack, so only the calling thread may enter
+    # a wrapped function: three workers, two or three trial blocks each
+    _, spans = perfbench
+    monkeypatch.setattr(kernels, "WORKERS", 3)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        mc_global(40, 3, 33 / choose(40, 3), 2, trials=3000, seed=7)
+        mc_local(24, 3, 24 / choose(24, 3), 1, "connectivity", trials=3000, seed=7)
+    assert (tracer.self_times() >= 0).all()
+    metrics = tracer.layer_metrics()
+    assert metrics["kernels.mc_global_successes.trials"] == (3000, "count")
+    assert metrics["kernels.mc_local_successes.trials"] == (3000, "count")
+    assert metrics["kernels.peel_survivor_mask.calls"] == (0, "count")

@@ -32,6 +32,11 @@ class TestSpec:
             SweepSpec(**{**good, "methods": ()})
         with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
             SweepSpec(**{**good, "trials": 0})
+        # the master seed goes through trial_seed, which reads it mod 2^64
+        SweepSpec(**{**good, "seed": 2**64 - 1})
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^64\), got {seed}"):
+                SweepSpec(**{**good, "seed": seed})
         with pytest.raises(ValueError, match=r"overhead \* e_max = 1e\+308 \* 5 is not finite"):
             SweepSpec(**{**good, "overhead": 1e308})
         with pytest.raises(ValueError, match="unknown formula method 'sorcery'"):
