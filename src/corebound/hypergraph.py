@@ -45,13 +45,12 @@ KEPT_GUARD = 2**22
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
 
 
-def guarded_count(v: int, k: int, guard: int) -> int:
-    """C(v, k), the candidate edge count; ValueError when it exceeds ``guard``
-    (``GENERATE_GUARD`` or ``ENUMERATE_GUARD``)."""
+def guarded_count(v: int, k: int) -> int:
+    """C(v, k), the candidate edge count of an exhaustive enumeration;
+    ValueError when it exceeds ``ENUMERATE_GUARD``."""
     m = choose(v, k)
-    if m > guard:
-        what = "generation" if guard == GENERATE_GUARD else "enumeration"
-        raise ValueError(f"C(v, k) = {m} exceeds the {what} guard {guard}")
+    if m > ENUMERATE_GUARD:
+        raise ValueError(f"C(v, k) = {m} exceeds the enumeration guard {ENUMERATE_GUARD}")
     return m
 
 
@@ -59,7 +58,9 @@ def guarded_draws(v: int, k: int, p: float) -> int:
     """C(v, k) for one random graph: ValueError when it exceeds
     ``GENERATE_GUARD`` or its expected kept edges C(v, k) * p exceed
     ``KEPT_GUARD``."""
-    m = guarded_count(v, k, GENERATE_GUARD)
+    m = choose(v, k)
+    if m > GENERATE_GUARD:
+        raise ValueError(f"C(v, k) = {m} exceeds the generation guard {GENERATE_GUARD}")
     if m * p > KEPT_GUARD:
         raise ValueError(f"C(v, k) * p = {m * p:.6g} expected edges per graph "
                          f"exceed the kept-edge guard {KEPT_GUARD}")
@@ -183,7 +184,7 @@ def has_rcore_on(h: Hypergraph, subset, r: int) -> bool:
 def enumerate_all(v: int, k: int) -> Iterator[Hypergraph]:
     """Yield all 2^C(v,k) hypergraphs on v vertices, in bitmask order over the
     colexicographic candidate enumeration (bit j of the mask = candidate j)."""
-    m = guarded_count(v, k, ENUMERATE_GUARD)
+    m = guarded_count(v, k)
     cand = [tuple(int(x) for x in row) for row in candidate_edges(v, k)]
     for mask in range(1 << m):
         edges = tuple(cand[j] for j in range(m) if mask >> j & 1)

@@ -186,21 +186,16 @@ def _block_steps() -> np.ndarray:
     return np.arange(1, BLOCK + 1, dtype=np.uint64) * np.uint64(GOLDEN)
 
 
-def sample_edge_mask(n_candidates: int, p: float, graph_seed) -> np.ndarray:
-    """Boolean inclusion mask over the candidate edges of one graph, or of one
-    graph per seed.
-
-    ``graph_seed`` is an int, giving a mask of shape ``(n_candidates,)``, or a
-    1-D uint64 array of seeds, giving one row per seed.  Candidate j of the
-    graph seeded with s is kept iff
+def sample_edge_mask(n_candidates: int, p: float, graph_seed: int) -> np.ndarray:
+    """Boolean inclusion mask, of shape ``(n_candidates,)``, over the
+    candidate edges of the graph seeded with ``graph_seed``.  Candidate j of
+    the graph seeded with s is kept iff
     ``unit_double(mix64(s + (j+1)*GOLDEN)) < p``; :func:`_draw_kept` finds
     them.
     """
-    scalar = np.ndim(graph_seed) == 0
-    seeds = _seed_array(graph_seed) if scalar else np.asarray(graph_seed, dtype=np.uint64)
-    keep = np.zeros((len(seeds), n_candidates), dtype=bool)
-    keep[_draw_kept(n_candidates, p, seeds)] = True
-    return keep[0] if scalar else keep
+    keep = np.zeros(n_candidates, dtype=bool)
+    keep[_draw_kept(n_candidates, p, _seed_array(graph_seed))[1]] = True
+    return keep
 
 
 def sample_edges(v: int, k: int, p: float, graph_seed: int) -> np.ndarray:
@@ -243,7 +238,8 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray) -> tuple[np.ndarr
     Integer test.  ``unit(x)`` is the integer ``y = x >> 11 < 2^53`` times
     2^-53, and both that product and ``p * 2^53`` are exact (power-of-two
     scalings), so ``unit(x) < p`` iff ``y < p * 2^53`` iff ``y < limit`` with
-    ``limit = ceil(p * 2^53)``.
+    ``limit = ceil(p * 2^53)``.  p is clipped to 1, where the limit is 2^53
+    and every draw is kept; p <= 0 (or nan) gives limit 0, which keeps none.
 
     Pre-test.  Let z be the value before the final step ``x = z ^ (z >> 31)``
     and ``c = bitlen(limit - 1) + 11``, so that ``y < limit`` implies
@@ -255,12 +251,7 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray) -> tuple[np.ndarr
     the exact test.  When c = 64 (p > 1/2) every z passes and the exact test
     runs on the whole block.
     """
-    if p >= 1.0:
-        limit = 1 << 53  # every 53-bit value is kept
-    elif p > 0.0:
-        limit = math.ceil(math.ldexp(p, 53))
-    else:
-        limit = 0  # p <= 0 (or nan) keeps nothing
+    limit = math.ceil(math.ldexp(min(p, 1.0), 53)) if p > 0.0 else 0
     bound_bits = (limit - 1).bit_length() + 11
     pre = np.uint64(1 << bound_bits) if bound_bits < 64 else None
     steps = _block_steps()
@@ -308,7 +299,7 @@ def _in_threads(fn, calls: list) -> list:
     threads = [threading.Thread(target=work, args=(i,)) for i in range(1, len(calls))]
     for thread in threads:
         thread.start()
-    if calls:
+    if calls:  # an empty call list has no first call, and gives []
         work(0)
     for thread in threads:
         thread.join()
@@ -536,23 +527,25 @@ def subset_prob(m: int, p: float, test) -> float:
     Each size's count is split into powers of two, so ``fsum`` adds exact
     multiples of the size's weight and returns the same correctly rounded
     float as an ``fsum`` of one weight per subset.  The weight goes through
-    log space so nothing underflows at m = 20.  At p = 0 and p = 1 only the
-    empty or the full edge set has mass, and only that one is evaluated.
+    log space so nothing underflows at m = 20.  Every p enumerates every
+    subset.  At p = 0 and p = 1 only the empty or the full edge set has
+    mass, so the value is that subset's accepted count, 0 or 1, read before
+    the log-space weights, which take log p and log(1 - p).
     """
+    counts = _accepted_by_size(m, test)
     if p == 0.0 or p == 1.0:
-        return float(sum(_accepted_by_size(m, test, (1 << m) - 1 if p == 1.0 else 0)))
+        return float(counts[m if p == 1.0 else 0])
     log_p, log_1m = math.log(p), math.log1p(-p)
     terms = []
-    for n, c in enumerate(_accepted_by_size(m, test)):
+    for n, c in enumerate(counts):
         w = math.exp(n * log_p + (m - n) * log_1m)
         terms += [math.ldexp(w, j) for j in range(c.bit_length()) if c >> j & 1]
     return math.fsum(terms)
 
 
-def _accepted_by_size(m: int, test, only: int | None = None) -> list[int]:
+def _accepted_by_size(m: int, test) -> list[int]:
     """Per size n = 0..m, how many of the 2^m edge subsets (bit j of a
-    subset's index: edge j) ``test`` accepts; with ``only``, that one
-    subset alone.
+    subset's index: edge j) ``test`` accepts.
 
     The subsets come in blocks of at most ``BLOCK``.  The low ``L = min(m,
     LOW_BITS)`` edges lie inside a row of W = 2^max(L - 6, 0) uint64 words:
@@ -560,8 +553,7 @@ def _accepted_by_size(m: int, test, only: int | None = None) -> list[int]:
     word.  A block is a run of rows, each given by its subset bits of the
     edges L..m-1 (``rows``, uint64), so edge j < L has the same plane in
     every row and edge j >= L is all-ones or all-zeros along a row.  For
-    m < 6 the row is one partial word.  ``only`` is one row with L = 0,
-    held at bit 0 of its word.
+    m < 6 the row is one partial word.
 
     ``test(low)`` gets the (L + 1, W) low planes of :func:`_row_layout`
     once and returns the block test ``accept(rows)``: (R, W) uint64 words
@@ -570,13 +562,10 @@ def _accepted_by_size(m: int, test, only: int | None = None) -> list[int]:
     ``bitwise_count(word & class_c)`` and binned at c plus the popcounts of
     the word and row indices.
     """
-    if only is None:
-        low = min(m, LOW_BITS)
-        rows = np.arange(1 << (m - low), dtype=np.uint64) << np.uint64(low)
-        step = max(1, BLOCK >> low)
-        blocks = [rows[i:i + step] for i in range(0, len(rows), step)]
-    else:
-        low, blocks = 0, [np.array([only], dtype=np.uint64)]
+    low = min(m, LOW_BITS)
+    rows = np.arange(1 << (m - low), dtype=np.uint64) << np.uint64(low)
+    step = max(1, BLOCK >> low)
+    blocks = [rows[i:i + step] for i in range(0, len(rows), step)]
     planes, classes, word_sizes = _row_layout(low)
     accept = test(planes)
     class_sizes = np.arange(len(classes))[:, None, None]

@@ -14,7 +14,10 @@ model (by vertex anonymity only u matters):
   sums over every edge count whose pmf is at least ``COVERING_PMF_CUTOFF``.
 * ``interleaved_local_prob`` -- connectivity_prob raised to the r-th power,
   modelling r successive rounds with freshly regenerated edges.  Evaluated
-  at p and at p/r it brackets the true local r-core probability.
+  at p/r and at p it is read as a bracket of the true local r-core
+  probability, but against ``exact_local`` each side crosses the truth on
+  some desk-scale rows flagged valid (the strict xfails of
+  ``tests/test_local_prob.py::TestLocalBracketAudit`` carry the numbers).
 
 The connectivity recursion's binomial weights and crossing-edge exponents
 do not depend on p.  Each (k, u) row of them is built once, as tuples, and
@@ -97,9 +100,10 @@ class ConnectivityTable:
     where eps(u, i) counts the possible edges crossing an (i, u-i) split and
     the weights are ``numerics.binomial_row(u - 1)``.  Each term is
     (value(i) * weight) * factor, summed in i order by ``stable_sum``.  The
-    factor (1-p)^eps is 0.0 at p = 1, else 1 - p at eps = 1, else
-    exp(eps * log1p(-p)) below p = 0.5 (precise for small p and huge eps),
-    else pow(1 - p, eps).
+    factor (1-p)^eps is 1 - p at eps = 1, else exp(eps * log1p(-p)) below
+    p = 0.5 (precise for small p and huge eps), else pow(1 - p, eps).  Every
+    p takes this path: at p = 1 each factor is 0.0, since every eps(u, i) is
+    at least 1 for u >= k.
 
     The weights and exponents do not depend on p: each (k, u) row is built
     once and read by every table at that k, whatever its p, from one
@@ -134,9 +138,7 @@ class ConnectivityTable:
                 values.append(0.0)
                 continue
             weights, exponents = _recursion_row(k, u)
-            if p == 1.0:
-                half = [0.0] * len(exponents)
-            elif p < 0.5:
+            if p < 0.5:
                 half = [one_minus if e == 1 else exp(e * log1m) for e in exponents]
             else:
                 half = [one_minus if e == 1 else pow_(one_minus, e) for e in exponents]
@@ -194,7 +196,7 @@ def _coverage_factor(e: int, u: int, r: int, q: float) -> float:
     # each vertex lands in each edge with probability q = k/u, independently.
     if e < r:
         return 0.0
-    if q == 1.0:
+    if q == 1.0:  # the odds q / (1 - q) below divide by zero
         return 1.0  # e >= r and every vertex is in every edge
     # B(r-1; e, q) accumulated term by term (r is small)
     pmf = (1.0 - q) ** e
@@ -223,6 +225,9 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
         return ProbValue(0.0)  # no edge fits inside the subset
     m = choose(u, k)
     q = k / u
+    # The ends of p keep their own cases.  At p = 0, m * p below raises
+    # OverflowError once C(u, k) is past the double range; at p = 1 the odds
+    # p / (1 - p) divide by zero.
     if p == 0.0:
         return ProbValue(0.0)
     if p == 1.0:

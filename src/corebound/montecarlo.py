@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 from . import kernels
 from .kernels import np
-from .hypergraph import (ENUMERATE_GUARD, HypergraphParams, candidate_edges,
-                         guarded_count, guarded_draws)
+from .hypergraph import HypergraphParams, candidate_edges, guarded_count, guarded_draws
 
 __all__ = [
     "McEstimate",
@@ -94,7 +93,7 @@ def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
     """``candidate_edges(v, k)`` for an exhaustive oracle, after the
     model-domain check and ``ENUMERATE_GUARD``."""
     HypergraphParams(v, k, p, r)
-    guarded_count(v, k, ENUMERATE_GUARD)
+    guarded_count(v, k)
     return candidate_edges(v, k)
 
 

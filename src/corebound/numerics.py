@@ -154,6 +154,8 @@ def binom_pmf(x: int, n: int, p: float) -> float:
     _check_binom_args(n, p)
     if x < 0 or x > n:
         return 0.0
+    # p = 0 and p = 1 put all mass on one x; the large-n forms below take
+    # log p and log(1 - p), which have no value there
     if p == 0.0:
         return 1.0 if x == 0 else 0.0
     if p == 1.0:

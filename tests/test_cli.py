@@ -469,6 +469,19 @@ PINNED_CASES = {
     "oracle at-least-one": ["oracle", "--v", "5", "--k", "3", "--p", "0.5", "--r", "2"],
     "oracle exactly-one": ["oracle", "--v", "4", "--k", "3", "--p", "0.5", "--r", "1",
                            "--exactly-one", "minimal"],
+    # p = 0 and p = 1 run the formulas, the stream draw and the oracles at
+    # the ends of their ranges
+    **{f"local p={p} {method}": ["local", "--u", "5", "--k", "3", "--p", p, "--r", "2",
+                                 "--method", method,
+                                 *(["--trials", "200", "--seed", "5"] if method == "mc" else [])]
+       for p in ("0", "1") for method in (*FORMULA_METHODS, "mc")},
+    "local p=1 gilbert": ["local", "--u", "6", "--k", "2", "--p", "1", "--method", "gilbert"],
+    **{f"global p={p} every method": ["global", "--v", "6", "--k", "3", "--p", p, "--r", "2",
+                                      *_FORMULA_ARGS, "--method", "mc", "--trials", "200",
+                                      "--seed", "7"] for p in ("0", "1")},
+    **{f"oracle p={p} {kind}": ["oracle", "--v", "5", "--k", "3", "--p", p, "--r", "2", *extra]
+       for p in ("0", "1")
+       for kind, extra in (("at-least-one", []), ("exactly-one", ["--exactly-one", "minimal"]))},
     "breakdown": ["breakdown", "--k", "3", "--r", "1", "--method", "connectivity",
                   "--scope", "local"],
     "breakdown none": ["breakdown", "--k", "3", "--r", "1", "--method", "covering",

@@ -41,6 +41,19 @@ class TestStream:
         assert not kernels.sample_edge_mask(100, 0.0, 7).any()
         assert kernels.sample_edge_mask(100, 1.0, 7).all()
 
+    def test_p_outside_the_unit_interval(self):
+        # neither public draw checks p: above 1 (inf too) every candidate is
+        # kept, and at nan none is, as at p = 1 and p = 0
+        for n, v in ((100, 10), (2**16 + 3, 75)):  # one block, and two slices
+            for p, every in ((1.5, True), (math.inf, True), (math.nan, False)):
+                mask = kernels.sample_edge_mask(n, p, 7)
+                assert mask.shape == (n,) and (mask.all() if every else not mask.any()), (n, p)
+                m = choose(v, 3)
+                edges = kernels.sample_edges(v, 3, p, 7)
+                assert edges.shape == ((m if every else 0), 3), (v, p)
+                if every:
+                    assert np.array_equal(edges, candidate_edges(v, 3)), (v, p)
+
     def test_sample_mask_is_the_scalar_stream(self):
         # the blocked integer test keeps exactly the candidates the scalar
         # definition keeps, across block edges and at the threshold's extremes
@@ -76,17 +89,21 @@ class TestStream:
                     seed = (unmix64(y << 11 | low) - kernels.GOLDEN) % 2**64
                     assert kernels.sample_edge_mask(1, p, seed)[0] == (y < limit), (p, y, low)
                     pair = np.array([seed, seed], dtype=np.uint64)
-                    assert kernels.sample_edge_mask(1, p, pair).tolist() == [[y < limit]] * 2
+                    row, rank = kernels._draw_kept(1, p, pair)
+                    assert row.tolist() == ([0, 1] if y < limit else []) and not rank.any()
 
     @pytest.mark.parametrize("n", [1, kernels.BLOCK - 1, kernels.BLOCK, kernels.BLOCK + 1])
     def test_seed_array_rows_are_scalar_masks(self, n):
+        # a draw over several seeds keeps, in row i, the candidates the
+        # scalar mask of seed i keeps
         seeds = np.array([0, kernels.trial_seed(3, 5), 2**64 - 1], dtype=np.uint64)
         for p in (0.0, 2**-53, 1e-4, 0.3, 0.5, 0.75, 1.0):
-            masks = kernels.sample_edge_mask(n, p, seeds)
-            assert masks.dtype == bool and masks.shape == (3, n)
+            masks = np.zeros((3, n), dtype=bool)
+            masks[kernels._draw_kept(n, p, seeds)] = True
             for seed, row in zip(seeds, masks):
                 assert np.array_equal(row, kernels.sample_edge_mask(n, p, int(seed))), (n, p)
-        assert kernels.sample_edge_mask(n, 0.5, seeds[:0]).shape == (0, n)
+        row, rank = kernels._draw_kept(n, 0.5, seeds[:0])
+        assert row.size == rank.size == 0
 
     def test_block_trial_seeds(self):
         seeds = kernels._trial_seeds(2**64 - 3, 40, 7)
@@ -645,10 +662,10 @@ class TestExhaustiveOracles:
             assert counts == np.bincount(sizes[flat], minlength=m + 1).tolist()
             seen.clear()
             got = kernels.subset_prob(m, p, test)
+            assert np.array_equal(np.sort(np.concatenate(seen)), every)  # at every p
             if p == 0.0 or p == 1.0:
-                only = (1 << m) - 1 if p == 1.0 else 0
-                assert np.concatenate(seen).tolist() == [only]  # one subset evaluated
-                assert got == float(flat[only])
+                # all the mass is on the empty or the full edge subset
+                assert got == float(flat[(1 << m) - 1 if p == 1.0 else 0])
             else:
                 weight = [math.exp(n * math.log(p) + (m - n) * math.log1p(-p))
                           for n in range(m + 1)]

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from corebound import (
     connectivity_prob,
     covering_prob,
     cross_edge_count,
+    exact_local,
     gilbert_prob,
     interleaved_local_prob,
 )
@@ -383,3 +385,68 @@ class TestInterleavedLocal:
         assert base.value < -1e100 and not base.valid
         assert (cube.value, cube.valid, cube.note) == (-math.inf, False, base.note)
         assert interleaved_local_prob(200, 2, p, 4).value == math.inf
+
+
+# The desk grid of the local bracket: every k <= u <= 8 with C(u, k) <= 20,
+# so exact_local enumerates it, at r = 1..3 and seven p.
+BRACKET_GRID = [(k, u, r, p) for k in range(2, 6) for u in range(k, 9) if choose(u, k) <= 20
+                for r in (1, 2, 3) for p in (0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9)]
+
+
+@functools.cache
+def _bracket_rows():
+    """(k, u, r, p, lower, upper, exact) per grid row: ``interleaved_local_prob``
+    at p / r and at p against ``exact_local``."""
+    rows = []
+    for k, u, r, p in BRACKET_GRID:
+        lower, upper = interleaved_local_prob(u, k, p / r, r), interleaved_local_prob(u, k, p, r)
+        assert lower.valid and upper.valid  # every row is flagged valid
+        rows.append((k, u, r, p, lower.value, upper.value, exact_local(u, k, p, r)))
+    return rows
+
+
+def _lower_above_exact():
+    return [row for row in _bracket_rows() if row[4] > row[6] + 1e-12]
+
+
+def _upper_below_exact():
+    return [row for row in _bracket_rows() if row[5] < row[6] - 1e-12]
+
+
+class TestLocalBracketAudit:
+    """The interleaved source at p / r and at p against the local truth,
+    ``exact_local`` (every one of the u vertices in at least r edges).  Both
+    sides are flagged valid on the whole grid, and each side is crossed on
+    some rows: the two strict xfails carry those rows' numbers."""
+
+    def test_grid_checks_rows(self):
+        # a check over zero rows tests nothing, and a change in the crossed
+        # rows must be looked at
+        assert len(_bracket_rows()) == 294
+        lower, upper = _lower_above_exact(), _upper_below_exact()
+        assert (len(lower), len(upper)) == (63, 34)
+        # the lower side is crossed exactly where no vertex can lie in r of
+        # the C(u - 1, k - 1) edges through it, so the truth is 0
+        assert {row[:4] for row in lower} == {(k, u, r, p) for k, u, r, p in BRACKET_GRID
+                                              if choose(u - 1, k - 1) < r}
+        assert all(exact == 0.0 for *_, exact in lower)
+        by_key = {row[:4]: row[4:] for row in _bracket_rows()}
+        assert by_key[2, 2, 2, 0.5] == (0.0625, 0.25, 0.0)
+        assert by_key[3, 4, 2, 0.1][1:] == pytest.approx((0.0027353, 0.0037), abs=5e-8)
+        assert by_key[2, 4, 1, 0.5][1:] == pytest.approx((0.59375, 0.640625), abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "63 of the 294 grid rows have a valid interleaved-lower value above "
+        "exact_local, every one where exact_local is 0 (C(u-1, k-1) < r): "
+        "k=2, u=2, r=2, p=0.5 gives 0.0625 against 0.0"))
+    def test_valid_lower_not_above_exact(self):
+        rows = _lower_above_exact()
+        assert not rows, f"{len(rows)} rows, first (k, u, r, p, lower, upper, exact) {rows[0]}"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "34 of the 294 grid rows have a valid interleaved-upper value below "
+        "exact_local: k=3, u=4, r=2, p=0.1 gives 0.0027353 against 0.0037; "
+        "k=2, u=4, r=1, p=0.5 gives 0.59375 against 0.640625"))
+    def test_valid_upper_not_below_exact(self):
+        rows = _upper_below_exact()
+        assert not rows, f"{len(rows)} rows, first (k, u, r, p, lower, upper, exact) {rows[0]}"
