@@ -19,13 +19,6 @@ model (by vertex anonymity only u matters):
   some desk-scale rows flagged valid (the strict xfails of
   ``tests/test_local_prob.py::TestLocalBracketAudit`` carry the numbers).
 
-The connectivity recursion's binomial weights and crossing-edge exponents
-do not depend on p.  Each (k, u) row of them is built once, as tuples, and
-read by every ``ConnectivityTable``, so a breakdown scan that builds a new
-table at each expected edge count rebuilds none of them.  A row holds the
-exponents of one half of the splits, since eps(u, i) = eps(u, u - i).  The
-store keeps rows up to u = 256, about 1.3 MiB per k (tracemalloc).
-
 ``LocalProvider`` is the one map from a source in ``LOCAL_METHODS`` (these
 routes and the ``exact-enum`` oracle) to its value; it owns the one
 ``ConnectivityTable`` its connectivity and interleaved sources read.
@@ -74,6 +67,20 @@ _ROW_STORE_MAX = 256
 _ROWS: dict[tuple[int, int], tuple[tuple[float, ...], tuple[int, ...]]] = {}
 
 
+# float() rejects every int from here on: an eps(u, i) this large (k near
+# u / 2, u >= 1030) takes ``_far_factor`` below p = 0.5 and 0.0 from there
+_EPS_PAST_DOUBLE = 2 ** 1024 - 2 ** 970
+
+
+def _far_factor(e: int, log1m: float) -> float:
+    """exp(e * log1m) for e >= ``_EPS_PAST_DOUBLE``, the product from e's top 53 bits."""
+    shift = e.bit_length() - 53
+    try:
+        return math.exp(math.ldexp((e >> shift) * log1m, shift))
+    except OverflowError:  # the product is below -DBL_MAX
+        return 0.0
+
+
 def _recursion_row(k: int, u: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """The (weights, exponents) of size u >= k in the connectivity recursion:
     weights[i - 1] = C(u-1, i-1) for i = 1..u-1, and exponents[i - 1] =
@@ -101,9 +108,9 @@ class ConnectivityTable:
     the weights are ``numerics.binomial_row(u - 1)``.  Each term is
     (value(i) * weight) * factor, summed in i order by ``stable_sum``.  The
     factor (1-p)^eps is 1 - p at eps = 1, else exp(eps * log1p(-p)) below
-    p = 0.5 (precise for small p and huge eps), else pow(1 - p, eps).  Every
-    p takes this path: at p = 1 each factor is 0.0, since every eps(u, i) is
-    at least 1 for u >= k.
+    p = 0.5 (precise for small p and huge eps), else pow(1 - p, eps); an eps
+    past the double range has its own factor (``_EPS_PAST_DOUBLE``).  Every
+    p takes this path: at p = 1 each factor is 0.0, as every eps is >= 1.
 
     The weights and exponents do not depend on p: each (k, u) row is built
     once and read by every table at that k, whatever its p, from one
@@ -130,7 +137,7 @@ class ConnectivityTable:
 
     def _extend(self, u_max: int) -> None:
         values, k, p = self._values, self.k, self.p
-        exp, pow_ = math.exp, math.pow
+        exp, pow_, far = math.exp, math.pow, _EPS_PAST_DOUBLE
         one_minus = 1.0 - p
         log1m = math.log1p(-p) if p < 0.5 else None
         for u in range(len(values), u_max + 1):
@@ -139,9 +146,11 @@ class ConnectivityTable:
                 continue
             weights, exponents = _recursion_row(k, u)
             if p < 0.5:
-                half = [one_minus if e == 1 else exp(e * log1m) for e in exponents]
-            else:
-                half = [one_minus if e == 1 else pow_(one_minus, e) for e in exponents]
+                half = [one_minus if e == 1 else exp(e * log1m) if e < far
+                        else _far_factor(e, log1m) for e in exponents]
+            else:  # (1 - p)^e <= 2^-e, which is 0.0 past the double range
+                half = [one_minus if e == 1 else pow_(one_minus, e) if e < far else 0.0
+                        for e in exponents]
             factors = half + half[:(u - 1) // 2][::-1]  # factor of i = u//2+1..u-1 mirrors u-i
             value = 1.0 - stable_sum([v * w * f for v, w, f in zip(values[1:u], weights, factors)])
             values.append(value)

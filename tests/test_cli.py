@@ -476,6 +476,10 @@ PINNED_CASES = {
                                  *(["--trials", "200", "--seed", "5"] if method == "mc" else [])]
        for p in ("0", "1") for method in (*FORMULA_METHODS, "mc")},
     "local p=1 gilbert": ["local", "--u", "6", "--k", "2", "--p", "1", "--method", "gilbert"],
+    # eps(1030, 515) = C(1030, 515) - 2 is past the double range, every
+    # weight C(1029, i - 1) is not
+    "local p=1 crossing count past double range": ["local", "--u", "1030", "--k", "515",
+                                                   "--p", "1", "--method", "connectivity"],
     **{f"global p={p} every method": ["global", "--v", "6", "--k", "3", "--p", p, "--r", "2",
                                       *_FORMULA_ARGS, "--method", "mc", "--trials", "200",
                                       "--seed", "7"] for p in ("0", "1")},

