@@ -27,7 +27,6 @@ from .local_prob import (
     covering_prob,
     cross_edge_count,
     gilbert_prob,
-    interleaved_local_prob,
 )
 from .montecarlo import (
     McEstimate,
@@ -40,7 +39,6 @@ from .montecarlo import (
 from .numerics import (
     PROB_TOL,
     ProbValue,
-    binom_cdf,
     binom_pmf,
     choose,
     choose_float,
@@ -63,7 +61,6 @@ __all__ = [
     "ProbValue",
     "SweepSpec",
     "at_least_one_bound",
-    "binom_cdf",
     "binom_pmf",
     "candidate_edges",
     "choose",
@@ -80,7 +77,6 @@ __all__ = [
     "generate",
     "gilbert_prob",
     "has_rcore_on",
-    "interleaved_local_prob",
     "interleaving_bounds",
     "is_connected_on",
     "mc_global",

@@ -172,18 +172,21 @@ def is_connected_on(h: Hypergraph, subset) -> bool:
     """True iff the subgraph induced on ``subset`` connects all of it.
 
     Only edges lying entirely inside ``subset`` count; singletons are connected.
+    No command calls it: it stays as the tests' slow independent reference.
     """
     return kernels.connected_all(*_induced_on(h, subset))
 
 
 def has_rcore_on(h: Hypergraph, subset, r: int) -> bool:
-    """True iff in the subgraph induced on ``subset`` every vertex has degree >= r."""
+    """True iff in the subgraph induced on ``subset`` every vertex has degree
+    >= r.  No command calls it: it stays as the tests' independent reference."""
     return kernels.min_degree_ok(*_induced_on(h, subset), r)
 
 
 def enumerate_all(v: int, k: int) -> Iterator[Hypergraph]:
     """Yield all 2^C(v,k) hypergraphs on v vertices, in bitmask order over the
-    colexicographic candidate enumeration (bit j of the mask = candidate j)."""
+    colexicographic candidate enumeration (bit j of the mask = candidate j).
+    It stays, with no command calling it, as the tests' plain enumeration."""
     m = guarded_count(v, k)
     cand = [tuple(int(x) for x in row) for row in candidate_edges(v, k)]
     for mask in range(1 << m):

@@ -10,9 +10,10 @@ model (by vertex anonymity only u matters):
   instead of being trusted blindly.
 * ``covering_prob`` -- a slot-occupancy approximation of the probability
   that every vertex is covered by at least r edges.  A finite sum of
-  products of probabilities, stable at any size, but only a heuristic.  It
-  sums over every edge count whose pmf is at least ``COVERING_PMF_CUTOFF``.
-* ``interleaved_local_prob`` -- connectivity_prob raised to the r-th power,
+  products of probabilities, in [0, 1] up to rounding, but only a
+  heuristic.  It sums over every edge count whose pmf is at least
+  ``COVERING_PMF_CUTOFF``, up to ``COVERING_TERM_GUARD`` terms.
+* the ``interleaved`` source -- connectivity_prob raised to the r-th power,
   modelling r successive rounds with freshly regenerated edges.  Evaluated
   at p/r and at p it is read as a bracket of the true local r-core
   probability, but against ``exact_local`` each side crosses the truth on
@@ -28,10 +29,11 @@ Every route checks its parameters with ``numerics.check_kpr``.
 from __future__ import annotations
 
 import math
+import sys
 
 from .montecarlo import exact_local
 from .numerics import (ProbValue, binom_pmf, binomial_row, check_kpr, choose, range_checked,
-                       stable_sum)
+                       scaled_power, stable_sum)
 
 __all__ = [
     "LOCAL_METHODS",
@@ -41,17 +43,19 @@ __all__ = [
     "connectivity_prob",
     "gilbert_prob",
     "covering_prob",
-    "interleaved_local_prob",
 ]
 
 # Outer-sum terms of the covering heuristic are dropped once the edge-count
 # pmf falls below this on either tail; total truncation error < C(u,k)*1e-18.
 COVERING_PMF_CUTOFF = 1e-18
+# Max terms of that sum, about 18 sd of the edge count (about 1 us each, in one list).
+COVERING_TERM_GUARD = 10**6
 
 
 def cross_edge_count(u: int, i: int, k: int) -> int:
     """Number of possible k-edges crossing a split of u vertices into parts of
-    size i and u-i, i.e. edges touching both sides.  Exact integer."""
+    size i and u-i, i.e. edges touching both sides.  Exact integer.  It stays
+    as the definition the recursion's inline counts are tested against."""
     if not 1 <= i < u:
         raise ValueError(f"need 1 <= i < u, got i={i}, u={u}")
     return sum(choose(i, j) * choose(u - i, k - j) for j in range(1, min(i, k - 1) + 1))
@@ -64,32 +68,20 @@ _ROW_STORE_MAX = 256
 # (k, u) -> the p-free row of size u, see _recursion_row.  Rows are tuples,
 # so no reader can change another table's row, and threads that race on a
 # missing row each build the same one.
-_ROWS: dict[tuple[int, int], tuple[tuple[float, ...], tuple[int, ...]]] = {}
+_ROWS: dict[tuple[int, int], tuple[tuple[float | int, ...], tuple[float | int, ...]]] = {}
 
 
-# float() rejects every int from here on: an eps(u, i) this large (k near
-# u / 2, u >= 1030) takes ``_far_factor`` below p = 0.5 and 0.0 from there
-_EPS_PAST_DOUBLE = 2 ** 1024 - 2 ** 970
-
-
-def _far_factor(e: int, log1m: float) -> float:
-    """exp(e * log1m) for e >= ``_EPS_PAST_DOUBLE``, the product from e's top 53 bits."""
-    shift = e.bit_length() - 53
-    try:
-        return math.exp(math.ldexp((e >> shift) * log1m, shift))
-    except OverflowError:  # the product is below -DBL_MAX
-        return 0.0
-
-
-def _recursion_row(k: int, u: int) -> tuple[tuple[float, ...], tuple[int, ...]]:
+def _recursion_row(k: int, u: int) -> tuple[tuple[float | int, ...], tuple[float | int, ...]]:
     """The (weights, exponents) of size u >= k in the connectivity recursion:
     weights[i - 1] = C(u-1, i-1) for i = 1..u-1, and exponents[i - 1] =
-    eps(u, i) for i = 1..u // 2 only, since eps(u, i) = eps(u, u - i)."""
+    eps(u, i) for i = 1..u // 2 only, since eps(u, i) = eps(u, u - i).  Each
+    is a float, or past the double range the exact int."""
     row = _ROWS.get((k, u))
     if row is None:
-        c_u = math.comb(u, k)
-        row = (tuple(binomial_row(u - 1)[:-1]),
-               tuple(c_u - math.comb(i, k) - math.comb(u - i, k) for i in range(1, u // 2 + 1)))
+        c_u, big = math.comb(u, k), sys.float_info.max
+        eps = [c_u - math.comb(i, k) - math.comb(u - i, k) for i in range(1, u // 2 + 1)]
+        row = (tuple(binomial_row(u - 1, exact_past_range=True)[:-1]),
+               tuple([e if e > big else float(e) for e in eps]))
         if u <= _ROW_STORE_MAX:
             _ROWS[k, u] = row
     return row
@@ -108,9 +100,10 @@ class ConnectivityTable:
     the weights are ``numerics.binomial_row(u - 1)``.  Each term is
     (value(i) * weight) * factor, summed in i order by ``stable_sum``.  The
     factor (1-p)^eps is 1 - p at eps = 1, else exp(eps * log1p(-p)) below
-    p = 0.5 (precise for small p and huge eps), else pow(1 - p, eps); an eps
-    past the double range has its own factor (``_EPS_PAST_DOUBLE``).  Every
-    p takes this path: at p = 1 each factor is 0.0, as every eps is >= 1.
+    p = 0.5 (precise for small p and huge eps), else pow(1 - p, eps); past
+    the double range ``numerics.scaled_power`` forms it in logs, and the term
+    of a weight past it (u >= 1031), so a dense table is 1.0, valid, at 2048.
+    Every p takes this path: at p = 1 each factor is 0.0, as every eps >= 1.
 
     The weights and exponents do not depend on p: each (k, u) row is built
     once and read by every table at that k, whatever its p, from one
@@ -118,11 +111,10 @@ class ConnectivityTable:
     a row holds the exponents of i <= u // 2 only, and a table evaluates each
     distinct factor once and mirrors it.  The store keeps the rows of u <=
     ``_ROW_STORE_MAX`` = 256: after one k = 3 table to u = 300, 1024 or 2048
-    it retains 1.28 MiB (tracemalloc), and each further k about 1.3 MiB.
+    it retains 1.18 MiB (tracemalloc), and each further k about 1.2 MiB.
 
     Entries are flagged invalid from the first u whose value fails
-    ``numerics.range_checked`` (a weight past the double range is inf and
-    makes the value non-finite); later entries inherit the flag since they
+    ``numerics.range_checked``; later entries inherit the flag since they
     are computed from the broken one.  A table must not be shared across
     threads without external synchronization.
     """
@@ -137,7 +129,7 @@ class ConnectivityTable:
 
     def _extend(self, u_max: int) -> None:
         values, k, p = self._values, self.k, self.p
-        exp, pow_, far = math.exp, math.pow, _EPS_PAST_DOUBLE
+        exp, pow_ = math.exp, math.pow
         one_minus = 1.0 - p
         log1m = math.log1p(-p) if p < 0.5 else None
         for u in range(len(values), u_max + 1):
@@ -146,19 +138,19 @@ class ConnectivityTable:
                 continue
             weights, exponents = _recursion_row(k, u)
             if p < 0.5:
-                half = [one_minus if e == 1 else exp(e * log1m) if e < far
-                        else _far_factor(e, log1m) for e in exponents]
-            else:  # (1 - p)^e <= 2^-e, which is 0.0 past the double range
-                half = [one_minus if e == 1 else pow_(one_minus, e) if e < far else 0.0
-                        for e in exponents]
+                half = [one_minus if e == 1 else exp(e * log1m) if type(e) is float
+                        else scaled_power(1.0, 1, p, e) for e in exponents]
+            else:
+                half = [one_minus if e == 1 else pow_(one_minus, e) if type(e) is float
+                        else scaled_power(1.0, 1, p, e) for e in exponents]
             factors = half + half[:(u - 1) // 2][::-1]  # factor of i = u//2+1..u-1 mirrors u-i
-            value = 1.0 - stable_sum([v * w * f for v, w, f in zip(values[1:u], weights, factors)])
+            eps = exponents + exponents[:(u - 1) // 2][::-1]
+            value = 1.0 - stable_sum([v * w * f if type(w) is float else scaled_power(v, w, p, e)
+                                      for v, w, f, e in zip(values[1:u], weights, factors, eps)])
             values.append(value)
             if self.first_invalid is None and not range_checked(value, True, None)[1]:
                 self.first_invalid = u
-                self._note = (f"non-finite term in the recursion at u={u}"
-                              if not math.isfinite(value)
-                              else f"recursion left [0, 1] at u={u} (value {value!r})")
+                self._note = f"recursion left [0, 1] at u={u} (value {value!r})"
 
     def value(self, u: int) -> float:
         if u < 1:
@@ -185,7 +177,8 @@ def gilbert_prob(u: int, p: float) -> ProbValue:
     Classical two-uniform recursion with crossing-edge exponent i*(u-i);
     implemented independently of :func:`connectivity_prob` as a cross-check,
     not as an alias of the k=2 case; the two share only ``numerics.binomial_row``.
-    A weight past the double range makes the value non-finite, flagged invalid.
+    A weight past the double range (u >= 1031) is inf: a flagged nan, kept on
+    purpose, as with no flag carried between sizes a value could heal to valid.
     """
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
@@ -205,12 +198,13 @@ def _coverage_factor(e: int, u: int, r: int, q: float) -> float:
     # each vertex lands in each edge with probability q = k/u, independently.
     if e < r:
         return 0.0
-    if q == 1.0:  # the odds q / (1 - q) below divide by zero
-        return 1.0  # e >= r and every vertex is in every edge
     # B(r-1; e, q) accumulated term by term (r is small)
-    pmf = (1.0 - q) ** e
+    try:
+        pmf = (1.0 - q) ** e
+    except OverflowError:  # e = C(u, k) past the double range, from covering at p = 1
+        pmf = scaled_power(1.0, 1, q, e)
     cdf = pmf
-    for j in range(1, r):
+    for j in range(1, r if pmf else 1):  # a zero pmf stays 0; this keeps q = 1 and huge e out
         pmf *= (e - j + 1) / j * (q / (1.0 - q))
         cdf += pmf
     per_vertex = 1.0 - cdf
@@ -224,8 +218,10 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
 
     Marginalizes over the number of induced edges e ~ Binomial(C(u,k), p) and,
     for each e, multiplies the per-vertex probability of being covered by at
-    least r of the e edges across all u vertices.  Always lands in [0, 1];
-    accuracy degrades when distinct cores could jointly cover the subset.
+    least r of the e edges across all u vertices.  In [0, 1] up to rounding;
+    accuracy degrades when distinct cores could jointly cover the subset.  At
+    0 < p < 1 a sum past ``COVERING_TERM_GUARD`` terms or C(u, k) past the
+    double range is refused: nan, flagged, with a note naming the guard.
     """
     check_kpr(k, p, r)
     if u < 1:
@@ -234,13 +230,14 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
         return ProbValue(0.0)  # no edge fits inside the subset
     m = choose(u, k)
     q = k / u
-    # The ends of p keep their own cases.  At p = 0, m * p below raises
-    # OverflowError once C(u, k) is past the double range; at p = 1 the odds
-    # p / (1 - p) divide by zero.
-    if p == 0.0:
+    if p == 0.0:  # no edge; the sum would refuse u = 1030, k = 515, whose C(u, k) is past doubles
         return ProbValue(0.0)
-    if p == 1.0:
+    if p == 1.0:  # one edge count, m; the odds p / (1 - p) below divide by zero
         return ProbValue(_coverage_factor(m, u, r, q))
+    a, b = p.as_integer_ratio()  # 18 sd past the guard, sd^2 = m p (1 - p); floats of m below
+    if m > sys.float_info.max or 324 * m * a * (b - a) > COVERING_TERM_GUARD**2 * b * b:
+        return ProbValue(math.nan, False, "covering sum refused: over COVERING_TERM_GUARD"
+                         f" = {COVERING_TERM_GUARD} terms, or C(u, k) past the double range")
 
     center = int(round(m * p))
 
@@ -264,13 +261,6 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
             break
         terms.append(pmf * _coverage_factor(e, u, r, q))
     return ProbValue.checked(stable_sum(terms))
-
-
-def interleaved_local_prob(u: int, k: int, p: float, r: int) -> ProbValue:
-    """Probability an r-core spans u vertices under interleaved regeneration:
-    the subset must come out connected in each of r independent rounds, so
-    this is ``connectivity_prob(u, k, p) ** r``.  Validity follows the base."""
-    return LocalProvider("interleaved", k, p, r).value(u)
 
 
 LOCAL_METHODS = ("connectivity", "covering", "interleaved", "exact-enum")

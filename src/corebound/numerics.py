@@ -1,8 +1,8 @@
 """Exact and floating-point combinatorial primitives shared by the whole package.
 
 Binomial coefficients are exact (arbitrary-width) integers; conversion to
-float is explicit and overflow-checked.  The binomial pmf/cdf switch to
-log-space for large trial counts so that deep-tail values do not underflow.
+float is explicit and overflow-checked.  The binomial pmf and
+``scaled_power``, c * (1 - p)^e past the double range, work in logs.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ __all__ = [
     "choose_float",
     "binomial_row",
     "binom_pmf",
-    "binom_cdf",
+    "scaled_power",
     "stable_sum",
 ]
 
@@ -85,30 +85,24 @@ def choose_float(n: int, k: int) -> float:
         return math.inf
 
 
-def binomial_row(n: int) -> list[float]:
+def binomial_row(n: int, exact_past_range: bool = False) -> list[float | int]:
     """C(n, 0..n) as floats, entry j equal to ``choose_float(n, j)`` (inf past
-    the double range): one exact multiplicative pass over the first half, not
-    ``math.comb`` calls, and the second half mirrors it."""
+    the double range, or there the exact int with ``exact_past_range``): one
+    exact multiplicative pass over the first half, and a mirror."""
     row = []
     c = 1  # C(n, j), exact
     for j in range(n // 2 + 1):
         try:
             row.append(float(c))
         except OverflowError:
-            row.append(math.inf)
+            row.append(c if exact_past_range else math.inf)
         c = c * (n - j) // (j + 1)
     row += reversed(row[:(n + 1) // 2])  # C(n, j) = C(n, n - j)
     return row
 
 
-def _check_binom_args(n: int, p: float) -> None:
-    if n < 0:
-        raise ValueError(f"binomial: n must be non-negative, got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"binomial: p must lie in [0, 1], got {p}")
-
-
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_LN2 = math.log(2.0)
 
 
 def _stirlerr(n: float) -> float:
@@ -129,7 +123,7 @@ def _binom_deviance(x: float, m: float) -> float:
     if abs(x - m) < 0.1 * (x + m):
         v = (x - m) / (x + m)
         s = (x - m) * v
-        ej = 2.0 * x * v
+        ej = 2.0 * v * x  # not 2.0 * x * v: at x = inf (n past about 1e308) that is inf * 0.0
         v2 = v * v
         j = 1
         while True:
@@ -151,7 +145,10 @@ def binom_pmf(x: int, n: int, p: float) -> float:
     underflow spuriously nor drift: the pmf sums to 1 within ~1e-13 even at
     n = 10^4.
     """
-    _check_binom_args(n, p)
+    if n < 0:
+        raise ValueError(f"binomial: n must be non-negative, got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"binomial: p must lie in [0, 1], got {p}")
     if x < 0 or x > n:
         return 0.0
     # p = 0 and p = 1 put all mass on one x; the large-n forms below take
@@ -173,14 +170,23 @@ def binom_pmf(x: int, n: int, p: float) -> float:
     return math.exp(lc - 0.5 * lf)
 
 
-def binom_cdf(x: int, n: int, p: float) -> float:
-    """P[X <= x] for X ~ Binomial(n, p), accumulated with compensated summation."""
-    _check_binom_args(n, p)
-    if x < 0:
+def scaled_power(x: float, c: int, p: float, e: int | float) -> float:
+    """x * c * (1 - p)^e for ints c >= 0, e >= 1 of any size (e may be a float) and p in
+    [0, 1], formed in logs (e * log1p(-p) from e's top 53 bits) so that it raises nothing:
+    0.0 on underflow or a zero factor (x = 0 whatever c), +-inf on overflow, nan for a nan
+    x.  Callers keep their float expression inline and call this past the double range."""
+    if x == 0.0 or c == 0 or p == 1.0:  # at p = 1, (1 - p)^e = 0 as e >= 1
         return 0.0
-    if x >= n:
-        return 1.0
-    return math.fsum(binom_pmf(j, n, p) for j in range(x + 1))
+    shift = 0 if type(e) is float else e.bit_length() - 53
+    log = -math.inf  # stays so where ldexp overflows: (1 - p)^e is below exp(-DBL_MAX)
+    try:
+        log = math.log(abs(x)) + (math.ldexp((e >> shift) * math.log1p(-p), shift) if shift > 0
+                                  else e * math.log1p(-p))
+        if log + c.bit_length() * _LN2 < -746.0:  # exp underflows to 0.0, whatever c's low bits
+            return 0.0
+        return math.copysign(math.exp(log + math.log(c)), x)
+    except OverflowError:
+        return 0.0 if log == -math.inf else math.copysign(math.inf, x)
 
 
 def stable_sum(terms) -> float:

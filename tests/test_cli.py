@@ -480,6 +480,15 @@ PINNED_CASES = {
     # weight C(1029, i - 1) is not
     "local p=1 crossing count past double range": ["local", "--u", "1030", "--k", "515",
                                                    "--p", "1", "--method", "connectivity"],
+    # from u = 1031 the weights C(u - 1, i - 1) are past the double range too
+    "local weights past double range": ["local", "--u", "2048", "--k", "2", "--p", "0.5"],
+    "local p=1 weights past double range": ["local", "--u", "1031", "--k", "2", "--p", "1",
+                                            "--r", "3", "--method", "interleaved-upper"],
+    # covering refuses a sum past COVERING_TERM_GUARD terms or at a C(u, k)
+    # past the double range
+    **{f"local covering refused u={u}": ["local", "--u", u, "--k", k, "--p", "0.5",
+                                         "--method", "covering"]
+       for u, k in (("60", "30"), ("200", "100"), ("1030", "515"))},
     **{f"global p={p} every method": ["global", "--v", "6", "--k", "3", "--p", p, "--r", "2",
                                       *_FORMULA_ARGS, "--method", "mc", "--trials", "200",
                                       "--seed", "7"] for p in ("0", "1")},

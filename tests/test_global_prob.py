@@ -12,7 +12,6 @@ from corebound import (
     exact_exactly_one,
     exact_global,
     exactly_one_core,
-    interleaved_local_prob,
     interleaving_bounds,
     mc_global,
 )
@@ -273,9 +272,8 @@ class TestProviders:
             for r in (1, 2, 3):
                 for u, p in points:
                     conn = connectivity_prob(u, k, p)
-                    inter = fields(interleaved_local_prob(u, k, p, r))
+                    inter = fields(LocalProvider("interleaved", k, p, r).value(u))
                     assert fields(LocalProvider("connectivity", k, p, r).value(u)) == fields(conn)
-                    assert fields(LocalProvider("interleaved", k, p, r).value(u)) == inter
                     assert inter == (power(conn.value, r).hex(), conn.valid, conn.note)
             assert k != 3 or not conn.valid  # the last point is invalid at k = 3
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,16 @@ import pytest
 from corebound import local_prob
 from corebound import (
     ConnectivityTable,
+    LocalProvider,
+    binom_pmf,
     choose,
     connectivity_prob,
     covering_prob,
     cross_edge_count,
     exact_local,
     gilbert_prob,
-    interleaved_local_prob,
 )
-from corebound.numerics import range_checked, stable_sum
+from corebound.numerics import range_checked, scaled_power, stable_sum
 from conftest import connected_prob_oracle
 
 
@@ -132,38 +134,37 @@ class TestConnectivityProb:
             assert table.first_invalid == first, u
             assert (pv.valid, pv.note) == (False, f"recursion left [0, 1] at u={first} (value {value})")
 
-    def test_non_finite_note_comes_first(self):
-        # at p = 1 every value is 1.0 until C(u-1, i-1) overflows a double at
-        # u = 1031; there the value is nan, which is also outside [0, 1]
-        table = ConnectivityTable(3, 1.0)
-        assert table.value(1030) == 1.0 and table.first_invalid is None
-        pv = table.prob(1031)
-        assert math.isnan(pv.value)
-        assert table.first_invalid == 1031
-        assert (pv.valid, pv.note) == (False, "non-finite term in the recursion at u=1031")
-
     def test_crossing_count_past_double_range(self):
         # eps(1030, 515) = C(1030, 515) - 2 is past the double range, every
         # weight C(1029, i - 1) is not; with no edge at p = 0 the 1030
         # vertices are not connected (p = 1 is a CLI pin: 1.0, valid)
-        assert cross_edge_count(1030, 515, 515) >= local_prob._EPS_PAST_DOUBLE
+        with pytest.raises(OverflowError):
+            float(cross_edge_count(1030, 515, 515))
         assert connectivity_prob(1030, 515, 0.0) == (0.0, True, None)
 
     def test_eps_past_double_is_the_least_int_float_rejects(self):
-        limit = local_prob._EPS_PAST_DOUBLE
+        # float() rejects every int from here on; scaled_power takes them
+        # and continues the recursion's inline factor exp(e * log1p(-p))
+        limit = 2**1024 - 2**970
         assert float(limit - 1) == math.nextafter(math.inf, 0.0)
         with pytest.raises(OverflowError):
             float(limit)
+        for p in (1e-320, 1e-310):
+            inline = math.exp((limit - 1) * math.log1p(-p))
+            assert 0.0 < inline < 1.0
+            assert scaled_power(1.0, 1, p, limit) == pytest.approx(inline, rel=1e-15)
+            assert scaled_power(1.0, 1, p, limit - 1) == inline
 
     @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-320, 1e-310, 1e-300, 0.3, 0.4999])
     def test_far_factor_matches_the_exact_product(self, p):
-        # exp(e * log1p(-p)) with the product taken exactly, then rounded once
+        # the factor of an eps past the double range: exp(e * log1p(-p)) with
+        # the product taken exactly, then rounded once
         e, log1m = cross_edge_count(1030, 515, 515), math.log1p(-p)
         try:
             want = math.exp(float(e * Fraction(log1m)))
         except OverflowError:
             want = 0.0
-        assert local_prob._far_factor(e, log1m) == pytest.approx(want, rel=1e-15)
+        assert scaled_power(1.0, 1, p, e) == pytest.approx(want, rel=1e-15)
         assert (want == 0.0) == (p >= 1e-300)
 
     @pytest.mark.parametrize("k, u", [(2, 485), (3, 460), (4, 441)])
@@ -215,8 +216,7 @@ def _reference_probs(k: int, p: float, u_max: int) -> list[tuple]:
             value = 1.0 - stable_sum(terms)
             if first_invalid is None and not range_checked(value, True, None)[1]:
                 first_invalid = u
-                note = (f"non-finite term in the recursion at u={u}" if not math.isfinite(value)
-                        else f"recursion left [0, 1] at u={u} (value {value!r})")
+                note = f"recursion left [0, 1] at u={u} (value {value!r})"
         values.append(value)
         broken = first_invalid is not None
         out.append((float.hex(value), not broken, note if broken else None, first_invalid))
@@ -279,6 +279,46 @@ class TestRowStore:
         assert sorted(local_prob._ROWS) == [(3, u) for u in range(3, bound + 1)]
 
 
+PAST_DOUBLE_P = (0.0, 1e-300, 0.3, 0.5, 1.0)
+
+
+class TestPastDoubleRange:
+    """The local methods round C(1030, 515), the first recursion weight past
+    the double range: nothing raises, and no value is flagged valid above a
+    size its table flags.  The recursion runs u in {1029, 1030, 1031} at
+    k in {2, 3}: at k = u // 2 and at u = 2048 a table takes 2-3 s, so
+    those are left to the CLI pins (u = 1030, k = 515, p = 1 and u = 2048,
+    k = 2, p = 0.5).  Covering runs the whole grid."""
+
+    @pytest.mark.parametrize("p", PAST_DOUBLE_P)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_recursion(self, k, p):
+        provider = LocalProvider("interleaved", k, p, 2)
+        table = provider._table  # the connectivity table the source squares
+        for u in (1029, 1030, 1031):
+            conn = table.prob(u)
+            assert conn == (0.0 if p < 1e-299 else 1.0, True, None), u
+            assert all(table.prob(x).valid for x in range(1, u))
+            assert provider.value(u) == (conn.value**2, True, None)
+
+    @pytest.mark.parametrize("p", PAST_DOUBLE_P)
+    def test_covering(self, p):
+        from corebound.local_prob import COVERING_TERM_GUARD
+
+        for u in (1029, 1030, 1031, 2048):
+            for k in (2, 3, u // 2):
+                pv = covering_prob(u, k, p, 2)
+                m = choose(u, k)
+                refused = 0.0 < p < 1.0 and (m > sys.float_info.max or 18**2 * m * Fraction(p)
+                                               * (1 - Fraction(p)) > COVERING_TERM_GUARD**2)
+                if refused:
+                    assert math.isnan(pv.value) and not pv.valid, (u, k)
+                    assert pv.note.startswith("covering sum refused: "), (u, k)
+                else:
+                    assert pv.valid and -1e-12 <= pv.value <= 1.0 + 1e-12, (u, k)
+                assert refused or k < 4 or p not in (0.3, 0.5), (u, k)  # the guard binds at u // 2
+
+
 class TestGilbert:
     def test_base_and_single_edge(self):
         assert gilbert_prob(1, 0.9).value == 1.0
@@ -300,6 +340,11 @@ class TestGilbert:
         # C(1030, 515) is the first binomial weight above the double range
         pv = gilbert_prob(1031, 0.002)
         assert math.isnan(pv.value) and not pv.valid
+
+
+def _binom_cdf(x, n, p):
+    """P[X <= x] for X ~ Binomial(n, p), the reference sum of pmf terms."""
+    return math.fsum(binom_pmf(j, n, p) for j in range(max(x + 1, 0))) if x < n else 1.0
 
 
 class TestCovering:
@@ -347,12 +392,11 @@ class TestCovering:
 
     def test_coverage_factor_matches_cdf_primitive(self):
         from corebound.local_prob import _coverage_factor
-        from corebound.numerics import binom_cdf
 
         for e in (0, 1, 5, 40, 300):
             for u, r in [(6, 1), (6, 2), (20, 3)]:
                 q = 3 / u
-                expected = (1.0 - binom_cdf(r - 1, e, q)) ** u
+                expected = (1.0 - _binom_cdf(r - 1, e, q)) ** u
                 assert _coverage_factor(e, u, r, q) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_windowed_sum_matches_direct(self):
@@ -362,10 +406,9 @@ class TestCovering:
         # At the sparse points the largest terms lie many sd above the mean
         # edge count (0.01 or 1), where the coverage factor grows fastest.
         from corebound.local_prob import COVERING_PMF_CUTOFF
-        from corebound.numerics import binom_cdf, binom_pmf
 
         def term(e, u, k, m, p, r):
-            return binom_pmf(e, m, p) * (1.0 - binom_cdf(r - 1, e, k / u)) ** u
+            return binom_pmf(e, m, p) * (1.0 - _binom_cdf(r - 1, e, k / u)) ** u
 
         u, k, r = 200, 3, 1
         m = choose(u, k)
@@ -385,31 +428,35 @@ class TestCovering:
             assert covering_prob(u, k, p, r).value == pytest.approx(direct, rel=1e-9, abs=0.0)
 
 
+def _interleaved(u, k, p, r):
+    return LocalProvider("interleaved", k, p, r).value(u)
+
+
 class TestInterleavedLocal:
     def test_power_of_single_edge(self):
-        assert interleaved_local_prob(3, 3, 0.5, 2).value == pytest.approx(0.25, abs=1e-15)
+        assert _interleaved(3, 3, 0.5, 2).value == pytest.approx(0.25, abs=1e-15)
 
     def test_r1_identity(self):
         for u in (1, 3, 4, 6):
-            assert interleaved_local_prob(u, 3, 0.35, 1).value == connectivity_prob(u, 3, 0.35).value
+            assert _interleaved(u, 3, 0.35, 1).value == connectivity_prob(u, 3, 0.35).value
 
     def test_pinned_square(self):
-        assert interleaved_local_prob(4, 3, 0.5, 2).value == pytest.approx(0.47265625, abs=1e-12)
+        assert _interleaved(4, 3, 0.5, 2).value == pytest.approx(0.47265625, abs=1e-12)
 
     def test_validity_propagates(self):
         u = 200
         p = u / choose(u, 3)
-        assert not interleaved_local_prob(u, 3, p, 2).valid
+        assert not _interleaved(u, 3, p, 2).valid
 
     def test_power_beyond_float_range_is_infinite(self):
         # at k = 2 the broken recursion reaches -2.2e112 at u = 200, whose
         # cube leaves the float range: the value is -inf, flagged like its base
         p = 200 / choose(200, 3)
         base = connectivity_prob(200, 2, p)
-        cube = interleaved_local_prob(200, 2, p, 3)
+        cube = _interleaved(200, 2, p, 3)
         assert base.value < -1e100 and not base.valid
         assert (cube.value, cube.valid, cube.note) == (-math.inf, False, base.note)
-        assert interleaved_local_prob(200, 2, p, 4).value == math.inf
+        assert _interleaved(200, 2, p, 4).value == math.inf
 
 
 # The desk grid of the local bracket: every k <= u <= 8 with C(u, k) <= 20,
@@ -420,11 +467,11 @@ BRACKET_GRID = [(k, u, r, p) for k in range(2, 6) for u in range(k, 9) if choose
 
 @functools.cache
 def _bracket_rows():
-    """(k, u, r, p, lower, upper, exact) per grid row: ``interleaved_local_prob``
+    """(k, u, r, p, lower, upper, exact) per grid row: the interleaved source
     at p / r and at p against ``exact_local``."""
     rows = []
     for k, u, r, p in BRACKET_GRID:
-        lower, upper = interleaved_local_prob(u, k, p / r, r), interleaved_local_prob(u, k, p, r)
+        lower, upper = _interleaved(u, k, p / r, r), _interleaved(u, k, p, r)
         assert lower.valid and upper.valid  # every row is flagged valid
         rows.append((k, u, r, p, lower.value, upper.value, exact_local(u, k, p, r)))
     return rows

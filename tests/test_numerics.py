@@ -1,10 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
 
-from corebound import binom_cdf, binom_pmf, choose, choose_float, stable_sum
+from corebound import binom_pmf, choose, choose_float, stable_sum
 from corebound.local_prob import ConnectivityTable, gilbert_prob
-from corebound.numerics import ProbValue, binomial_row, check_kpr
+from corebound.numerics import ProbValue, binomial_row, check_kpr, scaled_power
 from corebound.sweep import SweepSpec
 
 
@@ -100,6 +101,15 @@ class TestBinomPmf:
         total = math.fsum(binom_pmf(x, n, p) for x in range(n + 1))
         assert abs(total - 1.0) <= 1e-12
 
+    def test_trial_count_past_float_sum(self):
+        # at n = C(1029, 514), x + n * p overflows a double in the deviance
+        # series, which once looped on inf * 0.0 = nan; the saddle point gives
+        # 1 / sqrt(2 pi n p q), formed in logs as 2 pi n p q overflows
+        n, p = math.comb(1029, 514), 0.3
+        want = math.exp(-0.5 * (math.log(2 * math.pi) + math.log(n) + math.log(p) + math.log1p(-p)))
+        assert want == pytest.approx(7.280473583311506e-155, rel=1e-15)
+        assert binom_pmf(int(round(n * p)), n, p) == pytest.approx(want, rel=1e-12)
+
     def test_deep_tail_no_underflow_to_garbage(self):
         # log-space path: a far-tail mass that the naive product cannot reach
         val = binom_pmf(500, 10_000, 1e-3)
@@ -108,21 +118,33 @@ class TestBinomPmf:
         assert mode == pytest.approx(0.12511, abs=1e-3)
 
 
-class TestBinomCdf:
-    def test_examples(self):
-        assert binom_cdf(-1, 10, 0.5) == 0.0
-        assert binom_cdf(10, 10, 0.5) == 1.0
-        assert binom_cdf(1, 3, 0.5) == pytest.approx(0.5, abs=1e-15)
+class TestScaledPower:
+    """x * c * (1 - p)^e in logs, for weights and exponents past the double range."""
 
-    def test_monotone_in_x(self):
-        for p in (0.2, 0.5, 0.8):
-            values = [binom_cdf(x, 20, p) for x in range(-1, 21)]
-            assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
+    def test_in_range_agrees_with_the_float_product(self):
+        for x, c, p, e in [(0.5, 3, 0.25, 7), (-0.75, 10**6, 0.01, 12345), (1.0, 1, 0.9, 2)]:
+            want = x * c * (1.0 - p) ** e
+            assert scaled_power(x, c, p, e) == pytest.approx(want, rel=1e-13)
+            assert scaled_power(x, c, p, float(e)) == pytest.approx(want, rel=1e-13)
 
-    def test_non_increasing_in_p(self):
-        for x in (0, 3, 9):
-            values = [binom_cdf(x, 10, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
-            assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
+    def test_weight_past_double_range(self):
+        c = math.comb(1030, 515)  # the first weight past the double range
+        assert scaled_power(1.0, c, 0.5, 2000) == pytest.approx(c / 2**2000, rel=1e-12)
+        assert scaled_power(-1e-300, c, 0.0, 10) == pytest.approx(-float(c * Fraction(1e-300)), rel=1e-12)
+        assert scaled_power(1.0, c, 0.0, 10) == math.inf
+        assert scaled_power(-1.0, c, 1e-300, 10) == -math.inf
+
+    def test_zero_factors_give_zero(self):
+        c = math.comb(2047, 1023)
+        assert scaled_power(0.0, c, 0.0, 1) == 0.0  # not inf * 0.0 = nan
+        assert scaled_power(1.0, 0, 0.5, 1) == 0.0
+        assert scaled_power(1.0, c, 1.0, 3) == 0.0
+        assert scaled_power(1.0, c, 1.0, 2**2000) == 0.0
+        assert scaled_power(1.0, c, 0.5, 2**2000) == 0.0  # underflow
+
+    def test_non_finite_x(self):
+        assert math.isnan(scaled_power(math.nan, 3, 0.5, 2))
+        assert scaled_power(-math.inf, 3, 0.5, 2) == -math.inf
 
 
 class TestStableSum:
