@@ -68,19 +68,19 @@ _ROW_STORE_MAX = 256
 # (k, u) -> the p-free row of size u, see _recursion_row.  Rows are tuples,
 # so no reader can change another table's row, and threads that race on a
 # missing row each build the same one.
-_ROWS: dict[tuple[int, int], tuple[tuple[float | int, ...], tuple[float | int, ...]]] = {}
+_ROWS: dict[tuple[int, int], tuple[tuple[float, ...], tuple[float | int, ...]]] = {}
 
 
-def _recursion_row(k: int, u: int) -> tuple[tuple[float | int, ...], tuple[float | int, ...]]:
+def _recursion_row(k: int, u: int) -> tuple[tuple[float, ...], tuple[float | int, ...]]:
     """The (weights, exponents) of size u >= k in the connectivity recursion:
-    weights[i - 1] = C(u-1, i-1) for i = 1..u-1, and exponents[i - 1] =
-    eps(u, i) for i = 1..u // 2 only, since eps(u, i) = eps(u, u - i).  Each
-    is a float, or past the double range the exact int."""
+    weights[i - 1] = C(u-1, i-1) for i = 1..u-1 from ``binomial_row`` (inf past
+    the double range), and exponents[i - 1] = eps(u, i) for i = 1..u // 2 only,
+    since eps(u, i) = eps(u, u - i): floats, or past the double range exact ints."""
     row = _ROWS.get((k, u))
     if row is None:
         c_u, big = math.comb(u, k), sys.float_info.max
         eps = [c_u - math.comb(i, k) - math.comb(u - i, k) for i in range(1, u // 2 + 1)]
-        row = (tuple(binomial_row(u - 1, exact_past_range=True)[:-1]),
+        row = (tuple(binomial_row(u - 1)[:-1]),
                tuple([e if e > big else float(e) for e in eps]))
         if u <= _ROW_STORE_MAX:
             _ROWS[k, u] = row
@@ -100,10 +100,10 @@ class ConnectivityTable:
     the weights are ``numerics.binomial_row(u - 1)``.  Each term is
     (value(i) * weight) * factor, summed in i order by ``stable_sum``.  The
     factor (1-p)^eps is 1 - p at eps = 1, else exp(eps * log1p(-p)) below
-    p = 0.5 (precise for small p and huge eps), else pow(1 - p, eps); past
-    the double range ``numerics.scaled_power`` forms it in logs, and the term
-    of a weight past it (u >= 1031), so a dense table is 1.0, valid, at 2048.
-    Every p takes this path: at p = 1 each factor is 0.0, as every eps >= 1.
+    p = 0.5 (precise for small p and huge eps), else pow(1 - p, eps); at p = 1
+    each factor is 0.0, as every eps >= 1.  A row whose largest weight or
+    exponent is past the double range (u >= 1030) forms each term in logs, as
+    ``scaled_power(value(i), lgamma(u) - lgamma(i) - lgamma(u-i+1), p, eps)``.
 
     The weights and exponents do not depend on p: each (k, u) row is built
     once and read by every table at that k, whatever its p, from one
@@ -114,9 +114,8 @@ class ConnectivityTable:
     it retains 1.18 MiB (tracemalloc), and each further k about 1.2 MiB.
 
     Entries are flagged invalid from the first u whose value fails
-    ``numerics.range_checked``; later entries inherit the flag since they
-    are computed from the broken one.  A table must not be shared across
-    threads without external synchronization.
+    ``numerics.range_checked``; later entries, computed from it, inherit the
+    flag.  A table must not be shared across threads unsynchronized.
     """
 
     def __init__(self, k: int, p: float):
@@ -129,7 +128,7 @@ class ConnectivityTable:
 
     def _extend(self, u_max: int) -> None:
         values, k, p = self._values, self.k, self.p
-        exp, pow_ = math.exp, math.pow
+        exp, pow_, lgamma = math.exp, math.pow, math.lgamma
         one_minus = 1.0 - p
         log1m = math.log1p(-p) if p < 0.5 else None
         for u in range(len(values), u_max + 1):
@@ -137,16 +136,17 @@ class ConnectivityTable:
                 values.append(0.0)
                 continue
             weights, exponents = _recursion_row(k, u)
-            if p < 0.5:
-                half = [one_minus if e == 1 else exp(e * log1m) if type(e) is float
-                        else scaled_power(1.0, 1, p, e) for e in exponents]
-            else:
-                half = [one_minus if e == 1 else pow_(one_minus, e) if type(e) is float
-                        else scaled_power(1.0, 1, p, e) for e in exponents]
-            factors = half + half[:(u - 1) // 2][::-1]  # factor of i = u//2+1..u-1 mirrors u-i
-            eps = exponents + exponents[:(u - 1) // 2][::-1]
-            value = 1.0 - stable_sum([v * w * f if type(w) is float else scaled_power(v, w, p, e)
-                                      for v, w, f, e in zip(values[1:u], weights, factors, eps)])
+            mirror = (u - 1) // 2  # i = u//2+1..u-1 reads the exponent of u - i
+            if weights[mirror] < math.inf and type(exponents[-1]) is float:  # the row's largest
+                half = ([one_minus if e == 1 else exp(e * log1m) for e in exponents] if p < 0.5
+                        else [one_minus if e == 1 else pow_(one_minus, e) for e in exponents])
+                factors = half + half[:mirror][::-1]
+                terms = [v * w * f for v, w, f in zip(values[1:u], weights, factors)]
+            else:  # u >= 1030: a weight or exponent past the double range
+                lg_u, eps = lgamma(u), exponents + exponents[:mirror][::-1]
+                terms = [scaled_power(v, lg_u - lgamma(i) - lgamma(u - i + 1), p, e)
+                         for i, v, e in zip(range(1, u), values[1:u], eps)]
+            value = 1.0 - stable_sum(terms)
             values.append(value)
             if self.first_invalid is None and not range_checked(value, True, None)[1]:
                 self.first_invalid = u
@@ -202,7 +202,7 @@ def _coverage_factor(e: int, u: int, r: int, q: float) -> float:
     try:
         pmf = (1.0 - q) ** e
     except OverflowError:  # e = C(u, k) past the double range, from covering at p = 1
-        pmf = scaled_power(1.0, 1, q, e)
+        pmf = scaled_power(1.0, 0.0, q, e)
     cdf = pmf
     for j in range(1, r if pmf else 1):  # a zero pmf stays 0; this keeps q = 1 and huge e out
         pmf *= (e - j + 1) / j * (q / (1.0 - q))

@@ -1,12 +1,13 @@
 """Exact and floating-point combinatorial primitives shared by the whole package.
 
-Binomial coefficients are exact (arbitrary-width) integers; conversion to
-float is explicit and overflow-checked.  The binomial pmf and
-``scaled_power``, c * (1 - p)^e past the double range, work in logs.
+Binomial coefficients are exact (arbitrary-width) integers; their floats,
+one at a time or a row at a time, are inf past the double range.  The binomial
+pmf and ``scaled_power``, exp(log_c) * (1 - p)^e past that range, work in logs.
 """
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 __all__ = [
@@ -85,24 +86,23 @@ def choose_float(n: int, k: int) -> float:
         return math.inf
 
 
-def binomial_row(n: int, exact_past_range: bool = False) -> list[float | int]:
+def binomial_row(n: int) -> list[float]:
     """C(n, 0..n) as floats, entry j equal to ``choose_float(n, j)`` (inf past
-    the double range, or there the exact int with ``exact_past_range``): one
-    exact multiplicative pass over the first half, and a mirror."""
+    the double range): one exact multiplicative pass over the first half, and
+    a mirror."""
     row = []
     c = 1  # C(n, j), exact
     for j in range(n // 2 + 1):
         try:
             row.append(float(c))
         except OverflowError:
-            row.append(c if exact_past_range else math.inf)
+            row.append(math.inf)
         c = c * (n - j) // (j + 1)
     row += reversed(row[:(n + 1) // 2])  # C(n, j) = C(n, n - j)
     return row
 
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-_LN2 = math.log(2.0)
 
 
 def _stirlerr(n: float) -> float:
@@ -143,10 +143,12 @@ def binom_pmf(x: int, n: int, p: float) -> float:
     saddle-point form (Stirling remainders plus a stable binomial deviance),
     which stays within a few ulp at any n, so deep-tail masses neither
     underflow spuriously nor drift: the pmf sums to 1 within ~1e-13 even at
-    n = 10^4.
+    n = 10^4.  An n past the double range raises ValueError.
     """
     if n < 0:
         raise ValueError(f"binomial: n must be non-negative, got {n}")
+    if n > sys.float_info.max:  # the forms below take n as a float
+        raise ValueError(f"binomial: n must lie in the double range, got {n.bit_length()} bits")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"binomial: p must lie in [0, 1], got {p}")
     if x < 0 or x > n:
@@ -170,21 +172,19 @@ def binom_pmf(x: int, n: int, p: float) -> float:
     return math.exp(lc - 0.5 * lf)
 
 
-def scaled_power(x: float, c: int, p: float, e: int | float) -> float:
-    """x * c * (1 - p)^e for ints c >= 0, e >= 1 of any size (e may be a float) and p in
-    [0, 1], formed in logs (e * log1p(-p) from e's top 53 bits) so that it raises nothing:
-    0.0 on underflow or a zero factor (x = 0 whatever c), +-inf on overflow, nan for a nan
-    x.  Callers keep their float expression inline and call this past the double range."""
-    if x == 0.0 or c == 0 or p == 1.0:  # at p = 1, (1 - p)^e = 0 as e >= 1
+def scaled_power(x: float, log_c: float, p: float, e: int | float) -> float:
+    """x * exp(log_c) * (1 - p)^e for a log weight log_c (-inf for a zero weight), an int e >= 1
+    of any size or a float e, and p in [0, 1], formed in logs (e * log1p(-p) from e's top 53
+    bits) so that it raises nothing: 0.0 on underflow or a zero factor, +-inf on overflow, nan
+    for a nan x.  Callers keep their float expression inline and call it past the double range."""
+    if x == 0.0 or log_c == -math.inf or p == 1.0:  # at p = 1, (1 - p)^e = 0 as e >= 1
         return 0.0
     shift = 0 if type(e) is float else e.bit_length() - 53
     log = -math.inf  # stays so where ldexp overflows: (1 - p)^e is below exp(-DBL_MAX)
     try:
-        log = math.log(abs(x)) + (math.ldexp((e >> shift) * math.log1p(-p), shift) if shift > 0
-                                  else e * math.log1p(-p))
-        if log + c.bit_length() * _LN2 < -746.0:  # exp underflows to 0.0, whatever c's low bits
-            return 0.0
-        return math.copysign(math.exp(log + math.log(c)), x)
+        log = math.log(abs(x)) + log_c + (math.ldexp((e >> shift) * math.log1p(-p), shift)
+                                          if shift > 0 else e * math.log1p(-p))
+        return math.copysign(math.exp(log), x)
     except OverflowError:
         return 0.0 if log == -math.inf else math.copysign(math.inf, x)
 

@@ -1,13 +1,14 @@
 """The formula-method table, parameter sweeps over expected edge count, and
 numerical-breakdown scans.
 
-``METHOD_TABLE`` is the one place that maps a formula method to its
-computation: a source of ``local_prob.LocalProvider``, evaluated at p or at
-p / r.  ``formula_value`` evaluates a method at one point for every
-subcommand and scope, and ``interleaving_bounds`` is the paper's bracket read
-from the same table: the global bound with the interleaved source at p / r
-(lower side) and at p (upper side).  Read as a lower bound, a value above 1 bounds nothing, so it
-is flagged invalid and kept verbatim.
+``METHOD_TABLE`` is the one place that maps a formula method to its computation: a
+source of ``local_prob.LocalProvider``, evaluated at p or at p / r.  ``formula_value``
+evaluates a method at one point for every subcommand and scope, and
+``interleaving_bounds`` is the paper's bracket read from the same table: the global bound
+with the interleaved source at p / r (lower side) and at p (upper side).  A lower value
+above 1 bounds nothing, so it is flagged invalid and kept verbatim.  In the tail the two
+sides cross even where both are flagged valid, so there they bracket nothing (the strict
+xfails of ``tests/test_global_prob.py::TestInterleavingBounds`` carry the numbers).
 
 A sweep fixes (k, r) and an *overhead* x (the vertex-to-edge ratio), then
 walks the expected edge count e over an integer range with v = round(x * e)
@@ -57,9 +58,8 @@ __all__ = [
     "find_breakdown",
 ]
 
-# Formula method -> (source in local_prob.LOCAL_METHODS, evaluated at p / r).
-# The bracket runs the interleaved source at p / r (lower side) and at p
-# (upper side); every subcommand and scope evaluates methods through it.
+# Formula method -> (source in local_prob.LOCAL_METHODS, evaluated at p / r);
+# every subcommand and scope evaluates methods through it.
 METHOD_TABLE = {
     "connectivity": ("connectivity", False),
     "covering": ("covering", False),
@@ -163,8 +163,8 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
 
 
 def interleaving_bounds(v: int, p: float, k: int, r: int) -> tuple[ProbValue, ProbValue]:
-    """(lower, upper) bracket of the r-core probability on v vertices: the
-    global ``interleaved-lower`` and ``interleaved-upper`` methods."""
+    """(lower, upper) sides of the paper's global bracket on v vertices, the
+    ``interleaved-lower`` and ``interleaved-upper`` methods (in the tail they cross)."""
     return (formula_value("interleaved-lower", "global", v, p, k, r),
             formula_value("interleaved-upper", "global", v, p, k, r))
 

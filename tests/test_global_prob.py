@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from pathlib import Path
@@ -182,6 +183,27 @@ def _grid_params(side, known):
 LOWER_ROWS = _grid_params(0, LOWER_ABOVE_EXACT)
 UPPER_ROWS = _grid_params(1, {})
 
+# The tail scan of the bracket at r = 2: v = k..60 at p = (v / overhead) /
+# C(v, k), capped at 1, for each (k, overhead).  No exact value is needed: a
+# lower bound above the upper one means at least one side is wrong.
+TAIL_SCAN = [(k, overhead) for k in (3, 4) for overhead in (1.222, 1.6, 2.0, 3.0)]
+# (k, overhead) -> rows where both sides are flagged valid
+TAIL_BOTH_VALID = {(3, 1.222): 9, (3, 1.6): 41, (3, 2.0): 38, (3, 3.0): 33,
+                   (4, 1.222): 0, (4, 1.6): 16, (4, 2.0): 41, (4, 3.0): 36}
+
+
+@functools.cache
+def tail_rows():
+    """(k, overhead, v, lower, upper) of each tail-scan row whose two
+    bracket sides are both flagged valid."""
+    rows = []
+    for k, overhead in TAIL_SCAN:
+        for v in range(k, 61):
+            lower, upper = interleaving_bounds(v, min(1.0, (v / overhead) / math.comb(v, k)), k, 2)
+            if lower.valid and upper.valid:
+                rows.append((k, overhead, v, lower.value, upper.value))
+    return tuple(rows)
+
 
 class TestInterleavingBounds:
     def test_r1_bounds_coincide(self):
@@ -237,6 +259,38 @@ class TestInterleavingBounds:
         lower, upper = interleaving_bounds(v, p, 3, 2)
         est = mc_global(v, 3, p, 2, trials=10_000, seed=3)
         assert lower.value - 3 * est.stderr <= est.mean <= upper.value + 3 * est.stderr
+
+    def test_tail_scan_checks_rows(self):
+        counts = {key: 0 for key in TAIL_SCAN}
+        for k, overhead, *_ in tail_rows():
+            counts[k, overhead] += 1
+        assert counts == TAIL_BOTH_VALID
+        # the numbers the two strict xfails below carry
+        inverted = [row for row in tail_rows() if row[3] > row[4]]
+        assert len(inverted) == 17 and {row[:2] for row in inverted} == {(3, 3.0)}
+        assert inverted[0] == pytest.approx((3, 3.0, 20, 0.0077807, 0.0074691), abs=5e-8)
+        v, e = 30, 10
+        upper = interleaving_bounds(v, e / math.comb(v, 3), 3, 2)[1]
+        assert upper.valid and upper.value == pytest.approx(0.00086494, abs=5e-9)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "17 of the 33 rows at k=3, overhead 3.0 with both sides valid have "
+        "interleaved-lower above interleaved-upper, the first at v=20: "
+        "0.0077807 against 0.0074691; the other seven (k, overhead) have none"))
+    def test_valid_tail_bracket_not_inverted(self):
+        rows = [row for row in tail_rows() if row[3] > row[4]]
+        assert not rows, f"{len(rows)} rows, first (k, overhead, v, lower, upper) {rows[0]}"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "at v=30, e=10, k=3, r=2 interleaved-upper is 0.00086494, flagged "
+        "valid; mc_global reads 340 of 40000 trials at seed 7 "
+        "(0.0085 +- 0.00046), so the upper value is 16.6 sd below it"))
+    def test_valid_upper_bound_not_far_below_mc(self, warm_kernels):
+        v, e = 30, 10
+        p = e / math.comb(v, 3)
+        _, upper = interleaving_bounds(v, p, 3, 2)
+        est = mc_global(v, 3, p, 2, trials=40_000, seed=7)  # fixed before the first run; never re-seed
+        assert not upper.valid or upper.value >= est.mean - 4 * est.stderr, (upper, est)
 
 
 class TestProviders:

@@ -152,8 +152,8 @@ class TestConnectivityProb:
         for p in (1e-320, 1e-310):
             inline = math.exp((limit - 1) * math.log1p(-p))
             assert 0.0 < inline < 1.0
-            assert scaled_power(1.0, 1, p, limit) == pytest.approx(inline, rel=1e-15)
-            assert scaled_power(1.0, 1, p, limit - 1) == inline
+            assert scaled_power(1.0, 0.0, p, limit) == pytest.approx(inline, rel=1e-15)
+            assert scaled_power(1.0, 0.0, p, limit - 1) == inline
 
     @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-320, 1e-310, 1e-300, 0.3, 0.4999])
     def test_far_factor_matches_the_exact_product(self, p):
@@ -164,7 +164,7 @@ class TestConnectivityProb:
             want = math.exp(float(e * Fraction(log1m)))
         except OverflowError:
             want = 0.0
-        assert scaled_power(1.0, 1, p, e) == pytest.approx(want, rel=1e-15)
+        assert scaled_power(1.0, 0.0, p, e) == pytest.approx(want, rel=1e-15)
         assert (want == 0.0) == (p >= 1e-300)
 
     @pytest.mark.parametrize("k, u", [(2, 485), (3, 460), (4, 441)])
@@ -270,6 +270,12 @@ class TestRowStore:
             weights, exponents = local_prob._ROWS[k, u]
             assert type(weights) is tuple and type(exponents) is tuple
             assert len(weights) == u - 1 and len(exponents) == u // 2
+
+    def test_row_past_double_range_holds_no_int_weight(self):
+        # C(1030, 515) is past the double range: inf, as binomial_row gives it
+        weights, _ = local_prob._recursion_row(2, 1031)
+        assert {type(w) for w in weights} == {float}
+        assert weights[514] == math.inf
 
     def test_store_keeps_nothing_above_its_bound(self):
         # the non-finite case builds rows to u = 1031, past the bound

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,10 +37,11 @@ class TestChoose:
         assert choose_float(4, 2) == 6.0
         assert choose_float(3000, 1500) == math.inf
 
-    @pytest.mark.parametrize("n", [*range(65), *range(1028, 1033)])
+    @pytest.mark.parametrize("n", [*range(65), *range(1028, 1033), 2048])
     def test_binomial_row_is_choose_float(self, n):
-        # bit for bit; C(1030, 515) is the first entry above the double range
+        # bit for bit, floats only; C(1030, 515) is the first entry above the double range
         row = binomial_row(n)
+        assert {type(x) for x in row} == {float}
         assert [x.hex() for x in row] == [choose_float(n, j).hex() for j in range(n + 1)]
         assert (math.inf in row) == (n >= 1030)
 
@@ -76,6 +78,14 @@ class TestCheckKpr:
 
 
 class TestBinomPmf:
+    def test_trial_count_past_double_range_raises_value_error(self):
+        # covering refuses such sums; the pmf names the range instead of
+        # raising OverflowError from a float conversion of n
+        n = math.comb(1030, 515)
+        for x, p in [(0, 1e-300), (5, 1e-300), (n // 3, 1 / 3), (n, 0.5)]:
+            with pytest.raises(ValueError, match="double range"):
+                binom_pmf(x, n, p)
+
     def test_examples(self):
         assert binom_pmf(0, 5, 0.0) == 1.0
         assert binom_pmf(1, 2, 0.5) == 0.5
@@ -119,28 +129,44 @@ class TestBinomPmf:
 
 
 class TestScaledPower:
-    """x * c * (1 - p)^e in logs, for weights and exponents past the double range."""
+    """x * exp(log_c) * (1 - p)^e in logs, for weights and exponents past the
+    double range; each weight c is given as its log."""
 
     def test_in_range_agrees_with_the_float_product(self):
         for x, c, p, e in [(0.5, 3, 0.25, 7), (-0.75, 10**6, 0.01, 12345), (1.0, 1, 0.9, 2)]:
             want = x * c * (1.0 - p) ** e
-            assert scaled_power(x, c, p, e) == pytest.approx(want, rel=1e-13)
-            assert scaled_power(x, c, p, float(e)) == pytest.approx(want, rel=1e-13)
+            assert scaled_power(x, math.log(c), p, e) == pytest.approx(want, rel=1e-13)
+            assert scaled_power(x, math.log(c), p, float(e)) == pytest.approx(want, rel=1e-13)
 
     def test_weight_past_double_range(self):
         c = math.comb(1030, 515)  # the first weight past the double range
-        assert scaled_power(1.0, c, 0.5, 2000) == pytest.approx(c / 2**2000, rel=1e-12)
-        assert scaled_power(-1e-300, c, 0.0, 10) == pytest.approx(-float(c * Fraction(1e-300)), rel=1e-12)
-        assert scaled_power(1.0, c, 0.0, 10) == math.inf
-        assert scaled_power(-1.0, c, 1e-300, 10) == -math.inf
+        log_c = math.log(c)
+        assert scaled_power(1.0, log_c, 0.5, 2000) == pytest.approx(c / 2**2000, rel=1e-12)
+        assert scaled_power(-1e-300, log_c, 0.0, 10) == pytest.approx(-float(c * Fraction(1e-300)),
+                                                                      rel=1e-12)
+        assert scaled_power(1.0, log_c, 0.0, 10) == math.inf
+        assert scaled_power(-1.0, log_c, 1e-300, 10) == -math.inf
 
     def test_zero_factors_give_zero(self):
-        c = math.comb(2047, 1023)
+        c = math.log(math.comb(2047, 1023))
         assert scaled_power(0.0, c, 0.0, 1) == 0.0  # not inf * 0.0 = nan
-        assert scaled_power(1.0, 0, 0.5, 1) == 0.0
+        assert scaled_power(1.0, -math.inf, 0.5, 1) == 0.0
         assert scaled_power(1.0, c, 1.0, 3) == 0.0
         assert scaled_power(1.0, c, 1.0, 2**2000) == 0.0
         assert scaled_power(1.0, c, 0.5, 2**2000) == 0.0  # underflow
+
+    @pytest.mark.parametrize("u, i", [(1031, 516), (2048, 1024)])
+    def test_lgamma_weight_matches_the_exact_product(self, u, i):
+        # the connectivity recursion's term past the double range: weight
+        # C(u-1, i-1) as lgamma(u) - lgamma(i) - lgamma(u-i+1), against the
+        # product taken exactly and rounded once
+        c = math.comb(u - 1, i - 1)
+        assert c > sys.float_info.max
+        log_c = math.lgamma(u) - math.lgamma(i) - math.lgamma(u - i + 1)
+        for x, p, e in [(0.75, 0.5, 1500), (-1e-300, 0.25, 1000)]:
+            want = float(Fraction(x) * c * (1 - Fraction(p)) ** e)
+            assert 0.0 < abs(want) < math.inf
+            assert scaled_power(x, log_c, p, e) == pytest.approx(want, rel=1e-11)
 
     def test_non_finite_x(self):
         assert math.isnan(scaled_power(math.nan, 3, 0.5, 2))
