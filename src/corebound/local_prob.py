@@ -32,8 +32,8 @@ import math
 import sys
 
 from .montecarlo import exact_local
-from .numerics import (ProbValue, binom_pmf, binomial_row, check_kpr, choose, range_checked,
-                       scaled_power, stable_sum)
+from .numerics import (ProbValue, binom_pmf, binomial_row, check_kpr, choose, choose_float,
+                       range_checked, scaled_power, stable_sum)
 
 __all__ = [
     "LOCAL_METHODS",
@@ -68,20 +68,22 @@ _ROW_STORE_MAX = 256
 # (k, u) -> the p-free row of size u, see _recursion_row.  Rows are tuples,
 # so no reader can change another table's row, and threads that race on a
 # missing row each build the same one.
-_ROWS: dict[tuple[int, int], tuple[tuple[float, ...], tuple[float | int, ...]]] = {}
+_ROWS: dict[tuple[int, int], tuple[tuple[float, ...] | None, tuple[int, ...]]] = {}
 
 
-def _recursion_row(k: int, u: int) -> tuple[tuple[float, ...], tuple[float | int, ...]]:
-    """The (weights, exponents) of size u >= k in the connectivity recursion:
-    weights[i - 1] = C(u-1, i-1) for i = 1..u-1 from ``binomial_row`` (inf past
-    the double range), and exponents[i - 1] = eps(u, i) for i = 1..u // 2 only,
-    since eps(u, i) = eps(u, u - i): floats, or past the double range exact ints."""
+def _recursion_row(k: int, u: int) -> tuple[tuple[float, ...] | None, tuple[int, ...]]:
+    """The (weights, exponents) of size u >= 2 in the connectivity recursion:
+    exponents[i - 1] = eps(u, i), exact ints, for i = 1..u // 2 only, since
+    eps(u, i) = eps(u, u - i); weights[i - 1] = C(u-1, i-1) for i = 1..u-1 from
+    ``binomial_row`` when the row lies in the double range (its middle weight
+    is a finite float and its largest exponent at most the largest double),
+    else None: the one place that decides a row's kind."""
     row = _ROWS.get((k, u))
     if row is None:
-        c_u, big = math.comb(u, k), sys.float_info.max
-        eps = [c_u - math.comb(i, k) - math.comb(u - i, k) for i in range(1, u // 2 + 1)]
-        row = (tuple(binomial_row(u - 1)[:-1]),
-               tuple([e if e > big else float(e) for e in eps]))
+        c_u = math.comb(u, k)
+        eps = tuple([c_u - math.comb(i, k) - math.comb(u - i, k) for i in range(1, u // 2 + 1)])
+        in_range = eps[-1] <= sys.float_info.max and choose_float(u - 1, (u - 1) // 2) < math.inf
+        row = (tuple(binomial_row(u - 1)[:-1]) if in_range else None, eps)
         if u <= _ROW_STORE_MAX:
             _ROWS[k, u] = row
     return row
@@ -91,8 +93,7 @@ class ConnectivityTable:
     """Memoized connectivity recursion at fixed (k, p), extendable in u.
 
     ``value(u)`` is the probability that u given vertices form one connected
-    component.  Base cases: value(1) = 1 and value(u) = 0 for 1 < u < k; for
-    u >= k,
+    component.  value(1) = 1, and for u >= 2
 
         value(u) = 1 - sum_{i=1}^{u-1} value(i) * C(u-1, i-1) * (1-p)^eps(u, i)
 
@@ -101,9 +102,11 @@ class ConnectivityTable:
     (value(i) * weight) * factor, summed in i order by ``stable_sum``.  The
     factor (1-p)^eps is 1 - p at eps = 1, else exp(eps * log1p(-p)) below
     p = 0.5 (precise for small p and huge eps), else pow(1 - p, eps); at p = 1
-    each factor is 0.0, as every eps >= 1.  A row whose largest weight or
-    exponent is past the double range (u >= 1030) forms each term in logs, as
-    ``scaled_power(value(i), lgamma(u) - lgamma(i) - lgamma(u-i+1), p, eps)``.
+    each factor of an eps >= 1 is 0.0.  For 1 < u < k every eps is 0, so the
+    recursion itself gives value(u) = 1 - value(1) = 0.0.  A row past the
+    double range (u >= 1030, see ``_recursion_row``) forms each term in logs, as
+    ``scaled_power(value(i), lgamma(u) - lgamma(i) - lgamma(u-i+1), p, eps)``,
+    from one list of lgamma values per table.
 
     The weights and exponents do not depend on p: each (k, u) row is built
     once and read by every table at that k, whatever its p, from one
@@ -111,7 +114,7 @@ class ConnectivityTable:
     a row holds the exponents of i <= u // 2 only, and a table evaluates each
     distinct factor once and mirrors it.  The store keeps the rows of u <=
     ``_ROW_STORE_MAX`` = 256: after one k = 3 table to u = 300, 1024 or 2048
-    it retains 1.18 MiB (tracemalloc), and each further k about 1.2 MiB.
+    it retains 1.31 MiB (tracemalloc), and each further k about 1.3 MiB.
 
     Entries are flagged invalid from the first u whose value fails
     ``numerics.range_checked``; later entries, computed from it, inherit the
@@ -123,28 +126,27 @@ class ConnectivityTable:
         self.k = k
         self.p = p
         self._values: list[float] = [math.nan, 1.0]  # index by u; u=0 unused
+        self._lgammas: list[float] = [math.nan]  # lgamma(n) at index n, grown past the range
         self.first_invalid: int | None = None
         self._note: str | None = None
 
     def _extend(self, u_max: int) -> None:
-        values, k, p = self._values, self.k, self.p
-        exp, pow_, lgamma = math.exp, math.pow, math.lgamma
+        values, lg, k, p = self._values, self._lgammas, self.k, self.p
+        exp, pow_ = math.exp, math.pow
         one_minus = 1.0 - p
         log1m = math.log1p(-p) if p < 0.5 else None
         for u in range(len(values), u_max + 1):
-            if u < k:
-                values.append(0.0)
-                continue
             weights, exponents = _recursion_row(k, u)
             mirror = (u - 1) // 2  # i = u//2+1..u-1 reads the exponent of u - i
-            if weights[mirror] < math.inf and type(exponents[-1]) is float:  # the row's largest
+            if weights is not None:
                 half = ([one_minus if e == 1 else exp(e * log1m) for e in exponents] if p < 0.5
                         else [one_minus if e == 1 else pow_(one_minus, e) for e in exponents])
                 factors = half + half[:mirror][::-1]
                 terms = [v * w * f for v, w, f in zip(values[1:u], weights, factors)]
-            else:  # u >= 1030: a weight or exponent past the double range
-                lg_u, eps = lgamma(u), exponents + exponents[:mirror][::-1]
-                terms = [scaled_power(v, lg_u - lgamma(i) - lgamma(u - i + 1), p, e)
+            else:  # a row past the double range (u >= 1030)
+                lg += map(math.lgamma, range(len(lg), u + 1))
+                eps = exponents + exponents[:mirror][::-1]
+                terms = [scaled_power(v, lg[u] - lg[i] - lg[u - i + 1], p, e)
                          for i, v, e in zip(range(1, u), values[1:u], eps)]
             value = 1.0 - stable_sum(terms)
             values.append(value)
@@ -226,9 +228,7 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     check_kpr(k, p, r)
     if u < 1:
         raise ValueError(f"u must be >= 1, got {u}")
-    if u < k:
-        return ProbValue(0.0)  # no edge fits inside the subset
-    m = choose(u, k)
+    m = choose(u, k)  # 0 below k: the one term, at e = 0 edges, is 0.0
     q = k / u
     if p == 0.0:  # no edge; the sum would refuse u = 1030, k = 515, whose C(u, k) is past doubles
         return ProbValue(0.0)

@@ -83,6 +83,13 @@ class TestConnectivityProb:
     def test_base_cases(self):
         assert connectivity_prob(1, 3, 0.9).value == 1.0
         assert connectivity_prob(2, 3, 0.9).value == 0.0  # below edge size
+        # below the edge size every crossing count is 0: the recursion itself gives 0.0
+        for k in (3, 5, 7):
+            for p in (0.0, 1e-300, 0.3, 0.5, 1.0):
+                table = ConnectivityTable(k, p)
+                for u in range(2, k):
+                    assert table.prob(u) == (0.0, True, None), (k, p, u)
+                    assert math.copysign(1.0, table.value(u)) == 1.0, (k, p, u)
 
     def test_single_edge_case(self):
         for p in (0.0, 0.25, 0.5, 1.0):
@@ -272,17 +279,34 @@ class TestRowStore:
             assert len(weights) == u - 1 and len(exponents) == u // 2
 
     def test_row_past_double_range_holds_no_int_weight(self):
-        # C(1030, 515) is past the double range: inf, as binomial_row gives it
-        weights, _ = local_prob._recursion_row(2, 1031)
-        assert {type(w) for w in weights} == {float}
-        assert weights[514] == math.inf
+        # C(1030, 515) is past the double range: the row holds no weights at
+        # all, and its exponents, like every row's, are exact ints
+        weights, exponents = local_prob._recursion_row(2, 1031)
+        assert weights is None
+        assert {type(e) for e in exponents} == {int}
+        weights, exponents = local_prob._recursion_row(2, 1029)
+        assert {type(w) for w in weights} == {float} and max(weights) < math.inf
+        assert {type(e) for e in exponents} == {int}
 
     def test_store_keeps_nothing_above_its_bound(self):
-        # the non-finite case builds rows to u = 1031, past the bound
+        # the non-finite case builds rows to u = 1031, past the bound; rows
+        # below k are built too, as the recursion runs from u = 2
         local_prob._ROWS.clear()
         ConnectivityTable(3, 1.0).value(1031)
         bound = local_prob._ROW_STORE_MAX
-        assert sorted(local_prob._ROWS) == [(3, u) for u in range(3, bound + 1)]
+        assert sorted(local_prob._ROWS) == [(3, u) for u in range(2, bound + 1)]
+
+    def test_rows_past_double_range_share_one_lgamma_list(self, monkeypatch):
+        # a table past the double range calls lgamma once per size, not per term
+        calls = []
+
+        def counted(x, lgamma=math.lgamma):
+            calls.append(x)
+            return lgamma(x)
+
+        monkeypatch.setattr(math, "lgamma", counted)
+        assert ConnectivityTable(2, 0.5).prob(1100) == (1.0, True, None)
+        assert 0 < len(calls) <= 1101
 
 
 PAST_DOUBLE_P = (0.0, 1e-300, 0.3, 0.5, 1.0)
@@ -395,6 +419,15 @@ class TestCovering:
         pv = covering_prob(u, 3, p, 1)
         assert pv.valid
         assert 0.0 <= pv.value <= 1.0
+
+    def test_coverage_factor_with_cdf_rounded_to_one(self):
+        # these cdfs round to 1.0000000000000002, and the last to 1.0: the
+        # per-vertex value is then -2.2e-16 or 0.0, and the factor 0.0, not
+        # the positive (-2.2e-16)**u of an even u
+        from corebound.local_prob import _coverage_factor
+
+        for e, u, r, q in [(3, 4, 3, 1e-7), (5, 10, 2, 1e-9), (2, 3, 2, 1e-9)]:
+            assert _coverage_factor(e, u, r, q) == 0.0
 
     def test_coverage_factor_matches_cdf_primitive(self):
         from corebound.local_prob import _coverage_factor

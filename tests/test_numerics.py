@@ -138,6 +138,14 @@ class TestScaledPower:
             assert scaled_power(x, math.log(c), p, e) == pytest.approx(want, rel=1e-13)
             assert scaled_power(x, math.log(c), p, float(e)) == pytest.approx(want, rel=1e-13)
 
+    def test_int_exponent_in_double_range_is_its_float(self):
+        # rows past the double range hold exact int exponents: one of 61
+        # bits, eps(1030, 8) at k = 8, is rounded as float(e), not cut to 53 bits
+        e = 1854994589780273654
+        for s in (0.37, 3.1, 47.0):
+            p = s / e
+            assert scaled_power(1.0, -3.5, p, e) == scaled_power(1.0, -3.5, p, float(e))
+
     def test_weight_past_double_range(self):
         c = math.comb(1030, 515)  # the first weight past the double range
         log_c = math.log(c)
