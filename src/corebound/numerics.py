@@ -173,17 +173,17 @@ def binom_pmf(x: int, n: int, p: float) -> float:
 
 
 def scaled_power(x: float, log_c: float, p: float, e: int | float) -> float:
-    """x * exp(log_c) * (1 - p)^e for a log weight log_c (-inf for a zero weight), an int e >= 1
-    of any size or a float e, and p in [0, 1], formed in logs so that it raises nothing: 0.0 on
-    underflow or a zero factor, +-inf on overflow, nan for a nan x.  An e past the double range
-    enters as its top 53 bits.  Callers keep in-range products inline and call it past the range."""
-    if x == 0.0 or log_c == -math.inf or p == 1.0:  # at p = 1, (1 - p)^e = 0 as e >= 1
+    """x * exp(log_c) * (1 - p)^e for a log weight log_c (-inf for a zero weight), an int e >= 0
+    of any size or a float e, and p in [0, 1] (0^0 = 1), formed in logs so that it raises nothing:
+    0.0 on underflow or a zero factor, +-inf on overflow, nan for a nan x.  An e past the double
+    range enters as its top 53 bits.  Callers form in-range products inline, not through it."""
+    if x == 0.0 or log_c == -math.inf or p == 1.0 and e:  # at p = 1, (1 - p)^e = 0 for e >= 1
         return 0.0
     shift = e.bit_length() - 53 if e > sys.float_info.max else 0
     log = -math.inf  # stays so where ldexp overflows: (1 - p)^e is below exp(-DBL_MAX)
     try:
         log = math.log(abs(x)) + log_c + (math.ldexp((e >> shift) * math.log1p(-p), shift)
-                                          if shift > 0 else e * math.log1p(-p))
+                                          if shift > 0 else e and e * math.log1p(-p))
         return math.copysign(math.exp(log), x)
     except OverflowError:
         return 0.0 if log == -math.inf else math.copysign(math.inf, x)

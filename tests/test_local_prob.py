@@ -331,6 +331,14 @@ class TestPastDoubleRange:
             assert all(table.prob(x).valid for x in range(1, u))
             assert provider.value(u) == (conn.value**2, True, None)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_sizes_below_k_past_double_range(self, p):
+        # at k = 1032 row 1031 lies past the double range with every crossing
+        # count 0, so its factors (1 - p)^0 must read 1, at p = 1 too
+        table = ConnectivityTable(1032, p)
+        assert table.prob(1031) == (0.0, True, None)
+        assert all(table.prob(u) == (0.0, True, None) for u in range(2, 1031))
+
     @pytest.mark.parametrize("p", PAST_DOUBLE_P)
     def test_covering(self, p):
         from corebound.local_prob import COVERING_TERM_GUARD

@@ -146,6 +146,13 @@ class TestScaledPower:
             p = s / e
             assert scaled_power(1.0, -3.5, p, e) == scaled_power(1.0, -3.5, p, float(e))
 
+    def test_zero_exponent_is_one_at_every_p(self):
+        # (1 - p)^0 = 1, also at p = 1, where every e >= 1 gives 0.0
+        for p in (0.0, 1e-300, 0.5, 1.0):
+            for e in (0, 0.0):
+                assert scaled_power(0.5, math.log(3.0), p, e) == pytest.approx(1.5, rel=1e-15)
+        assert scaled_power(0.5, math.log(3.0), 1.0, 1) == 0.0
+
     def test_weight_past_double_range(self):
         c = math.comb(1030, 515)  # the first weight past the double range
         log_c = math.log(c)
