@@ -7,7 +7,6 @@ the formulas honest.
 from .global_prob import (
     GlobalComputation,
     GlobalResult,
-    at_least_one_bound,
     exactly_one_core,
 )
 from .hypergraph import (
@@ -60,7 +59,6 @@ __all__ = [
     "PROB_TOL",
     "ProbValue",
     "SweepSpec",
-    "at_least_one_bound",
     "binom_pmf",
     "candidate_edges",
     "choose",

@@ -44,7 +44,6 @@ __all__ = [
     "GlobalResult",
     "GlobalComputation",
     "exactly_one_core",
-    "at_least_one_bound",
 ]
 
 # Max vertex count of a size composition.  Its binomial rows hold about v^2/2
@@ -205,9 +204,3 @@ def exactly_one_core(v: int, p: float, k: int, r: int,
                      method: str = "connectivity") -> GlobalResult:
     """Run the size recursion on (v, p, k, r) and return the full result."""
     return GlobalComputation(v, p, k, r, method).result()
-
-
-def at_least_one_bound(v: int, p: float, k: int, r: int,
-                       method: str = "connectivity") -> ProbValue:
-    """Geometric upper bound on the probability that at least one core forms."""
-    return exactly_one_core(v, p, k, r, method).bound

@@ -105,6 +105,7 @@ class Hypergraph:
 
     @classmethod
     def from_edges(cls, v: int, k: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
+        """The hypergraph of ``edges``, sorted; it stays for the tests' hand-built graphs."""
         canon = sorted(tuple(sorted(int(x) for x in e)) for e in edges)
         return cls(v, k, tuple(canon))
 
@@ -136,6 +137,7 @@ def generate(params: HypergraphParams, seed: int) -> Hypergraph:
 
     Deterministic in (params, seed).  A Monte Carlo trial ``t`` with master
     seed ``s`` sees exactly ``generate(params, kernels.trial_seed(s, t))``.
+    It stays as the one-graph trial ``tests/test_kernels.py`` checks the counts against.
     """
     guarded_draws(params.v, params.k, params.p)
     edges = kernels.sample_edges(params.v, params.k, params.p, seed)
@@ -144,7 +146,8 @@ def generate(params: HypergraphParams, seed: int) -> Hypergraph:
 
 def peel(h: Hypergraph, r: int) -> frozenset[int]:
     """The maximal r-core of ``h``: repeat rounds removing every vertex of degree < r
-    (with its incident edges) until a round removes nothing; return the survivors."""
+    (with its incident edges) until a round removes nothing; return the survivors.
+    It stays as the core the oracle tests and acceptance criterion 9 check."""
     mask = kernels.peel_survivor_mask(h.edge_array(), h.v, r)
     return frozenset(int(x) for x in np.flatnonzero(mask))
 

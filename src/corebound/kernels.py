@@ -126,7 +126,7 @@ np = _lazy_numpy()
 
 
 def backend() -> str:
-    """Name of the kernel backend: always ``"numpy"``."""
+    """Name of the kernel backend, always ``"numpy"``; the benchmark's run stamp reads it."""
     return "numpy"
 
 
@@ -148,7 +148,8 @@ def trial_seed(master: int, index: int) -> int:
 
 
 def unit_double(bits: int) -> float:
-    """Map 64 random bits to a double in [0, 1) using the top 53 bits."""
+    """Map 64 random bits to a double in [0, 1) using the top 53 bits.  No code
+    calls it: it stays as the scalar stream the tests check every draw against."""
     return (bits >> 11) * _INV_2_53
 
 
@@ -200,8 +201,8 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed: int) -> np.ndarray
 
 def sample_edges(v: int, k: int, p: float, graph_seed: int) -> np.ndarray:
     """The kept edges of the graph on ``v`` vertices seeded with
-    ``graph_seed``, as (kept, k) int64 rows in colex order: the rows of
-    the candidates ``sample_edge_mask(C(v, k), p, graph_seed)`` keeps."""
+    ``graph_seed``, as (kept, k) int64 rows in colex order: candidate j of
+    the C(v, k) is kept iff ``unit_double(mix64(graph_seed + (j+1)*GOLDEN)) < p``."""
     return _block_edges(v, k, p, _seed_array(graph_seed))
 
 
@@ -374,7 +375,8 @@ def connected_all(edges: np.ndarray, v: int) -> bool:
 
 def min_degree_ok(edges: np.ndarray, v: int, r: int) -> bool:
     """True iff every one of the ``v`` vertices lies in at least ``r`` edges:
-    :func:`_min_degree_rows` on one trial."""
+    :func:`_min_degree_rows` on one trial.  No command reaches it: it stays for
+    ``hypergraph.has_rcore_on`` and the predicate tests of ``tests/test_kernels.py``."""
     return bool(_min_degree_rows(edges, 1, v, r)[0])
 
 

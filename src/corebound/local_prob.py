@@ -32,8 +32,8 @@ import math
 import sys
 
 from .montecarlo import exact_local
-from .numerics import (ProbValue, binom_pmf, binomial_row, check_kpr, choose, choose_float,
-                       range_checked, scaled_power, stable_sum)
+from .numerics import (ProbValue, binom_pmf, binomial_row, check_kpr, choose, range_checked,
+                       scaled_power, stable_sum)
 
 __all__ = [
     "LOCAL_METHODS",
@@ -76,13 +76,13 @@ def _recursion_row(k: int, u: int) -> tuple[tuple[float, ...] | None, tuple[int,
     exponents[i - 1] = eps(u, i), exact ints, for i = 1..u // 2 only, since
     eps(u, i) = eps(u, u - i); weights[i - 1] = C(u-1, i-1) for i = 1..u-1 from
     ``binomial_row`` when the row lies in the double range (its middle weight
-    is a finite float and its largest exponent at most the largest double),
-    else None: the one place that decides a row's kind."""
+    and its largest exponent are at most the largest double), else None: the
+    one place that decides a row's kind."""
     row = _ROWS.get((k, u))
     if row is None:
         c_u = math.comb(u, k)
         eps = tuple([c_u - math.comb(i, k) - math.comb(u - i, k) for i in range(1, u // 2 + 1)])
-        in_range = eps[-1] <= sys.float_info.max and choose_float(u - 1, (u - 1) // 2) < math.inf
+        in_range = max(eps[-1], math.comb(u - 1, (u - 1) // 2)) <= sys.float_info.max
         row = (tuple(binomial_row(u - 1)[:-1]) if in_range else None, eps)
         if u <= _ROW_STORE_MAX:
             _ROWS[k, u] = row
@@ -168,8 +168,8 @@ class ConnectivityTable:
 
 
 def connectivity_prob(u: int, k: int, p: float) -> ProbValue:
-    """Probability that u specific vertices are connected in the (p, k) model;
-    a :class:`ConnectivityTable` reuses the recursion across sizes."""
+    """Probability that u specific vertices are connected in the (p, k) model, one
+    size of a :class:`ConnectivityTable`.  It stays for the acceptance criteria."""
     return ConnectivityTable(k, p).prob(u)
 
 

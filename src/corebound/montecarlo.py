@@ -56,6 +56,7 @@ class McEstimate:
         return cls(successes, trials, mean, stderr, seed)
 
     def merge(self, other: "McEstimate") -> "McEstimate":
+        """Both runs' trials as one estimate; it stays for the partitioned-run tests."""
         if other.seed != self.seed:
             raise ValueError("cannot merge runs with different master seeds")
         return McEstimate.from_counts(self.successes + other.successes,

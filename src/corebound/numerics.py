@@ -87,7 +87,7 @@ def choose_float(n: int, k: int) -> float:
 
 
 def binomial_row(n: int) -> list[float]:
-    """C(n, 0..n) as floats, entry j equal to ``choose_float(n, j)`` (inf past
+    """C(n, 0..n) as floats, entry j the exact C(n, j) rounded once (inf past
     the double range): one exact multiplicative pass over the first half, and
     a mirror."""
     row = []

@@ -38,7 +38,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from . import montecarlo
-from .global_prob import at_least_one_bound
+from .global_prob import exactly_one_core
 from .kernels import trial_seed
 from .local_prob import LocalProvider
 from .numerics import PROB_TOL, ProbValue, check_kpr, choose
@@ -156,7 +156,7 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     q = p / r if at_p_over_r else p
     if scope == "local":
         return LocalProvider(source, k, q, r).value(v)
-    bound = at_least_one_bound(v, q, k, r, method=source)
+    bound = exactly_one_core(v, q, k, r, source).bound
     if at_p_over_r and bound.valid and bound.value > 1.0 + PROB_TOL:
         return ProbValue(bound.value, False, "lower bound above 1")
     return bound
@@ -164,7 +164,8 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
 
 def interleaving_bounds(v: int, p: float, k: int, r: int) -> tuple[ProbValue, ProbValue]:
     """(lower, upper) sides of the paper's global bracket on v vertices, the
-    ``interleaved-lower`` and ``interleaved-upper`` methods (in the tail they cross)."""
+    ``interleaved-lower`` and ``interleaved-upper`` methods (in the tail they cross).
+    No command calls it: it stays as the pair README names and ``TestInterleavingBounds`` reads."""
     return (formula_value("interleaved-lower", "global", v, p, k, r),
             formula_value("interleaved-upper", "global", v, p, k, r))
 

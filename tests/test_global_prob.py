@@ -8,7 +8,6 @@ import pytest
 from corebound import (
     GlobalComputation,
     LocalProvider,
-    at_least_one_bound,
     connectivity_prob,
     exact_exactly_one,
     exact_global,
@@ -351,7 +350,7 @@ class TestProviders:
         assert not res.exactly_one.valid
 
     def test_at_least_one_bound_smoke(self):
-        pv = at_least_one_bound(6, 0.05, 3, 2, method="covering")
+        pv = exactly_one_core(6, 0.05, 3, 2, method="covering").bound
         assert pv.valid
         assert 0.0 <= pv.value
 
@@ -518,7 +517,7 @@ class TestSinglePath:
         with pytest.raises(ValueError, match="size-composition guard"):
             GlobalComputation(v, 0.5, 3, 2, "covering")
         with pytest.raises(ValueError, match="size-composition guard"):
-            at_least_one_bound(v, 0.5, 3, 2, method="covering")
+            exactly_one_core(v, 0.5, 3, 2, method="covering").bound
         for argv in (["global", "--v", "2049", "--k", "3", "--e-v", "10", "--r", "2",
                       "--method", "covering"],
                      ["sweep", "--k", "3", "--r", "2", "--overhead", "5000", "--e-min", "1",

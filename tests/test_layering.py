@@ -11,6 +11,7 @@ start without its import: no module has an ``import numpy`` statement,
 formula layers never name it.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,34 @@ def test_numpy_only_through_kernels(path):
                  | {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
                  | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
         assert not named & {"numpy", "np"}, f"{path.name} names numpy"
+
+
+BENCHMARK_ONLY = ("choose_float", "sample_edge_mask")
+
+
+def test_benchmark_only_names_have_no_package_reader():
+    """In the package only the own ``def`` of ``numerics.choose_float`` and of
+    ``kernels.sample_edge_mask``, their ``__all__`` entries and ``__init__``'s
+    re-export name them, in code, docstrings and comments alike: only the
+    benchmark calls them, so deleting them takes no other edit under ``src/``.
+    The benchmark change that deletes them drops them from ``BENCHMARK_ONLY``."""
+    defined = []
+    for path in sorted(Path(corebound.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text, filename=str(path))
+        exports = [elt.value for node in tree.body if isinstance(node, ast.Assign)
+                   and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                   for elt in node.value.elts]
+        for name in BENCHMARK_ONLY:
+            defs = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+            reexports = [a for n in tree.body if isinstance(n, ast.ImportFrom)
+                         for a in n.names if a.name == name] if path.stem == "__init__" else []
+            readers = [n for n in ast.walk(tree)
+                       if isinstance(n, ast.Name) and n.id == name
+                       or isinstance(n, ast.Attribute) and n.attr == name
+                       or isinstance(n, ast.alias) and name in (n.name, n.asname)]
+            assert len(readers) == len(reexports), f"{path.name} reads {name}"
+            kept = len(defs) + exports.count(name) + len(reexports)
+            assert len(re.findall(rf"\b{name}\b", text)) == kept, f"{path.name} names {name}"
+            defined += [name] * len(defs)
+    assert sorted(defined) == sorted(BENCHMARK_ONLY)  # a deleted name leaves the list

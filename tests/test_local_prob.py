@@ -279,14 +279,23 @@ class TestRowStore:
             assert len(weights) == u - 1 and len(exponents) == u // 2
 
     def test_row_past_double_range_holds_no_int_weight(self):
-        # C(1030, 515) is past the double range: the row holds no weights at
-        # all, and its exponents, like every row's, are exact ints
-        weights, exponents = local_prob._recursion_row(2, 1031)
-        assert weights is None
-        assert {type(e) for e in exponents} == {int}
-        weights, exponents = local_prob._recursion_row(2, 1029)
-        assert {type(w) for w in weights} == {float} and max(weights) < math.inf
-        assert {type(e) for e in exponents} == {int}
+        # a row past the double range holds no weights at all, and its
+        # exponents, like every row's, are exact ints.  (2, 1031) is past it
+        # by its middle weight C(1030, 515) alone, (515, 1030) by its largest
+        # exponent C(1030, 515) - 2 alone
+        big = sys.float_info.max
+        for k, u, weight_in_range, exponent_in_range in [(2, 1029, True, True),
+                                                         (2, 1030, True, True),
+                                                         (2, 1031, False, True),
+                                                         (515, 1030, True, False)]:
+            weights, exponents = local_prob._recursion_row(k, u)
+            assert (math.comb(u - 1, (u - 1) // 2) <= big) == weight_in_range, (k, u)
+            assert (max(exponents) <= big) == exponent_in_range, (k, u)
+            assert {type(e) for e in exponents} == {int}
+            if weight_in_range and exponent_in_range:
+                assert {type(w) for w in weights} == {float} and max(weights) < math.inf
+            else:
+                assert weights is None, (k, u)
 
     def test_store_keeps_nothing_above_its_bound(self):
         # the non-finite case builds rows to u = 1031, past the bound; rows
