@@ -5,7 +5,6 @@ a seeded Monte Carlo simulator, and exhaustive desk-scale oracles that keep
 the formulas honest.
 """
 from .global_prob import (
-    GlobalComputation,
     GlobalResult,
     exactly_one_core,
 )
@@ -50,7 +49,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BreakdownDetector",
     "ConnectivityTable",
-    "GlobalComputation",
     "GlobalResult",
     "Hypergraph",
     "HypergraphParams",

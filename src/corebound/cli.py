@@ -87,7 +87,8 @@ def _resolve_p(n: int, k: int, p: float | None, e: float | None) -> float:
         m = choose(max(n, 0), k)  # a count below 1 is refused by the model's check
         if m == 0:
             return 0.0
-        p = e / m
+        a, b = e.as_integer_ratio()  # e / m, rounded once even past the double range
+        p = a / (b * m)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability {p} outside [0, 1]")
     return p + 0.0  # -0.0 prints as 0.0

@@ -10,11 +10,13 @@ value for size u is the product of
 * the probability no distinct core forms among the other n-u vertices:
   ``1 - sum_x C_x`` over the per-size values of the (n-u)-vertex instance.
 
-``GlobalComputation`` builds the "no distinct core" values of the instances
-on 0..v-k vertices in one ascending pass, each from the per-size values of
-its own level, and reads local(u) from the ``local_prob.LocalProvider`` it
-builds for its local source at (k, p, r).  Level n works down from u = n, so
-every C_x with x > u is known when size u needs it.
+``exactly_one_core`` is the composition.  It builds the "no distinct core"
+values of the instances on 0..v-k vertices in one ascending pass, each from
+the per-size values of its own level, reads level v once, and returns every
+term: the per-size, lone-core and "no distinct core" values of each size.
+It reads local(u) from the ``local_prob.LocalProvider`` it builds for its
+local source at (k, p, r).  Level n works down from u = n, so every C_x with
+x > u is known when size u needs it.
 
 Every value (local, lone-core, per-size, "no distinct core") is a
 ``(value, valid, note)`` triple.  It is invalid when it leaves [0, 1] (the
@@ -42,7 +44,6 @@ from .numerics import ProbValue, binomial_row, range_checked, stable_sum
 __all__ = [
     "COMPOSITION_GUARD",
     "GlobalResult",
-    "GlobalComputation",
     "exactly_one_core",
 ]
 
@@ -62,10 +63,12 @@ class GlobalResult:
     k: int
     r: int
     method: str
-    per_size: dict[int, ProbValue]       # size u -> probability, u in [k, v]
-    exactly_one: ProbValue               # sum over sizes
-    bound: ProbValue                     # geometric bound on at-least-one
-    breakdown_at: int | None             # largest size whose value is invalid
+    per_size: dict[int, ProbValue]          # size u -> probability, u = v down to k
+    lone_core: dict[int, ProbValue]         # size u -> lone-core term, keys of per_size
+    no_distinct_core: dict[int, ProbValue]  # size u -> no core on the v-u left over
+    exactly_one: ProbValue                  # sum over sizes
+    bound: ProbValue                        # geometric bound on at-least-one
+    breakdown_at: int | None                # largest size whose value is invalid
 
 
 def _merge(value: float, parts: Iterable[tuple]) -> tuple[float, bool, str | None]:
@@ -78,110 +81,42 @@ def _merge(value: float, parts: Iterable[tuple]) -> tuple[float, bool, str | Non
     return range_checked(value, valid, note)
 
 
-class GlobalComputation:
-    """The size composition on v vertices.
+def _level(n: int, k: int, rows: list[list[float]], rests: list[tuple], local_value):
+    """Yield (u, lone, per-size) triples for u = n down to k on an n-vertex
+    instance.
 
-    The constructor builds the float binomial rows C(m, 1..m), m = 0..v, of
-    ``numerics.binomial_row`` (inf past the double range, so a value built on
-    one is flagged, never raised).  It then makes one ascending pass over
-    m = 0..v-k, appending the "no distinct core" triple of the m-vertex
-    instance; level m reads triples of at most m - k vertices only.  Local
-    values are read from the computation's own ``LocalProvider`` for
-    ``method``, whose memo is their one cache: each size is evaluated once,
-    when a level that contains it is first asked for.
-
-    Level n yields, for u = n down to k, the lone-core triple of size u and
-    the per-size triple it composes with the "no distinct core" triple of
-    n - u vertices.  It keeps, for the sizes x above u, the running validity,
-    the note of the smallest such x, and ``log1p(-C_x)`` (where C_x <= 0.5;
-    else ``1 - C_x`` for ``math.pow``); the exponents C(n-u, x-u) come from
-    the binomial rows.  The factors are multiplied one at a time in
-    ascending x, so every value is the same float as term-by-term evaluation
-    gives.
+    ``rows[m][j - 1]`` is the float C(m, j), ``rests[m]`` the "no distinct
+    core" triple on m <= n - k vertices, and ``local_value(u)`` the local
+    ``ProbValue`` of size u.  The level keeps, for the sizes x above u, the
+    running validity, the note of the smallest such x, and ``log1p(-C_x)``
+    (where C_x <= 0.5; else ``1 - C_x`` for ``math.pow``); the exponents
+    C(n-u, x-u) come from the binomial rows.  The factors are multiplied one
+    at a time in ascending x, so every value is the same float as
+    term-by-term evaluation gives.
     """
-
-    def __init__(self, v: int, p: float, k: int, r: int, method: str):
-        self.provider = LocalProvider(method, k, p, r)
-        if v < 1:
-            raise ValueError(f"v must be >= 1, got {v}")
-        if v > COMPOSITION_GUARD:
-            raise ValueError(f"v = {v} exceeds the size-composition guard {COMPOSITION_GUARD}")
-        self.v, self.p, self.k, self.r = v, p, k, r
-        self._rows = [binomial_row(m)[1:] for m in range(v + 1)]  # _rows[m][j - 1] = C(m, j)
-        self._rest: list[tuple] = []  # _rest[m]: no distinct core on m vertices
-        for m in range(v - k + 1):
-            sizes = [size for _, _, size in self._level(m)]  # empty below k
-            self._rest.append(_merge(1.0 - stable_sum(value for value, _, _ in sizes), sizes))
-
-    def _level(self, n: int):
-        """Yield (u, lone, per-size) triples for u = n down to k on an
-        n-vertex instance."""
-        exp, pow_, log1p, inf = math.exp, math.pow, math.log1p, math.inf
-        k, rows, rests, local_value = self.k, self._rows, self._rest, self.provider.value
-        above_valid, above_note = True, None
-        factors: list[tuple[float | None, float]] = []  # per size above u, largest first
-        for u in range(n, k - 1, -1):
-            local, local_valid, local_note = local_value(u)
-            value = rows[n][u - 1] * local
-            # (1 - C_x)^C(n-u, x-u) for x = u+1..n, overflow -> inf; the
-            # exponents are integers >= 1 (or inf), so pow raises nothing else
-            for e, (log1m, one_minus) in zip(rows[n - u], reversed(factors)):
-                try:
-                    value *= exp(e * log1m) if log1m is not None else pow_(one_minus, e)
-                except OverflowError:
-                    value *= inf
-            lone = range_checked(value, local_valid and above_valid, local_note or above_note)
-            rest_value, rest_valid, rest_note = rests[n - u]
-            # _merge of (lone, rest), written out
-            size = range_checked(lone[0] * rest_value, lone[1] and rest_valid,
-                                 lone[2] or rest_note)
-            yield u, lone, size
-            x, size_valid, size_note = size
-            factors.append((log1p(-x) if x <= 0.5 else None, 1.0 - x))
-            above_valid = above_valid and size_valid
-            above_note = size_note or above_note
-
-    def _vertex_count(self, n: int | None) -> int:
-        """``n`` (v when None); ValueError outside [0, v], where the tables stop."""
-        n = self.v if n is None else n
-        if not 0 <= n <= self.v:
-            raise ValueError(f"vertex count n={n} outside [0, v] = [0, {self.v}]")
-        return n
-
-    def _check_size(self, u: int, n: int) -> None:
-        if not self.k <= u <= n:
-            raise ValueError(f"size u={u} outside [k, n] = [{self.k}, {n}]")
-
-    def sizes(self, n: int | None = None) -> dict[int, ProbValue]:
-        """Per-size values {u: P[lone core of size u]} on an n-vertex instance,
-        in descending u."""
-        return {u: ProbValue(*size) for u, _, size in self._level(self._vertex_count(n))}
-
-    def lone_core_prob(self, u: int, n: int | None = None) -> ProbValue:
-        """P[some u-subset carries a core contained in no larger one] on an
-        n-vertex instance."""
-        n = self._vertex_count(n)
-        self._check_size(u, n)
-        return ProbValue(*next(lone for size_u, lone, _ in self._level(n) if size_u == u))
-
-    def no_distinct_core_prob(self, u: int, n: int | None = None) -> ProbValue:
-        """P[no further core forms among the n-u vertices left over]."""
-        n = self._vertex_count(n)
-        self._check_size(u, n)
-        return ProbValue(*self._rest[n - u])
-
-    def result(self) -> GlobalResult:
-        per_size = self.sizes()
-        total = stable_sum(pv.value for pv in per_size.values())
-        exactly = ProbValue(*_merge(total, per_size.values()))
-        invalid_sizes = [u for u, pv in per_size.items() if not pv.valid]
-        return GlobalResult(
-            v=self.v, p=self.p, k=self.k, r=self.r, method=self.provider.method,
-            per_size=per_size,
-            exactly_one=exactly,
-            bound=_geometric_bound(exactly),
-            breakdown_at=max(invalid_sizes) if invalid_sizes else None,
-        )
+    exp, pow_, log1p, inf = math.exp, math.pow, math.log1p, math.inf
+    above_valid, above_note = True, None
+    factors: list[tuple[float | None, float]] = []  # per size above u, largest first
+    for u in range(n, k - 1, -1):
+        local, local_valid, local_note = local_value(u)
+        value = rows[n][u - 1] * local
+        # (1 - C_x)^C(n-u, x-u) for x = u+1..n, overflow -> inf; the
+        # exponents are integers >= 1 (or inf), so pow raises nothing else
+        for e, (log1m, one_minus) in zip(rows[n - u], reversed(factors)):
+            try:
+                value *= exp(e * log1m) if log1m is not None else pow_(one_minus, e)
+            except OverflowError:
+                value *= inf
+        lone = range_checked(value, local_valid and above_valid, local_note or above_note)
+        rest_value, rest_valid, rest_note = rests[n - u]
+        # _merge of (lone, rest), written out
+        size = range_checked(lone[0] * rest_value, lone[1] and rest_valid,
+                             lone[2] or rest_note)
+        yield u, lone, size
+        x, size_valid, size_note = size
+        factors.append((log1p(-x) if x <= 0.5 else None, 1.0 - x))
+        above_valid = above_valid and size_valid
+        above_note = size_note or above_note
 
 
 def _geometric_bound(exactly_one: ProbValue) -> ProbValue:
@@ -202,5 +137,40 @@ def _geometric_bound(exactly_one: ProbValue) -> ProbValue:
 
 def exactly_one_core(v: int, p: float, k: int, r: int,
                      method: str = "connectivity") -> GlobalResult:
-    """Run the size recursion on (v, p, k, r) and return the full result."""
-    return GlobalComputation(v, p, k, r, method).result()
+    """Run the size composition on (v, p, k, r) and return every term.
+
+    Builds the float binomial rows C(m, 1..m), m = 0..v, of
+    ``numerics.binomial_row`` (inf past the double range, so a value built on
+    one is flagged, never raised), then makes one ascending pass over
+    m = 0..v-k, appending the "no distinct core" triple of the m-vertex
+    instance; level m reads triples of at most m - k vertices only.  Level v
+    is read once.  Local values come from one ``LocalProvider`` for
+    ``method``, whose memo is their one cache: each size is evaluated once,
+    when a level that contains it is first asked for.  A smaller instance at
+    the same p is ``exactly_one_core(n, p, ...)``.
+    """
+    provider = LocalProvider(method, k, p, r)
+    if v < 1:
+        raise ValueError(f"v must be >= 1, got {v}")
+    if v > COMPOSITION_GUARD:
+        raise ValueError(f"v = {v} exceeds the size-composition guard {COMPOSITION_GUARD}")
+    rows = [binomial_row(m)[1:] for m in range(v + 1)]  # rows[m][j - 1] = C(m, j)
+    rests: list[tuple] = []  # rests[m]: no distinct core on m vertices
+    for m in range(v - k + 1):
+        sizes = [size for _, _, size in _level(m, k, rows, rests, provider.value)]  # empty below k
+        rests.append(_merge(1.0 - stable_sum(value for value, _, _ in sizes), sizes))
+    lone_core, per_size = {}, {}
+    for u, lone, size in _level(v, k, rows, rests, provider.value):
+        lone_core[u], per_size[u] = ProbValue(*lone), ProbValue(*size)
+    total = stable_sum(pv.value for pv in per_size.values())
+    exactly = ProbValue(*_merge(total, per_size.values()))
+    invalid_sizes = [u for u, pv in per_size.items() if not pv.valid]
+    return GlobalResult(
+        v=v, p=p, k=k, r=r, method=provider.method,
+        per_size=per_size,
+        lone_core=lone_core,
+        no_distinct_core={u: ProbValue(*rests[v - u]) for u in per_size},
+        exactly_one=exactly,
+        bound=_geometric_bound(exactly),
+        breakdown_at=max(invalid_sizes) if invalid_sizes else None,
+    )

@@ -63,9 +63,9 @@ class ProbValue(NamedTuple):
     note: str | None = None
 
     @classmethod
-    def checked(cls, value: float, note: str | None = None) -> "ProbValue":
+    def checked(cls, value: float) -> "ProbValue":
         """Wrap ``value``, flagging it invalid if it is not a plausible probability."""
-        return cls(*range_checked(value, True, note))
+        return cls(*range_checked(value, True, None))
 
 
 def choose(n: int, k: int) -> int:

@@ -1,7 +1,9 @@
 import argparse
 import contextlib
+import fractions
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -421,6 +423,30 @@ class TestNegativeZeroProbability:
         assert capsys.readouterr().out.splitlines()[1].split(",")[1] == "0.0"
         assert main([*argv, "--format", "json"]) == 0
         assert '\n  "p": 0.0,\n' in capsys.readouterr().out
+
+
+class TestExpectedEdgesPastDoubleRange:
+    """--e-u / --e-v over a candidate count C(n, k) past the double range
+    resolve to e / C(n, k) rounded once, and each route exits cleanly."""
+
+    C = math.comb(1100, 550)  # about 3.3e329
+
+    @pytest.mark.parametrize("e", ["1", "1e300"])
+    def test_covering_resolves_p(self, capsys, e):
+        assert main(["local", "--u", "1100", "--k", "550", "--e-u", e,
+                     "--method", "covering"]) == 0
+        p = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert p == float(fractions.Fraction(float(e)) / self.C)
+        assert (p == 0.0) == (e == "1")  # 1 / C underflows; 1e300 / C is about 3.06e-30
+
+    @pytest.mark.parametrize("argv, guard", [
+        (["oracle", "--v", "1100", "--k", "550", "--e-v", "1"], "enumeration guard 20"),
+        (["local", "--u", "1100", "--k", "550", "--e-u", "1", "--method", "mc"],
+         f"generation guard {2**31}"),
+    ], ids=["oracle", "mc"])
+    def test_guarded_routes_exit_2(self, capsys, argv, guard):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: C(v, k) = {self.C} exceeds the {guard}\n")
 
 
 # ---------------------------------------------------------------------------

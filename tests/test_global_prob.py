@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from corebound import (
-    GlobalComputation,
     LocalProvider,
     connectivity_prob,
     exact_exactly_one,
@@ -23,57 +22,60 @@ from corebound.sweep import METHOD_TABLE, point_geometry
 
 
 def connectivity_comp(v, p, k=3, r=1):
-    return GlobalComputation(v, p, k, r, "connectivity")
+    return exactly_one_core(v, p, k, r, "connectivity")
 
 
 class TestLoneCoreProb:
     def test_worked_example(self):
         # v=4, u=3, k=3, r=1, p=0.5: 4 * 0.5 * (1 - 0.6875)^1
         comp = connectivity_comp(4, 0.5)
-        assert comp.lone_core_prob(3).value == pytest.approx(0.625, abs=1e-12)
+        assert comp.lone_core[3].value == pytest.approx(0.625, abs=1e-12)
 
     def test_top_size_is_local_value(self):
         comp = connectivity_comp(5, 0.3)
         local = LocalProvider("connectivity", 3, 0.3, 1).value(5).value
-        assert comp.lone_core_prob(5).value == pytest.approx(local, abs=1e-15)
+        assert comp.lone_core[5].value == pytest.approx(local, abs=1e-15)
 
     def test_p_zero(self):
         comp = connectivity_comp(6, 0.0)
         for u in range(3, 7):
-            assert comp.lone_core_prob(u).value == 0.0
+            assert comp.lone_core[u].value == 0.0
 
 
 class TestNoDistinctCoreProb:
     def test_top_size_gives_one(self):
         comp = connectivity_comp(5, 0.4)
-        assert comp.no_distinct_core_prob(5).value == 1.0
+        assert comp.no_distinct_core[5].value == 1.0
 
     def test_leftover_below_edge_size(self):
         comp = connectivity_comp(5, 0.4)
-        assert comp.no_distinct_core_prob(3).value == 1.0  # 2 leftover vertices
+        assert comp.no_distinct_core[3].value == 1.0  # 2 leftover vertices
 
     def test_matches_exact_complement_when_unique_core_possible(self):
         # r=2, leftover 4 vertices: only the full 4-set can carry a 2-core, so
         # the recursive subinstance values are exact and the complement equals
         # 1 - P[any 2-core on 4 vertices].
         p = 0.5
-        comp = GlobalComputation(8, p, 3, 2, "exact-enum")
+        rest = 1.0 - exactly_one_core(4, p, 3, 2, "exact-enum").exactly_one.value
         expected = 1.0 - exact_global(4, 3, p, 2)
-        assert comp.no_distinct_core_prob(4).value == pytest.approx(expected, abs=1e-12)
+        assert rest == pytest.approx(expected, abs=1e-12)
 
     def test_definitional_identity(self):
-        p = 0.2
-        comp = GlobalComputation(8, p, 3, 1, "exact-enum")
-        sizes = comp.sizes(4)
-        expected = 1.0 - math.fsum(pv.value for pv in sizes.values())
-        assert comp.no_distinct_core_prob(4).value == pytest.approx(expected, abs=1e-15)
+        # C(6, k) <= 20, so the exact local values enumerate at every size
+        p, v = 0.2, 6
+        for k in (2, 3):
+            comp = exactly_one_core(v, p, k, 1, "exact-enum")
+            for u in range(k, v):
+                sizes = exactly_one_core(v - u, p, k, 1, "exact-enum").per_size
+                expected = 1.0 - math.fsum(pv.value for pv in sizes.values())
+                assert comp.no_distinct_core[u].value == pytest.approx(expected, abs=1e-15)
 
 
 class TestExactlyOneCore:
     def test_below_edge_size(self):
         res = exactly_one_core(2, 0.9, 3, 1)
         assert res.exactly_one.value == 0.0
-        assert res.per_size == {}
+        assert res.per_size == res.lone_core == res.no_distinct_core == {}
 
     def test_single_edge_anchor_exact(self):
         for p in (0.25, 0.5, 0.7):
@@ -103,6 +105,30 @@ class TestExactlyOneCore:
     def test_per_size_keys(self):
         res = exactly_one_core(6, 0.2, 3, 1)
         assert sorted(res.per_size) == [3, 4, 5, 6]
+
+
+class TestResultTerms:
+    """``exactly_one_core`` returns every term of its composition: each
+    per-size value is the lone-core term times the "no distinct core" term,
+    and that term is the complement of the smaller instance's total."""
+
+    @pytest.mark.parametrize("source", ["connectivity", "covering", "interleaved"])
+    def test_terms_compose(self, source):
+        v, k, r = 30, 3, 2
+        p = 20 / math.comb(v, k)
+        res = exactly_one_core(v, p, k, r, source)
+        sizes = list(range(v, k - 1, -1))
+        assert list(res.per_size) == list(res.lone_core) == list(res.no_distinct_core) == sizes
+        for u in sizes:
+            lone, rest = res.lone_core[u], res.no_distinct_core[u]
+            again = ProbValue(*_merge(lone.value * rest.value, (lone, rest)))
+            assert _hex(again) == _hex(res.per_size[u]), u
+            if u < v:
+                sub = exactly_one_core(v - u, p, k, r, source)
+                complement = _merge(1.0 - sub.exactly_one.value, sub.per_size.values())
+                assert _hex(rest) == _hex(ProbValue(*complement)), u
+            else:
+                assert _hex(rest) == _hex(ProbValue(1.0)), u
 
 
 class TestGeometricBound:
@@ -410,14 +436,16 @@ def composition_snapshot(v, p, k, r, source):
 
 
 def terms_snapshot():
-    """``lone_core_prob(u, n)`` and ``no_distinct_core_prob(u, n)`` of the
-    v=90 breakdown point at ``TERMS_AT``, floats as ``float.hex``."""
+    """The lone-core and "no distinct core" terms of size u on n vertices at
+    the p of the v=90 breakdown point, for each (u, n) of ``TERMS_AT``,
+    floats as ``float.hex``."""
     u0 = 90
-    comp = connectivity_comp(u0, u0 / math.comb(u0, 3))
+    p = u0 / math.comb(u0, 3)
+    results = {n: connectivity_comp(n, p) for n in sorted({n for _, n in TERMS_AT})}
     doc = {}
     for u, n in TERMS_AT:
-        doc[f"lone u={u} n={n}"] = _hex(comp.lone_core_prob(u, n))
-        doc[f"rest u={u} n={n}"] = _hex(comp.no_distinct_core_prob(u, n))
+        doc[f"lone u={u} n={n}"] = _hex(results[n].lone_core[u])
+        doc[f"rest u={u} n={n}"] = _hex(results[n].no_distinct_core[u])
     return doc
 
 
@@ -457,8 +485,8 @@ class TestCompositionPinned:
 
 
 class TestSinglePath:
-    """The public per-term methods read the same level computation that
-    ``sizes`` composes, and the exponents are converted once per computation."""
+    """Every term of the result comes from the one level computation that
+    composes the per-size values, and each local value is computed once."""
 
     @pytest.mark.parametrize("v, p, r, source", [
         (12, 0.05, 2, "covering"),
@@ -466,14 +494,11 @@ class TestSinglePath:
         (40, 40 / math.comb(40, 3), 1, "connectivity"),  # past the breakdown
     ])
     def test_terms_match_sizes(self, v, p, r, source):
-        comp = GlobalComputation(v, p, 3, r, source)
-        fresh = GlobalComputation(v, p, 3, r, source)
         for n in (v, v - 4):
-            sizes = comp.sizes(n)
-            assert list(sizes) == list(range(n, 2, -1))
-            for u, size in sizes.items():
-                lone = fresh.lone_core_prob(u, n)
-                rest = fresh.no_distinct_core_prob(u, n)
+            res = exactly_one_core(n, p, 3, r, source)
+            assert list(res.per_size) == list(range(n, 2, -1))
+            for u, size in res.per_size.items():
+                lone, rest = res.lone_core[u], res.no_distinct_core[u]
                 again = ProbValue(*_merge(lone.value * rest.value, (lone, rest)))
                 assert _hex(again) == _hex(size), (n, u)
 
@@ -483,28 +508,11 @@ class TestSinglePath:
         assert _hex(ProbValue(*_merge(1.5, [(0.5, True, None)]))) == _hex(ProbValue.checked(1.5))
         assert _hex(ProbValue(*_merge(0.5, []))) == _hex(ProbValue(0.5))
 
-    def test_sizes_outside_the_level_rejected(self):
-        comp = connectivity_comp(6, 0.3)
-        for u in (2, 7):
-            with pytest.raises(ValueError, match="outside"):
-                comp.lone_core_prob(u)
-            with pytest.raises(ValueError, match="outside"):
-                comp.no_distinct_core_prob(u)
-        # the tables stop at v: a vertex count outside [0, v] is rejected
-        for n in (-1, 7):
-            message = rf"^vertex count n={n} outside \[0, v\] = \[0, 6\]$"
-            with pytest.raises(ValueError, match=message):
-                comp.sizes(n)
-            with pytest.raises(ValueError, match="^vertex count"):
-                comp.lone_core_prob(3, n)
-            with pytest.raises(ValueError, match="^vertex count"):
-                comp.no_distinct_core_prob(3, n)
-
     @pytest.mark.parametrize("v", [0, -2])
     def test_vertex_count_below_one_rejected(self, v):
         # the same domain as HypergraphParams, so formulas and Monte Carlo agree
         with pytest.raises(ValueError, match=rf"^v must be >= 1, got {v}$"):
-            GlobalComputation(v, 0.5, 3, 2, "connectivity")
+            exactly_one_core(v, 0.5, 3, 2, "connectivity")
 
     def test_composition_guard(self, monkeypatch, capsys):
         # v above the guard is refused before any binomial row is built
@@ -515,9 +523,7 @@ class TestSinglePath:
         v = global_prob.COMPOSITION_GUARD + 1
         assert v == 2049
         with pytest.raises(ValueError, match="size-composition guard"):
-            GlobalComputation(v, 0.5, 3, 2, "covering")
-        with pytest.raises(ValueError, match="size-composition guard"):
-            exactly_one_core(v, 0.5, 3, 2, method="covering").bound
+            exactly_one_core(v, 0.5, 3, 2, method="covering")
         for argv in (["global", "--v", "2049", "--k", "3", "--e-v", "10", "--r", "2",
                       "--method", "covering"],
                      ["sweep", "--k", "3", "--r", "2", "--overhead", "5000", "--e-min", "1",
@@ -527,7 +533,7 @@ class TestSinglePath:
             assert "size-composition guard" in captured.err and captured.out == ""
         # the bound itself is accepted: it reaches the (forbidden) rows
         with pytest.raises(AssertionError, match="binomial_row"):
-            GlobalComputation(v - 1, 0.5, 3, 2, "covering")
+            exactly_one_core(v - 1, 0.5, 3, 2, "covering")
 
     def test_binomial_row_entries_at_most_quadratic(self, monkeypatch):
         entries = 0
