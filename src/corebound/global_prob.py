@@ -49,8 +49,9 @@ __all__ = [
 
 # Max vertex count of a size composition.  Its binomial rows hold about v^2/2
 # floats (tracemalloc: 10.1, 28.9 and 86.1 MiB at v = 1024, 2048 and 4096)
-# and its loop takes O(v^3) steps (about 2 minutes at v = 2000), so larger v
-# is refused before any row is built.
+# and its loop takes O(v^3) steps at most (4-5 s at v = 2000, k = 3, r = 2
+# and overhead 0.8-5.0, where ``_level`` skips most factors), so larger v is
+# refused before any row is built.
 COMPOSITION_GUARD = 2**11
 
 
@@ -81,6 +82,11 @@ def _merge(value: float, parts: Iterable[tuple]) -> tuple[float, bool, str | Non
     return range_checked(value, valid, note)
 
 
+# math.exp(y) is +0.0 for every y below this: exp(-745.2) is under 2**-1075,
+# half the least subnormal, so it rounds to zero
+_EXP_UNDERFLOW = -745.2
+
+
 def _level(n: int, k: int, rows: list[list[float]], rests: list[tuple], local_value):
     """Yield (u, lone, per-size) triples for u = n down to k on an n-vertex
     instance.
@@ -93,20 +99,62 @@ def _level(n: int, k: int, rows: list[list[float]], rests: list[tuple], local_va
     C(n-u, x-u) come from the binomial rows.  The factors are multiplied one
     at a time in ascending x, so every value is the same float as
     term-by-term evaluation gives.
+
+    Three kinds of factor work are skipped, each because it cannot change a
+    bit of the product:
+
+    * a size with C_x == 0 (either sign) is left out of the factor list: its
+      factor is exp(e * log1p(-C_x)) = exp(+-0.0) = 1.0 exactly, and
+      ``value * 1.0`` is ``value``, nan included;
+    * an argument e * log1p(-C_x) below ``_EXP_UNDERFLOW`` multiplies by +0.0
+      without calling ``math.exp``, which would return that same +0.0 (and
+      takes several times longer on an underflowing argument);
+    * a product stops once it is nan, which every later factor keeps, or
+      +-0.0 when no size above the current one has a C_x outside [0, 1]
+      (``wild`` is the largest size above u that has one): every later
+      factor is then finite and non-negative, so it keeps the zero and its
+      sign.
+
+    The rules on zeros and on [0, 1] need finite exponents (rows past 1029
+    hold inf, and ``inf * -0.0`` is nan), and the rows give them:
+    C(n-u, x-u) <= C(n, x), and rounding to a float (inf past the double
+    range) keeps that order, so an exponent of size x is inf only where
+    C(n, x) is.  There the product starts as inf * local, and C_x is inf or
+    nan, never in [0, 1].
+
+    The factors stay stdlib floats: numpy's vectorised ``exp`` is not
+    ``math.exp`` to the last bit on every argument, so it would move bits.
     """
-    exp, pow_, log1p, inf = math.exp, math.pow, math.log1p, math.inf
+    exp, pow_, log1p, inf, under = math.exp, math.pow, math.log1p, math.inf, _EXP_UNDERFLOW
     above_valid, above_note = True, None
-    factors: list[tuple[float | None, float]] = []  # per size above u, largest first
+    # (x, log1p(-C_x) or None, 1 - C_x) per nonzero size x above u, largest first
+    factors: list[tuple[int, float | None, float]] = []
+    wild = 0  # the largest size above u whose C_x leaves [0, 1]; 0 for none
     for u in range(n, k - 1, -1):
         local, local_valid, local_note = local_value(u)
         value = rows[n][u - 1] * local
-        # (1 - C_x)^C(n-u, x-u) for x = u+1..n, overflow -> inf; the
-        # exponents are integers >= 1 (or inf), so pow raises nothing else
-        for e, (log1m, one_minus) in zip(rows[n - u], reversed(factors)):
-            try:
-                value *= exp(e * log1m) if log1m is not None else pow_(one_minus, e)
-            except OverflowError:
-                value *= inf
+        row, off = rows[n - u], u + 1  # row[x - off] = C(n-u, x-u)
+        # (1 - C_x)^C(n-u, x-u) for the nonzero sizes x above u, overflow ->
+        # inf; the exponents are integers >= 1 (or inf), so pow raises nothing else
+        if value == value and (value or wild > u):  # else no factor can change it
+            for x, log1m, one_minus in reversed(factors):
+                if log1m is None:
+                    try:
+                        value *= pow_(one_minus, row[x - off])
+                    except OverflowError:
+                        value *= inf
+                elif (y := row[x - off] * log1m) < under:
+                    value *= 0.0
+                else:
+                    try:
+                        value *= exp(y)
+                    except OverflowError:
+                        value *= inf
+                    else:
+                        if value:  # nonzero: a nan made here (inf * 0.0) stays nan
+                            continue
+                if value != value or not value and x >= wild:
+                    break
         lone = range_checked(value, local_valid and above_valid, local_note or above_note)
         rest_value, rest_valid, rest_note = rests[n - u]
         # _merge of (lone, rest), written out
@@ -114,7 +162,10 @@ def _level(n: int, k: int, rows: list[list[float]], rests: list[tuple], local_va
                              lone[2] or rest_note)
         yield u, lone, size
         x, size_valid, size_note = size
-        factors.append((log1p(-x) if x <= 0.5 else None, 1.0 - x))
+        if x:
+            factors.append((u, log1p(-x) if x <= 0.5 else None, 1.0 - x))
+            if not wild and not 0.0 <= x <= 1.0:
+                wild = u
         above_valid = above_valid and size_valid
         above_note = size_note or above_note
 

@@ -445,8 +445,22 @@ class TestExpectedEdgesPastDoubleRange:
          f"generation guard {2**31}"),
     ], ids=["oracle", "mc"])
     def test_guarded_routes_exit_2(self, capsys, argv, guard):
+        # the 330-digit count is written as its first 10 digits and digit count
+        assert str(self.C).startswith("3266933136") and len(str(self.C)) == 330
         assert main(argv) == 2
-        assert capsys.readouterr() == ("", f"error: C(v, k) = {self.C} exceeds the {guard}\n")
+        assert capsys.readouterr() == (
+            "", f"error: C(v, k) = 3266933136... (330 digits) exceeds the {guard}\n")
+
+    @pytest.mark.parametrize("argv, guard", [
+        (["oracle", "--v", "20000", "--k", "10000", "--e-v", "1"], "enumeration guard 20"),
+        (["local", "--u", "20000", "--k", "10000", "--e-u", "1", "--method", "mc"],
+         f"generation guard {2**31}"),
+    ], ids=["oracle", "mc"])
+    def test_count_past_str_limit(self, capsys, argv, guard):
+        # C(20000, 10000) has 6019 digits, past str()'s default 4300-digit limit
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: C(v, k) = 2245602662... (6019 digits) exceeds the {guard}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import functools
 import json
 import math
+import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -16,8 +18,8 @@ from corebound import (
 )
 from corebound import global_prob, local_prob
 from corebound.cli import main
-from corebound.global_prob import _geometric_bound, _merge
-from corebound.numerics import ProbValue
+from corebound.global_prob import _geometric_bound, _level, _merge
+from corebound.numerics import ProbValue, binomial_row, range_checked
 from corebound.sweep import METHOD_TABLE, point_geometry
 
 
@@ -564,3 +566,151 @@ class TestSinglePath:
         v, k = 30, 3
         exactly_one_core(v, 20 / math.comb(v, k), k, 2, source)
         assert sorted(sizes) == list(range(k, v + 1))
+
+
+# ---------------------------------------------------------------------------
+# The size composition's level, against every factor evaluated
+# ---------------------------------------------------------------------------
+
+def _reference_level(n, k, rows, rests, local_value):
+    """``global_prob._level`` with no factor skipped: every factor
+    (1 - C_x)^C(n-u, x-u), x = u+1..n, evaluated and multiplied in ascending
+    x.  The pruned level must yield the same triples bit for bit."""
+    exp, pow_, log1p, inf = math.exp, math.pow, math.log1p, math.inf
+    above_valid, above_note = True, None
+    factors = []  # per size above u, largest first
+    for u in range(n, k - 1, -1):
+        local, local_valid, local_note = local_value(u)
+        value = rows[n][u - 1] * local
+        for e, (log1m, one_minus) in zip(rows[n - u], reversed(factors)):
+            try:
+                value *= exp(e * log1m) if log1m is not None else pow_(one_minus, e)
+            except OverflowError:
+                value *= inf
+        lone = range_checked(value, local_valid and above_valid, local_note or above_note)
+        rest_value, rest_valid, rest_note = rests[n - u]
+        size = range_checked(lone[0] * rest_value, lone[1] and rest_valid,
+                             lone[2] or rest_note)
+        yield u, lone, size
+        x, size_valid, size_note = size
+        factors.append((log1p(-x) if x <= 0.5 else None, 1.0 - x))
+        above_valid = above_valid and size_valid
+        above_note = size_note or above_note
+
+
+def _bits(triple):
+    """A (value, valid, note) triple with the value as its 8 bytes, so that
+    the sign of a zero or a nan counts too."""
+    value, valid, note = triple
+    return struct.pack("<d", value).hex(), valid, note
+
+
+def _level_bits(level):
+    return [(u, _bits(lone), _bits(size)) for u, lone, size in level]
+
+
+def _assert_level_matches(n, k, rows, rests, local_value):
+    got = list(_level(n, k, rows, rests, local_value))
+    want = list(_reference_level(n, k, rows, rests, local_value))
+    assert _level_bits(got) == _level_bits(want), n
+    return got
+
+
+class TestLevelSkipsNoBit:
+    """``_level`` skips factors of exactly 1.0, calls of ``math.exp`` that
+    underflow, and the rest of a product that is nan or a zero no later
+    factor can change.  Each level it yields equals the reference's, value
+    bytes, flags and notes."""
+
+    @pytest.fixture
+    def checked_levels(self, monkeypatch):
+        """Route the composition through a ``_level`` that checks every level
+        against the reference; returns the list of level sizes checked."""
+        checked = []
+
+        def level(n, *args):
+            got = _assert_level_matches(n, *args)
+            checked.append(n)
+            yield from got
+
+        monkeypatch.setattr(global_prob, "_level", level)
+        return checked
+
+    def _compose(self, checked, v, p, k, r, source):
+        exactly_one_core(v, p, k, r, source)
+        assert checked == [*range(v - k + 1), v]  # every level of the composition
+
+    @pytest.mark.parametrize("label, v, p, k, r, source", pinned_points(),
+                             ids=[pt[0] for pt in pinned_points()])
+    def test_pinned_points(self, checked_levels, label, v, p, k, r, source):
+        self._compose(checked_levels, v, p, k, r, source)
+
+    @pytest.mark.parametrize("source", ["connectivity", "covering", "interleaved"])
+    @pytest.mark.parametrize("overhead", [1.222, 3.0])
+    @pytest.mark.parametrize("v", [150, 200])
+    def test_larger_instances(self, checked_levels, v, overhead, source):
+        self._compose(checked_levels, v, v / overhead / math.comb(v, 3), 3, 2, source)
+
+    # local and "no distinct core" values a synthetic level draws from: the
+    # range's ends and what lies outside it, next to ordinary values
+    SPECIAL = [0.0, -0.0, 1.0, -1e-3, -2.5, 1.5, 1e300, math.inf, -math.inf, math.nan,
+               5e-324, 0.75]
+    ORDINARY = [1e-12, 1e-6, 0.01, 0.2, 0.5]
+
+    def _synthetic(self, rng, n, k, rows):
+        """Feed ``_level`` made-up local and "no distinct core" values, some
+        invalid, with notes, over the rows given; compare with the reference."""
+        def draw():
+            return rng.choice(self.SPECIAL if rng.random() < 0.3 else self.ORDINARY)
+
+        local = {u: range_checked(draw(), rng.random() < 0.9, None) for u in range(k, n + 1)}
+        rests = [range_checked(draw() if rng.random() < 0.3 else 1.0, True,
+                               rng.choice([None, f"rest {m}"])) for m in range(n - k + 1)]
+        _assert_level_matches(n, k, rows, rests, local.__getitem__)
+
+    def test_synthetic_levels(self):
+        # binomial rows scaled by a whole number keep C(n-u, x-u) <= C(n, x),
+        # which the level relies on; x 1e3 makes exponents large enough to
+        # underflow exp, x 1e306 puts inf in the larger rows
+        rng = random.Random(3601)
+        exact = [binomial_row(m)[1:] for m in range(17)]
+        for scale in (1.0, 1e3, 1e306):
+            rows = [[c * scale for c in row] for row in exact]
+            assert (scale == 1e306) == any(math.isinf(c) for c in rows[16])
+            for _ in range(400):
+                k = rng.randint(2, 4)
+                self._synthetic(rng, rng.randint(k, 16), k, rows)
+
+    def test_zero_local_starts_a_product(self):
+        # a zero local value (of either sign) makes a zero product from the
+        # start, ahead of tame, wild and non-finite sizes above it
+        n, k = 12, 2
+        rows = [binomial_row(m)[1:] for m in range(n + 1)]
+        rests = [(1.0, True, None)] * (n - k + 1)
+        for above in (0.3, 1.5, -0.5, math.nan, math.inf):
+            for zero in (0.0, -0.0):
+                local = {u: (zero if u < 8 else above, True, None) for u in range(k, n + 1)}
+                got = _assert_level_matches(n, k, rows, rests, local.__getitem__)
+                assert all(lone[0] == 0 or lone[0] != lone[0] for u, lone, _ in got if u < 8)
+
+    def test_rows_past_double_range(self):
+        # level 1040 reads rows past 1029, which hold inf.  A size whose
+        # C(n, x) is inf has C_x inf or nan, so the zero sizes left out and
+        # the [0, 1] sizes a zero product passes meet finite exponents only
+        n, k = 1040, 3
+        rows = [binomial_row(m)[1:] for m in range(n + 1)]
+        rests = [(1.0, True, None)] * (n - k + 1)
+        local = {u: ((0.0, -0.0, 1e-300, 0.4)[u % 4], True, None) for u in range(k, n + 1)}
+        got = _assert_level_matches(n, k, rows, rests, local.__getitem__)
+        sizes = {u: size[0] for u, _, size in got}
+        assert any(c == 0 for c in sizes.values()) and any(c != c for c in sizes.values())
+        assert all(math.isfinite(rows[n][x - 1]) for x, c in sizes.items() if 0.0 <= c <= 1.0)
+        assert any(math.isinf(rows[n][x - 1]) for x in sizes)
+
+    def test_exp_underflow_constant(self):
+        # the level reads an argument below _EXP_UNDERFLOW as exp's +0.0
+        # without calling it: a libm that disagrees must fail here
+        c = global_prob._EXP_UNDERFLOW
+        assert c <= -745.2
+        for y in (c, c - 1, -1e4, -1e300, -math.inf):
+            assert math.exp(y) == 0.0 and math.copysign(1.0, math.exp(y)) == 1.0, y

@@ -17,7 +17,7 @@ from corebound import (
 )
 from corebound import kernels
 from corebound.cli import main
-from corebound.hypergraph import GENERATE_GUARD, KEPT_GUARD
+from corebound.hypergraph import GENERATE_GUARD, KEPT_GUARD, _count_text
 from corebound.montecarlo import mc_global, mc_local
 
 
@@ -216,3 +216,21 @@ class TestEnumerate:
     def test_guard(self):
         with pytest.raises(ValueError):
             next(enumerate_all(7, 3))  # C(7,3) = 35 > 20
+
+
+class TestCountText:
+    """A guard refusal writes a count of at most 30 digits in full, and a
+    longer one as its first 10 digits and its digit count."""
+
+    @pytest.mark.parametrize("m", [0, 35, 2**31 + 1, 10**30 - 1])
+    def test_short_count_in_full(self, m):
+        assert _count_text(m) == str(m)
+
+    def test_long_counts(self):
+        # the digit count comes from the bit length: check it across both
+        # sides of every power of ten and of two in the range
+        counts = [m for d in range(30, 400) for m in (10**d - 1, 10**d)]
+        counts += [m for b in range(100, 1400) for m in (2**b - 1, 2**b)]
+        for m in counts:
+            if m >= 10**30:
+                assert _count_text(m) == f"{str(m)[:10]}... ({len(str(m))} digits)", m
