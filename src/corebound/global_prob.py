@@ -49,9 +49,9 @@ __all__ = [
 
 # Max vertex count of a size composition.  Its binomial rows hold about v^2/2
 # floats (tracemalloc: 10.1, 28.9 and 86.1 MiB at v = 1024, 2048 and 4096)
-# and its loop takes O(v^3) steps at most (4-5 s at v = 2000, k = 3, r = 2
-# and overhead 0.8-5.0, where ``_level`` skips most factors), so larger v is
-# refused before any row is built.
+# and its loop takes O(v^3) steps at most (3.5-7.4 s at v = 2000, k = 3,
+# r = 2 and overhead 0.8-5.0 on a shared 2-vCPU host, where ``_level`` skips
+# most factors), so larger v is refused before any row is built.
 COMPOSITION_GUARD = 2**11
 
 
@@ -82,11 +82,6 @@ def _merge(value: float, parts: Iterable[tuple]) -> tuple[float, bool, str | Non
     return range_checked(value, valid, note)
 
 
-# math.exp(y) is +0.0 for every y below this: exp(-745.2) is under 2**-1075,
-# half the least subnormal, so it rounds to zero
-_EXP_UNDERFLOW = -745.2
-
-
 def _level(n: int, k: int, rows: list[list[float]], rests: list[tuple], local_value):
     """Yield (u, lone, per-size) triples for u = n down to k on an n-vertex
     instance.
@@ -98,22 +93,24 @@ def _level(n: int, k: int, rows: list[list[float]], rests: list[tuple], local_va
     (where C_x <= 0.5; else ``1 - C_x`` for ``math.pow``); the exponents
     C(n-u, x-u) come from the binomial rows.  The factors are multiplied one
     at a time in ascending x, so every value is the same float as
-    term-by-term evaluation gives.
+    term-by-term evaluation gives.  A nan is the same float whatever its
+    sign: IEEE 754 does not interpret a nan's sign, CSV and JSON print none,
+    and CPython's float multiply may keep either nan operand.
 
-    Three kinds of factor work are skipped, each because it cannot change a
-    bit of the product:
+    Two kinds of factor work are skipped, each because it cannot change a
+    bit of the product and because it pays:
 
     * a size with C_x == 0 (either sign) is left out of the factor list: its
       factor is exp(e * log1p(-C_x)) = exp(+-0.0) = 1.0 exactly, and
-      ``value * 1.0`` is ``value``, nan included;
-    * an argument e * log1p(-C_x) below ``_EXP_UNDERFLOW`` multiplies by +0.0
-      without calling ``math.exp``, which would return that same +0.0 (and
-      takes several times longer on an underflowing argument);
+      ``value * 1.0`` is ``value``, nan included.  With those sizes back in
+      the list, covering levels take 1.3-3.6x as long (connectivity and
+      interleaved ones, with few zero sizes, about as long);
     * a product stops once it is nan, which every later factor keeps, or
       +-0.0 when no size above the current one has a C_x outside [0, 1]
       (``wild`` is the largest size above u that has one): every later
       factor is then finite and non-negative, so it keeps the zero and its
-      sign.
+      sign.  Without the stop, levels take 1.5-56x as long, more at larger
+      v.
 
     The rules on zeros and on [0, 1] need finite exponents (rows past 1029
     hold inf, and ``inf * -0.0`` is nan), and the rows give them:
@@ -125,7 +122,7 @@ def _level(n: int, k: int, rows: list[list[float]], rests: list[tuple], local_va
     The factors stay stdlib floats: numpy's vectorised ``exp`` is not
     ``math.exp`` to the last bit on every argument, so it would move bits.
     """
-    exp, pow_, log1p, inf, under = math.exp, math.pow, math.log1p, math.inf, _EXP_UNDERFLOW
+    exp, pow_, log1p, inf = math.exp, math.pow, math.log1p, math.inf
     above_valid, above_note = True, None
     # (x, log1p(-C_x) or None, 1 - C_x) per nonzero size x above u, largest first
     factors: list[tuple[int, float | None, float]] = []
@@ -143,11 +140,9 @@ def _level(n: int, k: int, rows: list[list[float]], rests: list[tuple], local_va
                         value *= pow_(one_minus, row[x - off])
                     except OverflowError:
                         value *= inf
-                elif (y := row[x - off] * log1m) < under:
-                    value *= 0.0
                 else:
                     try:
-                        value *= exp(y)
+                        value *= exp(row[x - off] * log1m)
                     except OverflowError:
                         value *= inf
                     else:
