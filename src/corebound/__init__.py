@@ -9,14 +9,9 @@ from .global_prob import (
     exactly_one_core,
 )
 from .hypergraph import (
-    Hypergraph,
     HypergraphParams,
     candidate_edges,
-    enumerate_all,
     generate,
-    has_rcore_on,
-    is_connected_on,
-    peel,
 )
 from .local_prob import (
     ConnectivityTable,
@@ -50,7 +45,6 @@ __all__ = [
     "BreakdownDetector",
     "ConnectivityTable",
     "GlobalResult",
-    "Hypergraph",
     "HypergraphParams",
     "LocalProvider",
     "McEstimate",
@@ -64,7 +58,6 @@ __all__ = [
     "connectivity_prob",
     "covering_prob",
     "cross_edge_count",
-    "enumerate_all",
     "exact_exactly_one",
     "exact_global",
     "exact_local",
@@ -72,12 +65,9 @@ __all__ = [
     "find_breakdown",
     "generate",
     "gilbert_prob",
-    "has_rcore_on",
     "interleaving_bounds",
-    "is_connected_on",
     "mc_global",
     "mc_local",
-    "peel",
     "run_sweep",
     "stable_sum",
     "__version__",

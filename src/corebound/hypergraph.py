@@ -1,4 +1,5 @@
-"""k-uniform hypergraphs: random generation, peeling, connectivity, enumeration.
+"""k-uniform hypergraphs: the random model's parameters and guards, the
+candidate edge array of the exhaustive oracles, and one guarded random draw.
 
 Candidate edges are numbered in colexicographic order (sorted by largest
 vertex, ties broken recursively; ``kernels.colex_unrank`` maps a number to
@@ -10,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
 
 from . import kernels
 from .kernels import np
@@ -21,13 +21,8 @@ __all__ = [
     "KEPT_GUARD",
     "ENUMERATE_GUARD",
     "HypergraphParams",
-    "Hypergraph",
     "candidate_edges",
     "generate",
-    "peel",
-    "is_connected_on",
-    "has_rcore_on",
-    "enumerate_all",
     "guarded_count",
     "guarded_draws",
 ]
@@ -39,9 +34,9 @@ __all__ = [
 GENERATE_GUARD = 2**31
 # Max expected kept edges per graph, C(v, k) * p, which the draw guard does
 # not bound.  Traced peaks (tracemalloc, k=3, one graph, numpy 2.4): a Monte
-# Carlo trial holds about 65 bytes per kept edge (21 MiB at 3.3e5 edges, 137
-# MiB at 2.2e6), so about 0.27 GB at this bound; ``generate`` holds about
-# 190 (58 and 423 MiB), its edges being Python tuples, so about 0.8 GB.
+# Carlo trial and ``generate`` both hold about 64 bytes per kept edge (20 MiB
+# at 3.3e5 edges, 134 MiB at 2.2e6), so about 0.27 GB at this bound.  Of
+# that, the edge array ``generate`` returns keeps 8k bytes per edge.
 KEPT_GUARD = 2**22
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
 # A refused count of more digits is written as its first 10 digits and its
@@ -99,44 +94,10 @@ class HypergraphParams:
         check_kpr(self.k, self.p, self.r)
 
 
-@dataclass(frozen=True)
-class Hypergraph:
-    """A concrete k-uniform hypergraph: vertex count plus a duplicate-free edge set."""
-
-    v: int
-    k: int
-    edges: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for edge in self.edges:
-            if len(edge) != self.k or len(set(edge)) != self.k:
-                raise ValueError(f"edge {edge} is not {self.k} distinct vertices")
-            if any(not 0 <= x < self.v for x in edge):
-                raise ValueError(f"edge {edge} has a vertex outside [0, {self.v})")
-            if tuple(edge) != tuple(sorted(edge)):
-                raise ValueError(f"edge {edge} is not sorted")
-            if edge in seen:
-                raise ValueError(f"duplicate edge {edge}")
-            seen.add(edge)
-
-    @classmethod
-    def from_edges(cls, v: int, k: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
-        """The hypergraph of ``edges``, sorted; it stays for the tests' hand-built graphs."""
-        canon = sorted(tuple(sorted(int(x) for x in e)) for e in edges)
-        return cls(v, k, tuple(canon))
-
-    def edge_array(self) -> np.ndarray:
-        """Edges as an (m, k) int64 array (empty -> shape (0, k))."""
-        if not self.edges:
-            return np.empty((0, self.k), dtype=np.int64)
-        return np.array(self.edges, dtype=np.int64)
-
-
-# Only the exhaustive oracles and ``enumerate_all`` read the whole array, at
-# most ENUMERATE_GUARD = 20 rows; Monte Carlo and ``generate`` unrank just the
-# kept candidates.  The small cache stays because the benchmark harness calls
-# ``cache_clear()`` and its tracer reads ``cache_info()``.
+# Only the exhaustive oracles read the whole array, at most ENUMERATE_GUARD =
+# 20 rows; Monte Carlo and ``generate`` unrank just the kept candidates.  The
+# small cache stays because the benchmark harness calls ``cache_clear()`` and
+# its tracer reads ``cache_info()``.
 @lru_cache(maxsize=4)
 def candidate_edges(v: int, k: int) -> np.ndarray:
     """All C(v, k) candidate edges in colexicographic order, as (M, k) int64:
@@ -149,66 +110,15 @@ def candidate_edges(v: int, k: int) -> np.ndarray:
     return arr
 
 
-def generate(params: HypergraphParams, seed: int) -> Hypergraph:
-    """Sample one hypergraph: every candidate edge kept independently with probability p.
+def generate(params: HypergraphParams, seed: int) -> np.ndarray:
+    """Sample one hypergraph: every candidate edge kept independently with
+    probability p.  Returns the kept edges as ``kernels.sample_edges`` does,
+    an (m, k) int64 array in colexicographic order.
 
     Deterministic in (params, seed).  A Monte Carlo trial ``t`` with master
     seed ``s`` sees exactly ``generate(params, kernels.trial_seed(s, t))``.
-    It stays as the one-graph trial ``tests/test_kernels.py`` checks the counts against.
+    Unlike ``kernels.sample_edges`` it refuses, before any draw, a point past
+    ``GENERATE_GUARD`` or ``KEPT_GUARD``.
     """
     guarded_draws(params.v, params.k, params.p)
-    edges = kernels.sample_edges(params.v, params.k, params.p, seed)
-    return Hypergraph(params.v, params.k, tuple(map(tuple, edges.tolist())))
-
-
-def peel(h: Hypergraph, r: int) -> frozenset[int]:
-    """The maximal r-core of ``h``: repeat rounds removing every vertex of degree < r
-    (with its incident edges) until a round removes nothing; return the survivors.
-    It stays as the core the oracle tests and acceptance criterion 9 check."""
-    mask = kernels.peel_survivor_mask(h.edge_array(), h.v, r)
-    return frozenset(int(x) for x in np.flatnonzero(mask))
-
-
-def _check_subset(h: Hypergraph, subset) -> frozenset[int]:
-    sub = frozenset(int(x) for x in subset)
-    if not sub:
-        raise ValueError("subset must be nonempty")
-    if any(not 0 <= x < h.v for x in sub):
-        raise ValueError(f"subset {sorted(sub)} not contained in [0, {h.v})")
-    return sub
-
-
-def _induced_on(h: Hypergraph, subset) -> tuple[np.ndarray, int]:
-    """The edges lying entirely inside ``subset``, relabelled to 0..|subset|-1
-    in vertex order, as an (m, k) array; and |subset|."""
-    sub = _check_subset(h, subset)
-    relabel = {x: i for i, x in enumerate(sorted(sub))}
-    induced = [[relabel[x] for x in e] for e in h.edges if all(x in sub for x in e)]
-    arr = np.array(induced, dtype=np.int64) if induced else np.empty((0, h.k), dtype=np.int64)
-    return arr, len(sub)
-
-
-def is_connected_on(h: Hypergraph, subset) -> bool:
-    """True iff the subgraph induced on ``subset`` connects all of it.
-
-    Only edges lying entirely inside ``subset`` count; singletons are connected.
-    No command calls it: it stays as the tests' slow independent reference.
-    """
-    return kernels.connected_all(*_induced_on(h, subset))
-
-
-def has_rcore_on(h: Hypergraph, subset, r: int) -> bool:
-    """True iff in the subgraph induced on ``subset`` every vertex has degree
-    >= r.  No command calls it: it stays as the tests' independent reference."""
-    return kernels.min_degree_ok(*_induced_on(h, subset), r)
-
-
-def enumerate_all(v: int, k: int) -> Iterator[Hypergraph]:
-    """Yield all 2^C(v,k) hypergraphs on v vertices, in bitmask order over the
-    colexicographic candidate enumeration (bit j of the mask = candidate j).
-    It stays, with no command calling it, as the tests' plain enumeration."""
-    m = guarded_count(v, k)
-    cand = [tuple(int(x) for x in row) for row in candidate_edges(v, k)]
-    for mask in range(1 << m):
-        edges = tuple(cand[j] for j in range(m) if mask >> j & 1)
-        yield Hypergraph(v, k, edges)
+    return kernels.sample_edges(params.v, params.k, params.p, seed)

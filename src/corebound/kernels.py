@@ -5,9 +5,10 @@ All randomness is a counter-based splitmix64 stream: candidate edge ``j``
 (the k-subset of colex rank j, :func:`colex_unrank`) of the graph seeded
 with ``s`` is included iff ``unit(mix64(s + (j+1)*GOLDEN)) < p``, and trial
 ``t`` of a Monte Carlo run with master seed ``m`` uses graph seed
-``mix64(m + (t+1)*GOLDEN)``.  So trial ``t`` sees exactly
-``hypergraph.generate(params, trial_seed(m, t))``, and partitioned runs merge
-exactly (trial indices are global).
+``mix64(m + (t+1)*GOLDEN)``.  So trial ``t`` sees exactly the edge array
+``sample_edges(v, k, p, trial_seed(m, t))``, which is also what the guarded
+``hypergraph.generate(params, trial_seed(m, t))`` returns, and partitioned
+runs merge exactly (trial indices are global).
 
 The stream is evaluated in blocks of ``BLOCK`` draws, in place in a pair
 of uint64 buffers of 512 KiB each that a draw allocates once and reuses for
@@ -43,8 +44,8 @@ oracle on the resulting "S is a core set" planes.  So they share no
 algorithm with the Monte Carlo peel they validate.
 
 numpy is bound lazily (:func:`_lazy_numpy`): it is imported at the first
-attribute read of ``np``, i.e. at the first Monte Carlo draw, oracle block or
-hypergraph array.  The formula layers never touch it, so a formula command
+attribute read of ``np``, i.e. at the first draw, oracle block or candidate
+edge array.  The formula layers never touch it, so a formula command
 starts without paying for numpy's import.  ``hypergraph`` and
 ``montecarlo`` take ``np`` from here.
 """
@@ -68,7 +69,6 @@ __all__ = [
     "colex_unrank",
     "peel_survivor_mask",
     "connected_all",
-    "min_degree_ok",
     "mc_local_successes",
     "mc_global_successes",
     "edge_incidence",
@@ -371,13 +371,6 @@ def connected_all(edges: np.ndarray, v: int) -> bool:
     """True iff the given edges connect all ``v`` vertices (v == 1 is connected):
     :func:`_connected_rows` on one trial."""
     return bool(_connected_rows(edges, 1, v, 0)[0])
-
-
-def min_degree_ok(edges: np.ndarray, v: int, r: int) -> bool:
-    """True iff every one of the ``v`` vertices lies in at least ``r`` edges:
-    :func:`_min_degree_rows` on one trial.  No command reaches it: it stays for
-    ``hypergraph.has_rcore_on`` and the predicate tests of ``tests/test_kernels.py``."""
-    return bool(_min_degree_rows(edges, 1, v, r)[0])
 
 
 # Per-block predicates: (edges, n, v, r) -> bool per trial, where ``edges``

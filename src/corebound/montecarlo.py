@@ -5,8 +5,8 @@ its graph from the derived stream seed ``trial_seed(seed, t)``, so a run over
 trials [0, n) equals the merge of runs over [0, a) and [a, n) with the same
 master seed (pass ``start=a`` for the second block).  The kernels evaluate
 trials in blocks (one disjoint-union graph per block, see :mod:`kernels`);
-that changes no count, and trial t still sees exactly
-``generate(params, trial_seed(seed, t))``.
+that changes no count, and trial t still sees exactly the edge array
+``generate(params, trial_seed(seed, t))`` returns.
 
 The oracles enumerate every hypergraph on the candidate edge set (guarded to
 at most 2^20 instances) and are the ground truth the formulas and estimators

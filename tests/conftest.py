@@ -4,30 +4,43 @@ import math
 
 import pytest
 
-from corebound import choose, enumerate_all, has_rcore_on, is_connected_on
+from corebound import candidate_edges, choose, kernels
+
+
+def edge_subsets(v, k):
+    """Every edge subset of the C(v, k) candidates on v vertices, as an (m, k)
+    int64 array in colexicographic order, in bitmask order over the candidates
+    (bit j of the mask keeps candidate j; the first subset is empty)."""
+    cand = candidate_edges(v, k)
+    for mask in range(1 << len(cand)):
+        yield cand[[j for j in range(len(cand)) if mask >> j & 1]]
+
+
+def min_degree_ok(edges, v, r):
+    """True iff every one of the v vertices lies in at least r of ``edges``:
+    the Monte Carlo min-degree predicate on one trial."""
+    return bool(kernels.PREDICATES["min-degree"](edges, 1, v, r)[0])
 
 
 def enumeration_prob(v, k, p, indicator):
-    """Sum of p^|E| (1-p)^(M-|E|) * indicator(h) over every hypergraph on v vertices."""
+    """Sum of p^|E| (1-p)^(M-|E|) * indicator(E) over every edge subset E on v vertices."""
     m = choose(v, k)
     weights = []
-    for h in enumerate_all(v, k):
-        if indicator(h):
-            n_e = len(h.edges)
+    for edges in edge_subsets(v, k):
+        if indicator(edges):
+            n_e = len(edges)
             weights.append(p**n_e * (1.0 - p) ** (m - n_e))
     return math.fsum(weights)
 
 
 def connected_prob_oracle(u, k, p):
     """Exhaustive probability that all u vertices form one connected component."""
-    full = frozenset(range(u))
-    return enumeration_prob(u, k, p, lambda h: is_connected_on(h, full))
+    return enumeration_prob(u, k, p, lambda edges: kernels.connected_all(edges, u))
 
 
 def min_degree_prob_oracle(u, k, p, r):
     """Exhaustive probability that every vertex has induced degree >= r."""
-    full = frozenset(range(u))
-    return enumeration_prob(u, k, p, lambda h: has_rcore_on(h, full, r))
+    return enumeration_prob(u, k, p, lambda edges: min_degree_ok(edges, u, r))
 
 
 @pytest.fixture(scope="session")

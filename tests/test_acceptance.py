@@ -225,10 +225,10 @@ def test_criterion_9_invariant_suites_spot_checks(tmp_path):
     # pmf normalization
     ok &= abs(math.fsum(cb.binom_pmf(x, 5000, 0.01) for x in range(5001)) - 1.0) <= 1e-12
     # peeling fixed point
-    h = cb.generate(cb.HypergraphParams(12, 3, 0.1, 2), seed=5)
-    core = cb.peel(h, 2)
-    induced = [e for e in h.edges if all(x in core for x in e)]
-    ok &= cb.peel(cb.Hypergraph.from_edges(h.v, h.k, induced), 2) == core
+    edges = cb.generate(cb.HypergraphParams(12, 3, 0.1, 2), seed=5)
+    core = cb.kernels.peel_survivor_mask(edges, 12, 2)
+    induced = edges[core[edges].all(axis=1)]
+    ok &= bool((cb.kernels.peel_survivor_mask(induced, 12, 2) == core).all())
     # CSV determinism
     args = ["sweep", "--k", "3", "--r", "1", "--overhead", "1.0", "--e-min", "4",
             "--e-max", "6", "--method", "connectivity", "--method", "mc",

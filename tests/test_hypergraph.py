@@ -4,25 +4,30 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from corebound import (
-    Hypergraph,
-    HypergraphParams,
-    candidate_edges,
-    choose,
-    enumerate_all,
-    generate,
-    has_rcore_on,
-    is_connected_on,
-    peel,
-)
+from corebound import HypergraphParams, candidate_edges, choose, generate
 from corebound import kernels
 from corebound.cli import main
 from corebound.hypergraph import GENERATE_GUARD, KEPT_GUARD, _count_text
 from corebound.montecarlo import mc_global, mc_local
+from conftest import edge_subsets, min_degree_ok
 
 
-def hg(v, k, *edges):
-    return Hypergraph.from_edges(v, k, edges)
+def hg(*edges):
+    """A hand-built 3-uniform graph as an (m, 3) edge array."""
+    return np.array(edges, dtype=np.int64)
+
+
+def peel(edges, v, r):
+    """The vertices that survive peeling: the maximal r-core."""
+    return set(np.flatnonzero(kernels.peel_survivor_mask(edges, v, r)).tolist())
+
+
+def induced(edges, subset):
+    """The edges lying inside ``subset``, relabelled 0..|subset|-1 in vertex
+    order, and |subset|: the subgraph the one-trial predicates read."""
+    sub = sorted(subset)
+    rows = [[sub.index(x) for x in e] for e in edges.tolist() if set(e) <= set(sub)]
+    return np.array(rows, dtype=np.int64).reshape(-1, edges.shape[1]), len(sub)
 
 
 class TestTypes:
@@ -35,16 +40,6 @@ class TestTypes:
             HypergraphParams(5, 3, 1.5, 1)
         with pytest.raises(ValueError):
             HypergraphParams(5, 3, 0.5, 0)
-
-    def test_edge_validation(self):
-        with pytest.raises(ValueError):
-            Hypergraph(4, 3, ((0, 1, 1),))
-        with pytest.raises(ValueError):
-            Hypergraph(4, 3, ((0, 1, 5),))
-        with pytest.raises(ValueError):
-            Hypergraph(4, 3, ((0, 1, 2), (0, 1, 2)))
-        with pytest.raises(ValueError, match="not sorted"):
-            Hypergraph(4, 3, ((0, 2, 1),))
 
 
 class TestCandidates:
@@ -80,18 +75,25 @@ class TestCandidates:
 class TestGenerate:
     def test_p_one_and_zero(self):
         full = generate(HypergraphParams(3, 3, 1.0, 1), seed=9)
-        assert full.edges == ((0, 1, 2),)
+        assert full.tolist() == [[0, 1, 2]]
         empty = generate(HypergraphParams(5, 3, 0.0, 1), seed=9)
-        assert empty.edges == ()
+        assert empty.tolist() == []
+
+    def test_is_the_kernel_draw(self):
+        # the guarded draw returns the kernel's (m, k) int64 edge array
+        for v, k, p, seed in ((12, 3, 0.3, 77), (9, 2, 0.5, 3), (75, 3, 0.001, 5)):
+            edges = generate(HypergraphParams(v, k, p, 1), seed)
+            assert edges.dtype == np.int64 and edges.shape[1:] == (k,)
+            assert np.array_equal(edges, kernels.sample_edges(v, k, p, seed))
 
     def test_edge_count_in_binomial_band(self):
         h = generate(HypergraphParams(20, 3, 0.5, 1), seed=12345)
-        assert 456 <= len(h.edges) <= 684  # Binomial(1140, 0.5) band
+        assert 456 <= len(h) <= 684  # Binomial(1140, 0.5) band
 
     def test_determinism(self):
         params = HypergraphParams(12, 3, 0.3, 1)
-        assert generate(params, seed=77).edges == generate(params, seed=77).edges
-        assert generate(params, seed=77).edges != generate(params, seed=78).edges
+        assert np.array_equal(generate(params, seed=77), generate(params, seed=77))
+        assert not np.array_equal(generate(params, seed=77), generate(params, seed=78))
 
     def test_scale_guard(self):
         with pytest.raises(ValueError, match="generation guard"):
@@ -122,100 +124,87 @@ class TestGenerate:
         # the bound itself is accepted: C(2300, 3) * p = 2^22 draws nothing here
         with pytest.raises(AssertionError, match="_draw_kept"):
             mc_global(2300, 3, KEPT_GUARD / choose(2300, 3), 2, trials=1)
-        # twice the bound is refused (generate would hold about 1.6 GB)
+        # twice the bound is refused (one graph would peak near 0.54 GB)
         with pytest.raises(ValueError, match="kept-edge guard"):
             mc_global(2300, 3, 2**23 / choose(2300, 3), 2, trials=1)
 
 
 class TestPeel:
     def test_single_edge(self):
-        h = hg(3, 3, (0, 1, 2))
-        assert peel(h, 1) == {0, 1, 2}
-        assert peel(h, 2) == frozenset()
+        h = hg((0, 1, 2))
+        assert peel(h, 3, 1) == {0, 1, 2}
+        assert peel(h, 3, 2) == frozenset()
 
     def test_four_triples(self):
-        h = hg(4, 3, (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-        assert peel(h, 2) == {0, 1, 2, 3}
-        assert peel(h, 3) == {0, 1, 2, 3}  # each vertex in exactly 3 edges
-        assert peel(h, 4) == frozenset()
+        h = hg((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+        assert peel(h, 4, 2) == {0, 1, 2, 3}
+        assert peel(h, 4, 3) == {0, 1, 2, 3}  # each vertex in exactly 3 edges
+        assert peel(h, 4, 4) == frozenset()
 
     def test_cascade(self):
         # removing the degree-1 tail 5 kills the edge and then 3, 4
-        h = hg(6, 3, (0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3), (3, 4, 5))
-        assert peel(h, 2) == {0, 1, 2, 3}
+        h = hg((0, 1, 2), (0, 1, 3), (1, 2, 3), (0, 2, 3), (3, 4, 5))
+        assert peel(h, 6, 2) == {0, 1, 2, 3}
 
     def test_fixed_point(self):
         for seed in range(5):
             h = generate(HypergraphParams(12, 3, 0.08, 2), seed=seed)
-            core = peel(h, 2)
+            core = peel(h, 12, 2)
             if not core:
                 continue
-            induced = [e for e in h.edges if all(x in core for x in e)]
-            again = peel(Hypergraph.from_edges(h.v, h.k, induced), 2)
+            inside = h[np.isin(h, sorted(core)).all(axis=1)]
+            again = peel(inside, 12, 2)
             assert again == core
 
     def test_r1_keeps_non_isolated(self):
         for seed in range(5):
             h = generate(HypergraphParams(10, 3, 0.05, 1), seed=seed)
-            non_isolated = {x for e in h.edges for x in e}
-            assert peel(h, 1) == non_isolated
+            non_isolated = set(h.ravel().tolist())
+            assert peel(h, 10, 1) == non_isolated
 
 
 class TestPredicates:
     def test_singleton_connected(self):
-        h = hg(5, 3, (0, 1, 2))
-        assert is_connected_on(h, {3})
+        h = hg((0, 1, 2))
+        assert kernels.connected_all(*induced(h, {3}))
 
     def test_isolated_vertex_disconnects(self):
-        h = hg(4, 3, (0, 1, 2))
-        assert not is_connected_on(h, {0, 1, 2, 3})
-        assert is_connected_on(h, {0, 1, 2})
+        h = hg((0, 1, 2))
+        assert not kernels.connected_all(*induced(h, {0, 1, 2, 3}))
+        assert kernels.connected_all(*induced(h, {0, 1, 2}))
 
     def test_shared_vertex_connects(self):
-        h = hg(5, 3, (0, 1, 2), (2, 3, 4))
-        assert is_connected_on(h, {0, 1, 2, 3, 4})
-
-    def test_empty_subset_rejected(self):
-        h = hg(3, 3, (0, 1, 2))
-        with pytest.raises(ValueError):
-            is_connected_on(h, set())
-        with pytest.raises(ValueError):
-            has_rcore_on(h, set(), 1)
-        with pytest.raises(ValueError, match=r"not contained in \[0, 3\)"):
-            is_connected_on(h, {0, 3})
+        h = hg((0, 1, 2), (2, 3, 4))
+        assert kernels.connected_all(*induced(h, {0, 1, 2, 3, 4}))
 
     def test_induced_edges_only(self):
         # edge (2,3,4) leaves the subset, so 2 has induced degree 0
-        h = hg(5, 3, (0, 1, 2), (2, 3, 4))
-        assert not is_connected_on(h, {0, 1, 2, 3})
+        h = hg((0, 1, 2), (2, 3, 4))
+        assert not kernels.connected_all(*induced(h, {0, 1, 2, 3}))
 
     def test_has_rcore_on(self):
-        h = hg(3, 3, (0, 1, 2))
-        assert has_rcore_on(h, {0, 1, 2}, 1)
-        assert not has_rcore_on(h, {0, 1, 2}, 2)
-        h4 = hg(4, 3, (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-        assert has_rcore_on(h4, {0, 1, 2, 3}, 3)
+        h = hg((0, 1, 2))
+        assert min_degree_ok(*induced(h, {0, 1, 2}), 1)
+        assert not min_degree_ok(*induced(h, {0, 1, 2}), 2)
+        h4 = hg((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+        assert min_degree_ok(*induced(h4, {0, 1, 2, 3}), 3)
 
     def test_min_degree_one_core_without_connectivity(self):
         # two vertex-disjoint edges: a 1-core on all six, yet disconnected
-        h = hg(6, 3, (0, 1, 2), (3, 4, 5))
-        assert has_rcore_on(h, range(6), 1)
-        assert not is_connected_on(h, range(6))
+        h = hg((0, 1, 2), (3, 4, 5))
+        assert min_degree_ok(*induced(h, range(6)), 1)
+        assert not kernels.connected_all(*induced(h, range(6)))
 
 
 class TestEnumerate:
     @pytest.mark.parametrize("v,expected", [(3, 2), (4, 16), (5, 1024)])
     def test_counts(self, v, expected):
-        assert sum(1 for _ in enumerate_all(v, 3)) == expected
+        assert sum(1 for _ in edge_subsets(v, 3)) == expected
 
     def test_unique_and_first_empty(self):
-        graphs = list(enumerate_all(4, 3))
-        assert graphs[0].edges == ()
-        assert len({g.edges for g in graphs}) == 16
-
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            next(enumerate_all(7, 3))  # C(7,3) = 35 > 20
+        graphs = list(edge_subsets(4, 3))
+        assert graphs[0].tolist() == []
+        assert len({g.tobytes() for g in graphs}) == 16
 
 
 class TestCountText:

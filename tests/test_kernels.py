@@ -8,11 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corebound import (HypergraphParams, choose, enumerate_all, exact_exactly_one,
-                       exact_global, exact_local, generate, kernels, mc_global, mc_local,
-                       peel)
+from corebound import (HypergraphParams, choose, exact_exactly_one, exact_global, exact_local,
+                       generate, kernels, mc_global, mc_local)
 from corebound.hypergraph import candidate_edges
-from conftest import enumeration_prob
+from conftest import edge_subsets, enumeration_prob, min_degree_ok
 
 
 class TestStream:
@@ -136,8 +135,8 @@ class TestSingleInstanceOps:
 
     def test_min_degree(self):
         edges = np.array([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]], dtype=np.int64)
-        assert kernels.min_degree_ok(edges, 4, 3)
-        assert not kernels.min_degree_ok(edges, 4, 4)
+        assert min_degree_ok(edges, 4, 3)
+        assert not min_degree_ok(edges, 4, 4)
 
 
 def _components(edges, v):
@@ -189,7 +188,7 @@ def _per_trial(v, k, p, r, predicate, trials, seed, start):
     """Trials t in [start, start + trials) whose ``generate(params,
     trial_seed(seed, t))`` passes the predicate, one graph at a time."""
     params, test = HypergraphParams(v, k, p, r), REFERENCE[predicate]
-    return sum(test(generate(params, kernels.trial_seed(seed, t)).edges, v, r)
+    return sum(test(generate(params, kernels.trial_seed(seed, t)).tolist(), v, r)
                for t in range(start, start + trials))
 
 
@@ -307,7 +306,7 @@ class TestBlockedTrials:
             for seed in (0, kernels.trial_seed(9, 2)):
                 mask = kernels.sample_edge_mask(m, p, seed)
                 expected = candidate_edges(v, 3)[np.flatnonzero(mask)]
-                got = generate(HypergraphParams(v, 3, p, 1), seed).edge_array()
+                got = generate(HypergraphParams(v, 3, p, 1), seed)
                 assert np.array_equal(got, expected), (v, p, seed)
 
     def test_block_predicates(self):
@@ -417,7 +416,7 @@ class TestThreadedDraw:
         monkeypatch.setattr(threading, "Thread", _no_thread)
         assert len(kernels.sample_edges(12, 3, 0.3, 5)) > 0  # C(12, 3) = 220 draws
         assert len(kernels.sample_edges(75, 3, 0.01, 5)) > 0
-        assert generate(HypergraphParams(75, 3, 0.01, 1), 5).edges
+        assert len(generate(HypergraphParams(75, 3, 0.01, 1), 5)) > 0
         assert kernels.sample_edge_mask(kernels.BLOCK, 0.5, 5).any()
         assert kernels.sample_edge_mask(2**17 + 3, 0.5, 5).any()
         assert kernels.sample_edge_mask(0, 0.5, 5).shape == (0,)
@@ -504,7 +503,7 @@ class TestSlotMajorLayout:
                     min_degree = REFERENCE["min-degree"](e.tolist(), v, r)
                     for edges in (e, np.asfortranarray(e)):  # row-major, slot-major
                         assert kernels.connected_all(edges, v) == connected
-                        assert kernels.min_degree_ok(edges, v, r) == min_degree
+                        assert min_degree_ok(edges, v, r) == min_degree
         assert answers == {True, False}
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -516,7 +515,7 @@ class TestSlotMajorLayout:
                 assert kernels._core_rows(edges, n, v, r).tolist() == [r == 0] * n
                 assert kernels._min_degree_rows(edges, n, v, r).tolist() == [r == 0] * n
                 assert kernels.peel_survivor_mask(edges, v, r).tolist() == [r == 0] * v
-                assert kernels.min_degree_ok(edges, v, r) == (r == 0)
+                assert min_degree_ok(edges, v, r) == (r == 0)
             assert kernels._connected_rows(edges, n, v, 1).tolist() == [False] * n
             assert kernels._connected_rows(edges, n, 1, 1).tolist() == [True] * n
             assert not kernels.connected_all(edges, v)
@@ -529,11 +528,12 @@ class TestExhaustiveOracles:
     @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_global_matches_brute_force(self, k, r):
-        # peeling (hypergraph.peel) against the oracle's core-set definition
+        # peeling (kernels.peel_survivor_mask) against the oracle's core-set definition
         for v in range(k, 6):
             cand = np.asarray(candidate_edges(v, k))
             for p in (0.0, 0.37, 0.8, 1.0):
-                brute = enumeration_prob(v, k, p, lambda h: bool(peel(h, r)))
+                brute = enumeration_prob(
+                    v, k, p, lambda edges: kernels.peel_survivor_mask(edges, v, r).any())
                 assert kernels.exhaustive_global_prob(cand, v, r, p) == \
                     pytest.approx(brute, abs=1e-12)
 
@@ -545,8 +545,8 @@ class TestExhaustiveOracles:
         vertex_sets = [frozenset(c) for n in range(1, v + 1)
                        for c in itertools.combinations(range(v), n)]
         graphs = []
-        for h in enumerate_all(v, k):
-            edges = [frozenset(e) for e in h.edges]
+        for subset in edge_subsets(v, k):
+            edges = [frozenset(e) for e in subset.tolist()]
             min_degree = {s: min(sum(x in e for e in edges if e <= s) for x in s)
                           for s in vertex_sets}
             graphs.append((len(edges), min_degree))

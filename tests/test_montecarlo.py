@@ -12,7 +12,6 @@ from corebound import (
     exact_global,
     exact_local,
     generate,
-    has_rcore_on,
     hypergraph,
     mc_global,
     mc_local,
@@ -229,8 +228,10 @@ class TestExactExactlyOne:
                    for c in itertools.combinations(range(v), n)]
         beaten = (lambda c, d: d < c) if semantics == "minimal" else (lambda c, d: c < d)
 
-        def exactly_one(h):
-            cores = [s for s in subsets if has_rcore_on(h, s, r)]
+        def exactly_one(subset):
+            edges = [frozenset(e) for e in subset.tolist()]
+            cores = [s for s in subsets
+                     if min(sum(x in e for e in edges if e <= s) for x in s) >= r]
             return sum(not any(beaten(c, d) for d in cores) for c in cores) == 1
 
         p = 0.37
