@@ -16,7 +16,6 @@ from .hypergraph import (
 from .local_prob import (
     ConnectivityTable,
     LocalProvider,
-    connectivity_prob,
     covering_prob,
     cross_edge_count,
     gilbert_prob,
@@ -37,7 +36,7 @@ from .numerics import (
     choose_float,
     stable_sum,
 )
-from .sweep import BreakdownDetector, SweepSpec, find_breakdown, interleaving_bounds, run_sweep
+from .sweep import BreakdownDetector, SweepSpec, find_breakdown, run_sweep
 
 __version__ = "0.1.0"
 
@@ -55,7 +54,6 @@ __all__ = [
     "candidate_edges",
     "choose",
     "choose_float",
-    "connectivity_prob",
     "covering_prob",
     "cross_edge_count",
     "exact_exactly_one",
@@ -65,7 +63,6 @@ __all__ = [
     "find_breakdown",
     "generate",
     "gilbert_prob",
-    "interleaving_bounds",
     "mc_global",
     "mc_local",
     "run_sweep",

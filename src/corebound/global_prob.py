@@ -26,8 +26,8 @@ invalid, and it carries the first note among its inputs.
 The geometric-series step then upper-bounds the probability of at least one
 core by ``S / (1 - S)`` where S is the exactly-one total.  Which local
 source and edge probability each formula method feeds this module is set in
-one place, ``sweep.METHOD_TABLE``; the interleaving bracket (the bound with the
-interleaved source at p/r and at p) is ``sweep.interleaving_bounds``.
+one place, ``sweep.METHOD_TABLE``, which also reads the interleaving bracket
+as the bound with the interleaved source at p/r and at p.
 
 All arithmetic is carried out and reported verbatim; values that leave
 [0, 1] (or inherit from ones that did) are flagged, not repaired.
@@ -39,7 +39,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .local_prob import LocalProvider
-from .numerics import ProbValue, binomial_row, range_checked, stable_sum
+from .numerics import ProbValue, binomial_row, count_text, range_checked, stable_sum
 
 __all__ = [
     "COMPOSITION_GUARD",
@@ -59,11 +59,6 @@ COMPOSITION_GUARD = 2**11
 class GlobalResult:
     """Per-size core probabilities plus their composition for one (v, p, k, r)."""
 
-    v: int
-    p: float
-    k: int
-    r: int
-    method: str
     per_size: dict[int, ProbValue]          # size u -> probability, u = v down to k
     lone_core: dict[int, ProbValue]         # size u -> lone-core term, keys of per_size
     no_distinct_core: dict[int, ProbValue]  # size u -> no core on the v-u left over
@@ -199,7 +194,8 @@ def exactly_one_core(v: int, p: float, k: int, r: int,
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
     if v > COMPOSITION_GUARD:
-        raise ValueError(f"v = {v} exceeds the size-composition guard {COMPOSITION_GUARD}")
+        raise ValueError(f"v = {count_text(v)} exceeds the size-composition guard "
+                         f"{COMPOSITION_GUARD}")
     rows = [binomial_row(m)[1:] for m in range(v + 1)]  # rows[m][j - 1] = C(m, j)
     rests: list[tuple] = []  # rests[m]: no distinct core on m vertices
     for m in range(v - k + 1):
@@ -212,7 +208,6 @@ def exactly_one_core(v: int, p: float, k: int, r: int,
     exactly = ProbValue(*_merge(total, per_size.values()))
     invalid_sizes = [u for u, pv in per_size.items() if not pv.valid]
     return GlobalResult(
-        v=v, p=p, k=k, r=r, method=provider.method,
         per_size=per_size,
         lone_core=lone_core,
         no_distinct_core={u: ProbValue(*rests[v - u]) for u in per_size},

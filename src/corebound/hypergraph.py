@@ -8,13 +8,12 @@ platform.  Vertices are dense 0-based ints.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
 from .kernels import np
-from .numerics import check_kpr, choose
+from .numerics import check_kpr, choose, count_text
 
 __all__ = [
     "GENERATE_GUARD",
@@ -39,20 +38,6 @@ GENERATE_GUARD = 2**31
 # that, the edge array ``generate`` returns keeps 8k bytes per edge.
 KEPT_GUARD = 2**22
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
-# A refused count of more digits is written as its first 10 digits and its
-# digit count, so the error stays one short line (and str(), which refuses
-# ints past 4300 digits, never sees it).
-_COUNT_DIGITS = 30
-
-
-def _count_text(m: int) -> str:
-    """The count m >= 0 for an error message: in full up to ``_COUNT_DIGITS``
-    digits, else as "3266933136... (330 digits)"."""
-    if m < 10**_COUNT_DIGITS:
-        return str(m)
-    digits = int(m.bit_length() * math.log10(2))  # the digit count, or one less
-    digits += m >= 10**digits
-    return f"{m // 10**(digits - 10)}... ({digits} digits)"
 
 
 def guarded_count(v: int, k: int) -> int:
@@ -60,7 +45,7 @@ def guarded_count(v: int, k: int) -> int:
     ValueError when it exceeds ``ENUMERATE_GUARD``."""
     m = choose(v, k)
     if m > ENUMERATE_GUARD:
-        raise ValueError(f"C(v, k) = {_count_text(m)} exceeds the enumeration guard "
+        raise ValueError(f"C(v, k) = {count_text(m)} exceeds the enumeration guard "
                          f"{ENUMERATE_GUARD}")
     return m
 
@@ -71,7 +56,7 @@ def guarded_draws(v: int, k: int, p: float) -> int:
     ``KEPT_GUARD``."""
     m = choose(v, k)
     if m > GENERATE_GUARD:
-        raise ValueError(f"C(v, k) = {_count_text(m)} exceeds the generation guard "
+        raise ValueError(f"C(v, k) = {count_text(m)} exceeds the generation guard "
                          f"{GENERATE_GUARD}")
     if m * p > KEPT_GUARD:
         raise ValueError(f"C(v, k) * p = {m * p:.6g} expected edges per graph "

@@ -3,17 +3,17 @@
 Three routes are provided for a subset of size u in the (v, p, k) random
 model (by vertex anonymity only u matters):
 
-* ``connectivity_prob`` -- the exact recursion for the probability that the
-  u vertices form a single connected component (equivalently, that a 1-core
-  spans all of them).  It is numerically fragile: for modestly large u the
-  alternating sum cancels catastrophically, so results carry validity flags
-  instead of being trusted blindly.
+* ``ConnectivityTable(k, p).prob(u)`` -- the exact recursion for the
+  probability that the u vertices form a single connected component
+  (equivalently, that a 1-core spans all of them).  It is numerically
+  fragile: for modestly large u the alternating sum cancels catastrophically,
+  so results carry validity flags instead of being trusted blindly.
 * ``covering_prob`` -- a slot-occupancy approximation of the probability
   that every vertex is covered by at least r edges.  A finite sum of
   products of probabilities, in [0, 1] up to rounding, but only a
   heuristic.  It sums over every edge count whose pmf is at least
   ``COVERING_PMF_CUTOFF``, up to ``COVERING_TERM_GUARD`` terms.
-* the ``interleaved`` source -- connectivity_prob raised to the r-th power,
+* the ``interleaved`` source -- the connectivity value raised to the r-th power,
   modelling r successive rounds with freshly regenerated edges.  Evaluated
   at p/r and at p it is read as a bracket of the true local r-core
   probability, but against ``exact_local`` each side crosses the truth on
@@ -40,7 +40,6 @@ __all__ = [
     "LocalProvider",
     "ConnectivityTable",
     "cross_edge_count",
-    "connectivity_prob",
     "gilbert_prob",
     "covering_prob",
 ]
@@ -167,17 +166,11 @@ class ConnectivityTable:
         return ProbValue(value)
 
 
-def connectivity_prob(u: int, k: int, p: float) -> ProbValue:
-    """Probability that u specific vertices are connected in the (p, k) model, one
-    size of a :class:`ConnectivityTable`.  It stays for the acceptance criteria."""
-    return ConnectivityTable(k, p).prob(u)
-
-
 def gilbert_prob(u: int, p: float) -> ProbValue:
     """Probability that u vertices are connected in an ordinary random graph.
 
     Classical two-uniform recursion with crossing-edge exponent i*(u-i);
-    implemented independently of :func:`connectivity_prob` as a cross-check,
+    implemented independently of :class:`ConnectivityTable` as a cross-check,
     not as an alias of the k=2 case; the two share only ``numerics.binomial_row``.
     A weight past the double range (u >= 1031) is inf: a flagged nan, kept on
     purpose, as with no flag carried between sizes a value could heal to valid.

@@ -2,11 +2,12 @@
 
 The estimators are deterministic in their (arguments, seed): trial t draws
 its graph from the derived stream seed ``trial_seed(seed, t)``, so a run over
-trials [0, n) equals the merge of runs over [0, a) and [a, n) with the same
-master seed (pass ``start=a`` for the second block).  The kernels evaluate
-trials in blocks (one disjoint-union graph per block, see :mod:`kernels`);
-that changes no count, and trial t still sees exactly the edge array
-``generate(params, trial_seed(seed, t))`` returns.
+trials [0, n) has the summed successes of runs over [0, a) and [a, n) with
+the same master seed (pass ``start=a`` for the second block), and
+``McEstimate.from_counts`` of the summed counts is its estimate.  The
+kernels evaluate trials in blocks (one disjoint-union graph per block, see
+:mod:`kernels`); that changes no count, and trial t still sees exactly the
+edge array ``generate(params, trial_seed(seed, t))`` returns.
 
 The oracles enumerate every hypergraph on the candidate edge set (guarded to
 at most 2^20 instances) and are the ground truth the formulas and estimators
@@ -55,13 +56,6 @@ class McEstimate:
         stderr = math.sqrt(mean * (1.0 - mean) / trials)
         return cls(successes, trials, mean, stderr, seed)
 
-    def merge(self, other: "McEstimate") -> "McEstimate":
-        """Both runs' trials as one estimate; it stays for the partitioned-run tests."""
-        if other.seed != self.seed:
-            raise ValueError("cannot merge runs with different master seeds")
-        return McEstimate.from_counts(self.successes + other.successes,
-                                      self.trials + other.trials, self.seed)
-
 
 def _check_trials(trials: int, seed: int, start: int) -> None:
     """Trial count, master seed and first trial index of a Monte Carlo run.
@@ -98,20 +92,19 @@ def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
     return candidate_edges(v, k)
 
 
-def mc_local(u: int, k: int, p: float, r: int, predicate: str = "connectivity",
+def mc_local(u: int, k: int, p: float, r: int,
              trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
-    """Estimate the probability that a core spans all u vertices.
+    """Estimate the probability that an r-core spans all u vertices.
 
     Each trial samples a hypergraph on exactly u vertices with edge
-    probability p and tests the chosen predicate on the full vertex set:
-    ``"connectivity"`` (the 1-core reading) or ``"min-degree"`` (every vertex
-    in at least r induced edges).
+    probability p and tests the full vertex set: for connectivity at r = 1
+    (the 1-core reading), for minimum degree r at r >= 2 (every vertex in at
+    least r induced edges).
     """
     _check_trials(trials, seed, start)
-    if predicate not in kernels.PREDICATES:
-        raise ValueError(f"unknown predicate {predicate!r}")
     _check_u(u)
     _check_draws(u, k, p, r)
+    predicate = "connectivity" if r == 1 else "min-degree"
     successes = kernels.mc_local_successes(u, k, p, r, predicate, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 

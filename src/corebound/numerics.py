@@ -17,6 +17,7 @@ __all__ = [
     "check_kpr",
     "choose",
     "choose_float",
+    "count_text",
     "binomial_row",
     "binom_pmf",
     "scaled_power",
@@ -75,6 +76,22 @@ def choose(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+# A guard refusing a count of more digits writes its first 10 digits and its
+# digit count, so the error stays one short line (and str(), which refuses
+# ints past 4300 digits, never sees it).
+_COUNT_DIGITS = 30
+
+
+def count_text(m: int) -> str:
+    """The count m >= 0 for an error message: in full up to ``_COUNT_DIGITS``
+    digits, else as "3266933136... (330 digits)"."""
+    if m < 10**_COUNT_DIGITS:
+        return str(m)
+    digits = int(m.bit_length() * math.log10(2))  # the digit count, or one less
+    digits += m >= 10**digits
+    return f"{m // 10**(digits - 10)}... ({digits} digits)"
 
 
 def choose_float(n: int, k: int) -> float:

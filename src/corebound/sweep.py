@@ -3,12 +3,13 @@ numerical-breakdown scans.
 
 ``METHOD_TABLE`` is the one place that maps a formula method to its computation: a
 source of ``local_prob.LocalProvider``, evaluated at p or at p / r.  ``formula_value``
-evaluates a method at one point for every subcommand and scope, and
-``interleaving_bounds`` is the paper's bracket read from the same table: the global bound
-with the interleaved source at p / r (lower side) and at p (upper side).  A lower value
-above 1 bounds nothing, so it is flagged invalid and kept verbatim.  In the tail the two
-sides cross even where both are flagged valid, so there they bracket nothing (the strict
-xfails of ``tests/test_global_prob.py::TestInterleavingBounds`` carry the numbers).
+evaluates a method at one point for every subcommand and scope.  The paper's bracket is
+its ``interleaved-lower`` and ``interleaved-upper`` methods in global scope: the global
+bound with the interleaved source at p / r (lower side) and at p (upper side).  A lower
+value above 1 bounds nothing, so ``formula_value`` flags it invalid and keeps it
+verbatim.  In the tail the two sides cross even where both are flagged valid, so there
+they bracket nothing (the strict xfails of
+``tests/test_global_prob.py::TestInterleavingBounds`` carry the numbers).
 
 A sweep fixes (k, r) and an *overhead* x (the vertex-to-edge ratio), then
 walks the expected edge count e over an integer range with v = round(x * e)
@@ -48,7 +49,6 @@ __all__ = [
     "FORMULA_METHODS",
     "SWEEP_METHODS",
     "formula_value",
-    "interleaving_bounds",
     "mc_value",
     "SweepSpec",
     "SweepRow",
@@ -162,23 +162,14 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     return bound
 
 
-def interleaving_bounds(v: int, p: float, k: int, r: int) -> tuple[ProbValue, ProbValue]:
-    """(lower, upper) sides of the paper's global bracket on v vertices, the
-    ``interleaved-lower`` and ``interleaved-upper`` methods (in the tail they cross).
-    No command calls it: it stays as the pair README names and ``TestInterleavingBounds`` reads."""
-    return (formula_value("interleaved-lower", "global", v, p, k, r),
-            formula_value("interleaved-upper", "global", v, p, k, r))
-
-
 def mc_value(scope: str, v: int, p: float, k: int, r: int,
              trials: int, seed: int) -> montecarlo.McEstimate:
     """Monte Carlo estimate at (v, p, k, r).  Local scope tests a core spanning
-    all v vertices (connectivity when r = 1, minimum degree otherwise); global
-    scope peels for a nonempty r-core anywhere."""
+    all v vertices (``montecarlo.mc_local``); global scope peels for a nonempty
+    r-core anywhere."""
     _check_scope(scope)
     if scope == "local":
-        predicate = "connectivity" if r == 1 else "min-degree"
-        return montecarlo.mc_local(v, k, p, r, predicate, trials, seed)
+        return montecarlo.mc_local(v, k, p, r, trials, seed)
     return montecarlo.mc_global(v, k, p, r, trials, seed)
 
 

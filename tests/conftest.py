@@ -49,6 +49,6 @@ def warm_kernels():
     not first-call set-up."""
     from corebound import mc_global, mc_local
 
-    mc_local(4, 3, 0.5, 1, "connectivity", trials=10, seed=0)
-    mc_local(4, 3, 0.5, 2, "min-degree", trials=10, seed=0)
+    mc_local(4, 3, 0.5, 1, trials=10, seed=0)
+    mc_local(4, 3, 0.5, 2, trials=10, seed=0)
     mc_global(4, 3, 0.5, 1, trials=10, seed=0)

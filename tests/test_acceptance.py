@@ -48,9 +48,9 @@ def test_criterion_2_local_enumeration_oracle():
     for u in (3, 4, 5):
         for p in (0.2, 0.5, 0.8):
             oracle = connected_prob_oracle(u, 3, p)
-            diff = abs(cb.connectivity_prob(u, 3, p).value - oracle)
+            diff = abs(cb.ConnectivityTable(3, p).prob(u).value - oracle)
             worst = max(worst, diff)
-    pinned = cb.connectivity_prob(4, 3, 0.5).value
+    pinned = cb.ConnectivityTable(3, 0.5).prob(4).value
     elapsed = time.perf_counter() - start
     report(2, elapsed, 5.0,
            f"max |formula - enumeration| = {worst:.2e}; f(4; p=0.5) = {pinned}",
@@ -71,7 +71,7 @@ def test_criterion_4_connectivity_breakdown(capsys):
     start = time.perf_counter()
     u = 200
     p = u / cb.choose(u, 3)
-    pv = cb.connectivity_prob(u, 3, p)
+    pv = cb.ConnectivityTable(3, p).prob(u)
     assert not pv.valid, f"expected breakdown flag at u=200, got {pv}"
     code = cli.main(["breakdown", "--k", "3", "--r", "1", "--overhead", "1.0",
                      "--method", "connectivity", "--scope", "local"])
@@ -90,8 +90,8 @@ def test_criterion_5_mc_matches_connectivity(warm_kernels):
     checks = []
     for u in (5, 10, 20, 30):
         p = u / cb.choose(u, 3)
-        f = cb.connectivity_prob(u, 3, p).value
-        est = cb.mc_local(u, 3, p, 1, "connectivity", trials=100_000, seed=SEED)
+        f = cb.ConnectivityTable(3, p).prob(u).value
+        est = cb.mc_local(u, 3, p, 1, trials=100_000, seed=SEED)
         se = math.sqrt(f * (1.0 - f) / est.trials)
         checks.append((u, abs(est.mean - f) / se))
     elapsed = time.perf_counter() - start

@@ -463,6 +463,24 @@ class TestExpectedEdgesPastDoubleRange:
             "", f"error: C(v, k) = 2245602662... (6019 digits) exceeds the {guard}\n")
 
 
+class TestCompositionGuard:
+    """A v past the size-composition guard is refused with one short line that
+    writes a long v as the other guards write a long count."""
+
+    @pytest.mark.parametrize("argv, v", [
+        (["global", "--v", "2049", "--k", "3", "--e-v", "10", "--r", "2",
+          "--method", "covering"], "2049"),
+        (["global", "--v", str(10**60), "--k", "3", "--e-v", "10", "--r", "2",
+          "--method", "connectivity"], "1000000000... (61 digits)"),
+        (["sweep", "--k", "3", "--r", "1", "--overhead", "1e308", "--e-min", "1",
+          "--e-max", "1", "--method", "connectivity"], "1000000000... (309 digits)"),
+    ], ids=["v=2049", "61 digits", "309 digits"])
+    def test_long_v_exits_2(self, capsys, argv, v):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: v = {v} exceeds the size-composition guard 2048\n")
+
+
 # ---------------------------------------------------------------------------
 # Pinned output bytes
 # ---------------------------------------------------------------------------

@@ -9,19 +9,18 @@ from pathlib import Path
 import pytest
 
 from corebound import (
+    ConnectivityTable,
     LocalProvider,
-    connectivity_prob,
     exact_exactly_one,
     exact_global,
     exactly_one_core,
-    interleaving_bounds,
     mc_global,
 )
 from corebound import global_prob, local_prob
 from corebound.cli import main
 from corebound.global_prob import _geometric_bound, _level, _merge
 from corebound.numerics import ProbValue, binomial_row, range_checked
-from corebound.sweep import METHOD_TABLE, point_geometry
+from corebound.sweep import METHOD_TABLE, formula_value, point_geometry
 
 
 def connectivity_comp(v, p, k=3, r=1):
@@ -179,6 +178,10 @@ LOWER_ABOVE_EXACT = {
 }
 
 
+# the bracket's lower and upper sides, as global-scope formula methods
+SIDES = ("interleaved-lower", "interleaved-upper")
+
+
 def desk_rows(side):
     """((k, overhead, e), v) of each desk-scale audit row whose lower
     (``side`` 0) or upper (1) bracket value is flagged valid."""
@@ -187,7 +190,7 @@ def desk_rows(side):
         for e in range(1, e_max + 1):
             v, p = point_geometry(k, overhead, e)
             if k <= v and p < 1.0 and math.comb(v, k) <= 20:
-                if interleaving_bounds(v, p, k, 2)[side].valid:
+                if formula_value(SIDES[side], "global", v, p, k, 2).valid:
                     rows.append(((k, overhead, e), v))
     return rows
 
@@ -227,7 +230,8 @@ def tail_rows():
     rows = []
     for k, overhead in TAIL_SCAN:
         for v in range(k, 61):
-            lower, upper = interleaving_bounds(v, min(1.0, (v / overhead) / math.comb(v, k)), k, 2)
+            p = min(1.0, (v / overhead) / math.comb(v, k))
+            lower, upper = (formula_value(side, "global", v, p, k, 2) for side in SIDES)
             if lower.valid and upper.valid:
                 rows.append((k, overhead, v, lower.value, upper.value))
     return tuple(rows)
@@ -235,11 +239,11 @@ def tail_rows():
 
 class TestInterleavingBounds:
     def test_r1_bounds_coincide(self):
-        lower, upper = interleaving_bounds(6, 0.1, 3, 1)
+        lower, upper = (formula_value(side, "global", 6, 0.1, 3, 1) for side in SIDES)
         assert lower.value == upper.value
 
     def test_p_zero(self):
-        lower, upper = interleaving_bounds(6, 0.0, 3, 2)
+        lower, upper = (formula_value(side, "global", 6, 0.0, 3, 2) for side in SIDES)
         assert (lower.value, upper.value) == (0.0, 0.0)
 
     def test_ordering_on_sparse_grid(self):
@@ -247,13 +251,13 @@ class TestInterleavingBounds:
         cases = [(18, 9), (24, 12), (30, 15), (36, 18)]
         for v, e in cases:
             p = e / math.comb(v, 3)
-            lower, upper = interleaving_bounds(v, p, 3, 2)
+            lower, upper = (formula_value(side, "global", v, p, 3, 2) for side in SIDES)
             assert lower.valid and upper.valid
             assert lower.value <= upper.value + 1e-12
 
     def test_lower_bound_above_one_is_invalid(self):
         # the e=3 point of the overhead-1.2 sweep: S/(1-S) at p/r is 1.97
-        lower, _ = interleaving_bounds(4, 0.75, 3, 2)
+        lower = formula_value("interleaved-lower", "global", 4, 0.75, 3, 2)
         assert lower.value == pytest.approx(1.9744653165700103, rel=1e-12)
         assert not lower.valid
 
@@ -264,27 +268,27 @@ class TestInterleavingBounds:
         assert set(LOWER_ABOVE_EXACT) <= {key for key, _ in desk_rows(0)}
         for (k, overhead, e), numbers in LOWER_ABOVE_EXACT.items():
             v, p = point_geometry(k, overhead, e)
-            lower, _ = interleaving_bounds(v, p, k, 2)
+            lower = formula_value("interleaved-lower", "global", v, p, k, 2)
             assert numbers == pytest.approx((lower.value, exact_global(v, k, p, 2)), abs=5e-6)
 
     @pytest.mark.parametrize("k, overhead, e", LOWER_ROWS)
     def test_valid_lower_bound_not_above_exact(self, k, overhead, e):
         v, p = point_geometry(k, overhead, e)
-        lower, _ = interleaving_bounds(v, p, k, 2)
+        lower = formula_value("interleaved-lower", "global", v, p, k, 2)
         exact = exact_global(v, k, p, 2)
         assert lower.value <= exact + 1e-12, (v, p, lower.value, exact)
 
     @pytest.mark.parametrize("k, overhead, e", UPPER_ROWS)
     def test_valid_upper_bound_not_below_exact(self, k, overhead, e):
         v, p = point_geometry(k, overhead, e)
-        _, upper = interleaving_bounds(v, p, k, 2)
+        upper = formula_value("interleaved-upper", "global", v, p, k, 2)
         exact = exact_global(v, k, p, 2)
         assert upper.value >= exact - 1e-12, (v, p, upper.value, exact)
 
     def test_bracket_holds_against_mc(self, warm_kernels):
         v, e = 8, 5
         p = e / math.comb(v, 3)
-        lower, upper = interleaving_bounds(v, p, 3, 2)
+        lower, upper = (formula_value(side, "global", v, p, 3, 2) for side in SIDES)
         est = mc_global(v, 3, p, 2, trials=10_000, seed=3)
         assert lower.value - 3 * est.stderr <= est.mean <= upper.value + 3 * est.stderr
 
@@ -298,7 +302,7 @@ class TestInterleavingBounds:
         assert len(inverted) == 17 and {row[:2] for row in inverted} == {(3, 3.0)}
         assert inverted[0] == pytest.approx((3, 3.0, 20, 0.0077807, 0.0074691), abs=5e-8)
         v, e = 30, 10
-        upper = interleaving_bounds(v, e / math.comb(v, 3), 3, 2)[1]
+        upper = formula_value("interleaved-upper", "global", v, e / math.comb(v, 3), 3, 2)
         assert upper.valid and upper.value == pytest.approx(0.00086494, abs=5e-9)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
@@ -316,7 +320,7 @@ class TestInterleavingBounds:
     def test_valid_upper_bound_not_far_below_mc(self, warm_kernels):
         v, e = 30, 10
         p = e / math.comb(v, 3)
-        _, upper = interleaving_bounds(v, p, 3, 2)
+        upper = formula_value("interleaved-upper", "global", v, p, 3, 2)
         est = mc_global(v, 3, p, 2, trials=40_000, seed=7)  # fixed before the first run; never re-seed
         assert not upper.valid or upper.value >= est.mean - 4 * est.stderr, (upper, est)
 
@@ -333,9 +337,9 @@ class TestProviders:
 
     def test_interleaving_bounds_reject_r_below_one(self):
         with pytest.raises(ValueError, match="r must be >= 1"):
-            interleaving_bounds(6, 0.25, 3, 0)
+            formula_value("interleaved-lower", "global", 6, 0.25, 3, 0)
 
-    # one route per local value: the public functions and the provider give
+    # one route per local value: the table and the providers give
     # the same float, flag and note, and interleaved is connectivity ** r
     # exactly; u = 200 at p = 200 / C(200, 3) is in the invalid region
     def test_interleaved_is_power_of_connectivity(self):
@@ -353,7 +357,7 @@ class TestProviders:
             points.append((200, 200 / math.comb(200, 3)))
             for r in (1, 2, 3):
                 for u, p in points:
-                    conn = connectivity_prob(u, k, p)
+                    conn = ConnectivityTable(k, p).prob(u)
                     inter = fields(LocalProvider("interleaved", k, p, r).value(u))
                     assert fields(LocalProvider("connectivity", k, p, r).value(u)) == fields(conn)
                     assert inter == (power(conn.value, r).hex(), conn.valid, conn.note)

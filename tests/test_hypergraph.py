@@ -7,7 +7,8 @@ import pytest
 from corebound import HypergraphParams, candidate_edges, choose, generate
 from corebound import kernels
 from corebound.cli import main
-from corebound.hypergraph import GENERATE_GUARD, KEPT_GUARD, _count_text
+from corebound.hypergraph import GENERATE_GUARD, KEPT_GUARD
+from corebound.numerics import count_text
 from corebound.montecarlo import mc_global, mc_local
 from conftest import edge_subsets, min_degree_ok
 
@@ -101,7 +102,7 @@ class TestGenerate:
         with pytest.raises(ValueError, match="generation guard"):
             mc_global(5000, 3, 1e-9, 2, trials=1, seed=0)
         with pytest.raises(ValueError, match="generation guard"):
-            mc_local(5000, 3, 1e-9, 2, "min-degree", trials=1, seed=0)
+            mc_local(5000, 3, 1e-9, 2, trials=1, seed=0)
         assert choose(5000, 3) > GENERATE_GUARD
 
     def test_kept_edge_guard(self, monkeypatch, capsys):
@@ -115,7 +116,7 @@ class TestGenerate:
         with pytest.raises(ValueError, match="kept-edge guard"):
             mc_global(2300, 3, 1.0, 2, trials=1)
         with pytest.raises(ValueError, match="kept-edge guard"):
-            mc_local(2300, 3, 1.0, 2, "min-degree", trials=1)
+            mc_local(2300, 3, 1.0, 2, trials=1)
         with pytest.raises(ValueError, match="kept-edge guard"):
             generate(HypergraphParams(2300, 3, 1.0, 1), 0)
         argv = ["global", "--v", "2300", "--k", "3", "--p", "1", "--method", "mc", "--trials", "1"]
@@ -213,7 +214,7 @@ class TestCountText:
 
     @pytest.mark.parametrize("m", [0, 35, 2**31 + 1, 10**30 - 1])
     def test_short_count_in_full(self, m):
-        assert _count_text(m) == str(m)
+        assert count_text(m) == str(m)
 
     def test_long_counts(self):
         # the digit count comes from the bit length: check it across both
@@ -222,4 +223,4 @@ class TestCountText:
         counts += [m for b in range(100, 1400) for m in (2**b - 1, 2**b)]
         for m in counts:
             if m >= 10**30:
-                assert _count_text(m) == f"{str(m)[:10]}... ({len(str(m))} digits)", m
+                assert count_text(m) == f"{str(m)[:10]}... ({len(str(m))} digits)", m

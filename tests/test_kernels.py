@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from corebound import (HypergraphParams, choose, exact_exactly_one, exact_global, exact_local,
-                       generate, kernels, mc_global, mc_local)
+                       generate, kernels, mc_global)
 from corebound.hypergraph import candidate_edges
 from conftest import edge_subsets, enumeration_prob, min_degree_ok
 
@@ -197,9 +197,10 @@ def _address(array):
 
 
 def _mc_count(predicate, v, k, p, r, trials, seed, start=0):
+    # the kernel, not mc_local, whose predicate follows r: cases run min-degree at r = 1
     if predicate == "global":
         return mc_global(v, k, p, r, trials=trials, seed=seed, start=start).successes
-    return mc_local(v, k, p, r, predicate, trials=trials, seed=seed, start=start).successes
+    return kernels.mc_local_successes(v, k, p, r, predicate, trials, seed, start)
 
 
 def _no_thread(*args, **kwargs):

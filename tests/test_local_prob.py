@@ -11,7 +11,6 @@ from corebound import (
     LocalProvider,
     binom_pmf,
     choose,
-    connectivity_prob,
     covering_prob,
     cross_edge_count,
     exact_local,
@@ -81,8 +80,8 @@ SCAN_FIRST_INVALID = {
 
 class TestConnectivityProb:
     def test_base_cases(self):
-        assert connectivity_prob(1, 3, 0.9).value == 1.0
-        assert connectivity_prob(2, 3, 0.9).value == 0.0  # below edge size
+        assert ConnectivityTable(3, 0.9).prob(1).value == 1.0
+        assert ConnectivityTable(3, 0.9).prob(2).value == 0.0  # below edge size
         # below the edge size every crossing count is 0: the recursion itself gives 0.0
         for k in (3, 5, 7):
             for p in (0.0, 1e-300, 0.3, 0.5, 1.0):
@@ -93,31 +92,31 @@ class TestConnectivityProb:
 
     def test_single_edge_case(self):
         for p in (0.0, 0.25, 0.5, 1.0):
-            assert connectivity_prob(3, 3, p).value == pytest.approx(p, abs=1e-15)
+            assert ConnectivityTable(3, p).prob(3).value == pytest.approx(p, abs=1e-15)
 
     def test_pinned_value(self):
-        assert connectivity_prob(4, 3, 0.5).value == pytest.approx(0.6875, abs=1e-12)
+        assert ConnectivityTable(3, 0.5).prob(4).value == pytest.approx(0.6875, abs=1e-12)
 
     def test_k2_small(self):
-        assert connectivity_prob(3, 2, 0.5).value == pytest.approx(0.5, abs=1e-12)
+        assert ConnectivityTable(2, 0.5).prob(3).value == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("k,u", [(3, 3), (3, 4), (3, 5), (2, 3), (2, 4), (2, 5)])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.8])
     def test_enumeration_oracle(self, k, u, p):
         oracle = connected_prob_oracle(u, k, p)
-        assert connectivity_prob(u, k, p).value == pytest.approx(oracle, abs=1e-9)
+        assert ConnectivityTable(k, p).prob(u).value == pytest.approx(oracle, abs=1e-9)
 
     def test_endpoints(self):
         for u in range(2, 9):
-            assert connectivity_prob(u, 3, 0.0).value == 0.0
+            assert ConnectivityTable(3, 0.0).prob(u).value == 0.0
             if u >= 3:
-                assert connectivity_prob(u, 3, 1.0).value == 1.0
+                assert ConnectivityTable(3, 1.0).prob(u).value == 1.0
 
     def test_breakdown_flagged_at_scale(self):
         # sparse large instance: the alternating sum cancels catastrophically
         u = 200
         p = u / choose(u, 3)
-        pv = connectivity_prob(u, 3, p)
+        pv = ConnectivityTable(3, p).prob(u)
         assert not pv.valid
         assert pv.note
 
@@ -147,7 +146,7 @@ class TestConnectivityProb:
         # vertices are not connected (p = 1 is a CLI pin: 1.0, valid)
         with pytest.raises(OverflowError):
             float(cross_edge_count(1030, 515, 515))
-        assert connectivity_prob(1030, 515, 0.0) == (0.0, True, None)
+        assert ConnectivityTable(515, 0.0).prob(1030) == (0.0, True, None)
 
     def test_eps_past_double_is_the_least_int_float_rejects(self):
         # float() rejects every int from here on; scaled_power takes them
@@ -183,9 +182,9 @@ class TestConnectivityProb:
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            connectivity_prob(0, 3, 0.5)
+            ConnectivityTable(3, 0.5).prob(0)
         with pytest.raises(ValueError):
-            connectivity_prob(4, 3, -0.1)
+            ConnectivityTable(3, -0.1).prob(4)
 
 
 def _float_or_inf(n: int) -> float:
@@ -403,7 +402,7 @@ class TestCovering:
     def test_single_edge_needs_two(self):
         assert covering_prob(3, 3, 1.0, 2).value == 0.0
 
-    # the same message as connectivity_prob, after the (k, p, r) check
+    # the same message as ConnectivityTable.prob, after the (k, p, r) check
     @pytest.mark.parametrize("u", [0, -3])
     def test_subset_size_below_one_rejected(self, u):
         with pytest.raises(ValueError, match=f"^u must be >= 1, got {u}$"):
@@ -494,7 +493,7 @@ class TestInterleavedLocal:
 
     def test_r1_identity(self):
         for u in (1, 3, 4, 6):
-            assert _interleaved(u, 3, 0.35, 1).value == connectivity_prob(u, 3, 0.35).value
+            assert _interleaved(u, 3, 0.35, 1).value == ConnectivityTable(3, 0.35).prob(u).value
 
     def test_pinned_square(self):
         assert _interleaved(4, 3, 0.5, 2).value == pytest.approx(0.47265625, abs=1e-12)
@@ -508,7 +507,7 @@ class TestInterleavedLocal:
         # at k = 2 the broken recursion reaches -2.2e112 at u = 200, whose
         # cube leaves the float range: the value is -inf, flagged like its base
         p = 200 / choose(200, 3)
-        base = connectivity_prob(200, 2, p)
+        base = ConnectivityTable(2, p).prob(200)
         cube = _interleaved(200, 2, p, 3)
         assert base.value < -1e100 and not base.valid
         assert (cube.value, cube.valid, cube.note) == (-math.inf, False, base.note)

@@ -7,15 +7,18 @@ import pytest
 
 from corebound import (
     HypergraphParams,
+    McEstimate,
     choose,
     exact_exactly_one,
     exact_global,
     exact_local,
     generate,
     hypergraph,
+    kernels,
     mc_global,
     mc_local,
     montecarlo,
+    sweep,
 )
 from corebound.hypergraph import candidate_edges
 from conftest import enumeration_prob, min_degree_prob_oracle
@@ -23,10 +26,10 @@ from conftest import enumeration_prob, min_degree_prob_oracle
 
 class TestEstimates:
     def test_reproducible(self, warm_kernels):
-        a = mc_local(5, 3, 0.3, 1, "connectivity", trials=2000, seed=11)
-        b = mc_local(5, 3, 0.3, 1, "connectivity", trials=2000, seed=11)
+        a = mc_local(5, 3, 0.3, 1, trials=2000, seed=11)
+        b = mc_local(5, 3, 0.3, 1, trials=2000, seed=11)
         assert a == b
-        c = mc_local(5, 3, 0.3, 1, "connectivity", trials=2000, seed=12)
+        c = mc_local(5, 3, 0.3, 1, trials=2000, seed=12)
         assert a.successes != c.successes
 
     def test_partitioned_runs_merge(self, warm_kernels):
@@ -34,16 +37,10 @@ class TestEstimates:
         head = mc_global(6, 3, 0.2, 2, trials=1800, seed=5)
         tail = mc_global(6, 3, 0.2, 2, trials=1200, seed=5, start=1800)
         assert head.successes + tail.successes == whole.successes
-        assert head.merge(tail) == whole
-
-    def test_merge_requires_same_seed(self):
-        a = mc_local(4, 3, 0.5, 1, trials=10, seed=1)
-        b = mc_local(4, 3, 0.5, 1, trials=10, seed=2)
-        with pytest.raises(ValueError):
-            a.merge(b)
+        assert McEstimate.from_counts(head.successes + tail.successes, 3000, 5) == whole
 
     def test_stderr_formula(self):
-        est = mc_local(4, 3, 0.5, 1, "connectivity", trials=1000, seed=0)
+        est = mc_local(4, 3, 0.5, 1, trials=1000, seed=0)
         assert est.mean == est.successes / est.trials
         assert est.stderr == pytest.approx(
             math.sqrt(est.mean * (1 - est.mean) / est.trials), abs=1e-15
@@ -52,8 +49,6 @@ class TestEstimates:
     def test_bad_args(self):
         with pytest.raises(ValueError):
             mc_local(4, 3, 0.5, 1, trials=0)
-        with pytest.raises(ValueError):
-            mc_local(4, 3, 0.5, 1, predicate="nonsense")
         with pytest.raises(ValueError):
             mc_global(4, 3, 1.5, 1)
         # trial indices start at 0 (a negative start was numpy's OverflowError)
@@ -71,7 +66,7 @@ class TestEstimates:
 
     def test_master_seed_domain(self):
         # the stream reads the seed mod 2^64: 2^64 would rerun seed 0's graphs
-        # and -1 those of 2^64 - 1, under numbers that merge refuses to join
+        # and -1 those of 2^64 - 1, each under another seed's number
         for seed in (2**64, -1):
             with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64\)"):
                 mc_local(4, 3, 0.5, 1, trials=10, seed=seed)
@@ -83,29 +78,40 @@ class TestEstimates:
 
 class TestMcLocal:
     def test_certain_edge(self, warm_kernels):
-        est = mc_local(3, 3, 1.0, 1, "connectivity", trials=100, seed=0)
+        est = mc_local(3, 3, 1.0, 1, trials=100, seed=0)
         assert est.mean == 1.0
 
     def test_single_vertex_connected(self, warm_kernels):
         # u < k: no candidate edges at all, but a singleton is connected
-        est = mc_local(1, 3, 0.5, 1, "connectivity", trials=50, seed=0)
+        est = mc_local(1, 3, 0.5, 1, trials=50, seed=0)
         assert est.mean == 1.0
-        est2 = mc_local(2, 3, 0.5, 1, "connectivity", trials=50, seed=0)
+        est2 = mc_local(2, 3, 0.5, 1, trials=50, seed=0)
         assert est2.mean == 0.0
 
     def test_single_edge_probability(self, warm_kernels):
-        est = mc_local(3, 3, 0.5, 1, "connectivity", trials=20_000, seed=2)
+        est = mc_local(3, 3, 0.5, 1, trials=20_000, seed=2)
         assert abs(est.mean - 0.5) <= 3 * est.stderr
 
     def test_connectivity_matches_pinned_value(self, warm_kernels):
-        est = mc_local(4, 3, 0.5, 1, "connectivity", trials=20_000, seed=3)
+        est = mc_local(4, 3, 0.5, 1, trials=20_000, seed=3)
         assert abs(est.mean - 0.6875) <= 3.5 * est.stderr
 
     def test_min_degree_predicate(self, warm_kernels):
         oracle = min_degree_prob_oracle(5, 3, 0.4, 2)
-        est = mc_local(5, 3, 0.4, 2, "min-degree", trials=20_000, seed=4)
+        est = mc_local(5, 3, 0.4, 2, trials=20_000, seed=4)
         se = math.sqrt(oracle * (1 - oracle) / est.trials)
         assert abs(est.mean - oracle) <= 4 * se
+
+    def test_predicate_follows_r(self, warm_kernels):
+        # connectivity at r = 1, min-degree above, and the local scope's estimate
+        u, k, p, seed = 6, 3, 0.3, 9
+        counts = []
+        for r, predicate in ((1, "connectivity"), (2, "min-degree")):
+            est = mc_local(u, k, p, r, trials=2000, seed=seed)
+            assert est.successes == kernels.mc_local_successes(u, k, p, r, predicate, 2000, seed, 0)
+            assert sweep.mc_value("local", u, p, k, r, 2000, seed) == est
+            counts.append(est.successes)
+        assert counts[0] != counts[1]  # the two predicates count apart at this seed
 
 
 class TestPinnedCounts:
@@ -117,7 +123,7 @@ class TestPinnedCounts:
         assert est.successes == 29
 
     def test_mc_local_connectivity(self, warm_kernels):
-        est = mc_local(20, 3, 20 / choose(20, 3), 1, "connectivity", trials=200, seed=7)
+        est = mc_local(20, 3, 20 / choose(20, 3), 1, trials=200, seed=7)
         assert est.successes == 85
 
 
@@ -126,7 +132,7 @@ class TestMemory:
     # a run that draws and unranks only the kept ones stays near 1 MiB
     @pytest.mark.parametrize("run", [
         lambda p: mc_global(400, 3, p, 2, trials=3),
-        lambda p: mc_local(400, 3, p, 1, "connectivity", trials=3),
+        lambda p: mc_local(400, 3, p, 1, trials=3),
     ], ids=["mc_global", "mc_local"])
     def test_peak_does_not_grow_with_candidates(self, warm_kernels, run):
         p = 400 / 1.222 / choose(400, 3)
@@ -148,7 +154,7 @@ class TestMemory:
         monkeypatch.setattr(montecarlo, "candidate_edges", forbidden)
         generate(HypergraphParams(20, 3, 0.05, 2), seed=1)
         mc_global(20, 3, 0.05, 2, trials=50, seed=1)
-        mc_local(20, 3, 0.05, 1, "connectivity", trials=50, seed=1)
+        mc_local(20, 3, 0.05, 1, trials=50, seed=1)
 
 
 class TestMcGlobal:

@@ -84,7 +84,7 @@ def test_worker_threads_call_no_traced_function(perfbench, monkeypatch):
     tracer = spans.Tracer()
     with tracer.installed():
         mc_global(40, 3, 33 / choose(40, 3), 2, trials=3000, seed=7)
-        mc_local(24, 3, 24 / choose(24, 3), 1, "connectivity", trials=3000, seed=7)
+        mc_local(24, 3, 24 / choose(24, 3), 1, trials=3000, seed=7)
     assert (tracer.self_times() >= 0).all()
     metrics = tracer.layer_metrics()
     assert metrics["kernels.mc_global_successes.trials"] == (3000, "count")

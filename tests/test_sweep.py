@@ -115,13 +115,14 @@ class TestRunSweep:
         assert res.rows[0].values["connectivity"].value == 1.0  # p clamps to 1
 
     def test_local_matches_direct_formula(self):
-        from corebound import connectivity_prob, covering_prob
+        from corebound import ConnectivityTable, covering_prob
 
         spec = SweepSpec(k=3, r=1, overhead=1.0, e_min=4, e_max=12,
                          methods=("connectivity", "covering"), scope="local")
         res = run_sweep(spec)
         for row in res.rows:
-            assert row.values["connectivity"].value == connectivity_prob(row.v, 3, row.p).value
+            conn = ConnectivityTable(3, row.p).prob(row.v)
+            assert row.values["connectivity"].value == conn.value
             assert row.values["covering"].value == covering_prob(row.v, 3, row.p, 1).value
 
     def test_global_interleaved_ordering_where_valid(self, warm_kernels):
