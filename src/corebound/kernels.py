@@ -26,12 +26,14 @@ disjoint-union graph on which each predicate runs once for the whole block.
 Edges are (m, k) arrays, but the unranking fills them slot-major: a
 C-contiguous (k, m) array whose row i holds every edge's i-th vertex, handed
 out as its transpose.  The predicates read those k rows (:func:`_slots`, no
-copy for such a view) and work slot by slot: an edge survives a peel round
-iff ``alive[s0] & alive[s1] & ...``, and the survivors are compacted with one
-``np.compress`` along the rows.  On a contiguous row both are a few times
-faster than the row-major ``alive[edges].all(axis=1)`` and ``edges[mask]``,
-which stride over k-element rows.  A row-major array gives the same answers
-and is copied once on entry.
+copy for such a view) and work slot by slot.  The peel is a fixed point on
+the edges: a round sets ``alive = degree >= r`` and keeps the edges with
+``alive[s0] & alive[s1] & ...`` (one ``np.compress`` along the rows), until
+no edge falls; a fallen vertex stays at degree 0, so no vertex mask carries
+over.  On a contiguous row the test and the compress are a few times faster
+than the row-major ``alive[edges].all(axis=1)`` and ``edges[mask]``, which
+stride over k-element rows.  A row-major array gives the same answers and
+is copied once on entry.
 
 The exhaustive oracles enumerate all 2^m subsets of m <= 64 candidate edges
 bit-sliced (as in Biham's bitslice DES, 1997): bit b of a uint64 word is
@@ -346,25 +348,22 @@ def _slots(edges: np.ndarray) -> np.ndarray:
 
 
 def peel_survivor_mask(edges: np.ndarray, v: int, r: int) -> np.ndarray:
-    """Vertices surviving batch peeling rounds (remove all deg < r per round)."""
-    return _survivors(edges, v, r)
-
-
-def _survivors(edges: np.ndarray, v: int, r: int) -> np.ndarray:
-    """:func:`peel_survivor_mask`, called directly by the Monte Carlo workers:
-    the benchmark's tracer wraps the public name with a one-thread span
-    stack.  Each round keeps only the edges whose vertices all survive."""
-    alive = np.ones(v, dtype=bool)
+    """Vertices surviving batch peeling rounds (remove all deg < r per round),
+    as the fixed point on the edges the module docstring describes.  The
+    Monte Carlo workers call it as ``_survivors``: the benchmark's tracer
+    wraps only the public name, with a one-thread span stack."""
     slots = _slots(edges)
     while True:
-        low = alive & (np.bincount(slots.ravel(), minlength=v) < r)
-        if not low.any():
-            return alive
-        alive &= ~low
+        alive = np.bincount(slots.ravel(), minlength=v) >= r
         keep = alive[slots[0]]
         for slot in slots[1:]:
             keep &= alive[slot]
+        if keep.all():
+            return alive
         slots = np.compress(keep, slots, axis=1)
+
+
+_survivors = peel_survivor_mask
 
 
 def connected_all(edges: np.ndarray, v: int) -> bool:

@@ -7,7 +7,8 @@ model (by vertex anonymity only u matters):
   probability that the u vertices form a single connected component
   (equivalently, that a 1-core spans all of them).  It is numerically
   fragile: for modestly large u the alternating sum cancels catastrophically,
-  so results carry validity flags instead of being trusted blindly.
+  so results carry validity flags instead of being trusted blindly.  A u
+  past ``RECURSION_GUARD`` = 2^11 is refused, as by ``gilbert_prob``.
 * ``covering_prob`` -- a slot-occupancy approximation of the probability
   that every vertex is covered by at least r edges.  A finite sum of
   products of probabilities, in [0, 1] up to rounding, but only a
@@ -32,8 +33,8 @@ import math
 import sys
 
 from .montecarlo import exact_local
-from .numerics import (ProbValue, binom_pmf, binomial_row, check_kpr, choose, range_checked,
-                       scaled_power, stable_sum)
+from .numerics import (ProbValue, binom_pmf, binomial_row, check_kpr, choose, count_text,
+                       range_checked, scaled_power, stable_sum)
 
 __all__ = [
     "LOCAL_METHODS",
@@ -49,6 +50,19 @@ __all__ = [
 COVERING_PMF_CUTOFF = 1e-18
 # Max terms of that sum, about 18 sd of the edge count (about 1 us each, in one list).
 COVERING_TERM_GUARD = 10**6
+# Largest size u the connectivity and Gilbert recursions accept, the value of
+# ``global_prob.COMPOSITION_GUARD``: a table to u takes O(u^2) Python steps
+# (1.8 s to u = 2048, 11.2 s to 5000 at k = 3, p = 0.001, shared 2-vCPU host).
+RECURSION_GUARD = 2**11
+
+
+def _check_size(u: int) -> None:
+    """Refuse a size u outside 1 .. ``RECURSION_GUARD`` with a ValueError."""
+    if u < 1:
+        raise ValueError(f"u must be >= 1, got {u}")
+    if u > RECURSION_GUARD:
+        raise ValueError(f"u = {count_text(u)} exceeds the local-recursion guard "
+                         f"{RECURSION_GUARD}")
 
 
 def cross_edge_count(u: int, i: int, k: int) -> int:
@@ -117,7 +131,8 @@ class ConnectivityTable:
 
     Entries are flagged invalid from the first u whose value fails
     ``numerics.range_checked``; later entries, computed from it, inherit the
-    flag.  A table must not be shared across threads unsynchronized.
+    flag.  ``value(u)`` refuses a u past ``RECURSION_GUARD``.  A table must
+    not be shared across threads unsynchronized.
     """
 
     def __init__(self, k: int, p: float):
@@ -154,8 +169,7 @@ class ConnectivityTable:
                 self._note = f"recursion left [0, 1] at u={u} (value {value!r})"
 
     def value(self, u: int) -> float:
-        if u < 1:
-            raise ValueError(f"u must be >= 1, got {u}")
+        _check_size(u)
         self._extend(u)
         return self._values[u]
 
@@ -174,9 +188,9 @@ def gilbert_prob(u: int, p: float) -> ProbValue:
     not as an alias of the k=2 case; the two share only ``numerics.binomial_row``.
     A weight past the double range (u >= 1031) is inf: a flagged nan, kept on
     purpose, as with no flag carried between sizes a value could heal to valid.
+    A u past ``RECURSION_GUARD`` is refused.
     """
-    if u < 1:
-        raise ValueError(f"u must be >= 1, got {u}")
+    _check_size(u)
     check_kpr(2, p, 1)
     g = [math.nan, 1.0]
     q = 1.0 - p

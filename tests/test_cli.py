@@ -481,6 +481,28 @@ class TestCompositionGuard:
             "", f"error: v = {v} exceeds the size-composition guard 2048\n")
 
 
+class TestRecursionGuard:
+    """A local size u past the recursion guard is refused with one short line
+    before any row of the O(u^2) recursion is built; u = 2048 still runs
+    (the "local weights past double range" pin)."""
+
+    @pytest.mark.parametrize("argv, u", [
+        (["local", "--u", "20000", "--k", "3", "--p", "0.001"], "20000"),
+        (["local", "--u", "2049", "--k", "3", "--p", "0.001",
+          "--method", "interleaved-upper"], "2049"),
+        (["local", "--u", "20000", "--k", "2", "--p", "0.001", "--method", "gilbert"], "20000"),
+        (["sweep", "--scope", "local", "--k", "3", "--overhead", "1e6", "--e-min", "1",
+          "--e-max", "1", "--method", "connectivity"], "1000000"),
+        (["sweep", "--scope", "local", "--k", "3", "--r", "1", "--overhead", "1e308",
+          "--e-min", "1", "--e-max", "1", "--method", "connectivity"],
+         "1000000000... (309 digits)"),
+    ], ids=["connectivity", "interleaved", "gilbert", "sweep", "sweep 309 digits"])
+    def test_long_u_exits_2(self, capsys, argv, u):
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"error: u = {u} exceeds the local-recursion guard 2048\n")
+
+
 # ---------------------------------------------------------------------------
 # Pinned output bytes
 # ---------------------------------------------------------------------------

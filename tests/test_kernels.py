@@ -127,6 +127,25 @@ class TestSingleInstanceOps:
         empty = np.empty((0, 3), dtype=np.int64)
         assert not kernels.peel_survivor_mask(empty, 4, 1).any()
 
+    def test_peel_r0_keeps_every_vertex(self):
+        # vertex 3 lies in no edge and still survives
+        edges = np.array([[0, 1, 2]], dtype=np.int64)
+        assert kernels.peel_survivor_mask(edges, 4, 0).tolist() == [True] * 4
+
+    def test_peel_r1_drops_a_vertex_in_no_edge(self):
+        edges = np.array([[0, 1, 2], [1, 2, 4]], dtype=np.int64)
+        assert kernels.peel_survivor_mask(edges, 5, 1).tolist() == [True, True, True, False, True]
+
+    def test_peel_every_edge_falls_in_the_first_round(self):
+        # each edge has a vertex of degree 1 < r, so the first round keeps no
+        # edge, and vertices 0, 1 and 3, of degree 2 in that round, fall too
+        edges = np.array([[0, 1, 2], [0, 3, 4], [1, 3, 5]], dtype=np.int64)
+        assert not kernels.peel_survivor_mask(edges, 6, 2).any()
+
+    def test_workers_call_the_public_peel(self):
+        # one def: the Monte Carlo workers' name is the same function object
+        assert kernels._survivors is kernels.peel_survivor_mask
+
     def test_connected(self):
         edges = np.array([[0, 1, 2], [2, 3, 4]], dtype=np.int64)
         assert kernels.connected_all(edges, 5)

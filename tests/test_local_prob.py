@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -16,7 +17,8 @@ from corebound import (
     exact_local,
     gilbert_prob,
 )
-from corebound.numerics import range_checked, scaled_power, stable_sum
+from corebound.global_prob import COMPOSITION_GUARD
+from corebound.numerics import count_text, range_checked, scaled_power, stable_sum
 from conftest import connected_prob_oracle
 
 
@@ -185,6 +187,19 @@ class TestConnectivityProb:
             ConnectivityTable(3, 0.5).prob(0)
         with pytest.raises(ValueError):
             ConnectivityTable(3, -0.1).prob(4)
+
+    def test_size_past_guard_is_refused(self):
+        # the guard is the composition's, so no size a composition reads is
+        # refused; the refusal comes before any row is built
+        assert local_prob.RECURSION_GUARD == COMPOSITION_GUARD == 2**11
+        table = ConnectivityTable(3, 0.001)
+        for u in (2049, 10**40):
+            with pytest.raises(ValueError, match=re.escape(f"u = {count_text(u)} exceeds the "
+                                                           "local-recursion guard 2048")):
+                table.prob(u)
+            with pytest.raises(ValueError, match="local-recursion guard 2048$"):
+                gilbert_prob(u, 0.001)
+        assert len(table._values) == 2  # index 0 and u = 1 only
 
 
 def _float_or_inf(n: int) -> float:
