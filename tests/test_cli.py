@@ -241,6 +241,16 @@ class TestOracle:
         row = capsys.readouterr().out.splitlines()[1]
         assert float(row.split(",")[3]) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_maximal_value_is_at_least_one(self, k, r):
+        # one maximal core set exists iff peeling leaves a nonempty core
+        for p in ("0", "0.3", "0.5", "1"):
+            argv = ["oracle", "--v", "6", "--k", str(k), "--p", p, "--r", str(r)]
+            at_least_one = run_in_process(argv)["stdout"].splitlines()[1].split(",")
+            maximal = run_in_process([*argv, "--exactly-one", "maximal"])["stdout"]
+            assert maximal.splitlines()[1].split(",")[3] == at_least_one[3], p
+
     def test_guard_exit_2(self):
         code, _, _ = run_cli("oracle", "--v", "9", "--k", "3", "--p", "0.5")
         assert code == 2
@@ -549,6 +559,8 @@ PINNED_CASES = {
     "oracle at-least-one": ["oracle", "--v", "5", "--k", "3", "--p", "0.5", "--r", "2"],
     "oracle exactly-one": ["oracle", "--v", "4", "--k", "3", "--p", "0.5", "--r", "1",
                            "--exactly-one", "minimal"],
+    "oracle exactly-one maximal": ["oracle", "--v", "4", "--k", "3", "--p", "0.5", "--r", "1",
+                                   "--exactly-one", "maximal"],
     # p = 0 and p = 1 run the formulas, the stream draw and the oracles at
     # the ends of their ranges
     **{f"local p={p} {method}": ["local", "--u", "5", "--k", "3", "--p", p, "--r", "2",
@@ -574,7 +586,8 @@ PINNED_CASES = {
                                       "--seed", "7"] for p in ("0", "1")},
     **{f"oracle p={p} {kind}": ["oracle", "--v", "5", "--k", "3", "--p", p, "--r", "2", *extra]
        for p in ("0", "1")
-       for kind, extra in (("at-least-one", []), ("exactly-one", ["--exactly-one", "minimal"]))},
+       for kind, extra in (("at-least-one", []), ("exactly-one", ["--exactly-one", "minimal"]),
+                           ("exactly-one maximal", ["--exactly-one", "maximal"]))},
     "breakdown": ["breakdown", "--k", "3", "--r", "1", "--method", "connectivity",
                   "--scope", "local"],
     "breakdown none": ["breakdown", "--k", "3", "--r", "1", "--method", "covering",

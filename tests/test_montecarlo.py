@@ -21,6 +21,7 @@ from corebound import (
     sweep,
 )
 from corebound.hypergraph import candidate_edges
+from corebound.local_prob import ConnectivityTable
 from conftest import enumeration_prob, min_degree_prob_oracle
 
 
@@ -112,6 +113,33 @@ class TestMcLocal:
             assert sweep.mc_value("local", u, p, k, r, 2000, seed) == est
             counts.append(est.successes)
         assert counts[0] != counts[1]  # the two predicates count apart at this seed
+
+
+class TestLocalEventAtROne:
+    """At r = 1 the two local references read different events (ROADMAP item
+    22): ``mc_local`` counts connected graphs on the u vertices, while
+    ``exact_local`` weighs graphs of minimum degree >= 1, and two disjoint
+    edges pass only the second.  ``kernels.mc_local_successes`` is the one
+    owner of the rule that picks the Monte Carlo test from r, so deciding
+    item 22 changes a count pinned here."""
+
+    U, K, SEED, TRIALS = 6, 3, 1, 200_000
+    PINS = {  # p: (mc_local successes, exact_local, ConnectivityTable(3, p).value(6))
+        0.1: (37364, "0x1.9cb7f6147041fp-3", 0.1865132897077706),
+        0.3: (172978, "0x1.bb28cdc0e56f6p-1", 0.864080110475297),
+    }
+
+    @pytest.mark.parametrize("p", sorted(PINS))
+    def test_pinned_values(self, warm_kernels, p):
+        successes, exact, connected = self.PINS[p]
+        est = mc_local(self.U, self.K, p, 1, trials=self.TRIALS, seed=self.SEED)
+        assert est.successes == successes
+        assert exact_local(self.U, self.K, p, 1).hex() == exact
+        assert ConnectivityTable(self.K, p).value(self.U) == connected
+
+    def test_events_differ_past_four_sigma(self, warm_kernels):
+        est = mc_local(self.U, self.K, 0.1, 1, trials=self.TRIALS, seed=self.SEED)
+        assert exact_local(self.U, self.K, 0.1, 1) - est.mean > 4 * est.stderr
 
 
 class TestPinnedCounts:
