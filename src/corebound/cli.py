@@ -38,7 +38,6 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 LOCAL_METHODS = (*sweep_mod.FORMULA_METHODS, "gilbert", "mc")
-GLOBAL_METHODS = sweep_mod.SWEEP_METHODS
 
 
 def _cell(x) -> str:
@@ -263,12 +262,11 @@ def cmd_breakdown(args) -> int:
 
 def cmd_oracle(args) -> int:
     p = _resolve_p(args.v, args.k, args.p, args.e_v)
-    if args.exactly_one is not None:
-        value = montecarlo.exact_exactly_one(args.v, args.k, p, args.r, args.exactly_one)
-        kind = f"exactly-one ({args.exactly_one})"
-    else:
-        value = montecarlo.exact_global(args.v, args.k, p, args.r)
-        kind = "at-least-one"
+    # exactly one maximal core set exists iff peeling leaves a nonempty core
+    oracle = (montecarlo.exact_exactly_one if args.exactly_one == "minimal"
+              else montecarlo.exact_global)
+    value = oracle(args.v, args.k, p, args.r)
+    kind = f"exactly-one ({args.exactly_one})" if args.exactly_one else "at-least-one"
     point, cells = {"v": args.v, "p": p}, {"kind": kind, "value": value}
     return _emit(args, [{**point, **cells}], {**point, "k": args.k, "r": args.r, **cells})
 
@@ -302,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_global.add_argument("--p", type=float, default=None)
     p_global.add_argument("--e-v", dest="e_v", type=float, default=None,
                           help="expected edge count (sets p = e_v / C(v,k))")
-    p_global.add_argument("--method", action="append", choices=GLOBAL_METHODS,
+    p_global.add_argument("--method", action="append", choices=sweep_mod.SWEEP_METHODS,
                           help="repeatable; default connectivity")
     _add_model(p_global)
     _add_mc(p_global)
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="vertex-to-edge ratio: v = round(overhead * e)")
     p_sweep.add_argument("--e-min", dest="e_min", type=int, required=True)
     p_sweep.add_argument("--e-max", dest="e_max", type=int, required=True)
-    p_sweep.add_argument("--method", action="append", choices=GLOBAL_METHODS,
+    p_sweep.add_argument("--method", action="append", choices=sweep_mod.SWEEP_METHODS,
                          help="repeatable; default connectivity + mc")
     p_sweep.add_argument("--scope", choices=sweep_mod.SCOPES, default="global")
     _add_model(p_sweep)

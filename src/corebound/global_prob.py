@@ -38,22 +38,13 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .local_prob import LocalProvider
+from .local_prob import RECURSION_GUARD, LocalProvider
 from .numerics import ProbValue, binomial_row, count_text, range_checked, stable_sum
 
 __all__ = [
-    "COMPOSITION_GUARD",
     "GlobalResult",
     "exactly_one_core",
 ]
-
-# Max vertex count of a size composition.  Its binomial rows hold about v^2/2
-# floats (tracemalloc: 10.1, 28.9 and 86.1 MiB at v = 1024, 2048 and 4096)
-# and its loop takes O(v^3) steps at most (3.5-7.4 s at v = 2000, k = 3,
-# r = 2 and overhead 0.8-5.0 on a shared 2-vCPU host, where ``_level`` skips
-# most factors), so larger v is refused before any row is built.
-COMPOSITION_GUARD = 2**11
-
 
 @dataclass(frozen=True)
 class GlobalResult:
@@ -188,14 +179,15 @@ def exactly_one_core(v: int, p: float, k: int, r: int,
     is read once.  Local values come from one ``LocalProvider`` for
     ``method``, whose memo is their one cache: each size is evaluated once,
     when a level that contains it is first asked for.  A smaller instance at
-    the same p is ``exactly_one_core(n, p, ...)``.
+    the same p is ``exactly_one_core(n, p, ...)``.  A v past
+    ``local_prob.RECURSION_GUARD`` is refused before any row is built.
     """
     provider = LocalProvider(method, k, p, r)
     if v < 1:
         raise ValueError(f"v must be >= 1, got {v}")
-    if v > COMPOSITION_GUARD:
+    if v > RECURSION_GUARD:
         raise ValueError(f"v = {count_text(v)} exceeds the size-composition guard "
-                         f"{COMPOSITION_GUARD}")
+                         f"{RECURSION_GUARD}")
     rows = [binomial_row(m)[1:] for m in range(v + 1)]  # rows[m][j - 1] = C(m, j)
     rests: list[tuple] = []  # rests[m]: no distinct core on m vertices
     for m in range(v - k + 1):

@@ -21,7 +21,9 @@ uses (:func:`_block_edges`): the stream passes of a block cover whole
 trials (or one slice of one trial), and the kept edges of the block, with
 the vertex ids of its i-th trial offset by ``i * v``, form one
 disjoint-union graph on which each predicate runs once for the whole block.
-:func:`_successes` counts contiguous trial ranges on worker threads.
+:func:`_successes` counts contiguous trial ranges on worker threads.  The
+global count peels (:func:`_core_rows`); the local count picks its test
+from r (:func:`mc_local_successes`).
 
 Edges are (m, k) arrays, but the unranking fills them slot-major: a
 C-contiguous (k, m) array whose row i holds every edge's i-th vertex, handed
@@ -416,9 +418,6 @@ def _connected_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
 # trial-blocked Monte Carlo drivers
 # ---------------------------------------------------------------------------
 
-PREDICATES = {"connectivity": _connected_rows, "min-degree": _min_degree_rows}
-
-
 def _successes(test, v: int, k: int, p: float, r: int,
                trials: int, master: int, start: int) -> int:
     """Count the trials t in [start, start + trials) whose graph, drawn from
@@ -459,10 +458,14 @@ def _successes(test, v: int, k: int, p: float, r: int,
     return sum(_in_threads(count, list(zip(cuts, cuts[1:]))))
 
 
-def mc_local_successes(v: int, k: int, p: float, r: int, predicate: str,
+def mc_local_successes(v: int, k: int, p: float, r: int,
                        trials: int, seed: int, start: int = 0) -> int:
-    """Count trials whose sampled hypergraph satisfies ``predicate`` on all vertices."""
-    return _successes(PREDICATES[predicate], v, k, p, r, trials, seed, start)
+    """Count trials whose sampled hypergraph spans an r-core on all v
+    vertices: connected at r = 1 (:func:`_connected_rows`), every vertex in
+    at least r edges at r >= 2 (:func:`_min_degree_rows`).  This is the one
+    place the local Monte Carlo test follows r."""
+    test = _connected_rows if r == 1 else _min_degree_rows
+    return _successes(test, v, k, p, r, trials, seed, start)
 
 
 def mc_global_successes(v: int, k: int, p: float, r: int,

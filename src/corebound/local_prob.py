@@ -50,9 +50,14 @@ __all__ = [
 COVERING_PMF_CUTOFF = 1e-18
 # Max terms of that sum, about 18 sd of the edge count (about 1 us each, in one list).
 COVERING_TERM_GUARD = 10**6
-# Largest size u the connectivity and Gilbert recursions accept, the value of
-# ``global_prob.COMPOSITION_GUARD``: a table to u takes O(u^2) Python steps
-# (1.8 s to u = 2048, 11.2 s to 5000 at k = 3, p = 0.001, shared 2-vCPU host).
+# Largest size u the connectivity and Gilbert recursions accept, and largest
+# vertex count v of ``global_prob.exactly_one_core``'s size composition.  A
+# table to u takes O(u^2) Python steps (1.8 s to u = 2048, 11.2 s to 5000 at
+# k = 3, p = 0.001).  A composition's binomial rows hold about v^2/2 floats
+# (tracemalloc: 10.1, 28.9 and 86.1 MiB at v = 1024, 2048 and 4096) and its
+# loop takes O(v^3) steps at most (3.5-7.4 s at v = 2000, k = 3, r = 2 and
+# overhead 0.8-5.0, where ``_level`` skips most factors); both refuse a
+# larger size before building anything.  Timed on a shared 2-vCPU host.
 RECURSION_GUARD = 2**11
 
 

@@ -8,6 +8,9 @@ the same master seed (pass ``start=a`` for the second block), and
 kernels evaluate trials in blocks (one disjoint-union graph per block, see
 :mod:`kernels`); that changes no count, and trial t still sees exactly the
 edge array ``generate(params, trial_seed(seed, t))`` returns.
+:func:`mc_global` peels each graph; :func:`mc_local` tests all u vertices
+with the rule of ``kernels.mc_local_successes`` (connected at r = 1, minimum
+degree r above).
 
 The oracles enumerate every hypergraph on the candidate edge set (guarded to
 at most 2^20 instances) and are the ground truth the formulas and estimators
@@ -19,7 +22,9 @@ one edge subset, at most ``kernels.BLOCK`` (2^16) subsets per block, so
 memory is bounded per block and one word operation decides 64 subsets (see
 :mod:`kernels`).  Each oracle counts its accepted subsets by size and sums
 the weights exactly (:func:`kernels.subset_prob`), giving the same floats as
-a per-subset sum.
+a per-subset sum.  Exactly one inclusion-maximal core set is the event of
+:func:`exact_global`, so only the minimal reading has an oracle of its own,
+:func:`exact_exactly_one`.
 """
 from __future__ import annotations
 
@@ -97,15 +102,14 @@ def mc_local(u: int, k: int, p: float, r: int,
     """Estimate the probability that an r-core spans all u vertices.
 
     Each trial samples a hypergraph on exactly u vertices with edge
-    probability p and tests the full vertex set: for connectivity at r = 1
-    (the 1-core reading), for minimum degree r at r >= 2 (every vertex in at
-    least r induced edges).
+    probability p and tests the full vertex set with the rule of
+    :func:`kernels.mc_local_successes`: connectivity at r = 1, minimum
+    degree r at r >= 2.
     """
     _check_trials(trials, seed, start)
     _check_u(u)
     _check_draws(u, k, p, r)
-    predicate = "connectivity" if r == 1 else "min-degree"
-    successes = kernels.mc_local_successes(u, k, p, r, predicate, trials, seed, start)
+    successes = kernels.mc_local_successes(u, k, p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 
 
@@ -121,41 +125,36 @@ def mc_global(v: int, k: int, p: float, r: int,
 def exact_global(v: int, k: int, p: float, r: int) -> float:
     """Exact probability of a nonempty r-core, by summing p^|E| (1-p)^(M-|E|)
     over every edge subset E with an r-core set: a vertex set S on which the
-    edges of E inside S give every vertex of S degree >= r.  Peeling leaves
-    the union of the core sets, so this is the chance that peeling leaves a
-    nonempty core.  Guarded to C(v,k) <= 20."""
+    edges of E inside S give every vertex of S degree >= r.  Guarded to
+    C(v,k) <= 20.
+
+    A union of core sets is a core set, so peeling leaves the union of all
+    of them, and this is the chance that peeling leaves a nonempty core.
+    It is also the chance of exactly one inclusion-maximal core set: that
+    union is the only maximal one whenever a core set exists.
+    """
     return kernels.exhaustive_global_prob(_candidates(v, k, p, r), v, r, p)
 
 
-def exact_exactly_one(v: int, k: int, p: float, r: int, semantics: str = "minimal") -> float:
-    """Exact probability that exactly one r-core vertex set exists.
+def exact_exactly_one(v: int, k: int, p: float, r: int) -> float:
+    """Exact probability that exactly one inclusion-minimal r-core vertex set
+    exists.  (Exactly one maximal one is :func:`exact_global`.)
 
     An r-core vertex set is any subset on which the induced subgraph has
-    minimum degree >= r.  Since such sets are partially ordered by inclusion,
-    "exactly one" needs a convention: ``"minimal"`` counts inclusion-minimal
-    core sets, ``"maximal"`` counts inclusion-maximal ones.
-
-    A union of core sets is a core set, so there is exactly one maximal core
-    set iff some core set exists, iff peeling leaves a nonempty core:
-    ``"maximal"`` is :func:`exact_global`.
-
-    There is exactly one minimal core set iff the intersection of all core
-    sets is itself a core set.  A lone minimal core set lies in every core
-    set, so it is the intersection, and an intersection that is a core set is
-    the only minimal one.  Each vertex of a core set S lies in at least r of
-    the C(|S|-1, k-1) edges inside S that can hold it, so only the vertex
-    sets with C(|S|-1, k-1) >= r (hence |S| >= k) are read.  The C(v,k) <= 20
-    guard forces v <= 6 unless k >= v-1, and leaves at most 57 such sets at
-    r = 1, 42 at r = 2 and 22 at r = 3 (all at v = 6).  A vertex lies in the
-    intersection X iff no core set misses it, and a graph is accepted iff
-    some core set lies in X.  X lies in every core set, so such a core set
-    is X, and it is the only minimal one; if C is the only minimal one, C is
-    the intersection and lies in X.  With no core set nothing is accepted.
+    minimum degree >= r.  There is exactly one minimal core set iff the
+    intersection of all core sets is itself a core set.  A lone minimal core
+    set lies in every core set, so it is the intersection, and an
+    intersection that is a core set is the only minimal one.  Each vertex of
+    a core set S lies in at least r of the C(|S|-1, k-1) edges inside S that
+    can hold it, so only the vertex sets with C(|S|-1, k-1) >= r (hence
+    |S| >= k) are read.  The C(v,k) <= 20 guard forces v <= 6 unless
+    k >= v-1, and leaves at most 57 such sets at r = 1, 42 at r = 2 and 22
+    at r = 3 (all at v = 6).  A vertex lies in the intersection X iff no
+    core set misses it, and a graph is accepted iff some core set lies in X.
+    X lies in every core set, so such a core set is X, and it is the only
+    minimal one; if C is the only minimal one, C is the intersection and
+    lies in X.  With no core set nothing is accepted.
     """
-    if semantics not in ("minimal", "maximal"):
-        raise ValueError(f"semantics must be 'minimal' or 'maximal', got {semantics!r}")
-    if semantics == "maximal":
-        return exact_global(v, k, p, r)
     return kernels.exhaustive_exactly_one_prob(_candidates(v, k, p, r), v, r, p)
 
 

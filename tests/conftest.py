@@ -19,7 +19,7 @@ def edge_subsets(v, k):
 def min_degree_ok(edges, v, r):
     """True iff every one of the v vertices lies in at least r of ``edges``:
     the Monte Carlo min-degree predicate on one trial."""
-    return bool(kernels.PREDICATES["min-degree"](edges, 1, v, r)[0])
+    return bool(kernels._min_degree_rows(edges, 1, v, r)[0])
 
 
 def enumeration_prob(v, k, p, indicator):

@@ -137,8 +137,8 @@ def test_criterion_7_single_edge_anchor():
 def test_criterion_7_exactly_one_vs_oracle():
     start = time.perf_counter()
     res = cb.exactly_one_core(5, 0.5, 3, 2, method="exact-enum")
-    minimal = cb.exact_exactly_one(5, 3, 0.5, 2, "minimal")
-    maximal = cb.exact_exactly_one(5, 3, 0.5, 2, "maximal")
+    minimal = cb.exact_exactly_one(5, 3, 0.5, 2)
+    maximal = cb.exact_global(5, 3, 0.5, 2)
     matches = [name for name, oracle in (("minimal", minimal), ("maximal", maximal))
                if abs(res.exactly_one.value - oracle) <= 1e-6]
     elapsed = time.perf_counter() - start

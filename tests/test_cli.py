@@ -15,7 +15,7 @@ import pytest
 
 from corebound import cli, kernels
 from corebound.cli import main
-from corebound.sweep import FORMULA_METHODS
+from corebound.sweep import FORMULA_METHODS, SWEEP_METHODS
 
 
 def run_cli(*argv):
@@ -323,7 +323,7 @@ class TestUsageErrors:
             assert capsys.readouterr() == ("", "error: u must be >= 1, got -3\n")
 
     @pytest.mark.parametrize("v", ["0", "-2"])
-    @pytest.mark.parametrize("method", cli.GLOBAL_METHODS)
+    @pytest.mark.parametrize("method", SWEEP_METHODS)
     def test_vertex_count_below_one_exit_2(self, capsys, method, v):
         for rate in (["--p", "0.5"], ["--e-v", "2"]):
             assert main(["global", "--v", v, "--k", "3", *rate, "--method", method]) == 2

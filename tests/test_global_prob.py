@@ -94,9 +94,9 @@ class TestExactlyOneCore:
         for p in (0.2, 0.5, 0.8):
             res = exactly_one_core(4, p, 3, 2, method="exact-enum")
             assert res.exactly_one.valid
-            expected = exact_exactly_one(4, 3, p, 2, "minimal")
+            expected = exact_exactly_one(4, 3, p, 2)
             assert res.exactly_one.value == pytest.approx(expected, abs=1e-12)
-            assert exact_exactly_one(4, 3, p, 2, "maximal") == pytest.approx(expected, abs=1e-12)
+            assert exact_global(4, 3, p, 2) == pytest.approx(expected, abs=1e-12)
 
     def test_overcount_is_flagged_not_clamped(self):
         res = exactly_one_core(5, 0.5, 3, 2, method="exact-enum")
@@ -527,7 +527,7 @@ class TestSinglePath:
             raise AssertionError("global_prob.binomial_row called")
 
         monkeypatch.setattr(global_prob, "binomial_row", forbidden)
-        v = global_prob.COMPOSITION_GUARD + 1
+        v = local_prob.RECURSION_GUARD + 1
         assert v == 2049
         with pytest.raises(ValueError, match="size-composition guard"):
             exactly_one_core(v, 0.5, 3, 2, method="covering")

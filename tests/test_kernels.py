@@ -201,6 +201,9 @@ REFERENCE = {
     "connectivity": lambda edges, v, r: _components(edges, v) == 1,
     "min-degree": lambda edges, v, r: min(_degrees(edges, v)) >= r,
 }
+# the per-block kernel of each predicate
+BLOCK_PREDICATES = {"global": kernels._core_rows, "connectivity": kernels._connected_rows,
+                    "min-degree": kernels._min_degree_rows}
 
 
 def _per_trial(v, k, p, r, predicate, trials, seed, start):
@@ -216,10 +219,11 @@ def _address(array):
 
 
 def _mc_count(predicate, v, k, p, r, trials, seed, start=0):
-    # the kernel, not mc_local, whose predicate follows r: cases run min-degree at r = 1
+    # the block kernel, not mc_local_successes, whose test follows r: cases
+    # run min-degree at r = 1
     if predicate == "global":
         return mc_global(v, k, p, r, trials=trials, seed=seed, start=start).successes
-    return kernels.mc_local_successes(v, k, p, r, predicate, trials, seed, start)
+    return kernels._successes(BLOCK_PREDICATES[predicate], v, k, p, r, trials, seed, start)
 
 
 def _no_thread(*args, **kwargs):
@@ -485,8 +489,6 @@ class TestSlotMajorLayout:
     """The predicates read an (m, k) edge array by its k slot rows: the
     answer must not depend on the array's memory layout."""
 
-    BLOCK_PREDICATES = {"global": kernels._core_rows, **kernels.PREDICATES}
-
     @staticmethod
     def _block(v, k, p, n):
         seeds = kernels._trial_seeds(5, 0, n)
@@ -510,7 +512,7 @@ class TestSlotMajorLayout:
             trial = block[:, 0] // v  # the trial of each edge
             per_trial = [block[trial == t] - t * v for t in range(n)]
             for r in (1, 2):
-                for name, test in self.BLOCK_PREDICATES.items():
+                for name, test in BLOCK_PREDICATES.items():
                     want = [REFERENCE[name](e.tolist(), v, r) for e in per_trial]
                     for edges in layouts:
                         assert test(edges, n, v, r).tolist() == want, (name, p, r)
@@ -583,14 +585,14 @@ class TestExhaustiveOracles:
                     math.fsum(w for w, ok in zip(weights, any_core) if ok), abs=1e-12)
                 assert exact_local(v, k, p, r) == pytest.approx(
                     math.fsum(w for w, ok in zip(weights, spans_all) if ok), abs=1e-12)
-                assert exact_exactly_one(v, k, p, r, "minimal") == pytest.approx(
+                assert exact_exactly_one(v, k, p, r) == pytest.approx(
                     math.fsum(w for w, ok in zip(weights, one_minimal) if ok), abs=1e-12)
 
     def test_pinned_values(self):
         # the per-mask loops' values at 2^20 edge subsets, bit for bit
         assert exact_global(6, 3, 0.5, 2).hex() == "0x1.fdc4000000007p-1"
         assert exact_local(6, 3, 0.5, 2).hex() == "0x1.e3bbe00000007p-1"
-        assert exact_exactly_one(6, 3, 0.5, 2, "minimal").hex() == "0x1.43be000000006p-5"
+        assert exact_exactly_one(6, 3, 0.5, 2).hex() == "0x1.43be000000006p-5"
 
     def test_every_guarded_value_pinned(self):
         # every (v, k) the enumeration guard admits up to v = 7, plus the two
@@ -601,7 +603,7 @@ class TestExhaustiveOracles:
             for r in range(1, 5):
                 for p in (0.0, 0.25, 0.37, 0.5, 0.8, 1.0):
                     for value in (exact_global(v, k, p, r), exact_local(v, k, p, r),
-                                  exact_exactly_one(v, k, p, r, "minimal")):
+                                  exact_exactly_one(v, k, p, r)):
                         digest.update(value.hex().encode())
         assert digest.hexdigest().startswith("35be3b1babdf988a"), digest.hexdigest()
 
@@ -695,7 +697,7 @@ class TestExhaustiveOracles:
         # v < k: m = 0, and the one graph is the empty one
         for p in (0.0, 0.37, 1.0):
             assert exact_local(2, 3, p, 1) == exact_global(2, 3, p, 1) == 0.0
-            assert exact_exactly_one(2, 3, p, 1, "minimal") == 0.0
+            assert exact_exactly_one(2, 3, p, 1) == 0.0
 
     def test_r_beyond_any_degree(self):
         # edges 0 and 1 inside the word, edge 2 in the row; masks {0, 2} and
@@ -714,7 +716,7 @@ class TestExhaustiveOracles:
             assert accepted(r) == [0, 0]
             for p in (0.0, 0.5, 1.0):
                 assert exact_local(4, 3, p, r) == exact_global(4, 3, p, r) == 0.0
-                assert exact_exactly_one(4, 3, p, r, "minimal") == 0.0
+                assert exact_exactly_one(4, 3, p, r) == 0.0
 
     def test_r_below_one(self):
         # callers pass r >= 1; below it every set of at least k vertices is
@@ -729,10 +731,10 @@ class TestExhaustiveOracles:
     @pytest.mark.parametrize("oracle, blocks", [
         (lambda: exact_local(6, 3, 0.5, 2), 6),
         (lambda: exact_global(6, 3, 0.5, 2), 6),
-        (lambda: exact_exactly_one(6, 3, 0.5, 2, "minimal"), 10),
+        (lambda: exact_exactly_one(6, 3, 0.5, 2), 10),
         # r = 1: 42 candidate vertex sets, the most at this size
         (lambda: exact_global(6, 3, 0.5, 1), 8),
-        (lambda: exact_exactly_one(6, 3, 0.5, 1, "minimal"), 8),
+        (lambda: exact_exactly_one(6, 3, 0.5, 1), 8),
     ], ids=["local", "global", "exactly-one", "global-r1", "exactly-one-r1"])
     def test_memory_is_bounded_per_block(self, oracle, blocks):
         # 2^20 edge subsets; one block of uint32 masks is 256 KiB and all 2^20

@@ -17,7 +17,6 @@ from corebound import (
     exact_local,
     gilbert_prob,
 )
-from corebound.global_prob import COMPOSITION_GUARD
 from corebound.numerics import count_text, range_checked, scaled_power, stable_sum
 from conftest import connected_prob_oracle
 
@@ -189,9 +188,9 @@ class TestConnectivityProb:
             ConnectivityTable(3, -0.1).prob(4)
 
     def test_size_past_guard_is_refused(self):
-        # the guard is the composition's, so no size a composition reads is
-        # refused; the refusal comes before any row is built
-        assert local_prob.RECURSION_GUARD == COMPOSITION_GUARD == 2**11
+        # the composition refuses v past the same guard, so no size a
+        # composition reads is refused; the refusal comes before any row is built
+        assert local_prob.RECURSION_GUARD == 2**11
         table = ConnectivityTable(3, 0.001)
         for u in (2049, 10**40):
             with pytest.raises(ValueError, match=re.escape(f"u = {count_text(u)} exceeds the "

@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from corebound import (
@@ -107,21 +108,22 @@ class TestMcLocal:
         # connectivity at r = 1, min-degree above, and the local scope's estimate
         u, k, p, seed = 6, 3, 0.3, 9
         counts = []
-        for r, predicate in ((1, "connectivity"), (2, "min-degree")):
+        for r, test in ((1, kernels._connected_rows), (2, kernels._min_degree_rows)):
             est = mc_local(u, k, p, r, trials=2000, seed=seed)
-            assert est.successes == kernels.mc_local_successes(u, k, p, r, predicate, 2000, seed, 0)
+            assert est.successes == kernels.mc_local_successes(u, k, p, r, 2000, seed)
+            assert est.successes == kernels._successes(test, u, k, p, r, 2000, seed, 0)
             assert sweep.mc_value("local", u, p, k, r, 2000, seed) == est
             counts.append(est.successes)
         assert counts[0] != counts[1]  # the two predicates count apart at this seed
 
 
 class TestLocalEventAtROne:
-    """At r = 1 the two local references read different events (ROADMAP item
-    22): ``mc_local`` counts connected graphs on the u vertices, while
+    """At r = 1 the two local references read different events:
+    ``mc_local`` counts connected graphs on the u vertices, while
     ``exact_local`` weighs graphs of minimum degree >= 1, and two disjoint
     edges pass only the second.  ``kernels.mc_local_successes`` is the one
-    owner of the rule that picks the Monte Carlo test from r, so deciding
-    item 22 changes a count pinned here."""
+    owner of the rule that picks the Monte Carlo test from r, so settling
+    which event "local" means at r = 1 changes a value pinned here."""
 
     U, K, SEED, TRIALS = 6, 3, 1, 200_000
     PINS = {  # p: (mc_local successes, exact_local, ConnectivityTable(3, p).value(6))
@@ -229,28 +231,46 @@ class TestExactGlobal:
             exact_global(7, 3, 0.5, 1)  # C(7,3) = 35 > 20
 
 
+def one_maximal_core_prob(v, k, p, r):
+    """``exact_global``'s sum with the maximal reading as its accept rule:
+    set i is a maximal core set where it is a core set and no strict
+    superset of it is one, and a subset is accepted where exactly one is."""
+    sets = kernels._candidate_sets(v, k, r)
+    supersets = [np.array([j for j, t in enumerate(sets) if set(s) < set(t)], dtype=np.intp)
+                 for s in sets]
+
+    def accept(cores):
+        once = twice = np.zeros(cores.shape[1:], dtype=np.uint64)
+        for i, above in enumerate(supersets):
+            maximal = cores[i] & ~np.bitwise_or.reduce(cores[above], axis=0)
+            once, twice = once | maximal, twice | (once & maximal)
+        return once & ~twice
+
+    return kernels._core_set_prob(candidate_edges(v, k), v, r, p, sets, accept)
+
+
 class TestExactExactlyOne:
+    # the minimal reading has its own oracle; exactly one maximal core set is
+    # a nonempty peeled core, exact_global
+    ORACLES = {"minimal": exact_exactly_one, "maximal": exact_global}
+
     def test_at_most_one_core_possible(self):
         for p in (0.2, 0.7):
-            assert exact_exactly_one(3, 3, p, 1, "minimal") == pytest.approx(p, abs=1e-12)
-            assert exact_exactly_one(3, 3, p, 1, "maximal") == pytest.approx(p, abs=1e-12)
+            assert exact_exactly_one(3, 3, p, 1) == pytest.approx(p, abs=1e-12)
+            assert exact_global(3, 3, p, 1) == pytest.approx(p, abs=1e-12)
 
     def test_p_zero(self):
-        assert exact_exactly_one(4, 3, 0.0, 1, "minimal") == 0.0
-        assert exact_exactly_one(4, 3, 0.0, 1, "maximal") == 0.0
+        assert exact_exactly_one(4, 3, 0.0, 1) == 0.0
+        assert exact_global(4, 3, 0.0, 1) == 0.0
 
     def test_semantics_differ_when_cores_nest(self):
         # v=4, r=1: each present edge is a minimal core; the union is the one
         # maximal core.  Exactly one minimal core <=> exactly one edge.
         p = 0.5
-        assert exact_exactly_one(4, 3, p, 1, "minimal") == pytest.approx(
+        assert exact_exactly_one(4, 3, p, 1) == pytest.approx(
             4 * p * (1 - p) ** 3, abs=1e-12
         )
-        assert exact_exactly_one(4, 3, p, 1, "maximal") == pytest.approx(15 / 16, abs=1e-12)
-
-    def test_semantics_argument(self):
-        with pytest.raises(ValueError):
-            exact_exactly_one(4, 3, 0.5, 1, "median")
+        assert exact_global(4, 3, p, 1) == pytest.approx(15 / 16, abs=1e-12)
 
     @pytest.mark.parametrize("semantics", ["minimal", "maximal"])
     @pytest.mark.parametrize("r", [1, 2])
@@ -269,24 +289,24 @@ class TestExactExactlyOne:
             return sum(not any(beaten(c, d) for d in cores) for c in cores) == 1
 
         p = 0.37
-        assert exact_exactly_one(v, k, p, r, semantics) == pytest.approx(
+        assert self.ORACLES[semantics](v, k, p, r) == pytest.approx(
             enumeration_prob(v, k, p, exactly_one), abs=1e-12
         )
 
     @pytest.mark.parametrize("v,k", [(v, k) for k in range(2, 6) for v in range(k, 7)])
     def test_maximal_equals_global(self, v, k):
         # the union of two r-cores is an r-core, so there is one maximal core
-        # exactly when peeling leaves a nonempty one: vertex-subset enumeration
-        # and peeling must agree bit for bit
+        # set exactly when there is any: counting the maximal core sets of
+        # each subset accepts the subsets exact_global accepts, bit for bit
         for r in (1, 2, 3):
             for p in (0.0, 0.1, 0.37, 0.5, 0.9, 1.0):
-                assert exact_exactly_one(v, k, p, r, "maximal").hex() == \
+                assert one_maximal_core_prob(v, k, p, r).hex() == \
                     exact_global(v, k, p, r).hex(), (v, k, r, p)
 
     def test_grid_bits_pinned(self):
         # every bit of a 540-value grid, recorded before the oracle enumerated
         # only the vertex sets of at least k vertices
-        grid = [(v, k, r, p, s, exact_exactly_one(v, k, p, r, s).hex())
+        grid = [(v, k, r, p, s, self.ORACLES[s](v, k, p, r).hex())
                 for v in range(1, 7) for k in range(2, 5) for r in range(1, 4)
                 for p in (0.0, 0.13, 0.5, 0.77, 1.0) for s in ("minimal", "maximal")]
         digest = hashlib.sha256(repr(grid).encode()).hexdigest()
@@ -299,10 +319,9 @@ class TestExactExactlyOne:
         # 64 GiB at v = 20.  With r = 1 the edges are the minimal core sets, so
         # exactly one minimal core set means exactly one edge.
         p = 0.37
-        assert exact_exactly_one(v, v - 1, p, 1, "minimal") == pytest.approx(
+        assert exact_exactly_one(v, v - 1, p, 1) == pytest.approx(
             v * p * (1 - p) ** (v - 1), rel=1e-12)
-        assert exact_exactly_one(v, v - 1, p, 1, "maximal").hex() == \
-            exact_global(v, v - 1, p, 1).hex()
+        assert exact_global(v, v - 1, p, 1) == pytest.approx(1 - (1 - p) ** v, rel=1e-12)
 
     @pytest.mark.parametrize("v,k", [(v, k) for k in range(2, 9) for v in range(1, 8)
                                      if choose(v, k) <= 20] + [(20, 19)])
@@ -313,7 +332,7 @@ class TestExactExactlyOne:
         for p in (0.0, 0.25, 0.5, 0.8, 1.0):
             one_edge = m * p * (1 - p) ** (m - 1) if m else 0.0
             assert abs(exact_global(v, k, p, 1) - (1 - (1 - p) ** m)) <= 1e-15, p
-            assert abs(exact_exactly_one(v, k, p, 1, "minimal") - one_edge) <= 1e-15, p
+            assert abs(exact_exactly_one(v, k, p, 1) - one_edge) <= 1e-15, p
 
     @pytest.mark.parametrize("r", [2, 3, 19, 20])
     def test_three_oracles_agree_at_k_one_below_v(self, r):
@@ -322,13 +341,13 @@ class TestExactExactlyOne:
         # core set exists, is unique and spans V together
         value = exact_local(20, 19, 0.5, r)
         assert exact_global(20, 19, 0.5, r).hex() == value.hex()
-        assert exact_exactly_one(20, 19, 0.5, r, "minimal").hex() == value.hex()
+        assert exact_exactly_one(20, 19, 0.5, r).hex() == value.hex()
         assert (value > 0) == (r <= 19)
 
     @pytest.mark.parametrize("semantics", ["minimal", "maximal"])
     def test_single_candidate_at_large_v(self, semantics):
         # C(100, 100) = 1: one vertex set to read, not 2^100
-        assert exact_exactly_one(100, 100, 0.37, 1, semantics) == pytest.approx(0.37, rel=1e-12)
+        assert self.ORACLES[semantics](100, 100, 0.37, 1) == pytest.approx(0.37, rel=1e-12)
 
 
 class TestExactLocal:
