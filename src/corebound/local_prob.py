@@ -55,7 +55,7 @@ COVERING_TERM_GUARD = 10**6
 # table to u takes O(u^2) Python steps (1.8 s to u = 2048, 11.2 s to 5000 at
 # k = 3, p = 0.001).  A composition's binomial rows hold about v^2/2 floats
 # (tracemalloc: 10.1, 28.9 and 86.1 MiB at v = 1024, 2048 and 4096) and its
-# loop takes O(v^3) steps at most (3.5-7.4 s at v = 2000, k = 3, r = 2 and
+# loop takes O(v^3) steps at most (3.1-7.1 s at v = 2000, k = 3, r = 2 and
 # overhead 0.8-5.0, where ``_level`` skips most factors); both refuse a
 # larger size before building anything.  Timed on a shared 2-vCPU host.
 RECURSION_GUARD = 2**11

@@ -19,8 +19,14 @@ from corebound import (
 from corebound import global_prob, local_prob
 from corebound.cli import main
 from corebound.global_prob import _geometric_bound, _level, _merge
-from corebound.numerics import ProbValue, binomial_row, range_checked
+from corebound.numerics import PROB_TOL, ProbValue, binomial_row, range_checked
 from corebound.sweep import METHOD_TABLE, formula_value, point_geometry
+
+
+def _flags_notes(parts):
+    """The flags and the notes of (value, valid, note) triples, for ``_merge``."""
+    parts = list(parts)
+    return [valid for _, valid, _ in parts], [note for _, _, note in parts]
 
 
 def connectivity_comp(v, p, k=3, r=1):
@@ -123,11 +129,12 @@ class TestResultTerms:
         assert list(res.per_size) == list(res.lone_core) == list(res.no_distinct_core) == sizes
         for u in sizes:
             lone, rest = res.lone_core[u], res.no_distinct_core[u]
-            again = ProbValue(*_merge(lone.value * rest.value, (lone, rest)))
+            again = ProbValue(*_merge(lone.value * rest.value, *_flags_notes((lone, rest))))
             assert _hex(again) == _hex(res.per_size[u]), u
             if u < v:
                 sub = exactly_one_core(v - u, p, k, r, source)
-                complement = _merge(1.0 - sub.exactly_one.value, sub.per_size.values())
+                complement = _merge(1.0 - sub.exactly_one.value,
+                                    *_flags_notes(sub.per_size.values()))
                 assert _hex(rest) == _hex(ProbValue(*complement)), u
             else:
                 assert _hex(rest) == _hex(ProbValue(1.0)), u
@@ -506,14 +513,15 @@ class TestSinglePath:
             assert list(res.per_size) == list(range(n, 2, -1))
             for u, size in res.per_size.items():
                 lone, rest = res.lone_core[u], res.no_distinct_core[u]
-                again = ProbValue(*_merge(lone.value * rest.value, (lone, rest)))
+                again = ProbValue(*_merge(lone.value * rest.value, *_flags_notes((lone, rest))))
                 assert _hex(again) == _hex(size), (n, u)
 
     def test_merge_takes_the_first_note(self):
         parts = [(0.1, True, None), ProbValue(0.2, False, "first"), (0.3, True, "second")]
-        assert _hex(ProbValue(*_merge(0.6, parts))) == _hex(ProbValue(0.6, False, "first"))
-        assert _hex(ProbValue(*_merge(1.5, [(0.5, True, None)]))) == _hex(ProbValue.checked(1.5))
-        assert _hex(ProbValue(*_merge(0.5, []))) == _hex(ProbValue(0.5))
+        first = ProbValue(*_merge(0.6, *_flags_notes(parts)))
+        assert _hex(first) == _hex(ProbValue(0.6, False, "first"))
+        assert _hex(ProbValue(*_merge(1.5, [True], [None]))) == _hex(ProbValue.checked(1.5))
+        assert _hex(ProbValue(*_merge(0.5, [], []))) == _hex(ProbValue(0.5))
 
     @pytest.mark.parametrize("v", [0, -2])
     def test_vertex_count_below_one_rejected(self, v):
@@ -572,25 +580,65 @@ class TestSinglePath:
         exactly_one_core(v, 20 / math.comb(v, k), k, 2, source)
         assert sorted(sizes) == list(range(k, v + 1))
 
+    @pytest.mark.parametrize("source", ["connectivity", "covering", "interleaved"])
+    def test_each_local_value_read_once(self, monkeypatch, source):
+        # one read per size, in the order the levels first need them: the
+        # sizes k..v-k of the smaller instances, then level v from the top
+        sizes = []
+        original = LocalProvider.value
+
+        def counted(provider, u):
+            sizes.append(u)
+            return original(provider, u)
+
+        monkeypatch.setattr(LocalProvider, "value", counted)
+        v, k = 30, 3
+        exactly_one_core(v, 20 / math.comb(v, k), k, 2, source)
+        assert sizes == [*range(k, v - k + 1), *range(v, v - k, -1)]
+
+    def test_rest_takes_the_first_note_and_every_flag(self, monkeypatch):
+        # every local value carries its own note, so each "no distinct core"
+        # triple shows which size's note and flags it took
+        def noted(provider, u):
+            return ProbValue(0.01, u % 3 != 0, f"size {u}")
+
+        monkeypatch.setattr(LocalProvider, "value", noted)
+        v, k = 14, 3
+        res = exactly_one_core(v, 0.5, k, 2, "covering")
+        for u in range(k, v - k + 1):
+            sub = exactly_one_core(v - u, 0.5, k, 2, "covering").per_size
+            want = _merge(1.0 - math.fsum(pv.value for pv in sub.values()),
+                          *_flags_notes(sub.values()))
+            assert _hex(res.no_distinct_core[u]) == _hex(ProbValue(*want)), u
+            assert res.no_distinct_core[u].note == f"size {v - u}"
+        assert {pv.valid for pv in res.no_distinct_core.values()} == {True, False}
+
+    def test_enumeration_guard_fires_at_the_first_ask(self):
+        # sizes 3..5 fit the enumeration guard and 6 would too; 7 (35 edges)
+        # would not, but level 8 asks for size 8 first
+        with pytest.raises(ValueError) as raised:
+            exactly_one_core(8, 0.5, 3, 2, "exact-enum")
+        assert str(raised.value) == "C(v, k) = 56 exceeds the enumeration guard 20"
+
 
 # ---------------------------------------------------------------------------
 # The size composition's level, against every factor evaluated
 # ---------------------------------------------------------------------------
 
-def _reference_level(n, k, rows, rests, local_value):
+def _reference_level(n, k, rows, rests, local):
     """``global_prob._level`` with no factor skipped: every factor
     (1 - C_x)^C(n-u, x-u), x = u+1..n, evaluated and multiplied in ascending
-    x.  The pruned level must yield the same triples bit for bit, a nan's
-    sign aside: this loop multiplies a nan product by later nan factors, and
-    which nan operand CPython's float multiply keeps depends on whether the
-    interpreter runs its specialised multiply (it does not while a trace
-    function is set)."""
+    x, yielding (u, lone, per-size) triples for u = n down to k.  The pruned
+    level must give the same triples bit for bit, a nan's sign aside: this
+    loop multiplies a nan product by later nan factors, and which nan operand
+    CPython's float multiply keeps depends on whether the interpreter runs
+    its specialised multiply (it does not while a trace function is set)."""
     exp, pow_, log1p, inf = math.exp, math.pow, math.log1p, math.inf
     above_valid, above_note = True, None
     factors = []  # per size above u, largest first
     for u in range(n, k - 1, -1):
-        local, local_valid, local_note = local_value(u)
-        value = rows[n][u - 1] * local
+        local_value, local_valid, local_note = local[u]
+        value = rows[n][u - 1] * local_value
         for e, (log1m, one_minus) in zip(rows[n - u], reversed(factors)):
             try:
                 value *= exp(e * log1m) if log1m is not None else pow_(one_minus, e)
@@ -619,17 +667,23 @@ def _level_bits(level):
     return [(u, _bits(lone), _bits(size)) for u, lone, size in level]
 
 
-def _assert_level_matches(n, k, rows, rests, local_value):
-    got = list(_level(n, k, rows, rests, local_value))
-    want = list(_reference_level(n, k, rows, rests, local_value))
-    assert _level_bits(got) == _level_bits(want), n
+def _assert_level_matches(n, k, rows, rests, local):
+    """Run ``_level`` with and without its lone-core list, check both runs
+    against the reference and return its (u, lone, per-size) triples."""
+    lones = []
+    values, flags, notes = _level(n, k, rows, rests, local, lones)
+    got = list(zip(range(n, k - 1, -1), lones, zip(values, flags, notes)))
+    want = list(_reference_level(n, k, rows, rests, local))
+    assert len(lones) == len(values) and _level_bits(got) == _level_bits(want), n
+    alone = _level(n, k, rows, rests, local)
+    assert list(map(_bits, zip(*alone))) == [size for _, _, size in _level_bits(got)], n
     return got
 
 
 class TestLevelSkipsNoBit:
     """``_level`` skips factors of exactly 1.0 and the rest of a product that
-    is nan or a zero no later factor can change.  Each level it yields equals
-    the reference's: value bytes (any nan as nan), flags and notes."""
+    is nan or a zero no later factor can change.  Each level it returns
+    equals the reference's: value bytes (any nan as nan), flags and notes."""
 
     @pytest.fixture
     def checked_levels(self, monkeypatch):
@@ -637,10 +691,13 @@ class TestLevelSkipsNoBit:
         against the reference; returns the list of level sizes checked."""
         checked = []
 
-        def level(n, *args):
-            got = _assert_level_matches(n, *args)
+        def level(n, k, rows, rests, local, lone=None):
+            got = _assert_level_matches(n, k, rows, rests, local)
             checked.append(n)
-            yield from got
+            if lone is not None:
+                lone.extend(lone_triple for _, lone_triple, _ in got)
+            sizes = [size for _, _, size in got]
+            return [s[0] for s in sizes], [s[1] for s in sizes], [s[2] for s in sizes]
 
         monkeypatch.setattr(global_prob, "_level", level)
         return checked
@@ -675,7 +732,7 @@ class TestLevelSkipsNoBit:
         local = {u: range_checked(draw(), rng.random() < 0.9, None) for u in range(k, n + 1)}
         rests = [range_checked(draw() if rng.random() < 0.3 else 1.0, True,
                                rng.choice([None, f"rest {m}"])) for m in range(n - k + 1)]
-        _assert_level_matches(n, k, rows, rests, local.__getitem__)
+        _assert_level_matches(n, k, rows, rests, local)
 
     def _synthetic_batch(self, on_scale=lambda scale: None):
         # binomial rows scaled by a whole number keep C(n-u, x-u) <= C(n, x),
@@ -733,8 +790,23 @@ class TestLevelSkipsNoBit:
         for above in (0.3, 1.5, -0.5, math.nan, math.inf):
             for zero in (0.0, -0.0):
                 local = {u: (zero if u < 8 else above, True, None) for u in range(k, n + 1)}
-                got = _assert_level_matches(n, k, rows, rests, local.__getitem__)
+                got = _assert_level_matches(n, k, rows, rests, local)
                 assert all(lone[0] == 0 or lone[0] != lone[0] for u, lone, _ in got if u < 8)
+
+    def test_range_rule_at_the_tolerance(self):
+        # the lone-core and per-size values of a one-size level, at and just
+        # past both ends of [-PROB_TOL, 1 + PROB_TOL]; the per-size value is
+        # 0.5 times a doubled end (exact), so it sits at the end too
+        ends = [-PROB_TOL, math.nextafter(-PROB_TOL, -1.0), 1.0 + PROB_TOL,
+                math.nextafter(1.0 + PROB_TOL, 2.0), -PROB_TOL / 2, 1.0 + PROB_TOL / 2]
+        rows = [binomial_row(m)[1:] for m in range(3)]
+        flags = set()
+        for local, rest in [*((end, 1.0) for end in ends), *((0.5, 2 * end) for end in ends)]:
+            for note in (None, "local note"):
+                got = _assert_level_matches(2, 2, rows, [(rest, True, None)],
+                                            {2: (local, True, note)})
+                flags |= {(got[0][1][1], got[0][2][1])}
+        assert flags == {(True, True), (False, False), (True, False)}
 
     def test_rows_past_double_range(self):
         # level 1040 reads rows past 1029, which hold inf.  A size whose
@@ -744,7 +816,7 @@ class TestLevelSkipsNoBit:
         rows = [binomial_row(m)[1:] for m in range(n + 1)]
         rests = [(1.0, True, None)] * (n - k + 1)
         local = {u: ((0.0, -0.0, 1e-300, 0.4)[u % 4], True, None) for u in range(k, n + 1)}
-        got = _assert_level_matches(n, k, rows, rests, local.__getitem__)
+        got = _assert_level_matches(n, k, rows, rests, local)
         sizes = {u: size[0] for u, _, size in got}
         assert any(c == 0 for c in sizes.values()) and any(c != c for c in sizes.values())
         assert all(math.isfinite(rows[n][x - 1]) for x, c in sizes.items() if 0.0 <= c <= 1.0)
