@@ -162,7 +162,7 @@ def cmd_local(args) -> int:
     p = _resolve_p(args.u, args.k, args.p, args.e_u)
     method = args.method
     if method == "mc":
-        est = sweep_mod.mc_value("local", args.u, p, args.k, args.r, args.trials, args.seed)
+        est = montecarlo.mc_local(args.u, args.k, p, args.r, args.trials, args.seed)
         row = {"u": args.u, "p": p, "method": method, "value": est.mean,
                "valid": True, "trials": est.trials, "stderr": est.stderr}
         return _emit(args, [row], row)
@@ -201,7 +201,7 @@ def cmd_global(args) -> int:
     methods = tuple(dict.fromkeys(args.method)) if args.method else ("connectivity",)
     values = {m: sweep_mod.formula_value(m, "global", args.v, p, args.k, args.r)
               for m in methods if m != "mc"}
-    est = (sweep_mod.mc_value("global", args.v, p, args.k, args.r, args.trials, args.seed)
+    est = (montecarlo.mc_global(args.v, args.k, p, args.r, args.trials, args.seed)
            if "mc" in methods else None)
     point, cells = {"v": args.v, "p": p}, _method_cells(values, est)
     return _emit(args, [{**point, **cells}], {**point, "k": args.k, "r": args.r, **cells})

@@ -14,9 +14,10 @@ value for size u is the product of
 values of the instances on 0..v-k vertices in one ascending pass, each from
 the per-size values of its own level, reads level v once, and returns every
 term: the per-size, lone-core and "no distinct core" values of each size.
-It reads local(u) once per size from the ``local_prob.LocalProvider`` it
-builds for its local source at (k, p, r).  Level n works down from u = n, so
-every C_x with x > u is known when size u needs it.
+It reads local(u) once per size, in size order, from the
+``local_prob.LocalProvider`` it builds for its local source at (k, p, r).
+Level n works down from u = n, so every C_x with x > u is known when size u
+needs it.
 
 Every value (local, lone-core, per-size, "no distinct core") is a
 ``(value, valid, note)`` triple.  It is invalid when it leaves [0, 1] (the
@@ -59,8 +60,7 @@ class GlobalResult:
     breakdown_at: int | None                # largest size whose value is invalid
 
 
-def _merge(value: float, flags: Iterable[bool],
-           notes: Iterable[str | None]) -> tuple[float, bool, str | None]:
+def _merge(value: float, flags: Iterable[bool], notes: Iterable[str | None]) -> ProbValue:
     """``value`` computed from parts with these flags and notes: invalid when
     it leaves [0, 1] or any part is invalid, carrying the first note among
     the parts."""
@@ -200,12 +200,10 @@ def exactly_one_core(v: int, p: float, k: int, r: int,
     m = 0..v-k, appending the "no distinct core" triple of the m-vertex
     instance; level m reads triples of at most m - k vertices only.  Level v
     is read once.  Local values come from one ``LocalProvider`` for
-    ``method``, whose memo is their one cache.  Each size is read from it
-    once, before any level runs, in the order the levels first meet them:
-    k..v-k ascending (size m is new to level m), then v down to v-k+1 (new to
-    level v).  So the provider evaluates the sizes in that order, and a
-    source that refuses a size (``exact-enum`` past its guard) refuses the
-    first one a level meets.  A smaller instance at the same p is
+    ``method``, whose memo is their one cache.  Each size k..v is read from
+    it once, in ascending order, before any level runs, so a source that
+    refuses a size (``exact-enum`` past its guard) names the smallest size it
+    refuses.  A smaller instance at the same p is
     ``exactly_one_core(n, p, ...)``.  A v past
     ``local_prob.RECURSION_GUARD`` is refused before any row is built.
     """
@@ -216,10 +214,9 @@ def exactly_one_core(v: int, p: float, k: int, r: int,
         raise ValueError(f"v = {count_text(v)} exceeds the size-composition guard "
                          f"{RECURSION_GUARD}")
     rows = [binomial_row(m)[1:] for m in range(v + 1)]  # rows[m][j - 1] = C(m, j)
-    local: list[tuple] = [()] * (v + 1)  # local[u]: the local ProbValue of size u >= k
-    for u in (*range(k, v - k + 1), *range(v, max(v - k, k - 1), -1)):
-        local[u] = provider.value(u)
-    rests: list[tuple] = []  # rests[m]: no distinct core on m vertices
+    # local[u]: the local ProbValue of size u >= k
+    local = [()] * k + [provider.value(u) for u in range(k, v + 1)]
+    rests: list[ProbValue] = []  # rests[m]: no distinct core on m vertices
     for m in range(v - k + 1):
         values, flags, notes = _level(m, k, rows, rests, local)  # empty below k
         rests.append(_merge(1.0 - stable_sum(values), flags, notes))
@@ -228,12 +225,12 @@ def exactly_one_core(v: int, p: float, k: int, r: int,
     sizes = range(v, k - 1, -1)
     per_size = {u: ProbValue(*size) for u, *size in zip(sizes, values, flags, notes)}
     lone_core = {u: ProbValue(*lone) for u, lone in zip(sizes, lones)}
-    exactly = ProbValue(*_merge(stable_sum(values), flags, notes))
+    exactly = _merge(stable_sum(values), flags, notes)
     invalid_sizes = [u for u, pv in per_size.items() if not pv.valid]
     return GlobalResult(
         per_size=per_size,
         lone_core=lone_core,
-        no_distinct_core={u: ProbValue(*rests[v - u]) for u in per_size},
+        no_distinct_core={u: rests[v - u] for u in per_size},
         exactly_one=exactly,
         bound=_geometric_bound(exactly),
         breakdown_at=max(invalid_sizes) if invalid_sizes else None,

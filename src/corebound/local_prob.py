@@ -110,8 +110,9 @@ def _recursion_row(k: int, u: int) -> tuple[tuple[float, ...] | None, tuple[int,
 class ConnectivityTable:
     """Memoized connectivity recursion at fixed (k, p), extendable in u.
 
-    ``value(u)`` is the probability that u given vertices form one connected
-    component.  value(1) = 1, and for u >= 2
+    ``prob(u)``, its one accessor, is the ``ProbValue`` of value(u), the
+    probability that u given vertices form one connected component.
+    value(1) = 1, and for u >= 2
 
         value(u) = 1 - sum_{i=1}^{u-1} value(i) * C(u-1, i-1) * (1-p)^eps(u, i)
 
@@ -136,7 +137,7 @@ class ConnectivityTable:
 
     Entries are flagged invalid from the first u whose value fails
     ``numerics.range_checked``; later entries, computed from it, inherit the
-    flag.  ``value(u)`` refuses a u past ``RECURSION_GUARD``.  A table must
+    flag.  ``prob(u)`` refuses a u past ``RECURSION_GUARD``.  A table must
     not be shared across threads unsynchronized.
     """
 
@@ -169,17 +170,14 @@ class ConnectivityTable:
                          for i, v, e in zip(range(1, u), values[1:u], eps)]
             value = 1.0 - stable_sum(terms)
             values.append(value)
-            if self.first_invalid is None and not range_checked(value, True, None)[1]:
+            if self.first_invalid is None and not range_checked(value, True, None).valid:
                 self.first_invalid = u
                 self._note = f"recursion left [0, 1] at u={u} (value {value!r})"
 
-    def value(self, u: int) -> float:
+    def prob(self, u: int) -> ProbValue:
         _check_size(u)
         self._extend(u)
-        return self._values[u]
-
-    def prob(self, u: int) -> ProbValue:
-        value = self.value(u)
+        value = self._values[u]
         if self.first_invalid is not None and u >= self.first_invalid:
             return ProbValue(value, False, self._note)
         return ProbValue(value)
@@ -204,7 +202,7 @@ def gilbert_prob(u: int, p: float) -> ProbValue:
         for i, weight in zip(range(1, n), binomial_row(n - 1)):  # C(n-1, i-1)
             acc.append(g[i] * weight * q ** (i * (n - i)))
         g.append(1.0 - stable_sum(acc))
-    return ProbValue.checked(g[u])
+    return range_checked(g[u], True, None)
 
 
 def _coverage_factor(e: int, u: int, r: int, q: float) -> float:
@@ -272,7 +270,7 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
         if pmf < COVERING_PMF_CUTOFF:
             break
         terms.append(pmf * _coverage_factor(e, u, r, q))
-    return ProbValue.checked(stable_sum(terms))
+    return range_checked(stable_sum(terms), True, None)
 
 
 LOCAL_METHODS = ("connectivity", "covering", "interleaved", "exact-enum")

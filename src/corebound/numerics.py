@@ -30,16 +30,6 @@ PROB_TOL = 1e-9
 BREAKDOWN_NOTE = "value outside [0, 1]: numerical breakdown"
 
 
-def range_checked(value: float, valid: bool, note: str | None) -> tuple[float, bool, str | None]:
-    """The triple ``(value, valid, note)`` with the range rule applied: a value
-    that is not finite or lies outside ``[-PROB_TOL, 1 + PROB_TOL]`` is
-    invalid, noted as numerical breakdown unless ``note`` already says why."""
-    # both comparisons are False for nan, and one of them for +-inf
-    if -PROB_TOL <= value <= 1.0 + PROB_TOL:
-        return value, valid, note
-    return value, False, note or BREAKDOWN_NOTE
-
-
 def check_kpr(k: int, p: float, r: int) -> None:
     """The model-domain check: ValueError unless k >= 2, r >= 1 and p lies in [0, 1]."""
     if k < 2:
@@ -57,16 +47,23 @@ class ProbValue(NamedTuple):
     ``value`` is reported verbatim even when broken; ``valid`` is False once
     the value (or anything it was computed from) left ``[-PROB_TOL, 1+PROB_TOL]``
     or stopped being finite.  ``note`` carries a short human-readable reason.
+    ``range_checked`` builds one with the range rule applied.
     """
 
     value: float
     valid: bool = True
     note: str | None = None
 
-    @classmethod
-    def checked(cls, value: float) -> "ProbValue":
-        """Wrap ``value``, flagging it invalid if it is not a plausible probability."""
-        return cls(*range_checked(value, True, None))
+
+def range_checked(value: float, valid: bool, note: str | None) -> ProbValue:
+    """The ``ProbValue`` (value, valid, note) with the range rule applied: a
+    value that is not finite or lies outside ``[-PROB_TOL, 1 + PROB_TOL]`` is
+    invalid, noted as numerical breakdown unless ``note`` already says why.
+    The one constructor of a range-checked triple."""
+    # both comparisons are False for nan, and one of them for +-inf
+    if -PROB_TOL <= value <= 1.0 + PROB_TOL:
+        return ProbValue(value, valid, note)
+    return ProbValue(value, False, note or BREAKDOWN_NOTE)
 
 
 def choose(n: int, k: int) -> int:

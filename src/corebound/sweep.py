@@ -16,9 +16,10 @@ walks the expected edge count e over an integer range with v = round(x * e)
 and p = e / C(v, k).  Two scopes exist:
 
 * ``local``  -- the quantities are subset-local: formation on all v vertices
-  of a v-vertex instance (the e_u = u style experiments use overhead 1).
+  of a v-vertex instance (the e_u = u style experiments use overhead 1); the
+  ``mc`` column is ``montecarlo.mc_local``.
 * ``global`` -- the quantities are whole-graph: the geometric bound on
-  at-least-one-core, and peeling-based Monte Carlo.
+  at-least-one-core, and peeling-based Monte Carlo (``montecarlo.mc_global``).
 
 Rows where e exceeds the number of candidate edges clamp p to 1 (such points
 are still well defined); every computed value is emitted verbatim together
@@ -49,7 +50,6 @@ __all__ = [
     "FORMULA_METHODS",
     "SWEEP_METHODS",
     "formula_value",
-    "mc_value",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -162,17 +162,6 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     return bound
 
 
-def mc_value(scope: str, v: int, p: float, k: int, r: int,
-             trials: int, seed: int) -> montecarlo.McEstimate:
-    """Monte Carlo estimate at (v, p, k, r).  Local scope tests a core spanning
-    all v vertices (``montecarlo.mc_local``); global scope peels for a nonempty
-    r-core anywhere."""
-    _check_scope(scope)
-    if scope == "local":
-        return montecarlo.mc_local(v, k, p, r, trials, seed)
-    return montecarlo.mc_global(v, k, p, r, trials, seed)
-
-
 class BreakdownDetector:
     """Feed (e, value, valid) in increasing e; reports the first failing e.
 
@@ -203,7 +192,8 @@ class BreakdownDetector:
 
 def _scan(spec: SweepSpec, detectors: dict[str, BreakdownDetector]) -> Iterator[SweepRow]:
     """The sweep's rows in increasing e, with a value for each formula method
-    in ``detectors``, fed to that method's detector before the row is yielded."""
+    in ``detectors``, fed to that method's detector before the row is yielded,
+    and the scope's Monte Carlo estimate when the spec asks for ``mc``."""
     for e in range(spec.e_min, spec.e_max + 1):
         v, p = point_geometry(spec.k, spec.overhead, e)
         row = SweepRow(e=e, v=v, p=p)
@@ -211,8 +201,8 @@ def _scan(spec: SweepSpec, detectors: dict[str, BreakdownDetector]) -> Iterator[
             row.values[m] = formula_value(m, spec.scope, v, p, spec.k, spec.r)
         if "mc" in spec.methods:
             # stable per-point seed: rows keep their draws if the range changes
-            row.mc = mc_value(spec.scope, v, p, spec.k, spec.r,
-                              spec.trials, trial_seed(spec.seed, e))
+            estimate = montecarlo.mc_local if spec.scope == "local" else montecarlo.mc_global
+            row.mc = estimate(v, spec.k, p, spec.r, spec.trials, trial_seed(spec.seed, e))
         if v >= spec.k:  # points below the smallest possible core are structural zeros
             for m, detector in detectors.items():
                 pv = row.values[m]

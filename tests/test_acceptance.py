@@ -35,7 +35,7 @@ def test_criterion_1_gilbert_equivalence():
     for p in (0.1, 0.3, 0.5, 0.9):
         table = cb.ConnectivityTable(2, p)
         for u in range(1, 13):
-            diff = abs(cb.gilbert_prob(u, p).value - table.value(u))
+            diff = abs(cb.gilbert_prob(u, p).value - table.prob(u).value)
             worst = max(worst, diff)
     elapsed = time.perf_counter() - start
     report(1, elapsed, 1.0, f"max |two-uniform recursion gap| = {worst:.2e}",

@@ -129,13 +129,13 @@ class TestResultTerms:
         assert list(res.per_size) == list(res.lone_core) == list(res.no_distinct_core) == sizes
         for u in sizes:
             lone, rest = res.lone_core[u], res.no_distinct_core[u]
-            again = ProbValue(*_merge(lone.value * rest.value, *_flags_notes((lone, rest))))
+            again = _merge(lone.value * rest.value, *_flags_notes((lone, rest)))
             assert _hex(again) == _hex(res.per_size[u]), u
             if u < v:
                 sub = exactly_one_core(v - u, p, k, r, source)
                 complement = _merge(1.0 - sub.exactly_one.value,
                                     *_flags_notes(sub.per_size.values()))
-                assert _hex(rest) == _hex(ProbValue(*complement)), u
+                assert _hex(rest) == _hex(complement), u
             else:
                 assert _hex(rest) == _hex(ProbValue(1.0)), u
 
@@ -155,7 +155,7 @@ class TestGeometricBound:
     def test_at_or_above_one_is_invalid(self):
         pv = _geometric_bound(ProbValue(1.0))
         assert pv.value == 1.0 and not pv.valid
-        pv = _geometric_bound(ProbValue.checked(1.3))
+        pv = _geometric_bound(range_checked(1.3, True, None))
         assert pv.value == 1.0 and not pv.valid
 
     def test_vacuous_bound_is_noted_but_valid(self):
@@ -513,15 +513,15 @@ class TestSinglePath:
             assert list(res.per_size) == list(range(n, 2, -1))
             for u, size in res.per_size.items():
                 lone, rest = res.lone_core[u], res.no_distinct_core[u]
-                again = ProbValue(*_merge(lone.value * rest.value, *_flags_notes((lone, rest))))
+                again = _merge(lone.value * rest.value, *_flags_notes((lone, rest)))
                 assert _hex(again) == _hex(size), (n, u)
 
     def test_merge_takes_the_first_note(self):
         parts = [(0.1, True, None), ProbValue(0.2, False, "first"), (0.3, True, "second")]
-        first = ProbValue(*_merge(0.6, *_flags_notes(parts)))
+        first = _merge(0.6, *_flags_notes(parts))
         assert _hex(first) == _hex(ProbValue(0.6, False, "first"))
-        assert _hex(ProbValue(*_merge(1.5, [True], [None]))) == _hex(ProbValue.checked(1.5))
-        assert _hex(ProbValue(*_merge(0.5, [], []))) == _hex(ProbValue(0.5))
+        assert _hex(_merge(1.5, [True], [None])) == _hex(range_checked(1.5, True, None))
+        assert _hex(_merge(0.5, [], [])) == _hex(ProbValue(0.5))
 
     @pytest.mark.parametrize("v", [0, -2])
     def test_vertex_count_below_one_rejected(self, v):
@@ -582,8 +582,7 @@ class TestSinglePath:
 
     @pytest.mark.parametrize("source", ["connectivity", "covering", "interleaved"])
     def test_each_local_value_read_once(self, monkeypatch, source):
-        # one read per size, in the order the levels first need them: the
-        # sizes k..v-k of the smaller instances, then level v from the top
+        # one read per size, in size order
         sizes = []
         original = LocalProvider.value
 
@@ -594,7 +593,7 @@ class TestSinglePath:
         monkeypatch.setattr(LocalProvider, "value", counted)
         v, k = 30, 3
         exactly_one_core(v, 20 / math.comb(v, k), k, 2, source)
-        assert sizes == [*range(k, v - k + 1), *range(v, v - k, -1)]
+        assert sizes == list(range(k, v + 1))
 
     def test_rest_takes_the_first_note_and_every_flag(self, monkeypatch):
         # every local value carries its own note, so each "no distinct core"
@@ -609,16 +608,16 @@ class TestSinglePath:
             sub = exactly_one_core(v - u, 0.5, k, 2, "covering").per_size
             want = _merge(1.0 - math.fsum(pv.value for pv in sub.values()),
                           *_flags_notes(sub.values()))
-            assert _hex(res.no_distinct_core[u]) == _hex(ProbValue(*want)), u
+            assert _hex(res.no_distinct_core[u]) == _hex(want), u
             assert res.no_distinct_core[u].note == f"size {v - u}"
         assert {pv.valid for pv in res.no_distinct_core.values()} == {True, False}
 
-    def test_enumeration_guard_fires_at_the_first_ask(self):
-        # sizes 3..5 fit the enumeration guard and 6 would too; 7 (35 edges)
-        # would not, but level 8 asks for size 8 first
+    def test_enumeration_guard_names_the_smallest_refused_size(self):
+        # sizes 3..6 fit the enumeration guard (C(6, 3) = 20); 7 (35 edges)
+        # is the first size read that does not
         with pytest.raises(ValueError) as raised:
             exactly_one_core(8, 0.5, 3, 2, "exact-enum")
-        assert str(raised.value) == "C(v, k) = 56 exceeds the enumeration guard 20"
+        assert str(raised.value) == "C(v, k) = 35 exceeds the enumeration guard 20"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -115,6 +116,29 @@ class TestStream:
         # the v1 stream's bits, recorded before the blocked evaluation
         mask = kernels.sample_edge_mask(64, 0.5, kernels.trial_seed(1, 0))
         assert np.packbits(mask).tobytes().hex() == "a9c934cd2f288afe"
+
+
+# A fresh interpreter that imports numpy before corebound, as the benchmark
+# harness does, then prints what kernels took for numpy and one draw.
+NUMPY_FIRST_CHILD = """\
+import numpy
+from corebound import kernels
+print(kernels.np is numpy, kernels.backend(), kernels.sample_edges(8, 3, 0.5, 7).tolist())
+"""
+
+
+class TestNumpyImportedFirst:
+    """With numpy already imported, ``kernels`` takes the loaded module, not a
+    lazy one.  In this suite the conftest imports corebound first, so only a
+    fresh interpreter runs that branch."""
+
+    def test_kernels_takes_the_loaded_module(self):
+        proc = subprocess.run([sys.executable, "-c", NUMPY_FIRST_CHILD],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        edges = kernels.sample_edges(8, 3, 0.5, 7).tolist()
+        assert edges  # the draw keeps edges, so the comparison reads some
+        assert proc.stdout == f"True numpy {edges}\n"
 
 
 class TestSingleInstanceOps:

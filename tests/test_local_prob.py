@@ -89,7 +89,7 @@ class TestConnectivityProb:
                 table = ConnectivityTable(k, p)
                 for u in range(2, k):
                     assert table.prob(u) == (0.0, True, None), (k, p, u)
-                    assert math.copysign(1.0, table.value(u)) == 1.0, (k, p, u)
+                    assert math.copysign(1.0, table.prob(u).value) == 1.0, (k, p, u)
 
     def test_single_edge_case(self):
         for p in (0.0, 0.25, 0.5, 1.0):
@@ -125,7 +125,7 @@ class TestConnectivityProb:
         u = 200
         p = u / choose(u, 3)
         table = ConnectivityTable(3, p)
-        table.value(u)
+        table.prob(u)
         first = table.first_invalid
         assert first is not None and first < u
         assert not table.prob(first).valid
@@ -275,17 +275,17 @@ class TestRowStore:
     def test_interleaved_tables_match_the_definition(self):
         local_prob._ROWS.clear()
         a, b, c = ConnectivityTable(3, 0.3), ConnectivityTable(3, 0.7), ConnectivityTable(2, 0.01)
-        a.value(30)
-        c.value(45)
-        b.value(50)
-        a.value(60)
+        a.prob(30)
+        c.prob(45)
+        b.prob(50)
+        a.prob(60)
         for table, u_max in ((a, 60), (b, 50), (c, 45)):
             fresh = ConnectivityTable(table.k, table.p)
             assert _table_probs(table, u_max) == _table_probs(fresh, u_max)
             assert _table_probs(table, u_max) == _reference_probs(table.k, table.p, u_max)
 
     def test_rows_are_tuples(self):
-        ConnectivityTable(3, 0.2).value(20)
+        ConnectivityTable(3, 0.2).prob(20)
         for k, u in [(3, 3), (3, 4), (3, 20)]:
             weights, exponents = local_prob._ROWS[k, u]
             assert type(weights) is tuple and type(exponents) is tuple
@@ -314,7 +314,7 @@ class TestRowStore:
         # the non-finite case builds rows to u = 1031, past the bound; rows
         # below k are built too, as the recursion runs from u = 2
         local_prob._ROWS.clear()
-        ConnectivityTable(3, 1.0).value(1031)
+        ConnectivityTable(3, 1.0).prob(1031)
         bound = local_prob._ROW_STORE_MAX
         assert sorted(local_prob._ROWS) == [(3, u) for u in range(2, bound + 1)]
 
@@ -393,7 +393,7 @@ class TestGilbert:
         table = ConnectivityTable(2, p)
         for u in range(1, 13):
             assert gilbert_prob(u, p).value == pytest.approx(
-                table.value(u), abs=1e-12
+                table.prob(u).value, abs=1e-12
             )
 
     def test_binomial_overflow_is_flagged(self):

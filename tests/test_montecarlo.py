@@ -19,7 +19,6 @@ from corebound import (
     mc_global,
     mc_local,
     montecarlo,
-    sweep,
 )
 from corebound.hypergraph import candidate_edges
 from corebound.local_prob import ConnectivityTable
@@ -105,14 +104,13 @@ class TestMcLocal:
         assert abs(est.mean - oracle) <= 4 * se
 
     def test_predicate_follows_r(self, warm_kernels):
-        # connectivity at r = 1, min-degree above, and the local scope's estimate
+        # connectivity at r = 1, min-degree above
         u, k, p, seed = 6, 3, 0.3, 9
         counts = []
         for r, test in ((1, kernels._connected_rows), (2, kernels._min_degree_rows)):
             est = mc_local(u, k, p, r, trials=2000, seed=seed)
             assert est.successes == kernels.mc_local_successes(u, k, p, r, 2000, seed)
             assert est.successes == kernels._successes(test, u, k, p, r, 2000, seed, 0)
-            assert sweep.mc_value("local", u, p, k, r, 2000, seed) == est
             counts.append(est.successes)
         assert counts[0] != counts[1]  # the two predicates count apart at this seed
 
@@ -126,7 +124,7 @@ class TestLocalEventAtROne:
     which event "local" means at r = 1 changes a value pinned here."""
 
     U, K, SEED, TRIALS = 6, 3, 1, 200_000
-    PINS = {  # p: (mc_local successes, exact_local, ConnectivityTable(3, p).value(6))
+    PINS = {  # p: (mc_local successes, exact_local, ConnectivityTable(3, p).prob(6).value)
         0.1: (37364, "0x1.9cb7f6147041fp-3", 0.1865132897077706),
         0.3: (172978, "0x1.bb28cdc0e56f6p-1", 0.864080110475297),
     }
@@ -137,7 +135,7 @@ class TestLocalEventAtROne:
         est = mc_local(self.U, self.K, p, 1, trials=self.TRIALS, seed=self.SEED)
         assert est.successes == successes
         assert exact_local(self.U, self.K, p, 1).hex() == exact
-        assert ConnectivityTable(self.K, p).value(self.U) == connected
+        assert ConnectivityTable(self.K, p).prob(self.U).value == connected
 
     def test_events_differ_past_four_sigma(self, warm_kernels):
         est = mc_local(self.U, self.K, 0.1, 1, trials=self.TRIALS, seed=self.SEED)

@@ -6,7 +6,7 @@ import pytest
 
 from corebound import binom_pmf, choose, choose_float, stable_sum
 from corebound.local_prob import ConnectivityTable, gilbert_prob
-from corebound.numerics import ProbValue, binomial_row, check_kpr, scaled_power
+from corebound.numerics import ProbValue, binomial_row, check_kpr, range_checked, scaled_power
 from corebound.sweep import SweepSpec
 
 
@@ -218,13 +218,13 @@ class TestStableSum:
 
 class TestProbValue:
     def test_checked_flags_out_of_range(self):
-        assert ProbValue.checked(0.5).valid
-        assert ProbValue.checked(1.0 + 5e-10).valid  # inside tolerance
-        assert not ProbValue.checked(1.1).valid
-        assert not ProbValue.checked(-1.0).valid
-        assert not ProbValue.checked(math.inf).valid
+        assert range_checked(0.5, True, None).valid
+        assert range_checked(1.0 + 5e-10, True, None).valid  # inside tolerance
+        assert not range_checked(1.1, True, None).valid
+        assert not range_checked(-1.0, True, None).valid
+        assert not range_checked(math.inf, True, None).valid
 
     def test_raw_value_kept_verbatim(self):
-        pv = ProbValue.checked(-1.84e23)
+        pv = range_checked(-1.84e23, True, None)
         assert pv.value == -1.84e23
         assert not pv.valid

@@ -10,7 +10,6 @@ from corebound.sweep import (
     BreakdownDetector,
     SweepSpec,
     formula_value,
-    mc_value,
     point_geometry,
 )
 
@@ -57,8 +56,8 @@ class TestSpec:
 
     @pytest.mark.parametrize("call", [
         lambda: formula_value("connectivity", "galactic", 6, 0.3, 3, 2),
-        lambda: mc_value("galactic", 6, 0.3, 3, 2, trials=10, seed=0),
-    ], ids=["formula_value", "mc_value"])
+        lambda: SweepSpec(3, 2, 1.0, 1, 2, ("mc",), scope="galactic"),
+    ], ids=["formula_value", "sweep_spec"])
     def test_misspelt_scope_rejected(self, call):
         with pytest.raises(ValueError, match=re.escape(
                 "scope must be one of ('local', 'global'), got 'galactic'")):
