@@ -53,9 +53,9 @@ class TestEstimates:
         with pytest.raises(ValueError):
             mc_global(4, 3, 1.5, 1)
         # trial indices start at 0 (a negative start was numpy's OverflowError)
-        with pytest.raises(ValueError, match="start"):
+        with pytest.raises(ValueError, match="^start must be >= 0, got -1$"):
             mc_local(4, 3, 0.5, 1, trials=10, start=-1)
-        with pytest.raises(ValueError, match="start"):
+        with pytest.raises(ValueError, match="^start must be >= 0, got -1$"):
             mc_global(4, 3, 0.5, 1, trials=10, start=-1)
 
     def test_local_vertex_count_is_named_u(self):

@@ -227,6 +227,31 @@ class TestFindBreakdown:
         find_breakdown(3, 1, overhead, "covering", scope=scope, cap=30)
         assert calls and all(v >= k for v, k in calls)
 
+    # (scope, cap, method, threshold) at k = 3, r = 2, overhead 1.0
+    @pytest.mark.parametrize("scope, cap, method, threshold", [
+        ("local", 300, "connectivity", 83), ("local", 300, "covering", None),
+        ("local", 300, "interleaved-lower", 60), ("local", 300, "interleaved-upper", 83),
+        ("global", 60, "connectivity", 3), ("global", 60, "covering", 5),
+        ("global", 60, "interleaved-lower", 4), ("global", 60, "interleaved-upper", 3),
+    ])
+    def test_evaluates_only_the_rows_up_to_the_threshold(self, monkeypatch, scope, cap,
+                                                         method, threshold):
+        # the scan stops at its first failure: a scan materialized before the
+        # rule is applied would evaluate every row up to the cap
+        calls = []
+        original = sweep.formula_value
+
+        def recording(method, scope, v, p, k, r):
+            calls.append((v, p))
+            return original(method, scope, v, p, k, r)
+
+        monkeypatch.setattr(sweep, "formula_value", recording)
+        assert find_breakdown(3, 2, 1.0, method, scope=scope, cap=cap) == threshold
+        last = cap if threshold is None else threshold
+        points = [point_geometry(3, 1.0, e) for e in range(1, last + 1)]
+        assert calls == [(v, p) for v, p in points if v >= 3]
+        assert len(calls) == last - 2  # v = e here, so e = 3..last
+
     def test_no_row_reaches_k_below_cap(self):
         # v = round(0.3 e) stays below k = 3 for e <= 8
         assert find_breakdown(3, 1, 0.3, "connectivity", scope="local", cap=8) is None
