@@ -36,12 +36,11 @@ from .numerics import (
     choose_float,
     stable_sum,
 )
-from .sweep import BreakdownDetector, SweepSpec, find_breakdown, run_sweep
+from .sweep import SweepSpec, find_breakdown, first_failure, run_sweep
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakdownDetector",
     "ConnectivityTable",
     "GlobalResult",
     "HypergraphParams",
@@ -61,6 +60,7 @@ __all__ = [
     "exact_local",
     "exactly_one_core",
     "find_breakdown",
+    "first_failure",
     "generate",
     "gilbert_prob",
     "mc_global",

@@ -40,8 +40,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .local_prob import RECURSION_GUARD, LocalProvider
-from .numerics import (BREAKDOWN_NOTE, PROB_TOL, ProbValue, binomial_row, count_text,
-                       range_checked, stable_sum)
+from .numerics import (BREAKDOWN_NOTE, PROB_TOL, ProbValue, binomial_row, check_at_least,
+                       count_text, range_checked, stable_sum)
 
 __all__ = [
     "GlobalResult",
@@ -208,14 +208,13 @@ def exactly_one_core(v: int, p: float, k: int, r: int,
     ``local_prob.RECURSION_GUARD`` is refused before any row is built.
     """
     provider = LocalProvider(method, k, p, r)
-    if v < 1:
-        raise ValueError(f"v must be >= 1, got {v}")
+    check_at_least("v", v)
     if v > RECURSION_GUARD:
         raise ValueError(f"v = {count_text(v)} exceeds the size-composition guard "
                          f"{RECURSION_GUARD}")
     rows = [binomial_row(m)[1:] for m in range(v + 1)]  # rows[m][j - 1] = C(m, j)
-    # local[u]: the local ProbValue of size u >= k
-    local = [()] * k + [provider.value(u) for u in range(k, v + 1)]
+    # local[u]: the local ProbValue of size u >= k; no size below k is read
+    local = [()] * min(k, v + 1) + [provider.value(u) for u in range(k, v + 1)]
     rests: list[ProbValue] = []  # rests[m]: no distinct core on m vertices
     for m in range(v - k + 1):
         values, flags, notes = _level(m, k, rows, rests, local)  # empty below k

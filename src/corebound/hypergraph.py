@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from . import kernels
 from .kernels import np
-from .numerics import check_kpr, choose, count_text
+from .numerics import check_at_least, check_kpr, choose, count_text
 
 __all__ = [
     "GENERATE_GUARD",
@@ -74,8 +74,7 @@ class HypergraphParams:
     r: int
 
     def __post_init__(self) -> None:
-        if self.v < 1:
-            raise ValueError(f"v must be >= 1, got {self.v}")
+        check_at_least("v", self.v)
         check_kpr(self.k, self.p, self.r)
 
 

@@ -33,8 +33,8 @@ import math
 import sys
 
 from .montecarlo import exact_local
-from .numerics import (ProbValue, binom_pmf, binomial_row, check_kpr, choose, count_text,
-                       range_checked, scaled_power, stable_sum)
+from .numerics import (ProbValue, binom_pmf, binomial_row, check_at_least, check_kpr, choose,
+                       count_text, range_checked, scaled_power, stable_sum)
 
 __all__ = [
     "LOCAL_METHODS",
@@ -63,8 +63,7 @@ RECURSION_GUARD = 2**11
 
 def _check_size(u: int) -> None:
     """Refuse a size u outside 1 .. ``RECURSION_GUARD`` with a ValueError."""
-    if u < 1:
-        raise ValueError(f"u must be >= 1, got {u}")
+    check_at_least("u", u)
     if u > RECURSION_GUARD:
         raise ValueError(f"u = {count_text(u)} exceeds the local-recursion guard "
                          f"{RECURSION_GUARD}")
@@ -236,8 +235,7 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     double range is refused: nan, flagged, with a note naming the guard.
     """
     check_kpr(k, p, r)
-    if u < 1:
-        raise ValueError(f"u must be >= 1, got {u}")
+    check_at_least("u", u)
     m = choose(u, k)  # 0 below k: the one term, at e = 0 edges, is 0.0
     q = k / u
     if p == 0.0:  # no edge; the sum would refuse u = 1030, k = 515, whose C(u, k) is past doubles

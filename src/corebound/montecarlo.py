@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from . import kernels
 from .kernels import np
 from .hypergraph import HypergraphParams, candidate_edges, guarded_count, guarded_draws
+from .numerics import check_at_least
 
 __all__ = [
     "McEstimate",
@@ -67,19 +68,10 @@ def _check_trials(trials: int, seed: int, start: int) -> None:
     The seed must lie in [0, 2^64): the stream reads it mod 2^64, so a seed
     outside would run the graphs of another seed under its own number.
     Trial indices past 2^64 wrap (see :func:`kernels.trial_seed`)."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_at_least("trials", trials)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
-
-
-def _check_u(u: int) -> None:
-    """The vertex count of a local run, under its own name: the model check
-    that follows would report it as ``v``."""
-    if u < 1:
-        raise ValueError(f"u must be >= 1, got {u}")
+    check_at_least("start", start, 0)
 
 
 def _check_draws(v: int, k: int, p: float, r: int) -> None:
@@ -107,7 +99,7 @@ def mc_local(u: int, k: int, p: float, r: int,
     degree r at r >= 2.
     """
     _check_trials(trials, seed, start)
-    _check_u(u)
+    check_at_least("u", u)  # under its own name: the model check below would call it v
     _check_draws(u, k, p, r)
     successes = kernels.mc_local_successes(u, k, p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
@@ -161,5 +153,5 @@ def exact_exactly_one(v: int, k: int, p: float, r: int) -> float:
 def exact_local(u: int, k: int, p: float, r: int) -> float:
     """Exact probability that an r-core spans all u vertices (induced minimum
     degree >= r on the whole subset), by enumeration.  Guarded to C(u,k) <= 20."""
-    _check_u(u)
+    check_at_least("u", u)  # under its own name: the model check below would call it v
     return kernels.exhaustive_local_prob(_candidates(u, k, p, r), u, r, p)

@@ -14,6 +14,7 @@ __all__ = [
     "PROB_TOL",
     "ProbValue",
     "range_checked",
+    "check_at_least",
     "check_kpr",
     "choose",
     "choose_float",
@@ -30,12 +31,17 @@ PROB_TOL = 1e-9
 BREAKDOWN_NOTE = "value outside [0, 1]: numerical breakdown"
 
 
+def check_at_least(name: str, n: int, low: int = 1) -> None:
+    """The one integer lower-bound check: ValueError "<name> must be >= <low>,
+    got <n>" unless n >= low."""
+    if n < low:
+        raise ValueError(f"{name} must be >= {low}, got {n}")
+
+
 def check_kpr(k: int, p: float, r: int) -> None:
     """The model-domain check: ValueError unless k >= 2, r >= 1 and p lies in [0, 1]."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if r < 1:
-        raise ValueError(f"r must be >= 1, got {r}")
+    check_at_least("k", k, 2)
+    check_at_least("r", r)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 

@@ -25,25 +25,25 @@ Rows where e exceeds the number of candidate edges clamp p to 1 (such points
 are still well defined); every computed value is emitted verbatim together
 with its validity flag.
 
-Breakdown detection per formula method follows two signals, whichever fires
-first along increasing e: the value's validity flag, or a monotonicity
-heuristic (the curves decrease once past their peak in the stable regime, so
-a strict increase after having descended from the running maximum marks
-numerical failure).  Points with v < k are structural zeros and feed no
-detector.  ``run_sweep`` collects every row of the one scan over e, and
-``find_breakdown`` is a sweep over e = 1..cap stopped at its first failure.
+Breakdown detection is one rule, ``first_failure``: along increasing e, the first
+value flagged invalid or rising after the curve has descended from its running
+maximum (past their peak the curves decrease in the stable regime).  Points with
+v < k are structural zeros and are not read.  ``run_sweep`` holds every row of the
+one scan over e, at most ``SWEEP_ROW_GUARD``; ``find_breakdown`` feeds the rule the
+scan over e = 1..cap lazily, so it computes no row past the first failure.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 from . import montecarlo
 from .global_prob import exactly_one_core
 from .kernels import trial_seed
 from .local_prob import LocalProvider
-from .numerics import PROB_TOL, ProbValue, check_kpr, choose
+from .numerics import PROB_TOL, ProbValue, check_at_least, check_kpr, choose, count_text
 
 __all__ = [
     "METHOD_TABLE",
@@ -53,7 +53,7 @@ __all__ = [
     "SweepSpec",
     "SweepRow",
     "SweepResult",
-    "BreakdownDetector",
+    "first_failure",
     "run_sweep",
     "find_breakdown",
 ]
@@ -73,6 +73,11 @@ SCOPES = ("local", "global")
 # Relative slack for the monotonicity heuristic, so flat tails of equal
 # floats do not fire on last-ulp noise.
 _INCREASE_RTOL = 1e-9
+# Most rows ``run_sweep`` holds (and the CLI writes).  CLI peak RSS at this
+# bound, CSV / JSON to a file: 72 / 90 MB with one formula method, 174 / 204 MB
+# with all four and mc (shared 2-vCPU host, numpy 2.4).  ``find_breakdown``
+# holds no rows, so its cap is not bounded.
+SWEEP_ROW_GUARD = 2**16
 
 
 def _check_scope(scope: str) -> None:
@@ -100,8 +105,10 @@ class SweepSpec:
             raise ValueError(f"overhead must be positive and finite, got {self.overhead}")
         if self.e_min > self.e_max or self.e_min < 1:
             raise ValueError(f"empty or invalid e range [{self.e_min}, {self.e_max}]")
-        if not math.isfinite(self.overhead * self.e_max):  # v = round(overhead * e)
-            raise ValueError(f"overhead * e_max = {self.overhead} * {self.e_max} is not finite")
+        # v = round(overhead * e); an e_max past the double range has no float product
+        if self.e_max > sys.float_info.max or not math.isfinite(self.overhead * self.e_max):
+            raise ValueError(f"overhead * e_max = {self.overhead} * {count_text(self.e_max)} "
+                             "is not finite")
         if not self.methods:
             raise ValueError("at least one method is required")
         for m in self.methods:
@@ -162,59 +169,51 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     return bound
 
 
-class BreakdownDetector:
-    """Feed (e, value, valid) in increasing e; reports the first failing e.
-
-    Fires on the first invalid value, or on a strict relative increase that
-    happens strictly below the running maximum (i.e. after the curve has
-    already descended from its peak).
-    """
-
-    def __init__(self) -> None:
-        self.threshold: int | None = None
-        self._prev: float | None = None
-        self._run_max = -math.inf
-
-    def push(self, e: int, value: float, valid: bool) -> None:
-        if self.threshold is not None:
-            return
-        if not valid:
-            self.threshold = e
-            return
-        if (self._prev is not None
-                and value > self._prev * (1.0 + _INCREASE_RTOL) + 1e-300
-                and self._prev < self._run_max):
-            self.threshold = e
-            return
-        self._run_max = max(self._run_max, value)
-        self._prev = value
+def first_failure(points: Iterable[tuple[int, float, bool]]) -> int | None:
+    """The first e of the (e, value, valid) points, read lazily in increasing e,
+    whose value is flagged invalid or rises (past ``_INCREASE_RTOL``) from a
+    previous value below the running maximum, i.e. after the curve has
+    descended from its peak; None if no point fails."""
+    prev = run_max = -math.inf  # no point has been read: nothing has descended yet
+    for e, value, valid in points:
+        if not valid or (prev < run_max and value > prev * (1.0 + _INCREASE_RTOL) + 1e-300):
+            return e
+        run_max = max(run_max, value)
+        prev = value
+    return None
 
 
-def _scan(spec: SweepSpec, detectors: dict[str, BreakdownDetector]) -> Iterator[SweepRow]:
-    """The sweep's rows in increasing e, with a value for each formula method
-    in ``detectors``, fed to that method's detector before the row is yielded,
-    and the scope's Monte Carlo estimate when the spec asks for ``mc``."""
+def _scan(spec: SweepSpec) -> Iterator[SweepRow]:
+    """The sweep's rows in increasing e, with a value for each formula method of
+    the spec, and the scope's Monte Carlo estimate when it asks for ``mc``."""
+    formulas = [m for m in spec.methods if m != "mc"]
     for e in range(spec.e_min, spec.e_max + 1):
         v, p = point_geometry(spec.k, spec.overhead, e)
         row = SweepRow(e=e, v=v, p=p)
-        for m in detectors:
+        for m in formulas:
             row.values[m] = formula_value(m, spec.scope, v, p, spec.k, spec.r)
         if "mc" in spec.methods:
             # stable per-point seed: rows keep their draws if the range changes
             estimate = montecarlo.mc_local if spec.scope == "local" else montecarlo.mc_global
             row.mc = estimate(v, spec.k, p, spec.r, spec.trials, trial_seed(spec.seed, e))
-        if v >= spec.k:  # points below the smallest possible core are structural zeros
-            for m, detector in detectors.items():
-                pv = row.values[m]
-                detector.push(e, pv.value, pv.valid)
         yield row
 
 
+def _points(rows: Iterable[SweepRow], method: str, k: int) -> Iterator[tuple[int, float, bool]]:
+    """(e, value, valid) of ``method`` on the rows with v >= k, lazily."""
+    return ((row.e, *row.values[method][:2]) for row in rows if row.v >= k)
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate every requested method at every point of the sweep."""
-    detectors = {m: BreakdownDetector() for m in spec.methods if m != "mc"}
-    rows = list(_scan(spec, detectors))
-    return SweepResult(spec, rows, {m: d.threshold for m, d in detectors.items()})
+    """Evaluate every requested method at every point of the sweep.  A sweep of
+    more than ``SWEEP_ROW_GUARD`` rows is refused before any row is computed."""
+    n_rows = spec.e_max - spec.e_min + 1
+    if n_rows > SWEEP_ROW_GUARD:
+        raise ValueError(f"sweep of {count_text(n_rows)} rows exceeds the row guard "
+                         f"{SWEEP_ROW_GUARD}")
+    rows = list(_scan(spec))
+    return SweepResult(spec, rows, {m: first_failure(_points(rows, m, spec.k))
+                                    for m in spec.methods if m != "mc"})
 
 
 def find_breakdown(k: int, r: int, overhead: float, method: str,
@@ -222,17 +221,12 @@ def find_breakdown(k: int, r: int, overhead: float, method: str,
     """The breakdown threshold of the sweep over e = 1..cap, found by stopping
     the sweep at its first failure; None if no failure at or below ``cap``.
     Only formula methods can break down.  The scan starts at the first e with
-    v >= k, since the structural zeros before it feed no detector."""
+    v >= k, since the structural zeros before it are not read."""
     if method not in FORMULA_METHODS:
         raise ValueError(f"breakdown scan needs a formula method, got {method!r}")
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    check_at_least("cap", cap)
     spec = SweepSpec(k, r, overhead, 1, cap, (method,), scope=scope)
     start = next((e for e in range(1, cap + 1) if point_geometry(k, overhead, e)[0] >= k), None)
     if start is None:
         return None
-    detector = BreakdownDetector()
-    for _ in _scan(replace(spec, e_min=start), {method: detector}):
-        if detector.threshold is not None:
-            break
-    return detector.threshold
+    return first_failure(_points(_scan(replace(spec, e_min=start)), method, k))

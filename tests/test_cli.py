@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from corebound import cli, kernels
+from corebound import cli, kernels, sweep
 from corebound.cli import main
 from corebound.sweep import FORMULA_METHODS, SWEEP_METHODS
 
@@ -115,6 +115,14 @@ class TestGlobal:
                      "--method", "covering"]) == 0
         assert capsys.readouterr().out == "v,p,covering,covering_valid\n1040,0.0,nan,0\n"
 
+    @pytest.mark.parametrize("method", FORMULA_METHODS)
+    def test_edge_size_past_index_range(self, capsys, method):
+        # no size below k is read, so a k far past v costs no slot per size
+        assert main(["global", "--v", "8", "--k", str(10**400), "--p", "0.5",
+                     "--method", method]) == 0
+        col = method.replace("-", "_")
+        assert capsys.readouterr().out == f"v,p,{col},{col}_valid\n8,0.5,0.0,1\n"
+
 
 class TestSweep:
     def test_csv_deterministic(self, tmp_path):
@@ -170,6 +178,46 @@ class TestSweep:
                                "--out", "/nonexistent-dir/x.csv")
         assert code == 3
         assert "cannot write" in err
+
+
+class TestSweepSizeGuards:
+    """A sweep that would hold more than ``SWEEP_ROW_GUARD`` rows, or whose
+    largest e is past the double range, is refused with one error line before
+    any row is computed and without an --out file."""
+
+    def sweep_argv(self, e_max, out):
+        return ["sweep", "--k", "3", "--overhead", "1e-300", "--e-min", "1",
+                "--e-max", str(e_max), "--method", "covering", "--out", str(out)]
+
+    @pytest.mark.parametrize("e_max", [2**16 + 1, 10**8])
+    def test_row_guard_exit_2(self, capsys, tmp_path, monkeypatch, e_max):
+        def unreachable(*args):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(sweep, "formula_value", unreachable)
+        out = tmp_path / "s.csv"
+        assert main(self.sweep_argv(e_max, out)) == 2
+        assert capsys.readouterr() == (
+            "", f"error: sweep of {e_max} rows exceeds the row guard 65536\n")
+        assert not out.exists()
+
+    def test_row_guard_admits_its_bound(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep, "SWEEP_ROW_GUARD", 4)
+        assert main(self.sweep_argv(4, tmp_path / "four.csv")) == 0
+        assert len((tmp_path / "four.csv").read_text().splitlines()) == 5
+        assert main(self.sweep_argv(5, tmp_path / "five.csv")) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--k", "3", "--overhead", "1.0", "--e-min", "1", "--e-max", str(10**400),
+         "--method", "covering"],
+        ["breakdown", "--k", "3", "--method", "connectivity", "--cap", str(10**400)],
+    ], ids=["sweep", "breakdown"])
+    def test_largest_e_past_double_range_exit_2(self, capsys, tmp_path, argv):
+        out = tmp_path / "s.csv"
+        assert main(argv + (["--out", str(out)] if argv[0] == "sweep" else [])) == 2
+        assert capsys.readouterr() == (
+            "", "error: overhead * e_max = 1.0 * 1000000000... (401 digits) is not finite\n")
+        assert not out.exists()
 
 
 class TestOutputFile:

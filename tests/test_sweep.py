@@ -7,8 +7,8 @@ import pytest
 from corebound import choose, find_breakdown, run_sweep, sweep
 from corebound.sweep import (
     FORMULA_METHODS,
-    BreakdownDetector,
     SweepSpec,
+    first_failure,
     formula_value,
     point_geometry,
 )
@@ -81,28 +81,20 @@ class TestSpec:
 
 class TestDetector:
     def test_fires_on_invalid(self):
-        det = BreakdownDetector()
-        det.push(3, 0.5, True)
-        det.push(4, 0.4, False)
-        assert det.threshold == 4
+        assert first_failure([(3, 0.5, True), (4, 0.4, False)]) == 4
 
     def test_fires_on_rise_after_descent(self):
-        det = BreakdownDetector()
-        for e, val in [(3, 0.9), (4, 0.5), (5, 0.2), (6, 0.4)]:
-            det.push(e, val, True)
-        assert det.threshold == 6
+        points = [(e, val, True) for e, val in [(3, 0.9), (4, 0.5), (5, 0.2), (6, 0.4)]]
+        assert first_failure(points) == 6
 
     def test_initial_rise_is_fine(self):
-        det = BreakdownDetector()
-        for e, val in [(3, 0.1), (4, 0.5), (5, 0.9), (6, 0.7), (7, 0.5)]:
-            det.push(e, val, True)
-        assert det.threshold is None
+        points = [(e, val, True)
+                  for e, val in [(3, 0.1), (4, 0.5), (5, 0.9), (6, 0.7), (7, 0.5)]]
+        assert first_failure(points) is None
 
     def test_flat_tail_does_not_fire(self):
-        det = BreakdownDetector()
-        for e, val in [(3, 0.9), (4, 0.5), (5, 0.5), (6, 0.5)]:
-            det.push(e, val, True)
-        assert det.threshold is None
+        points = [(e, val, True) for e, val in [(3, 0.9), (4, 0.5), (5, 0.5), (6, 0.5)]]
+        assert first_failure(points) is None
 
 
 class TestRunSweep:
