@@ -460,12 +460,31 @@ class TestUsageErrors:
          "--method", "connectivity"],
         ["breakdown", "--k", "3", "--method", "connectivity"],
         ["oracle", "--v", "4", "--k", "3", "--p", "0.5"],
-    ], ids=lambda argv: argv[0])
-    def test_core_order_below_one_exit_2(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--r", "0"])
-        assert exc.value.code == 2
-        assert "core order must be >= 1" in capsys.readouterr().err
+        ["local", "--u", "4", "--k", "2", "--p", "0.5", "--method", "gilbert"],
+        ["local", "--u", "4", "--k", "3", "--p", "0.5", "--method", "mc", "--trials", "10"],
+    ], ids=["local", "global", "sweep", "breakdown", "oracle", "local-gilbert", "local-mc"])
+    def test_core_order_below_one_exit_2(self, argv):
+        got = run_in_process([*argv, "--r", "0"])
+        assert (got["code"], got["stdout"]) == (2, "")
+        assert "core order must be >= 1" in got["stderr"]
+
+    # n = 4 vertices; each --e-* value makes p = 1.5
+    @pytest.mark.parametrize("argv, rate", [
+        (["local", "--u", "4", "--k", "3", "--method", "connectivity"], "--e-u=6"),
+        (["local", "--u", "4", "--k", "2", "--method", "gilbert"], "--e-u=9"),
+        (["local", "--u", "4", "--k", "3", "--method", "mc", "--trials", "10"], "--e-u=6"),
+        (["global", "--v", "4", "--k", "3", "--method", "connectivity"], "--e-v=6"),
+        (["global", "--v", "4", "--k", "3", "--method", "mc", "--trials", "10"], "--e-v=6"),
+        (["oracle", "--v", "4", "--k", "3"], "--e-v=6"),
+    ], ids=["local-formula", "local-gilbert", "local-mc", "global-formula", "global-mc",
+            "oracle"])
+    def test_probability_above_one_exit_2(self, tmp_path, argv, rate):
+        for given in ("--p=1.5", rate):
+            out = tmp_path / "out.csv"
+            got = run_in_process([*argv, given, "--out", str(out)])
+            assert got == {"code": 2, "stdout": "",
+                           "stderr": "error: edge probability 1.5 outside [0, 1]\n"}
+            assert not out.exists()
 
 
 class TestNegativeZeroProbability:
