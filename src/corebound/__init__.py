@@ -9,7 +9,6 @@ from .global_prob import (
     exactly_one_core,
 )
 from .hypergraph import (
-    HypergraphParams,
     candidate_edges,
     generate,
 )
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConnectivityTable",
     "GlobalResult",
-    "HypergraphParams",
     "LocalProvider",
     "McEstimate",
     "PROB_TOL",

@@ -1,5 +1,5 @@
-"""k-uniform hypergraphs: the random model's parameters and guards, the
-candidate edge array of the exhaustive oracles, and one guarded random draw.
+"""k-uniform hypergraphs: the random model's guards, the candidate edge
+array of the exhaustive oracles, and one guarded random draw.
 
 Candidate edges are numbered in colexicographic order (sorted by largest
 vertex, ties broken recursively; ``kernels.colex_unrank`` maps a number to
@@ -8,7 +8,6 @@ platform.  Vertices are dense 0-based ints.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import kernels
@@ -19,7 +18,6 @@ __all__ = [
     "GENERATE_GUARD",
     "KEPT_GUARD",
     "ENUMERATE_GUARD",
-    "HypergraphParams",
     "candidate_edges",
     "generate",
     "guarded_count",
@@ -64,20 +62,6 @@ def guarded_draws(v: int, k: int, p: float) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class HypergraphParams:
-    """The random-model tuple: v vertices, k-uniform edges with probability p, core order r."""
-
-    v: int
-    k: int
-    p: float
-    r: int
-
-    def __post_init__(self) -> None:
-        check_at_least("v", self.v)
-        check_kpr(self.k, self.p, self.r)
-
-
 # Only the exhaustive oracles read the whole array, at most ENUMERATE_GUARD =
 # 20 rows; Monte Carlo and ``generate`` unrank just the kept candidates.  The
 # small cache stays because the benchmark harness calls ``cache_clear()`` and
@@ -94,15 +78,19 @@ def candidate_edges(v: int, k: int) -> np.ndarray:
     return arr
 
 
-def generate(params: HypergraphParams, seed: int) -> np.ndarray:
-    """Sample one hypergraph: every candidate edge kept independently with
-    probability p.  Returns the kept edges as ``kernels.sample_edges`` does,
-    an (m, k) int64 array in colexicographic order.
+def generate(v: int, k: int, p: float, seed: int) -> np.ndarray:
+    """Sample one hypergraph on v vertices: every candidate k-edge kept
+    independently with probability p.  Returns the kept edges as
+    ``kernels.sample_edges`` does, an (m, k) int64 array in colexicographic
+    order.
 
-    Deterministic in (params, seed).  A Monte Carlo trial ``t`` with master
-    seed ``s`` sees exactly ``generate(params, kernels.trial_seed(s, t))``.
-    Unlike ``kernels.sample_edges`` it refuses, before any draw, a point past
-    ``GENERATE_GUARD`` or ``KEPT_GUARD``.
+    Deterministic in (v, k, p, seed).  A Monte Carlo trial ``t`` with master
+    seed ``s`` sees exactly ``generate(v, k, p, kernels.trial_seed(s, t))``.
+    Unlike ``kernels.sample_edges`` it refuses, before any draw, a point
+    outside the model's domain (no core order is read, so r = 1 stands in)
+    or past ``GENERATE_GUARD`` or ``KEPT_GUARD``.
     """
-    guarded_draws(params.v, params.k, params.p)
-    return kernels.sample_edges(params.v, params.k, params.p, seed)
+    check_at_least("v", v)
+    check_kpr(k, p, 1)
+    guarded_draws(v, k, p)
+    return kernels.sample_edges(v, k, p, seed)

@@ -7,7 +7,7 @@ with ``s`` is included iff ``unit(mix64(s + (j+1)*GOLDEN)) < p``, and trial
 ``t`` of a Monte Carlo run with master seed ``m`` uses graph seed
 ``mix64(m + (t+1)*GOLDEN)``.  So trial ``t`` sees exactly the edge array
 ``sample_edges(v, k, p, trial_seed(m, t))``, which is also what the guarded
-``hypergraph.generate(params, trial_seed(m, t))`` returns, and partitioned
+``hypergraph.generate(v, k, p, trial_seed(m, t))`` returns, and partitioned
 runs merge exactly (trial indices are global).
 
 The stream is evaluated in blocks of ``BLOCK`` draws, in place in a pair

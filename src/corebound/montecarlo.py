@@ -7,7 +7,7 @@ the same master seed (pass ``start=a`` for the second block), and
 ``McEstimate.from_counts`` of the summed counts is its estimate.  The
 kernels evaluate trials in blocks (one disjoint-union graph per block, see
 :mod:`kernels`); that changes no count, and trial t still sees exactly the
-edge array ``generate(params, trial_seed(seed, t))`` returns.
+edge array ``generate(v, k, p, trial_seed(seed, t))`` returns.
 :func:`mc_global` peels each graph; :func:`mc_local` tests all u vertices
 with the rule of ``kernels.mc_local_successes`` (connected at r = 1, minimum
 degree r above).
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 from . import kernels
 from .kernels import np
-from .hypergraph import HypergraphParams, candidate_edges, guarded_count, guarded_draws
-from .numerics import check_at_least
+from .hypergraph import candidate_edges, guarded_count, guarded_draws
+from .numerics import check_at_least, check_kpr
 
 __all__ = [
     "McEstimate",
@@ -77,14 +77,16 @@ def _check_trials(trials: int, seed: int, start: int) -> None:
 def _check_draws(v: int, k: int, p: float, r: int) -> None:
     """The model-domain check, then the random-graph guards
     (``guarded_draws``)."""
-    HypergraphParams(v, k, p, r)
+    check_at_least("v", v)
+    check_kpr(k, p, r)
     guarded_draws(v, k, p)
 
 
 def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
     """``candidate_edges(v, k)`` for an exhaustive oracle, after the
     model-domain check and ``ENUMERATE_GUARD``."""
-    HypergraphParams(v, k, p, r)
+    check_at_least("v", v)
+    check_kpr(k, p, r)
     guarded_count(v, k)
     return candidate_edges(v, k)
 

@@ -225,7 +225,7 @@ def test_criterion_9_invariant_suites_spot_checks(tmp_path):
     # pmf normalization
     ok &= abs(math.fsum(cb.binom_pmf(x, 5000, 0.01) for x in range(5001)) - 1.0) <= 1e-12
     # peeling fixed point
-    edges = cb.generate(cb.HypergraphParams(12, 3, 0.1, 2), seed=5)
+    edges = cb.generate(12, 3, 0.1, seed=5)
     core = cb.kernels.peel_survivor_mask(edges, 12, 2)
     induced = edges[core[edges].all(axis=1)]
     ok &= bool((cb.kernels.peel_survivor_mask(induced, 12, 2) == core).all())

@@ -378,7 +378,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv,message", [
         (["local", "--u", "4", "--k", "3", "--p", "0.5", "--e-u", "1"],
          "give exactly one of --p or --e-u/--e-v"),
-        (["local", "--u", "4", "--k", "3", "--p", "1.5"], "edge probability 1.5 outside [0, 1]"),
+        (["local", "--u", "4", "--k", "3", "--p", "1.5"], "p must lie in [0, 1], got 1.5"),
         (["local", "--u", "4", "--k", "3", "--p", "0.5", "--method", "gilbert"],
          "--method gilbert requires --k 2"),
         (["global", "--v", "5", "--k", "3", "--p", "0.5", "--method", "mc", "--trials", "0"],
@@ -465,8 +465,7 @@ class TestUsageErrors:
     ], ids=["local", "global", "sweep", "breakdown", "oracle", "local-gilbert", "local-mc"])
     def test_core_order_below_one_exit_2(self, argv):
         got = run_in_process([*argv, "--r", "0"])
-        assert (got["code"], got["stdout"]) == (2, "")
-        assert "core order must be >= 1" in got["stderr"]
+        assert got == {"code": 2, "stdout": "", "stderr": "error: r must be >= 1, got 0\n"}
 
     # n = 4 vertices; each --e-* value makes p = 1.5
     @pytest.mark.parametrize("argv, rate", [
@@ -483,7 +482,7 @@ class TestUsageErrors:
             out = tmp_path / "out.csv"
             got = run_in_process([*argv, given, "--out", str(out)])
             assert got == {"code": 2, "stdout": "",
-                           "stderr": "error: edge probability 1.5 outside [0, 1]\n"}
+                           "stderr": "error: p must lie in [0, 1], got 1.5\n"}
             assert not out.exists()
 
 

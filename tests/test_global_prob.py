@@ -525,7 +525,7 @@ class TestSinglePath:
 
     @pytest.mark.parametrize("v", [0, -2])
     def test_vertex_count_below_one_rejected(self, v):
-        # the same domain as HypergraphParams, so formulas and Monte Carlo agree
+        # numerics.check_at_least, the check Monte Carlo and the oracles make, so they agree
         with pytest.raises(ValueError, match=rf"^v must be >= 1, got {v}$"):
             exactly_one_core(v, 0.5, 3, 2, "connectivity")
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from corebound import HypergraphParams, candidate_edges, choose, generate
+from corebound import candidate_edges, choose, generate
 from corebound import kernels
 from corebound.cli import main
 from corebound.hypergraph import GENERATE_GUARD, KEPT_GUARD
@@ -33,14 +33,16 @@ def induced(edges, subset):
 
 class TestTypes:
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            HypergraphParams(0, 3, 0.5, 1)
-        with pytest.raises(ValueError):
-            HypergraphParams(5, 1, 0.5, 1)
-        with pytest.raises(ValueError):
-            HypergraphParams(5, 3, 1.5, 1)
-        with pytest.raises(ValueError):
-            HypergraphParams(5, 3, 0.5, 0)
+        # the draw and the estimator refuse the same (v, k, p); the draw reads no r
+        for (v, k, p), message in [((0, 3, 0.5), "v must be >= 1, got 0"),
+                                   ((5, 1, 0.5), "k must be >= 2, got 1"),
+                                   ((5, 3, 1.5), r"p must lie in \[0, 1\], got 1.5")]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                generate(v, k, p, seed=0)
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                mc_global(v, k, p, 1, trials=1)
+        with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
+            mc_global(5, 3, 0.5, 0, trials=1)
 
 
 class TestCandidates:
@@ -75,30 +77,30 @@ class TestCandidates:
 
 class TestGenerate:
     def test_p_one_and_zero(self):
-        full = generate(HypergraphParams(3, 3, 1.0, 1), seed=9)
+        full = generate(3, 3, 1.0, seed=9)
         assert full.tolist() == [[0, 1, 2]]
-        empty = generate(HypergraphParams(5, 3, 0.0, 1), seed=9)
+        empty = generate(5, 3, 0.0, seed=9)
         assert empty.tolist() == []
 
     def test_is_the_kernel_draw(self):
         # the guarded draw returns the kernel's (m, k) int64 edge array
         for v, k, p, seed in ((12, 3, 0.3, 77), (9, 2, 0.5, 3), (75, 3, 0.001, 5)):
-            edges = generate(HypergraphParams(v, k, p, 1), seed)
+            edges = generate(v, k, p, seed)
             assert edges.dtype == np.int64 and edges.shape[1:] == (k,)
             assert np.array_equal(edges, kernels.sample_edges(v, k, p, seed))
 
     def test_edge_count_in_binomial_band(self):
-        h = generate(HypergraphParams(20, 3, 0.5, 1), seed=12345)
+        h = generate(20, 3, 0.5, seed=12345)
         assert 456 <= len(h) <= 684  # Binomial(1140, 0.5) band
 
     def test_determinism(self):
-        params = HypergraphParams(12, 3, 0.3, 1)
-        assert np.array_equal(generate(params, seed=77), generate(params, seed=77))
-        assert not np.array_equal(generate(params, seed=77), generate(params, seed=78))
+        point = (12, 3, 0.3)
+        assert np.array_equal(generate(*point, seed=77), generate(*point, seed=77))
+        assert not np.array_equal(generate(*point, seed=77), generate(*point, seed=78))
 
     def test_scale_guard(self):
         with pytest.raises(ValueError, match="generation guard"):
-            generate(HypergraphParams(5000, 3, 1e-9, 1), seed=0)
+            generate(5000, 3, 1e-9, seed=0)
         with pytest.raises(ValueError, match="generation guard"):
             mc_global(5000, 3, 1e-9, 2, trials=1, seed=0)
         with pytest.raises(ValueError, match="generation guard"):
@@ -118,7 +120,7 @@ class TestGenerate:
         with pytest.raises(ValueError, match="kept-edge guard"):
             mc_local(2300, 3, 1.0, 2, trials=1)
         with pytest.raises(ValueError, match="kept-edge guard"):
-            generate(HypergraphParams(2300, 3, 1.0, 1), 0)
+            generate(2300, 3, 1.0, 0)
         argv = ["global", "--v", "2300", "--k", "3", "--p", "1", "--method", "mc", "--trials", "1"]
         assert main(argv) == 2
         assert "kept-edge guard" in capsys.readouterr().err
@@ -149,7 +151,7 @@ class TestPeel:
 
     def test_fixed_point(self):
         for seed in range(5):
-            h = generate(HypergraphParams(12, 3, 0.08, 2), seed=seed)
+            h = generate(12, 3, 0.08, seed=seed)
             core = peel(h, 12, 2)
             if not core:
                 continue
@@ -159,7 +161,7 @@ class TestPeel:
 
     def test_r1_keeps_non_isolated(self):
         for seed in range(5):
-            h = generate(HypergraphParams(10, 3, 0.05, 1), seed=seed)
+            h = generate(10, 3, 0.05, seed=seed)
             non_isolated = set(h.ravel().tolist())
             assert peel(h, 10, 1) == non_isolated
 

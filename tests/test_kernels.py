@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from corebound import (HypergraphParams, choose, exact_exactly_one, exact_global, exact_local,
+from corebound import (choose, exact_exactly_one, exact_global, exact_local,
                        generate, kernels, mc_global)
 from corebound.hypergraph import candidate_edges
 from conftest import edge_subsets, enumeration_prob, min_degree_ok
@@ -231,10 +231,10 @@ BLOCK_PREDICATES = {"global": kernels._core_rows, "connectivity": kernels._conne
 
 
 def _per_trial(v, k, p, r, predicate, trials, seed, start):
-    """Trials t in [start, start + trials) whose ``generate(params,
+    """Trials t in [start, start + trials) whose ``generate(v, k, p,
     trial_seed(seed, t))`` passes the predicate, one graph at a time."""
-    params, test = HypergraphParams(v, k, p, r), REFERENCE[predicate]
-    return sum(test(generate(params, kernels.trial_seed(seed, t)).tolist(), v, r)
+    test = REFERENCE[predicate]
+    return sum(test(generate(v, k, p, kernels.trial_seed(seed, t)).tolist(), v, r)
                for t in range(start, start + trials))
 
 
@@ -354,7 +354,7 @@ class TestBlockedTrials:
             for seed in (0, kernels.trial_seed(9, 2)):
                 mask = kernels.sample_edge_mask(m, p, seed)
                 expected = candidate_edges(v, 3)[np.flatnonzero(mask)]
-                got = generate(HypergraphParams(v, 3, p, 1), seed)
+                got = generate(v, 3, p, seed)
                 assert np.array_equal(got, expected), (v, p, seed)
 
     def test_block_predicates(self):
@@ -464,7 +464,7 @@ class TestThreadedDraw:
         monkeypatch.setattr(threading, "Thread", _no_thread)
         assert len(kernels.sample_edges(12, 3, 0.3, 5)) > 0  # C(12, 3) = 220 draws
         assert len(kernels.sample_edges(75, 3, 0.01, 5)) > 0
-        assert len(generate(HypergraphParams(75, 3, 0.01, 1), 5)) > 0
+        assert len(generate(75, 3, 0.01, 5)) > 0
         assert kernels.sample_edge_mask(kernels.BLOCK, 0.5, 5).any()
         assert kernels.sample_edge_mask(2**17 + 3, 0.5, 5).any()
         assert kernels.sample_edge_mask(0, 0.5, 5).shape == (0,)

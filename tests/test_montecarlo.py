@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from corebound import (
-    HypergraphParams,
     McEstimate,
     choose,
     exact_exactly_one,
@@ -180,7 +179,7 @@ class TestMemory:
 
         monkeypatch.setattr(hypergraph, "candidate_edges", forbidden)
         monkeypatch.setattr(montecarlo, "candidate_edges", forbidden)
-        generate(HypergraphParams(20, 3, 0.05, 2), seed=1)
+        generate(20, 3, 0.05, seed=1)
         mc_global(20, 3, 0.05, 2, trials=50, seed=1)
         mc_local(20, 3, 0.05, 1, trials=50, seed=1)
 
