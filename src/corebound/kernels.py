@@ -329,6 +329,8 @@ def colex_unrank(ranks: np.ndarray, v: int, k: int) -> np.ndarray:
     m = math.comb(v, k)
     j = np.array(ranks, dtype=np.int64)
     slots = np.empty((k, len(j)), dtype=np.int64)
+    if not len(j):  # no rank, so no table: at k > v no candidate exists
+        return slots.T
     for i in range(k, 1, -1):
         table = np.array([min(math.comb(c, i), m) for c in range(v)], dtype=np.int64)
         c = np.searchsorted(table, j, side="right") - 1
@@ -357,6 +359,8 @@ def peel_survivor_mask(edges: np.ndarray, v: int, r: int) -> np.ndarray:
     slots = _slots(edges)
     while True:
         alive = np.bincount(slots.ravel(), minlength=v) >= r
+        if not slots.size:  # no edge is left to test, in any of the k slot rows
+            return alive
         keep = alive[slots[0]]
         for slot in slots[1:]:
             keep &= alive[slot]

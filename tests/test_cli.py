@@ -486,6 +486,21 @@ class TestUsageErrors:
             assert not out.exists()
 
 
+class TestEdgeSizePastVertexCount:
+    """At k > v no candidate edge exists, so a draw or an oracle walks none of
+    the k edge slots: at k = 10^8 each prints what it prints at k = 6."""
+
+    @pytest.mark.parametrize("argv, stdout", [
+        (["local", "--u", "5", "--p", "0.5", "--method", "mc", "--trials", "10"],
+         "u,p,method,value,valid,trials,stderr\n5,0.5,mc,0.0,1,10,0.0\n"),
+        (["oracle", "--v", "5", "--p", "0.5"], "v,p,kind,value\n5,0.5,at-least-one,0.0\n"),
+    ], ids=["local-mc", "oracle"])
+    def test_prints_the_bytes_of_k_6(self, argv, stdout):
+        for k in ("100000000", "6"):
+            assert run_in_process([*argv, "--k", k]) == {"code": 0, "stdout": stdout,
+                                                         "stderr": ""}
+
+
 class TestNegativeZeroProbability:
     @pytest.mark.parametrize("argv", [
         ["local", "--u", "5", "--k", "3", "--e-u", "-0.0"],

@@ -166,6 +166,15 @@ class TestSingleInstanceOps:
         edges = np.array([[0, 1, 2], [0, 3, 4], [1, 3, 5]], dtype=np.int64)
         assert not kernels.peel_survivor_mask(edges, 6, 2).any()
 
+    def test_edge_size_past_vertex_count_does_no_slot_work(self):
+        # at k > v there is no candidate: no rank to unrank and no edge to peel,
+        # so neither walks its 10^8 slot rows
+        k = 10**8
+        empty = kernels.colex_unrank(np.arange(0), 5, k)
+        assert empty.shape == (0, k)
+        for r in (0, 1, 2):
+            assert kernels.peel_survivor_mask(empty, 5, r).tolist() == [r == 0] * 5
+
     def test_workers_call_the_public_peel(self):
         # one def: the Monte Carlo workers' name is the same function object
         assert kernels._survivors is kernels.peel_survivor_mask
