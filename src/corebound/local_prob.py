@@ -236,10 +236,12 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     """
     check_kpr(k, p, r)
     check_at_least("u", u)
-    m = choose(u, k)  # 0 below k: the one term, at e = 0 edges, is 0.0
-    q = k / u
-    if p == 0.0:  # no edge; the sum would refuse u = 1030, k = 515, whose C(u, k) is past doubles
+    m = choose(u, k)
+    # no edge (p = 0) or no candidate (u < k): the one term, at e = 0 edges, is 0.0; this keeps
+    # out u = 1030, k = 515, whose C(u, k) the sum refuses, and a k / u past the double range
+    if p == 0.0 or m == 0:
         return ProbValue(0.0)
+    q = k / u
     if p == 1.0:  # one edge count, m; the odds p / (1 - p) below divide by zero
         return ProbValue(_coverage_factor(m, u, r, q))
     a, b = p.as_integer_ratio()  # 18 sd past the guard, sd^2 = m p (1 - p); floats of m below

@@ -39,9 +39,12 @@ def check_at_least(name: str, n: int, low: int = 1) -> None:
 
 
 def check_kpr(k: int, p: float, r: int) -> None:
-    """The model-domain check: ValueError unless k >= 2, r >= 1 and p lies in [0, 1]."""
+    """The model-domain check: ValueError unless k >= 2, r >= 1 and p lies in
+    [0, 1], and r lies in the double range, as the formulas take r as a float."""
     check_at_least("k", k, 2)
     check_at_least("r", r)
+    if r > sys.float_info.max:
+        raise ValueError(f"r must lie in the double range, got {count_text(r)}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
 

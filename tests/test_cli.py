@@ -501,6 +501,36 @@ class TestEdgeSizePastVertexCount:
                                                          "stderr": ""}
 
 
+BIG = str(10**400)
+
+
+class TestModelPastDoubleRange:
+    """An r past the double range is refused by the model check, with exit 2 and
+    one error line, on every route that reads r.  A k past it is not: below
+    k no candidate edge exists, so no formula divides by k."""
+
+    @pytest.mark.parametrize("argv", [
+        *([scope, f"--{n}", "5", "--k", "3", "--p", "0.5", "--method", method, "--trials", "10"]
+          for scope, n in (("local", "u"), ("global", "v"))
+          for method in (*FORMULA_METHODS, "mc")),
+        *(["sweep", "--k", "3", "--overhead", "1.6", "--e-min", "3", "--e-max", "3",
+           "--method", method] for method in ("interleaved-lower", "interleaved-upper")),
+        *(["breakdown", "--k", "3", "--cap", "5", "--method", method]
+          for method in ("interleaved-lower", "interleaved-upper")),
+        ["oracle", "--v", "5", "--k", "3", "--p", "0.5"],
+    ], ids=lambda argv: "-".join([argv[0],
+                                  *(m for f, m in zip(argv, argv[1:]) if f == "--method")]))
+    def test_core_order_exit_2(self, argv):
+        assert run_in_process([*argv, "--r", BIG]) == {
+            "code": 2, "stdout": "",
+            "stderr": "error: r must lie in the double range, got 1000000000... (401 digits)\n"}
+
+    def test_local_covering_edge_size(self):
+        argv = ["local", "--u", "5", "--k", BIG, "--p", "0.5", "--method", "covering"]
+        assert run_in_process(argv) == {
+            "code": 0, "stdout": "u,p,method,value,valid\n5,0.5,covering,0.0,1\n", "stderr": ""}
+
+
 class TestNegativeZeroProbability:
     @pytest.mark.parametrize("argv", [
         ["local", "--u", "5", "--k", "3", "--e-u", "-0.0"],

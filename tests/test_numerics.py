@@ -52,12 +52,15 @@ class TestCheckKpr:
         (1, 0.5, 1, "k must be >= 2, got 1"),
         (1, 1.5, 0, "k must be >= 2, got 1"),
         (3, 1.5, 0, "r must be >= 1, got 0"),
+        (3, 0.5, 2**1024, r"r must lie in the double range, got 1797693134\.\.\. \(309 digits\)"),
+        (3, 1.5, 10**400, r"r must lie in the double range, got 1000000000\.\.\. \(401 digits\)"),
         (3, -0.1, 1, r"p must lie in \[0, 1\], got -0.1"),
         (3, 1.5, 2, r"p must lie in \[0, 1\], got 1.5"),
     ])
     def test_message(self, k, p, r, message):
         check_kpr(3, 0.0, 1)
         check_kpr(2, 1.0, 5)
+        check_kpr(3, 0.5, int(sys.float_info.max))  # the largest r a float holds
         with pytest.raises(ValueError, match=f"^{message}$"):
             check_kpr(k, p, r)
 
