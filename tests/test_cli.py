@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -529,6 +531,28 @@ class TestModelPastDoubleRange:
         argv = ["local", "--u", "5", "--k", BIG, "--p", "0.5", "--method", "covering"]
         assert run_in_process(argv) == {
             "code": 0, "stdout": "u,p,method,value,valid\n5,0.5,covering,0.0,1\n", "stderr": ""}
+
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def readme_commands():
+    """The argv after ``corebound`` of each command in README.md's fenced
+    blocks, its backslash-continued lines joined into one."""
+    blocks = re.findall(r"^```\n(.*?)^```", README.read_text(), re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("corebound ")]
+
+
+class TestReadmeExamples:
+    def test_seven_commands(self):
+        assert [argv[0] for argv in readme_commands()] == [
+            "local", "global", "sweep", "sweep", "breakdown", "oracle", "oracle"]
+
+    @pytest.mark.parametrize("argv", readme_commands(),
+                             ids=[f"{i}-{argv[0]}" for i, argv in enumerate(readme_commands())])
+    def test_parses(self, argv):
+        assert cli.build_parser().parse_args(argv).command == argv[0]
 
 
 class TestNegativeZeroProbability:
