@@ -329,7 +329,7 @@ def colex_unrank(ranks: np.ndarray, v: int, k: int) -> np.ndarray:
     m = math.comb(v, k)
     j = np.array(ranks, dtype=np.int64)
     slots = np.empty((k, len(j)), dtype=np.int64)
-    if not len(j):  # no rank, so no table: at k > v no candidate exists
+    if not len(j):  # no edge kept, or none exists (k > v): skip the k - 1 tables
         return slots.T
     for i in range(k, 1, -1):
         table = np.array([min(math.comb(c, i), m) for c in range(v)], dtype=np.int64)
