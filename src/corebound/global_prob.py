@@ -26,7 +26,7 @@ invalid, and it carries the first note among its inputs.
 
 The geometric-series step then upper-bounds the probability of at least one
 core by ``S / (1 - S)`` where S is the exactly-one total.  Which local
-source and edge probability each formula method feeds this module is set in
+source and which p (p or p/r) each formula method feeds this module is set in
 one place, ``sweep.METHOD_TABLE``, which also reads the interleaving bracket
 as the bound with the interleaved source at p/r and at p.
 
