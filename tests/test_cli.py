@@ -508,8 +508,8 @@ BIG = str(10**400)
 
 class TestModelPastDoubleRange:
     """An r past the double range is refused by the model check, with exit 2 and
-    one error line, on every route that reads r.  A k past it is not: below
-    k no candidate edge exists, so no formula divides by k."""
+    one error line, on every route that reads r.  A k past it is not refused:
+    at u < k no candidate edge exists, and covering forms no k / u there."""
 
     @pytest.mark.parametrize("argv", [
         *([scope, f"--{n}", "5", "--k", "3", "--p", "0.5", "--method", method, "--trials", "10"]
