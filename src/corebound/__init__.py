@@ -16,7 +16,6 @@ from .local_prob import (
     ConnectivityTable,
     LocalProvider,
     covering_prob,
-    cross_edge_count,
     gilbert_prob,
 )
 from .montecarlo import (
@@ -52,7 +51,6 @@ __all__ = [
     "choose",
     "choose_float",
     "covering_prob",
-    "cross_edge_count",
     "exact_exactly_one",
     "exact_global",
     "exact_local",

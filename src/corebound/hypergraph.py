@@ -1,5 +1,6 @@
-"""k-uniform hypergraphs: the random model's guards, the candidate edge
-array of the exhaustive oracles, and one guarded random draw.
+"""k-uniform hypergraphs: the one entry check of each random-graph route
+(the model-domain check, then the draw or enumeration guard), the candidate
+edge array of the exhaustive oracles, and one guarded random draw.
 
 Candidate edges are numbered in colexicographic order (sorted by largest
 vertex, ties broken recursively; ``kernels.colex_unrank`` maps a number to
@@ -38,20 +39,25 @@ KEPT_GUARD = 2**22
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
 
 
-def guarded_count(v: int, k: int) -> int:
-    """C(v, k), the candidate edge count of an exhaustive enumeration;
-    ValueError when it exceeds ``ENUMERATE_GUARD``."""
+def guarded_count(v: int, k: int, p: float, r: int) -> None:
+    """The entry check of an exhaustive oracle: the model-domain check
+    (``check_at_least("v", v)``, then ``check_kpr(k, p, r)``), then
+    ValueError when C(v, k) exceeds ``ENUMERATE_GUARD``."""
+    check_at_least("v", v)
+    check_kpr(k, p, r)
     m = choose(v, k)
     if m > ENUMERATE_GUARD:
         raise ValueError(f"C(v, k) = {count_text(m)} exceeds the enumeration guard "
                          f"{ENUMERATE_GUARD}")
-    return m
 
 
-def guarded_draws(v: int, k: int, p: float) -> int:
-    """C(v, k) for one random graph: ValueError when it exceeds
-    ``GENERATE_GUARD`` or its expected kept edges C(v, k) * p exceed
-    ``KEPT_GUARD``."""
+def guarded_draws(v: int, k: int, p: float, r: int) -> None:
+    """The entry check of a random draw: the model-domain check
+    (``check_at_least("v", v)``, then ``check_kpr(k, p, r)``), then
+    ValueError when C(v, k) exceeds ``GENERATE_GUARD`` or its expected kept
+    edges C(v, k) * p exceed ``KEPT_GUARD``."""
+    check_at_least("v", v)
+    check_kpr(k, p, r)
     m = choose(v, k)
     if m > GENERATE_GUARD:
         raise ValueError(f"C(v, k) = {count_text(m)} exceeds the generation guard "
@@ -59,7 +65,6 @@ def guarded_draws(v: int, k: int, p: float) -> int:
     if m * p > KEPT_GUARD:
         raise ValueError(f"C(v, k) * p = {m * p:.6g} expected edges per graph "
                          f"exceed the kept-edge guard {KEPT_GUARD}")
-    return m
 
 
 # Only the exhaustive oracles read the whole array, at most ENUMERATE_GUARD =
@@ -88,9 +93,7 @@ def generate(v: int, k: int, p: float, seed: int) -> np.ndarray:
     seed ``s`` sees exactly ``generate(v, k, p, kernels.trial_seed(s, t))``.
     Unlike ``kernels.sample_edges`` it refuses, before any draw, a point
     outside the model's domain (no core order is read, so r = 1 stands in)
-    or past ``GENERATE_GUARD`` or ``KEPT_GUARD``.
+    or past ``GENERATE_GUARD`` or ``KEPT_GUARD`` (``guarded_draws``).
     """
-    check_at_least("v", v)
-    check_kpr(k, p, 1)
-    guarded_draws(v, k, p)
+    guarded_draws(v, k, p, 1)
     return kernels.sample_edges(v, k, p, seed)

@@ -67,7 +67,6 @@ __all__ = [
     "backend",
     "mix64",
     "trial_seed",
-    "unit_double",
     "sample_edge_mask",
     "sample_edges",
     "colex_unrank",
@@ -84,7 +83,6 @@ __all__ = [
 
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64 increment
 _MASK64 = (1 << 64) - 1
-_INV_2_53 = 1.0 / 9007199254740992.0  # 2^-53
 
 # Elements per numpy block: stream draws per pass and edge subsets per
 # oracle block.  512 KiB of uint64, so a block's passes stay in cache, and
@@ -151,12 +149,6 @@ def trial_seed(master: int, index: int) -> int:
     return mix64(master + (index + 1) * GOLDEN)
 
 
-def unit_double(bits: int) -> float:
-    """Map 64 random bits to a double in [0, 1) using the top 53 bits.  No code
-    calls it: it stays as the scalar stream the tests check every draw against."""
-    return (bits >> 11) * _INV_2_53
-
-
 def _mix64_rounds(z: np.ndarray, tmp: np.ndarray) -> None:
     """The two multiply rounds of splitmix64, in place in ``z``; ``tmp`` is
     scratch space of the same shape.  The final ``z ^ (z >> 31)`` is left out."""
@@ -195,8 +187,8 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed: int) -> np.ndarray
     """Boolean inclusion mask, of shape ``(n_candidates,)``, over the
     candidate edges of the graph seeded with ``graph_seed``.  Candidate j of
     the graph seeded with s is kept iff
-    ``unit_double(mix64(s + (j+1)*GOLDEN)) < p``; :func:`_draw_kept` finds
-    them.
+    ``(mix64(s + (j+1)*GOLDEN) >> 11) * 2^-53 < p``, the draw's top 53 bits
+    read as a double in [0, 1); :func:`_draw_kept` finds them.
     """
     keep = np.zeros(n_candidates, dtype=bool)
     keep[_draw_kept(n_candidates, p, _seed_array(graph_seed))[1]] = True
@@ -206,7 +198,7 @@ def sample_edge_mask(n_candidates: int, p: float, graph_seed: int) -> np.ndarray
 def sample_edges(v: int, k: int, p: float, graph_seed: int) -> np.ndarray:
     """The kept edges of the graph on ``v`` vertices seeded with
     ``graph_seed``, as (kept, k) int64 rows in colex order: candidate j of
-    the C(v, k) is kept iff ``unit_double(mix64(graph_seed + (j+1)*GOLDEN)) < p``."""
+    the C(v, k) is kept iff ``(mix64(graph_seed + (j+1)*GOLDEN) >> 11) * 2^-53 < p``."""
     return _block_edges(v, k, p, _seed_array(graph_seed))
 
 

@@ -40,7 +40,6 @@ __all__ = [
     "LOCAL_METHODS",
     "LocalProvider",
     "ConnectivityTable",
-    "cross_edge_count",
     "gilbert_prob",
     "covering_prob",
 ]
@@ -67,15 +66,6 @@ def _check_size(u: int) -> None:
     if u > RECURSION_GUARD:
         raise ValueError(f"u = {count_text(u)} exceeds the local-recursion guard "
                          f"{RECURSION_GUARD}")
-
-
-def cross_edge_count(u: int, i: int, k: int) -> int:
-    """Number of possible k-edges crossing a split of u vertices into parts of
-    size i and u-i, i.e. edges touching both sides.  Exact integer.  It stays
-    as the definition the recursion's inline counts are tested against."""
-    if not 1 <= i < u:
-        raise ValueError(f"need 1 <= i < u, got i={i}, u={u}")
-    return sum(choose(i, j) * choose(u - i, k - j) for j in range(1, min(i, k - 1) + 1))
 
 
 # Largest size u whose p-free row is kept in ``_ROWS``; a larger row is built

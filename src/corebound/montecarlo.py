@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import kernels
 from .kernels import np
 from .hypergraph import candidate_edges, guarded_count, guarded_draws
-from .numerics import check_at_least, check_kpr
+from .numerics import check_at_least
 
 __all__ = [
     "McEstimate",
@@ -74,20 +74,10 @@ def _check_trials(trials: int, seed: int, start: int) -> None:
     check_at_least("start", start, 0)
 
 
-def _check_draws(v: int, k: int, p: float, r: int) -> None:
-    """The model-domain check, then the random-graph guards
-    (``guarded_draws``)."""
-    check_at_least("v", v)
-    check_kpr(k, p, r)
-    guarded_draws(v, k, p)
-
-
 def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
-    """``candidate_edges(v, k)`` for an exhaustive oracle, after the
-    model-domain check and ``ENUMERATE_GUARD``."""
-    check_at_least("v", v)
-    check_kpr(k, p, r)
-    guarded_count(v, k)
+    """``candidate_edges(v, k)`` for an exhaustive oracle, after its entry
+    check (``guarded_count``)."""
+    guarded_count(v, k, p, r)
     return candidate_edges(v, k)
 
 
@@ -102,7 +92,7 @@ def mc_local(u: int, k: int, p: float, r: int,
     """
     _check_trials(trials, seed, start)
     check_at_least("u", u)  # under its own name: the model check below would call it v
-    _check_draws(u, k, p, r)
+    guarded_draws(u, k, p, r)
     successes = kernels.mc_local_successes(u, k, p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 
@@ -111,7 +101,7 @@ def mc_global(v: int, k: int, p: float, r: int,
               trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
     """Estimate the probability that peeling leaves a nonempty r-core anywhere."""
     _check_trials(trials, seed, start)
-    _check_draws(v, k, p, r)
+    guarded_draws(v, k, p, r)
     successes = kernels.mc_global_successes(v, k, p, r, trials, seed, start)
     return McEstimate.from_counts(successes, trials, seed)
 

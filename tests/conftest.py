@@ -7,6 +7,22 @@ import pytest
 from corebound import candidate_edges, choose, kernels
 
 
+def unit_double(bits):
+    """The stream's scalar reading of 64 random bits: the top 53 as a double
+    in [0, 1).  Candidate j of the graph seeded with s is kept iff
+    ``unit_double(mix64(s + (j+1)*GOLDEN)) < p``."""
+    return (bits >> 11) * 2.0**-53
+
+
+def cross_edge_count(u, i, k):
+    """Number of possible k-edges crossing a split of u vertices into parts of
+    size i and u-i, i.e. edges touching both sides: the definition the
+    connectivity recursion's inline counts are tested against.  Exact integer."""
+    if not 1 <= i < u:
+        raise ValueError(f"need 1 <= i < u, got i={i}, u={u}")
+    return sum(choose(i, j) * choose(u - i, k - j) for j in range(1, min(i, k - 1) + 1))
+
+
 def edge_subsets(v, k):
     """Every edge subset of the C(v, k) candidates on v vertices, as an (m, k)
     int64 array in colexicographic order, in bitmask order over the candidates

@@ -9,7 +9,8 @@ from corebound import kernels
 from corebound.cli import main
 from corebound.hypergraph import GENERATE_GUARD, KEPT_GUARD
 from corebound.numerics import count_text
-from corebound.montecarlo import mc_global, mc_local
+from corebound.montecarlo import (exact_exactly_one, exact_global, exact_local, mc_global,
+                                  mc_local)
 from conftest import edge_subsets, min_degree_ok
 
 
@@ -33,16 +34,30 @@ def induced(edges, subset):
 
 class TestTypes:
     def test_params_validation(self):
-        # the draw and the estimator refuse the same (v, k, p); the draw reads no r
+        # every random-graph route refuses the same (v, k, p), with the same
+        # texts and in the same order: v, then k, r and p, then its own guard.
+        # The draw reads no r, and the local routes name their size u
+        routes = [lambda v, k, p, r: generate(v, k, p, seed=0),
+                  lambda v, k, p, r: mc_global(v, k, p, r, trials=1),
+                  exact_global, exact_exactly_one]
+        local_routes = [lambda u, k, p, r: mc_local(u, k, p, r, trials=1), exact_local]
         for (v, k, p), message in [((0, 3, 0.5), "v must be >= 1, got 0"),
+                                   ((0, 1, 1.5), "v must be >= 1, got 0"),
                                    ((5, 1, 0.5), "k must be >= 2, got 1"),
-                                   ((5, 3, 1.5), r"p must lie in \[0, 1\], got 1.5")]:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                generate(v, k, p, seed=0)
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                mc_global(v, k, p, 1, trials=1)
-        with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
-            mc_global(5, 3, 0.5, 0, trials=1)
+                                   ((5, 1, 1.5), "k must be >= 2, got 1"),
+                                   ((5, 3, 1.5), r"p must lie in \[0, 1\], got 1.5"),
+                                   ((10**6, 3, 1.5), r"p must lie in \[0, 1\], got 1.5")]:
+            for route in routes:
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    route(v, k, p, 1)
+            for route in local_routes:
+                with pytest.raises(ValueError, match=f"^{message.replace('v ', 'u ')}$"):
+                    route(v, k, p, 1)
+        # r before p, and both before the enumeration and generation guards
+        for route in routes[1:] + local_routes:
+            for v, p in ((5, 0.5), (5, 1.5), (10**6, 1.5)):
+                with pytest.raises(ValueError, match="^r must be >= 1, got 0$"):
+                    route(v, 3, p, 0)
 
 
 class TestCandidates:

@@ -12,7 +12,7 @@ import pytest
 from corebound import (choose, exact_exactly_one, exact_global, exact_local,
                        generate, kernels, mc_global)
 from corebound.hypergraph import candidate_edges
-from conftest import edge_subsets, enumeration_prob, min_degree_ok
+from conftest import edge_subsets, enumeration_prob, min_degree_ok, unit_double
 
 
 class TestStream:
@@ -27,8 +27,8 @@ class TestStream:
         assert len(seeds) == 1000
 
     def test_unit_double_range(self):
-        assert kernels.unit_double(0) == 0.0
-        assert 0.0 <= kernels.unit_double(2**64 - 1) < 1.0
+        assert unit_double(0) == 0.0
+        assert 0.0 <= unit_double(2**64 - 1) < 1.0
 
     def test_sample_mask_deterministic(self):
         a = kernels.sample_edge_mask(500, 0.3, 99)
@@ -60,7 +60,7 @@ class TestStream:
         seed = kernels.trial_seed(3, 5)
         longest = 2**17 + 3
         units = np.array([
-            kernels.unit_double(kernels.mix64(seed + (j + 1) * kernels.GOLDEN))
+            unit_double(kernels.mix64(seed + (j + 1) * kernels.GOLDEN))
             for j in range(longest)])
         for n in (0, 1, 2**16 - 1, 2**16, 2**16 + 1, longest):
             for p in (0.0, 2**-54, 2**-53, 0.3, 0.5, math.nextafter(1.0, 0.0), 1.0):

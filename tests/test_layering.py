@@ -80,15 +80,16 @@ def test_numpy_only_through_kernels(path):
         assert not named & {"numpy", "np"}, f"{path.name} names numpy"
 
 
-BENCHMARK_ONLY = ("choose_float", "sample_edge_mask")
+BENCHMARK_ONLY = ("choose_float", "sample_edge_mask", "connected_all")
 
 
 def test_benchmark_only_names_have_no_package_reader():
-    """In the package only the own ``def`` of ``numerics.choose_float`` and of
-    ``kernels.sample_edge_mask``, their ``__all__`` entries and ``__init__``'s
-    re-export name them, in code, docstrings and comments alike: only the
-    benchmark calls them, so deleting them takes no other edit under ``src/``.
-    The benchmark change that deletes them drops them from ``BENCHMARK_ONLY``."""
+    """In the package only the own ``def`` of ``numerics.choose_float``,
+    ``kernels.sample_edge_mask`` and ``kernels.connected_all``, their
+    ``__all__`` entries and ``__init__``'s re-export name them, in code,
+    docstrings and comments alike: only the benchmark (and the tests) call
+    them, so deleting them takes no other edit under ``src/``.  The benchmark
+    change that deletes them drops them from ``BENCHMARK_ONLY``."""
     defined = []
     for path in sorted(Path(corebound.__file__).parent.glob("*.py")):
         text = path.read_text()

@@ -13,12 +13,11 @@ from corebound import (
     binom_pmf,
     choose,
     covering_prob,
-    cross_edge_count,
     exact_local,
     gilbert_prob,
 )
 from corebound.numerics import count_text, range_checked, scaled_power, stable_sum
-from conftest import connected_prob_oracle
+from conftest import connected_prob_oracle, cross_edge_count
 
 
 class TestCrossEdgeCount:
