@@ -11,7 +11,7 @@ with ``s`` is included iff ``unit(mix64(s + (j+1)*GOLDEN)) < p``, and trial
 runs merge exactly (trial indices are global).
 
 The stream is evaluated in blocks of ``BLOCK`` draws, in place in a pair
-of uint64 buffers of 512 KiB each that a draw allocates once and reuses for
+of 64-byte-aligned uint64 buffers of 512 KiB each that a draw allocates once and reuses for
 all its blocks, so each pass over a block stays in cache.  A block yields only the (graph,
 rank) pairs of its kept candidates, and only those ranks are unranked into
 edges, so no array grows with C(v, k): there is no candidate array and no
@@ -255,7 +255,7 @@ def _draw_kept(n_candidates: int, p: float, seeds: np.ndarray) -> tuple[np.ndarr
     rows = max(1, BLOCK // max(n_candidates, 1))  # seeds per block
     # z and tmp start on 64-byte boundaries.  Left to the heap, their
     # alignment shifted with unrelated edits and with the checkout's path,
-    # and the mc-large-v benchmark ran 10-15% slower when it was off.
+    # and the mc-large-v benchmark ran up to 20% slower when it was off.
     n_buf = min(len(seeds) * n_candidates, BLOCK)
     stride = -(-n_buf // 8) * 8
     buf = np.empty(2 * stride + 8, dtype=np.uint64)
