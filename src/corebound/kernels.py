@@ -7,8 +7,8 @@ with ``s`` is included iff ``unit(mix64(s + (j+1)*GOLDEN)) < p``, and trial
 ``t`` of a Monte Carlo run with master seed ``m`` uses graph seed
 ``mix64(m + (t+1)*GOLDEN)``.  So trial ``t`` sees exactly the edge array
 ``sample_edges(v, k, p, trial_seed(m, t))``, which is also what the guarded
-``hypergraph.generate(v, k, p, trial_seed(m, t))`` returns, and partitioned
-runs merge exactly (trial indices are global).
+``hypergraph.generate(v, k, p, trial_seed(m, t))`` returns.  A run counts
+trials [0, trials), and its count is the same for any worker count.
 
 The stream is evaluated in blocks of ``BLOCK`` draws, in place in a pair
 of 64-byte-aligned uint64 buffers of 512 KiB each that a draw allocates once and reuses for
@@ -168,10 +168,10 @@ def _mix64_vec(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _trial_seeds(master: int, start: int, n: int) -> np.ndarray:
-    """``trial_seed(master, t)`` for t = start .. start + n - 1, as uint64.
+def _trial_seeds(master: int, first: int, n: int) -> np.ndarray:
+    """``trial_seed(master, t)`` for t = first .. first + n - 1, as uint64.
     The indices t + 1 wrap mod 2^64, as in :func:`trial_seed`."""
-    z = np.arange(n, dtype=np.uint64) + np.uint64((start + 1) & _MASK64)
+    z = np.arange(n, dtype=np.uint64) + np.uint64((first + 1) & _MASK64)
     z *= np.uint64(GOLDEN)
     z += np.uint64(master & _MASK64)
     return _mix64_vec(z)
@@ -421,19 +421,19 @@ def _connected_rows(edges: np.ndarray, n: int, v: int, r: int) -> np.ndarray:
 # trial-blocked Monte Carlo drivers
 # ---------------------------------------------------------------------------
 
-def _successes(test, v: int, k: int, p: float, r: int,
-               trials: int, master: int, start: int) -> int:
-    """Count the trials t in [start, start + trials) whose graph, drawn from
+def _successes(test, v: int, k: int, p: float, r: int, trials: int, master: int) -> int:
+    """Count the trials t in [0, trials) whose graph, drawn from
     ``trial_seed(master, t)``, passes the per-block predicate ``test``.
 
     A block holds as many trials as fit ``TRIAL_BLOCK`` both in vertices and
     in expected kept edges (at least one), and is drawn by one
     :func:`_block_edges` call.
 
-    Workers.  The trial range is cut into min(``WORKERS``, trials)
-    contiguous runs of near-equal length, each counted block by block on a
-    thread of its own (:func:`_in_threads`; the calling thread counts the
-    first), and the counts are summed.  Trial t depends only on
+    Workers.  This is the one place a run's trials are cut into ranges:
+    [0, trials) is cut into min(``WORKERS``, trials) contiguous runs of
+    near-equal length, each counted block by block on a thread of its own
+    (:func:`_in_threads`; the calling thread counts the first), and the
+    counts are summed.  Trial t depends only on
     ``trial_seed(master, t)``, so the sum is the same for any worker count.
     numpy's ufunc loops release the GIL, so the runs overlap.  When one
     trial's expected kept edges exceed ``TRIAL_BLOCK`` (a block of one
@@ -457,24 +457,24 @@ def _successes(test, v: int, k: int, p: float, r: int,
     # thread-safe on Python 3.11, and two workers' first reads can see a
     # half-loaded module.
     np.ndarray
-    cuts = [start + trials * i // workers for i in range(workers + 1)]
+    cuts = [trials * i // workers for i in range(workers + 1)]
     return sum(_in_threads(count, list(zip(cuts, cuts[1:]))))
 
 
-def mc_local_successes(v: int, k: int, p: float, r: int,
-                       trials: int, seed: int, start: int = 0) -> int:
-    """Count trials whose sampled hypergraph spans an r-core on all v
-    vertices: connected at r = 1 (:func:`_connected_rows`), every vertex in
-    at least r edges at r >= 2 (:func:`_min_degree_rows`).  This is the one
-    place the local Monte Carlo test follows r."""
+def mc_local_successes(v: int, k: int, p: float, r: int, trials: int, seed: int) -> int:
+    """Count the trials t in [0, trials) whose hypergraph, drawn from
+    ``trial_seed(seed, t)``, spans an r-core on all v vertices: connected at
+    r = 1 (:func:`_connected_rows`), every vertex in at least r edges at
+    r >= 2 (:func:`_min_degree_rows`).  This is the one place the local
+    Monte Carlo test follows r."""
     test = _connected_rows if r == 1 else _min_degree_rows
-    return _successes(test, v, k, p, r, trials, seed, start)
+    return _successes(test, v, k, p, r, trials, seed)
 
 
-def mc_global_successes(v: int, k: int, p: float, r: int,
-                        trials: int, seed: int, start: int = 0) -> int:
-    """Count trials whose sampled hypergraph peels to a nonempty core."""
-    return _successes(_core_rows, v, k, p, r, trials, seed, start)
+def mc_global_successes(v: int, k: int, p: float, r: int, trials: int, seed: int) -> int:
+    """Count the trials t in [0, trials) whose hypergraph, drawn from
+    ``trial_seed(seed, t)``, peels to a nonempty core."""
+    return _successes(_core_rows, v, k, p, r, trials, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
 """Seeded Monte Carlo estimators plus exhaustive desk-scale oracles.
 
-The estimators are deterministic in their (arguments, seed): trial t draws
-its graph from the derived stream seed ``trial_seed(seed, t)``, so a run over
-trials [0, n) has the summed successes of runs over [0, a) and [a, n) with
-the same master seed (pass ``start=a`` for the second block), and
-``McEstimate.from_counts`` of the summed counts is its estimate.  The
-kernels evaluate trials in blocks (one disjoint-union graph per block, see
-:mod:`kernels`); that changes no count, and trial t still sees exactly the
-edge array ``generate(v, k, p, trial_seed(seed, t))`` returns.
+The estimators are deterministic in their (arguments, seed): a run counts
+trials t in [0, trials), and trial t's graph is
+``generate(v, k, p, trial_seed(seed, t))``.  The kernels evaluate trials in
+blocks (one disjoint-union graph per block) on worker threads (see
+:mod:`kernels`); that changes no count, for any worker count.
 :func:`mc_global` peels each graph; :func:`mc_local` tests all u vertices
 with the rule of ``kernels.mc_local_successes`` (connected at r = 1, minimum
 degree r above).
@@ -63,15 +60,13 @@ class McEstimate:
         return cls(successes, trials, mean, stderr, seed)
 
 
-def _check_trials(trials: int, seed: int, start: int) -> None:
-    """Trial count, master seed and first trial index of a Monte Carlo run.
-    The seed must lie in [0, 2^64): the stream reads it mod 2^64, so a seed
-    outside would run the graphs of another seed under its own number.
-    Trial indices past 2^64 wrap (see :func:`kernels.trial_seed`)."""
+def _check_trials(trials: int, seed: int) -> None:
+    """Trial count and master seed of a Monte Carlo run.  The seed must lie
+    in [0, 2^64): the stream reads it mod 2^64, so a seed outside would run
+    the graphs of another seed under its own number."""
     check_at_least("trials", trials)
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    check_at_least("start", start, 0)
 
 
 def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
@@ -82,7 +77,7 @@ def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
 
 
 def mc_local(u: int, k: int, p: float, r: int,
-             trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
+             trials: int = 10_000, seed: int = 0) -> McEstimate:
     """Estimate the probability that an r-core spans all u vertices.
 
     Each trial samples a hypergraph on exactly u vertices with edge
@@ -90,19 +85,19 @@ def mc_local(u: int, k: int, p: float, r: int,
     :func:`kernels.mc_local_successes`: connectivity at r = 1, minimum
     degree r at r >= 2.
     """
-    _check_trials(trials, seed, start)
+    _check_trials(trials, seed)
     check_at_least("u", u)  # under its own name: the model check below would call it v
     guarded_draws(u, k, p, r)
-    successes = kernels.mc_local_successes(u, k, p, r, trials, seed, start)
+    successes = kernels.mc_local_successes(u, k, p, r, trials, seed)
     return McEstimate.from_counts(successes, trials, seed)
 
 
 def mc_global(v: int, k: int, p: float, r: int,
-              trials: int = 10_000, seed: int = 0, start: int = 0) -> McEstimate:
+              trials: int = 10_000, seed: int = 0) -> McEstimate:
     """Estimate the probability that peeling leaves a nonempty r-core anywhere."""
-    _check_trials(trials, seed, start)
+    _check_trials(trials, seed)
     guarded_draws(v, k, p, r)
-    successes = kernels.mc_global_successes(v, k, p, r, trials, seed, start)
+    successes = kernels.mc_global_successes(v, k, p, r, trials, seed)
     return McEstimate.from_counts(successes, trials, seed)
 
 

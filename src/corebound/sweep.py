@@ -115,7 +115,7 @@ class SweepSpec:
             if m not in SWEEP_METHODS:
                 raise ValueError(f"unknown method {m!r}; pick from {SWEEP_METHODS}")
         _check_scope(self.scope)
-        montecarlo._check_trials(self.trials, self.seed, 0)  # the estimators' checks
+        montecarlo._check_trials(self.trials, self.seed)  # the estimators' checks
 
 
 @dataclass

@@ -149,6 +149,12 @@ def test_criterion_7_exactly_one_vs_oracle():
     report(7, elapsed, 30.0, detail, ok=ok)
 
 
+def test_criterion_7_composition_is_the_xfail_number():
+    # the composition the strict xfail above reports, flagged invalid
+    res = cb.exactly_one_core(5, 0.5, 3, 2, method="exact-enum")
+    assert (res.exactly_one.value, res.exactly_one.valid) == (1.1818237304687498, False)
+
+
 @pytest.fixture(scope="module")
 def criterion_8_sweep(warm_kernels):
     """The overhead-1.2 interleaving sweep and the seconds it took."""
@@ -206,6 +212,20 @@ def test_criterion_8_bracket_holds_against_mc(criterion_8_sweep):
     # a bracket checked on no row tests nothing
     report(8, elapsed, 600.0, detail,
            ok=valid_rows > 0 and ordering_ok and outside <= 0.10 * valid_rows)
+
+
+def test_criterion_8_row_counts_are_the_xfail_numbers(criterion_8_sweep):
+    # the counts the strict xfail above carries: 0 of 28 rows with both
+    # bounds valid, the upper side invalid on 28 and the lower on 2
+    rows = criterion_8_sweep[0].rows
+    lower = [row.values["interleaved-lower"] for row in rows]
+    upper = [row.values["interleaved-upper"] for row in rows]
+    assert len(rows) == 28
+    assert sum(not pv.valid for pv in upper) == 28
+    assert sum(not pv.valid for pv in lower) == 2
+    assert sum(lo.valid and up.valid for lo, up in zip(lower, upper)) == 0
+    assert {pv.note for pv in upper} == {"exactly-one total >= 1: geometric series diverges"}
+    assert {pv.note for pv in lower if not pv.valid} == {"lower bound above 1"}
 
 
 def test_criterion_9_invariant_suites_spot_checks(tmp_path):

@@ -111,6 +111,13 @@ class TestGlobal:
         assert float(row[header.index("covering")]) == 0.0
         assert float(row[header.index("mc_mean")]) == 0.0
 
+    def test_lower_bound_above_one_is_flagged(self, capsys):
+        assert main(["global", "--v", "30", "--k", "2", "--r", "1", "--e-v", "19",
+                     "--method", "interleaved-lower"]) == 0
+        assert capsys.readouterr().out == (
+            "v,p,interleaved_lower,interleaved_lower_valid\n"
+            "30,0.04367816091954023,1.0432557377610356,0\n")
+
     def test_binomial_past_double_range_is_flagged(self, capsys):
         # C(1040, 515) is above the double range: 0 * inf is a flagged nan
         assert main(["global", "--v", "1040", "--k", "515", "--p", "0", "--r", "1",

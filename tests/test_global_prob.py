@@ -164,6 +164,12 @@ class TestGeometricBound:
         assert pv.valid
         assert "vacuous" in pv.note
 
+    def test_vacuous_note_starts_just_above_one(self):
+        # S = 0.5 gives exactly 1, a bound with no note; a hair above it is noted
+        assert _geometric_bound(ProbValue(0.5)) == ProbValue(1.0)
+        assert _geometric_bound(ProbValue(0.5001)) == ProbValue(
+            1.0004000800160031, True, "vacuous upper bound (> 1)")
+
     def test_invalid_input_propagates(self):
         pv = _geometric_bound(ProbValue(0.3, valid=False, note="broken upstream"))
         assert not pv.valid

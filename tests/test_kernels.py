@@ -118,6 +118,31 @@ class TestStream:
         assert np.packbits(mask).tobytes().hex() == "a9c934cd2f288afe"
 
 
+class TestCoupling:
+    """Candidate j's key does not depend on v or p, and colex order numbers
+    the k-subsets of range(v) first.  So a graph at (v, p) is its graph at
+    (v + 1, p) inside range(v), and an edge kept at p is kept at any larger
+    p.  A core survives both, so global counts do not fall as v or p grow.
+    (The local event, every one of the u vertices, is not monotone in u.)"""
+
+    def test_draw_is_the_next_draw_inside_range_v(self):
+        for k in (2, 3, 4):
+            for v, seed, p in itertools.product(range(k, 17), (0, 7, 2**64 - 1),
+                                                (0.05, 0.3, 0.8)):
+                small = kernels.sample_edges(v, k, p, seed)
+                large = kernels.sample_edges(v + 1, k, p, seed)
+                assert np.array_equal(small, large[(large < v).all(axis=1)]), (k, v, seed, p)
+
+    def test_global_count_is_monotone_in_v_and_p(self):
+        ps = (0.02, 0.05, 0.1, 0.2, 0.4)
+        for k, r in ((3, 2), (2, 2), (3, 1), (4, 2)):
+            counts = np.array([[kernels.mc_global_successes(v, k, p, r, 300, 5) for p in ps]
+                               for v in range(k, 13)])
+            for axis in (0, 1):  # v, then p
+                steps = np.diff(counts, axis=axis)
+                assert (steps >= 0).all() and (steps > 0).any(), (k, r, axis, counts)
+
+
 # A fresh interpreter that imports numpy before corebound, as the benchmark
 # harness does, then prints what kernels took for numpy and one draw.
 NUMPY_FIRST_CHILD = """\
@@ -239,24 +264,24 @@ BLOCK_PREDICATES = {"global": kernels._core_rows, "connectivity": kernels._conne
                     "min-degree": kernels._min_degree_rows}
 
 
-def _per_trial(v, k, p, r, predicate, trials, seed, start):
-    """Trials t in [start, start + trials) whose ``generate(v, k, p,
-    trial_seed(seed, t))`` passes the predicate, one graph at a time."""
+def _per_trial(v, k, p, r, predicate, trials, seed):
+    """Trials t in [0, trials) whose ``generate(v, k, p, trial_seed(seed, t))``
+    passes the predicate, one graph at a time."""
     test = REFERENCE[predicate]
     return sum(test(generate(v, k, p, kernels.trial_seed(seed, t)).tolist(), v, r)
-               for t in range(start, start + trials))
+               for t in range(trials))
 
 
 def _address(array):
     return array.__array_interface__["data"][0]
 
 
-def _mc_count(predicate, v, k, p, r, trials, seed, start=0):
+def _mc_count(predicate, v, k, p, r, trials, seed):
     # the block kernel, not mc_local_successes, whose test follows r: cases
     # run min-degree at r = 1
     if predicate == "global":
-        return mc_global(v, k, p, r, trials=trials, seed=seed, start=start).successes
-    return kernels._successes(BLOCK_PREDICATES[predicate], v, k, p, r, trials, seed, start)
+        return mc_global(v, k, p, r, trials=trials, seed=seed).successes
+    return kernels._successes(BLOCK_PREDICATES[predicate], v, k, p, r, trials, seed)
 
 
 def _no_thread(*args, **kwargs):
@@ -266,7 +291,7 @@ def _no_thread(*args, **kwargs):
 class TestBlockedTrials:
     """The trial-blocked drivers count what ``generate`` draws trial by trial."""
 
-    COUNT_CASES = [  # predicate, v, k, p, r, trials, start, blocks
+    COUNT_CASES = [  # predicate, v, k, p, r, trials, seed, blocks
         # several stream passes per block, and more trials than a block's TRIAL_BLOCK // v
         ("global", 40, 3, 33 / choose(40, 3), 2, 900, 0, 2),
         ("global", 40, 3, 0.7 / choose(40, 3), 1, 900, 13, 2),
@@ -289,14 +314,14 @@ class TestBlockedTrials:
     ]
 
     # the k = 3 cases keep the ids they had before k was a parameter
-    @pytest.mark.parametrize("predicate,v,k,p,r,trials,start,blocks", COUNT_CASES, ids=[
+    @pytest.mark.parametrize("predicate,v,k,p,r,trials,seed,blocks", COUNT_CASES, ids=[
         "-".join(map(str, (c[0], c[1], *c[3:]))) + ("" if c[2] == 3 else f"-k{c[2]}")
         for c in COUNT_CASES])
     def test_counts_are_the_per_trial_sum(self, monkeypatch, predicate, v, k, p, r, trials,
-                                          start, blocks):
+                                          seed, blocks):
         # at 1, 2, 3 and 8 workers: stream passes and seed derivations;
         # draws; blocks.  Workers draw at once, so the count takes a lock.
-        expected = _per_trial(v, k, p, r, predicate, trials, 11, start)
+        expected = _per_trial(v, k, p, r, predicate, trials, seed)
         for workers in (1, 2, 3, 8):
             calls = {"_mix64_rounds": 0, "_draw_kept": 0, "_trial_seeds": 0}
             lock = threading.Lock()
@@ -307,7 +332,7 @@ class TestBlockedTrials:
                     return _fn(*args)
                 monkeypatch.setattr(kernels, name, counted)
             monkeypatch.setattr(kernels, "WORKERS", workers)
-            got = _mc_count(predicate, v, k, p, r, trials, 11, start)
+            got = _mc_count(predicate, v, k, p, r, trials, seed)
             monkeypatch.undo()
             assert got == expected, workers
             passes = calls["_mix64_rounds"] - calls["_trial_seeds"]
@@ -315,14 +340,6 @@ class TestBlockedTrials:
             assert calls["_draw_kept"] == calls["_trial_seeds"], calls  # one draw per block
         if trials > 100:
             assert 0 < expected < trials
-
-    @pytest.mark.parametrize("start, trials", [(2**64 - 1, 3), (2**64 - 20, 40)])
-    def test_trial_indices_wrap_at_2_64(self, monkeypatch, start, trials):
-        expected = _per_trial(6, 3, 0.3, 2, "global", trials, 4, start)
-        for workers in (1, 2, 3, 8):  # 3 trials on 8 workers: one trial each
-            monkeypatch.setattr(kernels, "WORKERS", workers)
-            got = mc_global(6, 3, 0.3, 2, trials=trials, seed=4, start=start).successes
-            assert got == expected, workers
 
     def test_dense_run_memory_is_bounded(self, monkeypatch):
         # C(30, 3) * 0.5 = 2030 kept edges per trial: a block sized by
@@ -420,10 +437,10 @@ class TestThreadedDraw:
         for p in (0.0, 1e-4, 0.3, 0.5, 1.0):
             self._assert_one_pair(monkeypatch, n, p, seeds, blocks)
 
-    @pytest.mark.parametrize("predicate,v,k,p,r,trials,start,blocks", [
+    @pytest.mark.parametrize("predicate,v,k,p,r,trials,seed,blocks", [
         TestBlockedTrials.COUNT_CASES[i] for i in (0, 3, 6, 7, 8, 9, 12)])
     def test_counts_at_one_and_three_workers(self, monkeypatch, predicate, v, k, p, r, trials,
-                                             start, blocks):
+                                             seed, blocks):
         # three workers count each trial once, each a contiguous run of
         # near-equal length on a thread of its own, and count what one does
         counts = []
@@ -436,7 +453,7 @@ class TestThreadedDraw:
 
             monkeypatch.setattr(kernels, "_trial_seeds", recorded)
             monkeypatch.setattr(kernels, "WORKERS", workers)
-            counts.append(_mc_count(predicate, v, k, p, r, trials, 11, start))
+            counts.append(_mc_count(predicate, v, k, p, r, trials, seed))
             monkeypatch.undo()
             runs = {}
             for thread, first, stop in sorted(ranges, key=lambda blk: blk[1]):
@@ -445,8 +462,8 @@ class TestThreadedDraw:
                 runs[thread] = (lo, stop)
             bounds = sorted(runs.values())
             assert len(bounds) == min(workers, trials)
-            assert [lo for lo, _ in bounds] == [start] + [hi for _, hi in bounds[:-1]]
-            assert bounds[-1][1] == start + trials
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == trials
             lengths = [hi - lo for lo, hi in bounds]
             assert max(lengths) - min(lengths) <= 1
         assert counts[0] == counts[1]

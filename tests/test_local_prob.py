@@ -570,6 +570,15 @@ class TestLocalBracketAudit:
             (k, u, r, p) for k, u, r, p in BRACKET_GRID if choose(u - 1, k - 1) < r}
         assert all(exact == 0.0 for *_, exact in _lower_above_exact())
 
+    def test_crossed_rows_are_the_xfail_numbers(self):
+        # the counts and example rows the two strict xfails below carry
+        lower, upper = _lower_above_exact(), _upper_below_exact()
+        assert (len(lower), len(upper)) == (63, 34)
+        assert (2, 2, 2, 0.5, 0.0625, 0.25, 0.0) in lower
+        upper = {row[:4]: row[5:] for row in upper}  # (upper, exact) by (k, u, r, p)
+        assert upper[3, 4, 2, 0.1] == pytest.approx((0.0027353, 0.0037), abs=5e-8)
+        assert upper[2, 4, 1, 0.5] == pytest.approx((0.59375, 0.640625), abs=1e-12)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
         "63 of the 294 grid rows have a valid interleaved-lower value above "
         "exact_local, every one where exact_local is 0 (C(u-1, k-1) < r): "

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from corebound import (
-    McEstimate,
     choose,
     exact_exactly_one,
     exact_global,
@@ -32,13 +31,6 @@ class TestEstimates:
         c = mc_local(5, 3, 0.3, 1, trials=2000, seed=12)
         assert a.successes != c.successes
 
-    def test_partitioned_runs_merge(self, warm_kernels):
-        whole = mc_global(6, 3, 0.2, 2, trials=3000, seed=5)
-        head = mc_global(6, 3, 0.2, 2, trials=1800, seed=5)
-        tail = mc_global(6, 3, 0.2, 2, trials=1200, seed=5, start=1800)
-        assert head.successes + tail.successes == whole.successes
-        assert McEstimate.from_counts(head.successes + tail.successes, 3000, 5) == whole
-
     def test_stderr_formula(self):
         est = mc_local(4, 3, 0.5, 1, trials=1000, seed=0)
         assert est.mean == est.successes / est.trials
@@ -51,11 +43,6 @@ class TestEstimates:
             mc_local(4, 3, 0.5, 1, trials=0)
         with pytest.raises(ValueError):
             mc_global(4, 3, 1.5, 1)
-        # trial indices start at 0 (a negative start was numpy's OverflowError)
-        with pytest.raises(ValueError, match="^start must be >= 0, got -1$"):
-            mc_local(4, 3, 0.5, 1, trials=10, start=-1)
-        with pytest.raises(ValueError, match="^start must be >= 0, got -1$"):
-            mc_global(4, 3, 0.5, 1, trials=10, start=-1)
 
     def test_local_vertex_count_is_named_u(self):
         for u in (0, -3):
@@ -109,7 +96,7 @@ class TestMcLocal:
         for r, test in ((1, kernels._connected_rows), (2, kernels._min_degree_rows)):
             est = mc_local(u, k, p, r, trials=2000, seed=seed)
             assert est.successes == kernels.mc_local_successes(u, k, p, r, 2000, seed)
-            assert est.successes == kernels._successes(test, u, k, p, r, 2000, seed, 0)
+            assert est.successes == kernels._successes(test, u, k, p, r, 2000, seed)
             counts.append(est.successes)
         assert counts[0] != counts[1]  # the two predicates count apart at this seed
 

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from corebound import choose, find_breakdown, run_sweep, sweep
+from corebound import ProbValue, choose, find_breakdown, run_sweep, sweep
 from corebound.sweep import (
     FORMULA_METHODS,
     SweepSpec,
@@ -95,6 +95,22 @@ class TestDetector:
     def test_flat_tail_does_not_fire(self):
         points = [(e, val, True) for e, val in [(3, 0.9), (4, 0.5), (5, 0.5), (6, 0.5)]]
         assert first_failure(points) is None
+
+    def test_rise_tolerance(self):
+        # a relative rise of 1e-6 after the descent fires; one of 1e-10 is rounding
+        head = [(1, 0.5, True), (2, 0.4, True)]
+        assert first_failure([*head, (3, 0.4 * (1 + 1e-6), True)]) == 3
+        assert first_failure([*head, (3, 0.4 * (1 + 1e-10), True)]) is None
+
+
+class TestLowerBoundFlag:
+    def test_flag_sits_at_one(self):
+        # points on each side of 1 at v=30, k=2, r=1: a threshold at
+        # 1 + PROB_TOL keeps 0.9958 valid and flags the 4.3% excess
+        below = formula_value("interleaved-lower", "global", 30, 0.0434, 2, 1)
+        above = formula_value("interleaved-lower", "global", 30, 19 / choose(30, 2), 2, 1)
+        assert below == ProbValue(0.9958412739043233)
+        assert above == ProbValue(1.0432557377610356, False, "lower bound above 1")
 
 
 class TestRunSweep:
