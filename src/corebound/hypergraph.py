@@ -86,14 +86,14 @@ def candidate_edges(v: int, k: int) -> np.ndarray:
 def generate(v: int, k: int, p: float, seed: int) -> np.ndarray:
     """Sample one hypergraph on v vertices: every candidate k-edge kept
     independently with probability p.  Returns the kept edges as
-    ``kernels.sample_edges`` does, an (m, k) int64 array in colexicographic
-    order.
+    ``kernels.sample_edges`` does, an (m, k) int64 array in colex order.
 
     Deterministic in (v, k, p, seed).  A Monte Carlo trial ``t`` with master
     seed ``s`` sees exactly ``generate(v, k, p, kernels.trial_seed(s, t))``.
     Unlike ``kernels.sample_edges`` it refuses, before any draw, a point
     outside the model's domain (no core order is read, so r = 1 stands in)
-    or past ``GENERATE_GUARD`` or ``KEPT_GUARD`` (``guarded_draws``).
+    or past ``GENERATE_GUARD`` or ``KEPT_GUARD`` (``guarded_draws``).  At
+    k > v it returns a (0, k) array, which numpy refuses for k >= 2^60.
     """
     guarded_draws(v, k, p, 1)
     return kernels.sample_edges(v, k, p, seed)

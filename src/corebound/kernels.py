@@ -322,18 +322,18 @@ def colex_unrank(ranks: np.ndarray, v: int, k: int) -> np.ndarray:
     ``j = sum_i C(c_i, i)`` (the combinatorial number system): from i = k
     down, c_i is the largest c with ``C(c, i) <= j``, and j drops by
     ``C(c_i, i)``.  Each step is one ``searchsorted`` over the table of
-    C(c, i), c < v, clipped at C(v, k), which no rank reaches; c_1 is the
-    rank that is left, since C(c, 1) = c.
+    C(c, i) over the c that slot i can hold, i - 1 .. v - k + i - 1.  Its top
+    entry is at most the largest rank, C(v, k) - 1 = sum_i C(v - k + i - 1, i),
+    so int64 holds it unclipped.  c_1 is the rank left, as C(c, 1) = c.
     """
-    m = math.comb(v, k)
     j = np.array(ranks, dtype=np.int64)
     slots = np.empty((k, len(j)), dtype=np.int64)
     if not len(j):  # no edge kept, or none exists (k > v): skip the k - 1 tables
         return slots.T
     for i in range(k, 1, -1):
-        table = np.array([min(math.comb(c, i), m) for c in range(v)], dtype=np.int64)
+        table = np.array([math.comb(c, i) for c in range(i - 1, v - k + i)], dtype=np.int64)
         c = np.searchsorted(table, j, side="right") - 1
-        slots[i - 1] = c
+        slots[i - 1] = c + (i - 1)
         j -= table[c]
     slots[0] = j
     return slots.T

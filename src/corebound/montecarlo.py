@@ -70,10 +70,10 @@ def _check_trials(trials: int, seed: int) -> None:
 
 
 def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
-    """``candidate_edges(v, k)`` for an exhaustive oracle, after its entry
-    check (``guarded_count``)."""
+    """An exhaustive oracle's candidate edges, after its entry check (``guarded_count``),
+    with k cut to v + 1: C(v, k) = 0 either way, and numpy refuses a dimension of 2^60."""
     guarded_count(v, k, p, r)
-    return candidate_edges(v, k)
+    return candidate_edges(v, min(k, v + 1))
 
 
 def mc_local(u: int, k: int, p: float, r: int,
@@ -81,23 +81,23 @@ def mc_local(u: int, k: int, p: float, r: int,
     """Estimate the probability that an r-core spans all u vertices.
 
     Each trial samples a hypergraph on exactly u vertices with edge
-    probability p and tests the full vertex set with the rule of
-    :func:`kernels.mc_local_successes`: connectivity at r = 1, minimum
-    degree r at r >= 2.
-    """
+    probability p (k cut to u + 1, as in :func:`_candidates`) and tests all
+    u vertices with the rule of :func:`kernels.mc_local_successes`:
+    connectivity at r = 1, minimum degree r at r >= 2."""
     _check_trials(trials, seed)
     check_at_least("u", u)  # under its own name: the model check below would call it v
     guarded_draws(u, k, p, r)
-    successes = kernels.mc_local_successes(u, k, p, r, trials, seed)
+    successes = kernels.mc_local_successes(u, min(k, u + 1), p, r, trials, seed)
     return McEstimate.from_counts(successes, trials, seed)
 
 
 def mc_global(v: int, k: int, p: float, r: int,
               trials: int = 10_000, seed: int = 0) -> McEstimate:
-    """Estimate the probability that peeling leaves a nonempty r-core anywhere."""
+    """Estimate the probability that peeling leaves a nonempty r-core
+    anywhere (k cut to v + 1, as in :func:`_candidates`)."""
     _check_trials(trials, seed)
     guarded_draws(v, k, p, r)
-    successes = kernels.mc_global_successes(v, k, p, r, trials, seed)
+    successes = kernels.mc_global_successes(v, min(k, v + 1), p, r, trials, seed)
     return McEstimate.from_counts(successes, trials, seed)
 
 

@@ -497,17 +497,25 @@ class TestUsageErrors:
 
 class TestEdgeSizePastVertexCount:
     """At k > v no candidate edge exists, so a draw or an oracle walks none of
-    the k edge slots: at k = 10^8 each prints what it prints at k = 6."""
+    the k edge slots, and it hands the kernels k cut to v + 1, so no array
+    has a dimension of k (numpy refuses one of 2^60 or more): at k = 10^8,
+    2^60 and 10^400 each prints what it prints at k = 6."""
 
     @pytest.mark.parametrize("argv, stdout", [
         (["local", "--u", "5", "--p", "0.5", "--method", "mc", "--trials", "10"],
          "u,p,method,value,valid,trials,stderr\n5,0.5,mc,0.0,1,10,0.0\n"),
         (["oracle", "--v", "5", "--p", "0.5"], "v,p,kind,value\n5,0.5,at-least-one,0.0\n"),
-    ], ids=["local-mc", "oracle"])
+        (["local", "--u", "1", "--p", "0.5", "--method", "mc", "--trials", "10"],
+         "u,p,method,value,valid,trials,stderr\n1,0.5,mc,1.0,1,10,0.0\n"),
+        (["global", "--v", "5", "--p", "0.5", "--r", "2", "--method", "mc", "--trials", "10"],
+         "v,p,mc_mean,mc_stderr\n5,0.5,0.0,0.0\n"),
+        (["oracle", "--v", "5", "--p", "0.5", "--exactly-one", "minimal"],
+         "v,p,kind,value\n5,0.5,exactly-one (minimal),0.0\n"),
+    ], ids=["local-mc", "oracle", "local-mc-u1", "global-mc", "oracle-minimal"])
     def test_prints_the_bytes_of_k_6(self, argv, stdout):
-        for k in ("100000000", "6"):
+        for k in ("100000000", str(2**60), str(10**400), "6"):
             assert run_in_process([*argv, "--k", k]) == {"code": 0, "stdout": stdout,
-                                                         "stderr": ""}
+                                                         "stderr": ""}, k
 
 
 BIG = str(10**400)

@@ -337,6 +337,106 @@ class TestInterleavingBounds:
         est = mc_global(v, 3, p, 2, trials=40_000, seed=7)  # fixed before the first run; never re-seed
         assert not upper.valid or upper.value >= est.mean - 4 * est.stderr, (upper, est)
 
+    def test_upper_bound_below_mc_is_the_xfail_number(self, warm_kernels):
+        # the MC count and distance the xfail above states, at its seed
+        v, e = 30, 10
+        p = e / math.comb(v, 3)
+        upper = formula_value("interleaved-upper", "global", v, p, 3, 2)
+        est = mc_global(v, 3, p, 2, trials=40_000, seed=7)
+        assert (est.successes, est.mean) == (340, 0.0085)
+        assert est.stderr == pytest.approx(0.0004590138886787632, rel=1e-12)
+        assert upper.valid and upper.value == pytest.approx(0.00086494, abs=5e-9)
+        assert (est.mean - upper.value) / est.stderr == pytest.approx(16.63, abs=5e-3)
+
+
+# The dominance grid: global scope, k = 3, r = 2, v = 4..40 and 25 p from
+# 1e-4 to 0.5, p_j = 1e-4 * 5000^(j/24).
+DOMINANCE_V = range(4, 41)
+DOMINANCE_P = [1e-4 * 5000 ** (j / 24) for j in range(25)]
+
+
+def crossings(lower, upper):
+    """The crossings of one upper column on the dominance grid, given each
+    column's values keyed (v, j) in v-major order: (the number of valid upper
+    values, those below a valid lower value at their own point, those below
+    one only at a dominated point (v1, j1) <= (v, j)).  A crossing is (v, j,
+    upper, v1, j1, lower), paired with its own point, else with the first
+    dominated point in v-major order whose valid lower value lies above."""
+    lower = {key: value.value for key, value in lower.items() if value.valid}
+    valid, same, dominated = 0, [], []
+    for (v, j), value in upper.items():
+        if not value.valid:
+            continue
+        valid += 1
+        above = [key for key, low in lower.items()
+                 if key[0] <= v and key[1] <= j and low > value.value]
+        if (v, j) in above:
+            same.append((v, j, value.value, v, j, lower[v, j]))
+        elif above:
+            dominated.append((v, j, value.value, *above[0], lower[above[0]]))
+    return valid, same, dominated
+
+
+@pytest.fixture(scope="module")
+def dominance():
+    """Per upper column, its :func:`crossings` against `interleaved-lower`
+    on the dominance grid (3700 formula values, built once)."""
+    def column(method):
+        return {(v, j): formula_value(method, "global", v, p, 3, 2)
+                for v in DOMINANCE_V for j, p in enumerate(DOMINANCE_P)}
+
+    lower = column("interleaved-lower")
+    return {method: crossings(lower, column(method))
+            for method in ("interleaved-upper", "covering", "connectivity")}
+
+
+class TestDominanceScan:
+    """The truth is nondecreasing in v and in p: a core set on range(v)
+    stays one on range(v + 1), and a core survives added edges.  So a valid
+    lower value at (v1, p1) above a valid upper value at some (v2, p2) >=
+    (v1, p1) proves one of the two labels wrong.  This reads past the desk
+    scale of `exact_global`, and finds upper values that a same-point test
+    misses."""
+
+    def test_crossings_are_the_xfail_numbers(self, dominance):
+        valid, same, dominated = dominance["interleaved-upper"]
+        assert (valid, len(same), len(dominated)) == (470, 28, 16)
+        assert same[0] == pytest.approx(
+            (16, 12, 0.006182671675610124, 16, 12, 0.0070205030521677475), rel=1e-12)
+        assert dominated[0] == pytest.approx(
+            (26, 10, 0.0033734298623983292, 20, 10, 0.003455035936428262), rel=1e-12)
+        valid, same, dominated = dominance["covering"]
+        assert (valid, len(same), len(dominated)) == (563, 25, 0)
+        assert same[0] == pytest.approx(
+            (4, 0, 6.007600808506212e-09, 4, 0, 1.0000000324967804e-08), rel=1e-12)
+
+    def test_connectivity_has_no_crossing(self, dominance):
+        assert dominance["connectivity"] == (356, [], [])
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "28 of the 470 valid interleaved-upper values on the dominance grid lie "
+        "below the valid interleaved-lower value at their own point, the first at "
+        "v=16, j=12: 0.006182671675610124 against 0.0070205030521677475"))
+    def test_valid_upper_not_below_lower_at_its_point(self, dominance):
+        _, same, _ = dominance["interleaved-upper"]
+        assert not same, f"{len(same)} values, first {same[0]}"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "16 more valid interleaved-upper values on the dominance grid lie below a "
+        "valid interleaved-lower value only at a dominated point, the first at "
+        "v=26, j=10: 0.0033734298623983292 against 0.003455035936428262 at v=20, j=10"))
+    def test_valid_upper_not_below_a_dominated_lower(self, dominance):
+        _, _, dominated = dominance["interleaved-upper"]
+        assert not dominated, f"{len(dominated)} values, first {dominated[0]}"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "25 of the 563 valid covering values on the dominance grid lie below the "
+        "valid interleaved-lower value at their own point, the first at v=4, j=0: "
+        "6.0076e-09 against 1.0000000325e-08; none cross only at a dominated point"))
+    def test_valid_covering_not_below_lower(self, dominance):
+        _, same, dominated = dominance["covering"]
+        assert not same + dominated, f"{len(same)} + {len(dominated)} values: {same[:1]}"
+
 
 class TestProviders:
     def test_unknown_method(self):

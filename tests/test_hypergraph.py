@@ -72,9 +72,9 @@ class TestCandidates:
     def test_count(self):
         assert len(candidate_edges(7, 4)) == choose(7, 4)
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("k", range(1, 17))
     def test_colex_order_matches_sorted_combinations(self, k):
-        for v in range(25):  # v < k included: no rows
+        for v in range(25 if k <= 5 else 17):  # v < k included: no rows
             expected = sorted(combinations(range(v), k), key=lambda c: c[::-1])
             cand = candidate_edges(v, k)
             assert cand.shape == (len(expected), k) and cand.dtype == np.int64

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,28 @@ class TestCoupling:
             for axis in (0, 1):  # v, then p
                 steps = np.diff(counts, axis=axis)
                 assert (steps >= 0).all() and (steps > 0).any(), (k, r, axis, counts)
+
+
+class TestColexUnrank:
+    """Slot i's table spans only the values c_i can take, i - 1 .. v - k + i - 1,
+    so a k near v unranks as fast as a small k."""
+
+    @pytest.mark.parametrize("v, k", [(160, 3), (34, 17), (1200, 1199), (2400, 2399)])
+    def test_rows_rerank_to_their_ranks(self, v, k):
+        ranks = [0, 1, math.comb(v, k) - 1]
+        rows = kernels.colex_unrank(np.array(ranks), v, k)
+        assert rows.shape == (3, k) and rows.dtype == np.int64
+        for rank, row in zip(ranks, rows.tolist()):
+            assert 0 <= row[0] and row[-1] < v and all(a < b for a, b in zip(row, row[1:]))
+            assert sum(math.comb(c, i) for i, c in enumerate(row, 1)) == rank
+        # the first two and the last subset in colex order
+        assert rows.tolist() == [list(range(k)), [*range(k - 1), k], list(range(v - k, v))]
+
+    def test_k_near_v_is_cheap(self):
+        v, k = 2400, 2399
+        start = time.perf_counter()
+        kernels.colex_unrank(np.array([0, math.comb(v, k) - 1]), v, k)
+        assert time.perf_counter() - start < 0.5
 
 
 # A fresh interpreter that imports numpy before corebound, as the benchmark
