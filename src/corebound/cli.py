@@ -37,7 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-LOCAL_METHODS = (*sweep_mod.FORMULA_METHODS, "gilbert", "mc")
+LOCAL_CHOICES = (*sweep_mod.FORMULA_METHODS, "gilbert", "mc")
 
 
 def _cell(x) -> str:
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_local.add_argument("--p", type=float, default=None)
     p_local.add_argument("--e-u", dest="e_u", type=float, default=None,
                          help="expected induced edge count (sets p = e_u / C(u,k))")
-    p_local.add_argument("--method", choices=LOCAL_METHODS, default="connectivity")
+    p_local.add_argument("--method", choices=LOCAL_CHOICES, default="connectivity")
     _add_model(p_local)
     _add_mc(p_local)
     _add_output(p_local)

@@ -15,7 +15,7 @@ values of the instances on 0..v-k vertices in one ascending pass, each from
 the per-size values of its own level, reads level v once, and returns every
 term: the per-size, lone-core and "no distinct core" values of each size.
 It reads local(u) once per size, in size order, from the
-``local_prob.LocalProvider`` it builds for its local source at (k, p, r).
+``local_prob.LocalProvider`` it builds for its method at (k, p, r).
 Level n works down from u = n, so every C_x with x > u is known when size u
 needs it.
 
@@ -25,10 +25,10 @@ rule of ``numerics.range_checked``) or when anything it was computed from is
 invalid, and it carries the first note among its inputs.
 
 The geometric-series step then upper-bounds the probability of at least one
-core by ``S / (1 - S)`` where S is the exactly-one total.  Which local
-source and which p (p or p/r) each formula method feeds this module is set in
-one place, ``sweep.METHOD_TABLE``, which also reads the interleaving bracket
-as the bound with the interleaved source at p/r and at p.
+core by ``S / (1 - S)`` where S is the exactly-one total.  The method is a
+name of ``local_prob.LOCAL_METHODS``, and the provider chooses where it is
+evaluated (p, or p/r for ``interleaved-lower``), so the interleaving bracket is
+this bound for ``interleaved-lower`` and ``interleaved-upper``.
 
 All arithmetic is carried out and reported verbatim; values that leave
 [0, 1] (or inherit from ones that did) are flagged, not repaired.

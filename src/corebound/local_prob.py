@@ -14,16 +14,18 @@ model (by vertex anonymity only u matters):
   products of probabilities, in [0, 1] up to rounding, but only a
   heuristic.  It sums over every edge count whose pmf is at least
   ``COVERING_PMF_CUTOFF``, up to ``COVERING_TERM_GUARD`` terms.
-* the ``interleaved`` source -- the connectivity value raised to the r-th power,
-  modelling r successive rounds with freshly regenerated edges.  Evaluated
-  at p/r and at p it is read as a bracket of the true local r-core
-  probability, but against ``exact_local`` each side crosses the truth on
-  some desk-scale rows flagged valid (the strict xfails of
+* ``interleaved-lower`` and ``interleaved-upper`` -- the connectivity value
+  raised to the r-th power, modelling r successive rounds with freshly
+  regenerated edges, from the table at p/r (lower) and at p (upper).  The
+  pair is read as a bracket of the true local r-core probability, but
+  against ``exact_local`` each side crosses the truth on some desk-scale
+  rows flagged valid (the strict xfails of
   ``tests/test_local_prob.py::TestLocalBracketAudit`` carry the numbers).
 
-``LocalProvider`` is the one map from a source in ``LOCAL_METHODS`` (these
-routes and the ``exact-enum`` oracle) to its value; it owns the one
-``ConnectivityTable`` its connectivity and interleaved sources read.
+``LocalProvider`` is the one map from a method name in ``LOCAL_METHODS`` (the
+``FORMULA_METHODS`` above and the ``exact-enum`` oracle) to its local value;
+it owns the evaluation point (p, or p/r for ``interleaved-lower``) and the one
+``ConnectivityTable`` its connectivity and interleaved methods read.
 
 Every route checks its parameters with ``numerics.check_kpr``.
 """
@@ -37,6 +39,7 @@ from .numerics import (ProbValue, binom_pmf, binomial_row, check_at_least, check
                        count_text, range_checked, scaled_power, stable_sum)
 
 __all__ = [
+    "FORMULA_METHODS",
     "LOCAL_METHODS",
     "LocalProvider",
     "ConnectivityTable",
@@ -263,16 +266,20 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     return range_checked(stable_sum(terms), True, None)
 
 
-LOCAL_METHODS = ("connectivity", "covering", "interleaved", "exact-enum")
+# The formula methods every subcommand and scope evaluates, and the local ones:
+# those and the desk-scale oracle.
+FORMULA_METHODS = ("connectivity", "covering", "interleaved-lower", "interleaved-upper")
+LOCAL_METHODS = (*FORMULA_METHODS, "exact-enum")
 
 
 class LocalProvider:
     """Memoized source of the local subset probability feeding the recursion.
 
-    * ``connectivity``  -- connected-component probability (the 1-core reading)
-    * ``covering``      -- the covering heuristic at the provider's r
-    * ``interleaved``   -- connectivity probability raised to the r-th power
-    * ``exact-enum``    -- exhaustive enumeration (desk scale only)
+    * ``connectivity``       -- connected-component probability (the 1-core reading)
+    * ``covering``           -- the covering heuristic at the provider's r
+    * ``interleaved-lower``  -- connectivity probability at p / r, raised to the r-th power
+    * ``interleaved-upper``  -- connectivity probability at p, raised to the r-th power
+    * ``exact-enum``         -- exhaustive enumeration (desk scale only)
 
     The method is fixed for the provider's lifetime; one provider serves one
     (k, p, r) triple and must not be shared across threads unsynchronized.
@@ -286,7 +293,8 @@ class LocalProvider:
         self.k = k
         self.p = p
         self.r = r
-        self._table = ConnectivityTable(k, p) if method in ("connectivity", "interleaved") else None
+        self._table = (ConnectivityTable(k, p / r if method == "interleaved-lower" else p)
+                       if method not in ("covering", "exact-enum") else None)
         self._memo: dict[int, ProbValue] = {}
 
     def value(self, u: int) -> ProbValue:
@@ -299,7 +307,7 @@ class LocalProvider:
     def _compute(self, u: int) -> ProbValue:
         if self.method == "connectivity":
             return self._table.prob(u)
-        if self.method == "interleaved":
+        if self.method in ("interleaved-lower", "interleaved-upper"):
             base = self._table.prob(u)
             try:
                 power = base.value**self.r

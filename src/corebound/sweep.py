@@ -1,15 +1,16 @@
-"""The formula-method table, parameter sweeps over expected edge count, and
+"""Formula values at one point, parameter sweeps over expected edge count, and
 numerical-breakdown scans.
 
-``METHOD_TABLE`` is the one place that maps a formula method to its computation: a
-source of ``local_prob.LocalProvider``, evaluated at p or at p / r.  ``formula_value``
-evaluates a method at one point for every subcommand and scope.  The paper's bracket is
-its ``interleaved-lower`` and ``interleaved-upper`` methods in global scope: the global
-bound with the interleaved source at p / r (lower side) and at p (upper side).  A lower
-value above 1 bounds nothing, so ``formula_value`` flags it invalid and keeps it
-verbatim.  In the tail the two sides cross even where both are flagged valid, so there
-they bracket nothing (the strict xfails of
-``tests/test_global_prob.py::TestInterleavingBounds`` carry the numbers).
+``formula_value`` evaluates a formula method (``local_prob.FORMULA_METHODS``,
+re-exported here) at one point for every subcommand and scope: it hands p and the
+method to ``local_prob.LocalProvider``, the one map from a method name to its local
+computation, in local scope, or to ``global_prob.exactly_one_core`` in global scope.
+The paper's bracket is the ``interleaved-lower`` and ``interleaved-upper`` methods in
+global scope: the global bound with the interleaved source at p / r (lower side) and at
+p (upper side), a choice the provider makes.  A lower value above 1 bounds nothing, so
+``formula_value`` flags it invalid and keeps it verbatim.  In the tail the two sides
+cross even where both are flagged valid, so there they bracket nothing (the strict
+xfails of ``tests/test_global_prob.py::TestInterleavingBounds`` carry the numbers).
 
 A sweep fixes (k, r) and an *overhead* x (the vertex-to-edge ratio), then
 walks the expected edge count e over an integer range with v = round(x * e)
@@ -42,11 +43,10 @@ from dataclasses import dataclass, field, replace
 from . import montecarlo
 from .global_prob import exactly_one_core
 from .kernels import trial_seed
-from .local_prob import LocalProvider
+from .local_prob import FORMULA_METHODS, LocalProvider
 from .numerics import PROB_TOL, ProbValue, check_at_least, check_kpr, choose, count_text
 
 __all__ = [
-    "METHOD_TABLE",
     "FORMULA_METHODS",
     "SWEEP_METHODS",
     "formula_value",
@@ -58,15 +58,6 @@ __all__ = [
     "find_breakdown",
 ]
 
-# Formula method -> (source in local_prob.LOCAL_METHODS, evaluated at p / r);
-# every subcommand and scope evaluates methods through it.
-METHOD_TABLE = {
-    "connectivity": ("connectivity", False),
-    "covering": ("covering", False),
-    "interleaved-lower": ("interleaved", True),
-    "interleaved-upper": ("interleaved", False),
-}
-FORMULA_METHODS = tuple(METHOD_TABLE)
 SWEEP_METHODS = FORMULA_METHODS + ("mc",)
 SCOPES = ("local", "global")
 
@@ -150,21 +141,18 @@ def point_geometry(k: int, overhead: float, e: int) -> tuple[int, float]:
 def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> ProbValue:
     """Value of a formula method at (v, p, k, r).
 
-    Local scope: the method's local source on all v vertices.  Global scope:
-    the geometric bound on at-least-one-core built from that source; a method
-    evaluated at p / r is the lower side of the bracket, so above 1 it is
+    Local scope: the method's local value on all v vertices.  Global scope:
+    the geometric bound on at-least-one-core built from those values;
+    ``interleaved-lower`` is the lower side of the bracket, so above 1 it is
     flagged invalid.
     """
-    if method not in METHOD_TABLE:
+    if method not in FORMULA_METHODS:
         raise ValueError(f"unknown formula method {method!r}; pick from {FORMULA_METHODS}")
     _check_scope(scope)
-    check_kpr(k, p, r)
-    source, at_p_over_r = METHOD_TABLE[method]
-    q = p / r if at_p_over_r else p
     if scope == "local":
-        return LocalProvider(source, k, q, r).value(v)
-    bound = exactly_one_core(v, q, k, r, source).bound
-    if at_p_over_r and bound.valid and bound.value > 1.0 + PROB_TOL:
+        return LocalProvider(method, k, p, r).value(v)
+    bound = exactly_one_core(v, p, k, r, method).bound
+    if method == "interleaved-lower" and bound.valid and bound.value > 1.0 + PROB_TOL:
         return ProbValue(bound.value, False, "lower bound above 1")
     return bound
 

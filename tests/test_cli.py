@@ -329,6 +329,18 @@ def method_args(methods):
 class TestOnePathPerMethod:
     """Each formula method gives the same value and flag from every subcommand."""
 
+    def test_method_choices(self):
+        # every --method choice is a formula method or one of the CLI's own
+        # routes (gilbert, mc), in one order
+        [subparsers] = [a for a in cli.build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        choices = {name: tuple(action.choices) for name, parser in subparsers.choices.items()
+                   for action in parser._actions if action.dest == "method"}
+        assert choices == {"local": (*FORMULA_METHODS, "gilbert", "mc"),
+                           "global": (*FORMULA_METHODS, "mc"),
+                           "sweep": (*FORMULA_METHODS, "mc"),
+                           "breakdown": FORMULA_METHODS}
+
     @pytest.mark.parametrize("method", FORMULA_METHODS)
     @pytest.mark.parametrize("overhead,e", [("1.6", "10"), ("1.2", "3")])
     def test_global_alone_together_and_sweep(self, capsys, method, overhead, e):

@@ -1,4 +1,6 @@
+import fractions
 import functools
+import itertools
 import json
 import math
 import random
@@ -16,17 +18,23 @@ from corebound import (
     exactly_one_core,
     mc_global,
 )
-from corebound import global_prob, local_prob
+from corebound import global_prob, local_prob, sweep
 from corebound.cli import main
 from corebound.global_prob import _geometric_bound, _level, _merge
-from corebound.numerics import PROB_TOL, ProbValue, binomial_row, range_checked
-from corebound.sweep import METHOD_TABLE, formula_value, point_geometry
+from corebound.local_prob import FORMULA_METHODS
+from corebound.numerics import PROB_TOL, ProbValue, binom_pmf, binomial_row, range_checked
+from corebound.sweep import formula_value, point_geometry
 
 
 def _flags_notes(parts):
     """The flags and the notes of (value, valid, note) triples, for ``_merge``."""
     parts = list(parts)
     return [valid for _, valid, _ in parts], [note for _, _, note in parts]
+
+
+# the three local sources of the composition; the ids keep the text they were
+# first recorded under, when interleaved-upper was the "interleaved" source
+SOURCES = ["connectivity", "covering", pytest.param("interleaved-upper", id="interleaved")]
 
 
 def connectivity_comp(v, p, k=3, r=1):
@@ -120,7 +128,7 @@ class TestResultTerms:
     per-size value is the lone-core term times the "no distinct core" term,
     and that term is the complement of the smaller instance's total."""
 
-    @pytest.mark.parametrize("source", ["connectivity", "covering", "interleaved"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_terms_compose(self, source):
         v, k, r = 30, 3, 2
         p = 20 / math.comb(v, k)
@@ -385,9 +393,30 @@ def dominance():
         return {(v, j): formula_value(method, "global", v, p, 3, 2)
                 for v in DOMINANCE_V for j, p in enumerate(DOMINANCE_P)}
 
-    lower = column("interleaved-lower")
+    lower = {key: value for key, value in lower_column(3, 2).items() if key[0] in DOMINANCE_V}
     return {method: crossings(lower, column(method))
             for method in ("interleaved-upper", "covering", "connectivity")}
+
+
+@functools.cache
+def lower_column(k, r):
+    """The global `interleaved-lower` values at the dominance grid's 25 p and
+    v = k..40, keyed (v, j) in v-major order (built once per (k, r))."""
+    return {(v, j): formula_value("interleaved-lower", "global", v, p, k, r)
+            for v in range(k, 41) for j, p in enumerate(DOMINANCE_P)}
+
+
+def lower_above(k, r, top):
+    """(the number of valid values of ``lower_column(k, r)``, the (v, j,
+    lower, top) of each one above ``top(v, p)``, in v-major order)."""
+    valid, above = 0, []
+    for (v, j), lower in lower_column(k, r).items():
+        if lower.valid:
+            valid += 1
+            bound = top(v, DOMINANCE_P[j])
+            if lower.value > bound:
+                above.append((v, j, lower.value, bound))
+    return valid, above
 
 
 class TestDominanceScan:
@@ -438,6 +467,133 @@ class TestDominanceScan:
         assert not same + dominated, f"{len(same)} + {len(dominated)} values: {same[:1]}"
 
 
+def edge_floor(k, r):
+    """m_min = ceil(r * u0 / k), the fewest edges an r-core can have: u0, the
+    least u with C(u - 1, k - 1) >= r, is the fewest vertices it can have, and
+    each of them lies in at least r of its edges."""
+    u0 = next(u for u in itertools.count(k) if math.comb(u - 1, k - 1) >= r)
+    return -(-r * u0 // k)
+
+
+def binomial_tail(n, p, m):
+    """P[Bin(n, p) >= m], summed from ``binom_pmf`` terms upward from m, not
+    as 1 - cdf, which cancels at small p.  Terms more than 20 sd below the
+    mean are left out: by Chernoff their mass is at most exp(-200 (1 - p)),
+    below 1e-43 at p <= 0.5.  Above the mean the sum stops at the first term
+    at most 1e-20 of the sum so far."""
+    mean = n * p
+    terms, total = [], 0.0
+    for x in range(max(m, math.floor(mean - 20 * math.sqrt(mean * (1 - p)))), n + 1):
+        term = binom_pmf(x, n, p)
+        terms.append(term)
+        total += term
+        if x > mean and term <= 1e-20 * total:
+            break
+    return math.fsum(terms)
+
+
+def edge_count_ceiling(k, r):
+    """v, p -> P[Bin(C(v, k), p) >= ``edge_floor(k, r)``], a ceiling on the
+    chance of a nonempty r-core at every v: each r-core has that many edges."""
+    m_min = edge_floor(k, r)
+    return lambda v, p: binomial_tail(math.comb(v, k), p, m_min)
+
+
+# (k, r) -> (valid interleaved-lower values on the ceiling grid, the number of
+# them above the edge-count ceiling, the first such (v, j, lower, ceiling))
+ABOVE_CEILING = {
+    (3, 2): (524, 94, (3, 0, 2.5000000062494493e-09, 0.0)),
+    (3, 3): (573, 57, (3, 0, 3.7037037037026174e-14, 0.0)),
+    (4, 2): (409, 74, (4, 0, 2.5000000062494493e-09, 0.0)),
+    (4, 3): (475, 46, (4, 0, 3.7037037037026174e-14, 0.0)),
+}
+
+
+class TestEdgeCountCeiling:
+    """Every r-core has at least ``edge_floor(k, r)`` edges, so P[nonempty
+    r-core] <= P[Bin(C(v, k), p) >= m_min] at every v.  A valid lower value
+    above that ceiling is above the truth.  The grid is the dominance scan's
+    25 p at v = k..40, mostly past the desk scale of ``exact_global``."""
+
+    def test_floor_and_tail(self):
+        assert {key: edge_floor(*key) for key in ABOVE_CEILING} == {
+            (3, 2): 3, (3, 3): 4, (4, 2): 3, (4, 3): 4}
+        for n, p, m in [(30, 0.1, 3), (120, 1e-4, 3), (560, 0.5, 4), (1, 0.3, 3)]:
+            q = fractions.Fraction(p)
+            exact = sum(math.comb(n, x) * q**x * (1 - q) ** (n - x) for x in range(m, n + 1))
+            assert binomial_tail(n, p, m) == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("k, r", list(ABOVE_CEILING))
+    def test_lower_above_ceiling_is_the_xfail_numbers(self, k, r):
+        valid, above = lower_above(k, r, edge_count_ceiling(k, r))
+        want_valid, count, first = ABOVE_CEILING[k, r]
+        assert (valid, len(above)) == (want_valid, count)
+        assert above[0] == pytest.approx(first, rel=1e-12)
+
+    @pytest.mark.parametrize("k, r", [
+        pytest.param(k, r, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            f"{count} of the {valid} valid interleaved-lower values at k={k}, r={r} on "
+            f"v = {k}..40 lie above the edge-count ceiling, the first at v={v}, j={j}: "
+            f"{lower!r} against {ceiling!r}")))
+        for (k, r), (valid, count, (v, j, lower, ceiling)) in ABOVE_CEILING.items()])
+    def test_valid_lower_not_above_ceiling(self, k, r):
+        _, above = lower_above(k, r, edge_count_ceiling(k, r))
+        assert not above, f"{len(above)} values, first (v, j, lower, ceiling) {above[0]}"
+
+
+def at_least_one_edge(v, k, p):
+    """1 - (1 - p)^C(v, k): at r = 1 a nonempty core is any edge at all."""
+    return -math.expm1(math.comb(v, k) * math.log1p(-p))
+
+
+# every desk (v, k) the oracle enumerates, C(v, k) <= 20, v < k included
+R1_DESK = [(v, k) for k in range(2, 9) for v in range(1, 9) if math.comb(v, k) <= 20]
+R1_P = (0.0, 1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 0.8, 0.99)
+
+
+class TestCoreAtROne:
+    """At r = 1 the chance of a nonempty core has a closed form,
+    ``at_least_one_edge``, against which the oracle, Monte Carlo and the
+    lower side of the bracket are read."""
+
+    def test_exact_global_is_the_closed_form(self):
+        assert len(R1_DESK) == 47
+        for v, k in R1_DESK:
+            for p in R1_P:
+                assert exact_global(v, k, p, 1) == pytest.approx(
+                    at_least_one_edge(v, k, p), rel=1e-14, abs=0.0), (v, k, p)
+
+    # seed and trials fixed before the first run; never re-seed
+    @pytest.mark.parametrize("v, trials", [(50, 2000), (200, 1000)])
+    def test_mc_global_matches_the_closed_form(self, warm_kernels, v, trials):
+        # an exact two-sided binomial test at level 0.001
+        p = 1 / math.comb(v, 3)
+        q = at_least_one_edge(v, 3, p)
+        s = mc_global(v, 3, p, 1, trials, seed=28).successes
+        below = math.fsum(binom_pmf(x, trials, q) for x in range(s + 1))
+        above = math.fsum(binom_pmf(x, trials, q) for x in range(s, trials + 1))
+        assert min(1.0, 2 * min(below, above)) >= 1e-3, (s, trials, q)
+
+    def test_lower_above_truth_is_the_xfail_numbers(self):
+        valid, above = lower_above(3, 1, lambda v, p: at_least_one_edge(v, 3, p))
+        assert (valid, len(above)) == (328, 154)
+        assert above[0] == pytest.approx((3, 0, 0.000100010001000089, 0.0001), rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "154 of the 328 valid interleaved-lower values at k=3, r=1 on v = 3..40 "
+        "lie above the closed form 1 - (1-p)^C(v,3), the first at v=3, j=0: "
+        "0.000100010001000089 against 0.0001"))
+    def test_valid_lower_not_above_truth(self):
+        _, above = lower_above(3, 1, lambda v, p: at_least_one_edge(v, 3, p))
+        assert not above, f"{len(above)} values, first (v, j, lower, truth) {above[0]}"
+
+
+def power_points(k):
+    """The (u, p) points of the interleaved provider tests at edge size k."""
+    return [(u, p) for u in (1, k, k + 2, 9) for p in (0.05, 0.3, 0.8)] + [
+        (200, 200 / math.comb(200, 3))]
+
+
 class TestProviders:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
@@ -451,6 +607,15 @@ class TestProviders:
     def test_interleaving_bounds_reject_r_below_one(self):
         with pytest.raises(ValueError, match="r must be >= 1"):
             formula_value("interleaved-lower", "global", 6, 0.25, 3, 0)
+
+    def test_one_name_space(self):
+        # one set of formula method names, which sweep re-exports; the
+        # provider takes those and the oracle, and no bare source name
+        assert local_prob.LOCAL_METHODS == (*FORMULA_METHODS, "exact-enum")
+        assert sweep.FORMULA_METHODS is FORMULA_METHODS
+        assert not hasattr(sweep, "METHOD_TABLE")
+        with pytest.raises(ValueError, match="^unknown local method 'interleaved'"):
+            LocalProvider("interleaved", 3, 0.5, 2)
 
     # one route per local value: the table and the providers give
     # the same float, flag and note, and interleaved is connectivity ** r
@@ -466,15 +631,24 @@ class TestProviders:
                 return math.copysign(math.inf, x) ** r
 
         for k in (2, 3, 4):
-            points = [(u, p) for u in (1, k, k + 2, 9) for p in (0.05, 0.3, 0.8)]
-            points.append((200, 200 / math.comb(200, 3)))
+            points = power_points(k)
             for r in (1, 2, 3):
                 for u, p in points:
                     conn = ConnectivityTable(k, p).prob(u)
-                    inter = fields(LocalProvider("interleaved", k, p, r).value(u))
+                    inter = fields(LocalProvider("interleaved-upper", k, p, r).value(u))
                     assert fields(LocalProvider("connectivity", k, p, r).value(u)) == fields(conn)
                     assert inter == (power(conn.value, r).hex(), conn.valid, conn.note)
             assert k != 3 or not conn.valid  # the last point is invalid at k = 3
+
+    def test_interleaved_lower_is_upper_at_p_over_r(self):
+        # the provider divides p by r itself, the same IEEE division a caller
+        # would make, so every value keeps its bits
+        for k in (2, 3, 4):
+            for r in (1, 2, 3):
+                for u, p in power_points(k):
+                    lower = LocalProvider("interleaved-lower", k, p, r).value(u)
+                    upper = LocalProvider("interleaved-upper", k, p / r, r).value(u)
+                    assert _hex(lower) == _hex(upper), (k, r, u, p)
 
     def test_provider_is_defined_once(self):
         # perfbench wraps the provider at its global_prob name
@@ -509,28 +683,29 @@ PINNED_PATH = Path(__file__).parent / "data" / "composition_pinned.json"
 
 
 def pinned_points():
-    """(label, v, p, k, r, source): the global formula points of the benchmark
-    (v = 20, 50, 80 with 5v/8 expected edges, r = 2, every METHOD_TABLE
-    method) and one connectivity point far past the recursion's breakdown."""
+    """(label, v, p, k, r, method): the global formula points of the benchmark
+    (v = 20, 50, 80 with 5v/8 expected edges, r = 2, every formula method)
+    and one connectivity point far past the recursion's breakdown.  p is the
+    point's own p; the labels keep the text they were first recorded under,
+    when an interleaved point at p/r was labelled "interleaved at p/r"."""
     points = []
     for v in (20, 50, 80):
         p = float(f"{v * 5 / 8:g}") / math.comb(v, 3)  # as `global --e-v` resolves it
-        for method, (source, at_p_over_r) in METHOD_TABLE.items():
-            points.append((f"v={v} {method}", v, p / 2 if at_p_over_r else p, 3, 2, source))
+        for method in FORMULA_METHODS:
+            points.append((f"v={v} {method}", v, p, 3, 2, method))
     points.append(("v=90 connectivity r=1", 90, 90 / math.comb(90, 3), 3, 1, "connectivity"))
     # other k and r, each source, and an interleaved point whose per-size
     # values leave [0, 1] on both sides while every local value is valid
-    for k, r, v, overhead, source, over_r in (
-        (2, 1, 30, 1.6, "connectivity", False),
-        (2, 3, 20, 0.625, "interleaved", False),
-        (4, 1, 24, 1.0, "covering", False),
-        (4, 3, 20, 0.625, "connectivity", False),
-        (4, 3, 30, 1.6, "interleaved", True),
-        (3, 2, 12, 0.625, "interleaved", False),
+    for k, r, v, overhead, method, label in (
+        (2, 1, 30, 1.6, "connectivity", "connectivity"),
+        (2, 3, 20, 0.625, "interleaved-upper", "interleaved"),
+        (4, 1, 24, 1.0, "covering", "covering"),
+        (4, 3, 20, 0.625, "connectivity", "connectivity"),
+        (4, 3, 30, 1.6, "interleaved-lower", "interleaved at p/r"),
+        (3, 2, 12, 0.625, "interleaved-upper", "interleaved"),
     ):
-        p = v / overhead / math.comb(v, k) / (r if over_r else 1)
-        label = f"v={v} k={k} r={r} {source}{' at p/r' if over_r else ''} overhead {overhead:g}"
-        points.append((label, v, p, k, r, source))
+        p = v / overhead / math.comb(v, k)
+        points.append((f"v={v} k={k} r={r} {label} overhead {overhead:g}", v, p, k, r, method))
     return points
 
 
@@ -543,11 +718,12 @@ def _hex(pv):
     return [pv.value.hex(), pv.valid, pv.note]
 
 
-def composition_snapshot(v, p, k, r, source):
-    """Every composed value of one point, floats as ``float.hex``."""
-    res = exactly_one_core(v, p, k, r, method=source)
+def composition_snapshot(v, p, k, r, method):
+    """Every composed value of one point, floats as ``float.hex``, with the
+    p the local values are evaluated at (p / r for ``interleaved-lower``)."""
+    res = exactly_one_core(v, p, k, r, method=method)
     return {
-        "p": p.hex(),
+        "p": (p / r if method == "interleaved-lower" else p).hex(),
         "per_size": {str(u): _hex(pv) for u, pv in res.per_size.items()},
         "exactly_one": _hex(res.exactly_one),
         "bound": _hex(res.bound),
@@ -587,10 +763,10 @@ class TestCompositionPinned:
     def pinned(self):
         return json.loads(PINNED_PATH.read_text())
 
-    @pytest.mark.parametrize("label, v, p, k, r, source", pinned_points(),
+    @pytest.mark.parametrize("label, v, p, k, r, method", pinned_points(),
                              ids=[pt[0] for pt in pinned_points()])
-    def test_point(self, pinned, label, v, p, k, r, source):
-        got = composition_snapshot(v, p, k, r, source)
+    def test_point(self, pinned, label, v, p, k, r, method):
+        got = composition_snapshot(v, p, k, r, method)
         assert got == pinned[label]
         assert list(got["per_size"]) == list(pinned[label]["per_size"])  # descending u
 
@@ -610,7 +786,7 @@ class TestSinglePath:
 
     @pytest.mark.parametrize("v, p, r, source", [
         (12, 0.05, 2, "covering"),
-        (30, 0.01, 2, "interleaved"),
+        pytest.param(30, 0.01, 2, "interleaved-upper", id="30-0.01-2-interleaved"),
         (40, 40 / math.comb(40, 3), 1, "connectivity"),  # past the breakdown
     ])
     def test_terms_match_sizes(self, v, p, r, source):
@@ -671,7 +847,7 @@ class TestSinglePath:
         exactly_one_core(v, 37.5 / math.comb(v, 3), 3, 2)
         assert 0 < entries <= (v + 1) * (v + 2) // 2
 
-    @pytest.mark.parametrize("source", ["connectivity", "covering", "interleaved"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_each_local_value_computed_once(self, monkeypatch, source):
         # the provider's memo is the one cache of local values
         sizes = []
@@ -686,7 +862,7 @@ class TestSinglePath:
         exactly_one_core(v, 20 / math.comb(v, k), k, 2, source)
         assert sorted(sizes) == list(range(k, v + 1))
 
-    @pytest.mark.parametrize("source", ["connectivity", "covering", "interleaved"])
+    @pytest.mark.parametrize("source", SOURCES)
     def test_each_local_value_read_once(self, monkeypatch, source):
         # one read per size, in size order
         sizes = []
@@ -811,12 +987,12 @@ class TestLevelSkipsNoBit:
         exactly_one_core(v, p, k, r, source)
         assert checked == [*range(v - k + 1), v]  # every level of the composition
 
-    @pytest.mark.parametrize("label, v, p, k, r, source", pinned_points(),
+    @pytest.mark.parametrize("label, v, p, k, r, method", pinned_points(),
                              ids=[pt[0] for pt in pinned_points()])
-    def test_pinned_points(self, checked_levels, label, v, p, k, r, source):
-        self._compose(checked_levels, v, p, k, r, source)
+    def test_pinned_points(self, checked_levels, label, v, p, k, r, method):
+        self._compose(checked_levels, v, p, k, r, method)
 
-    @pytest.mark.parametrize("source", ["connectivity", "covering", "interleaved"])
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("overhead", [1.222, 3.0])
     @pytest.mark.parametrize("v", [150, 200])
     def test_larger_instances(self, checked_levels, v, overhead, source):

@@ -344,7 +344,7 @@ class TestPastDoubleRange:
     @pytest.mark.parametrize("p", PAST_DOUBLE_P)
     @pytest.mark.parametrize("k", [2, 3])
     def test_recursion(self, k, p):
-        provider = LocalProvider("interleaved", k, p, 2)
+        provider = LocalProvider("interleaved-upper", k, p, 2)
         table = provider._table  # the connectivity table the source squares
         for u in (1029, 1030, 1031):
             conn = table.prob(u)
@@ -497,7 +497,7 @@ class TestCovering:
 
 
 def _interleaved(u, k, p, r):
-    return LocalProvider("interleaved", k, p, r).value(u)
+    return LocalProvider("interleaved-upper", k, p, r).value(u)
 
 
 class TestInterleavedLocal:
