@@ -30,14 +30,12 @@ import shutil
 import sys
 
 from . import montecarlo, sweep as sweep_mod
-from .local_prob import gilbert_prob
-from .numerics import ProbValue, check_at_least, choose
+from .local_prob import LocalProvider, methods_for
+from .numerics import ProbValue, choose
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-LOCAL_CHOICES = (*sweep_mod.FORMULA_METHODS, "gilbert", "mc")
 
 
 def _cell(x) -> str:
@@ -156,13 +154,7 @@ def cmd_local(args) -> int:
         row = {"u": args.u, "p": p, "method": method, "value": est.mean,
                "valid": True, "trials": est.trials, "stderr": est.stderr}
         return _emit(args, [row], row)
-    if method == "gilbert":
-        if args.k != 2:
-            raise ValueError("--method gilbert requires --k 2")
-        check_at_least("r", args.r)  # the one route that reads no r
-        pv = gilbert_prob(args.u, p)
-    else:
-        pv = sweep_mod.formula_value(method, "local", args.u, p, args.k, args.r)
+    pv = LocalProvider(method, args.k, p, args.r).value(args.u)
     row = {"u": args.u, "p": p, "method": method, "value": pv.value, "valid": pv.valid}
     return _emit(args, [row], {**row, "note": pv.note})
 
@@ -280,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_local.add_argument("--p", type=float, default=None)
     p_local.add_argument("--e-u", dest="e_u", type=float, default=None,
                          help="expected induced edge count (sets p = e_u / C(u,k))")
-    p_local.add_argument("--method", choices=LOCAL_CHOICES, default="connectivity")
+    p_local.add_argument("--method", choices=(*methods_for("local"), "mc"),
+                         default="connectivity")
     _add_model(p_local)
     _add_mc(p_local)
     _add_output(p_local)
@@ -291,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_global.add_argument("--p", type=float, default=None)
     p_global.add_argument("--e-v", dest="e_v", type=float, default=None,
                           help="expected edge count (sets p = e_v / C(v,k))")
-    p_global.add_argument("--method", action="append", choices=sweep_mod.SWEEP_METHODS,
+    p_global.add_argument("--method", action="append", choices=(*methods_for("global"), "mc"),
                           help="repeatable; default connectivity")
     _add_model(p_global)
     _add_mc(p_global)
@@ -313,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_break = sub.add_parser("breakdown", help="first expected edge count where a formula fails")
     p_break.add_argument("--overhead", type=float, default=1.0)
-    p_break.add_argument("--method", choices=sweep_mod.FORMULA_METHODS, required=True)
+    p_break.add_argument("--method", choices=methods_for("breakdown"), required=True)
     p_break.add_argument("--scope", choices=sweep_mod.SCOPES, default="local")
     p_break.add_argument("--cap", type=int, default=500, help="scan limit (default 500)")
     _add_model(p_break)

@@ -25,10 +25,10 @@ rule of ``numerics.range_checked``) or when anything it was computed from is
 invalid, and it carries the first note among its inputs.
 
 The geometric-series step then upper-bounds the probability of at least one
-core by ``S / (1 - S)`` where S is the exactly-one total.  The method is a
-name of ``local_prob.LOCAL_METHODS``, and the provider chooses where it is
-evaluated (p, or p/r for ``interleaved-lower``), so the interleaving bracket is
-this bound for ``interleaved-lower`` and ``interleaved-upper``.
+core by ``S / (1 - S)`` where S is the exactly-one total.  The method is a key
+of ``local_prob.METHODS``, whose entry chooses where it is evaluated (p, or p/r
+for ``interleaved-lower``), so the interleaving bracket is this bound for
+``interleaved-lower`` and ``interleaved-upper``.
 
 All arithmetic is carried out and reported verbatim; values that leave
 [0, 1] (or inherit from ones that did) are flagged, not repaired.

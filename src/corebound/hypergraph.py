@@ -19,6 +19,7 @@ __all__ = [
     "GENERATE_GUARD",
     "KEPT_GUARD",
     "ENUMERATE_GUARD",
+    "EDGE_SLOT_GUARD",
     "candidate_edges",
     "generate",
     "guarded_count",
@@ -37,6 +38,9 @@ GENERATE_GUARD = 2**31
 # that, the edge array ``generate`` returns keeps 8k bytes per edge.
 KEPT_GUARD = 2**22
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
+# Max k of ``generate``: its int64 edge array holds k slots per row even when
+# it has no row, and numpy refuses a dimension of 2^60 or more.
+EDGE_SLOT_GUARD = 2**60 - 1
 
 
 def guarded_count(v: int, k: int, p: float, r: int) -> None:
@@ -92,8 +96,10 @@ def generate(v: int, k: int, p: float, seed: int) -> np.ndarray:
     seed ``s`` sees exactly ``generate(v, k, p, kernels.trial_seed(s, t))``.
     Unlike ``kernels.sample_edges`` it refuses, before any draw, a point
     outside the model's domain (no core order is read, so r = 1 stands in)
-    or past ``GENERATE_GUARD`` or ``KEPT_GUARD`` (``guarded_draws``).  At
-    k > v it returns a (0, k) array, which numpy refuses for k >= 2^60.
+    or past ``GENERATE_GUARD`` or ``KEPT_GUARD`` (``guarded_draws``), then
+    a k past ``EDGE_SLOT_GUARD``.  At k > v it returns a (0, k) array.
     """
     guarded_draws(v, k, p, 1)
+    if k > EDGE_SLOT_GUARD:
+        raise ValueError(f"k = {count_text(k)} exceeds the edge-array guard {EDGE_SLOT_GUARD}")
     return kernels.sample_edges(v, k, p, seed)

@@ -22,10 +22,10 @@ model (by vertex anonymity only u matters):
   rows flagged valid (the strict xfails of
   ``tests/test_local_prob.py::TestLocalBracketAudit`` carry the numbers).
 
-``LocalProvider`` is the one map from a method name in ``LOCAL_METHODS`` (the
-``FORMULA_METHODS`` above and the ``exact-enum`` oracle) to its local value;
-it owns the evaluation point (p, or p/r for ``interleaved-lower``) and the one
-``ConnectivityTable`` its connectivity and interleaved methods read.
+``METHODS`` maps each local method name (those above, ``gilbert`` and the
+``exact-enum`` oracle) to its computation, the CLI subcommands that offer it
+and whether its global value is a lower bound; ``LocalProvider`` memoizes one
+entry at one (k, p, r).  Each entry owns its evaluation point and its checks.
 
 Every route checks its parameters with ``numerics.check_kpr``.
 """
@@ -33,18 +33,22 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
+from functools import partial
+from typing import NamedTuple
 
-from .montecarlo import exact_local
+from . import montecarlo
 from .numerics import (ProbValue, binom_pmf, binomial_row, check_at_least, check_kpr, choose,
                        count_text, range_checked, scaled_power, stable_sum)
 
 __all__ = [
     "FORMULA_METHODS",
-    "LOCAL_METHODS",
+    "METHODS",
     "LocalProvider",
     "ConnectivityTable",
     "gilbert_prob",
     "covering_prob",
+    "methods_for",
 ]
 
 # Outer-sum terms of the covering heuristic are dropped once the edge-count
@@ -266,54 +270,83 @@ def covering_prob(u: int, k: int, p: float, r: int) -> ProbValue:
     return range_checked(stable_sum(terms), True, None)
 
 
-# The formula methods every subcommand and scope evaluates, and the local ones:
-# those and the desk-scale oracle.
-FORMULA_METHODS = ("connectivity", "covering", "interleaved-lower", "interleaved-upper")
-LOCAL_METHODS = (*FORMULA_METHODS, "exact-enum")
+def _connectivity(k: int, p: float, r: int, p_over_r: bool = False,
+                  powered: bool = False) -> Callable[[int], ProbValue]:
+    check_kpr(k, p, r)
+    table = ConnectivityTable(k, p / r if p_over_r else p)
+    if not powered:
+        return lambda u: table.prob(u)
+
+    def value(u: int) -> ProbValue:  # the table's value raised to the r-th power
+        base = table.prob(u)
+        try:
+            power = base.value**r
+        except OverflowError:  # |base| > 1: the recursion has broken down
+            power = math.copysign(math.inf, base.value) ** r
+        return ProbValue(power, base.valid, base.note)
+
+    return value
+
+
+def _covering(k: int, p: float, r: int) -> Callable[[int], ProbValue]:
+    check_kpr(k, p, r)
+    return lambda u: covering_prob(u, k, p, r)
+
+
+def _gilbert(k: int, p: float, r: int) -> Callable[[int], ProbValue]:
+    if k != 2:
+        raise ValueError("--method gilbert requires --k 2")
+    check_at_least("r", r)  # the one method that reads no r; gilbert_prob checks u, then p
+    return lambda u: gilbert_prob(u, p)
+
+
+def _exact_enum(k: int, p: float, r: int) -> Callable[[int], ProbValue]:
+    check_kpr(k, p, r)
+    return lambda u: ProbValue(montecarlo.exact_local(u, k, p, r))
+
+
+class Method(NamedTuple):
+    """A ``METHODS`` entry: ``build(k, p, r)`` checks the point and returns the
+    map u -> ``ProbValue`` (which looks each routine it calls up at call time,
+    so a wrapper set later sees every call), the CLI subcommands that offer
+    it, and whether its global value is a lower bound."""
+
+    build: Callable[[int, float, int], Callable[[int], ProbValue]]
+    commands: tuple[str, ...] = ("local", "global", "sweep", "breakdown")
+    lower: bool = False
+
+
+METHODS = {  # in the order the CLI lists them
+    "connectivity": Method(_connectivity),  # connected-component probability (the 1-core reading)
+    "covering": Method(_covering),  # the covering heuristic at r
+    # the connectivity probability at p / r and at p, raised to the r-th power
+    "interleaved-lower": Method(partial(_connectivity, p_over_r=True, powered=True), lower=True),
+    "interleaved-upper": Method(partial(_connectivity, powered=True)),
+    "gilbert": Method(_gilbert, ("local",)),  # the two-uniform cross-check, k = 2 only
+    "exact-enum": Method(_exact_enum, ()),  # exhaustive enumeration: desk scale, library only
+}
+
+
+def methods_for(command: str) -> tuple[str, ...]:
+    """The method names the CLI subcommand ``command`` offers, in table order."""
+    return tuple(name for name, entry in METHODS.items() if command in entry.commands)
+
+
+FORMULA_METHODS = methods_for("breakdown")  # those every subcommand and both scopes evaluate
 
 
 class LocalProvider:
-    """Memoized source of the local subset probability feeding the recursion.
-
-    * ``connectivity``       -- connected-component probability (the 1-core reading)
-    * ``covering``           -- the covering heuristic at the provider's r
-    * ``interleaved-lower``  -- connectivity probability at p / r, raised to the r-th power
-    * ``interleaved-upper``  -- connectivity probability at p, raised to the r-th power
-    * ``exact-enum``         -- exhaustive enumeration (desk scale only)
-
-    The method is fixed for the provider's lifetime; one provider serves one
-    (k, p, r) triple and must not be shared across threads unsynchronized.
-    """
+    """Memo over a ``METHODS`` entry's map at one (k, p, r); not to be shared
+    across threads unsynchronized."""
 
     def __init__(self, method: str, k: int, p: float, r: int):
-        if method not in LOCAL_METHODS:
-            raise ValueError(f"unknown local method {method!r}; pick from {LOCAL_METHODS}")
-        check_kpr(k, p, r)
-        self.method = method
-        self.k = k
-        self.p = p
-        self.r = r
-        self._table = (ConnectivityTable(k, p / r if method == "interleaved-lower" else p)
-                       if method not in ("covering", "exact-enum") else None)
+        if method not in METHODS:
+            raise ValueError(f"unknown local method {method!r}; pick from {tuple(METHODS)}")
+        self._value = METHODS[method].build(k, p, r)
         self._memo: dict[int, ProbValue] = {}
 
     def value(self, u: int) -> ProbValue:
         got = self._memo.get(u)
         if got is None:
-            got = self._compute(u)
-            self._memo[u] = got
+            got = self._memo[u] = self._value(u)
         return got
-
-    def _compute(self, u: int) -> ProbValue:
-        if self.method == "connectivity":
-            return self._table.prob(u)
-        if self.method in ("interleaved-lower", "interleaved-upper"):
-            base = self._table.prob(u)
-            try:
-                power = base.value**self.r
-            except OverflowError:  # |base| > 1: the recursion has broken down
-                power = math.copysign(math.inf, base.value) ** self.r
-            return ProbValue(power, base.valid, base.note)
-        if self.method == "covering":
-            return covering_prob(u, self.k, self.p, self.r)
-        return ProbValue(exact_local(u, self.k, self.p, self.r))

@@ -2,15 +2,16 @@
 numerical-breakdown scans.
 
 ``formula_value`` evaluates a formula method (``local_prob.FORMULA_METHODS``,
-re-exported here) at one point for every subcommand and scope: it hands p and the
-method to ``local_prob.LocalProvider``, the one map from a method name to its local
-computation, in local scope, or to ``global_prob.exactly_one_core`` in global scope.
+re-exported here) at one point in either scope: it hands p and the method to
+``local_prob.LocalProvider``, the memo over the method's ``local_prob.METHODS`` entry,
+in local scope, or to ``global_prob.exactly_one_core`` in global scope.
 The paper's bracket is the ``interleaved-lower`` and ``interleaved-upper`` methods in
 global scope: the global bound with the interleaved source at p / r (lower side) and at
-p (upper side), a choice the provider makes.  A lower value above 1 bounds nothing, so
-``formula_value`` flags it invalid and keeps it verbatim.  In the tail the two sides
-cross even where both are flagged valid, so there they bracket nothing (the strict
-xfails of ``tests/test_global_prob.py::TestInterleavingBounds`` carry the numbers).
+p (upper side), a choice each method's entry makes.  A lower bound above 1 bounds
+nothing, so ``formula_value`` flags the value of a method that ``METHODS`` marks as a
+lower bound invalid there and keeps it verbatim.  In the tail the two sides cross even
+where both are flagged valid, so there they bracket nothing (the strict xfails of
+``tests/test_global_prob.py::TestInterleavingBounds`` carry the numbers).
 
 A sweep fixes (k, r) and an *overhead* x (the vertex-to-edge ratio), then
 walks the expected edge count e over an integer range with v = round(x * e)
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from . import montecarlo
 from .global_prob import exactly_one_core
 from .kernels import trial_seed
-from .local_prob import FORMULA_METHODS, LocalProvider
+from .local_prob import FORMULA_METHODS, METHODS, LocalProvider, methods_for
 from .numerics import PROB_TOL, ProbValue, check_at_least, check_kpr, choose, count_text
 
 __all__ = [
@@ -58,7 +59,7 @@ __all__ = [
     "find_breakdown",
 ]
 
-SWEEP_METHODS = FORMULA_METHODS + ("mc",)
+SWEEP_METHODS = (*methods_for("sweep"), "mc")
 SCOPES = ("local", "global")
 
 # Relative slack for the monotonicity heuristic, so flat tails of equal
@@ -142,9 +143,8 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     """Value of a formula method at (v, p, k, r).
 
     Local scope: the method's local value on all v vertices.  Global scope:
-    the geometric bound on at-least-one-core built from those values;
-    ``interleaved-lower`` is the lower side of the bracket, so above 1 it is
-    flagged invalid.
+    the geometric bound on at-least-one-core built from those values, flagged
+    invalid above 1 for a method ``local_prob.METHODS`` marks as a lower bound.
     """
     if method not in FORMULA_METHODS:
         raise ValueError(f"unknown formula method {method!r}; pick from {FORMULA_METHODS}")
@@ -152,7 +152,7 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     if scope == "local":
         return LocalProvider(method, k, p, r).value(v)
     bound = exactly_one_core(v, p, k, r, method).bound
-    if method == "interleaved-lower" and bound.valid and bound.value > 1.0 + PROB_TOL:
+    if METHODS[method].lower and bound.valid and bound.value > 1.0 + PROB_TOL:
         return ProbValue(bound.value, False, "lower bound above 1")
     return bound
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from corebound import cli, kernels, sweep
+from corebound import cli, kernels, local_prob, sweep
 from corebound.cli import main
 from corebound.sweep import FORMULA_METHODS, SWEEP_METHODS
 
@@ -330,8 +330,7 @@ class TestOnePathPerMethod:
     """Each formula method gives the same value and flag from every subcommand."""
 
     def test_method_choices(self):
-        # every --method choice is a formula method or one of the CLI's own
-        # routes (gilbert, mc), in one order
+        # every --method choice is a formula method, gilbert or mc, in one order
         [subparsers] = [a for a in cli.build_parser()._actions
                         if isinstance(a, argparse._SubParsersAction)]
         choices = {name: tuple(action.choices) for name, parser in subparsers.choices.items()
@@ -340,6 +339,13 @@ class TestOnePathPerMethod:
                            "global": (*FORMULA_METHODS, "mc"),
                            "sweep": (*FORMULA_METHODS, "mc"),
                            "breakdown": FORMULA_METHODS}
+        # each subcommand offers the table's entries for it, plus mc where it
+        # runs Monte Carlo; every entry but the library-only oracle is offered
+        table = local_prob.METHODS
+        for command, offered in choices.items():
+            listed = tuple(name for name, entry in table.items() if command in entry.commands)
+            assert offered == listed + (() if command == "breakdown" else ("mc",)), command
+        assert set(table) - {m for offered in choices.values() for m in offered} == {"exact-enum"}
 
     @pytest.mark.parametrize("method", FORMULA_METHODS)
     @pytest.mark.parametrize("overhead,e", [("1.6", "10"), ("1.2", "3")])
@@ -558,6 +564,28 @@ class TestModelPastDoubleRange:
         argv = ["local", "--u", "5", "--k", BIG, "--p", "0.5", "--method", "covering"]
         assert run_in_process(argv) == {
             "code": 0, "stdout": "u,p,method,value,valid\n5,0.5,covering,0.0,1\n", "stderr": ""}
+
+
+class TestGilbertRoute:
+    """``gilbert`` reads no r: it checks k = 2 first, then only r >= 1, so an r
+    past the double range prints the r = 1 bytes."""
+
+    GILBERT = ["local", "--u", "5", "--p", "0.5", "--method", "gilbert"]
+
+    @pytest.mark.parametrize("r", ["1", BIG], ids=["r-1", "r-401-digits"])
+    def test_reads_no_core_order(self, r):
+        assert run_in_process([*self.GILBERT, "--k", "2", "--r", r]) == {
+            "code": 0, "stdout": "u,p,method,value,valid\n5,0.5,gilbert,0.7109375,1\n",
+            "stderr": ""}
+
+    @pytest.mark.parametrize("k, r, message", [
+        ("1", "0", "--method gilbert requires --k 2"),
+        ("3", "0", "--method gilbert requires --k 2"),
+        ("2", "0", "r must be >= 1, got 0"),
+    ], ids=["k1-r0", "k3-r0", "k2-r0"])
+    def test_edge_size_before_core_order(self, k, r, message):
+        assert run_in_process([*self.GILBERT, "--k", k, "--r", r]) == {
+            "code": 2, "stdout": "", "stderr": f"error: {message}\n"}
 
 
 README = Path(__file__).parent.parent / "README.md"

@@ -610,10 +610,14 @@ class TestProviders:
 
     def test_one_name_space(self):
         # one set of formula method names, which sweep re-exports; the
-        # provider takes those and the oracle, and no bare source name
-        assert local_prob.LOCAL_METHODS == (*FORMULA_METHODS, "exact-enum")
+        # provider takes those, gilbert and the oracle from one table, and no
+        # bare source name
+        assert tuple(local_prob.METHODS) == (*FORMULA_METHODS, "gilbert", "exact-enum")
         assert sweep.FORMULA_METHODS is FORMULA_METHODS
         assert not hasattr(sweep, "METHOD_TABLE")
+        assert not hasattr(local_prob, "LOCAL_METHODS")
+        assert [m for m, entry in local_prob.METHODS.items() if entry.lower] == [
+            "interleaved-lower"]
         with pytest.raises(ValueError, match="^unknown local method 'interleaved'"):
             LocalProvider("interleaved", 3, 0.5, 2)
 
@@ -654,6 +658,7 @@ class TestProviders:
         # perfbench wraps the provider at its global_prob name
         assert global_prob.LocalProvider is local_prob.LocalProvider
         assert not hasattr(global_prob, "LOCAL_METHODS")
+        assert not hasattr(global_prob, "METHODS")
 
     def test_exact_enum_matches_connectivity_semantics_gap(self):
         # at u=4, k=3, r=1 min-degree coverage equals connectivity (no room
@@ -849,15 +854,21 @@ class TestSinglePath:
 
     @pytest.mark.parametrize("source", SOURCES)
     def test_each_local_value_computed_once(self, monkeypatch, source):
-        # the provider's memo is the one cache of local values
+        # the provider's memo is the one cache of local values: the map the
+        # entry's build returns is called once per size
         sizes = []
-        original = LocalProvider._compute
+        entry = local_prob.METHODS[source]
 
-        def counted(provider, u):
-            sizes.append(u)
-            return original(provider, u)
+        def counted_build(k, p, r):
+            compute = entry.build(k, p, r)
 
-        monkeypatch.setattr(LocalProvider, "_compute", counted)
+            def counted(u):
+                sizes.append(u)
+                return compute(u)
+
+            return counted
+
+        monkeypatch.setitem(local_prob.METHODS, source, entry._replace(build=counted_build))
         v, k = 30, 3
         exactly_one_core(v, 20 / math.comb(v, k), k, 2, source)
         assert sorted(sizes) == list(range(k, v + 1))

@@ -1,4 +1,5 @@
 
+import re
 from itertools import combinations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from corebound import candidate_edges, choose, generate
 from corebound import kernels
 from corebound.cli import main
-from corebound.hypergraph import GENERATE_GUARD, KEPT_GUARD
+from corebound.hypergraph import EDGE_SLOT_GUARD, GENERATE_GUARD, KEPT_GUARD
 from corebound.numerics import count_text
 from corebound.montecarlo import (exact_exactly_one, exact_global, exact_local, mc_global,
                                   mc_local)
@@ -112,6 +113,26 @@ class TestGenerate:
         point = (12, 3, 0.3)
         assert np.array_equal(generate(*point, seed=77), generate(*point, seed=77))
         assert not np.array_equal(generate(*point, seed=77), generate(*point, seed=78))
+
+    def test_edge_slot_guard(self, monkeypatch):
+        # an edge array holds k int64 slots per row: the largest k accepted
+        # past v draws an empty (0, k) array, and the next is refused with
+        # corebound's text before any draw, however large
+        assert EDGE_SLOT_GUARD == 2**60 - 1
+        edges = generate(5, EDGE_SLOT_GUARD, 0.5, seed=0)
+        assert edges.shape == (0, EDGE_SLOT_GUARD) and edges.dtype == np.int64
+
+        def forbidden(*args):
+            raise AssertionError("kernels._draw_kept called")
+
+        monkeypatch.setattr(kernels, "_draw_kept", forbidden)
+        for k in (2**60, 10**400):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"k = {count_text(k)} exceeds the edge-array guard {2**60 - 1}")):
+                generate(5, k, 0.5, seed=0)
+        # the model's domain is checked first
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1.5$"):
+            generate(5, 2**60, 1.5, seed=0)
 
     def test_scale_guard(self):
         with pytest.raises(ValueError, match="generation guard"):

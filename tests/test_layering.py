@@ -110,3 +110,41 @@ def test_benchmark_only_names_have_no_package_reader():
             assert len(re.findall(rf"\b{name}\b", text)) == kept, f"{path.name} names {name}"
             defined += [name] * len(defs)
     assert sorted(defined) == sorted(BENCHMARK_ONLY)  # a deleted name leaves the list
+
+
+METHOD_NAMES = frozenset(corebound.local_prob.METHODS)
+
+
+def method_name_tests(tree: ast.AST):
+    """Each comparison with ``==``, ``!=``, ``in`` or ``not in`` that has a
+    method-name literal (a key of ``local_prob.METHODS``) as an operand, or in
+    a tuple, list or set operand."""
+    ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and any(isinstance(op, ops) for op in node.ops):
+            for operand in (node.left, *node.comparators):
+                items = (operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
+                         else [operand])
+                if any(isinstance(x, ast.Constant) and x.value in METHOD_NAMES for x in items):
+                    yield node
+                    break
+
+
+def test_method_name_tests_are_found():
+    found = ast.parse('a == "covering"\n"gilbert" != a\na in ("x", "exact-enum")\n'
+                      'a not in {"interleaved-lower"}\na < "connectivity"\n')
+    assert len(list(method_name_tests(found))) == 4
+    not_tests = ast.parse('f(default="connectivity")\nm = x or ("connectivity",)\n'
+                          'a == "mc"\nd["covering"] < 1\n')
+    assert list(method_name_tests(not_tests)) == []
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "local_prob"],
+                         ids=lambda p: p.stem)
+def test_method_names_are_decided_in_local_prob(path):
+    """Only ``local_prob``, whose ``METHODS`` table maps each local method name
+    to its computation, tests a value against a method name; the other
+    modules read the table (argparse defaults and default tuples are not
+    tests)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in method_name_tests(tree)] == [], path.name

@@ -343,9 +343,17 @@ class TestPastDoubleRange:
 
     @pytest.mark.parametrize("p", PAST_DOUBLE_P)
     @pytest.mark.parametrize("k", [2, 3])
-    def test_recursion(self, k, p):
+    def test_recursion(self, monkeypatch, k, p):
+        tables = []  # the connectivity table the source squares
+
+        class Recorded(ConnectivityTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        monkeypatch.setattr(local_prob, "ConnectivityTable", Recorded)
         provider = LocalProvider("interleaved-upper", k, p, 2)
-        table = provider._table  # the connectivity table the source squares
+        [table] = tables
         for u in (1029, 1030, 1031):
             conn = table.prob(u)
             assert conn == (0.0 if p < 1e-299 else 1.0, True, None), u
