@@ -28,7 +28,8 @@ The geometric-series step then upper-bounds the probability of at least one
 core by ``S / (1 - S)`` where S is the exactly-one total.  The method is a key
 of ``local_prob.METHODS``, whose entry chooses where it is evaluated (p, or p/r
 for ``interleaved-lower``), so the interleaving bracket is this bound for
-``interleaved-lower`` and ``interleaved-upper``.
+``interleaved-lower`` and ``interleaved-upper``.  A lower bound above 1 bounds
+nothing, so a ``lower`` entry's bound past 1 + ``PROB_TOL`` is flagged invalid.
 
 All arithmetic is carried out and reported verbatim; values that leave
 [0, 1] (or inherit from ones that did) are flagged, not repaired.
@@ -174,8 +175,9 @@ def _level(n: int, k: int, rows: list[list[float]], rests: list[tuple],
     return values, flags, notes
 
 
-def _geometric_bound(exactly_one: ProbValue) -> ProbValue:
-    """Geometric-series upper bound S/(1-S) on the at-least-one probability."""
+def _geometric_bound(exactly_one: ProbValue, lower: bool = False) -> ProbValue:
+    """Geometric-series bound S/(1-S) on the at-least-one probability, invalid
+    above 1 + ``PROB_TOL`` when the local values make it a ``lower`` bound."""
     s = exactly_one.value
     if not math.isfinite(s):
         return ProbValue(s, False, exactly_one.note or "exactly-one total is not finite")
@@ -185,6 +187,8 @@ def _geometric_bound(exactly_one: ProbValue) -> ProbValue:
     value = s / (1.0 - s)
     if not exactly_one.valid:
         return ProbValue(value, False, exactly_one.note)
+    if lower and value > 1.0 + PROB_TOL:
+        return ProbValue(value, False, "lower bound above 1")
     if value > 1.0:
         return ProbValue(value, True, "vacuous upper bound (> 1)")
     return ProbValue(value)
@@ -231,6 +235,6 @@ def exactly_one_core(v: int, p: float, k: int, r: int,
         lone_core=lone_core,
         no_distinct_core={u: rests[v - u] for u in per_size},
         exactly_one=exactly,
-        bound=_geometric_bound(exactly),
+        bound=_geometric_bound(exactly, provider.lower),
         breakdown_at=max(invalid_sizes) if invalid_sizes else None,
     )

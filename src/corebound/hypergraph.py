@@ -1,6 +1,6 @@
-"""k-uniform hypergraphs: the one entry check of each random-graph route
-(the model-domain check, then the draw or enumeration guard), the candidate
-edge array of the exhaustive oracles, and one guarded random draw.
+"""k-uniform hypergraphs: the one entry check of each random-graph route (the
+model-domain check, then the draw or enumeration guard), which hands it the k
+or the cached candidate edge array it runs on, and one guarded random draw.
 
 Candidate edges are numbered in colexicographic order (sorted by largest
 vertex, ties broken recursively; ``kernels.colex_unrank`` maps a number to
@@ -22,7 +22,7 @@ __all__ = [
     "EDGE_SLOT_GUARD",
     "candidate_edges",
     "generate",
-    "guarded_count",
+    "guarded_candidates",
     "guarded_draws",
 ]
 
@@ -38,28 +38,33 @@ GENERATE_GUARD = 2**31
 # that, the edge array ``generate`` returns keeps 8k bytes per edge.
 KEPT_GUARD = 2**22
 ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
-# Max k of ``generate``: its int64 edge array holds k slots per row even when
-# it has no row, and numpy refuses a dimension of 2^60 or more.
+# numpy refuses an array dimension of 2^60 or more, and an int64 edge array
+# holds k slots per row even with no row.  Monte Carlo and the oracles only
+# count, so their entry checks cut k to v + 1 (C(v, k) = 0 still); ``generate``
+# returns the array, so it keeps the (0, k) shape and refuses a k past this.
 EDGE_SLOT_GUARD = 2**60 - 1
 
 
-def guarded_count(v: int, k: int, p: float, r: int) -> None:
+def guarded_candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
     """The entry check of an exhaustive oracle: the model-domain check
     (``check_at_least("v", v)``, then ``check_kpr(k, p, r)``), then
-    ValueError when C(v, k) exceeds ``ENUMERATE_GUARD``."""
+    ValueError when C(v, k) exceeds ``ENUMERATE_GUARD``.  Returns the cached
+    ``candidate_edges(v, min(k, v + 1))`` (see ``EDGE_SLOT_GUARD``)."""
     check_at_least("v", v)
     check_kpr(k, p, r)
     m = choose(v, k)
     if m > ENUMERATE_GUARD:
         raise ValueError(f"C(v, k) = {count_text(m)} exceeds the enumeration guard "
                          f"{ENUMERATE_GUARD}")
+    return candidate_edges(v, min(k, v + 1))
 
 
-def guarded_draws(v: int, k: int, p: float, r: int) -> None:
+def guarded_draws(v: int, k: int, p: float, r: int) -> int:
     """The entry check of a random draw: the model-domain check
     (``check_at_least("v", v)``, then ``check_kpr(k, p, r)``), then
     ValueError when C(v, k) exceeds ``GENERATE_GUARD`` or its expected kept
-    edges C(v, k) * p exceed ``KEPT_GUARD``."""
+    edges C(v, k) * p exceed ``KEPT_GUARD``.  Returns the k the Monte Carlo
+    kernels take, ``min(k, v + 1)`` (see ``EDGE_SLOT_GUARD``)."""
     check_at_least("v", v)
     check_kpr(k, p, r)
     m = choose(v, k)
@@ -69,6 +74,7 @@ def guarded_draws(v: int, k: int, p: float, r: int) -> None:
     if m * p > KEPT_GUARD:
         raise ValueError(f"C(v, k) * p = {m * p:.6g} expected edges per graph "
                          f"exceed the kept-edge guard {KEPT_GUARD}")
+    return min(k, v + 1)
 
 
 # Only the exhaustive oracles read the whole array, at most ENUMERATE_GUARD =

@@ -336,13 +336,14 @@ FORMULA_METHODS = methods_for("breakdown")  # those every subcommand and both sc
 
 
 class LocalProvider:
-    """Memo over a ``METHODS`` entry's map at one (k, p, r); not to be shared
-    across threads unsynchronized."""
+    """Memo over a ``METHODS`` entry's map at one (k, p, r), with the entry's
+    ``lower`` flag; not to be shared across threads unsynchronized."""
 
     def __init__(self, method: str, k: int, p: float, r: int):
         if method not in METHODS:
             raise ValueError(f"unknown local method {method!r}; pick from {tuple(METHODS)}")
         self._value = METHODS[method].build(k, p, r)
+        self.lower = METHODS[method].lower
         self._memo: dict[int, ProbValue] = {}
 
     def value(self, u: int) -> ProbValue:

@@ -7,7 +7,8 @@ blocks (one disjoint-union graph per block) on worker threads (see
 :mod:`kernels`); that changes no count, for any worker count.
 :func:`mc_global` peels each graph; :func:`mc_local` tests all u vertices
 with the rule of ``kernels.mc_local_successes`` (connected at r = 1, minimum
-degree r above).
+degree r above).  ``check_trials`` checks a run's trials and seed, and
+``hypergraph``'s entry checks hand each route its k or candidate edges.
 
 The oracles enumerate every hypergraph on the candidate edge set (guarded to
 at most 2^20 instances) and are the ground truth the formulas and estimators
@@ -29,12 +30,12 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .kernels import np
-from .hypergraph import candidate_edges, guarded_count, guarded_draws
+from .hypergraph import guarded_candidates, guarded_draws
 from .numerics import check_at_least
 
 __all__ = [
     "McEstimate",
+    "check_trials",
     "mc_local",
     "mc_global",
     "exact_global",
@@ -60,7 +61,7 @@ class McEstimate:
         return cls(successes, trials, mean, stderr, seed)
 
 
-def _check_trials(trials: int, seed: int) -> None:
+def check_trials(trials: int, seed: int) -> None:
     """Trial count and master seed of a Monte Carlo run.  The seed must lie
     in [0, 2^64): the stream reads it mod 2^64, so a seed outside would run
     the graphs of another seed under its own number."""
@@ -69,35 +70,26 @@ def _check_trials(trials: int, seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
 
-def _candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
-    """An exhaustive oracle's candidate edges, after its entry check (``guarded_count``),
-    with k cut to v + 1: C(v, k) = 0 either way, and numpy refuses a dimension of 2^60."""
-    guarded_count(v, k, p, r)
-    return candidate_edges(v, min(k, v + 1))
-
-
 def mc_local(u: int, k: int, p: float, r: int,
              trials: int = 10_000, seed: int = 0) -> McEstimate:
     """Estimate the probability that an r-core spans all u vertices.
 
     Each trial samples a hypergraph on exactly u vertices with edge
-    probability p (k cut to u + 1, as in :func:`_candidates`) and tests all
+    probability p (k cut to u + 1 by ``guarded_draws``) and tests all
     u vertices with the rule of :func:`kernels.mc_local_successes`:
     connectivity at r = 1, minimum degree r at r >= 2."""
-    _check_trials(trials, seed)
+    check_trials(trials, seed)
     check_at_least("u", u)  # under its own name: the model check below would call it v
-    guarded_draws(u, k, p, r)
-    successes = kernels.mc_local_successes(u, min(k, u + 1), p, r, trials, seed)
+    successes = kernels.mc_local_successes(u, guarded_draws(u, k, p, r), p, r, trials, seed)
     return McEstimate.from_counts(successes, trials, seed)
 
 
 def mc_global(v: int, k: int, p: float, r: int,
               trials: int = 10_000, seed: int = 0) -> McEstimate:
     """Estimate the probability that peeling leaves a nonempty r-core
-    anywhere (k cut to v + 1, as in :func:`_candidates`)."""
-    _check_trials(trials, seed)
-    guarded_draws(v, k, p, r)
-    successes = kernels.mc_global_successes(v, min(k, v + 1), p, r, trials, seed)
+    anywhere (k cut to v + 1 by ``guarded_draws``)."""
+    check_trials(trials, seed)
+    successes = kernels.mc_global_successes(v, guarded_draws(v, k, p, r), p, r, trials, seed)
     return McEstimate.from_counts(successes, trials, seed)
 
 
@@ -112,7 +104,7 @@ def exact_global(v: int, k: int, p: float, r: int) -> float:
     It is also the chance of exactly one inclusion-maximal core set: that
     union is the only maximal one whenever a core set exists.
     """
-    return kernels.exhaustive_global_prob(_candidates(v, k, p, r), v, r, p)
+    return kernels.exhaustive_global_prob(guarded_candidates(v, k, p, r), v, r, p)
 
 
 def exact_exactly_one(v: int, k: int, p: float, r: int) -> float:
@@ -134,11 +126,11 @@ def exact_exactly_one(v: int, k: int, p: float, r: int) -> float:
     minimal one; if C is the only minimal one, C is the intersection and
     lies in X.  With no core set nothing is accepted.
     """
-    return kernels.exhaustive_exactly_one_prob(_candidates(v, k, p, r), v, r, p)
+    return kernels.exhaustive_exactly_one_prob(guarded_candidates(v, k, p, r), v, r, p)
 
 
 def exact_local(u: int, k: int, p: float, r: int) -> float:
     """Exact probability that an r-core spans all u vertices (induced minimum
     degree >= r on the whole subset), by enumeration.  Guarded to C(u,k) <= 20."""
     check_at_least("u", u)  # under its own name: the model check below would call it v
-    return kernels.exhaustive_local_prob(_candidates(u, k, p, r), u, r, p)
+    return kernels.exhaustive_local_prob(guarded_candidates(u, k, p, r), u, r, p)

@@ -7,10 +7,9 @@ re-exported here) at one point in either scope: it hands p and the method to
 in local scope, or to ``global_prob.exactly_one_core`` in global scope.
 The paper's bracket is the ``interleaved-lower`` and ``interleaved-upper`` methods in
 global scope: the global bound with the interleaved source at p / r (lower side) and at
-p (upper side), a choice each method's entry makes.  A lower bound above 1 bounds
-nothing, so ``formula_value`` flags the value of a method that ``METHODS`` marks as a
-lower bound invalid there and keeps it verbatim.  In the tail the two sides cross even
-where both are flagged valid, so there they bracket nothing (the strict xfails of
+p (upper side), a choice each method's entry makes.  ``exactly_one_core`` flags a
+lower bound above 1 invalid, since it bounds nothing.  In the tail the two sides cross
+even where both are flagged valid, so there they bracket nothing (the strict xfails of
 ``tests/test_global_prob.py::TestInterleavingBounds`` carry the numbers).
 
 A sweep fixes (k, r) and an *overhead* x (the vertex-to-edge ratio), then
@@ -44,8 +43,8 @@ from dataclasses import dataclass, field, replace
 from . import montecarlo
 from .global_prob import exactly_one_core
 from .kernels import trial_seed
-from .local_prob import FORMULA_METHODS, METHODS, LocalProvider, methods_for
-from .numerics import PROB_TOL, ProbValue, check_at_least, check_kpr, choose, count_text
+from .local_prob import FORMULA_METHODS, LocalProvider, methods_for
+from .numerics import ProbValue, check_at_least, check_kpr, choose, count_text
 
 __all__ = [
     "FORMULA_METHODS",
@@ -107,7 +106,7 @@ class SweepSpec:
             if m not in SWEEP_METHODS:
                 raise ValueError(f"unknown method {m!r}; pick from {SWEEP_METHODS}")
         _check_scope(self.scope)
-        montecarlo._check_trials(self.trials, self.seed)  # the estimators' checks
+        montecarlo.check_trials(self.trials, self.seed)  # the estimators' checks
 
 
 @dataclass
@@ -143,18 +142,15 @@ def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> 
     """Value of a formula method at (v, p, k, r).
 
     Local scope: the method's local value on all v vertices.  Global scope:
-    the geometric bound on at-least-one-core built from those values, flagged
-    invalid above 1 for a method ``local_prob.METHODS`` marks as a lower bound.
+    the geometric bound on at-least-one-core built from those values, with the
+    flags ``exactly_one_core`` gives it (a lower bound above 1 is invalid).
     """
     if method not in FORMULA_METHODS:
         raise ValueError(f"unknown formula method {method!r}; pick from {FORMULA_METHODS}")
     _check_scope(scope)
     if scope == "local":
         return LocalProvider(method, k, p, r).value(v)
-    bound = exactly_one_core(v, p, k, r, method).bound
-    if METHODS[method].lower and bound.valid and bound.value > 1.0 + PROB_TOL:
-        return ProbValue(bound.value, False, "lower bound above 1")
-    return bound
+    return exactly_one_core(v, p, k, r, method).bound
 
 
 def first_failure(points: Iterable[tuple[int, float, bool]]) -> int | None:

@@ -895,6 +895,21 @@ sys.exit(code)
 """
 
 
+# Imports numpy before corebound, as the benchmark harness does, so kernels
+# takes the loaded module rather than a lazy one, then runs one command on
+# two worker threads.
+NUMPY_FIRST_CHILD = """\
+import sys
+import numpy
+from corebound import kernels
+from corebound.cli import main
+kernels.WORKERS = 2
+code = main(sys.argv[1:])
+print(kernels.np is numpy)
+sys.exit(code)
+"""
+
+
 class TestFreshInterpreter:
     """Formula commands run without importing numpy; Monte Carlo and the
     oracles import it on first use and print what they print in-process.
@@ -950,6 +965,26 @@ class TestFreshInterpreter:
         assert expected["code"] == 0
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, expected["stdout"] + "1\n", expected["stderr"])
+
+    @pytest.mark.parametrize("argv", [
+        ["global", "--v", "12", "--k", "3", "--p", "0.1", "--method", "mc", "--trials", "200"],
+        ["global", "--v", "20", "--k", "3", "--e-v", "12.5", "--r", "2", *_FORMULA_ARGS],
+    ], ids=["global-mc", "global-formula"])
+    def test_numpy_imported_first(self, argv, monkeypatch):
+        proc = subprocess.run([sys.executable, "-c", NUMPY_FIRST_CHILD, *argv],
+                              capture_output=True, text=True)
+        monkeypatch.setattr(kernels, "WORKERS", 2)
+        expected = run_in_process(argv)
+        assert expected["code"] == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, expected["stdout"] + "True\n", expected["stderr"])
+
+    def test_module_entry_point(self):
+        # ``python -m corebound.cli`` exits with main's code
+        assert run_cli("local", "--u", "5", "--k", "3", "--p", "0.5") == (
+            0, "u,p,method,value,valid\n5,0.5,connectivity,0.935546875,1\n", "")
+        assert run_cli("local", "--u", "0", "--k", "3", "--p", "0.5") == (
+            2, "", "error: u must be >= 1, got 0\n")
 
     def test_workers_start_before_numpy_is_imported(self, monkeypatch):
         argv = ["global", "--v", "12", "--k", "3", "--p", "0.1", "--method", "mc",

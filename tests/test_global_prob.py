@@ -118,6 +118,17 @@ class TestExactlyOneCore:
         assert not res.exactly_one.valid
         assert not res.bound.valid
 
+    def test_lower_bound_above_one_is_invalid(self):
+        # a lower bound above 1 bounds nothing; the same value as an upper
+        # bound stays valid, noted as vacuous
+        p = 19 / math.comb(30, 2)
+        assert exactly_one_core(30, p, 2, 1, "interleaved-lower").bound == ProbValue(
+            1.0432557377610356, False, "lower bound above 1")
+        assert exactly_one_core(30, p, 2, 1, "interleaved-upper").bound == ProbValue(
+            1.0432557377610356, True, "vacuous upper bound (> 1)")
+        assert exactly_one_core(30, 0.0434, 2, 1, "interleaved-lower").bound == ProbValue(
+            0.9958412739043233)
+
     def test_per_size_keys(self):
         res = exactly_one_core(6, 0.2, 3, 1)
         assert sorted(res.per_size) == [3, 4, 5, 6]

@@ -8,7 +8,8 @@ import pytest
 from corebound import candidate_edges, choose, generate
 from corebound import kernels
 from corebound.cli import main
-from corebound.hypergraph import EDGE_SLOT_GUARD, GENERATE_GUARD, KEPT_GUARD
+from corebound.hypergraph import (EDGE_SLOT_GUARD, ENUMERATE_GUARD, GENERATE_GUARD,
+                                   KEPT_GUARD, guarded_candidates, guarded_draws)
 from corebound.numerics import count_text
 from corebound.montecarlo import (exact_exactly_one, exact_global, exact_local, mc_global,
                                   mc_local)
@@ -89,6 +90,52 @@ class TestCandidates:
             for k in (2, 3):
                 candidate_edges(v, k)
                 assert candidate_edges.cache_info().currsize <= maxsize
+
+
+class TestEntryChecks:
+    """Each random-graph route's entry check hands it what it runs on, with
+    k cut to v + 1 (C(v, k) = 0 either way): ``guarded_draws`` the k of the
+    Monte Carlo kernels, ``guarded_candidates`` the oracles' candidate edges."""
+
+    @pytest.mark.parametrize("k,kernel_k", [(5, 5), (6, 6), (7, 6), (2**60, 6), (10**400, 6)],
+                             ids=["v", "v+1", "v+2", "2^60", "401 digits"])
+    def test_draws_return_the_kernel_k(self, k, kernel_k):
+        assert guarded_draws(5, k, 0.5, 1) == kernel_k
+
+    def test_draws_refuse_in_order(self):
+        # each input fails every check after its own: the first check names it
+        big = choose(5000, 3)
+        for (v, k, p, r), message in [
+                ((0, 1, 1.5, 0), "v must be >= 1, got 0"),
+                ((5, 1, 1.5, 0), "k must be >= 2, got 1"),
+                ((5000, 3, 1.5, 0), "r must be >= 1, got 0"),
+                ((5000, 3, 1.5, 1), "p must lie in [0, 1], got 1.5"),
+                ((5000, 3, 1.0, 1), f"C(v, k) = {count_text(big)} exceeds the generation "
+                                    f"guard {GENERATE_GUARD}"),
+                ((2300, 3, 1.0, 1), f"C(v, k) * p = {choose(2300, 3):.6g} expected edges per "
+                                    f"graph exceed the kept-edge guard {KEPT_GUARD}")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                guarded_draws(v, k, p, r)
+
+    @pytest.mark.parametrize("k", [3, 5, 6, 7, 2**60, 10**400], ids=lambda k: str(k)[:12])
+    def test_candidates_are_the_cached_array(self, k):
+        got = guarded_candidates(5, k, 0.5, 1)
+        assert got is candidate_edges(5, min(k, 5 + 1))
+        assert got.shape == (choose(5, k), min(k, 6)) and not got.flags.writeable
+
+    def test_candidates_refuse_in_order(self):
+        assert choose(6, 3) == ENUMERATE_GUARD  # the largest count enumerated
+        guarded_candidates(6, 3, 0.5, 1)
+        for (v, k, p, r), message in [
+                ((0, 1, 1.5, 0), "v must be >= 1, got 0"),
+                ((7, 1, 1.5, 0), "k must be >= 2, got 1"),
+                ((7, 3, 1.5, 0), "r must be >= 1, got 0"),
+                ((7, 3, 1.5, 1), "p must lie in [0, 1], got 1.5"),
+                ((7, 3, 0.5, 1), "C(v, k) = 35 exceeds the enumeration guard 20"),
+                ((10**6, 3, 0.5, 1), f"C(v, k) = {count_text(choose(10**6, 3))} exceeds "
+                                     "the enumeration guard 20")]:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                guarded_candidates(v, k, p, r)
 
 
 class TestGenerate:

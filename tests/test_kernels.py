@@ -189,6 +189,18 @@ class TestNumpyImportedFirst:
         assert proc.stdout == f"True numpy {edges}\n"
 
 
+class TestPlatform:
+    def test_backend(self):
+        assert kernels.backend() == "numpy"  # the benchmark's run stamp reads it
+
+    @pytest.mark.parametrize("count, usable", [(3, 3), (None, 1)])
+    def test_usable_cpus_without_affinity(self, monkeypatch, count, usable):
+        # macOS and Windows have no affinity set: the CPU count stands in
+        monkeypatch.delattr(kernels.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: count)
+        assert kernels._usable_cpus() == usable
+
+
 class TestSingleInstanceOps:
     def test_peel_simple(self):
         edges = np.array([[0, 1, 2]], dtype=np.int64)

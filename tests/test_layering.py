@@ -7,8 +7,8 @@ the public names and is exempt.
 
 numpy is bound by ``kernels`` alone, lazily, so that the formula layers
 start without its import: no module has an ``import numpy`` statement,
-``hypergraph`` and ``montecarlo`` take ``np`` from ``kernels``, and the
-formula layers never name it.
+``hypergraph`` takes ``np`` from ``kernels``, and the other modules never
+name it.
 """
 import ast
 import re
@@ -58,7 +58,7 @@ def test_imports_only_lower_layers_at_module_level(path):
     assert path.stem in ("numerics", "kernels") or found  # the walk sees the imports
 
 
-TAKE_NP_FROM_KERNELS = ("hypergraph", "montecarlo")  # the other modules never name numpy
+TAKE_NP_FROM_KERNELS = ("hypergraph",)  # the other modules never name numpy
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
@@ -148,3 +148,40 @@ def test_method_names_are_decided_in_local_prob(path):
     tests)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [node.lineno for node in method_name_tests(tree)] == [], path.name
+
+
+MODULES = frozenset(RANK)
+
+
+def private_reads(tree: ast.AST):
+    """Each read of another corebound module's private name: ``mod._name`` for
+    a corebound module ``mod``, or ``from .mod import _name`` (also spelled
+    ``from corebound.mod import _name``).  Dunder names are not private."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in MODULES and private(node.attr)):
+            yield node
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.level == 1 or node.module.split(".")[0] == "corebound"):
+            if any(private(alias.name) for alias in node.names):
+                yield node
+
+
+def test_private_reads_are_found():
+    found = ast.parse('montecarlo._check_trials(1, 2)\nfrom .kernels import np, _levels\n'
+                      'from corebound.numerics import _x\nx = kernels._lazy_numpy\n')
+    assert sorted(node.lineno for node in private_reads(found)) == [1, 2, 3, 4]
+    not_reads = ast.parse('self._memo\nmontecarlo.check_trials\nkernels.__name__\n'
+                          'from .kernels import np\nfrom numpy import _x\nother._y\n'
+                          'from . import kernels\n')
+    assert list(private_reads(not_reads)) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_private_names_across_modules(path):
+    """A module reads only the public names of another corebound module: a
+    rule with one owner is called through that owner's public name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in private_reads(tree)] == [], path.name

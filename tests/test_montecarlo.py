@@ -160,12 +160,15 @@ class TestMemory:
         assert peak < 16 * 2**20, peak
 
     def test_no_candidate_array(self, monkeypatch):
-        # only the exhaustive oracles read candidate_edges
+        # only the exhaustive oracles read candidate_edges, through
+        # hypergraph.guarded_candidates, which looks it up in hypergraph
         def forbidden(v, k):
             raise AssertionError(f"candidate_edges({v}, {k}) called")
 
         monkeypatch.setattr(hypergraph, "candidate_edges", forbidden)
-        monkeypatch.setattr(montecarlo, "candidate_edges", forbidden)
+        assert not hasattr(montecarlo, "candidate_edges")  # no second binding to patch
+        with pytest.raises(AssertionError, match="called"):
+            exact_global(5, 3, 0.5, 1)  # the patch is where the oracles look
         generate(20, 3, 0.05, seed=1)
         mc_global(20, 3, 0.05, 2, trials=50, seed=1)
         mc_local(20, 3, 0.05, 1, trials=50, seed=1)
