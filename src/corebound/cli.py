@@ -7,6 +7,9 @@ Subcommands:
   breakdown  scan for the first expected edge count where a formula fails
   oracle     exhaustive desk-scale exact values
 
+``local``, ``global`` and ``sweep`` evaluate each point through
+``sweep.evaluate``; this module parses the arguments and renders the results.
+
 Exit status: 0 success, 2 invalid arguments, 3 output I/O failure.  A value
 that fails a check after parsing prints one ``error: ...`` line on stderr.  An
 ``--out`` file is written to a temp file and renamed onto its path, so a
@@ -30,7 +33,7 @@ import shutil
 import sys
 
 from . import montecarlo, sweep as sweep_mod
-from .local_prob import LocalProvider, methods_for
+from .local_prob import methods_for
 from .numerics import ProbValue, choose
 
 EXIT_OK = 0
@@ -148,14 +151,14 @@ def _write_payload(fh, fmt: str, rows: list[dict], json_obj) -> None:
 
 def cmd_local(args) -> int:
     p = _resolve_p(args.u, args.k, args.p, args.e_u)
-    method = args.method
-    if method == "mc":
-        est = montecarlo.mc_local(args.u, args.k, p, args.r, args.trials, args.seed)
-        row = {"u": args.u, "p": p, "method": method, "value": est.mean,
-               "valid": True, "trials": est.trials, "stderr": est.stderr}
+    values, est = sweep_mod.evaluate((args.method,), "local", args.u, p, args.k, args.r,
+                                     args.trials, args.seed)
+    row = {"u": args.u, "p": p, "method": args.method}
+    if est is not None:
+        row.update(value=est.mean, valid=True, trials=est.trials, stderr=est.stderr)
         return _emit(args, [row], row)
-    pv = LocalProvider(method, args.k, p, args.r).value(args.u)
-    row = {"u": args.u, "p": p, "method": method, "value": pv.value, "valid": pv.valid}
+    pv = values[args.method]
+    row.update(value=pv.value, valid=pv.valid)
     return _emit(args, [row], {**row, "note": pv.note})
 
 
@@ -182,10 +185,8 @@ def _method_cells(values: dict[str, ProbValue], mc=None, breaks=None) -> dict:
 def cmd_global(args) -> int:
     p = _resolve_p(args.v, args.k, args.p, args.e_v)
     methods = tuple(dict.fromkeys(args.method)) if args.method else ("connectivity",)
-    values = {m: sweep_mod.formula_value(m, "global", args.v, p, args.k, args.r)
-              for m in methods if m != "mc"}
-    est = (montecarlo.mc_global(args.v, args.k, p, args.r, args.trials, args.seed)
-           if "mc" in methods else None)
+    values, est = sweep_mod.evaluate(methods, "global", args.v, p, args.k, args.r,
+                                     args.trials, args.seed)
     point, cells = {"v": args.v, "p": p}, _method_cells(values, est)
     return _emit(args, [{**point, **cells}], {**point, "k": args.k, "r": args.r, **cells})
 

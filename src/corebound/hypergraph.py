@@ -1,6 +1,7 @@
 """k-uniform hypergraphs: the one entry check of each random-graph route (the
 model-domain check, then the draw or enumeration guard), which hands it the k
-or the cached candidate edge array it runs on, and one guarded random draw.
+or the cached candidate edge array it runs on, the range check of a master
+seed, and one guarded random draw.
 
 Candidate edges are numbered in colexicographic order (sorted by largest
 vertex, ties broken recursively; ``kernels.colex_unrank`` maps a number to
@@ -21,6 +22,7 @@ __all__ = [
     "ENUMERATE_GUARD",
     "EDGE_SLOT_GUARD",
     "candidate_edges",
+    "check_seed",
     "generate",
     "guarded_candidates",
     "guarded_draws",
@@ -43,6 +45,14 @@ ENUMERATE_GUARD = 20    # max candidate edges for exhaustive enumeration
 # count, so their entry checks cut k to v + 1 (C(v, k) = 0 still); ``generate``
 # returns the array, so it keeps the (0, k) shape and refuses a k past this.
 EDGE_SLOT_GUARD = 2**60 - 1
+
+
+def check_seed(seed: int) -> None:
+    """ValueError unless the master seed lies in [0, 2^64): the stream reads it
+    mod 2^64, so a seed outside would draw the graphs of another seed under
+    its own number."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
 
 
 def guarded_candidates(v: int, k: int, p: float, r: int) -> np.ndarray:
@@ -100,11 +110,13 @@ def generate(v: int, k: int, p: float, seed: int) -> np.ndarray:
 
     Deterministic in (v, k, p, seed).  A Monte Carlo trial ``t`` with master
     seed ``s`` sees exactly ``generate(v, k, p, kernels.trial_seed(s, t))``.
-    Unlike ``kernels.sample_edges`` it refuses, before any draw, a point
-    outside the model's domain (no core order is read, so r = 1 stands in)
-    or past ``GENERATE_GUARD`` or ``KEPT_GUARD`` (``guarded_draws``), then
-    a k past ``EDGE_SLOT_GUARD``.  At k > v it returns a (0, k) array.
+    Unlike ``kernels.sample_edges`` it refuses, before any draw, a seed
+    outside [0, 2^64) (``check_seed``, as the Monte Carlo runs do), then a
+    point outside the model's domain (no core order is read, so r = 1 stands
+    in) or past ``GENERATE_GUARD`` or ``KEPT_GUARD`` (``guarded_draws``),
+    then a k past ``EDGE_SLOT_GUARD``.  At k > v it returns a (0, k) array.
     """
+    check_seed(seed)
     guarded_draws(v, k, p, 1)
     if k > EDGE_SLOT_GUARD:
         raise ValueError(f"k = {count_text(k)} exceeds the edge-array guard {EDGE_SLOT_GUARD}")

@@ -7,8 +7,9 @@ blocks (one disjoint-union graph per block) on worker threads (see
 :mod:`kernels`); that changes no count, for any worker count.
 :func:`mc_global` peels each graph; :func:`mc_local` tests all u vertices
 with the rule of ``kernels.mc_local_successes`` (connected at r = 1, minimum
-degree r above).  ``check_trials`` checks a run's trials and seed, and
-``hypergraph``'s entry checks hand each route its k or candidate edges.
+degree r above).  ``check_trials`` checks a run's trials and seed (the
+seed's range rule is ``hypergraph.check_seed``), and ``hypergraph``'s entry
+checks hand each route its k or candidate edges.
 
 The oracles enumerate every hypergraph on the candidate edge set (guarded to
 at most 2^20 instances) and are the ground truth the formulas and estimators
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from . import kernels
-from .hypergraph import guarded_candidates, guarded_draws
+from .hypergraph import check_seed, guarded_candidates, guarded_draws
 from .numerics import check_at_least
 
 __all__ = [
@@ -62,12 +63,10 @@ class McEstimate:
 
 
 def check_trials(trials: int, seed: int) -> None:
-    """Trial count and master seed of a Monte Carlo run.  The seed must lie
-    in [0, 2^64): the stream reads it mod 2^64, so a seed outside would run
-    the graphs of another seed under its own number."""
+    """Trial count and master seed of a Monte Carlo run: trials >= 1, then
+    ``hypergraph.check_seed``."""
     check_at_least("trials", trials)
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    check_seed(seed)
 
 
 def mc_local(u: int, k: int, p: float, r: int,

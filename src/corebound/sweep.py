@@ -1,10 +1,13 @@
-"""Formula values at one point, parameter sweeps over expected edge count, and
+"""The one point evaluator, parameter sweeps over expected edge count, and
 numerical-breakdown scans.
 
-``formula_value`` evaluates a formula method (``local_prob.FORMULA_METHODS``,
-re-exported here) at one point in either scope: it hands p and the method to
-``local_prob.LocalProvider``, the memo over the method's ``local_prob.METHODS`` entry,
-in local scope, or to ``global_prob.exactly_one_core`` in global scope.
+``evaluate`` is the one point evaluator, which ``local``, ``global`` and every
+sweep row call: each formula method's ``formula_value``, plus the scope's Monte
+Carlo estimate when the names include ``mc``.  ``formula_value`` evaluates a
+method its scope's subcommand offers (``local_prob.methods_for``) at one point:
+it hands p and the method to ``local_prob.LocalProvider``, the memo over the
+method's ``local_prob.METHODS`` entry, in local scope, or to
+``global_prob.exactly_one_core`` in global scope.
 The paper's bracket is the ``interleaved-lower`` and ``interleaved-upper`` methods in
 global scope: the global bound with the interleaved source at p / r (lower side) and at
 p (upper side), a choice each method's entry makes.  ``exactly_one_core`` flags a
@@ -38,7 +41,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from . import montecarlo
 from .global_prob import exactly_one_core
@@ -50,6 +53,7 @@ __all__ = [
     "FORMULA_METHODS",
     "SWEEP_METHODS",
     "formula_value",
+    "evaluate",
     "SweepSpec",
     "SweepRow",
     "SweepResult",
@@ -114,8 +118,8 @@ class SweepRow:
     e: int
     v: int
     p: float
-    values: dict[str, ProbValue] = field(default_factory=dict)
-    mc: montecarlo.McEstimate | None = None
+    values: dict[str, ProbValue]
+    mc: montecarlo.McEstimate | None
 
 
 @dataclass
@@ -141,16 +145,30 @@ def point_geometry(k: int, overhead: float, e: int) -> tuple[int, float]:
 def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> ProbValue:
     """Value of a formula method at (v, p, k, r).
 
-    Local scope: the method's local value on all v vertices.  Global scope:
-    the geometric bound on at-least-one-core built from those values, with the
-    flags ``exactly_one_core`` gives it (a lower bound above 1 is invalid).
+    The scope is checked first, then the method against ``methods_for(scope)``,
+    the methods that scope's subcommand offers: ``gilbert`` in local scope only,
+    the library-only ``exact-enum`` in neither.  Local scope: the method's local
+    value on all v vertices.  Global scope: the geometric bound on
+    at-least-one-core built from those values, with the flags
+    ``exactly_one_core`` gives it (a lower bound above 1 is invalid).
     """
-    if method not in FORMULA_METHODS:
-        raise ValueError(f"unknown formula method {method!r}; pick from {FORMULA_METHODS}")
     _check_scope(scope)
+    if method not in methods_for(scope):
+        raise ValueError(f"unknown formula method {method!r}; pick from {methods_for(scope)}")
     if scope == "local":
         return LocalProvider(method, k, p, r).value(v)
     return exactly_one_core(v, p, k, r, method).bound
+
+
+def evaluate(methods: tuple[str, ...], scope: str, v: int, p: float, k: int, r: int,
+             trials: int, seed: int) -> tuple[dict[str, ProbValue], montecarlo.McEstimate | None]:
+    """Each formula method's ``formula_value`` at (v, p, k, r), in the order of
+    ``methods``, and the scope's Monte Carlo estimate (``mc_local`` or
+    ``mc_global``) when ``methods`` names ``mc``, else None."""
+    _check_scope(scope)
+    values = {m: formula_value(m, scope, v, p, k, r) for m in methods if m != "mc"}
+    estimate = montecarlo.mc_local if scope == "local" else montecarlo.mc_global
+    return values, estimate(v, k, p, r, trials, seed) if "mc" in methods else None
 
 
 def first_failure(points: Iterable[tuple[int, float, bool]]) -> int | None:
@@ -168,19 +186,12 @@ def first_failure(points: Iterable[tuple[int, float, bool]]) -> int | None:
 
 
 def _scan(spec: SweepSpec) -> Iterator[SweepRow]:
-    """The sweep's rows in increasing e, with a value for each formula method of
-    the spec, and the scope's Monte Carlo estimate when it asks for ``mc``."""
-    formulas = [m for m in spec.methods if m != "mc"]
+    """The sweep's rows in increasing e, each evaluated by ``evaluate``."""
     for e in range(spec.e_min, spec.e_max + 1):
         v, p = point_geometry(spec.k, spec.overhead, e)
-        row = SweepRow(e=e, v=v, p=p)
-        for m in formulas:
-            row.values[m] = formula_value(m, spec.scope, v, p, spec.k, spec.r)
-        if "mc" in spec.methods:
-            # stable per-point seed: rows keep their draws if the range changes
-            estimate = montecarlo.mc_local if spec.scope == "local" else montecarlo.mc_global
-            row.mc = estimate(v, spec.k, p, spec.r, spec.trials, trial_seed(spec.seed, e))
-        yield row
+        # stable per-point seed: rows keep their draws if the range changes
+        yield SweepRow(e, v, p, *evaluate(spec.methods, spec.scope, v, p, spec.k, spec.r,
+                                          spec.trials, trial_seed(spec.seed, e)))
 
 
 def _points(rows: Iterable[SweepRow], method: str, k: int) -> Iterator[tuple[int, float, bool]]:

@@ -347,34 +347,48 @@ class TestOnePathPerMethod:
             assert offered == listed + (() if command == "breakdown" else ("mc",)), command
         assert set(table) - {m for offered in choices.values() for m in offered} == {"exact-enum"}
 
-    @pytest.mark.parametrize("method", FORMULA_METHODS)
+    # a sweep row at e draws its mc with seed trial_seed(7, e); a point command
+    # given that seed draws the same graphs
+    MC_RUN = ("--trials", "200", "--seed", "7")
+
+    @staticmethod
+    def mc_point(e: str) -> list[str]:
+        return ["--trials", "200", "--seed", str(kernels.trial_seed(7, int(e)))]
+
+    @pytest.mark.parametrize("method", [*FORMULA_METHODS, "mc"])
     @pytest.mark.parametrize("overhead,e", [("1.6", "10"), ("1.2", "3")])
     def test_global_alone_together_and_sweep(self, capsys, method, overhead, e):
+        every = method_args([*FORMULA_METHODS, "mc"])
         assert main(["sweep", "--k", "3", "--r", "2", "--overhead", overhead,
-                     "--e-min", e, "--e-max", e, *method_args(FORMULA_METHODS)]) == 0
+                     "--e-min", e, "--e-max", e, *every, *self.MC_RUN]) == 0
         [swept] = csv_rows(capsys)
-        point = ["global", "--v", swept["v"], "--p", swept["p"], "--k", "3", "--r", "2"]
-        assert main([*point, *method_args(FORMULA_METHODS)]) == 0
+        point = ["global", "--v", swept["v"], "--p", swept["p"], "--k", "3", "--r", "2",
+                 *self.mc_point(e)]
+        assert main([*point, *every]) == 0
         [together] = csv_rows(capsys)
         assert main([*point, "--method", method]) == 0
         [alone] = csv_rows(capsys)
         col = method.replace("-", "_")
-        for key in (col, f"{col}_valid"):
+        for key in ("mc_mean", "mc_stderr") if method == "mc" else (col, f"{col}_valid"):
             assert alone[key] == together[key] == swept[key]
 
-    @pytest.mark.parametrize("method", FORMULA_METHODS)
+    @pytest.mark.parametrize("method", [*FORMULA_METHODS, "mc"])
     def test_local_matches_local_sweep(self, capsys, method):
         assert main(["sweep", "--k", "3", "--r", "2", "--overhead", "1.0",
                      "--e-min", "6", "--e-max", "12", "--scope", "local",
-                     "--method", method]) == 0
+                     "--method", method, *self.MC_RUN]) == 0
         swept = {row["v"]: row for row in csv_rows(capsys)}
         col = method.replace("-", "_")
-        for u in ("6", "9", "12"):
+        for u in ("6", "9", "12"):  # overhead 1: v = e = u
             assert main(["local", "--u", u, "--k", "3", "--e-u", u, "--r", "2",
-                         "--method", method]) == 0
+                         "--method", method, *self.mc_point(u)]) == 0
             [local] = csv_rows(capsys)
-            assert (local["p"], local["value"], local["valid"]) == \
-                (swept[u]["p"], swept[u][col], swept[u][f"{col}_valid"])
+            if method == "mc":
+                assert (local["p"], local["value"], local["stderr"]) == \
+                    (swept[u]["p"], swept[u]["mc_mean"], swept[u]["mc_stderr"])
+            else:
+                assert (local["p"], local["value"], local["valid"]) == \
+                    (swept[u]["p"], swept[u][col], swept[u][f"{col}_valid"])
 
 
 class TestUsageErrors:

@@ -181,6 +181,26 @@ class TestGenerate:
         with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1.5$"):
             generate(5, 2**60, 1.5, seed=0)
 
+    def test_seed_range(self, monkeypatch):
+        # the stream reads a seed mod 2^64, so a seed outside [0, 2^64) would
+        # draw another seed's graph: generate refuses it with the Monte Carlo
+        # runs' text, before the model's domain and every guard
+        assert np.array_equal(generate(6, 3, 0.5, 2**64 - 1),
+                              kernels.sample_edges(6, 3, 0.5, 2**64 - 1))
+
+        def forbidden(*args):
+            raise AssertionError("kernels._draw_kept called")
+
+        monkeypatch.setattr(kernels, "_draw_kept", forbidden)
+        for seed in (-1, 2**64):
+            message = rf"^seed must be in \[0, 2\^64\), got {seed}$"
+            with pytest.raises(ValueError, match=message):
+                mc_global(6, 3, 0.5, 2, trials=10, seed=seed)
+            for v, k, p in ((6, 3, 0.5), (0, 3, 0.5), (5, 3, 1.5), (5000, 3, 1e-9),
+                            (2300, 3, 1.0), (5, 2**60, 0.5)):
+                with pytest.raises(ValueError, match=message):
+                    generate(v, k, p, seed)
+
     def test_scale_guard(self):
         with pytest.raises(ValueError, match="generation guard"):
             generate(5000, 3, 1e-9, seed=0)

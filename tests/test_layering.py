@@ -115,17 +115,17 @@ def test_benchmark_only_names_have_no_package_reader():
 METHOD_NAMES = frozenset(corebound.local_prob.METHODS)
 
 
-def method_name_tests(tree: ast.AST):
+def method_name_tests(tree: ast.AST, names=METHOD_NAMES):
     """Each comparison with ``==``, ``!=``, ``in`` or ``not in`` that has a
-    method-name literal (a key of ``local_prob.METHODS``) as an operand, or in
-    a tuple, list or set operand."""
+    literal from ``names`` (by default the method names, the keys of
+    ``local_prob.METHODS``) as an operand, or in a tuple, list or set operand."""
     ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
     for node in ast.walk(tree):
         if isinstance(node, ast.Compare) and any(isinstance(op, ops) for op in node.ops):
             for operand in (node.left, *node.comparators):
                 items = (operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set))
                          else [operand])
-                if any(isinstance(x, ast.Constant) and x.value in METHOD_NAMES for x in items):
+                if any(isinstance(x, ast.Constant) and x.value in names for x in items):
                     yield node
                     break
 
@@ -137,6 +137,10 @@ def test_method_name_tests_are_found():
     not_tests = ast.parse('f(default="connectivity")\nm = x or ("connectivity",)\n'
                           'a == "mc"\nd["covering"] < 1\n')
     assert list(method_name_tests(not_tests)) == []
+    mc = ast.parse('a == "mc"\n"mc" in methods\na not in ("x", "mc")\nm != "mc"\n'
+                   'f(default="mc")\nm = ("connectivity", "mc")\n')
+    assert len(list(method_name_tests(mc, {"mc"}))) == 4
+    assert list(method_name_tests(mc)) == []
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "local_prob"],
@@ -148,6 +152,16 @@ def test_method_names_are_decided_in_local_prob(path):
     tests)."""
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [node.lineno for node in method_name_tests(tree)] == [], path.name
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem != "sweep"],
+                         ids=lambda p: p.stem)
+def test_mc_is_decided_in_sweep(path):
+    """Only ``sweep``, whose ``evaluate`` hands ``mc`` to the scope's Monte
+    Carlo estimator, tests a value against ``"mc"``; the other modules call
+    ``sweep.evaluate`` (choice lists and default tuples are not tests)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in method_name_tests(tree, {"mc"})] == [], path.name
 
 
 MODULES = frozenset(RANK)

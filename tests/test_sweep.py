@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from corebound import ProbValue, choose, find_breakdown, run_sweep, sweep
+from corebound import ProbValue, choose, find_breakdown, gilbert_prob, run_sweep, sweep
 from corebound.sweep import (
     FORMULA_METHODS,
     SweepSpec,
@@ -40,6 +40,17 @@ class TestSpec:
             SweepSpec(**{**good, "overhead": 1e308})
         with pytest.raises(ValueError, match="unknown formula method 'sorcery'"):
             formula_value("sorcery", "local", 6, 0.3, 3, 1)
+
+    def test_formula_value_takes_the_methods_its_scope_offers(self):
+        # gilbert is a local method only; exact-enum is the library's oracle
+        for u in (2, 5, 9):
+            assert formula_value("gilbert", "local", u, 0.3, 2, 1) == gilbert_prob(u, 0.3)
+        # a refusal lists the methods of that scope, gilbert last in local scope
+        for method, scope, last in (("gilbert", "global", "'interleaved-upper')"),
+                                    ("exact-enum", "local", "'interleaved-upper', 'gilbert')")):
+            with pytest.raises(ValueError, match=f"unknown formula method '{method}'") as info:
+                formula_value(method, scope, 6, 0.3, 2, 1)
+            assert str(info.value).endswith(last)
 
     @pytest.mark.parametrize("method", ["connectivity", "interleaved-lower"])
     @pytest.mark.parametrize("scope", ["local", "global"])
