@@ -34,7 +34,7 @@ import sys
 
 from . import montecarlo, sweep as sweep_mod
 from .local_prob import methods_for
-from .numerics import ProbValue, choose
+from .numerics import ProbValue
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -53,6 +53,15 @@ def _cell(x) -> str:
 
 def _column_name(method: str) -> str:
     return method.replace("-", "_")
+
+
+def _add_point(parser: argparse.ArgumentParser, size: str, size_help: str | None,
+               e_help: str | None) -> None:
+    """The point's size (``--u`` or ``--v``, as ``size`` names it) and its edge
+    probability, given as ``--p`` or as the expected edge count ``--e-u`` / ``--e-v``."""
+    parser.add_argument(f"--{size}", type=int, required=True, help=size_help)
+    parser.add_argument("--p", type=float, default=None)
+    parser.add_argument(f"--e-{size}", dest=f"e_{size}", type=float, default=None, help=e_help)
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
@@ -76,11 +85,7 @@ def _resolve_p(n: int, k: int, p: float | None, e: float | None) -> float:
     if p is None:
         if not 0.0 <= e < math.inf:
             raise ValueError(f"expected edge count {e} must be finite and >= 0")
-        m = choose(max(n, 0), k)  # a count below 1 is refused by the model's check
-        if m == 0:
-            return 0.0
-        a, b = e.as_integer_ratio()  # e / m, rounded once even past the double range
-        p = a / (b * m)
+        p = sweep_mod.p_from_edges(n, k, e)
     return p + 0.0  # -0.0 prints as 0.0
 
 
@@ -269,10 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_local = sub.add_parser("local", help="probability on one specific vertex subset")
-    p_local.add_argument("--u", type=int, required=True, help="subset size")
-    p_local.add_argument("--p", type=float, default=None)
-    p_local.add_argument("--e-u", dest="e_u", type=float, default=None,
-                         help="expected induced edge count (sets p = e_u / C(u,k))")
+    _add_point(p_local, "u", "subset size", "expected induced edge count (sets p = e_u / C(u,k))")
     p_local.add_argument("--method", choices=(*methods_for("local"), "mc"),
                          default="connectivity")
     _add_model(p_local)
@@ -281,10 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_local.set_defaults(func=cmd_local)
 
     p_global = sub.add_parser("global", help="whole-graph probability methods at one point")
-    p_global.add_argument("--v", type=int, required=True, help="vertex count")
-    p_global.add_argument("--p", type=float, default=None)
-    p_global.add_argument("--e-v", dest="e_v", type=float, default=None,
-                          help="expected edge count (sets p = e_v / C(v,k))")
+    _add_point(p_global, "v", "vertex count", "expected edge count (sets p = e_v / C(v,k))")
     p_global.add_argument("--method", action="append", choices=(*methods_for("global"), "mc"),
                           help="repeatable; default connectivity")
     _add_model(p_global)
@@ -307,16 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_break = sub.add_parser("breakdown", help="first expected edge count where a formula fails")
     p_break.add_argument("--overhead", type=float, default=1.0)
-    p_break.add_argument("--method", choices=methods_for("breakdown"), required=True)
+    p_break.add_argument("--method", choices=sweep_mod.FORMULA_METHODS, required=True)
     p_break.add_argument("--scope", choices=sweep_mod.SCOPES, default="local")
     p_break.add_argument("--cap", type=int, default=500, help="scan limit (default 500)")
     _add_model(p_break)
     p_break.set_defaults(func=cmd_breakdown)
 
     p_oracle = sub.add_parser("oracle", help="exhaustive exact values (desk scale)")
-    p_oracle.add_argument("--v", type=int, required=True)
-    p_oracle.add_argument("--p", type=float, default=None)
-    p_oracle.add_argument("--e-v", dest="e_v", type=float, default=None)
+    _add_point(p_oracle, "v", None, None)
     p_oracle.add_argument("--exactly-one", dest="exactly_one",
                           choices=("minimal", "maximal"), default=None,
                           help="count hypergraphs with exactly one core set "

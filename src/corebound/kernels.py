@@ -50,8 +50,8 @@ algorithm with the Monte Carlo peel they validate.
 numpy is bound lazily (:func:`_lazy_numpy`): it is imported at the first
 attribute read of ``np``, i.e. at the first draw, oracle block or candidate
 edge array.  The formula layers never touch it, so a formula command
-starts without paying for numpy's import.  ``hypergraph`` and
-``montecarlo`` take ``np`` from here.
+starts without paying for numpy's import.  ``hypergraph`` takes ``np`` from
+here; no other module names numpy.
 """
 from __future__ import annotations
 

@@ -23,9 +23,12 @@ model (by vertex anonymity only u matters):
   ``tests/test_local_prob.py::TestLocalBracketAudit`` carry the numbers).
 
 ``METHODS`` maps each local method name (those above, ``gilbert`` and the
-``exact-enum`` oracle) to its computation, the CLI subcommands that offer it
+``exact-enum`` oracle) to its computation, the ``SCOPES`` that evaluate it
 and whether its global value is a lower bound; ``LocalProvider`` memoizes one
 entry at one (k, p, r).  Each entry owns its evaluation point and its checks.
+The two scopes are the paper's two quantities at a point: ``local``, a core on
+all vertices of a given subset, and ``global``, at least one core anywhere,
+which ``global_prob`` composes from the local values.
 
 Every route checks its parameters with ``numerics.check_kpr``.
 """
@@ -305,14 +308,17 @@ def _exact_enum(k: int, p: float, r: int) -> Callable[[int], ProbValue]:
     return lambda u: ProbValue(montecarlo.exact_local(u, k, p, r))
 
 
+SCOPES = ("local", "global")
+
+
 class Method(NamedTuple):
     """A ``METHODS`` entry: ``build(k, p, r)`` checks the point and returns the
     map u -> ``ProbValue`` (which looks each routine it calls up at call time,
-    so a wrapper set later sees every call), the CLI subcommands that offer
-    it, and whether its global value is a lower bound."""
+    so a wrapper set later sees every call), the scopes that evaluate it, and
+    whether its global value is a lower bound."""
 
     build: Callable[[int, float, int], Callable[[int], ProbValue]]
-    commands: tuple[str, ...] = ("local", "global", "sweep", "breakdown")
+    scopes: tuple[str, ...] = SCOPES
     lower: bool = False
 
 
@@ -327,12 +333,13 @@ METHODS = {  # in the order the CLI lists them
 }
 
 
-def methods_for(command: str) -> tuple[str, ...]:
-    """The method names the CLI subcommand ``command`` offers, in table order."""
-    return tuple(name for name, entry in METHODS.items() if command in entry.commands)
+def methods_for(scope: str) -> tuple[str, ...]:
+    """The method names evaluated in ``scope``, in table order; ``FORMULA_METHODS``
+    are those both scopes evaluate."""
+    return tuple(name for name, entry in METHODS.items() if scope in entry.scopes)
 
 
-FORMULA_METHODS = methods_for("breakdown")  # those every subcommand and both scopes evaluate
+FORMULA_METHODS = tuple(m for m in methods_for("local") if m in methods_for("global"))
 
 
 class LocalProvider:

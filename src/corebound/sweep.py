@@ -2,9 +2,11 @@
 numerical-breakdown scans.
 
 ``evaluate`` is the one point evaluator, which ``local``, ``global`` and every
-sweep row call: each formula method's ``formula_value``, plus the scope's Monte
-Carlo estimate when the names include ``mc``.  ``formula_value`` evaluates a
-method its scope's subcommand offers (``local_prob.methods_for``) at one point:
+sweep row call: it checks the Monte Carlo inputs (``montecarlo.check_trials``)
+whatever the methods, then gives each formula method's ``formula_value``, plus
+the scope's Monte Carlo estimate when the names include ``mc``.
+``formula_value`` evaluates a method of its scope (``local_prob.methods_for``,
+scopes ``local_prob.SCOPES``) at one point:
 it hands p and the method to ``local_prob.LocalProvider``, the memo over the
 method's ``local_prob.METHODS`` entry, in local scope, or to
 ``global_prob.exactly_one_core`` in global scope.
@@ -17,7 +19,8 @@ even where both are flagged valid, so there they bracket nothing (the strict xfa
 
 A sweep fixes (k, r) and an *overhead* x (the vertex-to-edge ratio), then
 walks the expected edge count e over an integer range with v = round(x * e)
-and p = e / C(v, k).  Two scopes exist:
+and p = e / C(v, k), by ``p_from_edges``, the one expected-edge rule (the CLI's
+``--e-u`` and ``--e-v`` use it too).  Two scopes exist:
 
 * ``local``  -- the quantities are subset-local: formation on all v vertices
   of a v-vertex instance (the e_u = u style experiments use overhead 1); the
@@ -46,7 +49,7 @@ from dataclasses import dataclass, replace
 from . import montecarlo
 from .global_prob import exactly_one_core
 from .kernels import trial_seed
-from .local_prob import FORMULA_METHODS, LocalProvider, methods_for
+from .local_prob import FORMULA_METHODS, SCOPES, LocalProvider, methods_for
 from .numerics import ProbValue, check_at_least, check_kpr, choose, count_text
 
 __all__ = [
@@ -62,8 +65,7 @@ __all__ = [
     "find_breakdown",
 ]
 
-SWEEP_METHODS = (*methods_for("sweep"), "mc")
-SCOPES = ("local", "global")
+SWEEP_METHODS = (*FORMULA_METHODS, "mc")
 
 # Relative slack for the monotonicity heuristic, so flat tails of equal
 # floats do not fire on last-ulp noise.
@@ -129,25 +131,32 @@ class SweepResult:
     breakdown_at: dict[str, int | None]
 
 
+def p_from_edges(n: int, k: int, e: float) -> float:
+    """The edge probability e / C(n, k) that gives e expected edges on n
+    vertices, rounded once even past the double range; 0.0 when no k-set fits
+    (C(n, k) = 0, also for n < 0, which the model's checks refuse later)."""
+    m = choose(max(n, 0), k)
+    a, b = e.as_integer_ratio()
+    return a / (b * m) if m else 0.0
+
+
 def point_geometry(k: int, overhead: float, e: int) -> tuple[int, float]:
     """(v, p) for expected edge count e: v = round(overhead * e), p = e / C(v, k).
 
-    Rounding is half-up so ties resolve identically everywhere.  p is clamped
-    to 1 when e exceeds the candidate edge count (the e = u style scans start
-    in that regime); C(v, k) = 0 gives p = 0.
+    Rounding is half-up so ties resolve identically everywhere.  p is
+    ``p_from_edges``, clamped to 1 when e exceeds the candidate edge count (the
+    e = u style scans start in that regime); C(v, k) = 0 gives p = 0.
     """
     v = max(1, int(math.floor(overhead * e + 0.5)))
-    m = choose(v, k)
-    p = min(1.0, e / m) if m > 0 else 0.0
-    return v, p
+    return v, min(1.0, p_from_edges(v, k, e))
 
 
 def formula_value(method: str, scope: str, v: int, p: float, k: int, r: int) -> ProbValue:
     """Value of a formula method at (v, p, k, r).
 
     The scope is checked first, then the method against ``methods_for(scope)``,
-    the methods that scope's subcommand offers: ``gilbert`` in local scope only,
-    the library-only ``exact-enum`` in neither.  Local scope: the method's local
+    the methods that scope evaluates: ``gilbert`` in local scope only, the
+    library-only ``exact-enum`` in neither.  Local scope: the method's local
     value on all v vertices.  Global scope: the geometric bound on
     at-least-one-core built from those values, with the flags
     ``exactly_one_core`` gives it (a lower bound above 1 is invalid).
@@ -164,8 +173,10 @@ def evaluate(methods: tuple[str, ...], scope: str, v: int, p: float, k: int, r: 
              trials: int, seed: int) -> tuple[dict[str, ProbValue], montecarlo.McEstimate | None]:
     """Each formula method's ``formula_value`` at (v, p, k, r), in the order of
     ``methods``, and the scope's Monte Carlo estimate (``mc_local`` or
-    ``mc_global``) when ``methods`` names ``mc``, else None."""
+    ``mc_global``) when ``methods`` names ``mc``, else None.  The scope, then
+    ``trials`` and ``seed`` are checked first, whether or not ``mc`` runs."""
     _check_scope(scope)
+    montecarlo.check_trials(trials, seed)
     values = {m: formula_value(m, scope, v, p, k, r) for m in methods if m != "mc"}
     estimate = montecarlo.mc_local if scope == "local" else montecarlo.mc_global
     return values, estimate(v, k, p, r, trials, seed) if "mc" in methods else None

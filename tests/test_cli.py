@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import shlex
 import stat
@@ -339,12 +340,18 @@ class TestOnePathPerMethod:
                            "global": (*FORMULA_METHODS, "mc"),
                            "sweep": (*FORMULA_METHODS, "mc"),
                            "breakdown": FORMULA_METHODS}
-        # each subcommand offers the table's entries for it, plus mc where it
-        # runs Monte Carlo; every entry but the library-only oracle is offered
+        # local and global offer the table's entries of their scope, sweep the
+        # entries of both scopes, each plus mc; breakdown offers the entries of
+        # both scopes; every entry but the library-only oracle is offered
         table = local_prob.METHODS
-        for command, offered in choices.items():
-            listed = tuple(name for name, entry in table.items() if command in entry.commands)
-            assert offered == listed + (() if command == "breakdown" else ("mc",)), command
+        for scope in local_prob.SCOPES:
+            listed = tuple(name for name, entry in table.items() if scope in entry.scopes)
+            assert choices[scope] == (*listed, "mc"), scope
+        both = tuple(name for name, entry in table.items()
+                     if all(scope in entry.scopes for scope in local_prob.SCOPES))
+        assert both == local_prob.FORMULA_METHODS
+        assert choices["sweep"] == (*both, "mc")
+        assert choices["breakdown"] == both
         assert set(table) - {m for offered in choices.values() for m in offered} == {"exact-enum"}
 
     # a sweep row at e draws its mc with seed trial_seed(7, e); a point command
@@ -443,6 +450,13 @@ class TestUsageErrors:
           "--method", "mc", "--trials", "50", "--seed=-1"], "seed must be in [0, 2^64), got -1"),
         (["local", "--u", "-3", "--k", "3", "--p", "0.1", "--method", "mc"],
          "u must be >= 1, got -3"),
+        # trials and seed are refused whether or not mc runs, as the sweep refuses them
+        (["local", "--u", "4", "--k", "3", "--p", "0.5", "--method", "connectivity",
+          "--trials", "0"], "trials must be >= 1, got 0"),
+        (["global", "--v", "5", "--k", "3", "--p", "0.5", *method_args(FORMULA_METHODS),
+          "--seed", "-1"], "seed must be in [0, 2^64), got -1"),
+        (["global", "--v", "5", "--k", "3", "--p", "0.5", *method_args(FORMULA_METHODS),
+          "--seed", str(2**64)], f"seed must be in [0, 2^64), got {2**64}"),
         (["oracle", "--v", "-1", "--k", "3", "--e-v", "1"], "v must be >= 1, got -1"),
         # C(2, 3) = 0 edges fit, yet the expected count is still checked
         (["global", "--v", "2", "--k", "3", "--e-v", "-5"],
@@ -454,6 +468,7 @@ class TestUsageErrors:
     ], ids=["p-and-e", "p-range", "gilbert-k", "global-trials", "sweep-trials", "oracle-guard",
             "sweep-overhead-overflow", "breakdown-overhead-overflow", "global-seed-negative",
             "local-seed-2^64", "sweep-seed-2^64", "sweep-seed-negative", "local-mc-u-negative",
+            "local-formula-trials", "global-formula-seed-negative", "global-formula-seed-2^64",
             "oracle-e-v-negative", "global-e-v-negative-no-edges", "global-e-v-nan-no-edges",
             "local-e-u-inf-no-edges"])
     def test_bad_value_prints_one_error_line(self, capsys, argv, message):
@@ -649,7 +664,21 @@ class TestExpectedEdgesPastDoubleRange:
                      "--method", "covering"]) == 0
         p = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
         assert p == float(fractions.Fraction(float(e)) / self.C)
+        assert p == sweep.p_from_edges(1100, 550, float(e))
         assert (p == 0.0) == (e == "1")  # 1 / C underflows; 1e300 / C is about 3.06e-30
+
+    def test_p_from_edges_rounds_once(self):
+        # e / C(n, k) rounded once, for int e and for float e up to 1e300, with
+        # C(n, k) within and past the double range
+        rng = random.Random(20261022)
+        for _ in range(2000):
+            n = rng.choice([rng.randint(2, 60), rng.randint(1000, 1200)])
+            k = rng.randint(2, n)
+            e = rng.choice([rng.randint(0, 10**6), rng.uniform(0, 10.0 ** rng.randint(0, 300))])
+            exact = fractions.Fraction(e) / math.comb(n, k)
+            assert sweep.p_from_edges(n, k, e) == float(exact), (n, k, e)
+        # no k-set fits: a size below k, or below 0
+        assert sweep.p_from_edges(2, 3, 5.0) == sweep.p_from_edges(-4, 3, 1) == 0.0
 
     @pytest.mark.parametrize("argv, guard", [
         (["oracle", "--v", "1100", "--k", "550", "--e-v", "1"], "enumeration guard 20"),

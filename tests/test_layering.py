@@ -9,6 +9,10 @@ numpy is bound by ``kernels`` alone, lazily, so that the formula layers
 start without its import: no module has an ``import numpy`` statement,
 ``hypergraph`` takes ``np`` from ``kernels``, and the other modules never
 name it.
+
+Methods are keyed by scope, not by CLI subcommand: ``local_prob.methods_for``
+is called with a member of ``local_prob.SCOPES``, and ``local_prob`` names no
+subcommand that is not a scope.
 """
 import ast
 import re
@@ -199,3 +203,61 @@ def test_no_private_names_across_modules(path):
     rule with one owner is called through that owner's public name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     assert [node.lineno for node in private_reads(tree)] == [], path.name
+
+
+# the subcommands that are not scopes; local_prob, below cli, names none of them
+COMMANDS_NOT_SCOPES = frozenset({"sweep", "breakdown", "oracle"})
+
+
+def methods_for_literals(tree: ast.AST):
+    """(call, literal) for each string literal argument of a ``methods_for(...)``
+    or ``mod.methods_for(...)`` call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "methods_for" in (getattr(node.func, "id", None),
+                                                            getattr(node.func, "attr", None)):
+            for arg in (*node.args, *(kw.value for kw in node.keywords)):
+                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+                    yield node, arg.value
+
+
+def command_constants(tree: ast.AST, names=COMMANDS_NOT_SCOPES):
+    """Each constant in ``names`` in the code, skipping docstrings (the first
+    statement of a module, class or function, when it is a string)."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and node.value in names and id(node) not in docstrings:
+            yield node
+
+
+def test_scope_rules_are_found():
+    calls = ast.parse('methods_for("breakdown")\nlocal_prob.methods_for("sweep")\n'
+                      'methods_for("local")\nmethods_for(scope)\nmethods_for(scope="global")\n'
+                      'other("sweep")\n')
+    assert sorted(lit for _, lit in methods_for_literals(calls)) == [
+        "breakdown", "global", "local", "sweep"]
+    code = ast.parse('"""sweep"""\ndef f():\n    """breakdown"""\n    return "oracle"\n'
+                     'x = ("local", "sweep")\nclass C:\n    """oracle"""\n'
+                     '    y: tuple = ("breakdown",)\nz = "a sweep"\n')
+    assert sorted(node.lineno for node in command_constants(code)) == [4, 5, 8]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_methods_for_takes_a_scope(path):
+    """``methods_for`` keys the method table by scope, so a literal it is
+    given names a member of ``local_prob.SCOPES``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    wrong = [(node.lineno, lit) for node, lit in methods_for_literals(tree)
+             if lit not in corebound.local_prob.SCOPES]
+    assert wrong == [], path.name
+
+
+def test_local_prob_names_no_subcommand():
+    """``local_prob``'s code holds no ``"sweep"``, ``"breakdown"`` or
+    ``"oracle"`` constant: which methods a subcommand offers is decided in
+    ``cli`` from the scopes."""
+    path = Path(corebound.local_prob.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in command_constants(tree)] == []

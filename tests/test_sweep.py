@@ -10,6 +10,7 @@ from corebound.sweep import (
     SweepSpec,
     first_failure,
     formula_value,
+    p_from_edges,
     point_geometry,
 )
 
@@ -82,6 +83,14 @@ class TestSpec:
         assert point_geometry(3, 1.5, 3)[0] == 5
         # e beyond the candidate count clamps p
         assert point_geometry(3, 1.0, 3) == (3, 1.0)
+        # p is p_from_edges clamped to 1, which is min(1, e / C(v, k)), 0 when no k-set fits
+        for k in (2, 3, 4):
+            for overhead in (0.1, 0.35, 0.5, 0.9, 1.0, 1.2, 1.5, 1.6, 2.0, 3.7):
+                for e in range(1, 400):
+                    v, p = point_geometry(k, overhead, e)
+                    m = choose(v, k)
+                    assert p == (min(1.0, e / m) if m > 0 else 0.0), (k, overhead, e)
+                    assert p == min(1.0, p_from_edges(v, k, e))
 
     def test_p_times_choose_recovers_e(self):
         for e in range(4, 40):
